@@ -1,6 +1,6 @@
 # Developer and CI entry points. CI (.github/workflows/ci.yml) runs the
-# same targets (make ci across an os×Go matrix, plus smoke and
-# bench-retrieval jobs), so a green `make ci` locally means a green
+# same targets (make ci across an os×Go matrix, plus smoke, bench-e2e
+# and bench-retrieval jobs), so a green `make ci` locally means a green
 # pipeline.
 
 GO ?= go
@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Where the arynvet vet tool is built; override for a custom location.
 ARYNVET_BIN ?= $(CURDIR)/.bin/arynvet
 
-.PHONY: build test lint staticcheck print-staticcheck-version govulncheck print-govulncheck-version arynvet-bin vet-custom smoke bench bench-retrieval bench-serving bench-optimizer chaos docs-check cover fuzz-smoke ci
+.PHONY: build test lint staticcheck print-staticcheck-version govulncheck print-govulncheck-version arynvet-bin vet-custom smoke bench bench-e2e bench-retrieval bench-serving bench-optimizer chaos docs-check cover fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,14 @@ docs-check:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# End-to-end benchmark smoke: bench/ is a module of its own (see
+# bench/README.md), so `go build ./... && go test ./...` at the root
+# neither builds nor runs it. This vets it and runs its unit tests plus a
+# short run of every workload (≈ 15 s), so a change that breaks a seam
+# bench/ binds to fails here instead of in the benchmark driver.
+bench-e2e:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Retrieval perf trajectory: run the hot-path benchmarks and refresh the
 # "after" section of BENCH_retrieval.json (the "before" section is pinned
 # to the pre-overhaul baseline). CI uploads the JSON as an artifact.
@@ -140,4 +148,4 @@ bench-serving:
 chaos:
 	./scripts/chaos.sh
 
-ci: build lint staticcheck vet-custom test bench
+ci: build lint staticcheck vet-custom test bench bench-e2e

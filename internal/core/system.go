@@ -25,7 +25,9 @@ import (
 type Config struct {
 	// Seed drives every stochastic component.
 	Seed int64
-	// Parallelism is the Sycamore worker count per stage.
+	// Parallelism is the Sycamore busy-worker count per stage and per query
+	// (stages that call the model keep a wider, fixed window of calls
+	// outstanding; see internal/docset).
 	Parallelism int
 	// HNSW switches the vector index to approximate search.
 	HNSW bool
@@ -137,7 +139,7 @@ func New(cfg Config) *System {
 	if cfg.LLMMaxBatch > 0 || cfg.LLMBatchLinger > 0 {
 		maxBatch, linger := cfg.LLMMaxBatch, cfg.LLMBatchLinger
 		if maxBatch <= 0 {
-			maxBatch = 8
+			maxBatch = llm.DefaultMaxBatch
 		}
 		if linger <= 0 {
 			linger = time.Millisecond

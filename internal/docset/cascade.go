@@ -41,8 +41,9 @@ func (ds *DocSet) LLMFilterCascade(question string, low, high float64) *DocSet {
 	var once sync.Once
 	var qvec []float32
 	return ds.with(stageSpec{
-		name: fmt.Sprintf("llmFilterCascade[%s, band=%g..%g]", question, low, high),
-		kind: mapKind,
+		name:       fmt.Sprintf("llmFilterCascade[%s, band=%g..%g]", question, low, high),
+		kind:       mapKind,
+		callsModel: true,
 		mapFn: func(ec *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
 			once.Do(func() { qvec = ec.Embedder.Embed(question) })
 			score := proxyScore(ec, qvec, d)
@@ -62,7 +63,7 @@ func (ds *DocSet) LLMFilterCascade(question string, low, high float64) *DocSet {
 				atomic.AddInt64(&ec.nt.Escalations, 1)
 			}
 			prompt := llm.FilterPrompt(question, d.TextContent())
-			resp, err := ec.LLM.Complete(ec.CallContext(), llm.Request{Prompt: prompt})
+			resp, err := ec.complete(llm.Request{Prompt: prompt})
 			if err != nil {
 				return nil, err
 			}

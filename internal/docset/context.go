@@ -17,7 +17,9 @@ type Context struct {
 	LLM llm.Client
 	// Embedder backs the embed transform.
 	Embedder embed.Embedder
-	// Parallelism is the worker count per pipeline stage (default 4).
+	// Parallelism is how many workers compute at once per pipeline stage,
+	// and per query under QueryScope (default 4). It does not bound the
+	// model calls a stage keeps outstanding (see runMapStage).
 	Parallelism int
 	// Retries is how many times a transient LLM failure is retried per
 	// document (default 2).
@@ -72,6 +74,11 @@ type Context struct {
 	// sources — can record activity the generic runners cannot see, like
 	// per-batch arrivals.
 	nt *NodeTrace
+
+	// slot is the budget claim of the map-stage worker this context view
+	// belongs to (installed per worker by runMapStage; nil in barrier and
+	// source stages, which hold no slot).
+	slot *workerSlot
 }
 
 // streamBatchSize returns the effective streaming batch size (contexts
@@ -94,9 +101,9 @@ func (c *Context) streamBufferDepth() int {
 
 // workerBudget is a counting semaphore over busy workers. Tokens are held
 // only while a stage is actively processing a document — never across
-// channel sends or subtree waits — so pipelines sharing a budget cannot
-// deadlock on it, and an idle branch's capacity is immediately available
-// to its siblings (work-conserving).
+// channel sends, subtree waits or model round trips — so pipelines sharing
+// a budget cannot deadlock on it, and an idle branch's capacity is
+// immediately available to its siblings (work-conserving).
 type workerBudget struct {
 	slots chan struct{}
 }
@@ -119,26 +126,66 @@ func (c *Context) QueryScope() *Context {
 	return &out
 }
 
-// acquireWorker blocks until a budget slot is free (or ctx is done).
-// No-op without a budget.
-func (c *Context) acquireWorker(ctx context.Context) error {
-	if c.budget == nil {
-		return nil
+// workerSlot is one map-stage worker goroutine's claim on the budget: taken
+// before the worker computes on a document, given back when it is done and
+// for the length of every model round trip in between (Context.complete).
+// Only the owning goroutine touches it. A nil budget makes take and give
+// no-ops (a plain map stage outside a query scope is bounded by its worker
+// count alone).
+type workerSlot struct {
+	budget *workerBudget
+	// done is the stage context's Done channel: a cancelled plan stops a
+	// worker queued for a slot.
+	done <-chan struct{}
+	held bool
+	// queued is how long the current document has waited to get the slot
+	// back after a model call returned. The worker keeps it out of the
+	// document's busy span: queueing for a worker is not work.
+	queued time.Duration
+}
+
+// take blocks until the worker holds a slot; false means the plan was
+// cancelled first and no slot is held.
+func (s *workerSlot) take() bool {
+	if s.budget == nil {
+		return true
 	}
 	select {
-	case c.budget.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	case s.budget.slots <- struct{}{}:
+		s.held = true
+		return true
+	case <-s.done:
+		return false
 	}
 }
 
-// releaseWorker returns a slot taken by acquireWorker.
-func (c *Context) releaseWorker() {
-	if c.budget == nil {
-		return
+// give hands the slot back if the worker holds one.
+func (s *workerSlot) give() {
+	if s.held {
+		<-s.budget.slots
+		s.held = false
 	}
-	<-c.budget.slots
+}
+
+// complete issues one model call for the current stage attempt. A map-stage
+// worker gives its budget slot back for the round trip (a worker blocked on
+// the model is not busy, so a sibling stage or branch computes meanwhile)
+// and queues for it again before it parses the response. Barrier and
+// source stages hold no slot and call straight through.
+func (c *Context) complete(req llm.Request) (llm.Response, error) {
+	ctx := c.CallContext()
+	if c.slot == nil {
+		return c.LLM.Complete(ctx, req)
+	}
+	c.slot.give()
+	resp, err := c.LLM.Complete(ctx, req)
+	returned := wallclock()
+	retaken := c.slot.take()
+	c.slot.queued += wallclock().Sub(returned)
+	if !retaken && err == nil {
+		err = ctx.Err() // derived from the stage context, so done as well
+	}
+	return resp, err
 }
 
 // CallContext returns the context the current stage attempt should issue
@@ -165,18 +212,11 @@ func (c *Context) withCallCtx(ctx context.Context) *Context {
 // dispatch is what makes shared subtrees report their usage exactly once:
 // the calls land on the subtree's own stages, not on every consumer that
 // replays its output.
-//
-// yieldsBudget marks stages whose workers hold a budget token while the
-// client is invoked (map stages): their calls release the slot for the
-// duration of the model round-trip — a worker blocked on the network is
-// not drawing on the worker pool, so a sibling branch can compute while
-// this one waits. Barrier and source stages never hold tokens and must
-// not yield.
-func (c *Context) forStage(nt *NodeTrace, yieldsBudget bool) *Context {
+func (c *Context) forStage(nt *NodeTrace) *Context {
 	out := *c
 	out.nt = nt
 	if c.LLM != nil {
-		out.LLM = &tracingLLM{inner: c.LLM, nt: nt, yield: c.budget, yields: yieldsBudget}
+		out.LLM = &tracingLLM{inner: c.LLM, nt: nt}
 	}
 	return &out
 }

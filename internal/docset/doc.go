@@ -9,15 +9,22 @@
 //
 // Concurrency: DocSets are immutable plans — every transform returns a
 // new value, so building and executing DocSets from many goroutines is
-// safe. Execute runs each map stage with Context.Parallelism workers;
-// output order is made deterministic by hierarchical sequence numbers, so
-// results are byte-identical at any parallelism. Independent subtrees
-// wrap as Tasks (schedule.go): a Task executes at most once no matter how
-// many consumers race to demand it, and replays its output to all of
-// them. A query-scoped Context (QueryScope) adds a worker budget — a
-// work-conserving semaphore over busy workers shared by every pipeline of
-// one query — so concurrent branches never multiply the query's worker
-// footprint; workers yield their slot while blocked on a model
-// round-trip. Traces attribute LLM calls to the dispatching stage exactly
-// once.
+// safe. Execute bounds two resources per map stage. Busy workers: up to
+// Context.Parallelism goroutines compute on documents at once. Outstanding
+// model calls: a stage that calls the model per document (llmExtract,
+// llmFilter, llmFilterCascade, llmCombine) keeps a fixed window of 64
+// documents in flight (eight of the batcher's batches), each computing
+// only under one of Parallelism worker slots and giving the slot back for
+// the round trip, so its model latency overlaps while its CPU footprint
+// stays Parallelism. Output order is made deterministic by hierarchical
+// sequence numbers, so results are byte-identical at any parallelism.
+// Independent subtrees wrap as Tasks (schedule.go): a Task executes at
+// most once no matter how many consumers race to demand it, and replays
+// its output to all of them. A query-scoped Context (QueryScope) adds a
+// worker budget — a work-conserving semaphore over busy workers shared by
+// every pipeline of one query — so concurrent branches and model windows
+// never multiply the query's worker footprint. Time a document spends
+// queued for a slot after its model call returned is kept out of the
+// stage's busy time. Traces attribute LLM calls to the dispatching stage
+// exactly once.
 package docset

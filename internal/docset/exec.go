@@ -69,6 +69,10 @@ type stageSpec struct {
 	// must honor the plan's cancellation/deadline (join's build side).
 	// Takes precedence over barrierFn when set.
 	barrierCtxFn func(context.Context, *Context, []*docmodel.Document) ([]*docmodel.Document, error)
+	// callsModel marks map stages whose mapFn makes a model call per
+	// document (Context.complete): they keep modelWindow documents in
+	// flight instead of Parallelism (see runMapStage).
+	callsModel bool
 	// mutates marks stages that may write to their input documents
 	// (SetProperty, Text/Embedding assignment, user-supplied map
 	// functions). Shared-source plans clone at the source only when some
@@ -224,7 +228,7 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 			// Sample before sending: once a document crosses the channel its
 			// ownership transfers downstream.
 			srcTrace.addSample(env.doc.Summary())
-			srcTrace.noteSpan(resumed, wallclock())
+			srcTrace.noteSpan(resumed, wallclock(), 0)
 			defer func() { resumed = wallclock() }()
 			select {
 			case srcOut <- env:
@@ -239,16 +243,16 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 		if ds.source.emitEnv != nil {
 			// Envelope-relay sources (streaming task edges) keep the
 			// producer's sequence numbers intact.
-			err = ds.source.emitEnv(cctx, ds.ctx.forStage(srcTrace, false), yieldEnv)
+			err = ds.source.emitEnv(cctx, ds.ctx.forStage(srcTrace), yieldEnv)
 		} else {
 			i := 0
-			err = ds.source.emit(cctx, ds.ctx.forStage(srcTrace, false), func(d *docmodel.Document) error {
+			err = ds.source.emit(cctx, ds.ctx.forStage(srcTrace), func(d *docmodel.Document) error {
 				env := envelope{seq: []int32{int32(i)}, doc: d}
 				i++
 				return yieldEnv(env)
 			})
 		}
-		srcTrace.noteSpan(resumed, wallclock())
+		srcTrace.noteSpan(resumed, wallclock(), 0)
 		if err != nil {
 			errs[0] = err
 			cancel()
@@ -267,9 +271,9 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 			var err error
 			switch sp.kind {
 			case mapKind:
-				err = runMapStage(cctx, ds.ctx.forStage(nt, true), sp, nt, in, out)
+				err = runMapStage(cctx, ds.ctx.forStage(nt), sp, nt, in, out)
 			case barrierKind:
-				err = runBarrierStage(cctx, ds.ctx.forStage(nt, false), sp, nt, in, out)
+				err = runBarrierStage(cctx, ds.ctx.forStage(nt), sp, nt, in, out)
 			default:
 				err = fmt.Errorf("docset: unknown stage kind %d", sp.kind)
 			}
@@ -343,12 +347,33 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 	return trace, nil
 }
 
+// modelWindow is how many documents a map stage that calls the model keeps
+// in flight: enough concurrent callers to fill eight of the batcher's
+// batches at once, so a stage's round trips overlap instead of running one
+// lingering batch at a time.
+const modelWindow = 8 * llm.DefaultMaxBatch
+
 // runMapStage fans the input across workers, applying the map function
-// with transient-failure retries.
+// with transient-failure retries. Two resources bound a stage, and they are
+// not the same thing. Busy workers: up to Parallelism goroutines, each
+// holding a slot of the query's budget (when there is one) while it
+// computes on a document. Outstanding model calls: a stage that calls the
+// model runs up to modelWindow goroutines instead, each computing only
+// under a budget slot (the query's, or one of Parallelism slots of the
+// stage's own) and giving it back for the round trip, so the window adds
+// documents waiting on the model, never busy workers. Output order does
+// not depend on either bound: envelopes are re-sorted by sequence.
 func runMapStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTrace, in <-chan envelope, out chan<- envelope) error {
 	workers := ec.Parallelism
 	if workers < 1 {
 		workers = 1
+	}
+	budget := ec.budget
+	if sp.callsModel {
+		if budget == nil {
+			budget = newWorkerBudget(workers)
+		}
+		workers = modelWindow
 	}
 	var wg sync.WaitGroup
 	errOnce := sync.Once{}
@@ -357,48 +382,67 @@ func runMapStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTrace, 
 		errOnce.Do(func() { stageErr = err })
 	}
 
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for env := range in {
-				if ctx.Err() != nil {
-					return
-				}
-				atomic.AddInt64(&nt.In, 1)
-				// The budget token is held for exactly the busy span —
-				// never across channel sends — so concurrent branches
-				// share the per-query worker budget without deadlock.
-				if err := ec.acquireWorker(ctx); err != nil {
-					return
-				}
-				t0 := wallclock()
-				results, err := applyWithRetry(ctx, ec, sp.mapFn, env.doc, nt)
-				nt.noteSpan(t0, wallclock())
-				ec.releaseWorker()
-				if err != nil {
-					fail(fmt.Errorf("%s: %w", sp.name, err))
-					return
-				}
-				for j, d := range results {
-					outEnv := envelope{seq: childSeq(env.seq, j), doc: d}
-					nt.addSample(d.Summary())
-					select {
-					case out <- outEnv:
-						atomic.AddInt64(&nt.Out, 1)
-						nt.noteFirstOut()
-					case <-ctx.Done():
-						return
-					}
+	// Workers start on demand, up to the bound: a worker that takes a
+	// document while no other is waiting for one starts the next. The
+	// stage drains its input exactly as a fixed pool would, but one fed a
+	// handful of documents, or whose calls are all cache hits, does not
+	// pay for a window of goroutines that never see a document.
+	var started, waiting atomic.Int32
+	var work func()
+	work = func() {
+		defer wg.Done()
+		slot := &workerSlot{budget: budget, done: ctx.Done()}
+		wec := *ec
+		wec.slot = slot
+		for {
+			waiting.Add(1)
+			env, ok := <-in
+			lastWaiting := waiting.Add(-1) == 0
+			if !ok || ctx.Err() != nil {
+				return
+			}
+			if lastWaiting {
+				if started.Add(1) <= int32(workers) {
+					wg.Add(1)
+					go work()
+				} else {
+					started.Add(-1)
 				}
 			}
-		}()
+			atomic.AddInt64(&nt.In, 1)
+			// The budget slot is held for exactly the busy span —
+			// never across channel sends — so concurrent branches
+			// share the per-query worker budget without deadlock.
+			if !slot.take() {
+				return
+			}
+			t0 := wallclock()
+			results, err := applyWithRetry(ctx, &wec, sp.mapFn, env.doc, nt)
+			nt.noteSpan(t0, wallclock(), slot.queued)
+			slot.queued = 0
+			slot.give()
+			if err != nil {
+				fail(fmt.Errorf("%s: %w", sp.name, err))
+				return
+			}
+			for j, d := range results {
+				outEnv := envelope{seq: childSeq(env.seq, j), doc: d}
+				nt.addSample(d.Summary())
+				select {
+				case out <- outEnv:
+					atomic.AddInt64(&nt.Out, 1)
+					nt.noteFirstOut()
+				case <-ctx.Done():
+					return
+				}
+			}
+		}
 	}
+	started.Store(1)
+	wg.Add(1)
+	go work()
 	wg.Wait()
-	if stageErr != nil {
-		return stageErr
-	}
-	return nil
+	return stageErr
 }
 
 // applyWithRetry runs one document through a map function, retrying
@@ -493,7 +537,7 @@ func runBarrierStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTra
 	} else {
 		results, err = sp.barrierFn(bec, docs)
 	}
-	nt.noteSpan(t0, wallclock())
+	nt.noteSpan(t0, wallclock(), 0)
 	if err != nil {
 		return fmt.Errorf("%s: %w", sp.name, err)
 	}

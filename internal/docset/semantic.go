@@ -24,12 +24,13 @@ func (ds *DocSet) LLMExtract(fields []llm.FieldSpec) *DocSet {
 		names[i] = f.Name
 	}
 	return ds.with(stageSpec{
-		name:    "llmExtract[" + strings.Join(names, ",") + "]",
-		kind:    mapKind,
-		mutates: true, // merges extracted fields into d.Properties
+		name:       "llmExtract[" + strings.Join(names, ",") + "]",
+		kind:       mapKind,
+		callsModel: true,
+		mutates:    true, // merges extracted fields into d.Properties
 		mapFn: func(ec *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
 			prompt := llm.ExtractPrompt(fields, d.TextContent())
-			resp, err := ec.LLM.Complete(ec.CallContext(), llm.Request{Prompt: prompt})
+			resp, err := ec.complete(llm.Request{Prompt: prompt})
 			if err != nil {
 				return nil, err
 			}
@@ -51,11 +52,12 @@ func (ds *DocSet) LLMExtract(fields []llm.FieldSpec) *DocSet {
 // predicate affirmatively (Table 2b).
 func (ds *DocSet) LLMFilter(question string) *DocSet {
 	return ds.with(stageSpec{
-		name: "llmFilter[" + question + "]",
-		kind: mapKind,
+		name:       "llmFilter[" + question + "]",
+		kind:       mapKind,
+		callsModel: true,
 		mapFn: func(ec *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
 			prompt := llm.FilterPrompt(question, d.TextContent())
-			resp, err := ec.LLM.Complete(ec.CallContext(), llm.Request{Prompt: prompt})
+			resp, err := ec.complete(llm.Request{Prompt: prompt})
 			if err != nil {
 				return nil, err
 			}
@@ -86,13 +88,14 @@ func (ds *DocSet) LLMReduceByKey(keyField, instruction string) *DocSet {
 		return merged, nil
 	}, false) // reduce reads members and emits fresh group documents
 	return grouped.with(stageSpec{
-		name:    "llmCombine[" + instruction + "]",
-		kind:    mapKind,
-		mutates: true, // rewrites d.Text with the combined summary
+		name:       "llmCombine[" + instruction + "]",
+		kind:       mapKind,
+		callsModel: true,
+		mutates:    true, // rewrites d.Text with the combined summary
 		mapFn: func(ec *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
 			items := strings.Split(d.Text, "\n")
 			prompt := llm.SummarizePrompt(instruction, items)
-			resp, err := ec.LLM.Complete(ec.CallContext(), llm.Request{Prompt: prompt})
+			resp, err := ec.complete(llm.Request{Prompt: prompt})
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +136,7 @@ func (ds *DocSet) Summarize(instruction string) *DocSet {
 				items = append(items, d.TextContent())
 			}
 			prompt := llm.SummarizePrompt(instruction, items)
-			resp, err := ec.LLM.Complete(ec.CallContext(), llm.Request{Prompt: prompt})
+			resp, err := ec.complete(llm.Request{Prompt: prompt})
 			if err != nil {
 				return nil, err
 			}

@@ -190,9 +190,11 @@ func (n *NodeTrace) addSample(s string) {
 // noteSpan records one unit of work: busy time accumulates and the busy
 // window widens. The window is what EXPLAIN ANALYZE uses to show that
 // independent branches of a plan actually overlapped in wall-clock time.
-func (n *NodeTrace) noteSpan(t0, t1 time.Time) {
+// queued is the part of [t0, t1] the worker spent waiting for a budget
+// slot (workerSlot.queued); it is not busy time.
+func (n *NodeTrace) noteSpan(t0, t1 time.Time, queued time.Duration) {
 	n.mu.Lock()
-	n.Duration += t1.Sub(t0)
+	n.Duration += t1.Sub(t0) - queued
 	if n.start.IsZero() || t0.Before(n.start) {
 		n.start = t0
 	}
@@ -272,25 +274,14 @@ func truncName(s string, n int) string {
 
 // tracingLLM wraps the context's LLM client for one stage, counting every
 // call into that stage's trace node. It preserves middleware-stats
-// discovery (llm.StatsOf) by exposing the wrapped client. For map stages
-// (yields set) it also releases the caller's worker-budget slot for the
-// duration of the round-trip: the budget caps busy workers, and a worker
-// blocked on the model is not busy — this is what lets concurrent
-// branches overlap their model latency instead of serializing on the
-// budget.
+// discovery (llm.StatsOf) by exposing the wrapped client.
 type tracingLLM struct {
-	inner  llm.Client
-	nt     *NodeTrace
-	yield  *workerBudget
-	yields bool
+	inner llm.Client
+	nt    *NodeTrace
 }
 
 // Complete forwards the call and records it against the stage.
 func (t *tracingLLM) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	if t.yields && t.yield != nil {
-		<-t.yield.slots
-		defer func() { t.yield.slots <- struct{}{} }()
-	}
 	resp, err := t.inner.Complete(ctx, req)
 	if err == nil {
 		atomic.AddInt64(&t.nt.LLMCalls, 1)

@@ -54,6 +54,9 @@ type batchResult struct {
 
 // pendingReq is one enqueued request awaiting dispatch.
 type pendingReq struct {
+	// ctx is the caller's context: dispatch answers a request whose caller
+	// already gave up with ctx.Err() instead of sending it upstream.
+	ctx  context.Context
 	req  Request
 	done chan batchResult // buffered(1): dispatch never blocks on waiters
 }
@@ -82,7 +85,13 @@ type Batcher struct {
 // BatcherOption configures a Batcher.
 type BatcherOption func(*Batcher)
 
-// WithMaxBatch bounds the batch size (default 8; 1 disables coalescing).
+// DefaultMaxBatch is the batch width of a Batcher built without
+// WithMaxBatch. DocSet sizes the window of model calls a stage keeps
+// outstanding as a multiple of it.
+const DefaultMaxBatch = 8
+
+// WithMaxBatch bounds the batch size (default DefaultMaxBatch; 1 disables
+// coalescing).
 func WithMaxBatch(n int) BatcherOption {
 	return func(b *Batcher) {
 		if n > 0 {
@@ -103,7 +112,7 @@ func WithLinger(d time.Duration) BatcherOption {
 
 // NewBatcher wraps inner with a batching dispatcher.
 func NewBatcher(inner Client, opts ...BatcherOption) *Batcher {
-	b := &Batcher{inner: inner, maxBatch: 8, linger: time.Millisecond}
+	b := &Batcher{inner: inner, maxBatch: DefaultMaxBatch, linger: time.Millisecond}
 	for _, o := range opts {
 		o(b)
 	}
@@ -118,7 +127,7 @@ func (b *Batcher) Complete(ctx context.Context, req Request) (Response, error) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 
-	p := &pendingReq{req: req, done: make(chan batchResult, 1)}
+	p := &pendingReq{ctx: ctx, req: req, done: make(chan batchResult, 1)}
 
 	b.mu.Lock()
 	b.pending = append(b.pending, p)
@@ -193,10 +202,21 @@ func (b *Batcher) Flush() {
 }
 
 // dispatch sends one batch upstream and fans results back to the waiters.
-// The upstream call runs under a background context: the batch is shared
-// by callers with independent contexts, and each waiter still honors its
-// own cancellation while waiting.
+// Requests whose caller's context is already done are dropped first: a
+// cancelled query that had a window of documents queued pays for none of
+// the prompts it abandoned. The upstream call runs under a background
+// context: the batch is shared by callers with independent contexts, and
+// each waiter still honors its own cancellation while waiting.
 func (b *Batcher) dispatch(batch []*pendingReq) {
+	live := batch[:0]
+	for _, p := range batch {
+		if err := p.ctx.Err(); err != nil {
+			p.done <- batchResult{err: err}
+			continue
+		}
+		live = append(live, p)
+	}
+	batch = live
 	if len(batch) == 0 {
 		return
 	}

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -262,4 +263,88 @@ func TestBatcherDegradesToSinglesOnBatchError(t *testing.T) {
 	if got := inner.batchCalls.Load(); got < 1 {
 		t.Fatal("grouped dispatch was never attempted")
 	}
+}
+
+// gatedClient holds the prompt "occupier" upstream until gate closes, so a
+// test can keep one call in flight while others queue behind it.
+type gatedClient struct {
+	Client
+	gate chan struct{}
+}
+
+func (g gatedClient) Complete(ctx context.Context, req Request) (Response, error) {
+	if req.Prompt == "occupier" {
+		<-g.gate
+	}
+	return g.Client.Complete(ctx, req)
+}
+
+// A request whose caller gave up before its batch was taken is answered
+// with the caller's error and never sent: it costs no upstream request and
+// no tokens, and the live requests batched with it are served as usual.
+func TestBatcherDropsCancelledWaiters(t *testing.T) {
+	scripted := &Scripted{Responses: []Response{{Text: "answer"}}}
+	meter := NewMeter(scripted)
+	gate := make(chan struct{})
+	// Only Flush can deliver the queued requests: no size or linger flush.
+	b := NewBatcher(gatedClient{Client: meter, gate: gate}, WithMaxBatch(8), WithLinger(time.Hour))
+
+	occupied := make(chan struct{})
+	go func() {
+		defer close(occupied)
+		if _, err := b.Complete(context.Background(), Request{Prompt: "occupier"}); err != nil {
+			t.Error(err)
+		}
+	}()
+	for b.Stats().Batches == 0 { // the occupier is upstream, inside Complete
+		time.Sleep(time.Millisecond)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	type outcome struct {
+		resp Response
+		err  error
+	}
+	call := func(ctx context.Context, prompt string) <-chan outcome {
+		ch := make(chan outcome, 1)
+		go func() {
+			resp, err := b.Complete(ctx, Request{Prompt: prompt})
+			ch <- outcome{resp, err}
+		}()
+		return ch
+	}
+	gone1 := call(cancelled, "abandoned one")
+	live := call(context.Background(), "live")
+	gone2 := call(cancelled, "abandoned two")
+	for queued := 0; queued < 3; {
+		time.Sleep(time.Millisecond)
+		b.mu.Lock()
+		queued = len(b.pending)
+		b.mu.Unlock()
+	}
+
+	cancel()
+	for _, ch := range []<-chan outcome{gone1, gone2} {
+		if o := <-ch; !errors.Is(o.err, context.Canceled) {
+			t.Errorf("cancelled waiter got (%q, %v), want context.Canceled", o.resp.Text, o.err)
+		}
+	}
+	b.Flush()
+	if o := <-live; o.err != nil || o.resp.Text != "answer" {
+		t.Errorf("live waiter got (%q, %v), want the model's answer", o.resp.Text, o.err)
+	}
+
+	if got := len(scripted.Requests); got != 1 || scripted.Requests[0].Prompt != "live" {
+		t.Errorf("upstream saw %d requests %v, want only the live one", got, scripted.Requests)
+	}
+	want := Usage{Calls: 1, PromptTokens: CountTokens("live"), CompletionTokens: CountTokens("answer")}
+	if got := meter.Usage(); got != want {
+		t.Errorf("metered usage = %+v, want the live request's alone: %+v", got, want)
+	}
+	if st := b.Stats(); st.Requests != 2 || st.Batches != 2 {
+		t.Errorf("stats = %+v, want 2 requests in 2 dispatches (occupier, live)", st)
+	}
+
+	close(gate)
+	<-occupied
 }

@@ -32,14 +32,52 @@ func diamondPlan() *LogicalPlan {
 	}
 }
 
-// runDiamond executes the diamond at the given parallelism and returns
-// the result plus a byte-stable rendering of its output.
-func runDiamond(t *testing.T, parallelism int, serial bool) (*Result, string) {
+// modelStagePlan runs three per-document model operators back to back
+// over a corpus wider than one window of in-flight calls: the shape on
+// which a model stage's concurrency exceeds Parallelism. Its output is the
+// surviving documents themselves, so their order is part of the bytes.
+func modelStagePlan() *LogicalPlan {
+	return &LogicalPlan{
+		Nodes: []PlanNode{
+			{ID: "m1", LogicalOp: LogicalOp{Op: OpQueryDatabase}},
+			{ID: "m2", Inputs: []string{"m1"}, LogicalOp: LogicalOp{
+				Op: OpLLMFilterCascade, Question: "Does the document indicate substantial damage?", Low: 0.01}},
+			{ID: "m3", Inputs: []string{"m2"}, LogicalOp: LogicalOp{
+				Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "weather_related", Type: "bool"}}}},
+			{ID: "m4", Inputs: []string{"m3"}, LogicalOp: LogicalOp{
+				Op: OpLLMFilter, Question: "Does the document mention a landing?"}},
+		},
+		Output: "m4",
+	}
+}
+
+// wideFixture is executorFixture over 150 documents.
+func wideFixture(t *testing.T) *Executor {
 	t.Helper()
-	ex, _ := executorFixture(t)
+	store := index.NewStore()
+	for i := 0; i < 150; i++ {
+		d := docmodel.New(fmt.Sprintf("W%03d", i))
+		d.SetProperty("accidentNumber", d.ID)
+		d.SetProperty("us_state", []string{"KY", "CA", "TX", "AK"}[i%4])
+		d.Text = fmt.Sprintf("Flight %d: %s", i, []string{
+			"a hard landing in gusting wind resulted in substantial damage to the landing gear.",
+			"the airplane struck a flock of geese after takeoff; minor damage.",
+			"the engine lost power in cruise and the forced landing caused substantial damage.",
+		}[i%3])
+		if err := store.PutDocument(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &Executor{Store: store}
+}
+
+// runPlan executes plan on ex at the given parallelism and returns the
+// result plus a byte-stable rendering of its output.
+func runPlan(t *testing.T, ex *Executor, plan *LogicalPlan, parallelism int, serial bool) (*Result, string) {
+	t.Helper()
 	ex.EC = docset.NewContext(docset.WithLLM(llm.NewSim(1)), docset.WithParallelism(parallelism))
 	ex.Serial = serial
-	res, err := ex.Run(context.Background(), diamondPlan())
+	res, err := ex.Run(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,40 +85,61 @@ func runDiamond(t *testing.T, parallelism int, serial bool) (*Result, string) {
 	return res, res.Answer.String() + "\n" + string(docs)
 }
 
-// The determinism guarantee of the scheduler: a diamond executed with
-// branch concurrency under budgets 1 and N — and with the scheduler
-// forced serial — yields byte-identical output and a stable executed
-// node set.
+// runDiamond executes the diamond over the three-document fixture.
+func runDiamond(t *testing.T, parallelism int, serial bool) (*Result, string) {
+	t.Helper()
+	ex, _ := executorFixture(t)
+	return runPlan(t, ex, diamondPlan(), parallelism, serial)
+}
+
+// The determinism guarantee of the scheduler: a plan executed with branch
+// concurrency under budgets 1 and N — and with the scheduler forced
+// serial — yields byte-identical output and a stable executed node set,
+// for the diamond and for a chain of model stages whose calls in flight
+// outnumber the budget.
 func TestDiamondDeterministicAcrossBudgetsAndScheduling(t *testing.T) {
-	resOne, outOne := runDiamond(t, 1, false)
-	resMany, outMany := runDiamond(t, 8, false)
-	_, outSerial := runDiamond(t, 8, true)
+	for _, tc := range []struct {
+		name    string
+		fixture func(*testing.T) *Executor
+		plan    *LogicalPlan
+		// nodes must all report runtime: the shared scan, both branches
+		// and the join of the diamond; every operator of the chain.
+		nodes []string
+	}{
+		{"diamond", func(t *testing.T) *Executor { ex, _ := executorFixture(t); return ex }, diamondPlan(), []string{"n1", "n2", "n3", "n4"}},
+		{"model stages", wideFixture, modelStagePlan(), []string{"m1", "m2", "m3", "m4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resOne, outOne := runPlan(t, tc.fixture(t), tc.plan, 1, false)
+			resMany, outMany := runPlan(t, tc.fixture(t), tc.plan, 8, false)
+			_, outSerial := runPlan(t, tc.fixture(t), tc.plan, 8, true)
 
-	if outOne != outMany {
-		t.Error("budget 1 vs 8 output differs")
-	}
-	if outMany != outSerial {
-		t.Error("concurrent vs serial output differs")
-	}
+			if outOne != outMany {
+				t.Error("budget 1 vs 8 output differs")
+			}
+			if outMany != outSerial {
+				t.Error("concurrent vs serial output differs")
+			}
 
-	nodeSet := func(d *ExecDetail) string {
-		ids := make([]string, 0, len(d.Nodes))
-		for _, n := range d.Nodes {
-			ids = append(ids, n.ID)
-		}
-		return strings.Join(ids, ",")
-	}
-	if resOne.Exec == nil || resMany.Exec == nil {
-		t.Fatal("ExecDetail missing")
-	}
-	if nodeSet(resOne.Exec) != nodeSet(resMany.Exec) {
-		t.Errorf("executed node set unstable: %q vs %q", nodeSet(resOne.Exec), nodeSet(resMany.Exec))
-	}
-	// The shared scan, both branches, and the join all report runtime.
-	for _, id := range []string{"n1", "n2", "n3", "n4"} {
-		if resMany.Exec.Node(id) == nil {
-			t.Errorf("node %s missing from executed set (%s)", id, nodeSet(resMany.Exec))
-		}
+			nodeSet := func(d *ExecDetail) string {
+				ids := make([]string, 0, len(d.Nodes))
+				for _, n := range d.Nodes {
+					ids = append(ids, n.ID)
+				}
+				return strings.Join(ids, ",")
+			}
+			if resOne.Exec == nil || resMany.Exec == nil {
+				t.Fatal("ExecDetail missing")
+			}
+			if nodeSet(resOne.Exec) != nodeSet(resMany.Exec) {
+				t.Errorf("executed node set unstable: %q vs %q", nodeSet(resOne.Exec), nodeSet(resMany.Exec))
+			}
+			for _, id := range tc.nodes {
+				if resMany.Exec.Node(id) == nil {
+					t.Errorf("node %s missing from executed set (%s)", id, nodeSet(resMany.Exec))
+				}
+			}
+		})
 	}
 }
 

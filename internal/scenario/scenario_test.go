@@ -146,7 +146,11 @@ func TestStreamFirstPartialBeatsBatch(t *testing.T) {
 		// default-sized batch to fill.
 		StreamBatch: 1,
 	})
-	corpus, err := ntsb.GenerateCorpus(32, 9)
+	// Four windows of in-flight model calls (a model stage keeps 64
+	// documents in flight whatever Parallelism is): several rounds of
+	// calls, so the batch reply has to wait for the last round while the
+	// stream's first partial needs only the first.
+	corpus, err := ntsb.GenerateCorpus(256, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +170,8 @@ func TestStreamFirstPartialBeatsBatch(t *testing.T) {
 	c := NewClient(ts.URL, WithParams(shortParams()))
 	plan := json.RawMessage(streamFilterPlan)
 
-	// Batch-mode wall, cache-cold: 32 llmFilter calls at 20ms each with
-	// batching disabled keep it in the hundreds of milliseconds.
+	// Batch-mode wall, cache-cold: 256 llmFilter calls at 20ms each with
+	// batching disabled take four rounds.
 	var batch api.QueryResponse
 	start := time.Now()
 	if _, err := c.PostJSON(ctx, "/v1/query", api.QueryRequest{Plan: plan}, &batch); err != nil {

@@ -241,7 +241,7 @@ func TestQueryStreamMatchesBatch(t *testing.T) {
 // produces multiple heartbeats before the terminal result.
 func TestQueryStreamHeartbeat(t *testing.T) {
 	ts := newTestServer(t, verySlowSystem(t), Config{
-		StreamHeartbeat: 20 * time.Millisecond,
+		StreamHeartbeat: 10 * time.Millisecond,
 		StreamProgress:  10 * time.Millisecond,
 	})
 	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query",
@@ -259,8 +259,9 @@ func TestQueryStreamHeartbeat(t *testing.T) {
 			}
 		}
 	}
-	// 16 docs × 50ms with batching disabled over 4 workers keeps the
-	// stream alive ≥200ms: a 20ms cadence must tick several times.
+	// The 16 llmFilter calls are in flight together (a model stage keeps
+	// up to 64), so the stream stays alive for one 50ms round trip: a
+	// 10ms cadence must tick several times.
 	if heartbeats < 2 {
 		t.Errorf("saw %d heartbeats on a slow stream, want ≥2 (events: %v)", heartbeats, eventNames(events))
 	}
