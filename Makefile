@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Where the arynvet vet tool is built; override for a custom location.
 ARYNVET_BIN ?= $(CURDIR)/.bin/arynvet
 
-.PHONY: build test lint staticcheck print-staticcheck-version govulncheck print-govulncheck-version arynvet-bin vet-custom smoke bench bench-e2e bench-retrieval bench-serving bench-optimizer chaos docs-check cover fuzz-smoke ci
+.PHONY: build test lint staticcheck print-staticcheck-version govulncheck print-govulncheck-version arynvet-bin vet-custom smoke bench bench-e2e bench-retrieval bench-serving bench-optimizer chaos docs-check cover fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,13 @@ fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzCostRewrite$$' -fuzztime 10s
+
+# Source size: non-test Go lines under internal/ and cmd/ (bench/ is a
+# module of its own and stays out), per package and in total — the number
+# a simplicity change reports at its parent commit and at itself. CI
+# prints it in the build job.
+loc:
+	./scripts/loc.sh
 
 # Serving-load trajectory: boot arynd, drive the standard scenario mixes
 # with arynload, and refresh the "after" section of BENCH_serving.json.

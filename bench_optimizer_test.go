@@ -29,30 +29,30 @@ var optimizerBenchMix = []struct {
 	name string
 	plan string
 }{
-	{"count-fires", `{"ops":[
-		{"op":"queryDatabase"},
-		{"op":"llmFilter","question":"Does the report mention a fire?"},
-		{"op":"count"}]}`},
-	{"state-fuel", `{"ops":[
-		{"op":"queryDatabase"},
-		{"op":"llmFilter","question":"Does the report mention fuel?"},
-		{"op":"basicFilter","filters":[{"field":"us_state","kind":"term","value":"AZ"}]},
-		{"op":"count"}]}`},
-	{"twin-hoist", `{"ops":[
-		{"op":"queryDatabase"},
-		{"op":"llmFilter","question":"Does the report mention a pilot?"},
-		{"op":"llmFilter","question":"Does the report mention a fire?"},
-		{"op":"basicFilter","filters":[{"field":"engines","kind":"term","value":2}]},
-		{"op":"count"}]}`},
-	{"group-by-state", `{"ops":[
-		{"op":"queryDatabase"},
-		{"op":"llmFilter","question":"Does the report mention ice?"},
-		{"op":"groupByAggregate","key":"us_state","agg":"count"}]}`},
-	{"destroyed-birds", `{"ops":[
-		{"op":"queryDatabase"},
-		{"op":"llmFilter","question":"Does the report mention birds?"},
-		{"op":"basicFilter","filters":[{"field":"aircraftDamage","kind":"term","value":"Destroyed"}]},
-		{"op":"count"}]}`},
+	{"count-fires", `{"nodes":[
+		{"id":"n1","op":"queryDatabase"},
+		{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention a fire?"},
+		{"id":"n3","inputs":["n2"],"op":"count"}],"output":"n3"}`},
+	{"state-fuel", `{"nodes":[
+		{"id":"n1","op":"queryDatabase"},
+		{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention fuel?"},
+		{"id":"n3","inputs":["n2"],"op":"basicFilter","filters":[{"field":"us_state","kind":"term","value":"AZ"}]},
+		{"id":"n4","inputs":["n3"],"op":"count"}],"output":"n4"}`},
+	{"twin-hoist", `{"nodes":[
+		{"id":"n1","op":"queryDatabase"},
+		{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention a pilot?"},
+		{"id":"n3","inputs":["n2"],"op":"llmFilter","question":"Does the report mention a fire?"},
+		{"id":"n4","inputs":["n3"],"op":"basicFilter","filters":[{"field":"engines","kind":"term","value":2}]},
+		{"id":"n5","inputs":["n4"],"op":"count"}],"output":"n5"}`},
+	{"group-by-state", `{"nodes":[
+		{"id":"n1","op":"queryDatabase"},
+		{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention ice?"},
+		{"id":"n3","inputs":["n2"],"op":"groupByAggregate","key":"us_state","agg":"count"}],"output":"n3"}`},
+	{"destroyed-birds", `{"nodes":[
+		{"id":"n1","op":"queryDatabase"},
+		{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention birds?"},
+		{"id":"n3","inputs":["n2"],"op":"basicFilter","filters":[{"field":"aircraftDamage","kind":"term","value":"Destroyed"}]},
+		{"id":"n4","inputs":["n3"],"op":"count"}],"output":"n4"}`},
 	{"join-filters", `{"nodes":[
 		{"id":"a","op":"queryDatabase"},
 		{"id":"b","inputs":["a"],"op":"llmFilter","question":"Does the report mention a fire?"},

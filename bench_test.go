@@ -164,13 +164,13 @@ func BenchmarkFigure6QueryLatency(b *testing.B) {
 // with three separate llmExtract operators versus the fused plan the
 // §6.1 rewriter produces.
 func BenchmarkAblationRewrite(b *testing.B) {
-	raw := &luna.LogicalPlan{Ops: []luna.LogicalOp{
-		{Op: luna.OpQueryDatabase},
-		{Op: luna.OpLLMExtract, Fields: []llm.FieldSpec{{Name: "a", Type: "string"}}},
-		{Op: luna.OpLLMExtract, Fields: []llm.FieldSpec{{Name: "b", Type: "string"}}},
-		{Op: luna.OpLLMExtract, Fields: []llm.FieldSpec{{Name: "c", Type: "string"}}},
-		{Op: luna.OpCount},
-	}}
+	raw := luna.Chain(
+		luna.LogicalOp{Op: luna.OpQueryDatabase},
+		luna.LogicalOp{Op: luna.OpLLMExtract, Fields: []llm.FieldSpec{{Name: "a", Type: "string"}}},
+		luna.LogicalOp{Op: luna.OpLLMExtract, Fields: []llm.FieldSpec{{Name: "b", Type: "string"}}},
+		luna.LogicalOp{Op: luna.OpLLMExtract, Fields: []llm.FieldSpec{{Name: "c", Type: "string"}}},
+		luna.LogicalOp{Op: luna.OpCount},
+	)
 	_, rawCalls := luna.ExtractFieldsUsed(raw)
 	fused := luna.Rewrite(raw, luna.DefaultRewrites())
 	_, fusedCalls := luna.ExtractFieldsUsed(fused)
@@ -190,16 +190,16 @@ func BenchmarkAblationDedup(b *testing.B) {
 	for i := range corpus.Incidents {
 		accidents[corpus.Incidents[i].AccidentNumber] = true
 	}
-	plan := &luna.LogicalPlan{Ops: []luna.LogicalOp{{Op: luna.OpQueryDatabase}, {Op: luna.OpCount}}}
+	plan := luna.Chain(luna.LogicalOp{Op: luna.OpQueryDatabase}, luna.LogicalOp{Op: luna.OpCount})
 	withDedup := luna.Rewrite(plan, luna.RewriteOptions{DedupByAccident: true})
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		naive, err := sys.Query.Executor.Run(ctx, plan)
+		naive, err := sys.Query.Executor.Run(ctx, plan, luna.StreamHooks{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		fixed, err := sys.Query.Executor.Run(ctx, withDedup)
+		fixed, err := sys.Query.Executor.Run(ctx, withDedup, luna.StreamHooks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,24 +217,24 @@ func BenchmarkAblationETLvsQuery(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("etl-time-metadata-filter", func(b *testing.B) {
-		plan := &luna.LogicalPlan{Ops: []luna.LogicalOp{
-			{Op: luna.OpQueryDatabase, Filters: []luna.FilterSpec{{Field: "aircraftDamage", Kind: "term", Value: "Substantial"}}},
-			{Op: luna.OpCount},
-		}}
+		plan := luna.Chain(
+			luna.LogicalOp{Op: luna.OpQueryDatabase, Filters: []luna.FilterSpec{{Field: "aircraftDamage", Kind: "term", Value: "Substantial"}}},
+			luna.LogicalOp{Op: luna.OpCount},
+		)
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.Query.Executor.Run(ctx, plan); err != nil {
+			if _, err := sys.Query.Executor.Run(ctx, plan, luna.StreamHooks{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("query-time-llm-sweep", func(b *testing.B) {
-		plan := &luna.LogicalPlan{Ops: []luna.LogicalOp{
-			{Op: luna.OpQueryDatabase},
-			{Op: luna.OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
-			{Op: luna.OpGroupByAggregate, Key: "damaged_part", Agg: "count"},
-		}}
+		plan := luna.Chain(
+			luna.LogicalOp{Op: luna.OpQueryDatabase},
+			luna.LogicalOp{Op: luna.OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
+			luna.LogicalOp{Op: luna.OpGroupByAggregate, Key: "damaged_part", Agg: "count"},
+		)
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.Query.Executor.Run(ctx, plan); err != nil {
+			if _, err := sys.Query.Executor.Run(ctx, plan, luna.StreamHooks{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -42,7 +42,7 @@ func main() {
 		explain     = flag.Bool("explain", false, "print EXPLAIN ANALYZE: the executed plan annotated with per-node runtime metrics")
 		showDocs    = flag.Bool("show-docs", false, "print result documents (drill-down)")
 		useRAG      = flag.Bool("rag", false, "answer with the RAG baseline instead of Luna")
-		stream      = flag.Bool("stream", false, "stream the answer: print partial result batches as the pipeline emits them, then the final result")
+		stream      = flag.Bool("stream", false, "watch the execution: print partial result batches as the output pipeline emits them, then the final result")
 		demo        = flag.String("demo", "", "demo mode: 'schema' prints the extracted schema (Table 3)")
 		parallelism = flag.Int("parallelism", 8, "Sycamore stage parallelism")
 		optimize    = flag.Bool("optimize", false, "enable the cost-based optimize phase (predicate hoisting, filter reordering, proxy cascades)")
@@ -115,28 +115,30 @@ func answer(ctx context.Context, sys *core.System, q string, show display, useRA
 	return nil
 }
 
-// ask answers one question, either in batch mode or — with -stream —
-// over the pipelined execution path, narrating partial batches with
-// their arrival offsets so time-to-first-result is visible at the
-// terminal. Both paths return the same final Result.
+// ask answers one question; with -stream it watches the execution,
+// narrating partial batches with their arrival offsets so
+// time-to-first-result is visible at the terminal. The final Result is the
+// same either way.
 func ask(ctx context.Context, sys *core.System, q string, show display) (*luna.Result, error) {
 	if !show.stream {
 		return sys.Ask(ctx, q)
 	}
-	svc := sys.QueryService()
-	if svc == nil {
+	shared := sys.QueryService()
+	if shared == nil {
 		return nil, fmt.Errorf("system is not ready to answer queries")
 	}
 	start := time.Now()
 	var batches, docs int
-	res, err := svc.AskStream(ctx, q, luna.StreamHooks{
+	svc := *shared // a copy: the hooks belong to this question only
+	svc.Hooks = luna.StreamHooks{
 		OnPartial: func(part []*docmodel.Document) {
 			batches++
 			docs += len(part)
 			fmt.Printf("  [+%8s] partial batch %d: %d doc(s), %d total\n",
 				time.Since(start).Round(time.Millisecond), batches, len(part), docs)
 		},
-	})
+	}
+	res, err := svc.Ask(ctx, q)
 	if err != nil {
 		return nil, err
 	}

@@ -56,13 +56,10 @@ type Config struct {
 	// hooks docset stage attempts — the chaos-testing seam. The injector
 	// stays inert until a spec is activated, so wiring it costs nothing.
 	Fault *fault.Injector
-	// StreamBatch sets how many documents streaming edges accumulate per
-	// batch (0 = docset default). Smaller batches lower time-to-first-
-	// result on streamed queries at the cost of more channel handoffs.
+	// StreamBatch sets how many documents a streamed query's partial
+	// batches carry (0 = docset default). Smaller batches lower time-to-
+	// first-result at the cost of more events on the wire.
 	StreamBatch int
-	// StreamBuffer sets the bounded depth, in batches, of streaming task
-	// edges (0 = docset default).
-	StreamBuffer int
 	// Optimize enables the cost-based plan-optimization phase (cheap
 	// pre-filters hoisted above LLM operators, llmFilter order refined by
 	// observed selectivities, proxy cascades). Off by default so
@@ -184,9 +181,6 @@ func New(cfg Config) *System {
 	}
 	if cfg.StreamBatch > 0 {
 		ecOpts = append(ecOpts, docset.WithStreamBatch(cfg.StreamBatch))
-	}
-	if cfg.StreamBuffer > 0 {
-		ecOpts = append(ecOpts, docset.WithStreamBuffer(cfg.StreamBuffer))
 	}
 	s := &System{
 		Config:     cfg,

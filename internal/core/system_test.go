@@ -90,7 +90,7 @@ func TestAskCountByState(t *testing.T) {
 	if int(res.Answer.Number) != want {
 		t.Errorf("count for %s = %v, want %d (report-level)", state, res.Answer.Number, want)
 	}
-	if res.Plan == nil || len(res.Plan.Ops) < 2 {
+	if res.Plan == nil || len(res.Plan.Nodes) < 2 {
 		t.Error("plan missing")
 	}
 	if res.Trace == nil || len(res.Trace.Nodes) == 0 {

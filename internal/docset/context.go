@@ -39,15 +39,10 @@ type Context struct {
 	// the operator name — the chaos-testing seam that lets a fault
 	// injector fail or slow ingest/index paths that never touch the LLM.
 	FaultHook func(op string) error
-	// StreamBatch is how many documents a streaming edge accumulates
-	// before handing a batch downstream (Task.StartStream) or to an
-	// ExecuteStream sink (default 8). Smaller batches lower time to first
-	// result; larger ones amortize channel and HTTP flush overhead.
+	// StreamBatch is how many documents ExecuteStream accumulates before
+	// handing a batch to its sink (default 8). Smaller batches lower time
+	// to first result; larger ones amortize HTTP flush overhead.
 	StreamBatch int
-	// StreamBuffer is the bounded depth, in batches, of a streaming task
-	// edge's channel (default 2). It caps how far a producer can run
-	// ahead of a slow consumer before backpressure pauses it.
-	StreamBuffer int
 	// TraceSink, when set, observes every pipeline trace the moment its
 	// skeleton exists — before execution starts — so callers can poll
 	// live per-operator progress (NodeTrace.Snapshot) while the plan
@@ -70,9 +65,8 @@ type Context struct {
 	budget *workerBudget
 
 	// nt is the trace node of the stage this context view executes
-	// (installed by forStage), so stage bodies — notably streaming-edge
-	// sources — can record activity the generic runners cannot see, like
-	// per-batch arrivals.
+	// (installed by forStage), so stage bodies can record activity the
+	// generic runners cannot see, like cascade proxy verdicts.
 	nt *NodeTrace
 
 	// slot is the budget claim of the map-stage worker this context view
@@ -88,15 +82,6 @@ func (c *Context) streamBatchSize() int {
 		return c.StreamBatch
 	}
 	return 8
-}
-
-// streamBufferDepth returns the effective streaming-edge buffer depth in
-// batches.
-func (c *Context) streamBufferDepth() int {
-	if c.StreamBuffer > 0 {
-		return c.StreamBuffer
-	}
-	return 2
 }
 
 // workerBudget is a counting semaphore over busy workers. Tokens are held
@@ -265,8 +250,8 @@ func WithFaultHook(hook func(op string) error) Option {
 	return func(ctx *Context) { ctx.FaultHook = hook }
 }
 
-// WithStreamBatch sets how many documents streaming edges accumulate per
-// batch (see Context.StreamBatch).
+// WithStreamBatch sets how many documents an ExecuteStream sink receives
+// per batch (see Context.StreamBatch).
 func WithStreamBatch(n int) Option {
 	return func(ctx *Context) {
 		if n > 0 {
@@ -275,20 +260,10 @@ func WithStreamBatch(n int) Option {
 	}
 }
 
-// WithStreamBuffer sets the bounded depth, in batches, of streaming task
-// edges (see Context.StreamBuffer).
-func WithStreamBuffer(n int) Option {
-	return func(ctx *Context) {
-		if n > 0 {
-			ctx.StreamBuffer = n
-		}
-	}
-}
-
 // NewContext builds an execution context. Unset services default to a
 // seeded Sim LLM and hash embedder so examples work out of the box.
 func NewContext(opts ...Option) *Context {
-	ctx := &Context{Parallelism: 4, Retries: 2, SampleSize: 3, StreamBatch: 8, StreamBuffer: 2}
+	ctx := &Context{Parallelism: 4, Retries: 2, SampleSize: 3, StreamBatch: 8}
 	for _, o := range opts {
 		o(ctx)
 	}

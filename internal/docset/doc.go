@@ -1,9 +1,11 @@
 // Package docset implements Sycamore's core abstraction (§5): DocSets —
 // reliable, lazily-evaluated collections of hierarchical documents — and
 // the structured and semantic operators of Table 2. Transform chains
-// build a logical plan; Execute runs it as a pipelined dataflow with
+// build a logical plan; ExecuteStream runs it as a pipelined dataflow with
 // bounded parallelism, per-call retries, deterministic output ordering,
-// and a full per-operator lineage trace.
+// and a full per-operator lineage trace, handing batches of arriving
+// documents to an optional sink on the collecting goroutine (a slow sink
+// is the pipeline's back-pressure). Execute is ExecuteStream with no sink.
 //
 // Paper counterpart: Sycamore, the DocSet ETL/analytics engine of §5.
 //
@@ -19,8 +21,9 @@
 // stays Parallelism. Output order is made deterministic by hierarchical
 // sequence numbers, so results are byte-identical at any parallelism.
 // Independent subtrees wrap as Tasks (schedule.go): a Task executes at
-// most once no matter how many consumers race to demand it, and replays
-// its output to all of them. A query-scoped Context (QueryScope) adds a
+// most once no matter how many consumers race to demand it, retains its
+// output, and replays it to all of them — the one handoff between
+// pipelines. A query-scoped Context (QueryScope) adds a
 // worker budget — a work-conserving semaphore over busy workers shared by
 // every pipeline of one query — so concurrent branches and model windows
 // never multiply the query's worker footprint. Time a document spends

@@ -93,12 +93,6 @@ type sourceSpec struct {
 	// stageSpec.tag).
 	tag  string
 	emit func(ctx context.Context, ec *Context, yield func(*docmodel.Document) error) error
-	// emitEnv is the envelope-level form of emit, used by sources that
-	// relay another pipeline's output (streaming task edges): yielded
-	// envelopes keep their producer sequence numbers, so the final sort
-	// reconstructs the producer's deterministic order no matter how
-	// batches interleaved in flight. Takes precedence over emit.
-	emitEnv func(ctx context.Context, ec *Context, yield func(envelope) error) error
 	// shared marks sources that yield documents owned by someone else
 	// (index.Store snapshots, caller-held slices) rather than documents
 	// created for this plan. Execute clones shared documents at the
@@ -145,46 +139,11 @@ type StreamSink func(docs []*docmodel.Document)
 // Execute. On failure the tail batch is withheld — everything already
 // delivered stands, and the returned partial documents keep the
 // degraded-mode contract.
+//
+// It owns trace assembly: the skeleton is published to Context.TraceSink
+// before execution starts (live progress), per-node errors are annotated
+// after it settles.
 func (ds *DocSet) ExecuteStream(ctx context.Context, sink StreamSink) ([]*docmodel.Document, *Trace, error) {
-	var collected []envelope
-	delivered := 0
-	batch := ds.ctx.streamBatchSize()
-	flush := func() {
-		if sink == nil || delivered == len(collected) {
-			return
-		}
-		docs := make([]*docmodel.Document, 0, len(collected)-delivered)
-		for _, env := range collected[delivered:] {
-			docs = append(docs, env.doc)
-		}
-		delivered = len(collected)
-		sink(docs)
-	}
-	trace, err := ds.executeInto(ctx, func(env envelope) error {
-		collected = append(collected, env)
-		if sink != nil && len(collected)-delivered >= batch {
-			flush()
-		}
-		return nil
-	})
-	if err == nil {
-		flush()
-	}
-	sort.Slice(collected, func(i, j int) bool { return seqLess(collected[i].seq, collected[j].seq) })
-	docs := make([]*docmodel.Document, len(collected))
-	for i, env := range collected {
-		docs[i] = env.doc
-	}
-	return docs, trace, err
-}
-
-// executeInto runs the pipeline, handing each output envelope to deliver
-// on the collector goroutine in arrival order. It owns trace assembly:
-// the skeleton is published to Context.TraceSink before execution starts
-// (live progress), per-node errors are annotated after it settles. A
-// deliver error cancels the run (the consumer went away); remaining
-// envelopes drain so stage goroutines exit cleanly.
-func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error) (*Trace, error) {
 	start := wallclock()
 	trace := &Trace{}
 	llmBefore, hasLLMStats := llm.StatsOf(ds.ctx.LLM)
@@ -239,19 +198,12 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 				return cctx.Err()
 			}
 		}
-		var err error
-		if ds.source.emitEnv != nil {
-			// Envelope-relay sources (streaming task edges) keep the
-			// producer's sequence numbers intact.
-			err = ds.source.emitEnv(cctx, ds.ctx.forStage(srcTrace), yieldEnv)
-		} else {
-			i := 0
-			err = ds.source.emit(cctx, ds.ctx.forStage(srcTrace), func(d *docmodel.Document) error {
-				env := envelope{seq: []int32{int32(i)}, doc: d}
-				i++
-				return yieldEnv(env)
-			})
-		}
+		i := 0
+		err := ds.source.emit(cctx, ds.ctx.forStage(srcTrace), func(d *docmodel.Document) error {
+			env := envelope{seq: []int32{int32(i)}, doc: d}
+			i++
+			return yieldEnv(env)
+		})
 		srcTrace.noteSpan(resumed, wallclock(), 0)
 		if err != nil {
 			errs[0] = err
@@ -285,16 +237,29 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 		in = out
 	}
 
-	// Collect: deliver envelopes as they arrive; after a deliver failure
-	// keep draining so upstream goroutines never block on a full channel.
-	var deliverErr error
-	for env := range in {
-		if deliverErr != nil {
-			continue
+	// Collect on this goroutine, handing the sink a batch of arrivals every
+	// StreamBatch documents: a slow sink blocks the last stage's bounded
+	// channel, which is the pipeline's back-pressure.
+	var collected []envelope
+	delivered := 0
+	batch := ds.ctx.streamBatchSize()
+	last := traces[len(traces)-1]
+	flush := func() {
+		if sink == nil || delivered == len(collected) {
+			return
 		}
-		if err := deliver(env); err != nil {
-			deliverErr = err
-			cancel()
+		docs := make([]*docmodel.Document, 0, len(collected)-delivered)
+		for _, env := range collected[delivered:] {
+			docs = append(docs, env.doc)
+		}
+		delivered = len(collected)
+		atomic.AddInt64(&last.Batches, 1)
+		sink(docs)
+	}
+	for env := range in {
+		collected = append(collected, env)
+		if sink != nil && len(collected)-delivered >= batch {
+			flush()
 		}
 	}
 	wg.Wait()
@@ -314,9 +279,6 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 			break
 		}
 	}
-	if firstErr == nil && deliverErr != nil && !errors.Is(deliverErr, context.Canceled) {
-		firstErr = deliverErr
-	}
 	if firstErr == nil {
 		for _, e := range errs {
 			if e != nil {
@@ -325,13 +287,18 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 			}
 		}
 	}
-	if firstErr == nil && deliverErr != nil {
-		firstErr = deliverErr
-	}
 	if firstErr == nil && ctx.Err() != nil {
 		firstErr = ctx.Err()
 	}
 
+	if firstErr == nil {
+		flush()
+	}
+	sort.Slice(collected, func(i, j int) bool { return seqLess(collected[i].seq, collected[j].seq) })
+	docs := make([]*docmodel.Document, len(collected))
+	for i, env := range collected {
+		docs[i] = env.doc
+	}
 	if firstErr != nil {
 		// Annotate the trace with which operators actually failed
 		// (collateral cancellations stay blank): callers serving under
@@ -342,9 +309,9 @@ func (ds *DocSet) executeInto(ctx context.Context, deliver func(envelope) error)
 				traces[i].setErr(e.Error())
 			}
 		}
-		return trace, fmt.Errorf("docset: execute: %w", firstErr)
+		return docs, trace, fmt.Errorf("docset: execute: %w", firstErr)
 	}
-	return trace, nil
+	return docs, trace, nil
 }
 
 // modelWindow is how many documents a map stage that calls the model keeps

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"aryn/internal/docmodel"
 )
@@ -34,10 +33,6 @@ type Task struct {
 	docs    []*docmodel.Document
 	trace   *Trace
 	err     error
-	// edge is the bounded batch channel of a task started in streaming
-	// mode (StartStream); nil for materialized tasks. Streaming tasks do
-	// not retain their documents — the single consumer owns them.
-	edge chan []envelope
 }
 
 // NewTask wraps the subtree for scheduling. The name labels the task in
@@ -69,108 +64,6 @@ func (t *Task) Start(ctx context.Context) {
 	}()
 }
 
-// StartStream launches the subtree in streaming mode: output envelopes
-// flow to the consumer over a bounded channel of batches (Context
-// StreamBatch documents per batch, StreamBuffer batches deep) instead of
-// materializing, so a downstream pipeline overlaps with this subtree
-// under the shared worker budget — extract on document k while document
-// k+1 is still being retrieved. The mode suits exactly one consumer
-// reading via StreamDocSet; order-sensitive consumers (sort/topk, join
-// build sides) and multi-consumer diamonds keep the materialized
-// handoff (Start), which remains the scheduler default.
-//
-// Idempotent like Start; if the task was already started in materialized
-// mode this is a no-op and StreamDocSet falls back to replay.
-func (t *Task) StartStream(ctx context.Context) {
-	t.mu.Lock()
-	if t.started {
-		t.mu.Unlock()
-		return
-	}
-	t.started = true
-	batch := t.ds.ctx.streamBatchSize()
-	edge := make(chan []envelope, t.ds.ctx.streamBufferDepth())
-	t.edge = edge
-	t.mu.Unlock()
-	go func() {
-		var pending []envelope
-		send := func() error {
-			if len(pending) == 0 {
-				return nil
-			}
-			out := pending
-			pending = nil
-			select {
-			case edge <- out:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		trace, err := t.ds.executeInto(ctx, func(env envelope) error {
-			pending = append(pending, env)
-			if len(pending) >= batch {
-				return send()
-			}
-			return nil
-		})
-		if err == nil {
-			err = send()
-		}
-		t.trace, t.err = trace, err
-		close(edge)
-		close(t.done)
-	}()
-}
-
-// StreamDocSet returns a pipeline source that consumes the task's
-// streaming edge: batches arrive as the subtree produces them, and each
-// envelope keeps its producer sequence number so the consumer's final
-// sort reconstructs the same deterministic order a materialized handoff
-// yields. Single consumer only — the edge is drained destructively. If
-// the task runs in materialized mode (Start won the race, or StartStream
-// was never called before Start), this degrades to the replay source.
-func (t *Task) StreamDocSet() *DocSet {
-	t.mu.Lock()
-	edge := t.edge
-	t.mu.Unlock()
-	if edge == nil {
-		return t.DocSet()
-	}
-	return &DocSet{
-		ctx: t.ds.ctx,
-		source: sourceSpec{
-			name:   t.name,
-			shared: true,
-			emitEnv: func(ctx context.Context, ec *Context, yield func(envelope) error) error {
-				for {
-					select {
-					case batch, ok := <-edge:
-						if !ok {
-							// Producer finished: surface its error, if any.
-							<-t.done
-							if t.err != nil {
-								return fmt.Errorf("%s: %w", t.name, t.err)
-							}
-							return nil
-						}
-						if nt := ec.nt; nt != nil {
-							atomic.AddInt64(&nt.Batches, 1)
-						}
-						for _, env := range batch {
-							if err := yield(env); err != nil {
-								return err
-							}
-						}
-					case <-ctx.Done():
-						return ctx.Err()
-					}
-				}
-			},
-		},
-	}
-}
-
 // Started reports whether the task has been launched.
 func (t *Task) Started() bool {
 	t.mu.Lock()
@@ -186,14 +79,6 @@ func (t *Task) Wait(ctx context.Context) ([]*docmodel.Document, error) {
 	t.Start(ctx)
 	select {
 	case <-t.done:
-		t.mu.Lock()
-		streamed := t.edge != nil
-		t.mu.Unlock()
-		if streamed && t.err == nil {
-			// Streaming tasks hand their documents to the single edge
-			// consumer; there is nothing retained to replay.
-			return nil, fmt.Errorf("%s: task streamed its output; nothing retained to replay", t.name)
-		}
 		return t.docs, t.err
 	case <-ctx.Done():
 		return nil, ctx.Err()

@@ -48,9 +48,14 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 	}
 
 	batchEC := NewContext(WithParallelism(4))
-	want, _, err := build(batchEC).Execute(context.Background())
+	want, batchTrace, err := build(batchEC).Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, nt := range batchTrace.Nodes {
+		if nt.Batches != 0 {
+			t.Errorf("node %s counted %d batches with no sink attached, want 0", nt.Name, nt.Batches)
+		}
 	}
 
 	streamEC := NewContext(WithParallelism(4), WithStreamBatch(4))
@@ -75,82 +80,33 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 	if a, b := docJSON(t, got), docJSON(t, want); a != b {
 		t.Errorf("streamed result differs from batch result:\n%s\nvs\n%s", a, b)
 	}
-	// First-batch latency is recorded for the operators that emitted.
+	// The last operator counts one batch per sink flush.
 	final := trace.Nodes[len(trace.Nodes)-1]
+	if n := atomic.LoadInt64(&final.Batches); n != int64(batches) {
+		t.Errorf("final stage counted %d batches, sink saw %d", n, batches)
+	}
+	// First-batch latency is recorded for the operators that emitted.
 	if fo := atomic.LoadInt64(&final.FirstOutNS); fo <= 0 || time.Duration(fo) > trace.Wall+time.Second {
 		t.Errorf("final stage FirstOutNS = %d, want within (0, wall]", fo)
 	}
 }
 
-// A streaming task edge must produce byte-identical output to the
-// materialized handoff, for both order-insensitive (map) and
-// order-sensitive (barrier) consumers.
-func TestStreamTaskEdgeByteIdentical(t *testing.T) {
-	consumers := map[string]func(*DocSet) *DocSet{
-		"map": func(ds *DocSet) *DocSet {
-			return ds.Map("stamp", func(d *docmodel.Document) (*docmodel.Document, error) {
-				d.SetProperty("consumed", true)
-				return d, nil
-			})
-		},
-		"barrier": func(ds *DocSet) *DocSet { return ds.TopK("rank", 7) },
-	}
-	for name, consume := range consumers {
-		t.Run(name, func(t *testing.T) {
-			producer := func(ec *Context) *DocSet {
-				return FromDocuments(ec, streamDocs(19)).
-					Filter("pass", func(d *docmodel.Document) (bool, error) { return true, nil })
-			}
-			ctx := context.Background()
-
-			mec := NewContext(WithParallelism(3))
-			mat := NewTask("edge", producer(mec))
-			mat.Start(ctx)
-			want, _, err := consume(mat.DocSet()).Execute(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			sec := NewContext(WithParallelism(3), WithStreamBatch(4), WithStreamBuffer(2))
-			st := NewTask("edge", producer(sec))
-			st.StartStream(ctx)
-			got, trace, err := consume(st.StreamDocSet()).Execute(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := docJSON(t, got), docJSON(t, want); a != b {
-				t.Errorf("streaming edge output differs from materialized:\n%s\nvs\n%s", a, b)
-			}
-			// The consumer's source node counted batch arrivals.
-			src := trace.Nodes[0]
-			if n := atomic.LoadInt64(&src.Batches); n < 2 {
-				t.Errorf("edge source saw %d batches, want several (19 docs / batch 4)", n)
-			}
-		})
-	}
-}
-
-// The consumer must begin processing while the producer is still
-// emitting: the whole point of the bounded-channel edge.
-func TestStreamTaskEdgeOverlapsProducerAndConsumer(t *testing.T) {
-	ec := NewContext(WithParallelism(2), WithStreamBatch(2), WithStreamBuffer(1))
+// The sink must see documents while the producer is still emitting: the
+// whole point of streaming the final stage's output.
+func TestExecuteStreamSinkOverlapsProducer(t *testing.T) {
+	ec := NewContext(WithParallelism(2), WithStreamBatch(2))
 	var produced, overlapped int64
-	prod := FromDocuments(ec, streamDocs(16)).
+	out, _, err := FromDocuments(ec, streamDocs(16)).
 		Map("slowProduce", func(d *docmodel.Document) (*docmodel.Document, error) {
 			time.Sleep(2 * time.Millisecond)
 			atomic.AddInt64(&produced, 1)
 			return d, nil
-		})
-	task := NewTask("edge", prod)
-	ctx := context.Background()
-	task.StartStream(ctx)
-	out, _, err := task.StreamDocSet().
-		Map("consume", func(d *docmodel.Document) (*docmodel.Document, error) {
+		}).
+		ExecuteStream(context.Background(), func(docs []*docmodel.Document) {
 			if atomic.LoadInt64(&produced) < 16 {
 				atomic.AddInt64(&overlapped, 1)
 			}
-			return d, nil
-		}).Execute(ctx)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +114,17 @@ func TestStreamTaskEdgeOverlapsProducerAndConsumer(t *testing.T) {
 		t.Fatalf("got %d docs, want 16", len(out))
 	}
 	if atomic.LoadInt64(&overlapped) == 0 {
-		t.Error("consumer never ran while the producer was still emitting; edge did not pipeline")
+		t.Error("sink never ran while the producer was still emitting; the stream did not pipeline")
 	}
 }
 
-// The bounded edge must backpressure the producer: with a slow consumer
-// the producer cannot run unboundedly ahead.
-func TestStreamTaskEdgeBackpressure(t *testing.T) {
-	ec := NewContext(WithParallelism(1), WithStreamBatch(1), WithStreamBuffer(1))
+// A slow sink must backpressure a plain map producer: the sink runs on the
+// collector goroutine, so the last stage's bounded channel fills and the
+// producer cannot run unboundedly ahead.
+func TestExecuteStreamSinkBackpressure(t *testing.T) {
+	ec := NewContext(WithParallelism(1), WithStreamBatch(1))
 	var produced, consumed, maxAhead int64
-	prod := FromDocuments(ec, streamDocs(32)).
+	_, _, err := FromDocuments(ec, streamDocs(32)).
 		Map("count", func(d *docmodel.Document) (*docmodel.Document, error) {
 			p := atomic.AddInt64(&produced, 1)
 			c := atomic.LoadInt64(&consumed)
@@ -178,64 +135,58 @@ func TestStreamTaskEdgeBackpressure(t *testing.T) {
 				}
 			}
 			return d, nil
-		})
-	task := NewTask("edge", prod)
-	ctx := context.Background()
-	task.StartStream(ctx)
-	_, _, err := task.StreamDocSet().
-		Map("slowConsume", func(d *docmodel.Document) (*docmodel.Document, error) {
+		}).
+		ExecuteStream(context.Background(), func(docs []*docmodel.Document) {
 			time.Sleep(time.Millisecond)
-			atomic.AddInt64(&consumed, 1)
-			return d, nil
-		}).Execute(ctx)
+			atomic.AddInt64(&consumed, int64(len(docs)))
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Capacity between the two map stages: the producer's pending batch,
-	// the edge buffer, and the channel/worker slack inside both
-	// pipelines. With batch=1, buffer=1, parallelism=1 that is single
-	// digits; 12 leaves margin while still proving the bound (vs 32).
+	// Capacity between the map stage and the sink: the stage's output
+	// channel (2×Parallelism), its one worker's document in hand, and the
+	// batch the sink is holding. With batch=1, parallelism=1 that is
+	// single digits; 12 leaves margin while still proving the bound (vs
+	// 32) — and fails if a plain map stage is ever widened beyond
+	// Parallelism the way model-calling stages are.
 	if ahead := atomic.LoadInt64(&maxAhead); ahead > 12 {
-		t.Errorf("producer ran %d docs ahead of the consumer, want bounded (<= 12)", ahead)
+		t.Errorf("producer ran %d docs ahead of the sink, want bounded (<= 12)", ahead)
 	}
 }
 
-// A producer failure mid-stream must surface on the consumer, labeled
-// with the task name.
-func TestStreamTaskEdgeErrorPropagates(t *testing.T) {
-	ec := NewContext(WithParallelism(1), WithStreamBatch(1), WithRetries(0))
+// A stage failure mid-stream withholds the tail batch (everything already
+// delivered stands), returns the documents that cleared the pipeline, and
+// names the failing node in both the error and the trace.
+func TestExecuteStreamFailureWithholdsTail(t *testing.T) {
+	ec := NewContext(WithParallelism(1), WithStreamBatch(3), WithRetries(0))
 	boom := errors.New("producer exploded")
-	prod := FromDocuments(ec, streamDocs(8)).
+	var delivered int
+	docs, trace, err := FromDocuments(ec, streamDocs(8)).
 		Map("explode", func(d *docmodel.Document) (*docmodel.Document, error) {
 			if v, _ := d.Properties.Float("rank"); v >= 4 {
 				return nil, boom
 			}
 			return d, nil
+		}).
+		ExecuteStream(context.Background(), func(batch []*docmodel.Document) {
+			if len(batch) != 3 {
+				t.Errorf("sink batch of %d docs, want only full batches of 3 (tail withheld)", len(batch))
+			}
+			delivered += len(batch)
 		})
-	task := NewTask("badEdge", prod)
-	ctx := context.Background()
-	task.StartStream(ctx)
-	_, _, err := task.StreamDocSet().Execute(ctx)
-	if err == nil {
-		t.Fatal("consumer succeeded past a failed producer")
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "explode") {
+		t.Fatalf("err = %v, want the stage failure labeled with the node name", err)
 	}
-	if !strings.Contains(err.Error(), "badEdge") || !strings.Contains(err.Error(), "producer exploded") {
-		t.Errorf("error %q does not carry the task name and producer failure", err)
+	// Ranks 0..3 cleared the stage: one full batch delivered, the fourth
+	// document is the withheld tail but still part of the partial result.
+	if delivered != 3 || len(docs) != 4 {
+		t.Errorf("sink saw %d docs and the partial result has %d, want 3 and 4", delivered, len(docs))
 	}
-}
-
-// Wait on a streamed task must refuse rather than silently return nil
-// docs (streaming retains nothing).
-func TestStreamTaskWaitRefuses(t *testing.T) {
-	ec := NewContext(WithStreamBatch(4))
-	task := NewTask("edge", FromDocuments(ec, streamDocs(4)))
-	ctx := context.Background()
-	task.StartStream(ctx)
-	if _, _, err := task.StreamDocSet().Execute(ctx); err != nil {
-		t.Fatal(err)
+	if got := trace.Nodes[1].Err; !strings.Contains(got, "producer exploded") {
+		t.Errorf("trace node %q Err = %q, want the stage failure", trace.Nodes[1].Name, got)
 	}
-	if _, err := task.Wait(ctx); err == nil {
-		t.Error("Wait on a streamed task returned no error")
+	if got := trace.Nodes[0].Err; got != "" {
+		t.Errorf("source node Err = %q, want blank (collateral cancellation)", got)
 	}
 }
 

@@ -51,9 +51,9 @@ type NodeTrace struct {
 	// first-batch latency: how quickly results began flowing, not just
 	// how long the operator stayed busy.
 	FirstOutNS int64
-	// Batches counts streaming-edge batch arrivals through this operator
-	// (the replay source of a streaming Task edge). 0 for fused stages,
-	// whose documents flow one envelope at a time.
+	// Batches counts the batches an ExecuteStream sink received; it is
+	// recorded on the pipeline's last operator and stays 0 everywhere when
+	// no sink is attached.
 	Batches int64
 	// Err records why this operator failed ("" on success). Execute fills
 	// it after the run settles, so partial results stay auditable: the

@@ -269,15 +269,39 @@ func (e *Executor) Compile(plan *LogicalPlan) (string, error) {
 	return low.ds.PlanString(), nil
 }
 
+// StreamHooks observe an execution. Both hooks are optional (the zero
+// value observes nothing); they are invoked from executor goroutines while
+// the query runs, so implementations must be safe for concurrent use with
+// the caller.
+type StreamHooks struct {
+	// OnPartial receives arrival-order batches of documents as they clear
+	// the plan's output node — previews, not the canonical result (the
+	// Result returned at the end carries the deterministic documents and
+	// the shaped answer).
+	OnPartial func(docs []*docmodel.Document)
+	// OnTrace receives each pipeline's trace skeleton the moment it
+	// starts executing (output pipeline, scheduled branches). Poll
+	// NodeTrace.Snapshot for live per-operator progress.
+	OnTrace func(*docset.Trace)
+}
+
 // Run executes the plan and shapes the answer. Scheduled branches (join
 // build sides, shared diamond prefixes) start when execution begins and
 // run concurrently with the output pipeline under the query's worker
 // budget; with Serial set they run to completion one at a time first.
-func (e *Executor) Run(ctx context.Context, plan *LogicalPlan) (*Result, error) {
+// While it runs, batches of output documents flow to hooks.OnPartial
+// before the tail of the plan finishes, and every pipeline's live trace
+// is published to hooks.OnTrace. The Result does not depend on the hooks:
+// the canonical output is collected and deterministically ordered after
+// the last document arrives.
+func (e *Executor) Run(ctx context.Context, plan *LogicalPlan, hooks StreamHooks) (*Result, error) {
 	// One worker budget per query: every pipeline lowered under this
 	// scope shares Parallelism busy-worker slots, so branch concurrency
 	// never multiplies the query's footprint in the server's shared pool.
 	qec := e.EC.QueryScope()
+	if hooks.OnTrace != nil {
+		qec.TraceSink = hooks.OnTrace
+	}
 	low, err := e.lower(qec, plan)
 	if err != nil {
 		return nil, err
@@ -299,7 +323,7 @@ func (e *Executor) Run(ctx context.Context, plan *LogicalPlan) (*Result, error) 
 			t.Join()
 		}
 	}
-	docs, trace, execErr := low.ds.Execute(tctx)
+	docs, trace, execErr := low.ds.ExecuteStream(tctx, docset.StreamSink(hooks.OnPartial))
 	tcancel()
 	for _, t := range low.tasks {
 		t.Join()
@@ -342,9 +366,7 @@ func (e *Executor) Run(ctx context.Context, plan *LogicalPlan) (*Result, error) 
 }
 
 // shapeAnswer derives the typed answer from the terminal operator over
-// the executed documents — shared by the batch (Run) and streaming
-// (RunStream) paths, which is what guarantees their final results are
-// identical for the same plan.
+// the executed documents.
 func (e *Executor) shapeAnswer(ctx context.Context, res *Result, low *lowered, docs []*docmodel.Document) error {
 	groupKeyField := low.keyField
 	switch low.terminal.Op {
@@ -396,104 +418,6 @@ func (e *Executor) shapeAnswer(ctx context.Context, res *Result, low *lowered, d
 		res.Answer = ListAnswer(ids...)
 	}
 	return nil
-}
-
-// StreamHooks observe a streaming execution. Both hooks are optional;
-// they are invoked from executor goroutines while the query runs, so
-// implementations must be safe for concurrent use with the caller.
-type StreamHooks struct {
-	// OnPartial receives arrival-order batches of documents as they clear
-	// the plan's output node — previews, not the canonical result (the
-	// Result returned at the end carries the deterministic documents and
-	// the shaped answer).
-	OnPartial func(docs []*docmodel.Document)
-	// OnTrace receives each pipeline's trace skeleton the moment it
-	// starts executing (output pipeline, scheduled branches). Poll
-	// NodeTrace.Snapshot for live per-operator progress.
-	OnTrace func(*docset.Trace)
-}
-
-// RunStream executes the plan like Run while streaming results out as
-// they are produced: the output pipeline runs behind a bounded-channel
-// streaming task edge (docset.Task.StartStream), partial batches flow to
-// hooks.OnPartial before the tail of the plan finishes, and every
-// pipeline's live trace is published to hooks.OnTrace. The returned
-// Result is identical to Run's for the same plan — same documents, same
-// shaped answer — because the canonical output is still collected and
-// deterministically ordered after the stream drains. Order-sensitive
-// handoffs (join build sides, shared diamond prefixes) keep their
-// materialized form; only the output edge streams.
-func (e *Executor) RunStream(ctx context.Context, plan *LogicalPlan, hooks StreamHooks) (*Result, error) {
-	qec := e.EC.QueryScope()
-	if hooks.OnTrace != nil {
-		qec.TraceSink = hooks.OnTrace
-	}
-	low, err := e.lower(qec, plan)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Rewritten: plan}
-	res.Compiled = low.ds.PlanString()
-
-	llmBefore, hasLLMStats := llm.StatsOf(qec.LLM)
-	start := wallclock()
-	tctx, tcancel := context.WithCancel(ctx)
-	defer tcancel()
-	for _, t := range low.tasks {
-		t.Start(tctx)
-		if e.Serial {
-			t.Join()
-		}
-	}
-	// The output pipeline becomes a streaming task: its documents cross a
-	// bounded channel to the consumer below, which forwards batches to
-	// the caller as they arrive and collects the canonical result.
-	outTask := docset.NewTask("output["+plan.Output+"]", low.ds)
-	outTask.StartStream(tctx)
-	var sink docset.StreamSink
-	if hooks.OnPartial != nil {
-		sink = docset.StreamSink(hooks.OnPartial)
-	}
-	docs, edgeTrace, execErr := outTask.StreamDocSet().ExecuteStream(tctx, sink)
-	tcancel()
-	outTask.Join()
-	for _, t := range low.tasks {
-		t.Join()
-	}
-	wall := time.Since(start)
-
-	merged := &docset.Trace{Wall: wall}
-	for _, t := range low.tasks {
-		if tt := t.Trace(); tt != nil {
-			merged.Nodes = append(merged.Nodes, tt.Nodes...)
-		}
-	}
-	if tt := outTask.Trace(); tt != nil {
-		merged.Nodes = append(merged.Nodes, tt.Nodes...)
-	}
-	if edgeTrace != nil {
-		// The consumer pipeline is a single untagged relay source; its
-		// node carries the edge's batch counters and first-batch latency.
-		merged.Nodes = append(merged.Nodes, edgeTrace.Nodes...)
-	}
-	if hasLLMStats {
-		if after, ok := llm.StatsOf(qec.LLM); ok {
-			delta := after.Sub(llmBefore)
-			merged.LLM = &delta
-		}
-	}
-	res.Trace = merged
-	res.Docs = docs
-	// Branches: scheduled subtrees, the output producer, and the edge
-	// consumer relay.
-	res.Exec = buildExecDetail(plan, merged, start, wall, qec.Parallelism, len(low.tasks)+2)
-	if execErr != nil {
-		return res, fmt.Errorf("luna: execute: %w", execErr)
-	}
-	if serr := e.shapeAnswer(ctx, res, low, docs); serr != nil {
-		return nil, serr
-	}
-	return res, nil
 }
 
 // root builds a source DocSet under the given execution context.

@@ -155,7 +155,6 @@ func (c *Conversation) mergeFollowUp(prev *LogicalPlan, fragment string) *Logica
 			plan.Output = cur
 		}
 	}
-	plan.syncLinearView()
 	return plan
 }
 

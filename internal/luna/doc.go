@@ -7,6 +7,12 @@
 //
 // Paper counterpart: Luna, the query planning/execution service of §6.
 //
+// A plan has one form — the DAG {"nodes": [...], "output": ...}, in
+// memory and on the wire — and runs one way: Service.Ask and
+// Service.RunPlan share one body ending in Executor.Run. Watching a query
+// run (partial result batches, live traces) is the same call with
+// StreamHooks set on a per-request copy of the Service.
+//
 // Concurrency: Service and Executor are stateless per query and safe for
 // concurrent Ask/RunPlan calls. Each Run opens a query-scoped worker
 // budget (docset.Context.QueryScope) and starts the plan's independent

@@ -90,8 +90,6 @@ func newEquivService(t *testing.T, optimize bool, model *cost.Model) *Service {
 	}
 }
 
-func chain(ops ...LogicalOp) *LogicalPlan { return &LogicalPlan{Ops: ops} }
-
 // equivalencePlans is the representative DAG mix: filter chains of every
 // depth the optimizer reorders, hoistable deterministic predicates,
 // extract/group/fraction/project consumers, joins, and a diamond.
@@ -103,62 +101,62 @@ func equivalencePlans() []struct {
 		name string
 		plan *LogicalPlan
 	}{
-		{"count-after-fire", chain(
+		{"count-after-fire", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qFire},
 			LogicalOp{Op: OpCount})},
-		{"state-scan-fuel", chain(
+		{"state-scan-fuel", Chain(
 			LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
 			LogicalOp{Op: OpLLMFilter, Question: qFuel},
 			LogicalOp{Op: OpCount})},
-		{"two-filter-chain", chain(
+		{"two-filter-chain", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qPilot},
 			LogicalOp{Op: OpLLMFilter, Question: qFire},
 			LogicalOp{Op: OpCount})},
-		{"three-filter-chain", chain(
+		{"three-filter-chain", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qPilot},
 			LogicalOp{Op: OpLLMFilter, Question: qFuel},
 			LogicalOp{Op: OpLLMFilter, Question: qIce},
 			LogicalOp{Op: OpCount})},
-		{"hoist-basic-filter", chain(
+		{"hoist-basic-filter", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qFuel},
 			LogicalOp{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "engines", Kind: "term", Value: 1}}},
 			LogicalOp{Op: OpCount})},
-		{"hoist-past-extract", chain(
+		{"hoist-past-extract", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
 			LogicalOp{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "TX"}}},
 			LogicalOp{Op: OpCount})},
-		{"filter-then-group", chain(
+		{"filter-then-group", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qPilot},
 			LogicalOp{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"})},
-		{"fraction-of-filtered", chain(
+		{"fraction-of-filtered", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qPilot},
 			LogicalOp{Op: OpFraction, Question: qFire})},
-		{"project-birds", chain(
+		{"project-birds", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qBirds},
 			LogicalOp{Op: OpProject, ProjectFields: []string{"us_state"}})},
-		{"distinct-states", chain(
+		{"distinct-states", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qFuel},
 			LogicalOp{Op: opDistinct, Field: "us_state"},
 			LogicalOp{Op: OpProject, ProjectFields: []string{"us_state"}})},
-		{"limit-after-filter", chain(
+		{"limit-after-filter", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qFuel},
 			LogicalOp{Op: OpLimit, K: 3},
 			LogicalOp{Op: OpProject, ProjectFields: []string{"accidentNumber"}})},
-		{"generate-fires", chain(
+		{"generate-fires", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qFire},
 			LogicalOp{Op: OpLLMGenerate, Instruction: "summarize the fire reports"})},
-		{"topk-grouped", chain(
+		{"topk-grouped", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qPilot},
 			LogicalOp{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"},
@@ -270,7 +268,7 @@ func TestOptimizerEquivalence(t *testing.T) {
 // phase on, the result carries the optimized plan, both cost estimates,
 // and an exec trace whose cascade node accounts for every input document.
 func TestOptimizedResultAnnotations(t *testing.T) {
-	plan := chain(
+	plan := Chain(
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMFilter, Question: qFire},
 		LogicalOp{Op: OpCount})
@@ -316,7 +314,7 @@ func TestOptimizedResultAnnotations(t *testing.T) {
 // "repeated-query run changes the plan's operator order".
 func TestFeedbackReordersChain(t *testing.T) {
 	model := cost.NewModel(cost.NewStore())
-	plan := chain(
+	plan := Chain(
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMFilter, Question: qPilot}, // ~13/16 pass
 		LogicalOp{Op: OpLLMFilter, Question: qFire},  // ~3/13 pass
@@ -380,7 +378,7 @@ func TestObservationsSkipErroredRuns(t *testing.T) {
 	svc := newEquivService(t, false, model)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	plan := chain(
+	plan := Chain(
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMFilter, Question: qFire},
 		LogicalOp{Op: OpCount})

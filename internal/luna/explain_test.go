@@ -77,7 +77,7 @@ func runPlan(t *testing.T, ex *Executor, plan *LogicalPlan, parallelism int, ser
 	t.Helper()
 	ex.EC = docset.NewContext(docset.WithLLM(llm.NewSim(1)), docset.WithParallelism(parallelism))
 	ex.Serial = serial
-	res, err := ex.Run(context.Background(), plan)
+	res, err := ex.Run(context.Background(), plan, StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestJoinBranchesOverlap(t *testing.T) {
 		},
 		Output: "j",
 	}
-	res, err := ex.Run(context.Background(), plan)
+	res, err := ex.Run(context.Background(), plan, StreamHooks{})
 	if err != nil {
 		t.Fatalf("concurrent branches should rendezvous, got: %v", err)
 	}
@@ -335,7 +335,7 @@ func TestSharedSubtreeLLMCountedOnce(t *testing.T) {
 		Output: "n4",
 	}
 	before := meter.Usage()
-	res, err := ex.Run(context.Background(), plan)
+	res, err := ex.Run(context.Background(), plan, StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,25 +11,41 @@ import (
 	"aryn/internal/llm"
 )
 
+// chainOps returns a chain-shaped plan's operators from root to output.
+// Rewrites append the nodes they insert, so declaration order is not chain
+// order; topological order is.
+func chainOps(t *testing.T, p *LogicalPlan) []LogicalOp {
+	t.Helper()
+	order, err := p.topoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]LogicalOp, len(order))
+	for i, idx := range order {
+		ops[i] = p.Nodes[idx].LogicalOp
+	}
+	return ops
+}
+
 func TestPlanJSONRoundTrip(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
-		{Op: OpLLMFilter, Question: "Does the document indicate birds?"},
-		{Op: OpCount},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
+		LogicalOp{Op: OpLLMFilter, Question: "Does the document indicate birds?"},
+		LogicalOp{Op: OpCount},
+	)
 	parsed, err := ParsePlan(plan.JSON())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed.Ops) != 3 || parsed.Ops[1].Question != plan.Ops[1].Question {
+	if len(parsed.Nodes) != 3 || parsed.Nodes[1].Question != plan.Nodes[1].Question {
 		t.Errorf("round trip lost ops: %s", parsed.String())
 	}
 }
 
 func TestParsePlanToleratesProse(t *testing.T) {
-	text := "Sure! Here is the plan:\n{\"ops\":[{\"op\":\"count\"}]}\nHope that helps."
+	text := "Sure! Here is the plan:\n{\"nodes\":[{\"id\":\"n1\",\"op\":\"count\"}]}\nHope that helps."
 	plan, err := ParsePlan(text)
-	if err != nil || len(plan.Ops) != 1 {
+	if err != nil || len(plan.Nodes) != 1 {
 		t.Fatalf("ParsePlan: %v", err)
 	}
 	if _, err := ParsePlan("no json here"); err == nil {
@@ -47,19 +63,19 @@ func TestValidateRejects(t *testing.T) {
 		plan *LogicalPlan
 	}{
 		{"empty", &LogicalPlan{}},
-		{"unknown op", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: "teleport"}}}},
-		{"unknown field", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "hallucinated", Kind: "term", Value: 1}}}}}},
-		{"bad filter kind", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "fuzzy", Value: 1}}}}}},
-		{"group key unknown", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpGroupByAggregate, Key: "bogus", Agg: "count"}}}},
-		{"agg field unknown", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpGroupByAggregate, Agg: "avg", ValueField: "bogus"}}}},
-		{"bad agg", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpGroupByAggregate, Key: "us_state", Agg: "median"}}}},
-		{"count not terminal", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpCount}, {Op: OpLimit, K: 5}}}},
-		{"scan not root", &LogicalPlan{Ops: []LogicalOp{{Op: OpCount}}}},
-		{"midplan scan", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpQueryDatabase}}}},
-		{"llmFilter empty", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpLLMFilter}}}},
-		{"project unknown field", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpProject, ProjectFields: []string{"bogus"}}}}},
-		{"topK unknown field", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpTopK, Field: "bogus", K: 3}}}},
-		{"cluster k=0", &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpLLMCluster}}}},
+		{"unknown op", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: "teleport"})},
+		{"unknown field", Chain(LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "hallucinated", Kind: "term", Value: 1}}})},
+		{"bad filter kind", Chain(LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "fuzzy", Value: 1}}})},
+		{"group key unknown", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpGroupByAggregate, Key: "bogus", Agg: "count"})},
+		{"agg field unknown", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpGroupByAggregate, Agg: "avg", ValueField: "bogus"})},
+		{"bad agg", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpGroupByAggregate, Key: "us_state", Agg: "median"})},
+		{"count not terminal", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpCount}, LogicalOp{Op: OpLimit, K: 5})},
+		{"scan not root", Chain(LogicalOp{Op: OpCount})},
+		{"midplan scan", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpQueryDatabase})},
+		{"llmFilter empty", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMFilter})},
+		{"project unknown field", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpProject, ProjectFields: []string{"bogus"}})},
+		{"topK unknown field", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpTopK, Field: "bogus", K: 3})},
+		{"cluster k=0", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMCluster})},
 	}
 	for _, c := range cases {
 		if err := Validate(c.plan, schema); err == nil {
@@ -69,27 +85,27 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestValidateAcceptsExtractedFields(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
-		{Op: OpGroupByAggregate, Key: "damaged_part", Agg: "count"},
-		{Op: OpTopK, Field: "value", K: 3},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
+		LogicalOp{Op: OpGroupByAggregate, Key: "damaged_part", Agg: "count"},
+		LogicalOp{Op: OpTopK, Field: "value", K: 3},
+	)
 	if err := Validate(plan, testSchema()); err != nil {
 		t.Errorf("extracted field should be usable downstream: %v", err)
 	}
 }
 
 func TestRewriteFusesExtracts(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "a", Type: "string"}}},
-		{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "b", Type: "string"}, {Name: "a", Type: "string"}}},
-		{Op: OpCount},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "a", Type: "string"}}},
+		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "b", Type: "string"}, {Name: "a", Type: "string"}}},
+		LogicalOp{Op: OpCount},
+	)
 	out := Rewrite(plan, DefaultRewrites())
 	extracts := 0
-	for _, op := range out.Ops {
+	for _, op := range out.Nodes {
 		if op.Op == OpLLMExtract {
 			extracts++
 			if len(op.Fields) != 2 {
@@ -100,33 +116,33 @@ func TestRewriteFusesExtracts(t *testing.T) {
 	if extracts != 1 {
 		t.Errorf("extracts after fuse = %d", extracts)
 	}
-	if len(plan.Ops) != 4 {
+	if len(plan.Nodes) != 4 {
 		t.Error("Rewrite must not mutate its input")
 	}
 }
 
 func TestRewritePushesFilters(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
-		{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "engines", Kind: "term", Value: 1}}},
-		{Op: OpCount},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
+		LogicalOp{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "engines", Kind: "term", Value: 1}}},
+		LogicalOp{Op: OpCount},
+	)
 	out := Rewrite(plan, DefaultRewrites())
-	if len(out.Ops) != 2 || len(out.Ops[0].Filters) != 2 {
+	if len(out.Nodes) != 2 || len(out.Nodes[0].Filters) != 2 {
 		t.Errorf("filters not pushed: %s", out.String())
 	}
 }
 
 func TestRewriteDropsDuplicateLLMFilters(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpLLMFilter, Question: "q?"},
-		{Op: OpLLMFilter, Question: "q?"},
-		{Op: OpCount},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMFilter, Question: "q?"},
+		LogicalOp{Op: OpLLMFilter, Question: "q?"},
+		LogicalOp{Op: OpCount},
+	)
 	out := Rewrite(plan, DefaultRewrites())
 	n := 0
-	for _, op := range out.Ops {
+	for _, op := range out.Nodes {
 		if op.Op == OpLLMFilter {
 			n++
 		}
@@ -137,16 +153,17 @@ func TestRewriteDropsDuplicateLLMFilters(t *testing.T) {
 }
 
 func TestRewriteDedupInsertion(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpCount}}}
+	plan := Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpCount})
 	opts := DefaultRewrites()
 	opts.DedupByAccident = true
 	out := Rewrite(plan, opts)
-	if len(out.Ops) != 3 || out.Ops[1].Op != opDistinct || out.Ops[1].Field != "accidentNumber" {
+	ops := chainOps(t, out)
+	if len(ops) != 3 || ops[1].Op != opDistinct || ops[1].Field != "accidentNumber" {
 		t.Errorf("dedup not inserted: %s", out.String())
 	}
 	// Default rewrites must NOT insert it (that's the paper's bug).
 	out2 := Rewrite(plan, DefaultRewrites())
-	for _, op := range out2.Ops {
+	for _, op := range out2.Nodes {
 		if op.Op == opDistinct {
 			t.Error("dedup must be off by default")
 		}
@@ -177,10 +194,10 @@ func executorFixture(t *testing.T) (*Executor, *index.Store) {
 
 func TestExecutorCount(t *testing.T) {
 	ex, _ := executorFixture(t)
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
-		{Op: OpCount},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
+		LogicalOp{Op: OpCount},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +211,10 @@ func TestExecutorCount(t *testing.T) {
 
 func TestExecutorGroupAndTopK(t *testing.T) {
 	ex, _ := executorFixture(t)
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +222,11 @@ func TestExecutorGroupAndTopK(t *testing.T) {
 		t.Errorf("table = %v", res.Answer.Table)
 	}
 
-	res2, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"},
-		{Op: OpTopK, Field: "value", K: 1},
-	}})
+	res2, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"},
+		LogicalOp{Op: OpTopK, Field: "value", K: 1},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +237,10 @@ func TestExecutorGroupAndTopK(t *testing.T) {
 
 func TestExecutorGlobalAggregate(t *testing.T) {
 	ex, _ := executorFixture(t)
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpGroupByAggregate, Key: "", Agg: "max", ValueField: "engines"},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpGroupByAggregate, Key: "", Agg: "max", ValueField: "engines"},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +251,10 @@ func TestExecutorGlobalAggregate(t *testing.T) {
 
 func TestExecutorFraction(t *testing.T) {
 	ex, _ := executorFixture(t)
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "aircraftDamage", Kind: "term", Value: "Substantial"}}},
-		{Op: OpFraction, Question: "Does the document indicate birds?"},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "aircraftDamage", Kind: "term", Value: "Substantial"}}},
+		LogicalOp{Op: OpFraction, Question: "Does the document indicate birds?"},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +265,11 @@ func TestExecutorFraction(t *testing.T) {
 
 func TestExecutorProjectAndDistinct(t *testing.T) {
 	ex, _ := executorFixture(t)
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: opDistinct, Field: "us_state"},
-		{Op: OpProject, ProjectFields: []string{"us_state"}},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: opDistinct, Field: "us_state"},
+		LogicalOp{Op: OpProject, ProjectFields: []string{"us_state"}},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +280,11 @@ func TestExecutorProjectAndDistinct(t *testing.T) {
 
 func TestExecutorLLMFilterAndGenerate(t *testing.T) {
 	ex, _ := executorFixture(t)
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpLLMFilter, Question: "Does the document indicate birds?"},
-		{Op: OpLLMGenerate, Instruction: "summarize"},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMFilter, Question: "Does the document indicate birds?"},
+		LogicalOp{Op: OpLLMGenerate, Instruction: "summarize"},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +295,10 @@ func TestExecutorLLMFilterAndGenerate(t *testing.T) {
 
 func TestExecutorRejectsBadPlans(t *testing.T) {
 	ex, _ := executorFixture(t)
-	if _, err := ex.Run(context.Background(), &LogicalPlan{}); err == nil {
+	if _, err := ex.Run(context.Background(), &LogicalPlan{}, StreamHooks{}); err == nil {
 		t.Error("empty plan should fail")
 	}
-	if _, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{{Op: "bogus"}}}); err == nil {
+	if _, err := ex.Run(context.Background(), Chain(LogicalOp{Op: "bogus"}), StreamHooks{}); err == nil {
 		t.Error("bogus root should fail")
 	}
 }
@@ -311,11 +328,11 @@ func TestRunPlanValidatesUserEdits(t *testing.T) {
 	sim := llm.NewSim(1)
 	sim.Register(PlannerSkill{})
 	svc := &Service{Planner: NewPlanner(sim, InferSchema(store)), Executor: ex}
-	bad := &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "nope", Kind: "term", Value: 1}}}}}
+	bad := Chain(LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "nope", Kind: "term", Value: 1}}})
 	if _, err := svc.RunPlan(context.Background(), "q", bad); err == nil {
 		t.Error("user-edited invalid plan must be rejected")
 	}
-	good := &LogicalPlan{Ops: []LogicalOp{{Op: OpQueryDatabase}, {Op: OpCount}}}
+	good := Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpCount})
 	res, err := svc.RunPlan(context.Background(), "q", good)
 	if err != nil || res.Answer.Number != 3 {
 		t.Errorf("RunPlan: %v %v", res, err)
@@ -367,11 +384,11 @@ func TestSchemaInferAndPromptRoundTrip(t *testing.T) {
 }
 
 func TestExtractFieldsUsed(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "a"}}},
-		{Op: OpLLMFilter, Question: "x?"},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "a"}}},
+		LogicalOp{Op: OpLLMFilter, Question: "x?"},
+	)
 	ex, per := ExtractFieldsUsed(plan)
 	if ex != 1 || per != 2 {
 		t.Errorf("ExtractFieldsUsed = %d, %d", ex, per)
@@ -407,10 +424,10 @@ func TestExecutorVectorRoot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryVectorDatabase, Query: "flock of geese bird strike"},
-		{Op: OpLimit, K: 1},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryVectorDatabase, Query: "flock of geese bird strike"},
+		LogicalOp{Op: OpLimit, K: 1},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +440,8 @@ func TestPlannerRepairLoop(t *testing.T) {
 	// First response is an invalid plan; the planner re-prompts with the
 	// validator's feedback and accepts the corrected plan.
 	scripted := &llm.Scripted{Responses: []llm.Response{
-		{Text: `{"ops":[{"op":"teleport"}]}`},
-		{Text: `{"ops":[{"op":"queryDatabase"},{"op":"count"}]}`},
+		{Text: `{"nodes":[{"id":"n1","op":"teleport"}]}`},
+		{Text: `{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`},
 	}}
 	p := NewPlanner(scripted, testSchema())
 	raw, rewritten, err := p.Plan(context.Background(), "How many incidents?")
@@ -435,7 +452,7 @@ func TestPlannerRepairLoop(t *testing.T) {
 		t.Fatalf("repair loop: calls=%d", scripted.Calls())
 	}
 	// Repeated invalid plans exhaust MaxRepairs.
-	bad := &llm.Scripted{Responses: []llm.Response{{Text: `{"ops":[{"op":"teleport"}]}`}}}
+	bad := &llm.Scripted{Responses: []llm.Response{{Text: `{"nodes":[{"id":"n1","op":"teleport"}]}`}}}
 	p2 := NewPlanner(bad, testSchema())
 	if _, _, err := p2.Plan(context.Background(), "q"); err == nil {
 		t.Error("persistent invalid plans should fail")

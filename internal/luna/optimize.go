@@ -64,7 +64,6 @@ func (o *Optimizer) Optimize(plan *LogicalPlan) *LogicalPlan {
 	if o.Cascade.Enabled {
 		insertCascades(p, o.Cascade)
 	}
-	p.syncLinearView()
 	return p
 }
 

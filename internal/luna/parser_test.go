@@ -43,11 +43,11 @@ func parse(t *testing.T, q string) *LogicalPlan {
 
 func TestParseCountWithStateFilter(t *testing.T) {
 	plan := parse(t, "How many incidents were there in Kentucky?")
-	if plan.Ops[0].Op != OpQueryDatabase {
+	if plan.Nodes[0].Op != OpQueryDatabase {
 		t.Fatal("plan must root at queryDatabase")
 	}
 	found := false
-	for _, f := range plan.Ops[0].Filters {
+	for _, f := range plan.Nodes[0].Filters {
 		if f.Field == "us_state" && f.Value == "KY" {
 			found = true
 		}
@@ -55,7 +55,7 @@ func TestParseCountWithStateFilter(t *testing.T) {
 	if !found {
 		t.Errorf("missing state filter: %s", plan.String())
 	}
-	if plan.Ops[len(plan.Ops)-1].Op != OpCount {
+	if plan.Nodes[len(plan.Nodes)-1].Op != OpCount {
 		t.Errorf("terminal should be count: %s", plan.String())
 	}
 }
@@ -63,7 +63,7 @@ func TestParseCountWithStateFilter(t *testing.T) {
 func TestParseResidualBecomesLLMFilter(t *testing.T) {
 	plan := parse(t, "How many incidents were due to engine problems?")
 	hasFilter := false
-	for _, op := range plan.Ops {
+	for _, op := range plan.Nodes {
 		if op.Op == OpLLMFilter && strings.Contains(op.Question, "engine problems") {
 			hasFilter = true
 		}
@@ -75,12 +75,12 @@ func TestParseResidualBecomesLLMFilter(t *testing.T) {
 
 func TestParseBreakdown(t *testing.T) {
 	plan := parse(t, "How many incidents were there by state?")
-	last := plan.Ops[len(plan.Ops)-1]
+	last := plan.Nodes[len(plan.Nodes)-1]
 	if last.Op != OpGroupByAggregate || last.Key != "us_state" || last.Agg != "count" {
 		t.Errorf("breakdown plan wrong: %s", plan.String())
 	}
 	plan2 := parse(t, "How many incidents occurred in each month?")
-	last2 := plan2.Ops[len(plan2.Ops)-1]
+	last2 := plan2.Nodes[len(plan2.Nodes)-1]
 	if last2.Key != "month" {
 		t.Errorf("month breakdown: %s", plan2.String())
 	}
@@ -90,13 +90,13 @@ func TestParseConsumedPhrasesDontBecomeBreakdowns(t *testing.T) {
 	// "caused by weather" must map to the weather_related filter, not a
 	// group-by on a "weather" field.
 	plan := parse(t, "How many incidents were caused by weather?")
-	for _, op := range plan.Ops {
+	for _, op := range plan.Nodes {
 		if op.Op == OpGroupByAggregate {
 			t.Errorf("spurious breakdown: %s", plan.String())
 		}
 	}
 	found := false
-	for _, f := range plan.Ops[0].Filters {
+	for _, f := range plan.Nodes[0].Filters {
 		if f.Field == "weather_related" {
 			found = true
 		}
@@ -112,9 +112,9 @@ func TestParseManufacturerMisinterpretation(t *testing.T) {
 	// field rather than planning a query-time extraction.
 	plan := parse(t, "What was the breakdown of incident causes by aircraft manufacturer?")
 	var group *LogicalOp
-	for i := range plan.Ops {
-		if plan.Ops[i].Op == OpGroupByAggregate {
-			group = &plan.Ops[i]
+	for i := range plan.Nodes {
+		if plan.Nodes[i].Op == OpGroupByAggregate {
+			group = &plan.Nodes[i].LogicalOp
 		}
 	}
 	if group == nil {
@@ -131,7 +131,7 @@ func TestParseManufacturerMisinterpretation(t *testing.T) {
 func TestParseModeWithQueryTimeExtraction(t *testing.T) {
 	plan := parse(t, "In incidents involving Piper aircraft, what was the most commonly damaged part of the aircraft?")
 	var hasExtract, hasContains bool
-	for _, op := range plan.Ops {
+	for _, op := range plan.Nodes {
 		if op.Op == OpLLMExtract {
 			for _, f := range op.Fields {
 				if f.Name == "damaged_part" {
@@ -140,7 +140,7 @@ func TestParseModeWithQueryTimeExtraction(t *testing.T) {
 			}
 		}
 	}
-	for _, f := range plan.Ops[0].Filters {
+	for _, f := range plan.Nodes[0].Filters {
 		if f.Field == "aircraft" && f.Kind == "contains" && f.Value == "Piper" {
 			hasContains = true
 		}
@@ -148,7 +148,7 @@ func TestParseModeWithQueryTimeExtraction(t *testing.T) {
 	if !hasExtract || !hasContains {
 		t.Errorf("piper mode plan: extract=%v contains=%v\n%s", hasExtract, hasContains, plan.String())
 	}
-	last := plan.Ops[len(plan.Ops)-1]
+	last := plan.Nodes[len(plan.Nodes)-1]
 	if last.Op != OpTopK || last.K != 1 {
 		t.Errorf("terminal: %s", plan.String())
 	}
@@ -156,12 +156,12 @@ func TestParseModeWithQueryTimeExtraction(t *testing.T) {
 
 func TestParseTopThree(t *testing.T) {
 	plan := parse(t, "What are the top three most commonly damaged parts in single-engine aircraft incidents?")
-	last := plan.Ops[len(plan.Ops)-1]
+	last := plan.Nodes[len(plan.Nodes)-1]
 	if last.Op != OpTopK || last.K != 3 {
 		t.Errorf("topK k=3 expected: %s", plan.String())
 	}
 	engineFilter := false
-	for _, f := range plan.Ops[0].Filters {
+	for _, f := range plan.Nodes[0].Filters {
 		if f.Field == "engines" && f.Value == 1 {
 			engineFilter = true
 		}
@@ -176,12 +176,12 @@ func TestParseTopThree(t *testing.T) {
 
 func TestParseFraction(t *testing.T) {
 	plan := parse(t, "What fraction of incidents that resulted in substantial damage were due to engine problems?")
-	last := plan.Ops[len(plan.Ops)-1]
+	last := plan.Nodes[len(plan.Nodes)-1]
 	if last.Op != OpFraction || !strings.Contains(last.Question, "engine") {
 		t.Errorf("fraction terminal: %s", plan.String())
 	}
 	damage := false
-	for _, f := range plan.Ops[0].Filters {
+	for _, f := range plan.Nodes[0].Filters {
 		if f.Field == "aircraftDamage" && f.Value == "Substantial" {
 			damage = true
 		}
@@ -194,16 +194,16 @@ func TestParseFraction(t *testing.T) {
 func TestParseAggregates(t *testing.T) {
 	plan := parse(t, "What was the average total flight time of pilots in fatal incidents?")
 	var agg *LogicalOp
-	for i := range plan.Ops {
-		if plan.Ops[i].Op == OpGroupByAggregate {
-			agg = &plan.Ops[i]
+	for i := range plan.Nodes {
+		if plan.Nodes[i].Op == OpGroupByAggregate {
+			agg = &plan.Nodes[i].LogicalOp
 		}
 	}
 	if agg == nil || agg.Agg != "avg" || agg.ValueField != "flightTime" || agg.Key != "" {
 		t.Fatalf("avg plan: %s", plan.String())
 	}
 	fatal := false
-	for _, f := range plan.Ops[0].Filters {
+	for _, f := range plan.Nodes[0].Filters {
 		if f.Field == "fatalities" && f.Kind == "gte" {
 			fatal = true
 		}
@@ -214,9 +214,9 @@ func TestParseAggregates(t *testing.T) {
 
 	plan2 := parse(t, "What was the maximum wind speed recorded, in knots?")
 	var agg2 *LogicalOp
-	for i := range plan2.Ops {
-		if plan2.Ops[i].Op == OpGroupByAggregate {
-			agg2 = &plan2.Ops[i]
+	for i := range plan2.Nodes {
+		if plan2.Nodes[i].Op == OpGroupByAggregate {
+			agg2 = &plan2.Nodes[i].LogicalOp
 		}
 	}
 	if agg2 == nil || agg2.Agg != "max" || agg2.ValueField != "windSpeed" {
@@ -226,12 +226,12 @@ func TestParseAggregates(t *testing.T) {
 
 func TestParseListProjection(t *testing.T) {
 	plan := parse(t, "List the registration numbers of aircraft that were destroyed.")
-	last := plan.Ops[len(plan.Ops)-1]
+	last := plan.Nodes[len(plan.Nodes)-1]
 	if last.Op != OpProject || last.ProjectFields[0] != "registration" {
 		t.Errorf("projection: %s", plan.String())
 	}
 	destroyed := false
-	for _, f := range plan.Ops[0].Filters {
+	for _, f := range plan.Nodes[0].Filters {
 		if f.Field == "aircraftDamage" && f.Value == "Destroyed" {
 			destroyed = true
 		}
@@ -244,7 +244,7 @@ func TestParseListProjection(t *testing.T) {
 func TestParseAccidentLookup(t *testing.T) {
 	plan := parse(t, "What was the probable cause of accident CEN24LA100?")
 	acc := false
-	for _, f := range plan.Ops[0].Filters {
+	for _, f := range plan.Nodes[0].Filters {
 		if f.Field == "accidentNumber" && f.Value == "CEN24LA100" {
 			acc = true
 		}
@@ -252,7 +252,7 @@ func TestParseAccidentLookup(t *testing.T) {
 	if !acc {
 		t.Errorf("accident filter missing: %s", plan.String())
 	}
-	last := plan.Ops[len(plan.Ops)-1]
+	last := plan.Nodes[len(plan.Nodes)-1]
 	if last.Op != OpProject || last.ProjectFields[0] != "probable_cause" {
 		t.Errorf("cause projection missing: %s", plan.String())
 	}
@@ -260,7 +260,7 @@ func TestParseAccidentLookup(t *testing.T) {
 
 func TestParseArgmax(t *testing.T) {
 	plan := parse(t, "Which state had the most incidents?")
-	ops := plan.Ops
+	ops := plan.Nodes
 	if ops[len(ops)-1].Op != OpTopK || ops[len(ops)-2].Op != OpGroupByAggregate || ops[len(ops)-2].Key != "us_state" {
 		t.Errorf("argmax plan: %s", plan.String())
 	}
@@ -268,18 +268,18 @@ func TestParseArgmax(t *testing.T) {
 
 func TestParseCategoryAndRegulation(t *testing.T) {
 	plan := parse(t, "How many incidents involved helicopters?")
-	if f := plan.Ops[0].Filters; len(f) != 1 || f[0].Field != "aircraftCategory" || f[0].Value != "Helicopter" {
+	if f := plan.Nodes[0].Filters; len(f) != 1 || f[0].Field != "aircraftCategory" || f[0].Value != "Helicopter" {
 		t.Errorf("helicopter filter: %s", plan.String())
 	}
 	plan2 := parse(t, "How many flights were conducted under Part 137?")
-	if f := plan2.Ops[0].Filters; len(f) != 1 || f[0].Field != "flightConductedUnder" {
+	if f := plan2.Nodes[0].Filters; len(f) != 1 || f[0].Field != "flightConductedUnder" {
 		t.Errorf("part filter: %s", plan2.String())
 	}
 }
 
 func TestParseSummarizeAndDefault(t *testing.T) {
 	plan := parse(t, "Summarize the common themes in incidents involving bird strikes.")
-	last := plan.Ops[len(plan.Ops)-1]
+	last := plan.Nodes[len(plan.Nodes)-1]
 	if last.Op != OpLLMGenerate {
 		t.Errorf("summarize terminal: %s", plan.String())
 	}
@@ -302,13 +302,13 @@ func TestResolveFieldTieBreaksBySchemaOrder(t *testing.T) {
 
 func TestParseSemanticSearch(t *testing.T) {
 	plan := parse(t, "Find reports about carburetor icing during climb")
-	if plan.Ops[0].Op != OpQueryVectorDatabase {
+	if plan.Nodes[0].Op != OpQueryVectorDatabase {
 		t.Fatalf("semantic search should root at queryVectorDatabase: %s", plan.String())
 	}
-	if !strings.Contains(plan.Ops[0].Query, "carburetor icing") {
-		t.Errorf("query text lost: %q", plan.Ops[0].Query)
+	if !strings.Contains(plan.Nodes[0].Query, "carburetor icing") {
+		t.Errorf("query text lost: %q", plan.Nodes[0].Query)
 	}
-	if plan.Ops[1].Op != OpProject {
+	if plan.Nodes[1].Op != OpProject {
 		t.Errorf("search should list matches: %s", plan.String())
 	}
 }

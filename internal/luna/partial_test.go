@@ -28,11 +28,11 @@ func TestRunReturnsPartialResultOnFailure(t *testing.T) {
 	boom := errors.New("model exploded")
 	ex.EC = docset.NewContext(docset.WithLLM(brokenLLM{err: boom}), docset.WithRetries(0))
 
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpLLMFilter, Question: "Does the document mention birds?"},
-		{Op: OpCount},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMFilter, Question: "Does the document mention birds?"},
+		LogicalOp{Op: OpCount},
+	), StreamHooks{})
 	if err == nil {
 		t.Fatal("want the execution failure to surface")
 	}
@@ -73,11 +73,11 @@ func TestRunPartialSurvivesTransientExhaustion(t *testing.T) {
 	ex, _ := executorFixture(t)
 	ex.EC = docset.NewContext(docset.WithLLM(brokenLLM{err: llm.ErrTransient}), docset.WithRetries(1))
 
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpLLMFilter, Question: "Does the document mention birds?"},
-		{Op: OpCount},
-	}})
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMFilter, Question: "Does the document mention birds?"},
+		LogicalOp{Op: OpCount},
+	), StreamHooks{})
 	if err == nil || res == nil {
 		t.Fatalf("want (partial result, error); got res=%v err=%v", res != nil, err)
 	}

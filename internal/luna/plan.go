@@ -102,56 +102,35 @@ type PlanNode struct {
 // simple JSON object" (§6.2) in the form
 //
 //	{"nodes": [{"id": "n1", "op": ..., "inputs": [...], ...params}], "output": "n3"}
-//
-// Ops is the legacy linear-chain view. It is kept in sync for plans that
-// are simple chains (which is every plan the grammar planner emits), so
-// existing callers can keep reading plan.Ops; it is nil for plans with
-// joins or multiple roots. Construction through either view works: plans
-// built as LogicalPlan{Ops: ...} are up-converted to nodes on first use,
-// and decoding accepts both the DAG form and the legacy {"ops": [...]}
-// wire format.
 type LogicalPlan struct {
 	Nodes  []PlanNode `json:"nodes"`
-	Output string     `json:"output"`
-	// Ops is the linear projection of a chain-shaped plan (nil when the
-	// DAG has joins or multiple roots). Treat it as read-only: edits to a
-	// plan that already carries Nodes must go through Nodes.
-	Ops []LogicalOp `json:"-"`
+	Output string     `json:"output,omitempty"`
 }
 
 // Chain builds a linear DAG plan n1 -> n2 -> ... from an operator list —
-// the up-conversion applied to legacy plans and the constructor the
-// grammar planner uses.
+// the constructor the grammar planner uses.
 func Chain(ops ...LogicalOp) *LogicalPlan {
-	p := &LogicalPlan{Ops: append([]LogicalOp(nil), ops...)}
-	p.normalize()
+	p := &LogicalPlan{Nodes: make([]PlanNode, len(ops))}
+	for i, op := range ops {
+		n := PlanNode{ID: fmt.Sprintf("n%d", i+1), LogicalOp: op}
+		if i > 0 {
+			n.Inputs = []string{fmt.Sprintf("n%d", i)}
+		}
+		p.Nodes[i] = n
+		p.Output = n.ID
+	}
 	return p
 }
 
-// normalize reconciles the two plan views: builds Nodes from a legacy Ops
-// chain, infers a missing Output as the unique sink, and refreshes the
-// linear Ops projection. Idempotent and cheap once synced.
+// normalize infers a missing Output as the unique sink (tolerant decode:
+// a single sink is unambiguous). Idempotent.
 func (p *LogicalPlan) normalize() {
-	if len(p.Nodes) == 0 && len(p.Ops) > 0 {
-		p.Nodes = make([]PlanNode, len(p.Ops))
-		for i, op := range p.Ops {
-			n := PlanNode{ID: fmt.Sprintf("n%d", i+1), LogicalOp: op}
-			if i > 0 {
-				n.Inputs = []string{fmt.Sprintf("n%d", i)}
-			}
-			p.Nodes[i] = n
-		}
-		p.Output = p.Nodes[len(p.Nodes)-1].ID
-		return // a fresh chain: Ops already is the linear view
-	}
 	if p.Output == "" && len(p.Nodes) > 0 {
-		// Tolerant decode: a single sink is unambiguous.
 		sinks := p.sinks()
 		if len(sinks) == 1 {
 			p.Output = sinks[0]
 		}
 	}
-	p.syncLinearView()
 }
 
 // sinks returns the IDs of nodes no other node consumes, in declaration
@@ -265,51 +244,6 @@ func (p *LogicalPlan) topoOrder() ([]int, error) {
 	return order, nil
 }
 
-// syncLinearView refreshes Ops: the operator chain when the DAG is a
-// single path ending at Output, nil otherwise.
-func (p *LogicalPlan) syncLinearView() {
-	p.Ops = nil
-	if len(p.Nodes) == 0 {
-		return
-	}
-	var root *PlanNode
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		if len(n.Inputs) > 1 {
-			return
-		}
-		if len(n.Inputs) == 0 {
-			if root != nil {
-				return // multiple roots
-			}
-			root = n
-		}
-		if len(p.consumers(n.ID)) > 1 {
-			return
-		}
-	}
-	if root == nil {
-		return
-	}
-	ops := make([]LogicalOp, 0, len(p.Nodes))
-	cur := root
-	for {
-		if len(ops) == len(p.Nodes) {
-			return // longer walk than nodes: duplicate IDs, not a chain
-		}
-		ops = append(ops, cur.LogicalOp)
-		next := p.consumers(cur.ID)
-		if len(next) == 0 {
-			break
-		}
-		cur = p.node(next[0])
-	}
-	if len(ops) != len(p.Nodes) || (p.Output != "" && cur.ID != p.Output) {
-		return // disconnected components or output off the chain
-	}
-	p.Ops = ops
-}
-
 // Clone deep-copies the plan (nodes, edges, and parameter slices), so
 // rewrites and user edits never alias the original.
 func (p *LogicalPlan) Clone() *LogicalPlan {
@@ -321,10 +255,6 @@ func (p *LogicalPlan) Clone() *LogicalPlan {
 		c.LogicalOp = cloneOp(n.LogicalOp)
 		out.Nodes[i] = c
 	}
-	out.Ops = make([]LogicalOp, len(p.Ops))
-	for i, op := range p.Ops {
-		out.Ops[i] = cloneOp(op)
-	}
 	return out
 }
 
@@ -333,42 +263,6 @@ func cloneOp(op LogicalOp) LogicalOp {
 	op.Fields = append([]llm.FieldSpec(nil), op.Fields...)
 	op.ProjectFields = append([]string(nil), op.ProjectFields...)
 	return op
-}
-
-// planWire is the canonical DAG wire format.
-type planWire struct {
-	Nodes  []PlanNode `json:"nodes"`
-	Output string     `json:"output,omitempty"`
-}
-
-// MarshalJSON emits the DAG form, up-converting a legacy Ops-only plan
-// first.
-func (p *LogicalPlan) MarshalJSON() ([]byte, error) {
-	q := *p
-	q.normalize()
-	return json.Marshal(planWire{Nodes: q.Nodes, Output: q.Output})
-}
-
-// UnmarshalJSON accepts both the DAG form {"nodes": [...], "output": ...}
-// and the legacy linear form {"ops": [...]}, which is up-converted so old
-// clients, golden files, and stored plans keep working unchanged.
-func (p *LogicalPlan) UnmarshalJSON(data []byte) error {
-	var probe struct {
-		Nodes  []PlanNode  `json:"nodes"`
-		Output string      `json:"output"`
-		Ops    []LogicalOp `json:"ops"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return err
-	}
-	*p = LogicalPlan{}
-	if len(probe.Nodes) > 0 {
-		p.Nodes, p.Output = probe.Nodes, probe.Output
-	} else {
-		p.Ops = probe.Ops
-	}
-	p.normalize()
-	return nil
 }
 
 // JSON renders the plan in the exact format the planner LLM emits and the
@@ -382,8 +276,7 @@ func (p *LogicalPlan) JSON() string {
 }
 
 // ParsePlan decodes planner output, tolerating surrounding prose by
-// extracting the outermost JSON object. Both the DAG and the legacy
-// linear format decode.
+// extracting the outermost JSON object.
 func ParsePlan(text string) (*LogicalPlan, error) {
 	start := strings.Index(text, "{")
 	end := strings.LastIndex(text, "}")
@@ -397,22 +290,12 @@ func ParsePlan(text string) (*LogicalPlan, error) {
 	return &p, nil
 }
 
-// String renders a human-readable plan summary: one numbered line per
-// operator for chain plans (the historical format), and one line per node
-// with its ID and input edges for DAGs.
+// String renders a human-readable plan summary: one line per node with
+// its ID and input edges, in topological order.
 func (p *LogicalPlan) String() string {
 	q := *p
 	q.normalize()
 	var sb strings.Builder
-	if len(q.Ops) > 0 {
-		for i, op := range q.Ops {
-			if i > 0 {
-				sb.WriteString("\n")
-			}
-			fmt.Fprintf(&sb, "%d. %s", i+1, op.Describe())
-		}
-		return sb.String()
-	}
 	order, err := q.topoOrder()
 	if err != nil {
 		// Render in declaration order so even malformed plans display.

@@ -3,6 +3,7 @@ package luna
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -70,12 +71,11 @@ func TestDAGRoundTripPreservesStructure(t *testing.T) {
 	if join == nil || join.Op != OpJoin || len(join.Inputs) != 2 || join.LeftKey != "accidentNumber" {
 		t.Errorf("join node lost params: %+v", join)
 	}
-	if parsed.Ops != nil {
-		t.Errorf("a join DAG has no linear view, got %d ops", len(parsed.Ops))
-	}
 }
 
-func TestLegacyLinearJSONUpConverts(t *testing.T) {
+// The legacy linear form {"ops": [...]} is no longer a plan: it decodes to
+// a plan with no nodes, which validation and the executor both reject.
+func TestLegacyLinearJSONRejected(t *testing.T) {
 	legacy := `{"ops":[` +
 		`{"op":"queryDatabase","filters":[{"field":"us_state","kind":"term","value":"KY"}]},` +
 		`{"op":"llmFilter","question":"Does the document indicate birds?"},` +
@@ -84,49 +84,45 @@ func TestLegacyLinearJSONUpConverts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Nodes) != 3 || plan.Output != "n3" {
-		t.Fatalf("up-conversion wrong: %s", plan.JSON())
+	if len(plan.Nodes) != 0 || plan.Output != "" {
+		t.Fatalf("legacy form decoded to a non-empty plan: %s", plan.JSON())
 	}
-	if len(plan.Ops) != 3 || plan.Ops[1].Question != "Does the document indicate birds?" {
-		t.Errorf("legacy linear view lost: %+v", plan.Ops)
+	if err := Validate(plan, testSchema()); !errors.Is(err, ErrInvalidPlan) {
+		t.Errorf("Validate(legacy) = %v, want ErrInvalidPlan", err)
 	}
-	for i, n := range plan.Nodes {
-		if i == 0 && len(n.Inputs) != 0 {
-			t.Errorf("root must have no inputs: %+v", n)
-		}
-		if i > 0 && (len(n.Inputs) != 1 || n.Inputs[0] != plan.Nodes[i-1].ID) {
-			t.Errorf("chain edge %d wrong: %+v", i, n)
-		}
-	}
-	// The up-converted plan re-encodes in the DAG form.
-	if !strings.Contains(plan.JSON(), `"nodes"`) {
-		t.Errorf("JSON() should emit the DAG form: %s", plan.JSON())
+	ex, _ := executorFixture(t)
+	if _, err := ex.Run(context.Background(), plan, StreamHooks{}); !errors.Is(err, ErrInvalidPlan) {
+		t.Errorf("Run(legacy) = %v, want ErrInvalidPlan", err)
 	}
 }
 
-func TestLegacyPlanExecutesIdentically(t *testing.T) {
+// A chain decoded from the wire form and one built with Chain are the same
+// plan: same compiled pipeline, same answer.
+func TestDecodedChainExecutesIdentically(t *testing.T) {
 	ex, _ := executorFixture(t)
-	legacy, err := ParsePlan(`{"ops":[{"op":"queryDatabase","filters":[{"field":"us_state","kind":"term","value":"KY"}]},{"op":"count"}]}`)
+	decoded, err := ParsePlan(`{"nodes":[` +
+		`{"id":"n1","op":"queryDatabase","filters":[{"field":"us_state","kind":"term","value":"KY"}]},` +
+		`{"id":"n2","inputs":["n1"],"op":"count"}]}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
-		{Op: OpCount},
-	}}
-	resLegacy, err := ex.Run(context.Background(), legacy)
+	direct := Chain(
+		LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
+		LogicalOp{Op: OpCount},
+	)
+	resDecoded, err := ex.Run(context.Background(), decoded, StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resDirect, err := ex.Run(context.Background(), direct)
+	resDirect, err := ex.Run(context.Background(), direct, StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resLegacy.Answer.String() != resDirect.Answer.String() || resLegacy.Answer.Number != 2 {
-		t.Errorf("legacy execution diverged: %q vs %q", resLegacy.Answer.String(), resDirect.Answer.String())
+	if resDecoded.Answer.String() != resDirect.Answer.String() || resDecoded.Answer.Number != 2 {
+		t.Errorf("decoded execution diverged: %q vs %q", resDecoded.Answer.String(), resDirect.Answer.String())
 	}
-	if resLegacy.Compiled != resDirect.Compiled {
-		t.Errorf("legacy plan compiled differently:\n%s\nvs\n%s", resLegacy.Compiled, resDirect.Compiled)
+	if resDecoded.Compiled != resDirect.Compiled {
+		t.Errorf("decoded plan compiled differently:\n%s\nvs\n%s", resDecoded.Compiled, resDirect.Compiled)
 	}
 }
 
@@ -193,11 +189,11 @@ func TestValidateAggregatesAllErrors(t *testing.T) {
 	// Three independent problems: a hallucinated filter field, an empty
 	// llmFilter question, and a bogus aggregation — all must surface in
 	// one Validate call.
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "hallucinated", Kind: "term", Value: 1}}},
-		{Op: OpLLMFilter},
-		{Op: OpGroupByAggregate, Key: "us_state", Agg: "median"},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "hallucinated", Kind: "term", Value: 1}}},
+		LogicalOp{Op: OpLLMFilter},
+		LogicalOp{Op: OpGroupByAggregate, Key: "us_state", Agg: "median"},
+	)
 	err := Validate(plan, testSchema())
 	if err == nil {
 		t.Fatal("plan should be rejected")
@@ -248,7 +244,7 @@ func TestValidateAcceptsJoinProvenance(t *testing.T) {
 
 func TestJoinPlanExecutesEndToEnd(t *testing.T) {
 	ex, _ := executorFixture(t)
-	res, err := ex.Run(context.Background(), joinFixturePlan())
+	res, err := ex.Run(context.Background(), joinFixturePlan(), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +264,7 @@ func TestJoinPlanExecutesEndToEnd(t *testing.T) {
 	plan := joinFixturePlan()
 	plan.Nodes[3] = PlanNode{ID: "n4", Inputs: []string{"n3"}, LogicalOp: LogicalOp{
 		Op: OpProject, ProjectFields: []string{"accidentNumber", "right.aircraftDamage"}}}
-	res2, err := ex.Run(context.Background(), plan)
+	res2, err := ex.Run(context.Background(), plan, StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +275,7 @@ func TestJoinPlanExecutesEndToEnd(t *testing.T) {
 	// Anti-join variant: KY incidents NOT substantially damaged -> A2.
 	anti := joinFixturePlan()
 	anti.node("n3").JoinKind = "anti"
-	res3, err := ex.Run(context.Background(), anti)
+	res3, err := ex.Run(context.Background(), anti, StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,10 +360,10 @@ func TestDAGStringRendersNodesAndEdges(t *testing.T) {
 			t.Errorf("DAG rendering missing %q:\n%s", want, s)
 		}
 	}
-	// Chains keep the historical numbered rendering.
+	// A chain is rendered like any other DAG.
 	chain := Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpCount})
-	if !strings.HasPrefix(chain.String(), "1. queryDatabase") {
-		t.Errorf("chain rendering changed: %s", chain.String())
+	if got, want := chain.String(), "n1. queryDatabase(scan all)\nn2. count() <- n1 [output]"; got != want {
+		t.Errorf("chain rendering = %q, want %q", got, want)
 	}
 }
 
@@ -461,10 +457,10 @@ func TestDedupRespectsJoinBranches(t *testing.T) {
 }
 
 func TestIssuesUnwrapsPlannerWrapping(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "hallucinated", Kind: "fuzzy", Value: 1}}},
-		{Op: OpCount},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{{Field: "hallucinated", Kind: "fuzzy", Value: 1}}},
+		LogicalOp{Op: OpCount},
+	)
 	verr := Validate(plan, testSchema())
 	wrapped := fmt.Errorf("luna: plan for %q failed validation: %w", "q", verr)
 	issues := Issues(wrapped)

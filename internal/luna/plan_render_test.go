@@ -12,23 +12,23 @@ import (
 )
 
 func TestPlanStringAndDescribe(t *testing.T) {
-	plan := &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Keyword: "engine", Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
-		{Op: OpQueryVectorDatabase, Query: "bird strikes", K: 5},
-		{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "engines", Kind: "gte", Value: 1}}},
-		{Op: OpLLMFilter, Question: "birds?"},
-		{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part"}}},
-		{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"},
-		{Op: OpGroupByAggregate, Key: "", Agg: "avg", ValueField: "flightTime"},
-		{Op: OpLLMCluster, K: 3},
-		{Op: OpTopK, Field: "value", K: 2},
-		{Op: OpCount},
-		{Op: OpFraction, Question: "engine problems?"},
-		{Op: OpLimit, K: 10},
-		{Op: OpProject, ProjectFields: []string{"registration"}},
-		{Op: OpLLMGenerate, Instruction: "summarize"},
-		{Op: "mystery"},
-	}}
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase, Keyword: "engine", Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "KY"}}},
+		LogicalOp{Op: OpQueryVectorDatabase, Query: "bird strikes", K: 5},
+		LogicalOp{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "engines", Kind: "gte", Value: 1}}},
+		LogicalOp{Op: OpLLMFilter, Question: "birds?"},
+		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part"}}},
+		LogicalOp{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"},
+		LogicalOp{Op: OpGroupByAggregate, Key: "", Agg: "avg", ValueField: "flightTime"},
+		LogicalOp{Op: OpLLMCluster, K: 3},
+		LogicalOp{Op: OpTopK, Field: "value", K: 2},
+		LogicalOp{Op: OpCount},
+		LogicalOp{Op: OpFraction, Question: "engine problems?"},
+		LogicalOp{Op: OpLimit, K: 10},
+		LogicalOp{Op: OpProject, ProjectFields: []string{"registration"}},
+		LogicalOp{Op: OpLLMGenerate, Instruction: "summarize"},
+		LogicalOp{Op: "mystery"},
+	)
 	s := plan.String()
 	for _, want := range []string{
 		`queryDatabase(keyword="engine", us_state term KY)`,
@@ -63,13 +63,13 @@ func TestExecutorRangeFiltersAndCluster(t *testing.T) {
 	ex := &Executor{EC: ec, Store: store}
 
 	// gte/lte filters exercise compileFilters' numeric paths.
-	res, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase, Filters: []FilterSpec{
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase, Filters: []FilterSpec{
 			{Field: "hours", Kind: "gte", Value: 100},
 			{Field: "hours", Kind: "lte", Value: "300"},
 		}},
-		{Op: OpCount},
-	}})
+		LogicalOp{Op: OpCount},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestExecutorRangeFiltersAndCluster(t *testing.T) {
 	}
 
 	// llmCluster terminal produces a label table.
-	res2, err := ex.Run(context.Background(), &LogicalPlan{Ops: []LogicalOp{
-		{Op: OpQueryDatabase},
-		{Op: OpLLMCluster, K: 2},
-	}})
+	res2, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMCluster, K: 2},
+	), StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

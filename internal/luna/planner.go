@@ -63,6 +63,11 @@ type Service struct {
 	Optimize bool
 	// Cascade configures proxy-cascade insertion when Optimize is on.
 	Cascade CascadeOptions
+	// Hooks observe every execution Ask and RunPlan start (partial result
+	// batches, live per-operator traces; see Executor.Run). Set them on a
+	// per-request copy of the service (WithOptimize returns one): the
+	// zero value observes nothing.
+	Hooks StreamHooks
 }
 
 // WithOptimize returns a copy of the service with the optimize phase
@@ -121,6 +126,23 @@ func (s *Service) baseDocs() float64 {
 	return float64(s.Executor.Store.NumDocs())
 }
 
+// run is the one body behind Ask and RunPlan: optimize the rewritten
+// plan, execute it under the service's hooks, fill in the query facts,
+// and feed the cost model.
+func (s *Service) run(ctx context.Context, question string, raw, rewritten *LogicalPlan) (*Result, error) {
+	toRun, optimized := s.optimizePhase(rewritten)
+	res, err := s.Executor.Run(ctx, toRun, s.Hooks)
+	if res != nil {
+		// Fill in the query facts even on a partial result so degraded-mode
+		// callers can still show the plan and per-node error annotations.
+		res.Question = question
+		res.Plan = raw
+		s.annotate(res, rewritten, optimized)
+	}
+	s.observe(res, err)
+	return res, err
+}
+
 // Ask plans, validates, optimizes, compiles, and executes the question.
 func (s *Service) Ask(ctx context.Context, question string) (*Result, error) {
 	before, hasStats := llm.StatsOf(s.Planner.Client)
@@ -128,24 +150,15 @@ func (s *Service) Ask(ctx context.Context, question string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	toRun, optimized := s.optimizePhase(rewritten)
-	res, err := s.Executor.Run(ctx, toRun)
-	if res != nil {
-		// Fill in the query facts even on a partial result so degraded-mode
-		// callers can still show the plan and per-node error annotations.
-		res.Question = question
-		res.Plan = raw
-		s.annotate(res, rewritten, optimized)
-		if hasStats {
-			// Planner and executor share one middleware stack in a wired
-			// system, so a single delta covers the whole query.
-			if after, ok := llm.StatsOf(s.Planner.Client); ok {
-				delta := after.Sub(before)
-				res.LLM = &delta
-			}
+	res, err := s.run(ctx, question, raw, rewritten)
+	if res != nil && hasStats {
+		// Planner and executor share one middleware stack in a wired
+		// system, so a single delta covers the whole query.
+		if after, ok := llm.StatsOf(s.Planner.Client); ok {
+			delta := after.Sub(before)
+			res.LLM = &delta
 		}
 	}
-	s.observe(res, err)
 	return res, err
 }
 
@@ -158,61 +171,7 @@ func (s *Service) RunPlan(ctx context.Context, question string, plan *LogicalPla
 	if err := Validate(plan, s.Planner.Schema); err != nil {
 		return nil, err
 	}
-	rewritten := Rewrite(plan, s.Planner.Rewrites)
-	toRun, optimized := s.optimizePhase(rewritten)
-	res, err := s.Executor.Run(ctx, toRun)
-	if res != nil {
-		res.Question = question
-		res.Plan = plan
-		s.annotate(res, rewritten, optimized)
-	}
-	s.observe(res, err)
-	return res, err
-}
-
-// AskStream plans the question, then executes it with streaming hooks:
-// partial result batches and live per-operator traces flow to the hooks
-// while the query runs (see Executor.RunStream). The returned Result is
-// identical to Ask's for the same plan.
-func (s *Service) AskStream(ctx context.Context, question string, hooks StreamHooks) (*Result, error) {
-	before, hasStats := llm.StatsOf(s.Planner.Client)
-	raw, rewritten, err := s.Planner.Plan(ctx, question)
-	if err != nil {
-		return nil, err
-	}
-	toRun, optimized := s.optimizePhase(rewritten)
-	res, err := s.Executor.RunStream(ctx, toRun, hooks)
-	if res != nil {
-		res.Question = question
-		res.Plan = raw
-		s.annotate(res, rewritten, optimized)
-		if hasStats {
-			if after, ok := llm.StatsOf(s.Planner.Client); ok {
-				delta := after.Sub(before)
-				res.LLM = &delta
-			}
-		}
-	}
-	s.observe(res, err)
-	return res, err
-}
-
-// RunPlanStream executes a user-submitted plan with streaming hooks,
-// applying the same validation and rewrites as RunPlan.
-func (s *Service) RunPlanStream(ctx context.Context, question string, plan *LogicalPlan, hooks StreamHooks) (*Result, error) {
-	if err := Validate(plan, s.Planner.Schema); err != nil {
-		return nil, err
-	}
-	rewritten := Rewrite(plan, s.Planner.Rewrites)
-	toRun, optimized := s.optimizePhase(rewritten)
-	res, err := s.Executor.RunStream(ctx, toRun, hooks)
-	if res != nil {
-		res.Question = question
-		res.Plan = plan
-		s.annotate(res, rewritten, optimized)
-	}
-	s.observe(res, err)
-	return res, err
+	return s.run(ctx, question, plan, Rewrite(plan, s.Planner.Rewrites))
 }
 
 // PlanPreview is a planned-but-not-executed query: the inspectable half

@@ -49,7 +49,6 @@ func Rewrite(plan *LogicalPlan, opts RewriteOptions) *LogicalPlan {
 		}
 		insertDedup(p, field)
 	}
-	p.syncLinearView()
 	return p
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,9 +15,10 @@ import (
 
 var errSentinel = errors.New("stream model exploded")
 
-// RunStream must return the exact Result Run returns for the same plan —
-// answer and documents byte-identical — while delivering every output
-// document through OnPartial and publishing a live trace per pipeline.
+// Run with hooks attached must return the exact Result it returns without
+// them for the same plan — answer, documents and EXPLAIN ANALYZE shape
+// identical — while delivering every output document through OnPartial and
+// publishing a live trace per pipeline.
 func TestRunStreamMatchesRun(t *testing.T) {
 	plans := map[string]*LogicalPlan{
 		"filter-chain": {
@@ -42,7 +44,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			ex.EC = docset.NewContext(docset.WithLLM(llm.NewSim(1)),
 				docset.WithParallelism(4), docset.WithStreamBatch(2))
 
-			batch, err := ex.Run(context.Background(), plan)
+			batch, err := ex.Run(context.Background(), plan, StreamHooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +52,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			var mu sync.Mutex
 			var partial int
 			var traces []*docset.Trace
-			stream, err := ex.RunStream(context.Background(), plan, StreamHooks{
+			stream, err := ex.Run(context.Background(), plan, StreamHooks{
 				OnPartial: func(docs []*docmodel.Document) {
 					mu.Lock()
 					partial += len(docs)
@@ -77,12 +79,44 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			if partial != len(stream.Docs) {
 				t.Errorf("OnPartial saw %d docs, want %d", partial, len(stream.Docs))
 			}
-			// At least the output producer and the edge consumer registered.
-			if len(traces) < 2 {
-				t.Errorf("OnTrace saw %d pipelines, want >= 2", len(traces))
+			if batch.Exec.Branches != stream.Exec.Branches || batch.Exec.Budget != stream.Exec.Budget {
+				t.Errorf("exec differs: branches %d vs %d, budget %d vs %d",
+					batch.Exec.Branches, stream.Exec.Branches, batch.Exec.Budget, stream.Exec.Budget)
+			}
+			if a, b := execNodeIDs(batch.Exec), execNodeIDs(stream.Exec); a != b {
+				t.Errorf("exec node IDs differ: %s vs %s", a, b)
+			}
+			// OnTrace saw the output pipeline and every branch task exactly
+			// once: one trace per scheduled pipeline, together holding
+			// exactly the operators of the merged result trace.
+			if len(traces) != stream.Exec.Branches {
+				t.Errorf("OnTrace saw %d pipelines, want %d", len(traces), stream.Exec.Branches)
+			}
+			seen := map[*docset.NodeTrace]int{}
+			for _, tr := range traces {
+				for _, nt := range tr.Nodes {
+					seen[nt]++
+				}
+			}
+			for _, nt := range stream.Trace.Nodes {
+				if seen[nt] != 1 {
+					t.Errorf("operator %s published %d times, want once", nt.Name, seen[nt])
+				}
+			}
+			if len(seen) != len(stream.Trace.Nodes) {
+				t.Errorf("OnTrace published %d operators, the result trace has %d", len(seen), len(stream.Trace.Nodes))
 			}
 		})
 	}
+}
+
+// execNodeIDs renders the executed plan-node IDs in order.
+func execNodeIDs(d *ExecDetail) string {
+	ids := make([]string, len(d.Nodes))
+	for i, n := range d.Nodes {
+		ids[i] = n.ID
+	}
+	return strings.Join(ids, ",")
 }
 
 // The EXPLAIN ANALYZE view gains first-batch latency: the output node
@@ -102,8 +136,8 @@ func TestExecDetailFirstOut(t *testing.T) {
 	}
 }
 
-// A plan failure during streaming surfaces the same partial-result
-// contract as Run: the Result carries trace and error annotations.
+// A plan failure with hooks attached keeps the partial-result contract:
+// the Result carries trace and error annotations.
 func TestRunStreamPartialOnFailure(t *testing.T) {
 	ex, _ := executorFixture(t)
 	ex.EC = docset.NewContext(docset.WithLLM(brokenLLM{err: errSentinel}),
@@ -116,7 +150,10 @@ func TestRunStreamPartialOnFailure(t *testing.T) {
 		},
 		Output: "n2",
 	}
-	res, err := ex.RunStream(context.Background(), plan, StreamHooks{})
+	res, err := ex.Run(context.Background(), plan, StreamHooks{
+		OnPartial: func([]*docmodel.Document) {},
+		OnTrace:   func(*docset.Trace) {},
+	})
 	if err == nil {
 		t.Fatal("want execution error from permanent LLM failure")
 	}

@@ -147,8 +147,9 @@ type JobResponse struct {
 type QueryRequest struct {
 	Question string `json:"question,omitempty"`
 	// Plan is a logical plan to execute directly after validation (the
-	// §6.2 "modify any part of the plan" path). Accepts the DAG form
-	// {"nodes": [...], "output": ...} and the legacy {"ops": [...]} form.
+	// §6.2 "modify any part of the plan" path), in the DAG form
+	// {"nodes": [...], "output": ...}. A body with no nodes — the retired
+	// {"ops": [...]} form decodes to one — is refused as invalid_plan.
 	Plan json.RawMessage `json:"plan,omitempty"`
 	// RAG answers through the retrieval-augmented baseline instead of Luna.
 	RAG bool `json:"rag,omitempty"`
@@ -281,7 +282,8 @@ type NodeProgress struct {
 	// In/Out count documents entering and leaving the stage so far.
 	In  int64 `json:"in"`
 	Out int64 `json:"out"`
-	// Batches counts streaming-edge batch arrivals (0 on non-edge stages).
+	// Batches counts the partial batches handed to the stream so far; it
+	// is reported on the output pipeline's last stage (0 elsewhere).
 	Batches int64 `json:"batches,omitempty"`
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"aryn/internal/core"
 	"aryn/internal/luna"
+	"aryn/internal/server/api"
 )
 
 // TestPlanInspectEditReexecute walks the full §6.2 loop over HTTP:
@@ -137,17 +139,40 @@ func TestInvalidPlanReturnsStructuredErrors(t *testing.T) {
 	}
 }
 
+// The retired linear form {"ops": [...]} decodes to a plan with no nodes
+// and is refused as a request error — 400 invalid_plan — on every route
+// that takes a plan, and before the stream opens when SSE was asked for.
 func TestLegacyLinearPlanOverHTTP(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	legacy := []byte(`{"ops":[{"op":"queryDatabase"},{"op":"count"}]}`)
-	var out QueryResponse
-	resp := postJSON(t, ts.URL+"/query", QueryRequest{Plan: legacy}, &out)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy plan status = %d", resp.StatusCode)
+	legacy := json.RawMessage(`{"ops":[{"op":"queryDatabase"},{"op":"count"}]}`)
+	check := func(name string, resp *http.Response, env errorResponse) {
+		t.Helper()
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalidPlan {
+			t.Errorf("%s: status %d code %q, want 400 %s", name, resp.StatusCode, env.Error.Code, api.CodeInvalidPlan)
+		}
 	}
-	if out.Answer != "16" {
-		t.Errorf("legacy plan answer = %q, want 16", out.Answer)
+	for _, tc := range []struct {
+		name, path string
+		body       any
+	}{
+		{"query", "/v1/query", QueryRequest{Plan: legacy}},
+		{"plan", "/v1/plan", PlanRequest{Plan: legacy}},
+		{"analyze", "/v1/plan", PlanRequest{Plan: legacy, Analyze: true}},
+	} {
+		var env errorResponse
+		check(tc.name, postJSON(t, ts.URL+tc.path, tc.body, &env), env)
 	}
+
+	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", QueryRequest{Plan: legacy})
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("SSE request Content-Type = %q, want a plain JSON error (the stream must not open)", ct)
+	}
+	var env errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("decode SSE-request error body: %v", err)
+	}
+	check("query over SSE", resp, env)
 }
 
 func TestPlanEndpointValidation(t *testing.T) {

@@ -508,11 +508,17 @@ func executedPlan(res *luna.Result) json.RawMessage {
 	return json.RawMessage(ran.AnnotatedJSON(res.Exec))
 }
 
-// decodePlan parses a submitted plan body (DAG or legacy linear form).
+// decodePlan parses a submitted plan body. A body that decodes to no
+// nodes is not a plan at all (the retired {"ops": [...]} form lands here)
+// and is refused with the validator's own empty-plan error, so it is
+// answered as a request error before any stream opens.
 func decodePlan(raw json.RawMessage) (*luna.LogicalPlan, error) {
 	var plan luna.LogicalPlan
 	if err := json.Unmarshal(raw, &plan); err != nil {
 		return nil, fmt.Errorf("bad plan JSON: %w", err)
+	}
+	if len(plan.Nodes) == 0 {
+		return nil, fmt.Errorf("%w: empty plan", luna.ErrInvalidPlan)
 	}
 	return &plan, nil
 }
@@ -563,151 +569,6 @@ func (s *Server) queryService(optimize *bool) *luna.Service {
 		svc = svc.WithOptimize(*optimize)
 	}
 	return svc
-}
-
-// maybeDegrade serves the degradation contract for /query: when err means
-// "the model backend is unavailable" (circuit open or transient failures
-// exhausted) and the client is still there, answer 200 with a
-// retrieval-only fallback tagged degraded instead of a 5xx. res, when
-// non-nil, is the partial result of the failed execution; with includePlan
-// its plan detail (including per-node error annotations in "executed")
-// rides along for drill-down. Returns true when it wrote the response.
-func (s *Server) maybeDegrade(w http.ResponseWriter, r *http.Request, question string, includePlan bool, res *luna.Result, err error, start time.Time) bool {
-	if !resilience.Unavailable(err) || r.Context().Err() != nil {
-		return false
-	}
-	out := s.degradedQueryResponse(r, question, includePlan, res, err, start)
-	s.writeJSON(w, http.StatusOK, out)
-	return true
-}
-
-// degradedQueryResponse builds the retrieval-only fallback answer shared
-// by the JSON and SSE query paths (the caller has already established
-// the error is degradable).
-func (s *Server) degradedQueryResponse(r *http.Request, question string, includePlan bool, res *luna.Result, err error, start time.Time) QueryResponse {
-	answer, docs := s.sys.RetrievalOnly(question, 5)
-	out := QueryResponse{
-		TraceID:        traceFrom(r.Context()),
-		Question:       question,
-		Answer:         answer,
-		Kind:           "retrieval-only",
-		Docs:           docs,
-		Degraded:       true,
-		DegradedReason: err.Error(),
-		WallMS:         time.Since(start).Milliseconds(),
-	}
-	if includePlan && res != nil {
-		d := resultDetail(res)
-		out.Plan = &d
-	}
-	s.degradedServed.Add(1)
-	return out
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if wantsSSE(r) {
-		s.handleQueryStream(w, r)
-		return
-	}
-	var req QueryRequest
-	if !s.decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if req.Question == "" && len(req.Plan) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("question or plan is required"))
-		return
-	}
-	if !s.sys.Ready() {
-		s.writeError(w, r, http.StatusConflict, fmt.Errorf("no data ingested yet"))
-		return
-	}
-	ctx, cancel := s.workCtx(r)
-	defer cancel()
-	start := time.Now()
-
-	// Execute-by-plan: the user edited a plan (typically from POST /plan)
-	// and re-runs it; validation still applies but the planner LLM does
-	// not.
-	if len(req.Plan) > 0 {
-		plan, err := decodePlan(req.Plan)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		question := req.Question
-		if question == "" {
-			question = "(user-submitted plan)"
-		}
-		res, err := s.queryService(req.Optimize).RunPlan(ctx, question, plan)
-		if err != nil {
-			if s.maybeDegrade(w, r, question, req.IncludePlan, res, err, start) {
-				return
-			}
-			s.writeError(w, r, statusOf(err), err)
-			return
-		}
-		out := QueryResponse{
-			TraceID:  traceFrom(r.Context()),
-			Question: question,
-			Answer:   res.Answer.String(),
-			Kind:     string(res.Answer.Kind),
-			Docs:     len(res.Docs),
-			WallMS:   time.Since(start).Milliseconds(),
-		}
-		if req.IncludePlan {
-			d := resultDetail(res)
-			out.Plan = &d
-		}
-		s.writeJSON(w, http.StatusOK, out)
-		return
-	}
-
-	if req.RAG {
-		resp, err := s.sys.AskRAG(ctx, req.Question)
-		if err != nil {
-			if s.maybeDegrade(w, r, req.Question, false, nil, err, start) {
-				return
-			}
-			s.writeError(w, r, statusOf(err), err)
-			return
-		}
-		answer := resp.Answer
-		if answer == "" {
-			answer = resp.Text
-		}
-		s.writeJSON(w, http.StatusOK, QueryResponse{
-			TraceID:  traceFrom(r.Context()),
-			Question: req.Question,
-			Answer:   answer,
-			Kind:     "rag",
-			Docs:     resp.Retrieved,
-			WallMS:   time.Since(start).Milliseconds(),
-		})
-		return
-	}
-
-	res, err := s.queryService(req.Optimize).Ask(ctx, req.Question)
-	if err != nil {
-		if s.maybeDegrade(w, r, req.Question, req.IncludePlan, res, err, start) {
-			return
-		}
-		s.writeError(w, r, statusOf(err), err)
-		return
-	}
-	out := QueryResponse{
-		TraceID:  traceFrom(r.Context()),
-		Question: req.Question,
-		Answer:   res.Answer.String(),
-		Kind:     string(res.Answer.Kind),
-		Docs:     len(res.Docs),
-		LLM:      res.LLM,
-		WallMS:   time.Since(start).Milliseconds(),
-	}
-	if req.IncludePlan {
-		d := resultDetail(res)
-		out.Plan = &d
-	}
-	s.writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {

@@ -5,24 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
-	"time"
-
-	"aryn/internal/docmodel"
-	"aryn/internal/docset"
-	"aryn/internal/luna"
-	"aryn/internal/resilience"
-	"aryn/internal/server/api"
 )
 
-// This file implements the SSE half of POST /v1/query: the same request
-// body, selected by "Accept: text/event-stream", answered as a stream of
-// progress / partial / heartbeat events with one terminal result (or
-// error) instead of a single JSON response. The executor's streaming
-// path (luna.StreamHooks over the bounded-channel output edge) feeds it,
-// so the first result rows reach the client while upstream operators are
-// still working — time-to-first-result instead of time-to-last-result.
-// docs/streaming-api.md specifies the event contract.
+// This file implements the Server-Sent Events transport shared by the
+// streamed variants of POST /v1/query (query.go) and GET /v1/jobs/{id}
+// (jobs.go), both selected by "Accept: text/event-stream".
+// docs/streaming-api.md specifies the event contracts.
 
 // wantsSSE reports whether the client asked for the streaming variant.
 func wantsSSE(r *http.Request) bool {
@@ -68,230 +56,4 @@ func (c *sseConn) send(event string, payload any) {
 		return
 	}
 	c.fl.Flush()
-}
-
-// liveTraces collects the pipeline traces a streaming execution
-// registers, and renders point-in-time progress snapshots from them.
-type liveTraces struct {
-	mu     sync.Mutex
-	traces []*docset.Trace
-}
-
-func (l *liveTraces) add(tr *docset.Trace) {
-	l.mu.Lock()
-	l.traces = append(l.traces, tr)
-	l.mu.Unlock()
-}
-
-func (l *liveTraces) progress() api.ProgressEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ev := api.ProgressEvent{Pipelines: len(l.traces), Nodes: []api.NodeProgress{}}
-	for _, tr := range l.traces {
-		for _, snap := range tr.Snapshots() {
-			ev.Nodes = append(ev.Nodes, api.NodeProgress{
-				Name:    snap.Name,
-				Tag:     snap.Tag,
-				In:      snap.In,
-				Out:     snap.Out,
-				Batches: snap.Batches,
-			})
-		}
-	}
-	return ev
-}
-
-// handleQueryStream serves POST /v1/query with Accept: text/event-stream.
-// Validation failures before execution starts are ordinary JSON errors
-// (the stream has not begun); once the stream is open, every outcome —
-// including failure — arrives as an event.
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !s.decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if req.Question == "" && len(req.Plan) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("question or plan is required"))
-		return
-	}
-	if !s.sys.Ready() {
-		s.writeError(w, r, http.StatusConflict, fmt.Errorf("no data ingested yet"))
-		return
-	}
-	var plan *luna.LogicalPlan
-	question := req.Question
-	if len(req.Plan) > 0 {
-		p, err := decodePlan(req.Plan)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		plan = p
-		if question == "" {
-			question = "(user-submitted plan)"
-		}
-	}
-
-	conn := openSSE(w)
-	if conn == nil {
-		s.writeError(w, r, http.StatusInternalServerError,
-			fmt.Errorf("response writer does not support streaming"))
-		return
-	}
-	ctx, cancel := s.workCtx(r)
-	defer cancel()
-	start := time.Now()
-
-	// The RAG baseline has no streaming executor; it runs to completion
-	// and arrives as a single terminal result on the open stream.
-	if req.RAG {
-		resp, err := s.sys.AskRAG(ctx, question)
-		if err != nil {
-			s.streamFailure(conn, r, question, false, nil, err, start)
-			return
-		}
-		answer := resp.Answer
-		if answer == "" {
-			answer = resp.Text
-		}
-		conn.send(api.EventResult, QueryResponse{
-			TraceID:  traceFrom(r.Context()),
-			Question: question,
-			Answer:   answer,
-			Kind:     "rag",
-			Docs:     resp.Retrieved,
-			WallMS:   time.Since(start).Milliseconds(),
-		})
-		return
-	}
-
-	live := &liveTraces{}
-	partials := make(chan api.PartialEvent, 4)
-	partialSeq := 0
-	hooks := luna.StreamHooks{
-		// OnPartial runs on the output edge's collector goroutine: results
-		// are handed to the stream the moment they clear the output node.
-		// Blocking on a slow client backpressures the executor through the
-		// bounded edge instead of buffering unboundedly here.
-		OnPartial: func(docs []*docmodel.Document) {
-			data, err := json.Marshal(docs)
-			if err != nil {
-				return
-			}
-			partialSeq++
-			select {
-			case partials <- api.PartialEvent{Seq: partialSeq, Count: len(docs), Docs: data}:
-			case <-ctx.Done():
-			}
-		},
-		OnTrace: live.add,
-	}
-
-	type outcome struct {
-		res *luna.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		svc := s.queryService(req.Optimize)
-		var o outcome
-		if plan != nil {
-			o.res, o.err = svc.RunPlanStream(ctx, question, plan, hooks)
-		} else {
-			o.res, o.err = svc.AskStream(ctx, question, hooks)
-		}
-		done <- o
-	}()
-
-	heartbeat := time.NewTicker(s.cfg.StreamHeartbeat)
-	defer heartbeat.Stop()
-	progress := time.NewTicker(s.cfg.StreamProgress)
-	defer progress.Stop()
-
-	for {
-		select {
-		case ev := <-partials:
-			conn.send(api.EventPartial, ev)
-		case <-progress.C:
-			conn.send(api.EventProgress, live.progress())
-		case <-heartbeat.C:
-			conn.send(api.EventHeartbeat, api.HeartbeatEvent{UptimeMS: time.Since(s.start).Milliseconds()})
-		case o := <-done:
-			// Flush partials that raced completion so the stream's partial
-			// docs always sum to the terminal result's count.
-			for {
-				select {
-				case ev := <-partials:
-					conn.send(api.EventPartial, ev)
-					continue
-				default:
-				}
-				break
-			}
-			// A final progress snapshot gives every stream at least one,
-			// with the complete counters.
-			conn.send(api.EventProgress, live.progress())
-			if o.err != nil {
-				s.streamFailure(conn, r, question, req.IncludePlan, o.res, o.err, start)
-				return
-			}
-			s.streamResult(conn, r, question, req.IncludePlan, o.res, start)
-			return
-		case <-ctx.Done():
-			// Client gone or deadline hit: cancellation is already tearing
-			// execution down. Keep draining the hooks until the executor
-			// returns, so it can never block on a dead stream and the
-			// admission slot and worker budget release deterministically
-			// before the handler (and its gate release) returns.
-			for {
-				select {
-				case <-partials:
-				case o := <-done:
-					if o.err == nil {
-						s.streamResult(conn, r, question, req.IncludePlan, o.res, start)
-						return
-					}
-					s.streamFailure(conn, r, question, req.IncludePlan, o.res, o.err, start)
-					return
-				}
-			}
-		}
-	}
-}
-
-// streamResult emits the trace event (when runtime detail exists) and
-// the terminal result — byte-identical Answer/Docs to the non-streamed
-// response for the same plan.
-func (s *Server) streamResult(conn *sseConn, r *http.Request, question string, includePlan bool, res *luna.Result, start time.Time) {
-	if executed := executedPlan(res); executed != nil {
-		conn.send(api.EventTrace, api.TraceEvent{Executed: executed})
-	}
-	out := QueryResponse{
-		TraceID:  traceFrom(r.Context()),
-		Question: question,
-		Answer:   res.Answer.String(),
-		Kind:     string(res.Answer.Kind),
-		Docs:     len(res.Docs),
-		LLM:      res.LLM,
-		WallMS:   time.Since(start).Milliseconds(),
-	}
-	if includePlan {
-		d := resultDetail(res)
-		out.Plan = &d
-	}
-	conn.send(api.EventResult, out)
-}
-
-// streamFailure is the SSE counterpart of maybeDegrade + writeError: a
-// degradable backend outage becomes a degraded terminal result, anything
-// else becomes a terminal error event carrying the unified envelope.
-func (s *Server) streamFailure(conn *sseConn, r *http.Request, question string, includePlan bool, res *luna.Result, err error, start time.Time) {
-	if resilience.Unavailable(err) && r.Context().Err() == nil {
-		conn.send(api.EventResult, s.degradedQueryResponse(r, question, includePlan, res, err, start))
-		return
-	}
-	conn.send(api.EventError, api.ErrorEnvelope{
-		Error:   errorBody(statusOf(err), err),
-		TraceID: traceFrom(r.Context()),
-	})
 }

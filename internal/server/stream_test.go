@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -212,17 +214,19 @@ func eventNames(events []sseEvent) []string {
 }
 
 // TestQueryStreamMatchesBatch: the same plan streamed and not streamed
-// yields identical final answers and doc counts.
+// yields identical final answers and doc counts, and the same execution
+// shape — pipelines scheduled, worker budget, executed plan nodes — since
+// both run the one executor path.
 func TestQueryStreamMatchesBatch(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	plan := filterPlan("Does the document indicate engine problems?")
 
 	var batch QueryResponse
-	if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: plan}, &batch); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: plan, IncludePlan: true}, &batch); resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch query status = %d", resp.StatusCode)
 	}
 
-	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", QueryRequest{Plan: plan})
+	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", QueryRequest{Plan: plan, IncludePlan: true})
 	defer resp.Body.Close()
 	events := readSSE(t, resp.Body)
 	last := events[len(events)-1]
@@ -235,6 +239,57 @@ func TestQueryStreamMatchesBatch(t *testing.T) {
 		t.Errorf("streamed (answer %q, docs %d) != batch (answer %q, docs %d)",
 			streamed.Answer, streamed.Docs, batch.Answer, batch.Docs)
 	}
+	be, se := executedShape(t, batch), executedShape(t, streamed)
+	if be != se {
+		t.Errorf("executed plan shape differs:\nbatch  %+v\nstream %+v", be, se)
+	}
+	// One output pipeline, no branches: every progress snapshot counts it
+	// and nothing else.
+	for _, ev := range events {
+		if ev.name != api.EventProgress {
+			continue
+		}
+		var p api.ProgressEvent
+		decodeEvent(t, ev, &p)
+		if p.Pipelines > be.branches {
+			t.Errorf("progress reports %d pipelines, the executed plan scheduled %d", p.Pipelines, be.branches)
+		}
+	}
+}
+
+// execShape is what must not depend on whether a query was streamed.
+type execShape struct {
+	branches, budget int
+	nodeIDs          string
+}
+
+// executedShape reads the EXPLAIN ANALYZE summary off a response's
+// executed plan: the runtime-carrying node IDs plus the exec block.
+func executedShape(t *testing.T, resp QueryResponse) execShape {
+	t.Helper()
+	if resp.Plan == nil || len(resp.Plan.Executed) == 0 {
+		t.Fatalf("response carries no executed plan: %+v", resp.Plan)
+	}
+	var executed struct {
+		Nodes []struct {
+			ID      string          `json:"id"`
+			Runtime json.RawMessage `json:"runtime"`
+		} `json:"nodes"`
+		Exec struct {
+			Budget   int `json:"budget"`
+			Branches int `json:"branches"`
+		} `json:"exec"`
+	}
+	if err := json.Unmarshal(resp.Plan.Executed, &executed); err != nil {
+		t.Fatalf("decode executed plan: %v\n%s", err, resp.Plan.Executed)
+	}
+	var ids []string
+	for _, n := range executed.Nodes {
+		if len(n.Runtime) > 0 {
+			ids = append(ids, n.ID)
+		}
+	}
+	return execShape{branches: executed.Exec.Branches, budget: executed.Exec.Budget, nodeIDs: strings.Join(ids, ",")}
 }
 
 // TestQueryStreamHeartbeat: a short heartbeat cadence on a slow query
@@ -294,52 +349,105 @@ func TestQueryStreamInvalidPlanErrorEvent(t *testing.T) {
 	}
 }
 
+// goroutineDump is the stack of every goroutine, for leak reports.
+func goroutineDump() string {
+	var buf bytes.Buffer
+	_ = pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	return buf.String()
+}
+
+// expectNoQueryGoroutines runs fn — requests against an already-warm test
+// server — and then waits for the goroutine count to settle back to where
+// it started. A count that stays high fails the test only when a query's
+// own frames (handler, executor, pipeline stages) are still on a stack:
+// idle HTTP connections come and go on their own schedule.
+func expectNoQueryGoroutines(t *testing.T, fn func()) {
+	t.Helper()
+	http.DefaultClient.CloseIdleConnections()
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	fn()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		dump := goroutineDump()
+		for _, frame := range []string{"(*Server).handleQuery", "(*Server).streamQuery", "aryn/internal/luna.", "aryn/internal/docset."} {
+			if strings.Contains(dump, frame) {
+				t.Errorf("goroutines: %d before, %d after, with %s still running:\n%s", before, after, frame, dump)
+				return
+			}
+		}
+	}
+}
+
+// TestQueryStreamLeavesNoGoroutines: a streamed query that runs to its
+// terminal event leaves no handler, executor or pipeline goroutine behind.
+func TestQueryStreamLeavesNoGoroutines(t *testing.T) {
+	ts := newTestServer(t, readySystem(t), Config{StreamProgress: 5 * time.Millisecond})
+	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+	expectNoQueryGoroutines(t, func() {
+		resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query",
+			QueryRequest{Plan: filterPlan("Does this document leave a goroutine behind?")})
+		defer resp.Body.Close()
+		events := readSSE(t, resp.Body)
+		if last := events[len(events)-1]; last.name != api.EventResult {
+			t.Fatalf("terminal event = %q, want result", last.name)
+		}
+	})
+}
+
 // TestQueryStreamDisconnectReleasesSlot: a client that vanishes
-// mid-stream must not wedge the executor — the admission slot frees and
-// the next request runs. This is the regression test for the drain loop
-// in handleQueryStream.
+// mid-stream must not wedge the executor — the admission slot frees, the
+// next request runs, and the goroutine count returns to where it started.
+// This is the regression test for the drain loop in streamQuery.
 func TestQueryStreamDisconnectReleasesSlot(t *testing.T) {
 	ts := newTestServer(t, verySlowSystem(t), Config{
 		MaxInFlight:     1,
 		StreamProgress:  5 * time.Millisecond,
 		StreamHeartbeat: 10 * time.Millisecond,
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	resp := sseOpen(t, ctx, "POST", ts.URL+"/v1/query",
-		QueryRequest{Plan: filterPlan("Did this document survive a client disconnect?")})
+	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+	expectNoQueryGoroutines(t, func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		resp := sseOpen(t, ctx, "POST", ts.URL+"/v1/query",
+			QueryRequest{Plan: filterPlan("Did this document survive a client disconnect?")})
 
-	// Wait for the first event so execution has demonstrably started,
-	// then drop the connection.
-	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
-		t.Fatalf("read first event line: %v", err)
-	}
-	cancel()
-	resp.Body.Close()
-
-	// The slot must free (the handler drains the hooks until the executor
-	// notices cancellation). A wedged drain holds InFlight at 1 forever.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var st StatsResponse
-		getJSON(t, ts.URL+"/v1/stats", &st)
-		if st.Gate.InFlight == 0 {
-			break
+		// Wait for the first event so execution has demonstrably started,
+		// then drop the connection.
+		if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+			t.Fatalf("read first event line: %v", err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("admission slot still held %v after client disconnect: %+v", 10*time.Second, st.Gate)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		cancel()
+		resp.Body.Close()
 
-	// And the single slot is usable again: an LLM-free plan answers fast.
-	countPlan := json.RawMessage(`{"nodes":[
-		{"id":"n1","op":"queryDatabase"},
-		{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`)
-	var out QueryResponse
-	if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: countPlan}, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("follow-up query status = %d; the slot was not released cleanly", resp.StatusCode)
-	}
-	if out.Answer != "16" {
-		t.Errorf("follow-up answer = %q, want 16", out.Answer)
-	}
+		// The slot must free (the handler drains the hooks until the executor
+		// notices cancellation). A wedged drain holds InFlight at 1 forever.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			var st StatsResponse
+			getJSON(t, ts.URL+"/v1/stats", &st)
+			if st.Gate.InFlight == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("admission slot still held %v after client disconnect: %+v", 10*time.Second, st.Gate)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+
+		// And the single slot is usable again: an LLM-free plan answers fast.
+		countPlan := json.RawMessage(`{"nodes":[
+			{"id":"n1","op":"queryDatabase"},
+			{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`)
+		var out QueryResponse
+		if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: countPlan}, &out); resp.StatusCode != http.StatusOK {
+			t.Fatalf("follow-up query status = %d; the slot was not released cleanly", resp.StatusCode)
+		}
+		if out.Answer != "16" {
+			t.Errorf("follow-up answer = %q, want 16", out.Answer)
+		}
+	})
 }
