@@ -9,20 +9,20 @@
 //
 //	arynd -addr :8088 -docs 200                      # boot with a corpus
 //	arynd -addr :8088 -llm-cache /var/aryn/llm.cache # warm-start + persist
-//	curl -s localhost:8088/healthz
-//	curl -s -X POST localhost:8088/query -d '{"question":"How many incidents were there?"}'
+//	curl -s localhost:8088/v1/healthz
+//	curl -s -X POST localhost:8088/v1/query -d '{"question":"How many incidents were there?"}'
 //
-// Plans are first-class (§6.2 inspect→edit→re-run): POST /plan returns
-// the validated DAG plan without executing it, and POST /query accepts
+// Plans are first-class (§6.2 inspect→edit→re-run): POST /v1/plan returns
+// the validated DAG plan without executing it, and POST /v1/query accepts
 // an edited plan back:
 //
-//	curl -s -X POST localhost:8088/plan  -d '{"question":"How many incidents were there?"}'
-//	curl -s -X POST localhost:8088/query -d '{"plan":{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}}'
+//	curl -s -X POST localhost:8088/v1/plan  -d '{"question":"How many incidents were there?"}'
+//	curl -s -X POST localhost:8088/v1/query -d '{"plan":{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}}'
 //
-// Canonical routes live under /v1 (the unprefixed spellings are
-// deprecated aliases). "Accept: text/event-stream" on POST /v1/query
-// streams partial results over SSE, and POST /v1/ingest runs ingest as
-// an async job — see docs/streaming-api.md for the wire contract.
+// Every route lives under /v1 and nowhere else. "Accept:
+// text/event-stream" on POST /v1/query streams partial results over SSE,
+// and POST /v1/ingest runs ingest as an async job polled at
+// GET /v1/jobs/{id} — see docs/streaming-api.md for the wire contract.
 package main
 
 import (
@@ -63,8 +63,8 @@ func main() {
 		jobTTL      = flag.Duration("job-ttl", 10*time.Minute, "how long terminal ingest jobs stay pollable before reaping")
 		maxJobs     = flag.Int("max-queued-jobs", 4, "max ingest jobs waiting for the worker before shedding 429s")
 		faultSpec   = flag.String("fault-spec", "", "activate this JSON fault spec at boot (implies -fault-endpoint; see docs/fault-injection.md)")
-		faultEP     = flag.Bool("fault-endpoint", false, "expose the dev-only /faults chaos-control endpoint")
-		optimize    = flag.Bool("optimize", false, "enable the cost-based optimize phase by default (per-request \"optimize\" flag overrides)")
+		faultEP     = flag.Bool("fault-endpoint", false, "expose the dev-only /v1/faults chaos-control endpoint")
+		optimize    = flag.Bool("optimize", false, "run the optimize-phase rules (filter hoisting, llmFilter reordering, proxy cascades) by default; the per-request \"optimize\" field overrides")
 		feedback    = flag.String("feedback", "", "optimizer feedback-store path: warm-start from it at boot, persist back on shutdown")
 	)
 	flag.Parse()
@@ -113,7 +113,7 @@ func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache s
 		FeedbackPath: feedback,
 		// The daemon always serves with the resilience middleware: retries
 		// with jittered backoff, the per-backend circuit breaker behind
-		// /stats, and degraded-mode serving when the breaker opens.
+		// /v1/stats, and degraded-mode serving when the breaker opens.
 		Resilience: &resilience.Options{},
 		Fault:      inj,
 	})
@@ -121,7 +121,7 @@ func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache s
 		if inj.Spec().Active() {
 			log.Printf("arynd: fault injection ACTIVE at boot (dev only)")
 		} else {
-			log.Printf("arynd: /faults chaos endpoint enabled (dev only)")
+			log.Printf("arynd: /v1/faults chaos endpoint enabled (dev only)")
 		}
 	}
 	if llmCache != "" {

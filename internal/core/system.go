@@ -44,9 +44,6 @@ type Config struct {
 	LLMCachePath string
 	// LLMMaxBatch bounds the batching dispatcher (default 8; 1 disables).
 	LLMMaxBatch int
-	// LLMBatchLinger is how long an under-full batch waits for peers
-	// (default 1ms).
-	LLMBatchLinger time.Duration
 	// Resilience, when set, inserts the retry/circuit-breaker middleware
 	// into the LLM stack (between singleflight and the batcher) and paces
 	// docset retries with the same backoff family. Nil keeps the
@@ -67,9 +64,6 @@ type Config struct {
 	// against unoptimized output; the feedback store records observations
 	// either way, so enabling it later starts warm.
 	Optimize bool
-	// CascadeLow/CascadeHigh override the proxy-cascade threshold band
-	// (0 = docset defaults).
-	CascadeLow, CascadeHigh float64
 	// FeedbackPath warm-starts the optimizer feedback store from disk
 	// when set; call SaveFeedback to persist it back.
 	FeedbackPath string
@@ -133,15 +127,8 @@ func New(cfg Config) *System {
 	if cfg.LLMCachePath != "" {
 		stackOpts = append(stackOpts, llm.WithCachePersistence(cfg.LLMCachePath))
 	}
-	if cfg.LLMMaxBatch > 0 || cfg.LLMBatchLinger > 0 {
-		maxBatch, linger := cfg.LLMMaxBatch, cfg.LLMBatchLinger
-		if maxBatch <= 0 {
-			maxBatch = llm.DefaultMaxBatch
-		}
-		if linger <= 0 {
-			linger = time.Millisecond
-		}
-		stackOpts = append(stackOpts, llm.WithBatching(maxBatch, linger))
+	if cfg.LLMMaxBatch > 0 {
+		stackOpts = append(stackOpts, llm.WithBatching(cfg.LLMMaxBatch, llm.DefaultLinger))
 	}
 	var resMW *resilience.Middleware
 	if cfg.Resilience != nil {
@@ -306,19 +293,11 @@ func (s *System) IngestObserved(ctx context.Context, blobs map[string][]byte, si
 // new service, never a half-built one.
 func (s *System) Prepare() {
 	schema := luna.InferSchema(s.Store)
-	cascade := luna.DefaultCascade()
-	if s.Config.CascadeLow > 0 {
-		cascade.Low = s.Config.CascadeLow
-	}
-	if s.Config.CascadeHigh > 0 {
-		cascade.High = s.Config.CascadeHigh
-	}
 	query := &luna.Service{
 		Planner:  luna.NewPlanner(s.LLM, schema),
 		Executor: &luna.Executor{EC: s.EC, Store: s.Store},
 		Cost:     s.Cost,
 		Optimize: s.Config.Optimize,
-		Cascade:  cascade,
 	}
 	conv := luna.NewConversation(query)
 	s.mu.Lock()

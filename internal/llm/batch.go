@@ -90,6 +90,10 @@ type BatcherOption func(*Batcher)
 // outstanding as a multiple of it.
 const DefaultMaxBatch = 8
 
+// DefaultLinger is how long an under-full batch waits for peers before
+// flushing in a Batcher built without WithLinger.
+const DefaultLinger = time.Millisecond
+
 // WithMaxBatch bounds the batch size (default DefaultMaxBatch; 1 disables
 // coalescing).
 func WithMaxBatch(n int) BatcherOption {
@@ -101,7 +105,7 @@ func WithMaxBatch(n int) BatcherOption {
 }
 
 // WithLinger sets how long an under-full batch waits for peers before
-// flushing (default 1ms).
+// flushing (default DefaultLinger).
 func WithLinger(d time.Duration) BatcherOption {
 	return func(b *Batcher) {
 		if d > 0 {
@@ -112,7 +116,7 @@ func WithLinger(d time.Duration) BatcherOption {
 
 // NewBatcher wraps inner with a batching dispatcher.
 func NewBatcher(inner Client, opts ...BatcherOption) *Batcher {
-	b := &Batcher{inner: inner, maxBatch: DefaultMaxBatch, linger: time.Millisecond}
+	b := &Batcher{inner: inner, maxBatch: DefaultMaxBatch, linger: DefaultLinger}
 	for _, o := range opts {
 		o(b)
 	}

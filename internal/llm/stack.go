@@ -120,7 +120,7 @@ func WithResilience(wrap func(Client) Client) StackOption {
 
 // NewStack assembles the middleware pipeline around a backing client.
 func NewStack(inner Client, opts ...StackOption) *Stack {
-	cfg := stackConfig{cacheCapacity: 4096, maxBatch: DefaultMaxBatch, linger: time.Millisecond}
+	cfg := stackConfig{cacheCapacity: 4096, maxBatch: DefaultMaxBatch, linger: DefaultLinger}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"aryn/internal/cost"
 	"aryn/internal/docmodel"
 	"aryn/internal/docset"
 	"aryn/internal/index"
@@ -43,26 +42,16 @@ type Executor struct {
 	Serial bool
 }
 
-// Result is one executed query: the plans, the typed answer, and the full
-// lineage trace for the drill-down UI (§6.2).
+// Result is one executed query: the plan-lifecycle record (Exec's node
+// IDs refer to its ExecutedPlan), the typed answer, and the full lineage
+// trace for the drill-down UI (§6.2).
 type Result struct {
-	Question  string
-	Plan      *LogicalPlan // as emitted by the planner (or submitted by the user)
-	Rewritten *LogicalPlan // after rule-based optimization
-	// Optimized is the cost-optimized plan that actually executed (nil
-	// when the optimize phase is off). Exec node IDs refer to it.
-	Optimized *LogicalPlan
-	// Cost/CostOptimized are the cost model's pre-execution estimates for
-	// the rewritten and optimized plans (nil without a cost model).
-	Cost          *cost.PlanEstimate
-	CostOptimized *cost.PlanEstimate
-	Answer        Answer
+	PlanPreview
+	Answer Answer
 	// Trace is the merged lineage of every pipeline the query ran: the
 	// output pipeline plus each scheduled branch, each operator exactly
 	// once.
 	Trace *docset.Trace
-	// Compiled is the physical Sycamore plan rendering.
-	Compiled string
 	// Docs are the terminal documents (for drill-down).
 	Docs []*docmodel.Document
 	// Exec is the EXPLAIN ANALYZE view: per-plan-node runtime metrics
@@ -73,17 +62,6 @@ type Result struct {
 	// collapses, batches) across planning AND execution of this query;
 	// nil when the client carries no middleware stack.
 	LLM *llm.StackStats
-}
-
-// ExecutedPlan returns the plan the executor actually ran — the
-// optimized plan when the optimize phase fired, the rule-rewritten plan
-// otherwise. Exec's node IDs always refer to this plan, so EXPLAIN
-// annotation must use it rather than Rewritten.
-func (r *Result) ExecutedPlan() *LogicalPlan {
-	if r.Optimized != nil {
-		return r.Optimized
-	}
-	return r.Rewritten
 }
 
 // lowered is the physical form of a plan: the output DocSet pipeline, the
@@ -306,8 +284,9 @@ func (e *Executor) Run(ctx context.Context, plan *LogicalPlan, hooks StreamHooks
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rewritten: plan}
-	res.Compiled = low.ds.PlanString()
+	// Run on its own knows one form of the plan; Service.run replaces the
+	// record with the whole lifecycle.
+	res := &Result{PlanPreview: PlanPreview{Rewritten: plan, Compiled: low.ds.PlanString()}}
 
 	llmBefore, hasLLMStats := llm.StatsOf(qec.LLM)
 	start := wallclock()

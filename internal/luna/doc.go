@@ -1,7 +1,7 @@
 // Package luna implements the paper's natural-language query service
 // (§6): a planner that turns questions into DAGs of logical operators, a
-// validator and rule-based rewriter, a compiler that lowers logical plans
-// onto Sycamore DocSet pipelines, and an executor that schedules
+// validator, one ordered list of rewrite rules, a compiler that lowers
+// logical plans onto Sycamore DocSet pipelines, and an executor that schedules
 // independent plan branches concurrently and reports per-node runtime
 // (EXPLAIN ANALYZE) with full lineage traces.
 //
@@ -12,6 +12,15 @@
 // Service.RunPlan share one body ending in Executor.Run. Watching a query
 // run (partial result batches, live traces) is the same call with
 // StreamHooks set on a per-request copy of the Service.
+//
+// It is rewritten one way too: the rule list in rewrite.go, run to a
+// fixpoint by one driver — §6.1's optimizer that "uses a combination of
+// rule-based and cost-based" rewrites. Rewrite applies the always-on
+// rules, Optimize the whole list including the cost-based optimize phase.
+// One record, PlanPreview, carries every form of the plan (original,
+// rewritten, optimized, cost estimates, compiled pipeline); Service
+// builds it in one step for PlanOnly, InspectPlan, Ask and RunPlan, and a
+// Result embeds it.
 //
 // Concurrency: Service and Executor are stateless per query and safe for
 // concurrent Ask/RunPlan calls. Each Run opens a query-scoped worker

@@ -86,7 +86,6 @@ func newEquivService(t *testing.T, optimize bool, model *cost.Model) *Service {
 		Executor: &Executor{EC: ec, Store: store},
 		Cost:     model,
 		Optimize: optimize,
-		Cascade:  DefaultCascade(),
 	}
 }
 
@@ -322,7 +321,7 @@ func TestFeedbackReordersChain(t *testing.T) {
 
 	// Cold store: default selectivities tie, the stable sort keeps the
 	// author's order.
-	cold := (&Optimizer{Model: model}).Optimize(plan.Clone())
+	cold := Optimize(plan, model)
 	if got := filterQuestions(cold); got[0] != qPilot || got[1] != qFire {
 		t.Fatalf("cold optimizer must preserve order, got %v", got)
 	}
@@ -337,7 +336,7 @@ func TestFeedbackReordersChain(t *testing.T) {
 		t.Fatal("execution recorded no observations")
 	}
 
-	warm := (&Optimizer{Model: model}).Optimize(plan.Clone())
+	warm := Optimize(plan, model)
 	if got := filterQuestions(warm); got[0] != qFire || got[1] != qPilot {
 		t.Errorf("warm optimizer should hoist the selective filter, got %v", got)
 	}

@@ -2,9 +2,8 @@ package luna
 
 // Native fuzz targets for the plan surface the network exposes: plan-JSON
 // decoding (ParsePlan accepts raw client bytes), DAG validation, and the
-// cost-based rewrite phase (which must preserve validity and never add
-// LLM work for ANY valid plan, not just the ones the equivalence suite
-// enumerates). Seed corpora live in testdata/fuzz/<Target>/; CI runs a
+// rule list (which must preserve validity and never add LLM work for ANY
+// valid plan, not just the ones the equivalence suite enumerates). Seed corpora live in testdata/fuzz/<Target>/; CI runs a
 // short -fuzztime smoke over each target.
 
 import (
@@ -80,32 +79,45 @@ func FuzzValidatePlan(f *testing.F) {
 	})
 }
 
-// FuzzCostRewrite asserts the optimize phase is total and safe on every
-// valid plan: no panic, the output still validates, and the number of
-// LLM-predicate evaluations per document cannot grow (cascade conversion
-// is 1:1; hoists and reorders only move nodes).
+// FuzzCostRewrite asserts the rule list is total and safe on every valid
+// plan, with and without the optimize phase: no panic, the output still
+// validates, the number of LLM-predicate evaluations per document cannot
+// grow (cascade conversion is 1:1; hoists and reorders only move nodes;
+// fusion and duplicate removal only delete them), and the driver stops at
+// a fixpoint — running it again over its own output changes nothing.
 func FuzzCostRewrite(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	schema := testSchema()
 	model := cost.NewModel(cost.NewStore())
+	phases := []struct {
+		name  string
+		apply func(*LogicalPlan) *LogicalPlan
+	}{
+		{"rewrite", Rewrite},
+		{"optimize", func(p *LogicalPlan) *LogicalPlan { return Optimize(p, model) }},
+	}
 	f.Fuzz(func(t *testing.T, data string) {
 		plan, err := ParsePlan(data)
 		if err != nil || Validate(plan, schema) != nil {
 			return
 		}
-		o := &Optimizer{Model: model, Cascade: DefaultCascade()}
-		opt := o.Optimize(plan)
-		if err := Validate(opt, schema); err != nil {
-			t.Fatalf("optimized plan fails validation: %v\ninput: %s\noutput: %s", err, plan.JSON(), opt.JSON())
-		}
-		if got, want := countLLMNodes(opt), countLLMNodes(plan); got > want {
-			t.Fatalf("optimizer added LLM nodes: %d > %d\ninput: %s\noutput: %s", got, want, plan.JSON(), opt.JSON())
-		}
-		// The phase must be deterministic: same input, same output bytes.
-		if second := o.Optimize(plan); second.JSON() != opt.JSON() {
-			t.Fatalf("optimize not deterministic:\nfirst:  %s\nsecond: %s", opt.JSON(), second.JSON())
+		for _, ph := range phases {
+			out := ph.apply(plan)
+			if err := Validate(out, schema); err != nil {
+				t.Fatalf("%s: output fails validation: %v\ninput: %s\noutput: %s", ph.name, err, plan.JSON(), out.JSON())
+			}
+			if got, want := countLLMNodes(out), countLLMNodes(plan); got > want {
+				t.Fatalf("%s added LLM nodes: %d > %d\ninput: %s\noutput: %s", ph.name, got, want, plan.JSON(), out.JSON())
+			}
+			// Deterministic: same input, same output bytes.
+			if second := ph.apply(plan); second.JSON() != out.JSON() {
+				t.Fatalf("%s not deterministic:\nfirst:  %s\nsecond: %s", ph.name, out.JSON(), second.JSON())
+			}
+			if again := ph.apply(out); again.JSON() != out.JSON() {
+				t.Fatalf("%s not idempotent:\nonce:  %s\ntwice: %s", ph.name, out.JSON(), again.JSON())
+			}
 		}
 	})
 }

@@ -103,7 +103,7 @@ func TestRewriteFusesExtracts(t *testing.T) {
 		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "b", Type: "string"}, {Name: "a", Type: "string"}}},
 		LogicalOp{Op: OpCount},
 	)
-	out := Rewrite(plan, DefaultRewrites())
+	out := Rewrite(plan)
 	extracts := 0
 	for _, op := range out.Nodes {
 		if op.Op == OpLLMExtract {
@@ -127,7 +127,7 @@ func TestRewritePushesFilters(t *testing.T) {
 		LogicalOp{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "engines", Kind: "term", Value: 1}}},
 		LogicalOp{Op: OpCount},
 	)
-	out := Rewrite(plan, DefaultRewrites())
+	out := Rewrite(plan)
 	if len(out.Nodes) != 2 || len(out.Nodes[0].Filters) != 2 {
 		t.Errorf("filters not pushed: %s", out.String())
 	}
@@ -140,7 +140,7 @@ func TestRewriteDropsDuplicateLLMFilters(t *testing.T) {
 		LogicalOp{Op: OpLLMFilter, Question: "q?"},
 		LogicalOp{Op: OpCount},
 	)
-	out := Rewrite(plan, DefaultRewrites())
+	out := Rewrite(plan)
 	n := 0
 	for _, op := range out.Nodes {
 		if op.Op == OpLLMFilter {
@@ -154,18 +154,16 @@ func TestRewriteDropsDuplicateLLMFilters(t *testing.T) {
 
 func TestRewriteDedupInsertion(t *testing.T) {
 	plan := Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpCount})
-	opts := DefaultRewrites()
-	opts.DedupByAccident = true
-	out := Rewrite(plan, opts)
+	out := WithDedup(Rewrite(plan), "accidentNumber")
 	ops := chainOps(t, out)
 	if len(ops) != 3 || ops[1].Op != opDistinct || ops[1].Field != "accidentNumber" {
 		t.Errorf("dedup not inserted: %s", out.String())
 	}
-	// Default rewrites must NOT insert it (that's the paper's bug).
-	out2 := Rewrite(plan, DefaultRewrites())
+	// The rule list must NOT insert it (that's the paper's bug).
+	out2 := Optimize(plan, nil)
 	for _, op := range out2.Nodes {
 		if op.Op == opDistinct {
-			t.Error("dedup must be off by default")
+			t.Error("dedup must stay out of the rule list")
 		}
 	}
 }
@@ -383,18 +381,6 @@ func TestSchemaInferAndPromptRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExtractFieldsUsed(t *testing.T) {
-	plan := Chain(
-		LogicalOp{Op: OpQueryDatabase},
-		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "a"}}},
-		LogicalOp{Op: OpLLMFilter, Question: "x?"},
-	)
-	ex, per := ExtractFieldsUsed(plan)
-	if ex != 1 || per != 2 {
-		t.Errorf("ExtractFieldsUsed = %d, %d", ex, per)
-	}
-}
-
 func TestAnswerString(t *testing.T) {
 	if NumberAnswer(3).String() != "3" {
 		t.Error("int render")
@@ -444,17 +430,17 @@ func TestPlannerRepairLoop(t *testing.T) {
 		{Text: `{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`},
 	}}
 	p := NewPlanner(scripted, testSchema())
-	raw, rewritten, err := p.Plan(context.Background(), "How many incidents?")
+	plan, err := p.Plan(context.Background(), "How many incidents?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw == nil || rewritten == nil || scripted.Calls() != 2 {
+	if plan == nil || scripted.Calls() != 2 {
 		t.Fatalf("repair loop: calls=%d", scripted.Calls())
 	}
 	// Repeated invalid plans exhaust MaxRepairs.
 	bad := &llm.Scripted{Responses: []llm.Response{{Text: `{"nodes":[{"id":"n1","op":"teleport"}]}`}}}
 	p2 := NewPlanner(bad, testSchema())
-	if _, _, err := p2.Plan(context.Background(), "q"); err == nil {
+	if _, err := p2.Plan(context.Background(), "q"); err == nil {
 		t.Error("persistent invalid plans should fail")
 	}
 }

@@ -301,7 +301,7 @@ func TestRewriteOperatesOnDAGBranches(t *testing.T) {
 		{ID: "c", Inputs: []string{"j"}, LogicalOp: LogicalOp{Op: OpCount}},
 	}, Output: "c"}
 
-	out := Rewrite(plan, DefaultRewrites())
+	out := Rewrite(plan)
 	if len(plan.Nodes) != 7 {
 		t.Error("Rewrite must not mutate its input")
 	}
@@ -344,7 +344,7 @@ func TestRewriteDoesNotPushThroughSharedRoot(t *testing.T) {
 			LeftKey: "accidentNumber", RightKey: "accidentNumber", JoinKind: "semi"}},
 		{ID: "c", Inputs: []string{"j"}, LogicalOp: LogicalOp{Op: OpCount}},
 	}, Output: "c"}
-	out := Rewrite(plan, DefaultRewrites())
+	out := Rewrite(plan)
 	if out.node("f1") == nil {
 		t.Errorf("filter must not be pushed into a shared root: %s", out.String())
 	}
@@ -443,14 +443,14 @@ func TestDedupRespectsJoinBranches(t *testing.T) {
 
 	// A duplicate on the right (build) branch filtered DIFFERENT
 	// documents — the post-join filter must survive.
-	out := Rewrite(mk(true, false), DefaultRewrites())
+	out := Rewrite(mk(true, false))
 	if out.node("post") == nil {
 		t.Errorf("post-join filter wrongly deduped against build branch:\n%s", out.String())
 	}
 	// A duplicate on the left (probe) lineage already constrained every
 	// document flowing out of the join — the post-join filter is
 	// redundant and should be dropped.
-	out2 := Rewrite(mk(false, true), DefaultRewrites())
+	out2 := Rewrite(mk(false, true))
 	if out2.node("post") != nil {
 		t.Errorf("probe-lineage duplicate should be dropped:\n%s", out2.String())
 	}

@@ -1,162 +1,180 @@
 package luna
 
-// RewriteOptions toggles individual rewrite rules, primarily for the
-// ablation benchmarks.
-type RewriteOptions struct {
-	// FuseExtracts merges chained llmExtract operators into one LLM
-	// call per document (§6.1's example rewrite).
-	FuseExtracts bool
-	// PushFilters merges basicFilter predicates into their upstream
-	// queryDatabase root so the index evaluates them during the scan.
-	PushFilters bool
-	// DropDuplicateFilters removes llmFilter nodes repeating a question
-	// already asked on their ancestor path.
-	DropDuplicateFilters bool
-	// DedupByAccident inserts a distinct-by-accident-number step before
-	// counting operators. The paper identifies the *absence* of this step
-	// as the source of Luna's counting errors (§7.2), so it is OFF by
-	// default; the ablation bench turns it on.
-	DedupByAccident bool
-	// DedupField is the identity field DedupByAccident uses.
-	DedupField string
+import (
+	"aryn/internal/cost"
+	"aryn/internal/docset"
+	"aryn/internal/llm"
+)
+
+// rule is one result-preserving plan rewrite (§6.1). apply performs the
+// first rewrite it finds and reports whether it changed the plan; the
+// driver calls it until it reports false. optimizePhase marks the
+// cost-based rules, which run only when the optimize phase is on.
+type rule struct {
+	name          string
+	optimizePhase bool
+	apply         func(p *LogicalPlan, m *cost.Model) (changed bool)
 }
 
-// DefaultRewrites returns the rule set Luna runs in production mode.
-func DefaultRewrites() RewriteOptions {
-	return RewriteOptions{FuseExtracts: true, PushFilters: true, DropDuplicateFilters: true}
+// rules is the one ordered rewrite list, run to fixpoint by applyRules.
+// Rewrite skips the optimizePhase rules; Optimize runs them all. (A test
+// checks the table in docs/optimizer.md against it.)
+//
+// All six are exact: extract fusion and filter pushdown change where work
+// happens, not what it computes; a repeated llmFilter cannot change the
+// result; structured predicates and LLM predicates commute; and a cascade
+// escalates to the exact llmFilter predicate for every document its proxy
+// cannot decide.
+var rules = []rule{
+	{"fuseExtracts", false, fuseExtracts},
+	{"pushFilters", false, pushFilters},
+	{"dropDuplicateFilters", false, dropDuplicateFilters},
+	{"hoistBasicFilters", true, hoistBasicFilters},
+	{"reorderLLMFilters", true, reorderLLMFilters},
+	{"insertCascades", true, insertCascades},
 }
 
-// Rewrite applies rule-based plan optimization (§6.1) over the DAG and
-// returns a new plan; the input is not modified. Every rule operates on
-// nodes and edges, so it applies uniformly to chains and join plans.
-func Rewrite(plan *LogicalPlan, opts RewriteOptions) *LogicalPlan {
-	plan.normalize()
+// Rewrite applies the always-on rules over the DAG and returns a new
+// plan; the input is not modified. Every rule operates on nodes and
+// edges, so it applies uniformly to chains and join plans.
+func Rewrite(plan *LogicalPlan) *LogicalPlan {
+	return applyRules(plan, nil, false)
+}
+
+// Optimize applies the whole rule list — the always-on rules plus the
+// cost-based optimize phase — and returns a new plan; the input is not
+// modified. A nil model (or one with an empty store) still optimizes:
+// hoisting and cascades need no evidence; only llmFilter reordering needs
+// observed selectivities to beat the planner's order.
+func Optimize(plan *LogicalPlan, m *cost.Model) *LogicalPlan {
+	return applyRules(plan, m, true)
+}
+
+// applyRules is the one driver: each selected rule in list order until it
+// no longer fires, the whole list again until a round changes nothing (a
+// later rule can expose work for an earlier one: a hoisted basicFilter
+// lands on its queryDatabase root and pushes down).
+func applyRules(plan *LogicalPlan, m *cost.Model, optimize bool) *LogicalPlan {
 	p := plan.Clone()
-
-	if opts.FuseExtracts {
-		fuseExtracts(p)
-	}
-	if opts.PushFilters {
-		pushFilters(p)
-	}
-	if opts.DropDuplicateFilters {
-		dropDuplicateFilters(p)
-	}
-	if opts.DedupByAccident {
-		field := opts.DedupField
-		if field == "" {
-			field = "accidentNumber"
+	p.normalize()
+	for changed := true; changed; {
+		changed = false
+		for _, r := range rules {
+			if r.optimizePhase && !optimize {
+				continue
+			}
+			for r.apply(p, m) {
+				changed = true
+			}
 		}
-		insertDedup(p, field)
 	}
 	return p
 }
 
-// splice removes node id from the DAG, reconnecting its consumers to its
-// single input (its input's consumers inherit the edge). The node must
-// have exactly one input.
-func splice(p *LogicalPlan, id string) {
-	n := p.node(id)
-	if n == nil || len(n.Inputs) != 1 {
-		return
-	}
-	in := n.Inputs[0]
+// ---- edge surgery ----
+
+// redirect repoints every edge reading from, and the plan output, to to.
+func (p *LogicalPlan) redirect(from, to string) {
 	for i := range p.Nodes {
 		for j, edge := range p.Nodes[i].Inputs {
-			if edge == id {
-				p.Nodes[i].Inputs[j] = in
+			if edge == from {
+				p.Nodes[i].Inputs[j] = to
 			}
 		}
 	}
-	if p.Output == id {
-		p.Output = in
+	if p.Output == from {
+		p.Output = to
 	}
+}
+
+// splice removes single-input node n from the DAG: its consumers read its
+// input instead. Pointers into p.Nodes are invalid afterwards.
+func (p *LogicalPlan) splice(n *PlanNode) {
+	id := n.ID
+	p.redirect(id, n.Inputs[0])
 	for i := range p.Nodes {
 		if p.Nodes[i].ID == id {
 			p.Nodes = append(p.Nodes[:i], p.Nodes[i+1:]...)
-			break
+			return
 		}
 	}
 }
 
-// fuseExtracts merges an llmExtract node into an upstream llmExtract it
-// exclusively consumes, repeating until no such edge remains.
-func fuseExtracts(p *LogicalPlan) {
-	for {
-		fused := false
-		for i := range p.Nodes {
-			n := p.Nodes[i]
-			if n.Op != OpLLMExtract || len(n.Inputs) != 1 {
-				continue
-			}
-			up := p.node(n.Inputs[0])
-			if up == nil || up.Op != OpLLMExtract || len(p.consumers(up.ID)) != 1 {
-				continue
-			}
-			seen := map[string]bool{}
-			for _, f := range up.Fields {
-				seen[f.Name] = true
-			}
-			for _, f := range n.Fields {
-				if !seen[f.Name] {
-					up.Fields = append(up.Fields, f)
-				}
-			}
-			splice(p, n.ID)
-			fused = true
-			break
+// swap exchanges adjacent single-input nodes: n consumed up exclusively,
+// afterwards up consumes n and n's consumers read up.
+func (p *LogicalPlan) swap(n, up *PlanNode) {
+	p.redirect(n.ID, up.ID)
+	n.Inputs[0], up.Inputs[0] = up.Inputs[0], n.ID
+}
+
+// exclusiveEdge returns the first edge up → n, in declaration order of n,
+// where n's only input is up, n is up's only consumer, and match accepts
+// the pair (nil, nil when there is none).
+func (p *LogicalPlan) exclusiveEdge(match func(n, up *PlanNode) bool) (n, up *PlanNode) {
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if len(n.Inputs) != 1 {
+			continue
 		}
-		if !fused {
-			return
+		up := p.node(n.Inputs[0])
+		if up != nil && len(p.consumers(up.ID)) == 1 && match(n, up) {
+			return n, up
 		}
 	}
+	return nil, nil
+}
+
+// ---- rules ----
+
+// fuseExtracts merges an llmExtract into the upstream llmExtract it
+// exclusively consumes: one LLM call per document instead of two (§6.1's
+// example rewrite).
+func fuseExtracts(p *LogicalPlan, _ *cost.Model) bool {
+	n, up := p.exclusiveEdge(func(n, up *PlanNode) bool {
+		return n.Op == OpLLMExtract && up.Op == OpLLMExtract
+	})
+	if n == nil {
+		return false
+	}
+	seen := map[string]bool{}
+	for _, f := range up.Fields {
+		seen[f.Name] = true
+	}
+	for _, f := range n.Fields {
+		if !seen[f.Name] {
+			up.Fields = append(up.Fields, f)
+		}
+	}
+	p.splice(n)
+	return true
 }
 
 // pushFilters folds a basicFilter into the queryDatabase it exclusively
 // consumes, so the index evaluates the predicate during the scan.
-func pushFilters(p *LogicalPlan) {
-	for {
-		pushed := false
-		for i := range p.Nodes {
-			n := p.Nodes[i]
-			if n.Op != OpBasicFilter || len(n.Inputs) != 1 {
-				continue
-			}
-			root := p.node(n.Inputs[0])
-			if root == nil || root.Op != OpQueryDatabase || len(p.consumers(root.ID)) != 1 {
-				continue
-			}
-			root.Filters = append(root.Filters, n.Filters...)
-			splice(p, n.ID)
-			pushed = true
-			break
-		}
-		if !pushed {
-			return
-		}
+func pushFilters(p *LogicalPlan, _ *cost.Model) bool {
+	n, root := p.exclusiveEdge(func(n, up *PlanNode) bool {
+		return n.Op == OpBasicFilter && up.Op == OpQueryDatabase
+	})
+	if n == nil {
+		return false
 	}
+	root.Filters = append(root.Filters, n.Filters...)
+	p.splice(n)
+	return true
 }
 
-// dropDuplicateFilters removes an llmFilter node whose question already
+// dropDuplicateFilters removes an llmFilter whose question already
 // appears on its ancestor path (asking twice cannot change the result).
-func dropDuplicateFilters(p *LogicalPlan) {
-	for {
-		dropped := false
-		for i := range p.Nodes {
-			n := p.Nodes[i]
-			if n.Op != OpLLMFilter || len(n.Inputs) != 1 {
-				continue
-			}
-			if ancestorAsks(p, n.Inputs[0], n.Question, map[string]bool{}) {
-				splice(p, n.ID)
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			return
+func dropDuplicateFilters(p *LogicalPlan, _ *cost.Model) bool {
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if n.Op == OpLLMFilter && len(n.Inputs) == 1 &&
+			ancestorAsks(p, n.Inputs[0], n.Question, map[string]bool{}) {
+			p.splice(n)
+			return true
 		}
 	}
+	return false
 }
 
 // ancestorAsks reports whether the documents reaching node id have
@@ -188,13 +206,103 @@ func ancestorAsks(p *LogicalPlan, id, question string, seen map[string]bool) boo
 	return false
 }
 
-// insertDedup places a distinct step immediately upstream of the first
-// counting operator in topological order (count, fraction, or a
-// count-aggregation).
-func insertDedup(p *LogicalPlan, field string) {
+// hoistBasicFilters moves a basicFilter above the LLM operator it
+// exclusively consumes, so the cheap predicate runs first; repeated by
+// the driver, a filter bubbles past a whole run of LLM operators.
+// Structured predicates commute with per-document LLM operators, except
+// with an llmExtract that materializes a field the predicate reads (the
+// field would not exist yet upstream).
+func hoistBasicFilters(p *LogicalPlan, _ *cost.Model) bool {
+	f, up := p.exclusiveEdge(func(f, up *PlanNode) bool {
+		if f.Op != OpBasicFilter || len(up.Inputs) != 1 {
+			return false
+		}
+		switch up.Op {
+		case OpLLMFilter, OpLLMFilterCascade:
+			return true
+		case OpLLMExtract:
+			return !filterReadsExtracted(f.Filters, up.Fields)
+		}
+		return false
+	})
+	if f == nil {
+		return false
+	}
+	p.swap(f, up)
+	return true
+}
+
+// filterReadsExtracted reports whether any filter predicate reads a
+// field the llmExtract materializes.
+func filterReadsExtracted(filters []FilterSpec, fields []llm.FieldSpec) bool {
+	produced := map[string]bool{}
+	for _, f := range fields {
+		produced[f.Name] = true
+	}
+	for _, f := range filters {
+		if produced[f.Field] {
+			return true
+		}
+	}
+	return false
+}
+
+// reorderLLMFilters swaps an llmFilter above the llmFilter it exclusively
+// consumes when feedback-store evidence says it is strictly more
+// selective; repeated by the driver, every chain of consecutive
+// llmFilters ends up most-selective-first, which shrinks the document
+// flow into the later (equally expensive) filters. Unobserved filters
+// carry the default selectivity and ties never swap, so a cold store
+// leaves the planner's order untouched.
+func reorderLLMFilters(p *LogicalPlan, m *cost.Model) bool {
+	sel := func(n *PlanNode) float64 {
+		s, _ := m.Selectivity(OpLLMFilter, opSignature(n.LogicalOp))
+		return s
+	}
+	n, up := p.exclusiveEdge(func(n, up *PlanNode) bool {
+		return n.Op == OpLLMFilter && up.Op == OpLLMFilter && len(up.Inputs) == 1 &&
+			sel(n) < sel(up)
+	})
+	if n == nil {
+		return false
+	}
+	p.swap(n, up)
+	return true
+}
+
+// insertCascades lowers every llmFilter onto a proxy cascade. The default
+// band is written into the node so the optimized JSON is self-describing;
+// a submitted plan may carry llmFilterCascade nodes with its own band.
+func insertCascades(p *LogicalPlan, _ *cost.Model) bool {
+	changed := false
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if n.Op == OpLLMFilter {
+			n.Op = OpLLMFilterCascade
+			n.Low, n.High = docset.DefaultCascadeLow, docset.DefaultCascadeHigh
+			changed = true
+		}
+	}
+	return changed
+}
+
+// ---- the §7.2 dedup step ----
+
+// opDistinct is internal (never planner-emitted, but accepted back by
+// Validate so users may resubmit plans that carry it).
+const opDistinct = "distinct"
+
+// WithDedup returns a copy of plan with a distinct-by-field step
+// immediately upstream of its first counting operator in topological
+// order (count, fraction, or a count-aggregation). The paper identifies
+// the absence of this step as the source of Luna's counting errors
+// (§7.2), so it is deliberately not in the rule list; the ablation
+// benchmark applies it to measure the fix.
+func WithDedup(plan *LogicalPlan, field string) *LogicalPlan {
+	p := plan.Clone()
 	order, err := p.topoOrder()
 	if err != nil {
-		return
+		return p
 	}
 	for _, idx := range order {
 		n := p.Nodes[idx]
@@ -210,26 +318,7 @@ func insertDedup(p *LogicalPlan, field string) {
 		}
 		p.Nodes = append(p.Nodes, d)
 		p.node(n.ID).Inputs[0] = d.ID
-		return
+		break
 	}
-}
-
-// opDistinct is internal (rewriter-inserted, never planner-emitted, but
-// accepted back by Validate so users may resubmit rewritten plans).
-const opDistinct = "distinct"
-
-// ExtractFieldsUsed counts LLM calls a plan will make per input document —
-// used by the rewrite ablation to show fused plans cost fewer calls.
-func ExtractFieldsUsed(plan *LogicalPlan) (extractOps, llmOpsPerDoc int) {
-	plan.normalize()
-	for _, n := range plan.Nodes {
-		switch n.Op {
-		case OpLLMExtract:
-			extractOps++
-			llmOpsPerDoc++
-		case OpLLMFilter:
-			llmOpsPerDoc++
-		}
-	}
-	return extractOps, llmOpsPerDoc
+	return p
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -327,7 +326,7 @@ func init() {
 
 	Register(Scenario{
 		Name:        "chaos-ingest-saturation",
-		Description: "Ingests a corpus while pipeline-stage faults and latency are injected, accepting success, exclusivity 409s, or clean 503s — and checks queries still serve alongside",
+		Description: "Ingests a corpus while pipeline-stage faults and latency are injected, accepting success, queue-full sheds, or jobs failed cleanly as unavailable — and checks queries still serve alongside",
 		Paper:       "robustness: ingest-path fault hooks + stage retries with backoff",
 		Setup:       requireFaults,
 		Execute: func(ctx context.Context, c *Client) error {
@@ -343,14 +342,17 @@ func init() {
 				return err
 			}
 			seed := 50_000 + chaosSeq.Add(1)
-			// Saturated-ingest outcomes: landed (200), lost the exclusivity
-			// race (409), or cleanly refused after stage retries exhausted
-			// (503). A 500 is the only failure.
-			_, err := c.PostJSON(ctx, "/ingest",
-				api.IngestRequest{Docs: c.Params.IngestDocs, Seed: seed}, nil,
-				http.StatusOK, http.StatusConflict, http.StatusServiceUnavailable)
+			// Saturated-ingest outcomes: landed (done), shed by the full job
+			// queue (429), or cleanly refused after stage retries exhausted
+			// (failed with the 503-class "unavailable" code). Any other
+			// failure is the bug.
+			job, err := c.Ingest(ctx, api.IngestRequest{Docs: c.Params.IngestDocs, Seed: seed})
 			if err != nil && !errors.Is(err, ErrShed) {
 				return err
+			}
+			if job != nil && job.State == api.JobFailed && job.Error.Code != api.CodeUnavailable {
+				return fmt.Errorf("saturated ingest job %s failed as %s, want done or unavailable: %s",
+					job.JobID, job.Error.Code, job.Error.Message)
 			}
 			// Query traffic must keep serving while ingest churns.
 			var out api.QueryResponse

@@ -101,10 +101,12 @@ func WithHTTPClient(hc *http.Client) ClientOption { return func(c *Client) { c.h
 func WithParams(p Params) ClientOption { return func(c *Client) { c.Params = p } }
 
 // NewClient returns a client for the arynd at base (e.g.
-// "http://127.0.0.1:8088").
+// "http://127.0.0.1:8088"). Every path a Client method takes ("/query",
+// "/jobs/<id>") is the endpoint's name under /v1, the API's one prefix —
+// which is also its key in the server's /stats endpoint counters.
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
-		base: base,
+		base: base + "/v1",
 		hc:   &http.Client{Timeout: 2 * time.Minute},
 	}
 	for _, o := range opts {
@@ -128,7 +130,7 @@ func (c *Client) withRecorder(r Recorder) *Client {
 	return &cc
 }
 
-// WaitReady polls /healthz until the server answers or timeout elapses.
+// WaitReady polls /v1/healthz until the server answers or timeout elapses.
 func (c *Client) WaitReady(ctx context.Context, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -157,7 +159,7 @@ func (c *Client) WaitReady(ctx context.Context, timeout time.Duration) error {
 	}
 }
 
-// Stats fetches the /stats snapshot (typed against the server's api
+// Stats fetches the /v1/stats snapshot (typed against the server's api
 // package, so the harness breaks at compile time if the wire shape
 // drifts).
 func (c *Client) Stats(ctx context.Context) (*api.StatsResponse, error) {
@@ -168,7 +170,7 @@ func (c *Client) Stats(ctx context.Context) (*api.StatsResponse, error) {
 	return &out, nil
 }
 
-// Faults fetches the /faults injector state. Servers started without the
+// Faults fetches the /v1/faults injector state. Servers started without the
 // chaos endpoint (no -fault-endpoint) answer 404, which surfaces here as
 // an error — chaos scenarios turn that into a clear setup failure.
 func (c *Client) Faults(ctx context.Context) (*api.FaultStateResponse, error) {
@@ -190,7 +192,7 @@ func (c *Client) SetFaults(ctx context.Context, req api.FaultControlRequest) (*a
 	return &out, nil
 }
 
-// Healthz fetches the /healthz snapshot as a generic map.
+// Healthz fetches the /v1/healthz snapshot as a generic map.
 func (c *Client) Healthz(ctx context.Context) (map[string]any, error) {
 	var out map[string]any
 	if _, err := c.do(ctx, http.MethodGet, "/healthz", nil, &out, http.StatusOK); err != nil {
@@ -207,11 +209,53 @@ func (c *Client) PostJSON(ctx context.Context, path string, body, out any, accep
 	return c.do(ctx, http.MethodPost, path, body, out, accept...)
 }
 
-// GetJSON fetches path and decodes the response into out, under the same
-// accept/shed contract as PostJSON. Scenarios use it to poll job
-// resources.
-func (c *Client) GetJSON(ctx context.Context, path string, out any, accept ...int) (int, error) {
-	return c.do(ctx, http.MethodGet, path, nil, out, accept...)
+// SubmitIngest posts req to the async ingest API and returns the accepted
+// job's handle. A full job queue sheds with 429, which is ErrShed.
+func (c *Client) SubmitIngest(ctx context.Context, req api.IngestRequest) (*api.JobAccepted, error) {
+	var acc api.JobAccepted
+	if _, err := c.do(ctx, http.MethodPost, "/ingest", req, &acc, http.StatusAccepted); err != nil {
+		return nil, err
+	}
+	if acc.JobID == "" || acc.Location != "/v1/jobs/"+acc.JobID {
+		return nil, fmt.Errorf("scenario: 202 did not carry a job handle: %+v", acc)
+	}
+	return &acc, nil
+}
+
+// WaitJob polls the job resource until the job is done or failed and
+// returns that terminal snapshot. A failed job is not an error here: the
+// caller decides which failures its contract accepts (job.Error carries
+// the same code an HTTP error envelope would).
+func (c *Client) WaitJob(ctx context.Context, id string) (*api.JobResponse, error) {
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		var job api.JobResponse
+		if _, err := c.do(ctx, http.MethodGet, "/jobs/"+id, nil, &job); err != nil {
+			return nil, err
+		}
+		if job.State == api.JobDone || job.State == api.JobFailed {
+			return &job, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("scenario: job %s still %q after 120s", id, job.State)
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+}
+
+// Ingest runs one ingest through the job API: submit, then poll to a
+// terminal state. The three outcomes a scenario meets are a done job, a
+// failed job (both returned), and a shed submission (ErrShed).
+func (c *Client) Ingest(ctx context.Context, req api.IngestRequest) (*api.JobResponse, error) {
+	acc, err := c.SubmitIngest(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return c.WaitJob(ctx, acc.JobID)
 }
 
 // StreamResult summarizes one streamed query: the terminal result plus
@@ -219,7 +263,7 @@ func (c *Client) GetJSON(ctx context.Context, path string, out any, accept ...in
 // partial batch) the batch path has no equivalent for.
 type StreamResult struct {
 	// Result is the terminal result event's payload — identical in shape
-	// and content to a batch POST /query response for the same request.
+	// and content to a batch POST /v1/query response for the same request.
 	Result api.QueryResponse
 	// Events counts every SSE event on the stream; Partials counts the
 	// partial-batch events among them, and PartialDocs sums the documents
@@ -242,7 +286,7 @@ type StreamResult struct {
 // FirstEvent feeds the TTFE SLO. A terminal error event surfaces as an
 // error carrying the envelope's code and message.
 func (c *Client) QueryStream(ctx context.Context, reqBody api.QueryRequest) (*StreamResult, error) {
-	const path = "/v1/query"
+	const path = "/query"
 	data, err := json.Marshal(reqBody)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: encode stream body: %w", err)

@@ -174,7 +174,7 @@ func TestStreamFirstPartialBeatsBatch(t *testing.T) {
 	// batching disabled take four rounds.
 	var batch api.QueryResponse
 	start := time.Now()
-	if _, err := c.PostJSON(ctx, "/v1/query", api.QueryRequest{Plan: plan}, &batch); err != nil {
+	if _, err := c.PostJSON(ctx, "/query", api.QueryRequest{Plan: plan}, &batch); err != nil {
 		t.Fatal(err)
 	}
 	batchWall := time.Since(start)

@@ -36,7 +36,7 @@ func TestPlanAnalyzeExecutesWithoutAnswer(t *testing.T) {
 		{"id":"n1","op":"queryDatabase"},
 		{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`)
 	var out PlanResponse
-	resp := postJSON(t, ts.URL+"/plan", PlanRequest{Plan: plan, Analyze: true}, &out)
+	resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Plan: plan, Analyze: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze status = %d", resp.StatusCode)
 	}
@@ -67,7 +67,7 @@ func TestPlanAnalyzeExecutesWithoutAnswer(t *testing.T) {
 	raw := struct {
 		Answer *string `json:"answer"`
 	}{}
-	resp2 := postJSON(t, ts.URL+"/plan", PlanRequest{Plan: plan, Analyze: true}, &raw)
+	resp2 := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Plan: plan, Analyze: true}, &raw)
 	if resp2.StatusCode != http.StatusOK || raw.Answer != nil {
 		t.Errorf("analyze must not return an answer payload (got %v)", raw.Answer)
 	}
@@ -77,7 +77,7 @@ func TestPlanAnalyzeExecutesWithoutAnswer(t *testing.T) {
 func TestPlanAnalyzeQuestion(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	var out PlanResponse
-	resp := postJSON(t, ts.URL+"/plan",
+	resp := postJSON(t, ts.URL+"/v1/plan",
 		PlanRequest{Question: "How many incidents were there?", Analyze: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze status = %d", resp.StatusCode)
@@ -95,7 +95,7 @@ func TestPlanAnalyzeInvalidPlan400(t *testing.T) {
 		{"id":"n1","op":"queryDatabase","filters":[{"field":"hallucinated","kind":"term","value":1}]}],
 		"output":"n1"}`)
 	var errOut errorResponse
-	resp := postJSON(t, ts.URL+"/plan", PlanRequest{Plan: bad, Analyze: true}, &errOut)
+	resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Plan: bad, Analyze: true}, &errOut)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("analyze(bad plan) status = %d, want 400", resp.StatusCode)
 	}
@@ -109,7 +109,7 @@ func TestPlanAnalyzeInvalidPlan400(t *testing.T) {
 func TestQueryIncludePlanReturnsExecuted(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	var out QueryResponse
-	resp := postJSON(t, ts.URL+"/query",
+	resp := postJSON(t, ts.URL+"/v1/query",
 		QueryRequest{Question: "How many incidents were there?", IncludePlan: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d", resp.StatusCode)

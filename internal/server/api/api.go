@@ -5,10 +5,8 @@
 // same structs, so drift between producer and consumer breaks at compile
 // time instead of in production.
 //
-// Versioning: every endpoint is canonically mounted under /v1/. The
-// legacy unprefixed routes remain as aliases for one release and answer
-// with a "Deprecation: true" header plus a Link header pointing at the
-// successor route (docs/streaming-api.md records the policy).
+// Versioning: every endpoint is mounted under /v1/ and nowhere else
+// (docs/streaming-api.md records the policy).
 package api
 
 import (
@@ -32,10 +30,11 @@ const (
 	CodeInvalidPlan = "invalid_plan"
 	// CodeSaturated is admission-control shedding (HTTP 429 + Retry-After).
 	CodeSaturated = "saturated"
-	// CodeConflict is a request that cannot run in the current state (an
-	// ingest already in progress, no data ingested yet).
+	// CodeConflict is a request that cannot run in the current state (no
+	// data ingested yet).
 	CodeConflict = "conflict"
-	// CodeNotFound is an unknown resource (expired session, reaped job).
+	// CodeNotFound is an unknown resource (expired session, reaped job, a
+	// path outside /v1).
 	CodeNotFound = "not_found"
 	// CodeUnavailable is backend unavailability that could not be served
 	// degraded (circuit open, retries exhausted).
@@ -80,8 +79,8 @@ type IngestRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// IngestResponse summarizes one completed ingest run (the synchronous
-// legacy /ingest response, and the Result of a finished ingest job).
+// IngestResponse summarizes one completed ingest run: the Result of a
+// finished ingest job.
 type IngestResponse struct {
 	TraceID   string         `json:"trace_id"`
 	Documents int            `json:"documents"`
@@ -130,8 +129,7 @@ type JobResponse struct {
 	Nodes []NodeProgress `json:"nodes,omitempty"`
 	// Error is set on failed jobs.
 	Error *ErrorBody `json:"error,omitempty"`
-	// Result is set on done jobs: the same summary the synchronous ingest
-	// returns.
+	// Result is set on done jobs.
 	Result *IngestResponse `json:"result,omitempty"`
 	// AgeMS is how long ago the job was submitted.
 	AgeMS int64 `json:"age_ms"`
@@ -184,8 +182,8 @@ type PlanDetail struct {
 	Compiled      string             `json:"compiled,omitempty"`
 	// Executed is the rewritten plan with a "runtime" object per node and
 	// an "exec" query-level summary (wall_ms, worker budget, scheduled
-	// branches). Present on executed queries (POST /query with
-	// include_plan, POST /plan with analyze).
+	// branches). Present on executed queries (POST /v1/query with
+	// include_plan, POST /v1/plan with analyze).
 	Executed json.RawMessage `json:"executed,omitempty"`
 }
 
@@ -352,8 +350,7 @@ type JobStats struct {
 
 // EndpointStats is one route's /stats snapshot — the counters the
 // arynload benchmark harness reads (docs/operations.md documents each
-// field). Aliased routes (legacy unprefixed and canonical /v1) share one
-// counter, keyed by the unversioned path.
+// field). Counters are keyed by the route's name under /v1 ("/query").
 type EndpointStats struct {
 	Requests     int64   `json:"requests"`
 	OK           int64   `json:"ok"`

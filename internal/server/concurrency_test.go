@@ -60,7 +60,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			return false
 		}
 		for attempt := 0; attempt < 200; attempt++ {
-			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1"+path, "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return false
@@ -165,7 +165,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 
 	var stats StatsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Gate.Shed == 0 {
 		t.Error("32 clients against 4 slots + 8 waiters should shed at least once")
 	}

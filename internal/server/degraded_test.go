@@ -52,7 +52,7 @@ func TestDegradedModeServing(t *testing.T) {
 
 	// Script a total outage longer than the test could ever run.
 	var fs FaultStateResponse
-	resp := postJSON(t, url+"/faults", FaultControlRequest{
+	resp := postJSON(t, url+"/v1/faults", FaultControlRequest{
 		Spec: &fault.Spec{Seed: 11, Outages: []fault.Window{{StartMS: 0, EndMS: 600_000}}},
 	}, &fs)
 	if resp.StatusCode != http.StatusOK || !fs.Active {
@@ -63,7 +63,7 @@ func TestDegradedModeServing(t *testing.T) {
 	// queries to walk the breaker past its failure threshold.
 	for i := 0; i < 7; i++ {
 		var out QueryResponse
-		resp := postJSON(t, url+"/query", QueryRequest{Question: degradedQuestion()}, &out)
+		resp := postJSON(t, url+"/v1/query", QueryRequest{Question: degradedQuestion()}, &out)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d during outage: status %d, want 200 (degraded)", i, resp.StatusCode)
 		}
@@ -77,14 +77,14 @@ func TestDegradedModeServing(t *testing.T) {
 
 	// The state is observable.
 	var health map[string]any
-	if resp := getJSON(t, url+"/healthz", &health); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, url+"/v1/healthz", &health); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status = %d; degraded must stay live", resp.StatusCode)
 	}
 	if health["status"] != "degraded" {
 		t.Errorf("healthz status = %v, want degraded", health["status"])
 	}
 	var stats StatsResponse
-	getJSON(t, url+"/stats", &stats)
+	getJSON(t, url+"/v1/stats", &stats)
 	if !stats.Degraded || stats.DegradedServed < 7 {
 		t.Errorf("stats degraded=%v served=%d, want degraded with ≥7 served", stats.Degraded, stats.DegradedServed)
 	}
@@ -96,7 +96,7 @@ func TestDegradedModeServing(t *testing.T) {
 	}
 
 	// Clearing the fault recovers within a probe interval (plus slack).
-	postJSON(t, url+"/faults", FaultControlRequest{Clear: true}, &fs)
+	postJSON(t, url+"/v1/faults", FaultControlRequest{Clear: true}, &fs)
 	if fs.Active {
 		t.Fatalf("injector still active after clear: %+v", fs)
 	}
@@ -104,7 +104,7 @@ func TestDegradedModeServing(t *testing.T) {
 	deadline := time.Now().Add(2*probe + 10*time.Second)
 	for {
 		var out QueryResponse
-		resp := postJSON(t, url+"/query", QueryRequest{Question: degradedQuestion()}, &out)
+		resp := postJSON(t, url+"/v1/query", QueryRequest{Question: degradedQuestion()}, &out)
 		if resp.StatusCode == http.StatusOK && !out.Degraded {
 			break
 		}
@@ -113,7 +113,7 @@ func TestDegradedModeServing(t *testing.T) {
 		}
 		time.Sleep(probe / 4)
 	}
-	getJSON(t, url+"/healthz", &health)
+	getJSON(t, url+"/v1/healthz", &health)
 	if health["status"] != "ok" {
 		t.Errorf("healthz status = %v after recovery, want ok", health["status"])
 	}
@@ -123,7 +123,7 @@ func TestDegradedModeServing(t *testing.T) {
 // surface does not exist.
 func TestFaultsEndpointAbsentByDefault(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	resp, err := http.Get(ts.URL + "/faults")
+	resp, err := http.Get(ts.URL + "/v1/faults")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFaultsEndpointAbsentByDefault(t *testing.T) {
 func TestQueryTimeoutBudget(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{RequestTimeout: time.Nanosecond})
 	var out errorResponse
-	resp := postJSON(t, ts.URL+"/query", QueryRequest{Question: "How many incidents were there in year 6000001?"}, &out)
+	resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there in year 6000001?"}, &out)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 when the request budget fires", resp.StatusCode)
 	}

@@ -49,7 +49,7 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 			if req.Optimize == nil || !*req.Optimize {
 				t.Fatalf("optimizer doc example must set optimize:true:\n%s", payload)
 			}
-			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(payload))
+			resp, err := http.Post(ts.URL+"/v1"+path, "application/json", strings.NewReader(payload))
 			if err != nil {
 				t.Fatal(err)
 			}

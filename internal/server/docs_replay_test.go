@@ -24,7 +24,7 @@ import (
 // curlRE matches the doc's curl examples, payload included (payloads are
 // JSON with double quotes only, so the non-greedy single-quote span is
 // safe across line breaks).
-var curlRE = regexp.MustCompile(`(?s)curl -s -X POST :8088(/[a-z]+) -d '(.*?)'`)
+var curlRE = regexp.MustCompile(`(?s)curl -s -X POST :8088/v1(/[a-z]+) -d '(.*?)'`)
 
 func readPlanAPIDoc(t *testing.T) string {
 	t.Helper()
@@ -52,7 +52,7 @@ func TestPlanAPIDocExamplesReplay(t *testing.T) {
 			if err := json.Unmarshal([]byte(payload), &req); err != nil {
 				t.Fatalf("documented payload is not valid JSON: %v\n%s", err, payload)
 			}
-			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(payload))
+			resp, err := http.Post(ts.URL+"/v1"+path, "application/json", strings.NewReader(payload))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,7 +417,7 @@ func TestPlanAPIDocStructuredErrors(t *testing.T) {
 	  {"id":"n1","op":"queryDatabase","filters":[{"field":"hallucinated","kind":"fuzzy","value":1}]},
 	  {"id":"n2","op":"llmFilter","inputs":["n1"]},
 	  {"id":"n3","op":"count","inputs":["n2"]}],"output":"n3"}}`
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(bad))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/base64"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
 	"aryn/internal/docset"
+	"aryn/internal/ntsb"
 	"aryn/internal/server/api"
 )
 
@@ -78,9 +80,9 @@ func (j *ingestJob) snapshot(traceID string) api.JobResponse {
 	return out
 }
 
-// jobManager owns ingest jobs: a bounded submission queue, one worker
-// (ingest is exclusive anyway — see Server.ingestMu), and a janitor that
-// reaps terminal jobs after the TTL.
+// jobManager owns ingest jobs: a bounded submission queue, one worker —
+// the only thing that starts an ingest, which is what makes ingest runs
+// exclusive — and a janitor that reaps terminal jobs after the TTL.
 type jobManager struct {
 	srv   *Server
 	ttl   time.Duration
@@ -110,6 +112,14 @@ func newJobManager(srv *Server, ttl time.Duration, maxQueued int) *jobManager {
 	go m.worker()
 	go m.janitor()
 	return m
+}
+
+// full reports whether a submission right now would be shed. Advisory (a
+// slot may free or fill before submit, which holds the authoritative
+// check): the handler asks before materializing a corpus it would then
+// throw away.
+func (m *jobManager) full() bool {
+	return len(m.queue) == cap(m.queue)
 }
 
 // submit registers a job for blobs and enqueues it (errJobsFull when the
@@ -178,15 +188,8 @@ func (m *jobManager) worker() {
 	}
 }
 
-// run executes one job under the same exclusivity lock as the
-// synchronous path: a legacy /ingest racing a job still sees its 409,
-// and queued jobs serialize.
+// run executes one job on the worker goroutine, so queued jobs serialize.
 func (m *jobManager) run(job *ingestJob) {
-	m.srv.ingestMu.Lock()
-	defer m.srv.ingestMu.Unlock()
-
-	// The state flips to running only once the exclusivity lock is held,
-	// so an observed "running" implies a concurrent legacy /ingest 409s.
 	job.mu.Lock()
 	job.state = api.JobRunning
 	blobs := job.blobs
@@ -271,12 +274,22 @@ func (m *jobManager) close() {
 
 // ---- handlers ----
 
-// handleIngestAsync serves POST /v1/ingest: materialize the corpus,
-// enqueue the job, answer 202 with the job handle and a Location header
-// pointing at the poll URL.
-func (s *Server) handleIngestAsync(w http.ResponseWriter, r *http.Request) {
+// handleIngest serves POST /v1/ingest: materialize the corpus, enqueue
+// the job, answer 202 with the job handle and a Location header pointing
+// at the poll URL. A full queue is refused before materializing: a shed
+// request should not pay for a corpus (up to MaxIngestDocs generated
+// reports, or a MaxIngestBodyBytes base64 decode) it will throw away.
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	if !s.decodeBody(w, r, s.cfg.MaxIngestBodyBytes, &req) {
+		return
+	}
+	shed := func(err error) {
+		w.Header().Set("Retry-After", "5")
+		s.writeError(w, r, http.StatusTooManyRequests, err)
+	}
+	if s.jobs.full() {
+		shed(errJobsFull)
 		return
 	}
 	blobs, err := s.ingestBlobs(req)
@@ -286,8 +299,7 @@ func (s *Server) handleIngestAsync(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.jobs.submit(blobs)
 	if err != nil {
-		w.Header().Set("Retry-After", "5")
-		s.writeError(w, r, http.StatusTooManyRequests, err)
+		shed(err)
 		return
 	}
 	loc := "/v1/jobs/" + job.id
@@ -298,6 +310,37 @@ func (s *Server) handleIngestAsync(w http.ResponseWriter, r *http.Request) {
 		State:    api.JobQueued,
 		Location: loc,
 	})
+}
+
+// ingestBlobs materializes the request's document set: decoded client
+// blobs when provided, a generated NTSB corpus otherwise.
+func (s *Server) ingestBlobs(req IngestRequest) (map[string][]byte, error) {
+	if len(req.Blobs) > 0 {
+		blobs := make(map[string][]byte, len(req.Blobs))
+		for id, b64 := range req.Blobs {
+			raw, err := base64.StdEncoding.DecodeString(b64)
+			if err != nil {
+				return nil, fmt.Errorf("blob %q: invalid base64: %w", id, err)
+			}
+			blobs[id] = raw
+		}
+		return blobs, nil
+	}
+	if req.Docs <= 0 {
+		return nil, fmt.Errorf("provide blobs or a positive docs count")
+	}
+	if req.Docs > s.cfg.MaxIngestDocs {
+		return nil, fmt.Errorf("docs %d exceeds the per-request cap %d", req.Docs, s.cfg.MaxIngestDocs)
+	}
+	seed := req.Seed
+	if seed == 0 {
+		seed = 42
+	}
+	corpus, err := ntsb.GenerateCorpus(req.Docs, seed)
+	if err != nil {
+		return nil, fmt.Errorf("generate corpus: %w", err)
+	}
+	return corpus.Blobs()
 }
 
 // handleJob serves GET /v1/jobs/{id}: the JSON snapshot, or — with

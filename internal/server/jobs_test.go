@@ -15,7 +15,7 @@ import (
 
 // jobsSystem is pre-ingested with 8 docs and carries per-call LLM latency
 // with batching disabled, so an async ingest job runs long enough for the
-// test to observe the running state, concurrent queries, and the sync 409.
+// test to observe the running state, concurrent queries, and a full queue.
 var (
 	jobsOnce sync.Once
 	jobsSys  *core.System
@@ -62,8 +62,8 @@ func waitJobState(t *testing.T, url, want string, within time.Duration) api.JobR
 
 // TestIngestJobLifecycle walks the async ingest API end to end: 202 with
 // a pollable handle, live progress while queries keep answering from the
-// old snapshot, the legacy sync route 409ing against the running job,
-// queue-full shedding, and the SSE variant delivering the terminal state.
+// old snapshot, queue-full shedding before any corpus is materialized, and
+// the SSE variant delivering the terminal state.
 func TestIngestJobLifecycle(t *testing.T) {
 	ts := newTestServer(t, jobsSystem(t), Config{
 		StreamProgress: 10 * time.Millisecond,
@@ -98,29 +98,25 @@ func TestIngestJobLifecycle(t *testing.T) {
 		t.Error("query during ingest returned an empty answer")
 	}
 
-	// The running job holds the ingest lock: the legacy sync route 409s,
-	// and the deprecated alias says so in its headers.
-	var er errorResponse
-	ir := postJSON(t, ts.URL+"/ingest", IngestRequest{Docs: 1}, &er)
-	if ir.StatusCode != http.StatusConflict || er.Error.Code != api.CodeConflict {
-		t.Errorf("sync ingest during job = %d (%q), want 409 conflict", ir.StatusCode, er.Error.Code)
-	}
-	if ir.Header.Get("Deprecation") != "true" {
-		t.Errorf("legacy /ingest must answer with Deprecation: true, got %q", ir.Header.Get("Deprecation"))
-	}
-
-	// One queue slot: a second job queues, a third is shed with 429.
+	// One queue slot: a second job queues, a third is shed with 429. The
+	// shed request asks for the largest corpus the server allows, which
+	// takes tens of seconds to generate: it must be refused before that
+	// work is done, not after.
 	var accB api.JobAccepted
 	if rb := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 2, Seed: 5}, &accB); rb.StatusCode != http.StatusAccepted {
 		t.Fatalf("second job status = %d, want 202 (queued)", rb.StatusCode)
 	}
 	var erC errorResponse
-	rc := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 2, Seed: 6}, &erC)
+	shedStart := time.Now()
+	rc := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 10000, Seed: 6}, &erC)
 	if rc.StatusCode != http.StatusTooManyRequests || erC.Error.Code != api.CodeSaturated {
 		t.Errorf("overflow job = %d (%q), want 429 saturated", rc.StatusCode, erC.Error.Code)
 	}
 	if rc.Header.Get("Retry-After") == "" {
 		t.Error("429 must carry Retry-After")
+	}
+	if took := time.Since(shedStart); took > 2*time.Second {
+		t.Errorf("shedding a 10000-document request took %v: the corpus was generated before the queue was checked", took)
 	}
 
 	// /stats sees the population.

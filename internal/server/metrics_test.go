@@ -14,11 +14,11 @@ func TestEndpointCountersOnStats(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 
 	// One ok query, one 400 (malformed plan JSON is a client error).
-	resp := postJSON(t, ts.URL+"/query", QueryRequest{Question: "How many incidents were there in total?"}, nil)
+	resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there in total?"}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: status %d", resp.StatusCode)
 	}
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestEndpointCountersOnStats(t *testing.T) {
 	}
 
 	var stats StatsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 
 	for _, route := range []string{"/healthz", "/stats", "/ingest", "/plan", "/query", "/chat"} {
 		if _, ok := stats.Endpoints[route]; !ok {
@@ -47,7 +47,7 @@ func TestEndpointCountersOnStats(t *testing.T) {
 	}
 	// /stats itself is counted: the snapshot happens before the in-flight
 	// request is recorded, so a second fetch must see the first.
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Endpoints["/stats"].Requests < 1 {
 		t.Errorf("/stats requests = %d, want >= 1", stats.Endpoints["/stats"].Requests)
 	}
@@ -67,7 +67,7 @@ func TestEndpointCountersShed(t *testing.T) {
 	done := make(chan int, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 			if err != nil {
 				done <- 0
 				return
@@ -87,7 +87,7 @@ func TestEndpointCountersShed(t *testing.T) {
 	}
 
 	var stats StatsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	q := stats.Endpoints["/query"]
 	if q.Shed != int64(sheds) {
 		t.Errorf("/query shed = %d, want %d", q.Shed, sheds)

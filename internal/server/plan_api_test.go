@@ -20,7 +20,7 @@ func TestPlanInspectEditReexecute(t *testing.T) {
 
 	// 1. Inspect: POST /plan returns original + rewritten + compiled.
 	var planned PlanResponse
-	resp := postJSON(t, ts.URL+"/plan", PlanRequest{Question: "How many incidents were there?"}, &planned)
+	resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Question: "How many incidents were there?"}, &planned)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan status = %d", resp.StatusCode)
 	}
@@ -58,7 +58,7 @@ func TestPlanInspectEditReexecute(t *testing.T) {
 
 	// 3. Re-execute: the edited plan runs and the limit bites.
 	var out QueryResponse
-	resp = postJSON(t, ts.URL+"/query", QueryRequest{Plan: edited, IncludePlan: true}, &out)
+	resp = postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: edited, IncludePlan: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("execute-by-plan status = %d", resp.StatusCode)
 	}
@@ -84,7 +84,7 @@ func TestJoinPlanOverHTTP(t *testing.T) {
 		{"id":"n3","op":"join","inputs":["n1","n2"],"left_key":"accidentNumber","right_key":"accidentNumber","join_kind":"semi"},
 		{"id":"n4","op":"count","inputs":["n3"]}],"output":"n4"}`)
 	var out QueryResponse
-	resp := postJSON(t, ts.URL+"/query",
+	resp := postJSON(t, ts.URL+"/v1/query",
 		QueryRequest{Question: "join smoke", Plan: plan, IncludePlan: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join plan status = %d", resp.StatusCode)
@@ -101,7 +101,7 @@ func TestPlanDryRunValidatesEdits(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	plan := []byte(`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`)
 	var out PlanResponse
-	resp := postJSON(t, ts.URL+"/plan", PlanRequest{Plan: plan}, &out)
+	resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Plan: plan}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan dry-run status = %d", resp.StatusCode)
 	}
@@ -120,7 +120,7 @@ func TestInvalidPlanReturnsStructuredErrors(t *testing.T) {
 		{"id":"n3","op":"count","inputs":["n2"]}],"output":"n3"}`)
 	for _, path := range []string{"/query", "/plan"} {
 		var errOut errorResponse
-		resp := postJSON(t, ts.URL+path, map[string]any{"plan": json.RawMessage(bad)}, &errOut)
+		resp := postJSON(t, ts.URL+"/v1"+path, map[string]any{"plan": json.RawMessage(bad)}, &errOut)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s invalid plan status = %d, want 400", path, resp.StatusCode)
 		}
@@ -177,10 +177,10 @@ func TestLegacyLinearPlanOverHTTP(t *testing.T) {
 
 func TestPlanEndpointValidation(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	if resp := postJSON(t, ts.URL+"/plan", PlanRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty plan request status = %d, want 400", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts.URL+"/plan", map[string]any{"plan": "not an object"}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/plan", map[string]any{"plan": "not an object"}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed plan status = %d, want 400", resp.StatusCode)
 	}
 
@@ -189,7 +189,7 @@ func TestPlanEndpointValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := newTestServer(t, sys, Config{})
-	if resp := postJSON(t, empty.URL+"/plan", PlanRequest{Question: "anything?"}, nil); resp.StatusCode != http.StatusConflict {
+	if resp := postJSON(t, empty.URL+"/v1/plan", PlanRequest{Question: "anything?"}, nil); resp.StatusCode != http.StatusConflict {
 		t.Errorf("plan before ingest status = %d, want 409", resp.StatusCode)
 	}
 }

@@ -37,35 +37,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	if req.Question == "" && len(req.Plan) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("question or plan is required"))
+	sub, ok := s.decodeSubject(w, r, req.Question, req.Plan)
+	if !ok {
 		return
 	}
-	if !s.sys.Ready() {
-		s.writeError(w, r, http.StatusConflict, fmt.Errorf("no data ingested yet"))
-		return
-	}
-	// Execute-by-plan: the user edited a plan (typically from POST /plan)
-	// and re-runs it; validation still applies but the planner LLM does
-	// not.
-	var plan *luna.LogicalPlan
-	question := req.Question
-	if len(req.Plan) > 0 {
-		var err error
-		if plan, err = decodePlan(req.Plan); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		if question == "" {
-			question = "(user-submitted plan)"
-		}
-	}
+	question := sub.label()
 	ctx, cancel := s.workCtx(r)
 	defer cancel()
 	start := time.Now()
 
 	// The RAG baseline answers only when no plan was submitted.
-	isRAG := plan == nil && req.RAG
+	isRAG := sub.plan == nil && req.RAG
 	run := func(hooks luna.StreamHooks) queryOutcome {
 		var o queryOutcome
 		if isRAG {
@@ -75,11 +57,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// A per-request copy: the hooks must not reach the shared service.
 		svc := *s.queryService(req.Optimize)
 		svc.Hooks = hooks
-		if plan != nil {
-			o.res, o.err = svc.RunPlan(ctx, question, plan)
-		} else {
-			o.res, o.err = svc.Ask(ctx, question)
-		}
+		o.res, o.err = sub.execute(ctx, &svc)
 		return o
 	}
 	respond := func(o queryOutcome) (QueryResponse, error) {
@@ -133,7 +111,7 @@ func (s *Server) queryResponse(r *http.Request, question string, includePlan boo
 		out.LLM = o.res.LLM
 	}
 	if includePlan && o.res != nil {
-		d := resultDetail(o.res)
+		d := planDetail(&o.res.PlanPreview, o.res.Exec)
 		out.Plan = &d
 	}
 	out.WallMS = time.Since(start).Milliseconds()
@@ -197,7 +175,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, ctx context
 			return
 		}
 		if o.err == nil && o.res != nil {
-			if executed := executedPlan(o.res); executed != nil {
+			if executed := executedPlan(&o.res.PlanPreview, o.res.Exec); executed != nil {
 				conn.send(api.EventTrace, api.TraceEvent{Executed: executed})
 			}
 		}

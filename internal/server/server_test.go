@@ -16,6 +16,7 @@ import (
 	"aryn/internal/llm"
 	"aryn/internal/luna"
 	"aryn/internal/ntsb"
+	"aryn/internal/server/api"
 )
 
 // sharedSystem ingests one small corpus per test binary; individual tests
@@ -129,7 +130,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 func TestHealthzReportsReadiness(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	var body map[string]any
-	resp := getJSON(t, ts.URL+"/healthz", &body)
+	resp := getJSON(t, ts.URL+"/v1/healthz", &body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status = %d", resp.StatusCode)
 	}
@@ -144,7 +145,7 @@ func TestHealthzReportsReadiness(t *testing.T) {
 func TestQueryRoundTrip(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	var out QueryResponse
-	resp := postJSON(t, ts.URL+"/query",
+	resp := postJSON(t, ts.URL+"/v1/query",
 		QueryRequest{Question: "How many incidents were there?", IncludePlan: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d", resp.StatusCode)
@@ -166,7 +167,7 @@ func TestQueryRoundTrip(t *testing.T) {
 func TestQueryRAG(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	var out QueryResponse
-	resp := postJSON(t, ts.URL+"/query",
+	resp := postJSON(t, ts.URL+"/v1/query",
 		QueryRequest{Question: "How many incidents involved substantial damage?", RAG: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rag query status = %d", resp.StatusCode)
@@ -179,13 +180,13 @@ func TestQueryRAG(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	var errOut errorResponse
-	if resp := postJSON(t, ts.URL+"/query", QueryRequest{}, &errOut); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{}, &errOut); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty question status = %d", resp.StatusCode)
 	}
 	if errOut.Error.Code != "bad_request" || errOut.Error.Message == "" || errOut.TraceID == "" {
 		t.Errorf("error envelope should carry code + message + trace_id: %+v", errOut)
 	}
-	resp, err := http.Get(ts.URL + "/query")
+	resp, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestQueryValidation(t *testing.T) {
 func TestOversizedBodyRejected(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{MaxBodyBytes: 256})
 	big := QueryRequest{Question: strings.Repeat("x", 1024)}
-	resp := postJSON(t, ts.URL+"/query", big, nil)
+	resp := postJSON(t, ts.URL+"/v1/query", big, nil)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body status = %d, want 413", resp.StatusCode)
 	}
@@ -210,11 +211,11 @@ func TestQueryBeforeIngestConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, sys, Config{})
-	resp := postJSON(t, ts.URL+"/query", QueryRequest{Question: "anything?"}, nil)
+	resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "anything?"}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("query before ingest status = %d, want 409", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/query", QueryRequest{Question: "anything?", RAG: true}, nil)
+	resp = postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "anything?", RAG: true}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("RAG query before ingest status = %d, want 409", resp.StatusCode)
 	}
@@ -227,17 +228,18 @@ func TestIngestGeneratedCorpusThenQuery(t *testing.T) {
 	}
 	ts := newTestServer(t, sys, Config{})
 
-	var ing IngestResponse
-	resp := postJSON(t, ts.URL+"/ingest", IngestRequest{Docs: 6, Seed: 11}, &ing)
-	if resp.StatusCode != http.StatusOK {
+	var acc api.JobAccepted
+	resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 6, Seed: 11}, &acc)
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest status = %d", resp.StatusCode)
 	}
-	if ing.Documents != 6 || ing.Chunks == 0 || ing.Usage.Calls == 0 {
-		t.Errorf("ingest response = %+v", ing)
+	ing := waitJobState(t, ts.URL+acc.Location, api.JobDone, 30*time.Second).Result
+	if ing == nil || ing.Documents != 6 || ing.Chunks == 0 || ing.Usage.Calls == 0 {
+		t.Errorf("ingest result = %+v", ing)
 	}
 
 	var out QueryResponse
-	if resp := postJSON(t, ts.URL+"/query", QueryRequest{Question: "How many incidents were there?"}, &out); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there?"}, &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-ingest query status = %d", resp.StatusCode)
 	}
 	if out.Answer != "6" {
@@ -251,13 +253,13 @@ func TestIngestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, sys, Config{MaxIngestDocs: 10})
-	if resp := postJSON(t, ts.URL+"/ingest", IngestRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty ingest status = %d, want 400", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts.URL+"/ingest", IngestRequest{Docs: 11}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 11}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("over-cap ingest status = %d, want 400", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts.URL+"/ingest", IngestRequest{Blobs: map[string]string{"x": "not-base64!"}}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Blobs: map[string]string{"x": "not-base64!"}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad base64 ingest status = %d, want 400", resp.StatusCode)
 	}
 }
@@ -266,7 +268,7 @@ func TestChatSessionFollowUp(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 
 	var first ChatResponse
-	resp := postJSON(t, ts.URL+"/chat",
+	resp := postJSON(t, ts.URL+"/v1/chat",
 		ChatRequest{Question: "How many incidents involved substantial damage?"}, &first)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("chat status = %d", resp.StatusCode)
@@ -276,7 +278,7 @@ func TestChatSessionFollowUp(t *testing.T) {
 	}
 
 	var second ChatResponse
-	resp = postJSON(t, ts.URL+"/chat",
+	resp = postJSON(t, ts.URL+"/v1/chat",
 		ChatRequest{SessionID: first.SessionID, Question: "what about destroyed aircraft?"}, &second)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("follow-up status = %d", resp.StatusCode)
@@ -288,7 +290,7 @@ func TestChatSessionFollowUp(t *testing.T) {
 		t.Logf("note: follow-up answer equals first answer (%q)", second.Answer)
 	}
 
-	if resp := postJSON(t, ts.URL+"/chat",
+	if resp := postJSON(t, ts.URL+"/v1/chat",
 		ChatRequest{SessionID: "nope", Question: "hello?"}, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session status = %d, want 404", resp.StatusCode)
 	}
@@ -298,14 +300,14 @@ func TestChatSessionEviction(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{SessionTTL: 150 * time.Millisecond})
 
 	var first ChatResponse
-	if resp := postJSON(t, ts.URL+"/chat",
+	if resp := postJSON(t, ts.URL+"/v1/chat",
 		ChatRequest{Question: "How many incidents were there?"}, &first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chat status = %d", resp.StatusCode)
 	}
 
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		resp := postJSON(t, ts.URL+"/chat",
+		resp := postJSON(t, ts.URL+"/v1/chat",
 			ChatRequest{SessionID: first.SessionID, Question: "How many incidents were there?"}, nil)
 		if resp.StatusCode == http.StatusNotFound {
 			break // evicted
@@ -317,7 +319,7 @@ func TestChatSessionEviction(t *testing.T) {
 	}
 
 	var stats StatsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Sessions.Evicted == 0 {
 		t.Errorf("stats should count evictions: %+v", stats.Sessions)
 	}
@@ -330,13 +332,13 @@ func TestFailedFirstChatDoesNotLeakSession(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{RequestTimeout: time.Nanosecond})
 	// A question no other test asks, so the LLM cache cannot short-circuit
 	// the deadline.
-	resp := postJSON(t, ts.URL+"/chat",
+	resp := postJSON(t, ts.URL+"/v1/chat",
 		ChatRequest{Question: "How many incidents were there in Wyoming?"}, nil)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline chat status = %d, want 504", resp.StatusCode)
 	}
 	var stats StatsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Sessions.Live != 0 {
 		t.Errorf("failed first chat leaked %d session(s)", stats.Sessions.Live)
 	}
@@ -344,11 +346,11 @@ func TestFailedFirstChatDoesNotLeakSession(t *testing.T) {
 
 func TestSessionCapSheds(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{MaxSessions: 1})
-	if resp := postJSON(t, ts.URL+"/chat",
+	if resp := postJSON(t, ts.URL+"/v1/chat",
 		ChatRequest{Question: "How many incidents were there?"}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first session status = %d", resp.StatusCode)
 	}
-	resp := postJSON(t, ts.URL+"/chat",
+	resp := postJSON(t, ts.URL+"/v1/chat",
 		ChatRequest{Question: "How many incidents were there?"}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("over-cap session status = %d, want 429", resp.StatusCode)
@@ -360,10 +362,10 @@ func TestSessionCapSheds(t *testing.T) {
 
 func TestStatsSnapshot(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	postJSON(t, ts.URL+"/query", QueryRequest{Question: "How many incidents were there?"}, nil)
+	postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there?"}, nil)
 
 	var stats StatsResponse
-	resp := getJSON(t, ts.URL+"/stats", &stats)
+	resp := getJSON(t, ts.URL+"/v1/stats", &stats)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", resp.StatusCode)
 	}
@@ -441,7 +443,7 @@ func TestAdmission429OverHTTP(t *testing.T) {
 			body, _ := json.Marshal(QueryRequest{
 				Question: fmt.Sprintf("How many incidents were there in year %d?", 2000+i),
 			})
-			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return

@@ -147,9 +147,6 @@ func TestQueryStreamContract(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
 	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("canonical /v1 route must not carry a Deprecation header")
-	}
 
 	events := readSSE(t, resp.Body)
 	if len(events) == 0 {

@@ -20,7 +20,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="${ARYNLOAD_ADDR:-127.0.0.1:8246}"
-BASE="http://$ADDR"
 DOCS="${BENCH_SERVING_DOCS:-48}"
 QPS="${BENCH_SERVING_QPS:-25}"
 DURATION="${BENCH_SERVING_DURATION:-8s}"
@@ -29,44 +28,10 @@ OUT="${BENCH_SERVING_OUT:-BENCH_serving.json}"
 LABEL="${BENCH_SERVING_LABEL:-after}"
 SLO="${BENCH_SERVING_SLO:-true}"
 
-BINDIR="$(mktemp -d)"
-LOG="$(mktemp)"
-
-cleanup() {
-  status=$?
-  if [ -n "${ARYND_PID:-}" ] && kill -0 "$ARYND_PID" 2>/dev/null; then
-    kill "$ARYND_PID" 2>/dev/null || true
-    wait "$ARYND_PID" 2>/dev/null || true
-  fi
-  if [ "$status" -ne 0 ]; then
-    echo "--- arynd log ---" >&2
-    cat "$LOG" >&2 || true
-  fi
-  rm -f "$LOG"
-  rm -rf "$BINDIR"
-  exit "$status"
-}
-trap cleanup EXIT
-
-echo "bench-serving: building arynd and arynload..."
-go build -o "$BINDIR/arynd" ./cmd/arynd
+TAG=bench-serving
+. scripts/arynd_boot.sh
 go build -o "$BINDIR/arynload" ./cmd/arynload
-
-echo "bench-serving: starting arynd on $ADDR ($DOCS docs)..."
-"$BINDIR/arynd" -addr "$ADDR" -docs "$DOCS" >"$LOG" 2>&1 &
-ARYND_PID=$!
-
-# Wait for the health endpoint (up to ~15s; corpus ingest happens at boot).
-for i in $(seq 1 150); do
-  if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "$ARYND_PID" 2>/dev/null; then
-    echo "bench-serving: arynd died during startup" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
+arynd_boot -docs "$DOCS"
 
 echo "bench-serving: driving mixes '$MIXES' at $QPS qps for $DURATION each..."
 "$BINDIR/arynload" -addr "$BASE" -mixes "$MIXES" \

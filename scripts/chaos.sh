@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Chaos gate, run by `make chaos` and the CI chaos job: build arynd +
-# arynload, boot arynd with the /faults chaos endpoint enabled, and drive
+# arynload, boot arynd with the /v1/faults chaos endpoint enabled, and drive
 # the opt-in chaos mix — scripted LLM outages, flaky backends, cache
 # kills, and ingest saturation — against it. The mix's SLO encodes the
 # degradation contract (zero failed requests: degraded 200s, never 500s),
@@ -18,51 +18,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="${ARYNLOAD_ADDR:-127.0.0.1:8247}"
-BASE="http://$ADDR"
 DOCS="${CHAOS_DOCS:-48}"
 QPS="${CHAOS_QPS:-15}"
 DURATION="${CHAOS_DURATION:-8s}"
 OUT="${CHAOS_OUT:-BENCH_chaos.json}"
 LABEL="${CHAOS_LABEL:-after}"
 
-BINDIR="$(mktemp -d)"
-LOG="$(mktemp)"
-
-cleanup() {
-  status=$?
-  if [ -n "${ARYND_PID:-}" ] && kill -0 "$ARYND_PID" 2>/dev/null; then
-    kill "$ARYND_PID" 2>/dev/null || true
-    wait "$ARYND_PID" 2>/dev/null || true
-  fi
-  if [ "$status" -ne 0 ]; then
-    echo "--- arynd log ---" >&2
-    cat "$LOG" >&2 || true
-  fi
-  rm -f "$LOG"
-  rm -rf "$BINDIR"
-  exit "$status"
-}
-trap cleanup EXIT
-
-echo "chaos: building arynd and arynload..."
-go build -o "$BINDIR/arynd" ./cmd/arynd
+TAG=chaos
+. scripts/arynd_boot.sh
 go build -o "$BINDIR/arynload" ./cmd/arynload
-
-echo "chaos: starting arynd on $ADDR ($DOCS docs, /faults enabled)..."
-"$BINDIR/arynd" -addr "$ADDR" -docs "$DOCS" -fault-endpoint >"$LOG" 2>&1 &
-ARYND_PID=$!
-
-# Wait for the health endpoint (up to ~15s; corpus ingest happens at boot).
-for i in $(seq 1 150); do
-  if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "$ARYND_PID" 2>/dev/null; then
-    echo "chaos: arynd died during startup" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
+arynd_boot -docs "$DOCS" -fault-endpoint
 
 echo "chaos: driving the chaos mix at $QPS qps for $DURATION..."
 "$BINDIR/arynload" -addr "$BASE" -mixes chaos \

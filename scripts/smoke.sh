@@ -4,9 +4,9 @@
 # (§6.2 inspect→edit→re-run over HTTP), and fail on any non-200 — plus a
 # regression that invalid plans come back as 400 with a structured
 # {"error": {"code", "message", "details"}} envelope, an SSE
-# streamed-query round-trip, the /v1
-# deprecation headers, and an async ingest job submitted and polled to
-# completion (docs/streaming-api.md). CI runs this on every push
+# streamed-query round-trip, and a 404 envelope for an unprefixed path
+# (docs/streaming-api.md). Ingest goes through the job API: submitted,
+# then polled to done. CI runs this on every push
 # (make smoke); it is the end-to-end proof that the serving layer,
 # admission gate, plan API, and session plumbing hold together outside
 # the Go test harness.
@@ -15,64 +15,50 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="${ARYND_ADDR:-127.0.0.1:8199}"
-BASE="http://$ADDR"
-BIN="$(mktemp -d)/arynd"
-LOG="$(mktemp)"
+TAG=smoke
+. scripts/arynd_boot.sh
+arynd_boot -docs 0
 
-cleanup() {
-  status=$?
-  if [ -n "${ARYND_PID:-}" ] && kill -0 "$ARYND_PID" 2>/dev/null; then
-    kill "$ARYND_PID" 2>/dev/null || true
-    wait "$ARYND_PID" 2>/dev/null || true
-  fi
-  if [ "$status" -ne 0 ]; then
-    echo "--- arynd log ---" >&2
-    cat "$LOG" >&2 || true
-  fi
-  rm -f "$LOG"
-  rm -rf "$(dirname "$BIN")"
-  exit "$status"
-}
-trap cleanup EXIT
-
-echo "smoke: building arynd..."
-go build -o "$BIN" ./cmd/arynd
-
-echo "smoke: starting arynd on $ADDR (empty index)..."
-"$BIN" -addr "$ADDR" -docs 0 >"$LOG" 2>&1 &
-ARYND_PID=$!
-
-# Wait for the health endpoint (up to ~10s).
-for i in $(seq 1 100); do
-  if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "$ARYND_PID" 2>/dev/null; then
-    echo "smoke: arynd died during startup" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-curl -fsS "$BASE/healthz" | grep -q '"status": "ok"' || {
+curl -fsS "$BASE/v1/healthz" | grep -q '"status": "ok"' || {
   echo "smoke: healthz did not report ok" >&2; exit 1; }
 echo "smoke: healthz ok"
 
-echo "smoke: ingesting 16 synthetic documents..."
-INGEST=$(curl -fsS -X POST "$BASE/ingest" -d '{"docs":16,"seed":42}')
-echo "$INGEST" | grep -q '"documents": 16' || {
-  echo "smoke: ingest did not index 16 documents: $INGEST" >&2; exit 1; }
+# ingest_job BODY: submit BODY to the job API and poll the job to done;
+# leaves the terminal snapshot in SNAP.
+ingest_job() {
+  JOBSTATUS=$(curl -sS -o /tmp/smoke_job.$$ -w '%{http_code}' -X POST "$BASE/v1/ingest" -d "$1")
+  JOB=$(cat /tmp/smoke_job.$$; rm -f /tmp/smoke_job.$$)
+  [ "$JOBSTATUS" = "202" ] || {
+    echo "smoke: POST /v1/ingest should answer 202, got $JOBSTATUS: $JOB" >&2; exit 1; }
+  LOCATION=$(echo "$JOB" | sed -n 's/.*"location": "\([^"]*\)".*/\1/p')
+  [ -n "$LOCATION" ] || { echo "smoke: 202 returned no job location: $JOB" >&2; exit 1; }
+  JOBSTATE=""
+  for _ in $(seq 1 300); do
+    SNAP=$(curl -fsS "$BASE$LOCATION")
+    JOBSTATE=$(echo "$SNAP" | sed -n 's/.*"state": "\([^"]*\)".*/\1/p')
+    [ "$JOBSTATE" = "done" ] && return 0
+    [ "$JOBSTATE" = "failed" ] && { echo "smoke: ingest job failed: $SNAP" >&2; exit 1; }
+    sleep 0.1
+  done
+  echo "smoke: ingest job still $JOBSTATE after 30s" >&2; exit 1
+}
+
+echo "smoke: ingesting 16 synthetic documents (job submitted, polled to done)..."
+ingest_job '{"docs":16,"seed":42}'
+grep -q '"documents": 16' <<<"$SNAP" || {
+  echo "smoke: ingest did not index 16 documents: $SNAP" >&2; exit 1; }
 
 echo "smoke: one-shot query..."
-QUERY=$(curl -fsS -X POST "$BASE/query" -d '{"question":"How many incidents were there?"}')
+QUERY=$(curl -fsS -X POST "$BASE/v1/query" -d '{"question":"How many incidents were there?"}')
 echo "$QUERY" | grep -q '"answer": "16"' || {
   echo "smoke: query answer should be 16: $QUERY" >&2; exit 1; }
 
 echo "smoke: plan without executing..."
-PLAN=$(curl -fsS -X POST "$BASE/plan" -d '{"question":"How many incidents were there?"}')
+PLAN=$(curl -fsS -X POST "$BASE/v1/plan" -d '{"question":"How many incidents were there?"}')
 echo "$PLAN" | grep -q '"nodes"' || {
-  echo "smoke: /plan should return DAG plan JSON: $PLAN" >&2; exit 1; }
+  echo "smoke: /v1/plan should return DAG plan JSON: $PLAN" >&2; exit 1; }
 echo "$PLAN" | grep -q '"compiled"' || {
-  echo "smoke: /plan should return the compiled pipeline: $PLAN" >&2; exit 1; }
+  echo "smoke: /v1/plan should return the compiled pipeline: $PLAN" >&2; exit 1; }
 
 echo "smoke: execute an edited plan..."
 # A hand-edited DAG: two scan roots self-joined on accident number, then
@@ -82,12 +68,12 @@ EDITED='{"nodes":[
   {"id":"n2","op":"queryDatabase"},
   {"id":"n3","op":"join","inputs":["n1","n2"],"left_key":"accidentNumber","right_key":"accidentNumber","join_kind":"semi"},
   {"id":"n4","op":"count","inputs":["n3"]}],"output":"n4"}'
-REPLAY=$(curl -fsS -X POST "$BASE/query" -d "{\"plan\":$EDITED}")
+REPLAY=$(curl -fsS -X POST "$BASE/v1/query" -d "{\"plan\":$EDITED}")
 echo "$REPLAY" | grep -q '"answer": "16"' || {
   echo "smoke: edited join plan should count 16: $REPLAY" >&2; exit 1; }
 
 echo "smoke: explain analyze..."
-ANALYZE=$(curl -fsS -X POST "$BASE/plan" -d "{\"plan\":$EDITED,\"analyze\":true}")
+ANALYZE=$(curl -fsS -X POST "$BASE/v1/plan" -d "{\"plan\":$EDITED,\"analyze\":true}")
 echo "$ANALYZE" | grep -q '"executed"' || {
   echo "smoke: analyze should return the executed plan: $ANALYZE" >&2; exit 1; }
 echo "$ANALYZE" | grep -q '"runtime"' || {
@@ -96,13 +82,13 @@ echo "$ANALYZE" | grep -q '"answer"' && {
   echo "smoke: analyze must not return an answer payload: $ANALYZE" >&2; exit 1; }
 
 echo "smoke: include_plan returns executed runtime..."
-ANALYZED_QUERY=$(curl -fsS -X POST "$BASE/query" -d '{"question":"How many incidents were there?","include_plan":true}')
+ANALYZED_QUERY=$(curl -fsS -X POST "$BASE/v1/query" -d '{"question":"How many incidents were there?","include_plan":true}')
 echo "$ANALYZED_QUERY" | grep -q '"executed"' || {
   echo "smoke: include_plan should carry the executed plan: $ANALYZED_QUERY" >&2; exit 1; }
 
 echo "smoke: invalid plan returns 400 with structured errors..."
 BADPLAN='{"plan":{"nodes":[{"id":"n1","op":"queryDatabase","filters":[{"field":"hallucinated","kind":"fuzzy","value":1}]},{"id":"n2","op":"llmFilter","inputs":["n1"]},{"id":"n3","op":"count","inputs":["n2"]}],"output":"n3"}}'
-BADSTATUS=$(curl -sS -o /tmp/smoke_bad_plan.$$ -w '%{http_code}' -X POST "$BASE/query" -d "$BADPLAN")
+BADSTATUS=$(curl -sS -o /tmp/smoke_bad_plan.$$ -w '%{http_code}' -X POST "$BASE/v1/query" -d "$BADPLAN")
 BAD=$(cat /tmp/smoke_bad_plan.$$; rm -f /tmp/smoke_bad_plan.$$)
 [ "$BADSTATUS" = "400" ] || {
   echo "smoke: invalid plan should be 400, got $BADSTATUS: $BAD" >&2; exit 1; }
@@ -114,22 +100,18 @@ echo "$BAD" | grep -q 'hallucinated' && echo "$BAD" | grep -q 'llmFilter require
   echo "smoke: details array should list every node failure: $BAD" >&2; exit 1; }
 
 echo "smoke: chat session round-trip..."
-CHAT1=$(curl -fsS -X POST "$BASE/chat" -d '{"question":"How many incidents involved substantial damage?"}')
+CHAT1=$(curl -fsS -X POST "$BASE/v1/chat" -d '{"question":"How many incidents involved substantial damage?"}')
 SESSION=$(echo "$CHAT1" | sed -n 's/.*"session_id": "\([^"]*\)".*/\1/p')
 [ -n "$SESSION" ] || { echo "smoke: chat returned no session_id: $CHAT1" >&2; exit 1; }
-CHAT2=$(curl -fsS -X POST "$BASE/chat" -d "{\"session_id\":\"$SESSION\",\"question\":\"what about destroyed aircraft?\"}")
+CHAT2=$(curl -fsS -X POST "$BASE/v1/chat" -d "{\"session_id\":\"$SESSION\",\"question\":\"what about destroyed aircraft?\"}")
 echo "$CHAT2" | grep -q '"turn": 2' || {
   echo "smoke: follow-up should be turn 2: $CHAT2" >&2; exit 1; }
 
-echo "smoke: legacy route answers with deprecation headers..."
-HEADERS=$(curl -fsS -D - -o /dev/null "$BASE/healthz")
-echo "$HEADERS" | grep -qi '^deprecation: true' || {
-  echo "smoke: legacy /healthz should carry Deprecation: true: $HEADERS" >&2; exit 1; }
-echo "$HEADERS" | grep -qi 'rel="successor-version"' || {
-  echo "smoke: legacy /healthz should Link its /v1 successor: $HEADERS" >&2; exit 1; }
-V1HEADERS=$(curl -fsS -D - -o /dev/null "$BASE/v1/healthz")
-echo "$V1HEADERS" | grep -qi '^deprecation' && {
-  echo "smoke: canonical /v1 route must not be deprecated: $V1HEADERS" >&2; exit 1; }
+echo "smoke: unprefixed path is a 404 envelope..."
+LEGACYSTATUS=$(curl -sS -o /tmp/smoke_legacy.$$ -w '%{http_code}' "$BASE/healthz")
+LEGACY=$(cat /tmp/smoke_legacy.$$; rm -f /tmp/smoke_legacy.$$)
+[ "$LEGACYSTATUS" = "404" ] && grep -q '"code": "not_found"' <<<"$LEGACY" || {
+  echo "smoke: /healthz should be 404 not_found (the API is /v1 only), got $LEGACYSTATUS: $LEGACY" >&2; exit 1; }
 
 echo "smoke: streamed query over SSE..."
 STREAM=$(curl -fsSN -X POST "$BASE/v1/query" -H 'Accept: text/event-stream' \
@@ -143,22 +125,8 @@ grep -q '^event: result' <<<"$STREAM" || {
 grep -q '"answer":"16"' <<<"$(tail -4 <<<"$STREAM")" || {
   echo "smoke: streamed terminal result should answer 16: $STREAM" >&2; exit 1; }
 
-echo "smoke: async ingest job submitted, polled to done..."
-JOBSTATUS=$(curl -sS -o /tmp/smoke_job.$$ -w '%{http_code}' -X POST "$BASE/v1/ingest" -d '{"docs":8,"seed":99}')
-JOB=$(cat /tmp/smoke_job.$$; rm -f /tmp/smoke_job.$$)
-[ "$JOBSTATUS" = "202" ] || {
-  echo "smoke: POST /v1/ingest should answer 202, got $JOBSTATUS: $JOB" >&2; exit 1; }
-LOCATION=$(echo "$JOB" | sed -n 's/.*"location": "\([^"]*\)".*/\1/p')
-[ -n "$LOCATION" ] || { echo "smoke: 202 returned no job location: $JOB" >&2; exit 1; }
-JOBSTATE=""
-for i in $(seq 1 300); do
-  SNAP=$(curl -fsS "$BASE$LOCATION")
-  JOBSTATE=$(echo "$SNAP" | sed -n 's/.*"state": "\([^"]*\)".*/\1/p')
-  [ "$JOBSTATE" = "done" ] && break
-  [ "$JOBSTATE" = "failed" ] && { echo "smoke: ingest job failed: $SNAP" >&2; exit 1; }
-  sleep 0.1
-done
-[ "$JOBSTATE" = "done" ] || { echo "smoke: ingest job still $JOBSTATE after 30s" >&2; exit 1; }
+echo "smoke: second ingest job beside a loaded store..."
+ingest_job '{"docs":8,"seed":99}'
 # result.documents is the store total after the prepare swap; synthetic
 # corpora share positional accident numbers, so the job's 8 docs
 # overwrite 8 of the 16 already ingested and the total stays 16.
@@ -169,7 +137,7 @@ echo "$QUERY2" | grep -q '"answer": "16"' || {
   echo "smoke: post-job corpus should still count 16: $QUERY2" >&2; exit 1; }
 
 echo "smoke: stats snapshot..."
-STATS=$(curl -fsS "$BASE/stats")
+STATS=$(curl -fsS "$BASE/v1/stats")
 echo "$STATS" | grep -q '"ready": true' || {
   echo "smoke: stats should report ready: $STATS" >&2; exit 1; }
 echo "$STATS" | grep -q '"admitted"' || {
