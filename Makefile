@@ -1,7 +1,6 @@
 # Developer and CI entry points. CI (.github/workflows/ci.yml) runs the
-# same targets (make ci across an os×Go matrix, plus smoke, bench-e2e
-# and bench-retrieval jobs), so a green `make ci` locally means a green
-# pipeline.
+# same targets (make ci across an os×Go matrix, plus smoke and bench-e2e
+# jobs), so a green `make ci` locally means a green pipeline.
 
 GO ?= go
 # Pinned staticcheck release; CI installs exactly this and caches it.
@@ -11,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Where the arynvet vet tool is built; override for a custom location.
 ARYNVET_BIN ?= $(CURDIR)/.bin/arynvet
 
-.PHONY: build test lint staticcheck print-staticcheck-version govulncheck print-govulncheck-version arynvet-bin vet-custom smoke bench bench-e2e bench-retrieval bench-serving bench-optimizer chaos docs-check cover fuzz-smoke loc ci
+.PHONY: build test lint staticcheck print-staticcheck-version govulncheck print-govulncheck-version arynvet-bin vet-custom smoke bench bench-e2e docs-check cover fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -69,8 +68,9 @@ arynvet-bin:
 vet-custom:
 	@bin=$$($(MAKE) -s arynvet-bin) && $(GO) vet -vettool=$$bin ./...
 
-# End-to-end serving smoke: boot arynd, health check, ingest→query→chat
-# round-trip over HTTP, graceful shutdown.
+# End-to-end serving smoke: boot arynd with -fault-endpoint, health check,
+# ingest→query→chat round-trip over HTTP, one GET of /v1/faults, graceful
+# shutdown.
 smoke:
 	./scripts/smoke.sh
 
@@ -81,8 +81,10 @@ smoke:
 docs-check:
 	./scripts/docscheck.sh
 
-# Bench smoke: every benchmark compiles and completes one iteration, so
-# bench_test.go cannot silently rot. Full runs use -benchtime=default.
+# Bench smoke: every paper-table, figure and ablation benchmark compiles
+# and completes one iteration, so bench_test.go cannot silently rot. Full
+# runs use -benchtime=default. These regenerate the paper's numbers; how
+# fast the system is, is measured by bench/ alone (go run -C bench .).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -93,29 +95,6 @@ bench:
 # bench/ binds to fails here instead of in the benchmark driver.
 bench-e2e:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# Retrieval perf trajectory: run the hot-path benchmarks and refresh the
-# "after" section of BENCH_retrieval.json (the "before" section is pinned
-# to the pre-overhaul baseline). CI uploads the JSON as an artifact.
-# Two steps (not a pipe) so a failed/panicked benchmark run fails the
-# target instead of benchjson swallowing the partial output.
-bench-retrieval:
-	tmp=$$(mktemp); \
-	$(GO) test -run=NONE -bench 'BenchmarkRetrieval' -benchmem -benchtime=1s . > $$tmp || { rm -f $$tmp; exit 1; }; \
-	$(GO) run ./cmd/benchjson -out BENCH_retrieval.json -label after < $$tmp; \
-	status=$$?; rm -f $$tmp; exit $$status
-
-# Optimizer trajectory: run the standard query mix with the cost-based
-# optimize phase off and on, and refresh the "optimizer" section of
-# BENCH_optimizer.json. The benchmark itself enforces the contract —
-# byte-identical answers and a >=30% LLM-call cut — so a regression in
-# any rewrite fails the target before the JSON is touched. Same
-# two-step-not-a-pipe shape as bench-retrieval.
-bench-optimizer:
-	tmp=$$(mktemp); \
-	$(GO) test -run=NONE -bench 'BenchmarkOptimizer' -benchtime=1x . > $$tmp || { rm -f $$tmp; exit 1; }; \
-	$(GO) run ./cmd/benchjson -out BENCH_optimizer.json -label optimizer < $$tmp; \
-	status=$$?; rm -f $$tmp; exit $$status
 
 # Coverage gate: merged profile over ./..., then per-package floors for
 # the optimization-loop packages (internal/cost, internal/luna,
@@ -139,20 +118,5 @@ fuzz-smoke:
 # prints it in the build job.
 loc:
 	./scripts/loc.sh
-
-# Serving-load trajectory: boot arynd, drive the standard scenario mixes
-# with arynload, and refresh the "after" section of BENCH_serving.json.
-# Knobs (BENCH_SERVING_QPS, _DURATION, _MIXES, ...) are env vars — see
-# scripts/bench_serving.sh; CI runs a short burst and uploads the JSON.
-bench-serving:
-	./scripts/bench_serving.sh
-
-# Chaos gate: boot arynd with the /faults endpoint and drive the opt-in
-# chaos mix (scripted LLM outages, flaky backends, cache kills, ingest
-# saturation) through arynload. The mix's zero-error SLO is the
-# degradation contract: degraded 200s, never 500s. Knobs (CHAOS_QPS,
-# _DURATION, ...) are env vars — see scripts/chaos.sh.
-chaos:
-	./scripts/chaos.sh
 
 ci: build lint staticcheck vet-custom test bench bench-e2e

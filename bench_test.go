@@ -10,14 +10,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"aryn/internal/core"
-	"aryn/internal/docmodel"
 	"aryn/internal/docparse"
-	"aryn/internal/docset"
 	"aryn/internal/embed"
 	"aryn/internal/index"
 	"aryn/internal/layout"
@@ -26,7 +22,6 @@ import (
 	"aryn/internal/ntsb"
 	"aryn/internal/qa"
 	"aryn/internal/rag"
-	"aryn/internal/vision"
 )
 
 // ingestedSystem builds and ingests the canonical evaluation corpus once.
@@ -327,64 +322,6 @@ func BenchmarkAblationVectorIndex(b *testing.B) {
 	})
 }
 
-// BenchmarkBM25Search measures keyword retrieval throughput over the
-// ingested chunk index.
-func BenchmarkBM25Search(b *testing.B) {
-	sys, _ := ingestedSystem(b, 100, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Store.SearchDocs(index.Query{Keyword: "engine power loss wing", K: 10})
-	}
-}
-
-// BenchmarkEmbed measures embedding throughput for typical chunk text.
-func BenchmarkEmbed(b *testing.B) {
-	em := embed.NewHash(1)
-	text := "The pilot reported that during cruise flight the engine experienced a total loss of power and the airplane sustained substantial damage to the left wing during the forced landing."
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		em.Embed(text)
-	}
-}
-
-// BenchmarkDocSetPipeline measures the structured-operator executor on a
-// pure map/filter/reduce chain (no LLM), isolating engine overhead.
-func BenchmarkDocSetPipeline(b *testing.B) {
-	ec := docset.NewContext(docset.WithParallelism(8))
-	input := make([]*docmodel.Document, 2000)
-	for i := range input {
-		d := docmodel.New(fmt.Sprintf("d%04d", i))
-		d.SetProperty("bucket", fmt.Sprintf("b%d", i%7))
-		d.SetProperty("i", i)
-		input[i] = d
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := docset.FromDocuments(ec, input).
-			Filter("even", func(d *docmodel.Document) (bool, error) {
-				v, _ := d.Properties.Int("i")
-				return v%2 == 0, nil
-			}).
-			GroupByAggregate("bucket", docset.AggCount, "").
-			TakeAll(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSegmentPage measures raw segmentation throughput per page.
-func BenchmarkSegmentPage(b *testing.B) {
-	incs := ntsb.GenerateIncidents(3, 42)
-	raw := ntsb.BuildReport(&incs[0])
-	seg := vision.NewModel("DocParse", 1, vision.ProfileDocParse())
-	page := raw.Pages[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seg.Segment(page, "bench/1")
-	}
-}
-
 // BenchmarkAblationOCR measures extraction robustness to OCR quality:
 // Table 3 field accuracy over scanned documents at increasing character
 // error rates — the §4 argument for high-quality parsing as the
@@ -429,179 +366,4 @@ func BenchmarkAblationOCR(b *testing.B) {
 			}
 		})
 	}
-}
-
-// extractionPrompts builds the repeated-query workload the middleware
-// benchmarks share: the full Table 3 extraction prompt over n parsed
-// reports.
-func extractionPrompts(b *testing.B, n int) []string {
-	b.Helper()
-	incs := ntsb.GenerateIncidents(n, 42)
-	parser := docparse.New()
-	fields := core.ExtractionSchema()
-	prompts := make([]string, 0, n)
-	for i := range incs {
-		d, err := parser.ParseRaw(ntsb.BuildReport(&incs[i]))
-		if err != nil {
-			b.Fatal(err)
-		}
-		prompts = append(prompts, llm.ExtractPrompt(fields, d.TextContent()))
-	}
-	return prompts
-}
-
-// BenchmarkMiddlewareRepeatedExtract measures one sweep of the 20-prompt
-// extraction workload per op, uncached versus served from the middleware
-// cache — the repeated-query case (same documents re-extracted across
-// queries) that motivates the cache layer.
-func BenchmarkMiddlewareRepeatedExtract(b *testing.B) {
-	prompts := extractionPrompts(b, 20)
-	ctx := context.Background()
-
-	b.Run("uncached", func(b *testing.B) {
-		sim := llm.NewSim(7)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, p := range prompts {
-				if _, err := sim.Complete(ctx, llm.Request{Prompt: p}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		stack := llm.NewStack(llm.NewSim(7))
-		for _, p := range prompts { // warm sweep
-			if _, err := stack.Complete(ctx, llm.Request{Prompt: p}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, p := range prompts {
-				if _, err := stack.Complete(ctx, llm.Request{Prompt: p}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.StopTimer()
-		st := stack.StackStats()
-		b.ReportMetric(float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses), "hit_rate")
-		b.ReportMetric(float64(st.Cache.Saved.Total())/float64(b.N), "tokens_saved/op")
-	})
-}
-
-// BenchmarkMiddlewareCacheSpeedup reports the acceptance metric directly:
-// the wall-time ratio of the uncached extraction sweep to the cache-served
-// sweep (cache_speedup_x must stay >= 5).
-func BenchmarkMiddlewareCacheSpeedup(b *testing.B) {
-	prompts := extractionPrompts(b, 20)
-	ctx := context.Background()
-	const sweeps = 20
-
-	for i := 0; i < b.N; i++ {
-		sim := llm.NewSim(7)
-		uncachedStart := time.Now()
-		for s := 0; s < sweeps; s++ {
-			for _, p := range prompts {
-				if _, err := sim.Complete(ctx, llm.Request{Prompt: p}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		uncached := time.Since(uncachedStart)
-
-		stack := llm.NewStack(llm.NewSim(7))
-		for _, p := range prompts { // warm sweep
-			if _, err := stack.Complete(ctx, llm.Request{Prompt: p}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		cachedStart := time.Now()
-		for s := 0; s < sweeps; s++ {
-			for _, p := range prompts {
-				if _, err := stack.Complete(ctx, llm.Request{Prompt: p}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		cached := time.Since(cachedStart)
-		b.ReportMetric(float64(uncached)/float64(cached), "cache_speedup_x")
-	}
-}
-
-// BenchmarkMiddlewareSingleflight measures overlapping identical queries:
-// 8 workers issuing the same prompt concurrently against a model with a
-// 2ms simulated network round-trip. The dedup layer collapses them to one
-// upstream call per round (cache disabled to isolate the effect).
-func BenchmarkMiddlewareSingleflight(b *testing.B) {
-	prompts := extractionPrompts(b, 1)
-	ctx := context.Background()
-	sim := llm.NewSim(7, llm.WithLatency(2*time.Millisecond))
-	stack := llm.NewStack(sim, llm.WithoutCache(), llm.WithBatching(1, 0))
-	meter := llm.NewMeter(stack)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := meter.Complete(ctx, llm.Request{Prompt: prompts[0]}); err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	b.StopTimer()
-	st := stack.StackStats()
-	b.ReportMetric(float64(st.Flight.Shared)/float64(b.N), "collapsed/op")
-	b.ReportMetric(float64(meter.Usage().Calls)/float64(b.N), "upstream_calls/op")
-}
-
-// BenchmarkMiddlewareBatchedPipeline runs a docset llmExtract stage over
-// 64 documents with 8 workers against a model with a 2ms round-trip — the
-// paper's batched extract execution. Batched dispatch pays the round-trip
-// once per group instead of once per document.
-func BenchmarkMiddlewareBatchedPipeline(b *testing.B) {
-	incs := ntsb.GenerateIncidents(64, 42)
-	parser := docparse.New()
-	input := make([]*docmodel.Document, 0, len(incs))
-	for i := range incs {
-		d, err := parser.ParseRaw(ntsb.BuildReport(&incs[i]))
-		if err != nil {
-			b.Fatal(err)
-		}
-		input = append(input, d)
-	}
-	fields := core.ExtractionSchema()
-
-	run := func(b *testing.B, opts ...llm.StackOption) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			// Fresh stack per op: batching stats and cache start cold.
-			sim := llm.NewSim(7, llm.WithLatency(2*time.Millisecond))
-			stack := llm.NewStack(sim, opts...)
-			meter := llm.NewMeter(stack)
-			ec := docset.NewContext(docset.WithLLM(meter), docset.WithParallelism(8))
-			docs := make([]*docmodel.Document, len(input))
-			for j, d := range input {
-				docs[j] = d.Clone()
-			}
-			b.StartTimer()
-			if _, err := docset.FromDocuments(ec, docs).LLMExtract(fields).TakeAll(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st := stack.StackStats()
-			if st.Batch.Batches > 0 {
-				b.ReportMetric(float64(st.Batch.Requests)/float64(st.Batch.Batches), "mean_batch_size")
-			}
-			b.ReportMetric(float64(meter.Usage().Calls), "upstream_calls")
-			b.StartTimer()
-		}
-	}
-	b.Run("unbatched", func(b *testing.B) { run(b, llm.WithBatching(1, 0)) })
-	b.Run("batched", func(b *testing.B) { run(b, llm.WithBatching(8, time.Millisecond)) })
 }

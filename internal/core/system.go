@@ -29,13 +29,12 @@ type Config struct {
 	// (stages that call the model keep a wider, fixed window of calls
 	// outstanding; see internal/docset).
 	Parallelism int
-	// HNSW switches the vector index to approximate search.
-	HNSW bool
 	// LLMOptions tune the simulated model (context window, leniency…).
 	LLMOptions []llm.SimOption
 	// RAGK is the baseline retrieval depth (default 100).
 	RAGK int
-	// DisableLLMCache turns off the content-addressed response cache.
+	// DisableLLMCache turns off the content-addressed response cache and
+	// the singleflight deduplication that is part of it.
 	DisableLLMCache bool
 	// LLMCacheCapacity bounds the response cache (default 4096 entries).
 	LLMCacheCapacity int
@@ -106,7 +105,7 @@ type System struct {
 }
 
 // New builds a system: the Sim LLM (with Luna's planner skill registered)
-// behind the call-middleware stack (cache → singleflight → batcher), the
+// behind the call-middleware stack (cache with singleflight → batcher), the
 // hash embedder, an empty store, and DocParse.
 func New(cfg Config) *System {
 	if cfg.Parallelism <= 0 {
@@ -147,12 +146,7 @@ func New(cfg Config) *System {
 	stack := llm.NewStack(backend, stackOpts...)
 	meter := llm.NewMeter(stack)
 	embedder := embed.NewHash(cfg.Seed)
-	var store *index.Store
-	if cfg.HNSW {
-		store = index.NewStore(index.WithHNSW(cfg.Seed))
-	} else {
-		store = index.NewStore()
-	}
+	store := index.NewStore()
 	ecOpts := []docset.Option{
 		docset.WithLLM(meter),
 		docset.WithEmbedder(embedder),

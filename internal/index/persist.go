@@ -55,7 +55,7 @@ func (s *Store) Save(path string) error {
 }
 
 // Load reads a store snapshot from path and rebuilds the indexes.
-func Load(path string, opts ...StoreOption) (*Store, error) {
+func Load(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: load: %w", err)
@@ -70,7 +70,7 @@ func Load(path string, opts ...StoreOption) (*Store, error) {
 	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("index: load decode: %w", err)
 	}
-	s := NewStore(opts...)
+	s := NewStore()
 	for _, d := range snap.Docs {
 		if err := s.PutDocument(d); err != nil {
 			return nil, err

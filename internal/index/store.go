@@ -37,26 +37,13 @@ type Store struct {
 	vec      VectorSearcher
 }
 
-// StoreOption configures a Store.
-type StoreOption func(*Store)
-
-// WithHNSW switches the vector index to approximate HNSW search with the
-// given seed (default: exact brute-force).
-func WithHNSW(seed int64) StoreOption {
-	return func(s *Store) { s.vec = NewHNSW(seed) }
-}
-
-// NewStore returns an empty store.
-func NewStore(opts ...StoreOption) *Store {
-	s := &Store{
+// NewStore returns an empty store; vector search is exact brute force.
+func NewStore() *Store {
+	return &Store{
 		docs: make(map[string]*docmodel.Document),
 		bm25: newBM25(),
 		vec:  NewExact(),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
 // PutDocument upserts a parent document (replacing any prior version with

@@ -12,9 +12,9 @@ import (
 )
 
 // buildTestStore indexes three documents with chunked text and vectors.
-func buildTestStore(t *testing.T, opts ...StoreOption) *Store {
+func buildTestStore(t *testing.T) *Store {
 	t.Helper()
-	s := NewStore(opts...)
+	s := NewStore()
 	em := embed.NewHash(1)
 	docs := []struct {
 		id    string

@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -20,6 +21,15 @@ import (
 // so memoizing on (model, request) content removes the dominant cost of
 // re-execution (UQE §4; "Accurate and Efficient Document Analytics with
 // LLMs" makes the same observation).
+//
+// The same layer is the singleflight deduplication: DocSet map stages
+// run with worker parallelism, so the same prompt is routinely in flight
+// on several workers at once (duplicate accident reports in the NTSB
+// corpus, or a fan-out query re-extracting the same chunk). A key is
+// absent, in flight, or resident, and all three are read and changed
+// under one lock, so a prompt goes upstream once however its requests
+// interleave: a successful call's response becomes resident in the
+// critical section that ends its flight.
 
 // Key is the content address of one completion call: a SHA-256 over the
 // model identity and every request field that affects the completion.
@@ -39,23 +49,6 @@ func Key(model string, req Request) string {
 	binary.BigEndian.PutUint64(buf[:], math.Float64bits(req.Temperature))
 	h.Write(buf[:])
 	return string(h.Sum(nil))
-}
-
-// keyCtx threads a computed content key to inner middleware layers so a
-// request's prompt is hashed once per traversal, not once per layer.
-type keyCtx struct{}
-
-// withKey stashes a computed key for downstream layers.
-func withKey(ctx context.Context, key string) context.Context {
-	return context.WithValue(ctx, keyCtx{}, key)
-}
-
-// keyOf returns the key an outer layer already computed, or derives it.
-func keyOf(ctx context.Context, model string, req Request) string {
-	if k, ok := ctx.Value(keyCtx{}).(string); ok {
-		return k
-	}
-	return Key(model, req)
 }
 
 // CacheStats is a snapshot of cache effectiveness counters.
@@ -86,24 +79,50 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 	}
 }
 
-// Cache is a content-addressed LRU response cache wrapped around a Client.
+// FlightStats is a snapshot of deduplication counters.
+type FlightStats struct {
+	// Leads counts calls that actually went upstream.
+	Leads int64
+	// Shared counts calls that piggybacked on an in-flight leader.
+	Shared int64
+}
+
+// Sub returns the stats accumulated since prev.
+func (s FlightStats) Sub(prev FlightStats) FlightStats {
+	return FlightStats{Leads: s.Leads - prev.Leads, Shared: s.Shared - prev.Shared}
+}
+
+// Cache is a content-addressed LRU response cache wrapped around a Client,
+// with singleflight deduplication of the misses: concurrent requests with
+// the same content address issue one upstream call and share the result.
 // Successful completions (including deterministic refusals) are cached;
-// errors are not. Cache hits return the stored response with FromCache set
-// and zero Usage, so an outer Meter keeps reporting true upstream spend;
-// the avoided spend accumulates in CacheStats.Saved.
+// errors are not, but are shared across the flight. Cache hits return the
+// stored response with FromCache set, and hits and follower copies carry
+// zero Usage (the leader's response already accounts for the spend), so
+// an outer Meter keeps reporting true upstream spend; the spend avoided
+// by hits accumulates in CacheStats.Saved.
 type Cache struct {
 	inner Client
 
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used
-	entries map[string]*list.Element
-	stats   CacheStats
+	mu       sync.Mutex
+	cap      int
+	order    *list.List // front = most recently used
+	entries  map[string]*list.Element
+	inflight map[string]*flightCall
+	stats    CacheStats
+	flight   FlightStats
 }
 
 type cacheEntry struct {
 	key  string
 	resp Response
+}
+
+// flightCall is one in-flight upstream completion.
+type flightCall struct {
+	done chan struct{}
+	resp Response
+	err  error
 }
 
 // CacheOption configures a Cache.
@@ -121,10 +140,11 @@ func WithCapacity(n int) CacheOption {
 // NewCache wraps inner with a content-addressed LRU response cache.
 func NewCache(inner Client, opts ...CacheOption) *Cache {
 	c := &Cache{
-		inner:   inner,
-		cap:     4096,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
+		inner:    inner,
+		cap:      4096,
+		order:    list.New(),
+		entries:  make(map[string]*list.Element),
+		inflight: make(map[string]*flightCall),
 	}
 	for _, o := range opts {
 		o(c)
@@ -132,47 +152,76 @@ func NewCache(inner Client, opts ...CacheOption) *Cache {
 	return c
 }
 
-// Complete serves the request from cache when possible, otherwise forwards
-// to the wrapped client and memoizes the result.
+// Complete serves the request from cache when possible; otherwise it
+// issues it upstream and memoizes the result, or waits on an identical
+// in-flight request and shares its result. A follower whose leader died
+// of the leader's own context cancellation retries (becoming leader
+// itself) rather than inheriting a cancellation that isn't its own.
 func (c *Cache) Complete(ctx context.Context, req Request) (Response, error) {
 	key := Key(c.inner.Name(), req)
 
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		entry := el.Value.(*cacheEntry)
-		c.stats.Hits++
-		c.stats.Saved.Add(entry.resp.Usage)
-		resp := entry.resp
-		c.mu.Unlock()
-		resp.Usage = Usage{}
-		resp.FromCache = true
-		return resp, nil
-	}
-	c.stats.Misses++
-	c.mu.Unlock()
+	for {
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.order.MoveToFront(el)
+			entry := el.Value.(*cacheEntry)
+			c.stats.Hits++
+			c.stats.Saved.Add(entry.resp.Usage)
+			resp := entry.resp
+			c.mu.Unlock()
+			resp.Usage = Usage{}
+			resp.FromCache = true
+			return resp, nil
+		}
+		c.stats.Misses++
+		call, ok := c.inflight[key]
+		if !ok {
+			call = &flightCall{done: make(chan struct{})}
+			c.inflight[key] = call
+			c.flight.Leads++
+			c.mu.Unlock()
 
-	resp, err := c.inner.Complete(withKey(ctx, key), req)
-	if err != nil {
-		return resp, err
+			call.resp, call.err = c.inner.Complete(ctx, req)
+			// The entry becomes resident in the same critical section that
+			// ends the flight: whoever looks next finds one or the other.
+			c.mu.Lock()
+			delete(c.inflight, key)
+			if call.err == nil {
+				c.put(key, call.resp)
+			}
+			c.mu.Unlock()
+			close(call.done)
+			return call.resp, call.err
+		}
+		c.flight.Shared++
+		c.mu.Unlock()
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return Response{}, ctx.Err()
+		}
+		if call.err == nil {
+			resp := call.resp
+			resp.Usage = Usage{}
+			return resp, nil
+		}
+		if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
+			if err := ctx.Err(); err != nil {
+				return Response{}, err
+			}
+			// The leader's context died, not ours: re-issue.
+			continue
+		}
+		return Response{}, call.err
 	}
-	if resp.Usage == (Usage{}) {
-		// A singleflight-follower copy: zero usage. The leader's own
-		// traversal caches the fully-accounted response; memoizing this
-		// one would permanently under-report CacheStats.Saved.
-		return resp, nil
-	}
-	c.put(key, resp)
-	return resp, nil
 }
 
 // put inserts a response, evicting from the LRU tail when over capacity.
+// The caller holds c.mu.
 func (c *Cache) put(key string, resp Response) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		// A concurrent miss already stored this key (e.g. two different
-		// wrappers racing); refresh recency and keep the existing value.
+		// Loading a snapshot over a warm cache: refresh recency and keep
+		// the resident value.
 		c.order.MoveToFront(el)
 		return
 	}
@@ -202,6 +251,13 @@ func (c *Cache) Stats() CacheStats {
 	s := c.stats
 	s.Entries = len(c.entries)
 	return s
+}
+
+// FlightStats returns a snapshot of the deduplication counters.
+func (c *Cache) FlightStats() FlightStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.flight
 }
 
 // Len returns the resident entry count.
@@ -282,6 +338,8 @@ func (c *Cache) Load(path string) error {
 		return fmt.Errorf("llm: cache load: corrupt snapshot (%d keys, %d responses)", len(snap.Keys), len(snap.Responses))
 	}
 	// Insert least-recent first so the persisted MRU order survives.
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := len(snap.Keys) - 1; i >= 0; i-- {
 		c.put(snap.Keys[i], snap.Responses[i])
 	}

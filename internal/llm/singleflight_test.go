@@ -10,7 +10,7 @@ import (
 
 func TestFlightCollapsesConcurrentIdenticalRequests(t *testing.T) {
 	inner := &countingClient{delay: 20 * time.Millisecond}
-	flight := NewFlight(inner)
+	flight := NewCache(inner)
 	ctx := context.Background()
 
 	const waiters = 16
@@ -40,7 +40,7 @@ func TestFlightCollapsesConcurrentIdenticalRequests(t *testing.T) {
 	if got := inner.calls.Load(); got != 1 {
 		t.Errorf("upstream called %d times, want 1", got)
 	}
-	st := flight.Stats()
+	st := flight.FlightStats()
 	if st.Leads != 1 || st.Shared != waiters-1 {
 		t.Errorf("stats = %d leads / %d shared, want 1/%d", st.Leads, st.Shared, waiters-1)
 	}
@@ -48,7 +48,7 @@ func TestFlightCollapsesConcurrentIdenticalRequests(t *testing.T) {
 
 func TestFlightDistinctRequestsDoNotCollapse(t *testing.T) {
 	inner := &countingClient{delay: 5 * time.Millisecond}
-	flight := NewFlight(inner)
+	flight := NewCache(inner)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -68,7 +68,7 @@ func TestFlightDistinctRequestsDoNotCollapse(t *testing.T) {
 
 func TestFlightFollowerUsageZeroed(t *testing.T) {
 	inner := &countingClient{delay: 20 * time.Millisecond}
-	flight := NewFlight(inner)
+	flight := NewCache(inner)
 	meter := NewMeter(flight)
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -91,7 +91,7 @@ func TestFlightFollowerUsageZeroed(t *testing.T) {
 
 func TestFlightWaiterHonorsOwnCancellation(t *testing.T) {
 	inner := &countingClient{delay: 200 * time.Millisecond}
-	flight := NewFlight(inner)
+	flight := NewCache(inner)
 
 	leaderDone := make(chan struct{})
 	go func() {
@@ -115,7 +115,7 @@ func TestFlightWaiterHonorsOwnCancellation(t *testing.T) {
 
 func TestFlightFollowerRetriesAfterLeaderCancellation(t *testing.T) {
 	inner := &countingClient{delay: 50 * time.Millisecond}
-	flight := NewFlight(inner)
+	flight := NewCache(inner)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)

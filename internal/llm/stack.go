@@ -9,17 +9,17 @@ import (
 
 // This file composes the middleware layers into the canonical stack:
 //
-//	Cache → Flight → [Resilience] → Batcher → backing model
+//	Cache (+ singleflight) → [Resilience] → Batcher → backing model
 //
-// The cache is outermost so hits skip everything; singleflight sits above
-// the batcher so concurrent identical requests collapse before grouping;
-// the optional resilience layer (WithResilience — retries, circuit
-// breaker, attempt timeouts) sits below the cache so cached answers keep
-// serving through an outage, and above the batcher so retried attempts
-// re-enter batching; the batcher coalesces what remains into grouped
-// upstream dispatches. An outer Meter (not part of the stack) keeps
-// reporting true upstream spend because hit/follower responses carry
-// zero Usage.
+// The cache is outermost so hits skip everything; its singleflight state
+// sits above the batcher so concurrent identical requests collapse before
+// grouping; the optional resilience layer (WithResilience — retries,
+// circuit breaker, attempt timeouts) sits below the cache so cached
+// answers keep serving through an outage, and above the batcher so
+// retried attempts re-enter batching; the batcher coalesces what remains
+// into grouped upstream dispatches. An outer Meter (not part of the
+// stack) keeps reporting true upstream spend because hit/follower
+// responses carry zero Usage.
 
 // StackStats aggregates the counters of every middleware layer.
 type StackStats struct {
@@ -64,7 +64,6 @@ func (s StackStats) String() string {
 type Stack struct {
 	client  Client // entry point (outermost enabled layer)
 	cache   *Cache
-	flight  *Flight
 	batcher *Batcher
 	inner   Client
 }
@@ -72,7 +71,6 @@ type Stack struct {
 // stackConfig collects construction options.
 type stackConfig struct {
 	disableCache  bool
-	disableFlight bool
 	cacheCapacity int
 	cachePath     string
 	maxBatch      int
@@ -83,11 +81,9 @@ type stackConfig struct {
 // StackOption configures a Stack.
 type StackOption func(*stackConfig)
 
-// WithoutCache disables the response cache layer.
+// WithoutCache disables the response cache layer, and with it the
+// singleflight deduplication: every request goes upstream.
 func WithoutCache() StackOption { return func(c *stackConfig) { c.disableCache = true } }
-
-// WithoutSingleflight disables the deduplication layer.
-func WithoutSingleflight() StackOption { return func(c *stackConfig) { c.disableFlight = true } }
 
 // WithCacheCapacity bounds the response cache (default 4096 entries).
 func WithCacheCapacity(n int) StackOption { return func(c *stackConfig) { c.cacheCapacity = n } }
@@ -107,13 +103,13 @@ func WithBatching(maxBatch int, linger time.Duration) StackOption {
 	}
 }
 
-// WithResilience inserts wrap between the singleflight layer and the
-// batcher: below the cache (hits never touch a breaker — serving cached
-// answers during an outage is the first line of graceful degradation)
-// and above the batcher (retried attempts re-enter batching). The
-// wrapped client should expose Inner() Client so StatsOf keeps walking
-// the chain. The llm package stays dependency-free of the resilience
-// implementation; internal/resilience provides the canonical wrapper.
+// WithResilience inserts wrap between the cache and the batcher: below
+// the cache (hits never touch a breaker — serving cached answers during
+// an outage is the first line of graceful degradation) and above the
+// batcher (retried attempts re-enter batching). The wrapped client
+// should expose Inner() Client so StatsOf keeps walking the chain. The
+// llm package stays dependency-free of the resilience implementation;
+// internal/resilience provides the canonical wrapper.
 func WithResilience(wrap func(Client) Client) StackOption {
 	return func(c *stackConfig) { c.resilience = wrap }
 }
@@ -132,10 +128,6 @@ func NewStack(inner Client, opts ...StackOption) *Stack {
 	}
 	if cfg.resilience != nil {
 		client = cfg.resilience(client)
-	}
-	if !cfg.disableFlight {
-		s.flight = NewFlight(client)
-		client = s.flight
 	}
 	if !cfg.disableCache {
 		s.cache = NewCache(client, WithCapacity(cfg.cacheCapacity))
@@ -177,9 +169,7 @@ func (s *Stack) StackStats() StackStats {
 	var st StackStats
 	if s.cache != nil {
 		st.Cache = s.cache.Stats()
-	}
-	if s.flight != nil {
-		st.Flight = s.flight.Stats()
+		st.Flight = s.cache.FlightStats()
 	}
 	if s.batcher != nil {
 		st.Batch = s.batcher.Stats()
@@ -194,7 +184,7 @@ type statsProvider interface{ StackStats() StackStats }
 // wrapper is implemented by middleware that exposes its wrapped client.
 type wrapper interface{ Inner() Client }
 
-// StatsOf walks a chain of wrapped clients (Meter, Cache, Flight, Batcher,
+// StatsOf walks a chain of wrapped clients (Meter, Cache, Batcher,
 // Stack…) and returns the first middleware stats snapshot found.
 func StatsOf(c Client) (StackStats, bool) {
 	for c != nil {

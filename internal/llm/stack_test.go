@@ -81,6 +81,78 @@ func TestStackConcurrentMixedWorkload(t *testing.T) {
 	}
 }
 
+// gapClient steers two identical requests into the one interleaving that
+// used to pay upstream twice: the first call upstream is held until
+// release closes, and a request that consults the inner client after two
+// lookups have missed the cache is parked until left closes. (The only
+// thing a request can want from the inner client between its miss and its
+// own call upstream is the model name, to key a layer below the cache.)
+type gapClient struct {
+	countingClient
+	stack   *Stack
+	release chan struct{}
+	left    chan struct{}
+}
+
+func (g *gapClient) Complete(ctx context.Context, req Request) (Response, error) {
+	<-g.release
+	return g.countingClient.Complete(ctx, req)
+}
+
+func (g *gapClient) Name() string {
+	if g.stack.StackStats().Cache.Misses >= 2 {
+		<-g.left
+	}
+	return "gap"
+}
+
+// A request that misses the cache while an identical call is upstream,
+// and gets no further until that call has returned and left the flight,
+// must still be served by it: the key is in flight or resident at every
+// instant in between, never neither.
+func TestStackNoGapBetweenCacheAndFlight(t *testing.T) {
+	inner := &gapClient{release: make(chan struct{}), left: make(chan struct{})}
+	stack := NewStack(inner, WithBatching(1, 0))
+	inner.stack = stack
+	ctx := context.Background()
+	req := Request{Prompt: "asked twice"}
+	waitMisses := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for stack.StackStats().Cache.Misses < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("cache saw %d misses, want %d", stack.StackStats().Cache.Misses, n)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	complete := func(done chan<- error) {
+		_, err := stack.Complete(ctx, req)
+		done <- err
+	}
+
+	first, second := make(chan error, 1), make(chan error, 1)
+	go complete(first)
+	waitMisses(1)
+	go complete(second)
+	waitMisses(2) // the second request has missed while the first is upstream
+	close(inner.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	close(inner.left)
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+
+	if got := inner.calls.Load(); got != 1 {
+		t.Errorf("upstream called %d times for two identical requests, want 1", got)
+	}
+	if st := stack.StackStats(); st.Flight.Leads != 1 || st.Cache.Hits+st.Flight.Shared != 1 {
+		t.Errorf("stats = %+v, want one lead and one hit or follower", st)
+	}
+}
+
 func TestStackStatsDiscoveryThroughMeter(t *testing.T) {
 	stack := NewStack(&countingClient{})
 	meter := NewMeter(stack)
@@ -103,7 +175,7 @@ func TestStackStatsDiscoveryThroughMeter(t *testing.T) {
 }
 
 func TestStackLayerToggles(t *testing.T) {
-	bare := NewStack(&countingClient{}, WithoutCache(), WithoutSingleflight(), WithBatching(1, 0))
+	bare := NewStack(&countingClient{}, WithoutCache(), WithBatching(1, 0))
 	if bare.CacheLayer() != nil {
 		t.Error("cache layer present despite WithoutCache")
 	}

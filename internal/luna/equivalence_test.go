@@ -221,9 +221,32 @@ func docIDs(res *Result) []string {
 	return ids
 }
 
+// TestOptimizerEquivalence runs the 15 representative plans and the six
+// optimizer-mix plans (rewrite_test.go) with the optimize phase off and
+// on. Every plan must give identical answers and documents for no more
+// LLM calls; the mix — one plan shape per rule the phase applies — must
+// also come in at 70% of the unoptimized calls or fewer, the bar the
+// optimizer ships under.
 func TestOptimizerEquivalence(t *testing.T) {
-	var totalOff, totalOn int64
+	type equivCase struct {
+		name string
+		plan *LogicalPlan
+		mix  bool
+	}
+	var cases []equivCase
 	for _, tc := range equivalencePlans() {
+		cases = append(cases, equivCase{tc.name, tc.plan, false})
+	}
+	for _, tc := range optimizerMixPlans {
+		plan, err := ParsePlan(tc.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cases = append(cases, equivCase{"mix-" + tc.name, plan, true})
+	}
+
+	var totalOff, totalOn, mixOff, mixOn int64
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			off, callsOff := runEquiv(t, tc.plan, false)
 			on, callsOn := runEquiv(t, tc.plan, true)
@@ -253,14 +276,26 @@ func TestOptimizerEquivalence(t *testing.T) {
 			}
 			totalOff += callsOff
 			totalOn += callsOn
+			if tc.mix {
+				mixOff += callsOff
+				mixOn += callsOn
+			}
 		})
 	}
-	// Across the whole mix the optimizer must actually save something —
+	// Across the whole suite the optimizer must actually save something —
 	// equal counts everywhere would mean the phase is a no-op.
 	if totalOn >= totalOff {
 		t.Errorf("no aggregate savings: optimized %d calls vs %d unoptimized", totalOn, totalOff)
 	}
-	t.Logf("LLM calls across mix: %d unoptimized, %d optimized", totalOff, totalOn)
+	if mixOff == 0 {
+		t.Fatal("unoptimized mix made no LLM calls; the mix no longer exercises the optimizer")
+	}
+	if limit := mixOff * 7 / 10; mixOn > limit {
+		t.Errorf("optimizer saved too little on the mix: %d LLM calls optimized vs %d unoptimized (need <= %d, a 30%% cut)",
+			mixOn, mixOff, limit)
+	}
+	t.Logf("LLM calls: suite %d unoptimized, %d optimized; mix %d unoptimized, %d optimized",
+		totalOff, totalOn, mixOff, mixOn)
 }
 
 // TestOptimizedResultAnnotations pins the observability contract: with the

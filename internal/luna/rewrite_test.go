@@ -11,9 +11,9 @@ import (
 	"aryn/internal/cost"
 )
 
-// optimizerMixPlans is the six-plan optimizer benchmark mix (the shapes
-// each optimize-phase rule targets; bench_optimizer_test.go runs them end
-// to end).
+// optimizerMixPlans is the six-plan optimizer mix (the shapes each
+// optimize-phase rule targets; TestOptimizerEquivalence runs them end to
+// end and holds them to a 30% LLM-call cut).
 var optimizerMixPlans = []struct{ name, plan string }{
 	{"count-fires", `{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention a fire?"},{"id":"n3","inputs":["n2"],"op":"count"}],"output":"n3"}`},
 	{"state-fuel", `{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention fuel?"},{"id":"n3","inputs":["n2"],"op":"basicFilter","filters":[{"field":"us_state","kind":"term","value":"AZ"}]},{"id":"n4","inputs":["n3"],"op":"count"}],"output":"n4"}`},

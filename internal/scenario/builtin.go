@@ -342,8 +342,8 @@ func init() {
 
 			// Stream first, cache-cold relative to this execution's batch
 			// run. QueryStream enforces the event grammar as it reads and
-			// records time-to-first-event — the mix-level TTFE SLO and
-			// TestStreamFirstPartialBeatsBatch own the timing claims.
+			// records time-to-first-event — TestStreamFirstPartialBeatsBatch
+			// owns the timing claim.
 			st, err := c.QueryStream(ctx, api.QueryRequest{Plan: plan})
 			if err != nil {
 				return err

@@ -29,8 +29,7 @@ type Observation struct {
 	// accept.
 	Failed bool
 	// FirstEvent is the time to the first SSE event on a streamed request
-	// (zero on plain requests). It is the raw material for the stream
-	// mixes' time-to-first-event SLO.
+	// (zero on plain requests).
 	FirstEvent time.Duration
 }
 
@@ -283,8 +282,8 @@ type StreamResult struct {
 // the stream to its terminal event. It enforces the stream contract as it
 // reads — strictly increasing event ids, a result or error terminal — and
 // records one Observation whose Latency is the full stream wall and whose
-// FirstEvent feeds the TTFE SLO. A terminal error event surfaces as an
-// error carrying the envelope's code and message.
+// FirstEvent is the time to the first event. A terminal error event
+// surfaces as an error carrying the envelope's code and message.
 func (c *Client) QueryStream(ctx context.Context, reqBody api.QueryRequest) (*StreamResult, error) {
 	const path = "/query"
 	data, err := json.Marshal(reqBody)

@@ -13,18 +13,19 @@
 //   - Verify asserts the end-state contract after a run (e.g. documents
 //     really landed, counters moved). It runs once, after load stops.
 //
-// The built-in scenarios (see builtin.go, or `arynload -list`) cover
+// The built-in scenarios (see builtin.go) cover
 // multi-corpus ingest, plan→edit→re-execute round-trips, EXPLAIN ANALYZE,
 // long conversational sessions with TTL expiry, and overload/429-shed
 // behavior — the serving-layer counterparts of the paper's §3 platform,
 // §4–5 ETL, and §6 Luna claims.
 //
-// On top of the registry, Mix + RunLoad form the load-generation layer
-// used by cmd/arynload: a Mix names a weighted blend of scenarios and the
-// SLO its numbers are checked against (docs/serving-slos.md); RunLoad
-// drives the blend at a target rate through a bounded worker pool and
-// aggregates per-request latency percentiles, error/shed rates, and the
-// server-side LLM cache hit-rate (from /stats deltas) into a Report.
+// On top of the registry, Mix + RunLoad run scenarios concurrently: a Mix
+// names a weighted blend of scenarios; RunLoad runs a fixed number of
+// executions drawn from it on a bounded worker pool and counts
+// executions and requests, shed and failed, into a Report. The load tests
+// hold every mix, and the fault-injecting ChaosMix, to zero failed
+// requests under -race. Timing is not this package's business: latency,
+// throughput and cost are measured by the bench/ module alone.
 //
 // Concurrency: a Client is safe for concurrent use; RunLoad runs
 // executions on its own worker goroutines. Scenario Execute funcs must be

@@ -4,127 +4,73 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
-
-	"aryn/internal/server/api"
 )
 
-// Mix is a named, weighted blend of scenarios plus the SLO its load
-// report is checked against.
+// Mix is a named, weighted blend of scenarios.
 type Mix struct {
-	Name        string         `json:"name"`
-	Description string         `json:"description"`
-	Weights     map[string]int `json:"weights"`
-	SLO         SLO            `json:"slo"`
+	Name    string
+	Weights map[string]int
 }
 
-// SLO is the contract a mix's Report must meet (documented in
-// docs/serving-slos.md). Zero-valued fields are unconstrained.
-type SLO struct {
-	// P99 bounds the 99th-percentile per-request latency.
-	P99 time.Duration `json:"p99_ns,omitempty"`
-	// MaxShedRate bounds the shed fraction of requests (1.0 = shedding is
-	// itself the expected behavior, as in the overload mix).
-	MaxShedRate float64 `json:"max_shed_rate"`
-	// MaxErrorRate bounds the failed fraction of requests.
-	MaxErrorRate float64 `json:"max_error_rate"`
-	// TTFE bounds the 95th-percentile time-to-first-event across streamed
-	// requests — the streaming path's own latency promise: how long until
-	// the client sees the first sign of life. Zero = unconstrained (mixes
-	// without streaming scenarios).
-	TTFE time.Duration `json:"ttfe_p95_ns,omitempty"`
-}
-
-// Check returns every SLO violation in r (empty = the report meets the
-// contract).
-func (s SLO) Check(r *Report) []string {
-	var v []string
-	if s.P99 > 0 && r.P99MS > float64(s.P99.Milliseconds()) {
-		v = append(v, fmt.Sprintf("p99 %.1fms exceeds the %s target", r.P99MS, s.P99))
-	}
-	if r.ShedRate > s.MaxShedRate {
-		v = append(v, fmt.Sprintf("shed rate %.3f exceeds the %.3f target", r.ShedRate, s.MaxShedRate))
-	}
-	if r.ErrorRate > s.MaxErrorRate {
-		v = append(v, fmt.Sprintf("error rate %.3f exceeds the %.3f target", r.ErrorRate, s.MaxErrorRate))
-	}
-	if s.TTFE > 0 {
-		if r.StreamRequests == 0 {
-			v = append(v, "mix pins a TTFE SLO but the run made no streamed requests")
-		} else if r.TTFEP95MS > float64(s.TTFE.Milliseconds()) {
-			v = append(v, fmt.Sprintf("stream TTFE p95 %.1fms exceeds the %s target", r.TTFEP95MS, s.TTFE))
-		}
-	}
-	return v
-}
-
-// Mixes returns the standard benchmark mixes — the ≥3 workload blends
-// `make bench-serving` reports on. SLO targets are documented and
-// justified in docs/serving-slos.md; change them there and here together.
+// Mixes returns the standard blends the load tests drive.
 func Mixes() []Mix {
 	return []Mix{
+		// Steady-state analytics traffic: mostly one-shot queries with
+		// occasional plan inspection — the cache-warm serving fast path.
 		{
-			Name:        "read-heavy",
-			Description: "Steady-state analytics traffic: mostly one-shot queries with occasional plan inspection — the cache-warm serving fast path",
+			Name: "read-heavy",
 			Weights: map[string]int{
 				"query-oneshot":       6,
 				"plan-edit-roundtrip": 1,
 				"explain-analyze":     1,
 			},
-			SLO: SLO{P99: 1500 * time.Millisecond, MaxShedRate: 0.01, MaxErrorRate: 0},
 		},
+		// Analyst sessions: conversational follow-ups, plan edit
+		// round-trips and session-lifecycle checks beside background reads.
 		{
-			Name:        "interactive",
-			Description: "Analyst sessions: conversational follow-ups, plan edit round-trips, and session-lifecycle checks alongside background reads",
+			Name: "interactive",
 			Weights: map[string]int{
 				"chat-session":        3,
 				"plan-edit-roundtrip": 2,
 				"query-oneshot":       2,
 				"chat-expiry":         1,
 			},
-			SLO: SLO{P99: 2500 * time.Millisecond, MaxShedRate: 0.02, MaxErrorRate: 0},
 		},
+		// Hostile load: cache-defeating query bursts and concurrent
+		// ingests on top of reads — the mix that must shed, not collapse.
 		{
-			Name:        "overload-burst",
-			Description: "Hostile load: cache-defeating query bursts and concurrent ingests on top of reads — the mix that must shed gracefully, not collapse",
+			Name: "overload-burst",
 			Weights: map[string]int{
 				"query-oneshot":       4,
 				"overload-shed":       2,
 				"ingest-multi-corpus": 1,
 			},
-			SLO: SLO{P99: 6 * time.Second, MaxShedRate: 1.0, MaxErrorRate: 0.01},
 		},
+		// Streaming-first clients: SSE queries, async ingest jobs churning
+		// behind the read path (sheds from the bounded job queue are
+		// expected back-pressure), and plain reads in between.
 		{
-			Name:        "stream",
-			Description: "Streaming-first clients: SSE queries with a time-to-first-event promise, async ingest jobs churning behind the read path, and plain reads in between",
+			Name: "stream",
 			Weights: map[string]int{
 				"query-stream":  4,
 				"query-oneshot": 2,
 				"ingest-async":  1,
 			},
-			// Sheds come from the bounded job queue under sustained async
-			// submissions — expected back-pressure, not failure. The TTFE
-			// bound is the streaming path's own SLO: first event well before
-			// the full answer would have arrived.
-			SLO: SLO{P99: 5 * time.Second, MaxShedRate: 0.75, MaxErrorRate: 0, TTFE: 1500 * time.Millisecond},
 		},
 	}
 }
 
 // ChaosMix is the fault-injection blend: chaos scenarios scripting the
 // injector under background read traffic. It is not part of Mixes()
-// because it needs an arynd started with -fault-endpoint; run it
-// explicitly with `arynload -mixes chaos` (the CI chaos job does). The
-// error-rate SLO is the degradation contract itself: injected faults must
-// degrade or shed, never fail a request.
+// because it needs a server whose fault injector is wired and exposed
+// (arynd -fault-endpoint). Its contract is the degradation contract
+// itself: injected faults must degrade or shed, never fail a request.
 func ChaosMix() Mix {
 	return Mix{
-		Name:        "chaos",
-		Description: "Fault injection under load: scripted LLM outages, a sustained flaky backend, cache kills, and saturated ingest on top of steady reads — the mix that must degrade, never 500",
+		Name: "chaos",
 		Weights: map[string]int{
 			"chaos-llm-outage":        1,
 			"chaos-flaky-backend":     2,
@@ -132,91 +78,28 @@ func ChaosMix() Mix {
 			"chaos-ingest-saturation": 1,
 			"query-oneshot":           3,
 		},
-		SLO: SLO{P99: 10 * time.Second, MaxShedRate: 1.0, MaxErrorRate: 0},
 	}
 }
 
-// MixByName resolves one of the standard mixes, or the opt-in chaos mix.
-func MixByName(name string) (Mix, bool) {
-	for _, m := range append(Mixes(), ChaosMix()) {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Mix{}, false
-}
-
-// LoadOptions tunes one RunLoad call. Zero values pick defaults.
+// LoadOptions sizes one RunLoad call.
 type LoadOptions struct {
-	// QPS is the target scenario-execution launch rate (default 10).
-	QPS float64
-	// Duration stops the run after this long (default 5s).
-	Duration time.Duration
-	// MaxExecutions, when positive, stops the run after that many
-	// executions even if Duration has not elapsed (tests use this to stay
-	// time-independent).
+	// MaxExecutions is how many scenario executions the run launches.
 	MaxExecutions int
-	// Workers bounds concurrently running executions (default 8). When
-	// all workers are busy a tick is skipped and counted, not queued —
-	// the generator degrades openly instead of silently lagging its rate.
+	// Workers bounds concurrently running executions (default 8).
 	Workers int
-	// Seed drives the weighted scenario picker (default 1).
+	// Seed drives the weighted scenario picker.
 	Seed int64
 }
 
-func (o LoadOptions) withDefaults() LoadOptions {
-	if o.QPS <= 0 {
-		o.QPS = 10
-	}
-	if o.Duration <= 0 {
-		o.Duration = 5 * time.Second
-	}
-	if o.Workers <= 0 {
-		o.Workers = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// Report is one mix's aggregated load measurement — the unit
-// BENCH_serving.json records per label.
+// Report counts what one RunLoad call did: scenario executions and the
+// HTTP requests they issued, with the shed (429) and failed ones apart.
 type Report struct {
-	Mix         string  `json:"mix"`
-	Executions  int     `json:"executions"`
-	ShedExecs   int     `json:"shed_executions"`
-	FailedExecs int     `json:"failed_executions"`
-	Skipped     int     `json:"skipped_ticks,omitempty"`
-	Requests    int     `json:"requests"`
-	Failed      int     `json:"failed_requests"`
-	Shed        int     `json:"shed_requests"`
-	DurationMS  float64 `json:"duration_ms"`
-	TargetQPS   float64 `json:"target_qps"`
-	AchievedQPS float64 `json:"achieved_qps"`
-
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-	MaxMS float64 `json:"max_ms"`
-
-	// Stream figures cover SSE requests only: how many there were and the
-	// time-to-first-event distribution (the pinned streaming SLO). Zero
-	// when the mix contains no streaming scenario.
-	StreamRequests int     `json:"stream_requests,omitempty"`
-	TTFEP50MS      float64 `json:"ttfe_p50_ms,omitempty"`
-	TTFEP95MS      float64 `json:"ttfe_p95_ms,omitempty"`
-	TTFEMaxMS      float64 `json:"ttfe_max_ms,omitempty"`
-
-	ErrorRate float64 `json:"error_rate"`
-	ShedRate  float64 `json:"shed_rate"`
-
-	// Cache figures come from the server's /stats delta over the run: the
-	// LLM response cache is a serving-level resource, so its hit-rate is
-	// measured server-side, not inferred client-side.
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
+	Executions  int
+	ShedExecs   int
+	FailedExecs int
+	Requests    int
+	Shed        int
+	Failed      int
 }
 
 // recorder collects observations under a mutex.
@@ -231,19 +114,22 @@ func (r *recorder) Observe(o Observation) {
 	r.mu.Unlock()
 }
 
-// RunLoad drives mix against the server behind c at opt.QPS until
-// opt.Duration (or opt.MaxExecutions) and returns the aggregated Report.
-// Each scenario's Setup runs once before load starts and its Verify once
-// after it stops; a Verify failure fails the run.
+// RunLoad runs opt.MaxExecutions executions of scenarios drawn from mix
+// by weight, at most opt.Workers at a time, against the server behind c,
+// and returns the counts. Each scenario's Setup runs once before load
+// starts and its Verify once after it stops; a Verify failure fails the
+// run.
 func RunLoad(ctx context.Context, c *Client, mix Mix, opt LoadOptions) (*Report, error) {
-	opt = opt.withDefaults()
+	if opt.Workers <= 0 {
+		opt.Workers = 8
+	}
 	if len(mix.Weights) == 0 {
 		return nil, fmt.Errorf("scenario: mix %q has no weights", mix.Name)
 	}
 
 	// Resolve the weighted scenario list up front: unknown names are
 	// configuration errors, not runtime surprises.
-	var picks []Scenario
+	var scenarios, picks []Scenario
 	names := make([]string, 0, len(mix.Weights))
 	for name := range mix.Weights {
 		names = append(names, name)
@@ -254,13 +140,13 @@ func RunLoad(ctx context.Context, c *Client, mix Mix, opt LoadOptions) (*Report,
 		if !ok {
 			return nil, fmt.Errorf("scenario: mix %q references unknown scenario %q", mix.Name, name)
 		}
+		scenarios = append(scenarios, s)
 		for i := 0; i < mix.Weights[name]; i++ {
 			picks = append(picks, s)
 		}
 	}
 
-	for _, name := range names {
-		s, _ := Get(name)
+	for _, s := range scenarios {
 		if s.Setup != nil {
 			if err := s.Setup(ctx, c.forScenario(s.Name)); err != nil {
 				return nil, fmt.Errorf("scenario %s: setup: %w", s.Name, err)
@@ -268,48 +154,19 @@ func RunLoad(ctx context.Context, c *Client, mix Mix, opt LoadOptions) (*Report,
 		}
 	}
 
-	statsBefore, err := c.Stats(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: read /stats before load: %w", err)
-	}
-
 	rec := &recorder{}
 	loadClient := c.withRecorder(rec)
 	rng := rand.New(rand.NewSource(opt.Seed))
-	interval := time.Duration(float64(time.Second) / opt.QPS)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.NewTimer(opt.Duration)
-	defer deadline.Stop()
-
 	sem := make(chan struct{}, opt.Workers)
 	var wg sync.WaitGroup
-	var execs, shedExecs, failedExecs, skipped int
-	start := time.Now()
-	var mu sync.Mutex // guards shedExecs/failedExecs from worker goroutines
-
-loop:
-	for opt.MaxExecutions <= 0 || execs < opt.MaxExecutions {
-		select {
-		case <-ctx.Done():
-			break loop
-		case <-deadline.C:
-			break loop
-		case <-ticker.C:
-		}
+	var report Report
+	var mu sync.Mutex // guards report's execution counts from worker goroutines
+	for i := 0; i < opt.MaxExecutions && ctx.Err() == nil; i++ {
 		s := picks[rng.Intn(len(picks))]
-		select {
-		case sem <- struct{}{}:
-		default:
-			skipped++
-			continue
-		}
-		execs++
+		sem <- struct{}{}
+		report.Executions++
 		wg.Add(1)
-		go func(s Scenario) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			err := s.Execute(ctx, loadClient.forScenario(s.Name))
@@ -318,108 +175,32 @@ loop:
 			}
 			mu.Lock()
 			if errors.Is(err, ErrShed) {
-				shedExecs++
+				report.ShedExecs++
 			} else {
-				failedExecs++
+				report.FailedExecs++
 			}
 			mu.Unlock()
-		}(s)
+		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+
+	report.Requests = len(rec.obs)
+	for _, o := range rec.obs {
+		if o.Shed {
+			report.Shed++
+		}
+		if o.Failed {
+			report.Failed++
+		}
+	}
 
 	var verifyErrs []error
-	for _, name := range names {
-		s, _ := Get(name)
+	for _, s := range scenarios {
 		if s.Verify != nil {
 			if err := s.Verify(ctx, c.forScenario(s.Name)); err != nil {
 				verifyErrs = append(verifyErrs, fmt.Errorf("scenario %s: verify: %w", s.Name, err))
 			}
 		}
 	}
-
-	statsAfter, err := c.Stats(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: read /stats after load: %w", err)
-	}
-
-	report := aggregate(mix.Name, rec.obs, elapsed, opt.QPS, statsBefore, statsAfter)
-	report.Executions = execs
-	report.ShedExecs = shedExecs
-	report.FailedExecs = failedExecs
-	report.Skipped = skipped
-	return report, errors.Join(verifyErrs...)
+	return &report, errors.Join(verifyErrs...)
 }
-
-// aggregate folds per-request observations and the server-side stats
-// delta into a Report.
-func aggregate(mixName string, obs []Observation, elapsed time.Duration, targetQPS float64, before, after *api.StatsResponse) *Report {
-	r := &Report{
-		Mix:        mixName,
-		Requests:   len(obs),
-		DurationMS: float64(elapsed.Milliseconds()),
-		TargetQPS:  targetQPS,
-	}
-	if elapsed > 0 {
-		r.AchievedQPS = round2(float64(len(obs)) / elapsed.Seconds())
-	}
-	latencies := make([]float64, 0, len(obs))
-	var ttfes []float64
-	for _, o := range obs {
-		latencies = append(latencies, float64(o.Latency.Microseconds())/1000)
-		if o.FirstEvent > 0 {
-			ttfes = append(ttfes, float64(o.FirstEvent.Microseconds())/1000)
-		}
-		if o.Shed {
-			r.Shed++
-		}
-		if o.Failed {
-			r.Failed++
-		}
-	}
-	sort.Float64s(latencies)
-	r.P50MS = percentile(latencies, 0.50)
-	r.P95MS = percentile(latencies, 0.95)
-	r.P99MS = percentile(latencies, 0.99)
-	if n := len(latencies); n > 0 {
-		r.MaxMS = latencies[n-1]
-	}
-	sort.Float64s(ttfes)
-	r.StreamRequests = len(ttfes)
-	r.TTFEP50MS = percentile(ttfes, 0.50)
-	r.TTFEP95MS = percentile(ttfes, 0.95)
-	if n := len(ttfes); n > 0 {
-		r.TTFEMaxMS = ttfes[n-1]
-	}
-	if len(obs) > 0 {
-		r.ErrorRate = round4(float64(r.Failed) / float64(len(obs)))
-		r.ShedRate = round4(float64(r.Shed) / float64(len(obs)))
-	}
-	if before != nil && after != nil {
-		r.CacheHits = after.LLM.Cache.Hits - before.LLM.Cache.Hits
-		r.CacheMisses = after.LLM.Cache.Misses - before.LLM.Cache.Misses
-		if lookups := r.CacheHits + r.CacheMisses; lookups > 0 {
-			r.CacheHitRate = round4(float64(r.CacheHits) / float64(lookups))
-		}
-	}
-	return r
-}
-
-// percentile reads the p-quantile from sorted (nearest-rank; 0 when
-// empty).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return round2(sorted[idx])
-}
-
-func round2(v float64) float64 { return math.Round(v*100) / 100 }
-func round4(v float64) float64 { return math.Round(v*10000) / 10000 }

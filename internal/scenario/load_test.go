@@ -3,15 +3,15 @@ package scenario
 import (
 	"context"
 	"testing"
-	"time"
 
 	"aryn/internal/server"
 )
 
 // TestRunLoadMixedScenarios drives every standard mix through RunLoad
-// against an in-process server. MaxExecutions (not Duration) bounds the
-// run so the test is load-shaped but time-independent; `make test` runs
-// it under -race, which is the concurrency check the ISSUE calls for.
+// against an in-process server: traffic must happen and no execution or
+// request may fail (sheds are by contract and counted apart). `make test`
+// runs it under -race, which is the concurrency check on the serving
+// path.
 func TestRunLoadMixedScenarios(t *testing.T) {
 	params := shortParams()
 	params.BurstSize = 2
@@ -19,31 +19,15 @@ func TestRunLoadMixedScenarios(t *testing.T) {
 	ctx := context.Background()
 	for _, mix := range Mixes() {
 		t.Run(mix.Name, func(t *testing.T) {
-			report, err := RunLoad(ctx, c, mix, LoadOptions{
-				QPS:           500,
-				Duration:      time.Minute, // MaxExecutions stops the run first
-				MaxExecutions: 12,
-				Workers:       4,
-				Seed:          1,
-			})
+			report, err := RunLoad(ctx, c, mix, LoadOptions{MaxExecutions: 12, Workers: 4, Seed: 1})
 			if err != nil {
 				t.Fatalf("mix %s: %v", mix.Name, err)
 			}
-			if report.Mix != mix.Name {
-				t.Errorf("report.Mix = %q, want %q", report.Mix, mix.Name)
-			}
-			if report.Executions == 0 || report.Requests == 0 {
+			if report.Executions != 12 || report.Requests == 0 {
 				t.Errorf("mix %s produced no traffic: %+v", mix.Name, report)
 			}
 			if report.FailedExecs > 0 || report.Failed > 0 {
 				t.Errorf("mix %s had failures in-process: %+v", mix.Name, report)
-			}
-			if report.Requests > 0 && report.P99MS < report.P50MS {
-				t.Errorf("mix %s percentiles not monotone: p50 %.2f > p99 %.2f",
-					mix.Name, report.P50MS, report.P99MS)
-			}
-			if report.CacheHits+report.CacheMisses == 0 {
-				t.Errorf("mix %s recorded no cache lookups — /stats delta wiring is broken", mix.Name)
 			}
 		})
 	}
@@ -59,84 +43,5 @@ func TestRunLoadRejectsUnknownScenario(t *testing.T) {
 	}, LoadOptions{MaxExecutions: 1})
 	if err == nil {
 		t.Fatal("mix referencing an unknown scenario must fail fast")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	cases := []struct {
-		name   string
-		sorted []float64
-		p      float64
-		want   float64
-	}{
-		{"empty", nil, 0.99, 0},
-		{"single", []float64{5}, 0.50, 5},
-		{"p50 of 4", []float64{1, 2, 3, 4}, 0.50, 2},
-		{"p99 of 4", []float64{1, 2, 3, 4}, 0.99, 4},
-		{"p95 of 100", seq(100), 0.95, 95},
-		{"p99 of 100", seq(100), 0.99, 99},
-		{"p50 of 100", seq(100), 0.50, 50},
-	}
-	for _, tc := range cases {
-		if got := percentile(tc.sorted, tc.p); got != tc.want {
-			t.Errorf("%s: percentile(..., %v) = %v, want %v", tc.name, tc.p, got, tc.want)
-		}
-	}
-}
-
-func seq(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = float64(i + 1)
-	}
-	return out
-}
-
-func TestSLOCheck(t *testing.T) {
-	slo := SLO{P99: 100 * time.Millisecond, MaxShedRate: 0.01, MaxErrorRate: 0}
-	good := &Report{P99MS: 80, ShedRate: 0.005, ErrorRate: 0}
-	if v := slo.Check(good); len(v) != 0 {
-		t.Errorf("clean report flagged: %v", v)
-	}
-	bad := &Report{P99MS: 250, ShedRate: 0.5, ErrorRate: 0.1}
-	if v := slo.Check(bad); len(v) != 3 {
-		t.Errorf("want 3 violations, got %d: %v", len(v), v)
-	}
-	// Zero-valued P99 means unconstrained, and MaxShedRate 1.0 tolerates
-	// total shedding (the overload mix's contract).
-	open := SLO{MaxShedRate: 1.0, MaxErrorRate: 0.01}
-	if v := open.Check(&Report{P99MS: 9999, ShedRate: 1.0, ErrorRate: 0.01}); len(v) != 0 {
-		t.Errorf("unconstrained SLO flagged: %v", v)
-	}
-}
-
-// TestAggregate checks the observation→report fold: counts, rates, and
-// the server-side cache delta.
-func TestAggregate(t *testing.T) {
-	obs := []Observation{
-		{Latency: 10 * time.Millisecond},
-		{Latency: 20 * time.Millisecond, Shed: true},
-		{Latency: 30 * time.Millisecond, Failed: true},
-		{Latency: 40 * time.Millisecond},
-	}
-	before := &server.StatsResponse{}
-	after := &server.StatsResponse{}
-	before.LLM.Cache.Hits, before.LLM.Cache.Misses = 10, 5
-	after.LLM.Cache.Hits, after.LLM.Cache.Misses = 40, 15
-	r := aggregate("m", obs, 2*time.Second, 2, before, after)
-	if r.Requests != 4 || r.Shed != 1 || r.Failed != 1 {
-		t.Errorf("counts wrong: %+v", r)
-	}
-	if r.ShedRate != 0.25 || r.ErrorRate != 0.25 {
-		t.Errorf("rates wrong: shed %v err %v", r.ShedRate, r.ErrorRate)
-	}
-	if r.CacheHits != 30 || r.CacheMisses != 10 || r.CacheHitRate != 0.75 {
-		t.Errorf("cache delta wrong: %+v", r)
-	}
-	if r.AchievedQPS != 2 {
-		t.Errorf("achieved qps = %v, want 2", r.AchievedQPS)
-	}
-	if r.MaxMS != 40 {
-		t.Errorf("max = %v, want 40", r.MaxMS)
 	}
 }

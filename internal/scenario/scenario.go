@@ -9,8 +9,7 @@ import (
 
 // Scenario is one named, self-describing serving workload.
 type Scenario struct {
-	// Name identifies the scenario (registry key, arynload -list, mix
-	// weights).
+	// Name identifies the scenario (registry key, mix weights).
 	Name string
 	// Description says what the scenario exercises, in one line.
 	Description string

@@ -100,8 +100,7 @@ func TestEveryRegisteredScenario(t *testing.T) {
 }
 
 // TestScenariosAreSelfDescribing pins the docs contract: every scenario
-// carries the name, description, and paper section that `arynload -list`
-// surfaces.
+// carries a name, a description, and the paper section it exercises.
 func TestScenariosAreSelfDescribing(t *testing.T) {
 	for _, s := range All() {
 		if s.Name == "" || s.Description == "" || s.Paper == "" {

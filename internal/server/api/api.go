@@ -349,7 +349,7 @@ type JobStats struct {
 }
 
 // EndpointStats is one route's /stats snapshot — the counters the
-// arynload benchmark harness reads (docs/operations.md documents each
+// scenario tests and bench/ read (docs/operations.md documents each
 // field). Counters are keyed by the route's name under /v1 ("/query").
 type EndpointStats struct {
 	Requests     int64   `json:"requests"`
@@ -393,7 +393,7 @@ type StatsResponse struct {
 	// Endpoints breaks the traffic down per route: request counts by
 	// outcome class (ok / client error / server error / shed) plus
 	// cumulative and max handler latency — the server-side counters the
-	// arynload harness and operators read.
+	// scenario tests, bench/ and operators read.
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
 

@@ -44,8 +44,8 @@ func (e *endpointCounters) record(status int, elapsed time.Duration) {
 }
 
 // EndpointStats is one route's /stats snapshot — the counters the
-// arynload benchmark harness reads (the wire shape lives in the api
-// package; docs/operations.md documents each field).
+// scenario tests and the bench/ module read (the wire shape lives in the
+// api package; docs/operations.md documents each field).
 type EndpointStats = api.EndpointStats
 
 func (e *endpointCounters) snapshot() EndpointStats {

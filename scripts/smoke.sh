@@ -4,9 +4,11 @@
 # (§6.2 inspect→edit→re-run over HTTP), and fail on any non-200 — plus a
 # regression that invalid plans come back as 400 with a structured
 # {"error": {"code", "message", "details"}} envelope, an SSE
-# streamed-query round-trip, and a 404 envelope for an unprefixed path
-# (docs/streaming-api.md). Ingest goes through the job API: submitted,
-# then polled to done. CI runs this on every push
+# streamed-query round-trip, a 404 envelope for an unprefixed path
+# (docs/streaming-api.md), and the one request that shows a real
+# `arynd -fault-endpoint` serves /v1/faults (docs/fault-injection.md).
+# Ingest goes through the job API: submitted, then polled to done. CI
+# runs this on every push
 # (make smoke); it is the end-to-end proof that the serving layer,
 # admission gate, plan API, and session plumbing hold together outside
 # the Go test harness.
@@ -15,10 +17,44 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="${ARYND_ADDR:-127.0.0.1:8199}"
-TAG=smoke
-. scripts/arynd_boot.sh
-arynd_boot -docs 0
+BASE="http://$ADDR"
+BIN="$(mktemp -d)/arynd"
+LOG="$(mktemp)"
 
+cleanup() {
+  status=$?
+  if [ -n "${ARYND_PID:-}" ] && kill -0 "$ARYND_PID" 2>/dev/null; then
+    kill "$ARYND_PID" 2>/dev/null || true
+    wait "$ARYND_PID" 2>/dev/null || true
+  fi
+  if [ "$status" -ne 0 ]; then
+    echo "--- arynd log ---" >&2
+    cat "$LOG" >&2 || true
+  fi
+  rm -f "$LOG"
+  rm -rf "$(dirname "$BIN")"
+  exit "$status"
+}
+trap cleanup EXIT
+
+echo "smoke: building arynd..."
+go build -o "$BIN" ./cmd/arynd
+
+echo "smoke: starting arynd on $ADDR (empty index, fault endpoint on)..."
+"$BIN" -addr "$ADDR" -docs 0 -fault-endpoint >"$LOG" 2>&1 &
+ARYND_PID=$!
+
+# Wait for the health endpoint (up to ~15s).
+for _ in $(seq 1 150); do
+  if curl -fsS "$BASE/v1/healthz" >/dev/null 2>&1; then
+    break
+  fi
+  if ! kill -0 "$ARYND_PID" 2>/dev/null; then
+    echo "smoke: arynd died during startup" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
 curl -fsS "$BASE/v1/healthz" | grep -q '"status": "ok"' || {
   echo "smoke: healthz did not report ok" >&2; exit 1; }
 echo "smoke: healthz ok"
@@ -135,6 +171,11 @@ grep -q '"documents": 16' <<<"$SNAP" || {
 QUERY2=$(curl -fsS -X POST "$BASE/v1/query" -d '{"question":"How many incidents were there?"}')
 echo "$QUERY2" | grep -q '"answer": "16"' || {
   echo "smoke: post-job corpus should still count 16: $QUERY2" >&2; exit 1; }
+
+echo "smoke: fault endpoint is live and inert..."
+FAULTS=$(curl -fsS "$BASE/v1/faults")
+grep -q '"active": false' <<<"$FAULTS" || {
+  echo "smoke: -fault-endpoint should serve /v1/faults with no spec active: $FAULTS" >&2; exit 1; }
 
 echo "smoke: stats snapshot..."
 STATS=$(curl -fsS "$BASE/v1/stats")
