@@ -98,7 +98,8 @@ bench-e2e:
 
 # Coverage gate: merged profile over ./..., then per-package floors for
 # the optimization-loop packages (internal/cost, internal/luna,
-# internal/docset). CI uploads coverage.out as an artifact.
+# internal/docset) and the retrieval pair (internal/index,
+# internal/embed). CI uploads coverage.out as an artifact.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	./scripts/covercheck.sh coverage.out

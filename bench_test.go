@@ -2,8 +2,7 @@
 // and figure of the paper (run with `go test -bench . -benchmem`) and
 // measures the ablations DESIGN.md calls out. Custom metrics carry the
 // reproduced numbers: mAP/mAR for Table 1, correct/incorrect/refusal
-// counts for Table 4, recall for the vector-index ablation, and LLM-call
-// counts for the plan-rewrite ablation.
+// counts for Table 4, and LLM-call counts for the plan-rewrite ablation.
 package aryn
 
 import (
@@ -14,8 +13,6 @@ import (
 
 	"aryn/internal/core"
 	"aryn/internal/docparse"
-	"aryn/internal/embed"
-	"aryn/internal/index"
 	"aryn/internal/layout"
 	"aryn/internal/llm"
 	"aryn/internal/luna"
@@ -269,57 +266,6 @@ func BenchmarkAblationRAGContext(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationVectorIndex compares exact brute-force kNN against
-// HNSW on latency and recall.
-func BenchmarkAblationVectorIndex(b *testing.B) {
-	em := embed.NewHash(1)
-	words := []string{"engine", "wing", "landing", "fuel", "bird", "wind", "runway",
-		"pilot", "gear", "propeller", "stall", "fire", "terrain", "approach",
-		"takeoff", "cruise", "collision", "water", "night", "maintenance"}
-	texts := make([]string, 3000)
-	for i := range texts {
-		// Distinct vocabulary mixes per chunk, like real narratives.
-		texts[i] = fmt.Sprintf("%s %s %s narrative %d",
-			words[i%len(words)], words[(i/3)%len(words)], words[(i/7)%len(words)], i)
-	}
-	vecs := make([][]float32, len(texts))
-	for i, t := range texts {
-		vecs[i] = em.Embed(t)
-	}
-	query := em.Embed("engine failure during landing")
-
-	exact := index.NewExact()
-	hnsw := index.NewHNSW(3)
-	for i, v := range vecs {
-		exact.Add(i, v)
-		hnsw.Add(i, v)
-	}
-
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			exact.Search(query, 10)
-		}
-	})
-	b.Run("hnsw", func(b *testing.B) {
-		truth := map[int]bool{}
-		for _, r := range exact.Search(query, 10) {
-			truth[r.Doc] = true
-		}
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			res := hnsw.Search(query, 10)
-			if i == 0 {
-				for _, r := range res {
-					if truth[r.Doc] {
-						hits++
-					}
-				}
-			}
-		}
-		b.ReportMetric(float64(hits)/10, "recall@10")
-	})
 }
 
 // BenchmarkAblationOCR measures extraction robustness to OCR quality:

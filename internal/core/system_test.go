@@ -336,3 +336,51 @@ func TestDisabledMiddlewareStillAnswers(t *testing.T) {
 		t.Error("no answer with middleware disabled")
 	}
 }
+
+// TestDocumentOrderIndependentOfScheduling: docset.Write is a parallel map
+// stage, so documents reach the store in whatever order the extract
+// workers finish. The store orders them by ID, so the same blobs give one
+// Documents() order and one list answer on every ingest, at any
+// Parallelism — q27 used to come back in either order between two boots.
+func TestDocumentOrderIndependentOfScheduling(t *testing.T) {
+	corpus, err := ntsb.GenerateCorpus(30, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := corpus.Blobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q27 = "List the registration numbers of aircraft that were destroyed."
+	var wantOrder, wantAnswer string
+	for _, parallelism := range []int{1, 8} {
+		for run := 0; run < 5; run++ {
+			sys := New(Config{Seed: 7, Parallelism: parallelism})
+			if _, err := sys.Ingest(context.Background(), blobs); err != nil {
+				t.Fatal(err)
+			}
+			var ids []string
+			for _, d := range sys.Store.Documents() {
+				ids = append(ids, d.ID)
+			}
+			res, err := sys.Ask(context.Background(), q27)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order, answer := strings.Join(ids, " "), res.Answer.String()
+			if wantOrder == "" {
+				if len(res.Answer.List) < 2 {
+					t.Fatalf("q27 lists %d registrations; order needs at least two", len(res.Answer.List))
+				}
+				wantOrder, wantAnswer = order, answer
+				continue
+			}
+			if order != wantOrder {
+				t.Fatalf("parallelism %d run %d: Documents() order differs:\n got %s\nwant %s", parallelism, run, order, wantOrder)
+			}
+			if answer != wantAnswer {
+				t.Fatalf("parallelism %d run %d: q27 answered %q, first ingest answered %q", parallelism, run, answer, wantAnswer)
+			}
+		}
+	}
+}

@@ -8,7 +8,7 @@
 // Paper counterpart: the embedding model of the §6.1 vector-search path
 // (the paper uses MiniLM embeddings indexed in OpenSearch).
 //
-// Concurrency: Hash memoizes per-token directions behind an internal
-// lock, so Embed is safe (and fast) to call from concurrent pipeline
-// workers.
+// Concurrency: Hash memoizes per-token directions in a bounded cache
+// behind an internal lock, so Embed is safe (and fast) to call from
+// concurrent pipeline workers.
 package embed

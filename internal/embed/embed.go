@@ -28,10 +28,10 @@ type Embedder interface {
 }
 
 // Hash is the hashed bag-of-tokens embedder. Token directions are pure
-// functions of (seed, token), so they are memoized: the first sighting of
-// a token pays for the Gaussian generation, every later Embed — per chunk
-// at ingest, per query at ask-time — reuses the cached unit direction.
-// Safe for concurrent use.
+// functions of (seed, token), so they are memoized in a bounded cache
+// (maxCachedDirections): a token seen recently reuses its unit direction
+// instead of paying for the Gaussian generation again — per chunk at
+// ingest, per query at ask-time. Safe for concurrent use.
 type Hash struct {
 	seed int64
 	dim  int
@@ -157,7 +157,10 @@ func (h *Hash) tokenDirection(tok string) []float32 {
 	h.mu.Lock()
 	if prior, ok := h.dirs[tok]; ok {
 		dir = prior // a concurrent Embed won the race; share its slice
-	} else if len(h.dirs) < maxCachedDirections {
+	} else {
+		if len(h.dirs) >= maxCachedDirections {
+			h.dirs = make(map[string][]float32, maxCachedDirections)
+		}
 		h.dirs[tok] = dir
 	}
 	h.mu.Unlock()
@@ -165,11 +168,15 @@ func (h *Hash) tokenDirection(tok string) []float32 {
 }
 
 // maxCachedDirections bounds the direction cache. Each entry costs
-// Dim*4 bytes (4 KB), so the cap holds worst-case residency to ~64 MB.
-// Common vocabulary is seen (and cached) early; once full, long-tail
-// tokens — report numbers, dates, one-off IDs — are recomputed instead
-// of growing the cache without bound.
-const maxCachedDirections = 16384
+// Dim*4 bytes (4 KB), so the cache holds at most 8 MB at any corpus size.
+// Most distinct tokens of a corpus are looked up once — report numbers,
+// registrations, dates — and a few hundred words make nearly all the
+// hits, so when the cache is full it starts over empty rather than
+// freezing on whichever tokens arrived first: the hot vocabulary refills
+// in a few milliseconds, once per ~1,400 new long-tail tokens. A
+// direction is a pure function of (seed, token), so dropping one never
+// changes an embedding.
+const maxCachedDirections = 2048
 
 // Normalize scales vec to unit L2 norm in place (no-op on zero vectors).
 func Normalize(vec []float32) {

@@ -1,7 +1,9 @@
 package embed
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -133,6 +135,73 @@ func TestEmbedConcurrent(t *testing.T) {
 						t.Errorf("worker %d: concurrent embed diverged", w)
 						return
 					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// cachedDirections reads the cache size the way a hit does.
+func cachedDirections(h *Hash) int {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return len(h.dirs)
+}
+
+// TestDirectionCacheStartsOver: a full cache is dropped and refilled, not
+// frozen, and neither changes an embedding — the text embedded before more
+// than a cache's worth of one-off tokens went through embeds to the same
+// bytes after.
+func TestDirectionCacheStartsOver(t *testing.T) {
+	const text = "the engine lost power during cruise and the pilot made a forced landing"
+	e := NewHash(1)
+	before := e.Embed(text)
+	startedOver := false
+	for i, last := 0, cachedDirections(e); i < maxCachedDirections+500; i++ {
+		e.Embed(fmt.Sprintf("n%dx", i))
+		n := cachedDirections(e)
+		if n > maxCachedDirections {
+			t.Fatalf("cache holds %d directions, bound is %d", n, maxCachedDirections)
+		}
+		startedOver = startedOver || n < last
+		last = n
+	}
+	if !startedOver {
+		t.Fatal("cache never started over: later tokens were never admitted")
+	}
+	after := e.Embed(text)
+	for i := range before {
+		if math.Float32bits(before[i]) != math.Float32bits(after[i]) {
+			t.Fatalf("embedding changed across a cache start-over at dim %d", i)
+		}
+	}
+	if cachedDirections(e) == 0 {
+		t.Error("tokens embedded after the start-over should be cached again")
+	}
+}
+
+// TestDirectionCacheBoundedConcurrently pushes three caches' worth of
+// fresh tokens through eight embedders at once (meaningful under -race):
+// the bound holds at every look, and a shared text keeps its bytes.
+func TestDirectionCacheBoundedConcurrently(t *testing.T) {
+	const text = "engine fire during landing approach"
+	e := NewHash(1)
+	want := NewHash(1).Embed(text)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3*maxCachedDirections/8; i++ {
+				e.Embed(fmt.Sprintf("w%dn%dx", w, i))
+				if n := cachedDirections(e); n > maxCachedDirections {
+					t.Errorf("worker %d: cache holds %d directions, bound is %d", w, n, maxCachedDirections)
+					return
+				}
+				if i%64 == 0 && !reflect.DeepEqual(e.Embed(text), want) {
+					t.Errorf("worker %d: shared text embedded differently", w)
+					return
 				}
 			}
 		}(w)

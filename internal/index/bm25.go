@@ -14,38 +14,53 @@ const (
 
 // bm25Index is an inverted index over chunk texts with BM25 ranking.
 // Length statistics are maintained incrementally on add, so avgLen is
-// O(1) at search time rather than a per-search rescan.
+// O(1) at search time rather than a per-search rescan. Ordinals, term
+// frequencies and lengths are uint32: a posting is 8 bytes, and an
+// in-process store is far from four billion chunks.
 type bm25Index struct {
 	postings map[string][]posting // term -> sorted doc postings
-	docLen   []int                // tokens per indexed chunk
+	docLen   []uint32             // tokens per indexed chunk
 	totalLen int                  // running sum of docLen
 }
 
 type posting struct {
-	doc int // chunk ordinal
-	tf  int
+	doc uint32 // chunk ordinal
+	tf  uint32
 }
 
 func newBM25() *bm25Index {
 	return &bm25Index{postings: make(map[string][]posting)}
 }
 
-// add indexes the text of the chunk with ordinal id. Chunks must be added
-// in increasing id order (the store guarantees this).
-func (ix *bm25Index) add(id int, text string) {
+// termStats is what the index keeps of one chunk's text: how often each
+// term occurs and how many tokens there are.
+type termStats struct {
+	counts map[string]uint32
+	tokens uint32
+}
+
+// countTerms tokenizes text into its termStats. It touches no index
+// state, so writers run it before taking the store lock.
+func countTerms(text string) termStats {
 	toks := llm.Tokenize(text)
-	counts := map[string]int{}
+	counts := make(map[string]uint32, len(toks))
 	for _, t := range toks {
 		counts[t]++
 	}
-	for t, tf := range counts {
-		ix.postings[t] = append(ix.postings[t], posting{doc: id, tf: tf})
+	return termStats{counts: counts, tokens: uint32(len(toks))}
+}
+
+// add indexes the terms of the chunk with ordinal id. Chunks must be added
+// in increasing id order (the store guarantees this).
+func (ix *bm25Index) add(id int, ts termStats) {
+	for t, tf := range ts.counts {
+		ix.postings[t] = append(ix.postings[t], posting{doc: uint32(id), tf: tf})
 	}
 	for len(ix.docLen) <= id {
 		ix.docLen = append(ix.docLen, 0)
 	}
-	ix.docLen[id] = len(toks)
-	ix.totalLen += len(toks)
+	ix.docLen[id] = ts.tokens
+	ix.totalLen += int(ts.tokens)
 }
 
 func (ix *bm25Index) avgLen() float64 {
@@ -89,7 +104,7 @@ func (ix *bm25Index) search(query string, k int) []Scored {
 			tf := float64(p.tf)
 			dl := float64(ix.docLen[p.doc])
 			denom := tf + bm25K1*(1-bm25B+bm25B*dl/avg)
-			scores[p.doc] += idf * tf * (bm25K1 + 1) / denom
+			scores[int(p.doc)] += idf * tf * (bm25K1 + 1) / denom
 		}
 	}
 	// Bounded top-k selection instead of sorting the whole score map; the

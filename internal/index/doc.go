@@ -1,6 +1,6 @@
 // Package index is the in-process data store standing in for OpenSearch
 // (§6.1): keyword (BM25) search over chunk text, typed property filters,
-// and vector similarity search (exact and HNSW), with chunk→document
+// and exact vector similarity search, with chunk→document
 // reassembly. Luna only requires these three contracts of its backing
 // store, so the substitution preserves the paper's query surface.
 //

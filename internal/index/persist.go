@@ -24,16 +24,15 @@ func init() {
 
 // snapshot is the serialized store state.
 type snapshot struct {
-	Docs     []*docmodel.Document
-	DocOrder []string
-	Chunks   []Chunk
+	Docs   []*docmodel.Document
+	Chunks []Chunk
 }
 
 // Save writes the store to path (gzip+gob). The vector and keyword indexes
 // are rebuilt on Load, so only source data is persisted.
 func (s *Store) Save(path string) error {
 	s.mu.RLock()
-	snap := snapshot{DocOrder: append([]string(nil), s.docOrder...), Chunks: append([]Chunk(nil), s.chunks...)}
+	snap := snapshot{Chunks: append([]Chunk(nil), s.chunks...)}
 	for _, id := range s.docOrder {
 		snap.Docs = append(snap.Docs, s.docs[id])
 	}

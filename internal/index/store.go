@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"aryn/internal/docmodel"
@@ -29,12 +30,15 @@ type Chunk struct {
 // mutate take an explicit copy with Document.Clone (the docset sources do
 // this automatically when a pipeline contains a mutating operator).
 type Store struct {
-	mu       sync.RWMutex
-	docs     map[string]*docmodel.Document
+	mu   sync.RWMutex
+	docs map[string]*docmodel.Document
+	// docOrder is every document ID, sorted: the order of Documents and
+	// of filter-only scans. Ingest writes from parallel workers, so arrival
+	// order is scheduling; ID order is the same on every boot.
 	docOrder []string
 	chunks   []Chunk
 	bm25     *bm25Index
-	vec      VectorSearcher
+	vec      *Exact
 }
 
 // NewStore returns an empty store; vector search is exact brute force.
@@ -57,8 +61,8 @@ func (s *Store) PutDocument(d *docmodel.Document) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.docs[d.ID]; !exists {
-		s.docOrder = append(s.docOrder, d.ID)
+	if i, found := slices.BinarySearch(s.docOrder, d.ID); !found {
+		s.docOrder = slices.Insert(s.docOrder, i, d.ID)
 	}
 	s.docs[d.ID] = d.Clone()
 	return nil
@@ -69,11 +73,18 @@ func (s *Store) PutChunk(c Chunk) error {
 	if c.ParentID == "" {
 		return fmt.Errorf("index: chunk %q must reference a parent document", c.ID)
 	}
+	// Everything that needs no store state happens before the write lock:
+	// tokenizing, and normalizing the vector, so that the chunk and the
+	// vector index hold the one unit slice.
+	terms := countTerms(c.Text)
+	if c.Vector != nil {
+		c.Vector = unitVector(c.Vector)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ord := len(s.chunks)
 	s.chunks = append(s.chunks, c)
-	s.bm25.add(ord, c.Text)
+	s.bm25.add(ord, terms)
 	if c.Vector != nil {
 		s.vec.Add(ord, c.Vector)
 	}
@@ -93,8 +104,8 @@ func (s *Store) Document(id string) (*docmodel.Document, bool) {
 	return d, true
 }
 
-// Documents returns all parent documents in insertion order, as shared
-// read-only snapshots.
+// Documents returns all parent documents in ID order, as shared read-only
+// snapshots.
 func (s *Store) Documents() []*docmodel.Document {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -152,8 +163,8 @@ type ChunkHit struct {
 }
 
 // SearchDocs runs the query and returns parent documents, reassembled from
-// their best-matching chunks, ordered by descending score (insertion order
-// for pure filter scans). Hit documents are shared read-only snapshots
+// their best-matching chunks, ordered by descending score (ID order for
+// pure filter scans). Hit documents are shared read-only snapshots
 // (see the Store doc comment).
 func (s *Store) SearchDocs(q Query) []DocHit {
 	s.mu.RLock()

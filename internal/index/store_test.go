@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -283,6 +284,52 @@ func TestStoreConcurrentReadWrite(t *testing.T) {
 	if s.NumDocs() != 3+200 {
 		t.Errorf("docs after concurrent writes = %d, want %d", s.NumDocs(), 203)
 	}
+}
+
+// TestLiveHeapPerChunk is the retrieval state's memory budget. 4,000
+// chunks, each with three tokens no other chunk has (an accident number, a
+// registration, a date — what makes most of a real corpus's vocabulary),
+// go through Embed and PutChunk; what stays live afterwards must fit
+// vector (4 KB) + text + 1.5 KB per chunk for the chunk record, postings
+// and index slack, plus the embedder's direction cache at its 8 MB bound.
+// Before that cache was bounded at 2,048 entries it kept every one-off
+// token's 4 KB direction and this read 18 KB per chunk against the 8 KB
+// allowed.
+func TestLiveHeapPerChunk(t *testing.T) {
+	const (
+		n             = 4000
+		vectorBytes   = 4 * embed.Dim
+		overheadBytes = 1536
+		cacheBytes    = 8 << 20
+	)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := liveHeap()
+	em := embed.NewHash(7)
+	s := NewStore()
+	textBytes := 0
+	for i := 0; i < n; i++ {
+		text := fmt.Sprintf("Accident ERA%02dLA%04d: the airplane N%dQ lost engine power during cruise on 2021-%02d-%02dT%04d "+
+			"and the pilot made a forced landing in a field; the airplane sustained substantial damage to the left wing.",
+			i%90, i, 10000+i, 1+i%12, 1+i%28, i)
+		textBytes += len(text)
+		err := s.PutChunk(Chunk{ID: fmt.Sprintf("c%d", i), ParentID: fmt.Sprintf("d%d", i/5), Text: text, Vector: em.Embed(text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := liveHeap() - base
+	budget := uint64(n*(vectorBytes+overheadBytes) + textBytes + cacheBytes)
+	t.Logf("live heap %d B/chunk, budget %d B/chunk", live/n, budget/n)
+	if live > budget {
+		t.Errorf("retrieval state holds %d B per chunk, budget is %d B per chunk", live/n, budget/n)
+	}
+	runtime.KeepAlive(em)
+	runtime.KeepAlive(s)
 }
 
 func TestPutValidation(t *testing.T) {

@@ -2,24 +2,11 @@ package index
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	"aryn/internal/embed"
 )
-
-// VectorSearcher is the kNN contract the store consumes. Exact gives
-// ground-truth ranking; HNSW trades a little recall for sub-linear search.
-type VectorSearcher interface {
-	// Add indexes vec under the chunk ordinal id.
-	Add(id int, vec []float32)
-	// Search returns the top-k ids by cosine similarity (descending).
-	Search(query []float32, k int) []Scored
-	// Len reports the number of indexed vectors.
-	Len() int
-}
 
 // unitVector returns vec scaled to unit L2 norm. Vectors already unit
 // (within float32 rounding — everything embed.Hash emits) are returned
@@ -62,31 +49,21 @@ func (e *Exact) Add(id int, vec []float32) {
 	e.vecs = append(e.vecs, unitVector(vec))
 }
 
-// Len reports the number of indexed vectors.
-func (e *Exact) Len() int { return len(e.ids) }
-
 // Search scans all vectors and returns the k most similar (all of them,
 // ranked, when k <= 0). Ties break by ascending id.
 func (e *Exact) Search(query []float32, k int) []Scored {
 	q := unitVector(query)
 	n := len(e.ids)
-	if k <= 0 || k >= n {
-		out := make([]Scored, n)
-		for i, v := range e.vecs {
-			out[i] = Scored{Doc: e.ids[i], Score: embed.Dot(q, v)}
-		}
-		return selectTopK(out, k)
+	if k <= 0 || k > n {
+		k = n
 	}
-
 	workers := runtime.GOMAXPROCS(0)
-	if max := n / exactShardMin; workers > max {
-		workers = max
+	if most := n / exactShardMin; workers > most {
+		workers = most
 	}
 	if workers <= 1 {
 		t := newTopK(k)
-		for i, v := range e.vecs {
-			t.offer(Scored{Doc: e.ids[i], Score: embed.Dot(q, v)})
-		}
+		e.scan(q, 0, n, t)
 		return t.take()
 	}
 
@@ -97,17 +74,12 @@ func (e *Exact) Search(query []float32, k int) []Scored {
 	parts := make([][]Scored, workers)
 	stride := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo, hi := w*stride, (w+1)*stride
-		if hi > n {
-			hi = n
-		}
+		lo, hi := w*stride, min((w+1)*stride, n)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			t := newTopK(k)
-			for i := lo; i < hi; i++ {
-				t.offer(Scored{Doc: e.ids[i], Score: embed.Dot(q, e.vecs[i])})
-			}
+			t := newTopK(min(k, hi-lo))
+			e.scan(q, lo, hi, t)
 			parts[w] = t.take()
 		}(w, lo, hi)
 	}
@@ -121,348 +93,36 @@ func (e *Exact) Search(query []float32, k int) []Scored {
 	return merged.take()
 }
 
-// HNSW is a hierarchical navigable small-world graph index
-// (Malkov & Yashunin), the ANN structure OpenSearch's kNN plugin uses.
-type HNSW struct {
-	m              int // max links per node per layer (above layer 0)
-	mmax0          int // max links at layer 0
-	efConstruction int
-	efSearch       int
-	levelMult      float64
-	rng            *rand.Rand
-
-	vecs    [][]float32
-	ids     []int
-	links   [][][]int32 // node -> layer -> neighbor node indices
-	levels  []int
-	entry   int
-	maxL    int
-	started bool
-
-	// scratch pools per-search state (visited marks, beam heaps) so the
-	// hot path allocates nothing per hop. Pooled rather than owned so
-	// concurrent searches (the store runs them under RLock) each get
-	// their own buffers.
-	scratch sync.Pool
-}
-
-// hnswScratch is the reusable per-search state.
-type hnswScratch struct {
-	visited []uint32 // node -> generation mark (== gen means visited)
-	gen     uint32
-	cand    distHeap
-	res     distHeap
-}
-
-// mark records node as visited, reporting whether it already was.
-func (sc *hnswScratch) mark(node, size int) bool {
-	if len(sc.visited) < size {
-		grown := make([]uint32, size*2)
-		copy(grown, sc.visited)
-		sc.visited = grown
-	}
-	if sc.visited[node] == sc.gen {
-		return true
-	}
-	sc.visited[node] = sc.gen
-	return false
-}
-
-// NewHNSW builds an empty HNSW index with standard parameters (M=16,
-// efConstruction=128, efSearch=64). The seed fixes level assignment so
-// builds are reproducible.
-func NewHNSW(seed int64) *HNSW {
-	m := 16
-	h := &HNSW{
-		m:              m,
-		mmax0:          2 * m,
-		efConstruction: 128,
-		efSearch:       64,
-		levelMult:      1 / math.Log(float64(m)),
-		rng:            rand.New(rand.NewSource(seed)),
-	}
-	h.scratch.New = func() any {
-		return &hnswScratch{cand: distHeap{min: true}, res: distHeap{min: false}}
-	}
-	return h
-}
-
-// getScratch leases per-search buffers, advancing the visited generation
-// so stale marks from earlier searches read as unvisited.
-func (h *HNSW) getScratch() *hnswScratch {
-	sc := h.scratch.Get().(*hnswScratch)
-	sc.gen++
-	if sc.gen == 0 { // wrapped: clear stale marks that now alias gen 0
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
-		sc.gen = 1
-	}
-	sc.cand.items = sc.cand.items[:0]
-	sc.res.items = sc.res.items[:0]
-	return sc
-}
-
-// SetEFSearch tunes the search beam width (recall/latency trade-off).
-func (h *HNSW) SetEFSearch(ef int) {
-	if ef > 0 {
-		h.efSearch = ef
-	}
-}
-
-// Len reports the number of indexed vectors.
-func (h *HNSW) Len() int { return len(h.ids) }
-
-// dist is the cosine distance between unit vectors (see unitVector).
-func (h *HNSW) dist(a, b []float32) float64 { return 1 - embed.Dot(a, b) }
-
-// Add inserts vec under id (normalized to unit length).
-func (h *HNSW) Add(id int, vec []float32) {
-	vec = unitVector(vec)
-	node := len(h.vecs)
-	level := int(math.Floor(-math.Log(h.rng.Float64()+1e-12) * h.levelMult))
-	h.vecs = append(h.vecs, vec)
-	h.ids = append(h.ids, id)
-	h.levels = append(h.levels, level)
-	layers := make([][]int32, level+1)
-	h.links = append(h.links, layers)
-
-	if !h.started {
-		h.entry = node
-		h.maxL = level
-		h.started = true
-		return
-	}
-
-	cur := h.entry
-	// Greedy descent through layers above the insertion level.
-	for l := h.maxL; l > level; l-- {
-		cur = h.greedyClosest(vec, cur, l)
-	}
-	// Insert with beam search from min(level, maxL) down to 0.
-	top := level
-	if h.maxL < top {
-		top = h.maxL
-	}
-	for l := top; l >= 0; l-- {
-		cands := h.searchLayer(vec, cur, h.efConstruction, l)
-		maxLinks := h.m
-		if l == 0 {
-			maxLinks = h.mmax0
-		}
-		sel := cands
-		if len(sel) > h.m {
-			sel = sel[:h.m]
-		}
-		for _, c := range sel {
-			h.connect(node, c.Doc, l, maxLinks)
-			h.connect(c.Doc, node, l, maxLinks)
-		}
-		if len(cands) > 0 {
-			cur = cands[0].Doc
-		}
-	}
-	if level > h.maxL {
-		h.maxL = level
-		h.entry = node
-	}
-}
-
-// connect links from -> to at layer l, pruning to the maxLinks closest
-// (distance ties break by node ordinal, keeping builds reproducible).
-func (h *HNSW) connect(from, to int, l, maxLinks int) {
-	if from == to {
-		return
-	}
-	nbrs := h.links[from][l]
-	for _, n := range nbrs {
-		if int(n) == to {
-			return
-		}
-	}
-	nbrs = append(nbrs, int32(to))
-	if len(nbrs) > maxLinks {
-		// Keep the maxLinks closest neighbors.
-		base := h.vecs[from]
-		sort.Slice(nbrs, func(i, j int) bool {
-			di, dj := h.dist(base, h.vecs[nbrs[i]]), h.dist(base, h.vecs[nbrs[j]])
-			if di != dj {
-				return di < dj
-			}
-			return nbrs[i] < nbrs[j]
-		})
-		nbrs = nbrs[:maxLinks]
-	}
-	h.links[from][l] = nbrs
-}
-
-// neighborsAt returns the neighbor list of node at layer l without
-// copying; callers must not mutate it.
-func (h *HNSW) neighborsAt(node, l int) []int32 {
-	if l >= len(h.links[node]) {
-		return nil
-	}
-	return h.links[node][l]
-}
-
-// greedyClosest walks layer l greedily toward vec from start.
-func (h *HNSW) greedyClosest(vec []float32, start, l int) int {
-	cur := start
-	curD := h.dist(vec, h.vecs[cur])
-	for {
-		improved := false
-		for _, n := range h.neighborsAt(cur, l) {
-			if d := h.dist(vec, h.vecs[int(n)]); d < curD {
-				cur, curD = int(n), d
-				improved = true
-			}
-		}
-		if !improved {
-			return cur
-		}
-	}
-}
-
-// searchLayer runs beam search of width ef at layer l, returning candidates
-// ordered by increasing distance (ties by ascending node ordinal, so runs
-// over identical builds are byte-reproducible).
-func (h *HNSW) searchLayer(vec []float32, entry, ef, l int) []Scored {
-	sc := h.getScratch()
-	defer h.scratch.Put(sc)
-
-	n := len(h.vecs)
-	sc.mark(entry, n)
-	entryD := h.dist(vec, h.vecs[entry])
-	cand, res := &sc.cand, &sc.res
-	cand.push(distItem{node: entry, d: entryD})
-	res.push(distItem{node: entry, d: entryD})
-
-	for cand.Len() > 0 {
-		c := cand.pop()
-		worst := res.peek().d
-		if c.d > worst && res.Len() >= ef {
-			break
-		}
-		for _, n32 := range h.neighborsAt(c.node, l) {
-			nb := int(n32)
-			if sc.mark(nb, n) {
+// scan offers rows [lo, hi) scored against q to t, four rows per pass. One
+// row's score is a 1,024-long chain of dependent float64 adds, and that
+// latency — not memory bandwidth — is what a scan waits on; four rows give
+// the core four independent chains to overlap. Each row is still summed
+// left to right exactly as embed.Dot sums it, so every score is the same
+// bits; splitting one row's sum across accumulators would not be.
+func (e *Exact) scan(q []float32, lo, hi int, t *topK) {
+	for i := lo; i < hi; {
+		if i+4 <= hi {
+			a, b, c, d := e.vecs[i], e.vecs[i+1], e.vecs[i+2], e.vecs[i+3]
+			if len(a) == len(q) && len(b) == len(q) && len(c) == len(q) && len(d) == len(q) {
+				var sa, sb, sc, sd float64
+				for j, x := range q {
+					x := float64(x)
+					sa += x * float64(a[j])
+					sb += x * float64(b[j])
+					sc += x * float64(c[j])
+					sd += x * float64(d[j])
+				}
+				t.offer(Scored{Doc: e.ids[i], Score: sa})
+				t.offer(Scored{Doc: e.ids[i+1], Score: sb})
+				t.offer(Scored{Doc: e.ids[i+2], Score: sc})
+				t.offer(Scored{Doc: e.ids[i+3], Score: sd})
+				i += 4
 				continue
 			}
-			d := h.dist(vec, h.vecs[nb])
-			if res.Len() < ef || d < res.peek().d {
-				cand.push(distItem{node: nb, d: d})
-				res.push(distItem{node: nb, d: d})
-				if res.Len() > ef {
-					res.pop()
-				}
-			}
 		}
-	}
-	out := make([]Scored, res.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		it := res.pop()
-		out[i] = Scored{Doc: it.node, Score: 1 - it.d}
-	}
-	return out
-}
-
-// Search returns the top-k ids by cosine similarity (score ties ordered
-// by ascending chunk ordinal, as Exact and BM25 do).
-func (h *HNSW) Search(query []float32, k int) []Scored {
-	if !h.started {
-		return nil
-	}
-	q := unitVector(query)
-	cur := h.entry
-	for l := h.maxL; l > 0; l-- {
-		cur = h.greedyClosest(q, cur, l)
-	}
-	ef := h.efSearch
-	if ef < k {
-		ef = k
-	}
-	cands := h.searchLayer(q, cur, ef, 0)
-	out := make([]Scored, 0, k)
-	for _, c := range cands {
-		out = append(out, Scored{Doc: h.ids[c.Doc], Score: c.Score})
-		if k > 0 && len(out) == k {
-			break
-		}
-	}
-	return out
-}
-
-// distItem / distHeap implement both min- and max-heaps over distances,
-// with node-ordinal tie-breaks so heap order is a total order.
-type distItem struct {
-	node int
-	d    float64
-}
-
-type distHeap struct {
-	items []distItem
-	min   bool
-}
-
-func (h *distHeap) Len() int { return len(h.items) }
-
-// less orders the heap: min-heaps surface the closest node (ties by
-// ascending ordinal); max-heaps surface the farthest (ties by descending
-// ordinal, so trimming evicts the highest ordinal among equals first).
-func (h *distHeap) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if h.min {
-		if a.d != b.d {
-			return a.d < b.d
-		}
-		return a.node < b.node
-	}
-	if a.d != b.d {
-		return a.d > b.d
-	}
-	return a.node > b.node
-}
-
-func (h *distHeap) swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-func (h *distHeap) push(it distItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
+		// The last n mod 4 rows, and a group holding a row of the wrong
+		// length (which scores 0, as embed.Dot has it), go one at a time.
+		t.offer(Scored{Doc: e.ids[i], Score: embed.Dot(q, e.vecs[i])})
+		i++
 	}
 }
-
-func (h *distHeap) pop() distItem {
-	it := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		best := i
-		if l := 2*i + 1; l < last && h.less(l, best) {
-			best = l
-		}
-		if r := 2*i + 2; r < last && h.less(r, best) {
-			best = r
-		}
-		if best == i {
-			return it
-		}
-		h.swap(i, best)
-		i = best
-	}
-}
-
-func (h *distHeap) peek() distItem { return h.items[0] }
-
-var (
-	_ VectorSearcher = (*Exact)(nil)
-	_ VectorSearcher = (*HNSW)(nil)
-)
