@@ -98,7 +98,7 @@ bench-e2e:
 
 # Coverage gate: merged profile over ./..., then per-package floors for
 # the optimization-loop packages (internal/cost, internal/luna,
-# internal/docset) and the retrieval pair (internal/index,
+# internal/docset, internal/llm) and the retrieval pair (internal/index,
 # internal/embed). CI uploads coverage.out as an artifact.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

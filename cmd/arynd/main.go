@@ -64,7 +64,7 @@ func main() {
 		maxJobs     = flag.Int("max-queued-jobs", 4, "max ingest jobs waiting for the worker before shedding 429s")
 		faultSpec   = flag.String("fault-spec", "", "activate this JSON fault spec at boot (implies -fault-endpoint; see docs/fault-injection.md)")
 		faultEP     = flag.Bool("fault-endpoint", false, "expose the dev-only /v1/faults chaos-control endpoint")
-		optimize    = flag.Bool("optimize", false, "run the optimize-phase rules (filter hoisting, llmFilter reordering, proxy cascades) by default; the per-request \"optimize\" field overrides")
+		optimize    = flag.Bool("optimize", false, "run the optimize-phase rules (filter hoisting, llmFilter fusion, proxy cascades) by default; the per-request \"optimize\" field overrides")
 		feedback    = flag.String("feedback", "", "optimizer feedback-store path: warm-start from it at boot, persist back on shutdown")
 	)
 	flag.Parse()

@@ -56,9 +56,9 @@ type Config struct {
 	// batches carry (0 = docset default). Smaller batches lower time-to-
 	// first-result at the cost of more events on the wire.
 	StreamBatch int
-	// Optimize enables the cost-based plan-optimization phase (cheap
-	// pre-filters hoisted above LLM operators, llmFilter order refined by
-	// observed selectivities, proxy cascades). Off by default so
+	// Optimize enables the plan-optimization phase (cheap pre-filters
+	// hoisted above LLM operators, chained llmFilters fused into one call
+	// per document, proxy cascades). Off by default so
 	// equivalence tests and cautious deployments can diff optimized
 	// against unoptimized output; the feedback store records observations
 	// either way, so enabling it later starts warm.

@@ -152,25 +152,44 @@ func (s *workerSlot) give() {
 	}
 }
 
-// complete issues one model call for the current stage attempt. A map-stage
-// worker gives its budget slot back for the round trip (a worker blocked on
-// the model is not busy, so a sibling stage or branch computes meanwhile)
-// and queues for it again before it parses the response. Barrier and
-// source stages hold no slot and call straight through.
-func (c *Context) complete(req llm.Request) (llm.Response, error) {
+// complete issues one model call for the current stage attempt.
+func (c *Context) complete(req llm.Request) (resp llm.Response, err error) {
+	err = c.roundTrip(func(ctx context.Context) (err error) {
+		resp, err = c.LLM.Complete(ctx, req)
+		return err
+	})
+	return resp, err
+}
+
+// completeGroup issues one request group for the current stage attempt:
+// at most one model call (llm.CompleteGroup).
+func (c *Context) completeGroup(g llm.Group) (resps []llm.Response, err error) {
+	err = c.roundTrip(func(ctx context.Context) (err error) {
+		resps, err = llm.CompleteGroup(ctx, c.LLM, g)
+		return err
+	})
+	return resps, err
+}
+
+// roundTrip runs one model round trip under the attempt's context. A
+// map-stage worker gives its budget slot back for the round trip (a worker
+// blocked on the model is not busy, so a sibling stage or branch computes
+// meanwhile) and queues for it again before it parses the response.
+// Barrier and source stages hold no slot and call straight through.
+func (c *Context) roundTrip(call func(context.Context) error) error {
 	ctx := c.CallContext()
 	if c.slot == nil {
-		return c.LLM.Complete(ctx, req)
+		return call(ctx)
 	}
 	c.slot.give()
-	resp, err := c.LLM.Complete(ctx, req)
+	err := call(ctx)
 	returned := wallclock()
 	retaken := c.slot.take()
 	c.slot.queued += wallclock().Sub(returned)
 	if !retaken && err == nil {
 		err = ctx.Err() // derived from the stage context, so done as well
 	}
-	return resp, err
+	return err
 }
 
 // CallContext returns the context the current stage attempt should issue

@@ -6,6 +6,9 @@
 // and a full per-operator lineage trace, handing batches of arriving
 // documents to an optional sink on the collecting goroutine (a slow sink
 // is the pipeline's back-pressure). Execute is ExecuteStream with no sink.
+// LLMFilter and LLMFilterCascade are one stage (llmFilters in semantic.go):
+// any number of questions, each document sent to the model at most once and
+// asked only what the response cache lacks (llm.FilterGroup).
 //
 // Paper counterpart: Sycamore, the DocSet ETL/analytics engine of §5.
 //

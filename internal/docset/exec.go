@@ -69,6 +69,9 @@ type stageSpec struct {
 	// must honor the plan's cancellation/deadline (join's build side).
 	// Takes precedence over barrierFn when set.
 	barrierCtxFn func(context.Context, *Context, []*docmodel.Document) ([]*docmodel.Document, error)
+	// questions are the predicates of an llmFilter stage, which accounts
+	// for each in its NodeTrace (nil for every other stage).
+	questions []string
 	// callsModel marks map stages whose mapFn makes a model call per
 	// document (Context.complete): they keep modelWindow documents in
 	// flight instead of Parallelism (see runMapStage).
@@ -151,7 +154,7 @@ func (ds *DocSet) ExecuteStream(ctx context.Context, sink StreamSink) ([]*docmod
 	srcTrace := newNodeTrace(ds.source.name, ds.source.tag, ds.ctx.SampleSize)
 	traces = append(traces, srcTrace)
 	for _, sp := range ds.stages {
-		traces = append(traces, newNodeTrace(sp.name, sp.tag, ds.ctx.SampleSize))
+		traces = append(traces, newStageTrace(sp, ds.ctx.SampleSize))
 	}
 	for _, nt := range traces {
 		nt.epoch = start

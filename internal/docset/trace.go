@@ -78,6 +78,9 @@ type NodeTrace struct {
 	Escalations  int64
 	ProxyKept    int64
 	ProxyDropped int64
+	// Questions is the per-question account of an llmFilter stage (nil
+	// elsewhere), in the stage's question order.
+	Questions []QuestionTrace
 	// Samples holds up to SampleSize one-line summaries of output docs.
 	Samples []string
 
@@ -91,6 +94,26 @@ type NodeTrace struct {
 	epoch time.Time
 }
 
+// QuestionTrace is one question's share of an llmFilter stage: how many
+// documents reached a verdict on it — from its proxy rung, a resident
+// answer or the model — and how many of those verdicts were yes. A
+// document that another question settled first reaches no verdict here, so
+// Yes/Asked is the question's own selectivity whichever questions it was
+// asked beside. A single-question stage's pair is its In and Out.
+type QuestionTrace struct {
+	Question   string
+	Asked, Yes int64
+}
+
+// noteVerdict records one document's verdict on the stage's i-th question.
+func (n *NodeTrace) noteVerdict(i int, yes bool) {
+	q := &n.Questions[i]
+	atomic.AddInt64(&q.Asked, 1)
+	if yes {
+		atomic.AddInt64(&q.Yes, 1)
+	}
+}
+
 // wallclock is the package's single sanctioned wall-clock read. Trace
 // spans and EXPLAIN ANALYZE timings are observability output, never
 // result bytes, so they may see real time — but only through this seam,
@@ -100,6 +123,18 @@ var wallclock = time.Now //lint:allow determinism trace-only timing seam; spans 
 
 func newNodeTrace(name, tag string, sampleCap int) *NodeTrace {
 	return &NodeTrace{Name: name, Tag: tag, cap: sampleCap}
+}
+
+// newStageTrace is the trace node of one stage of a plan.
+func newStageTrace(sp stageSpec, sampleCap int) *NodeTrace {
+	nt := newNodeTrace(sp.name, sp.tag, sampleCap)
+	if len(sp.questions) > 0 {
+		nt.Questions = make([]QuestionTrace, len(sp.questions))
+		for i, q := range sp.questions {
+			nt.Questions[i].Question = q
+		}
+	}
+	return nt
 }
 
 // noteFirstOut records the first output emission (no-op afterwards).
@@ -292,6 +327,27 @@ func (t *tracingLLM) Complete(ctx context.Context, req llm.Request) (llm.Respons
 		}
 	}
 	return resp, err
+}
+
+// CompleteGroup forwards the group and records it against the stage as
+// the one call it is to the operator: its tokens are those of the single
+// upstream request it caused, if any, and it is a cache hit when every
+// answer it got was resident.
+func (t *tracingLLM) CompleteGroup(ctx context.Context, g llm.Group) ([]llm.Response, error) {
+	resps, err := llm.CompleteGroup(ctx, t.inner, g)
+	if err == nil {
+		atomic.AddInt64(&t.nt.LLMCalls, 1)
+		hit := true
+		for _, r := range resps {
+			atomic.AddInt64(&t.nt.PromptTokens, int64(r.Usage.PromptTokens))
+			atomic.AddInt64(&t.nt.CompletionTokens, int64(r.Usage.CompletionTokens))
+			hit = hit && (r.FromCache || r == llm.Response{})
+		}
+		if hit {
+			atomic.AddInt64(&t.nt.CacheHits, 1)
+		}
+	}
+	return resps, err
 }
 
 // Name identifies the backing model.

@@ -30,6 +30,11 @@ import (
 // under one lock, so a prompt goes upstream once however its requests
 // interleave: a successful call's response becomes resident in the
 // critical section that ends its flight.
+//
+// The unit the cache stores is the fact — one request, one answer — and
+// the unit it sends upstream may be larger: a Group's missing members
+// travel as one packed request whose reply is split back into one entry
+// per member (CompleteGroup). Complete is the group of one.
 
 // Key is the content address of one completion call: a SHA-256 over the
 // model identity and every request field that affects the completion.
@@ -118,11 +123,95 @@ type cacheEntry struct {
 	resp Response
 }
 
-// flightCall is one in-flight upstream completion.
+// flightCall is one in-flight upstream request and the keys it answers:
+// one for a solo request, one per member asked for a packed one.
 type flightCall struct {
-	done chan struct{}
-	resp Response
-	err  error
+	done  chan struct{}
+	keys  []string
+	resps []Response // parallel to keys
+	err   error
+}
+
+// resp returns the answer the finished call gave for key.
+func (f *flightCall) resp(key string) Response {
+	for i, k := range f.keys {
+		if k == key {
+			return f.resps[i]
+		}
+	}
+	return Response{}
+}
+
+// Group is k requests that share most of their prompt — k questions about
+// one document — and may therefore travel upstream as one packed request.
+// Each member keeps its own identity where it matters: it is answered,
+// cached and deduplicated under its own content address, so a group and a
+// solo request for the same member share one answer.
+type Group struct {
+	// Reqs are the solo requests: each is the content address of its own
+	// answer, and the request that goes upstream when it alone is missing.
+	Reqs []Request
+	// Pack builds the one upstream request that asks the given members
+	// (two or more indices into Reqs, ascending) together. Unused by a
+	// group of one.
+	Pack func(members []int) Request
+	// Split cuts the reply to a packed request into one completion text
+	// per member asked, in order.
+	Split func(text string, n int) ([]string, error)
+	// Stop, when set, reports that a resident answer settles the group: no
+	// other member needs an answer. CompleteGroup then returns that one
+	// response and leaves every other member the zero Response, with
+	// nothing joined or sent upstream. It is consulted under the cache's
+	// lock and must only compute.
+	Stop func(Response) bool
+}
+
+// GroupClient is a Client that passes a Group through to the cache
+// beneath it (or is that cache). Every wrapper that can sit above the
+// cache implements it — Meter, Stack, docset's per-stage tracer — so that
+// only the cache decides what goes upstream.
+type GroupClient interface {
+	Client
+	CompleteGroup(ctx context.Context, g Group) ([]Response, error)
+}
+
+// CompleteGroup answers every member of g through c: by c's own group
+// path when it has one, and otherwise as the uncached case, in which every
+// member is missing and the group is one upstream request.
+func CompleteGroup(ctx context.Context, c Client, g Group) ([]Response, error) {
+	if gc, ok := c.(GroupClient); ok {
+		return gc.CompleteGroup(ctx, g)
+	}
+	members := make([]int, len(g.Reqs))
+	for i := range members {
+		members[i] = i
+	}
+	return g.ask(ctx, c, members)
+}
+
+// ask sends the given members upstream through c as one request — the
+// member's own when there is one, the packed request otherwise — and
+// returns one response per member. The first carries the whole usage of
+// the call, failed or not: what went upstream is one request.
+func (g Group) ask(ctx context.Context, c Client, members []int) ([]Response, error) {
+	if len(members) == 1 {
+		resp, err := c.Complete(ctx, g.Reqs[members[0]])
+		return []Response{resp}, err
+	}
+	resp, err := c.Complete(ctx, g.Pack(members))
+	out := make([]Response, len(members))
+	out[0].Usage = resp.Usage
+	if err != nil {
+		return out, err
+	}
+	texts, err := g.Split(resp.Text, len(members))
+	if err != nil {
+		return out, err
+	}
+	for i, text := range texts {
+		out[i].Text = text
+	}
+	return out, nil
 }
 
 // CacheOption configures a Cache.
@@ -154,66 +243,126 @@ func NewCache(inner Client, opts ...CacheOption) *Cache {
 
 // Complete serves the request from cache when possible; otherwise it
 // issues it upstream and memoizes the result, or waits on an identical
-// in-flight request and shares its result. A follower whose leader died
-// of the leader's own context cancellation retries (becoming leader
-// itself) rather than inheriting a cancellation that isn't its own.
+// in-flight request and shares its result: the group of one.
 func (c *Cache) Complete(ctx context.Context, req Request) (Response, error) {
-	key := Key(c.inner.Name(), req)
+	resps, err := c.CompleteGroup(ctx, Group{Reqs: []Request{req}})
+	return resps[0], err
+}
 
-	for {
+// CompleteGroup answers every member of g, each under its own content
+// address. Resident members are hits; if one of them settles the group
+// (Group.Stop) that is the whole result. The rest are classified in the
+// same critical section: a member in flight elsewhere is joined, and the
+// members nobody has asked for go upstream as one request led by this
+// call — solo when there is one, packed otherwise — whose answers become
+// resident, each under its own key, in the critical section that ends
+// their flight. A follower whose leader died of the leader's own context
+// cancellation asks again (becoming leader itself) rather than inheriting
+// a cancellation that isn't its own. The result always has one Response
+// per member; on error, the first member led carries the failed call's
+// usage.
+func (c *Cache) CompleteGroup(ctx context.Context, g Group) ([]Response, error) {
+	model := c.inner.Name()
+	out := make([]Response, len(g.Reqs))
+	// Groups are a handful of members: their bookkeeping stays on the stack.
+	var keyBuf [4]string
+	var pendingBuf [4]int
+	keys, pending := keyBuf[:0], pendingBuf[:0]
+	for i, req := range g.Reqs {
+		keys, pending = append(keys, Key(model, req)), append(pending, i)
+	}
+
+	for len(pending) > 0 {
+		var lead, joined []int
+		var call *flightCall
+		var flights []*flightCall // parallel to joined
+
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
+		missing := pending[:0]
+		for _, i := range pending {
+			el, ok := c.entries[keys[i]]
+			if !ok {
+				missing = append(missing, i)
+				continue
+			}
 			c.order.MoveToFront(el)
 			entry := el.Value.(*cacheEntry)
 			c.stats.Hits++
 			c.stats.Saved.Add(entry.resp.Usage)
 			resp := entry.resp
-			c.mu.Unlock()
 			resp.Usage = Usage{}
 			resp.FromCache = true
-			return resp, nil
+			if g.Stop != nil && g.Stop(resp) {
+				c.mu.Unlock()
+				clear(out)
+				out[i] = resp
+				return out, nil
+			}
+			out[i] = resp
 		}
-		c.stats.Misses++
-		call, ok := c.inflight[key]
-		if !ok {
-			call = &flightCall{done: make(chan struct{})}
-			c.inflight[key] = call
-			c.flight.Leads++
-			c.mu.Unlock()
+		for _, i := range missing {
+			c.stats.Misses++
+			if fc, ok := c.inflight[keys[i]]; ok {
+				c.flight.Shared++
+				joined, flights = append(joined, i), append(flights, fc)
+				continue
+			}
+			if call == nil {
+				call = &flightCall{done: make(chan struct{})}
+				c.flight.Leads++
+			}
+			c.inflight[keys[i]] = call
+			call.keys = append(call.keys, keys[i])
+			lead = append(lead, i)
+		}
+		c.mu.Unlock()
 
-			call.resp, call.err = c.inner.Complete(ctx, req)
-			// The entry becomes resident in the same critical section that
+		if call != nil {
+			call.resps, call.err = g.ask(ctx, c.inner, lead)
+			// The entries become resident in the same critical section that
 			// ends the flight: whoever looks next finds one or the other.
 			c.mu.Lock()
-			delete(c.inflight, key)
-			if call.err == nil {
-				c.put(key, call.resp)
+			for j, key := range call.keys {
+				delete(c.inflight, key)
+				if call.err == nil {
+					c.put(key, call.resps[j])
+				}
 			}
 			c.mu.Unlock()
 			close(call.done)
-			return call.resp, call.err
-		}
-		c.flight.Shared++
-		c.mu.Unlock()
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return Response{}, ctx.Err()
-		}
-		if call.err == nil {
-			resp := call.resp
-			resp.Usage = Usage{}
-			return resp, nil
-		}
-		if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
-			if err := ctx.Err(); err != nil {
-				return Response{}, err
+			for j, i := range lead {
+				out[i] = call.resps[j]
 			}
-			// The leader's context died, not ours: re-issue.
-			continue
+			if call.err != nil {
+				return out, call.err
+			}
 		}
-		return Response{}, call.err
+
+		pending = pending[:0]
+		for j, i := range joined {
+			fc := flights[j]
+			select {
+			case <-fc.done:
+			case <-ctx.Done():
+				return out, ctx.Err()
+			}
+			if fc.err == nil {
+				out[i] = fc.resp(keys[i])
+				out[i].Usage = Usage{}
+				continue
+			}
+			if errors.Is(fc.err, context.Canceled) || errors.Is(fc.err, context.DeadlineExceeded) {
+				if err := ctx.Err(); err != nil {
+					return out, err
+				}
+				// The leader's context died, not ours: ask again.
+				pending = append(pending, i)
+				continue
+			}
+			return out, fc.err
+		}
 	}
+	return out, nil
 }
 
 // put inserts a response, evicting from the LRU tail when over capacity.
@@ -346,4 +495,4 @@ func (c *Cache) Load(path string) error {
 	return nil
 }
 
-var _ Client = (*Cache)(nil)
+var _ GroupClient = (*Cache)(nil)

@@ -36,9 +36,7 @@ func filterMatch(rng *rand.Rand, question, doc string, leniency float64) bool {
 		// Contentless predicate: everything matches.
 		return true
 	}
-	doc = stripNegatedRows(doc)
-	sents := sentences(strings.ToLower(doc))
-	full := strings.ToLower(doc)
+	full := strings.ToLower(stripNegatedRows(doc))
 
 	matchedAnywhere := 0
 	for _, g := range groups {
@@ -52,7 +50,7 @@ func filterMatch(rng *rand.Rand, question, doc string, leniency float64) bool {
 	if matchedAnywhere == len(groups) {
 		// All concepts present somewhere. Strong signal if they co-occur in
 		// one sentence.
-		for _, sent := range sents {
+		for _, sent := range sentences(full) {
 			n := 0
 			for _, g := range groups {
 				if groupMatches(g, sent) {

@@ -104,6 +104,24 @@ func (m *Meter) Complete(ctx context.Context, req Request) (Response, error) {
 	return resp, err
 }
 
+// CompleteGroup forwards the group and records what its one upstream
+// request (if any) cost, exactly as Complete would.
+func (m *Meter) CompleteGroup(ctx context.Context, g Group) ([]Response, error) {
+	resps, err := CompleteGroup(ctx, m.inner, g)
+	var spent Usage
+	for _, r := range resps {
+		spent.Add(r.Usage)
+	}
+	m.mu.Lock()
+	if err != nil {
+		m.failed.Add(spent)
+	} else {
+		m.usage.Add(spent)
+	}
+	m.mu.Unlock()
+	return resps, err
+}
+
 // Name returns the wrapped model's name.
 func (m *Meter) Name() string { return m.inner.Name() }
 

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -89,6 +90,104 @@ func FilterPrompt(question, docText string) string {
 	sb.WriteString(docText)
 	sb.WriteString("\n" + docClose + "\n")
 	return sb.String()
+}
+
+// FilterYes reports whether a filter completion is affirmative — the one
+// reading of a yes/no reply every consumer shares.
+func FilterYes(text string) bool {
+	return strings.HasPrefix(strings.ToLower(strings.TrimSpace(text)), "yes")
+}
+
+// The packed filter prompt: k questions about one document in one request,
+// the document sent once. Its contract with the model is the solo
+// prompt's, line by line — the reply is one "yes" or "no" line per
+// question, in question order — and its modelling assumption is
+// independence: the model answers each question of a packed prompt exactly
+// as it would answer that question alone (Sim does so by construction; see
+// Sim.complete). That assumption is what lets every answer be stored under
+// its own solo FilterPrompt key (FilterGroup), so a packed prompt is never
+// a cache key and solo and packed plans share answers.
+//
+// Each question travels as a Go-quoted string on its own line, so a
+// question holding a newline, a "QUESTION: " or a document delimiter
+// cannot forge a line: unpackFilterPrompt(packFilterPrompt(qs, doc))
+// returns exactly (qs, doc).
+const (
+	filterPackInstruction = "Answer each question strictly \"yes\" or \"no\": one line per question, in order."
+	filterPackQuestion    = "QUESTION: "
+)
+
+// packFilterPrompt builds the packed prompt asking questions of docText.
+func packFilterPrompt(questions []string, docText string) string {
+	var sb strings.Builder
+	sb.WriteString(TaskFilter + "\n" + filterPackInstruction + "\n")
+	for _, q := range questions {
+		sb.WriteString(filterPackQuestion + strconv.Quote(q) + "\n")
+	}
+	sb.WriteString(docOpen + "\n")
+	sb.WriteString(docText)
+	sb.WriteString("\n" + docClose + "\n")
+	return sb.String()
+}
+
+// unpackFilterPrompt reads a packed prompt back into its questions and
+// document; ok is false for anything packFilterPrompt did not build.
+func unpackFilterPrompt(prompt string) (questions []string, docText string, ok bool) {
+	rest, ok := strings.CutPrefix(prompt, TaskFilter+"\n"+filterPackInstruction+"\n")
+	if !ok {
+		return nil, "", false
+	}
+	for {
+		line, after, found := strings.Cut(rest, "\n")
+		quoted, isQuestion := strings.CutPrefix(line, filterPackQuestion)
+		if !found || !isQuestion {
+			break
+		}
+		q, err := strconv.Unquote(quoted)
+		if err != nil {
+			return nil, "", false
+		}
+		questions = append(questions, q)
+		rest = after
+	}
+	rest, opened := strings.CutPrefix(rest, docOpen+"\n")
+	docText, closed := strings.CutSuffix(rest, "\n"+docClose+"\n")
+	return questions, docText, opened && closed && len(questions) > 0
+}
+
+// splitFilterReply cuts the reply to a packed prompt into its n answer
+// lines. A reply of any other shape is a garbled completion: retryable,
+// and nothing of it is kept.
+func splitFilterReply(text string, n int) ([]string, error) {
+	lines := strings.Split(strings.TrimSpace(text), "\n")
+	if len(lines) != n {
+		return nil, fmt.Errorf("llm: packed filter reply has %d lines for %d questions: %w", len(lines), n, ErrTransient)
+	}
+	return lines, nil
+}
+
+// FilterGroup is the request group asking every question of one document:
+// member i is the solo FilterPrompt request of questions[i] — its cache
+// key — two or more missing members go upstream as one packed prompt, and
+// a resident "no" settles the group (the document fails the conjunction
+// whatever the other answers are).
+func FilterGroup(questions []string, docText string) Group {
+	reqs := make([]Request, len(questions))
+	for i, q := range questions {
+		reqs[i] = Request{Prompt: FilterPrompt(q, docText)}
+	}
+	return Group{
+		Reqs: reqs,
+		Pack: func(members []int) Request {
+			asked := make([]string, len(members))
+			for j, i := range members {
+				asked[j] = questions[i]
+			}
+			return Request{Prompt: packFilterPrompt(asked, docText)}
+		},
+		Split: splitFilterReply,
+		Stop:  func(r Response) bool { return !FilterYes(r.Text) },
+	}
 }
 
 // SummarizePrompt builds the prompt for summarizing/combining items under

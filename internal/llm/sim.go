@@ -143,23 +143,39 @@ func (s *Sim) complete(ctx context.Context, req Request) (Response, error) {
 			return Response{}, fmt.Errorf("simulated rate limit: %w", ErrTransient)
 		}
 	}
-	rng := s.rng(req.System + "\x00" + req.Prompt)
-
-	prompt := req.Prompt
-	promptTokens := CountTokens(req.System) + CountTokens(prompt)
-	if promptTokens > s.contextWindow {
-		if s.strictContext {
-			return Response{}, fmt.Errorf("%d tokens > window %d: %w", promptTokens, s.contextWindow, ErrContextTooLong)
-		}
-		// Hard truncation: the model never sees past the window.
-		budget := s.contextWindow - CountTokens(req.System)
-		prompt = TruncateTokens(prompt, budget)
-		promptTokens = s.contextWindow
+	tokens := CountTokens(req.System) + CountTokens(req.Prompt)
+	if tokens > s.contextWindow && s.strictContext {
+		return Response{}, fmt.Errorf("%d tokens > window %d: %w", tokens, s.contextWindow, ErrContextTooLong)
 	}
 
-	text, refusal, err := s.dispatch(rng, Request{System: req.System, Prompt: prompt, MaxTokens: req.MaxTokens, Temperature: req.Temperature})
-	if err != nil {
-		return Response{}, err
+	var text string
+	var refusal bool
+	if questions, doc, ok := unpackFilterPrompt(req.Prompt); ok {
+		// The packed prompt's modelling assumption, by construction: each
+		// line is what the question's solo prompt would have been answered
+		// with — same per-question rng, same window cut.
+		lines := make([]string, len(questions))
+		for i, q := range questions {
+			solo := req
+			solo.Prompt = FilterPrompt(q, doc)
+			// A solo prompt is no longer than the packed one, so it only
+			// needs counting when that one overflows the window.
+			soloTokens := tokens
+			if tokens > s.contextWindow {
+				soloTokens = CountTokens(solo.System) + CountTokens(solo.Prompt)
+			}
+			line, _, err := s.answer(solo, soloTokens)
+			if err != nil {
+				return Response{}, err
+			}
+			lines[i] = line
+		}
+		text = strings.Join(lines, "\n")
+	} else {
+		var err error
+		if text, refusal, err = s.answer(req, tokens); err != nil {
+			return Response{}, err
+		}
 	}
 	if req.MaxTokens > 0 {
 		text = TruncateTokens(text, req.MaxTokens)
@@ -167,8 +183,20 @@ func (s *Sim) complete(ctx context.Context, req Request) (Response, error) {
 	return Response{
 		Text:    text,
 		Refusal: refusal,
-		Usage:   Usage{Calls: 1, PromptTokens: promptTokens, CompletionTokens: CountTokens(text)},
+		Usage:   Usage{Calls: 1, PromptTokens: min(tokens, s.contextWindow), CompletionTokens: CountTokens(text)},
 	}, nil
+}
+
+// answer runs the skill for one request of the given token count: the rng
+// is derived from the whole request, and the model never sees past its
+// window.
+func (s *Sim) answer(req Request, tokens int) (text string, refusal bool, err error) {
+	rng := s.rng(req.System + "\x00" + req.Prompt)
+	if tokens > s.contextWindow {
+		// Hard truncation.
+		req.Prompt = TruncateTokens(req.Prompt, s.contextWindow-CountTokens(req.System))
+	}
+	return s.dispatch(rng, req)
 }
 
 func (s *Sim) dispatch(rng *rand.Rand, req Request) (text string, refusal bool, err error) {

@@ -147,6 +147,13 @@ func (s *Stack) Complete(ctx context.Context, req Request) (Response, error) {
 	return s.client.Complete(ctx, req)
 }
 
+// CompleteGroup runs the group through the pipeline: the cache decides
+// what of it goes upstream, and the layers beneath see one ordinary
+// request.
+func (s *Stack) CompleteGroup(ctx context.Context, g Group) ([]Response, error) {
+	return CompleteGroup(ctx, s.client, g)
+}
+
 // Name identifies the backing model.
 func (s *Stack) Name() string { return s.inner.Name() }
 
@@ -200,4 +207,4 @@ func StatsOf(c Client) (StackStats, bool) {
 	return StackStats{}, false
 }
 
-var _ Client = (*Stack)(nil)
+var _ GroupClient = (*Stack)(nil)

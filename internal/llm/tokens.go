@@ -32,7 +32,16 @@ func Tokenize(text string) []string {
 // small overhead for punctuation-heavy text (~4 chars/token floor, like BPE
 // on prose).
 func CountTokens(text string) int {
-	words := len(Tokenize(text))
+	// The number of tokens Tokenize would return, without building them.
+	words := 0
+	inWord := false
+	for _, r := range text {
+		isWord := unicode.IsLetter(r) || unicode.IsDigit(r)
+		if isWord && !inWord {
+			words++
+		}
+		inWord = isWord
+	}
 	byLen := len(text) / 6
 	if byLen > words {
 		return byLen

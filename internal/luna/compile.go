@@ -184,9 +184,9 @@ func (e *Executor) lower(ec *docset.Context, plan *LogicalPlan) (*lowered, error
 			case OpBasicFilter:
 				sets[n.ID] = in.FilterProps(compileFilters(n.Filters))
 			case OpLLMFilter:
-				sets[n.ID] = in.LLMFilter(n.Question)
+				sets[n.ID] = in.LLMFilter(n.questions()...)
 			case OpLLMFilterCascade:
-				sets[n.ID] = in.LLMFilterCascade(n.Question, n.Low, n.High)
+				sets[n.ID] = in.LLMFilterCascade(n.questions(), n.Low, n.High)
 			case OpLLMExtract:
 				sets[n.ID] = in.LLMExtract(n.Fields)
 			case OpGroupByAggregate:

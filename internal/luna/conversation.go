@@ -82,6 +82,7 @@ func (c *Conversation) mergeFollowUp(prev *LogicalPlan, fragment string) *Logica
 		parser:   &parser{schema: c.Service.Planner.Schema},
 		original: fragment,
 		text:     " " + strings.ToLower(fragment) + " ",
+		fragment: true,
 	}
 	st.extractFilters()
 
@@ -122,7 +123,9 @@ func (c *Conversation) mergeFollowUp(prev *LogicalPlan, fragment string) *Logica
 	existing := map[string]bool{}
 	for _, n := range plan.Nodes {
 		if n.Op == OpLLMFilter {
-			existing[n.Question] = true
+			for _, q := range n.questions() {
+				existing[q] = true
+			}
 		}
 	}
 	downstream := plan.consumers(firstRoot)

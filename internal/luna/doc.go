@@ -16,7 +16,7 @@
 // It is rewritten one way too: the rule list in rewrite.go, run to a
 // fixpoint by one driver — §6.1's optimizer that "uses a combination of
 // rule-based and cost-based" rewrites. Rewrite applies the always-on
-// rules, Optimize the whole list including the cost-based optimize phase.
+// rules, Optimize the whole list including the optimize phase.
 // One record, PlanPreview, carries every form of the plan (original,
 // rewritten, optimized, cost estimates, compiled pipeline); Service
 // builds it in one step for PlanOnly, InspectPlan, Ask and RunPlan, and a

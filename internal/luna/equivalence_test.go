@@ -3,7 +3,7 @@ package luna
 // Equivalence suite for the cost-based optimizer: every representative
 // plan below executes twice against identically-seeded fresh systems —
 // once with Optimize off, once with it on (predicate hoisting, filter
-// reordering, proxy-cascade insertion) — and the results must be
+// fusion, proxy-cascade insertion) — and the results must be
 // byte-identical while the optimized run spends no more LLM calls. This
 // is the semantics-preservation contract that makes the optimizer safe
 // to turn on.
@@ -90,7 +90,8 @@ func newEquivService(t *testing.T, optimize bool, model *cost.Model) *Service {
 }
 
 // equivalencePlans is the representative DAG mix: filter chains of every
-// depth the optimizer reorders, hoistable deterministic predicates,
+// depth the optimizer fuses (one only a hoist makes adjacent, one resubmitted
+// already fused), hoistable deterministic predicates,
 // extract/group/fraction/project consumers, joins, and a diamond.
 func equivalencePlans() []struct {
 	name string
@@ -117,6 +118,17 @@ func equivalencePlans() []struct {
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qPilot},
 			LogicalOp{Op: OpLLMFilter, Question: qFuel},
+			LogicalOp{Op: OpLLMFilter, Question: qIce},
+			LogicalOp{Op: OpCount})},
+		{"fuse-across-hoist", Chain(
+			LogicalOp{Op: OpQueryDatabase},
+			LogicalOp{Op: OpLLMFilter, Question: qPilot},
+			LogicalOp{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "engines", Kind: "term", Value: 1}}},
+			LogicalOp{Op: OpLLMFilter, Question: qFuel},
+			LogicalOp{Op: OpCount})},
+		{"resubmitted-fused", Chain(
+			LogicalOp{Op: OpQueryDatabase},
+			LogicalOp{Op: OpLLMFilterCascade, Questions: []string{qPilot, qFuel}, Low: docset.DefaultCascadeLow, High: docset.DefaultCascadeHigh},
 			LogicalOp{Op: OpLLMFilter, Question: qIce},
 			LogicalOp{Op: OpCount})},
 		{"hoist-basic-filter", Chain(
@@ -221,7 +233,7 @@ func docIDs(res *Result) []string {
 	return ids
 }
 
-// TestOptimizerEquivalence runs the 15 representative plans and the six
+// TestOptimizerEquivalence runs the 17 representative plans and the six
 // optimizer-mix plans (rewrite_test.go) with the optimize phase off and
 // on. Every plan must give identical answers and documents for no more
 // LLM calls; the mix — one plan shape per rule the phase applies — must
@@ -339,70 +351,6 @@ func TestOptimizedResultAnnotations(t *testing.T) {
 	if res.Cost.LLMCalls <= 0 || res.Cost.Units <= 0 {
 		t.Errorf("rewritten-plan estimate empty: %+v", res.Cost)
 	}
-}
-
-// TestFeedbackReordersChain closes the loop: executing a badly-ordered
-// filter chain (broad predicate first) feeds observed selectivities into
-// the store, after which the optimizer reorders the chain to put the
-// selective predicate first. This is the acceptance criterion's
-// "repeated-query run changes the plan's operator order".
-func TestFeedbackReordersChain(t *testing.T) {
-	model := cost.NewModel(cost.NewStore())
-	plan := Chain(
-		LogicalOp{Op: OpQueryDatabase},
-		LogicalOp{Op: OpLLMFilter, Question: qPilot}, // ~13/16 pass
-		LogicalOp{Op: OpLLMFilter, Question: qFire},  // ~3/13 pass
-		LogicalOp{Op: OpCount})
-
-	// Cold store: default selectivities tie, the stable sort keeps the
-	// author's order.
-	cold := Optimize(plan, model)
-	if got := filterQuestions(cold); got[0] != qPilot || got[1] != qFire {
-		t.Fatalf("cold optimizer must preserve order, got %v", got)
-	}
-
-	// Execute with optimization OFF — observations are recorded anyway
-	// (the warm-start contract).
-	svc := newEquivService(t, false, model)
-	if _, err := svc.RunPlan(context.Background(), "warmup", plan.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	if model.Store.Len() == 0 {
-		t.Fatal("execution recorded no observations")
-	}
-
-	warm := Optimize(plan, model)
-	if got := filterQuestions(warm); got[0] != qFire || got[1] != qPilot {
-		t.Errorf("warm optimizer should hoist the selective filter, got %v", got)
-	}
-
-	// And the reordered plan still answers identically.
-	res0, _ := runEquiv(t, plan, false)
-	svcWarm := newEquivService(t, true, model)
-	res1, err := svcWarm.RunPlan(context.Background(), "equiv", plan.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res0.Answer.String() != res1.Answer.String() {
-		t.Errorf("reordered plan diverged: %q vs %q", res0.Answer.String(), res1.Answer.String())
-	}
-}
-
-// filterQuestions lists the questions of LLM-predicate nodes (plain or
-// cascade) in topological order.
-func filterQuestions(p *LogicalPlan) []string {
-	var out []string
-	order, err := p.topoOrder()
-	if err != nil {
-		return nil
-	}
-	for _, idx := range order {
-		n := p.Nodes[idx]
-		if n.Op == OpLLMFilter || n.Op == OpLLMFilterCascade {
-			out = append(out, n.Question)
-		}
-	}
-	return out
 }
 
 // TestObservationsSkipErroredRuns guards the feedback store against

@@ -15,13 +15,13 @@ import (
 
 // opSignature identifies an operator instance across queries for the
 // feedback store: the operator name plus its semantically load-bearing
-// parameters. llmFilter and llmFilterCascade share a signature — they
-// evaluate the same predicate, so selectivity evidence transfers between
-// the plain and cascaded forms.
+// parameters. A filter's evidence is kept per question (filterSignature),
+// so a fused node has no entry of its own: EstimatePlan and ObserveExec
+// walk its questions.
 func opSignature(op LogicalOp) string {
 	switch op.Op {
 	case OpLLMFilter, OpLLMFilterCascade:
-		return "llmFilter|" + op.Question
+		return filterSignature(strings.Join(op.questions(), "|"))
 	case OpBasicFilter:
 		return "basicFilter|" + filterSig(op.Filters)
 	case OpQueryDatabase:
@@ -44,6 +44,11 @@ func opSignature(op LogicalOp) string {
 		return op.Op
 	}
 }
+
+// filterSignature is the feedback-store key of one llmFilter question.
+// The plain, cascaded and fused forms share it — they evaluate the same
+// predicate, so selectivity evidence transfers between them.
+func filterSignature(question string) string { return "llmFilter|" + question }
 
 func filterSig(filters []FilterSpec) string {
 	parts := make([]string, len(filters))
@@ -105,18 +110,21 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 			out = in * sel
 			units = in * math.Max(float64(len(n.Filters)), 1) * cost.UnitsPerPredicate
 			ne.Observed = observed
-		case OpLLMFilter:
-			sel, observed := m.Selectivity(n.Op, sig)
-			out = in * sel
+		case OpLLMFilter, OpLLMFilterCascade:
+			// One call per document however many questions it asks; the
+			// questions' selectivities multiply (independence).
+			out = in
+			for _, q := range n.questions() {
+				sel, observed := m.Selectivity(n.Op, filterSignature(q))
+				out *= sel
+				ne.Observed = ne.Observed || observed
+			}
 			calls = in
-			units = calls * cost.UnitsPerLLMCall
-			ne.Observed = observed
-		case OpLLMFilterCascade:
-			sel, observed := m.Selectivity(n.Op, sig)
-			out = in * sel
-			calls = in * cost.DefaultEscalationRate
-			units = in*cost.UnitsPerProxy + calls*cost.UnitsPerLLMCall
-			ne.Observed = observed
+			if n.Op == OpLLMFilterCascade {
+				calls = in * cost.DefaultEscalationRate
+				units = in * cost.UnitsPerProxy * float64(len(n.questions()))
+			}
+			units += calls * cost.UnitsPerLLMCall
 		case OpLLMExtract:
 			out = in
 			calls = in
@@ -200,7 +208,7 @@ func ObserveExec(plan *LogicalPlan, exec *ExecDetail, store *cost.Store) {
 			continue
 		}
 		r := ne.Runtime
-		store.Observe(cost.Observation{
+		o := cost.Observation{
 			Op:               n.Op,
 			Signature:        opSignature(n.LogicalOp),
 			DocsIn:           r.DocsIn,
@@ -209,6 +217,18 @@ func ObserveExec(plan *LogicalPlan, exec *ExecDetail, store *cost.Store) {
 			PromptTokens:     r.PromptTokens,
 			CompletionTokens: r.CompletionTokens,
 			BusyMS:           r.BusyMS,
-		})
+		}
+		if len(r.Questions) == 0 {
+			store.Observe(o)
+			continue
+		}
+		// A fused filter: each question's own verdict counts under its own
+		// signature. The node's spend is one call per document for all of
+		// them, and rides on the first.
+		for _, q := range r.Questions {
+			o.Signature, o.DocsIn, o.DocsOut = filterSignature(q.Question), q.Asked, q.Yes
+			store.Observe(o)
+			o = cost.Observation{Op: n.Op}
+		}
 	}
 }

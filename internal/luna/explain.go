@@ -58,6 +58,20 @@ type NodeRuntime struct {
 	Escalations  int64 `json:"escalations,omitempty"`
 	ProxyKept    int64 `json:"proxy_kept,omitempty"`
 	ProxyDropped int64 `json:"proxy_dropped,omitempty"`
+	// Questions is the per-question account of a fused llmFilter /
+	// llmFilterCascade node, in the node's question order (omitted on a
+	// single-question node, whose pair is docs_in / docs_out).
+	Questions []QuestionRuntime `json:"questions,omitempty"`
+}
+
+// QuestionRuntime is one question's share of a fused filter node: the
+// documents that reached a verdict on it (proxy rung, resident answer or
+// model reply — a document another question settled first reaches none)
+// and how many of those verdicts were yes.
+type QuestionRuntime struct {
+	Question string `json:"question"`
+	Asked    int64  `json:"asked"`
+	Yes      int64  `json:"yes"`
 }
 
 // NodeExec pairs a plan node with its runtime.
@@ -146,6 +160,11 @@ func buildExecDetail(plan *LogicalPlan, trace *docset.Trace, start time.Time, wa
 			r.Escalations += nt.Escalations
 			r.ProxyKept += nt.ProxyKept
 			r.ProxyDropped += nt.ProxyDropped
+			if len(nt.Questions) > 1 {
+				for _, q := range nt.Questions {
+					r.Questions = append(r.Questions, QuestionRuntime(q))
+				}
+			}
 			s, e := nt.Window()
 			if !s.IsZero() && (first.IsZero() || s.Before(first)) {
 				first = s

@@ -6,11 +6,7 @@ package luna
 // valid plan, not just the ones the equivalence suite enumerates). Seed corpora live in testdata/fuzz/<Target>/; CI runs a
 // short -fuzztime smoke over each target.
 
-import (
-	"testing"
-
-	"aryn/internal/cost"
-)
+import "testing"
 
 // fuzzSeeds is the shared seed mix: well-formed chain and DAG plans, the
 // optimizer's special shapes (chains, hoists, cascades), and malformed
@@ -82,21 +78,20 @@ func FuzzValidatePlan(f *testing.F) {
 // FuzzCostRewrite asserts the rule list is total and safe on every valid
 // plan, with and without the optimize phase: no panic, the output still
 // validates, the number of LLM-predicate evaluations per document cannot
-// grow (cascade conversion is 1:1; hoists and reorders only move nodes;
-// fusion and duplicate removal only delete them), and the driver stops at
+// grow (cascade conversion is 1:1; hoists only move nodes; fusion and
+// duplicate removal only delete them), and the driver stops at
 // a fixpoint — running it again over its own output changes nothing.
 func FuzzCostRewrite(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	schema := testSchema()
-	model := cost.NewModel(cost.NewStore())
 	phases := []struct {
 		name  string
 		apply func(*LogicalPlan) *LogicalPlan
 	}{
 		{"rewrite", Rewrite},
-		{"optimize", func(p *LogicalPlan) *LogicalPlan { return Optimize(p, model) }},
+		{"optimize", Optimize},
 	}
 	f.Fuzz(func(t *testing.T, data string) {
 		plan, err := ParsePlan(data)

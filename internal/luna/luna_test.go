@@ -2,6 +2,7 @@ package luna
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestRewriteDedupInsertion(t *testing.T) {
 		t.Errorf("dedup not inserted: %s", out.String())
 	}
 	// The rule list must NOT insert it (that's the paper's bug).
-	out2 := Optimize(plan, nil)
+	out2 := Optimize(plan)
 	for _, op := range out2.Nodes {
 		if op.Op == opDistinct {
 			t.Error("dedup must stay out of the rule list")
@@ -359,6 +360,64 @@ func TestConversationFollowUpMergesFilters(t *testing.T) {
 	}
 	if conv.Last() != second || len(conv.History) != 2 {
 		t.Error("history bookkeeping wrong")
+	}
+}
+
+// TestConversationFollowUpReferringWords: in "only those involving birds"
+// the word "those" points at the previous result. It used to become a
+// predicate of its own ("Does the document indicate those?"), which no
+// report satisfies, so the follow-up answered 0.
+func TestConversationFollowUpReferringWords(t *testing.T) {
+	store := index.NewStore()
+	for id, text := range map[string]string{
+		"F1": "A fire broke out in the engine bay after landing.",
+		"B1": "The airplane struck birds on the climb out.",
+		"FB": "Birds were ingested on takeoff and a fire followed in the left engine.",
+		"N1": "The nose gear collapsed during the landing roll.",
+	} {
+		d := docmodel.New(id)
+		d.SetProperty("accidentNumber", id)
+		d.Text = text
+		if err := store.PutDocument(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim := llm.NewSim(1)
+	sim.Register(PlannerSkill{})
+	svc := &Service{
+		Planner:  NewPlanner(sim, InferSchema(store)),
+		Executor: &Executor{EC: docset.NewContext(docset.WithLLM(llm.NewSim(1))), Store: store},
+	}
+	conv := NewConversation(svc)
+	ctx := context.Background()
+	if _, err := conv.Ask(ctx, "How many incidents involved a fire?"); err != nil {
+		t.Fatal(err)
+	}
+	followUp, err := conv.Ask(ctx, "only those involving birds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asked []string
+	for _, op := range chainOps(t, followUp.Plan) {
+		if op.Op == OpLLMFilter {
+			asked = append(asked, op.Question)
+		}
+	}
+	// New predicates land directly after the scan, ahead of the old ones.
+	fire, birds := "Does the document indicate fire?", "Does the document indicate birds?"
+	if !reflect.DeepEqual(asked, []string{birds, fire}) {
+		t.Fatalf("follow-up plans filters %q, want exactly the fire and birds filters", asked)
+	}
+	direct, err := svc.RunPlan(ctx, "direct", Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMFilter, Question: fire},
+		LogicalOp{Op: OpLLMFilter, Question: birds},
+		LogicalOp{Op: OpCount}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if followUp.Answer.String() != direct.Answer.String() || direct.Answer.Number != 1 {
+		t.Errorf("follow-up answered %s, the two-filter plan %s; want both 1 (FB)", followUp.Answer, direct.Answer)
 	}
 }
 

@@ -54,6 +54,9 @@ type parseState struct {
 	text     string // mutable working copy, space-padded
 	filters  []FilterSpec
 	llmPreds []string // residual semantic predicates -> llmFilter
+	// fragment marks a follow-up fragment, in which referring words point
+	// at the previous result instead of naming content.
+	fragment bool
 }
 
 func (st *parseState) lower() { st.text = strings.ToLower(st.text) }
@@ -256,6 +259,12 @@ var scaffold = map[string]bool{
 	"about": true, "now": true,
 }
 
+// referring words in a follow-up fragment ("only those involving birds")
+// stand for the previous result: scaffold there, content in a question.
+var referring = map[string]bool{
+	"those": true, "these": true, "them": true, "ones": true, "it": true,
+}
+
 // collectResiduals turns the remaining content words into llmFilter
 // predicates, one per contiguous phrase.
 func (st *parseState) collectResiduals() {
@@ -275,11 +284,7 @@ func (st *parseState) collectResiduals() {
 	}
 	for _, tok := range strings.Fields(text) {
 		tok = strings.Trim(tok, ",.;:()'\"")
-		if tok == "" || scaffold[tok] || llm.IsStopword(tok) && scaffold[tok] {
-			flush()
-			continue
-		}
-		if scaffold[tok] {
+		if tok == "" || scaffold[tok] || st.fragment && referring[tok] {
 			flush()
 			continue
 		}

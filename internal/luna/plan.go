@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"aryn/internal/llm"
@@ -57,6 +58,11 @@ type LogicalOp struct {
 	Filters []FilterSpec `json:"filters,omitempty"`
 	// llmFilter / llmFilterCascade / fraction
 	Question string `json:"question,omitempty"`
+	// llmFilter / llmFilterCascade, fused form: the node keeps a document
+	// when every one of these (two or more) is answered yes, asking the
+	// model about each document at most once. The optimize phase writes it
+	// (fuseLLMFilters); a submitted plan may carry it in place of question.
+	Questions []string `json:"questions,omitempty"`
 	// llmFilterCascade: the proxy threshold band. Proxy scores below Low
 	// drop the document, at or above High keep it, in between escalate to
 	// the LLM. Zero values select the docset defaults (no drop rung / the
@@ -259,10 +265,38 @@ func (p *LogicalPlan) Clone() *LogicalPlan {
 }
 
 func cloneOp(op LogicalOp) LogicalOp {
+	op.Questions = append([]string(nil), op.Questions...)
 	op.Filters = append([]FilterSpec(nil), op.Filters...)
 	op.Fields = append([]llm.FieldSpec(nil), op.Fields...)
 	op.ProjectFields = append([]string(nil), op.ProjectFields...)
 	return op
+}
+
+// questions returns the predicates an llmFilter / llmFilterCascade node
+// asks: its fused list, or its one question.
+func (op LogicalOp) questions() []string {
+	if len(op.Questions) > 0 {
+		return op.Questions
+	}
+	return []string{op.Question}
+}
+
+// setQuestions writes the predicates of an llmFilter / llmFilterCascade
+// node in its wire form: one is a question, several are the fused list.
+func (op *LogicalOp) setQuestions(qs []string) {
+	op.Question, op.Questions = "", qs
+	if len(qs) == 1 {
+		op.Question, op.Questions = qs[0], nil
+	}
+}
+
+// describeQuestions renders a filter node's predicates for plan display.
+func (op LogicalOp) describeQuestions() string {
+	quoted := make([]string, len(op.questions()))
+	for i, q := range op.questions() {
+		quoted[i] = strconv.Quote(q)
+	}
+	return strings.Join(quoted, " AND ")
 }
 
 // JSON renders the plan in the exact format the planner LLM emits and the
@@ -344,9 +378,9 @@ func (op LogicalOp) Describe() string {
 		}
 		return "basicFilter(" + strings.Join(parts, " AND ") + ")"
 	case OpLLMFilter:
-		return fmt.Sprintf("llmFilter(%q)", op.Question)
+		return "llmFilter(" + op.describeQuestions() + ")"
 	case OpLLMFilterCascade:
-		return fmt.Sprintf("llmFilterCascade(%q, band=%g..%g)", op.Question, op.Low, op.High)
+		return fmt.Sprintf("llmFilterCascade(%s, band=%g..%g)", op.describeQuestions(), op.Low, op.High)
 	case OpLLMExtract:
 		names := make([]string, len(op.Fields))
 		for i, f := range op.Fields {

@@ -52,9 +52,8 @@ func (p *Planner) Plan(ctx context.Context, question string) (*LogicalPlan, erro
 type Service struct {
 	Planner  *Planner
 	Executor *Executor
-	// Cost backs the plan estimates and the optimize phase's evidence, and
-	// receives per-operator feedback observations after every executed
-	// query; nil disables all three.
+	// Cost backs the plan estimates and receives per-operator feedback
+	// observations after every executed query; nil disables both.
 	Cost *cost.Model
 	// Optimize runs the optimize-phase rules after the always-on ones (see
 	// the rule list in rewrite.go). Off, queries still feed the feedback
@@ -119,7 +118,7 @@ func (pv *PlanPreview) ExecutedPlan() *LogicalPlan {
 func (s *Service) lifecycle(question string, plan *LogicalPlan) PlanPreview {
 	pv := PlanPreview{Question: question, Plan: plan, Rewritten: Rewrite(plan)}
 	if s.Optimize {
-		pv.Optimized = Optimize(pv.Rewritten, s.Cost)
+		pv.Optimized = Optimize(pv.Rewritten)
 	}
 	if s.Cost != nil {
 		base := s.baseDocs()

@@ -1,19 +1,20 @@
 package luna
 
 import (
-	"aryn/internal/cost"
+	"slices"
+
 	"aryn/internal/docset"
 	"aryn/internal/llm"
 )
 
 // rule is one result-preserving plan rewrite (§6.1). apply performs the
 // first rewrite it finds and reports whether it changed the plan; the
-// driver calls it until it reports false. optimizePhase marks the
-// cost-based rules, which run only when the optimize phase is on.
+// driver calls it until it reports false. optimizePhase marks the rules
+// that run only when the optimize phase is on.
 type rule struct {
 	name          string
 	optimizePhase bool
-	apply         func(p *LogicalPlan, m *cost.Model) (changed bool)
+	apply         func(p *LogicalPlan) (changed bool)
 }
 
 // rules is the one ordered rewrite list, run to fixpoint by applyRules.
@@ -22,15 +23,16 @@ type rule struct {
 //
 // All six are exact: extract fusion and filter pushdown change where work
 // happens, not what it computes; a repeated llmFilter cannot change the
-// result; structured predicates and LLM predicates commute; and a cascade
-// escalates to the exact llmFilter predicate for every document its proxy
-// cannot decide.
+// result; structured predicates and LLM predicates commute; a chain of
+// llmFilters is the conjunction of its questions however they are asked;
+// and a cascade escalates to the exact llmFilter predicate for every
+// document its proxy cannot decide.
 var rules = []rule{
 	{"fuseExtracts", false, fuseExtracts},
 	{"pushFilters", false, pushFilters},
 	{"dropDuplicateFilters", false, dropDuplicateFilters},
 	{"hoistBasicFilters", true, hoistBasicFilters},
-	{"reorderLLMFilters", true, reorderLLMFilters},
+	{"fuseLLMFilters", true, fuseLLMFilters},
 	{"insertCascades", true, insertCascades},
 }
 
@@ -38,23 +40,22 @@ var rules = []rule{
 // plan; the input is not modified. Every rule operates on nodes and
 // edges, so it applies uniformly to chains and join plans.
 func Rewrite(plan *LogicalPlan) *LogicalPlan {
-	return applyRules(plan, nil, false)
+	return applyRules(plan, false)
 }
 
 // Optimize applies the whole rule list — the always-on rules plus the
-// cost-based optimize phase — and returns a new plan; the input is not
-// modified. A nil model (or one with an empty store) still optimizes:
-// hoisting and cascades need no evidence; only llmFilter reordering needs
-// observed selectivities to beat the planner's order.
-func Optimize(plan *LogicalPlan, m *cost.Model) *LogicalPlan {
-	return applyRules(plan, m, true)
+// optimize phase — and returns a new plan; the input is not modified. No
+// rule consults the feedback store: its evidence feeds the estimates
+// (EstimatePlan), not the plan's shape.
+func Optimize(plan *LogicalPlan) *LogicalPlan {
+	return applyRules(plan, true)
 }
 
 // applyRules is the one driver: each selected rule in list order until it
 // no longer fires, the whole list again until a round changes nothing (a
 // later rule can expose work for an earlier one: a hoisted basicFilter
 // lands on its queryDatabase root and pushes down).
-func applyRules(plan *LogicalPlan, m *cost.Model, optimize bool) *LogicalPlan {
+func applyRules(plan *LogicalPlan, optimize bool) *LogicalPlan {
 	p := plan.Clone()
 	p.normalize()
 	for changed := true; changed; {
@@ -63,7 +64,7 @@ func applyRules(plan *LogicalPlan, m *cost.Model, optimize bool) *LogicalPlan {
 			if r.optimizePhase && !optimize {
 				continue
 			}
-			for r.apply(p, m) {
+			for r.apply(p) {
 				changed = true
 			}
 		}
@@ -129,7 +130,7 @@ func (p *LogicalPlan) exclusiveEdge(match func(n, up *PlanNode) bool) (n, up *Pl
 // fuseExtracts merges an llmExtract into the upstream llmExtract it
 // exclusively consumes: one LLM call per document instead of two (§6.1's
 // example rewrite).
-func fuseExtracts(p *LogicalPlan, _ *cost.Model) bool {
+func fuseExtracts(p *LogicalPlan) bool {
 	n, up := p.exclusiveEdge(func(n, up *PlanNode) bool {
 		return n.Op == OpLLMExtract && up.Op == OpLLMExtract
 	})
@@ -151,7 +152,7 @@ func fuseExtracts(p *LogicalPlan, _ *cost.Model) bool {
 
 // pushFilters folds a basicFilter into the queryDatabase it exclusively
 // consumes, so the index evaluates the predicate during the scan.
-func pushFilters(p *LogicalPlan, _ *cost.Model) bool {
+func pushFilters(p *LogicalPlan) bool {
 	n, root := p.exclusiveEdge(func(n, up *PlanNode) bool {
 		return n.Op == OpBasicFilter && up.Op == OpQueryDatabase
 	})
@@ -163,16 +164,30 @@ func pushFilters(p *LogicalPlan, _ *cost.Model) bool {
 	return true
 }
 
-// dropDuplicateFilters removes an llmFilter whose question already
-// appears on its ancestor path (asking twice cannot change the result).
-func dropDuplicateFilters(p *LogicalPlan, _ *cost.Model) bool {
+// dropDuplicateFilters removes from an llmFilter every question already
+// asked on its ancestor path (asking twice cannot change the result), and
+// the node with its last question.
+func dropDuplicateFilters(p *LogicalPlan) bool {
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
-		if n.Op == OpLLMFilter && len(n.Inputs) == 1 &&
-			ancestorAsks(p, n.Inputs[0], n.Question, map[string]bool{}) {
-			p.splice(n)
-			return true
+		if n.Op != OpLLMFilter || len(n.Inputs) != 1 {
+			continue
 		}
+		var fresh []string
+		for _, q := range n.questions() {
+			if !ancestorAsks(p, n.Inputs[0], q, map[string]bool{}) {
+				fresh = append(fresh, q)
+			}
+		}
+		switch len(fresh) {
+		case len(n.questions()):
+			continue
+		case 0:
+			p.splice(n)
+		default:
+			n.setQuestions(fresh)
+		}
+		return true
 	}
 	return false
 }
@@ -191,7 +206,7 @@ func ancestorAsks(p *LogicalPlan, id, question string, seen map[string]bool) boo
 	if n == nil {
 		return false
 	}
-	if n.Op == OpLLMFilter && n.Question == question {
+	if n.Op == OpLLMFilter && slices.Contains(n.questions(), question) {
 		return true
 	}
 	inputs := n.Inputs
@@ -212,7 +227,7 @@ func ancestorAsks(p *LogicalPlan, id, question string, seen map[string]bool) boo
 // Structured predicates commute with per-document LLM operators, except
 // with an llmExtract that materializes a field the predicate reads (the
 // field would not exist yet upstream).
-func hoistBasicFilters(p *LogicalPlan, _ *cost.Model) bool {
+func hoistBasicFilters(p *LogicalPlan) bool {
 	f, up := p.exclusiveEdge(func(f, up *PlanNode) bool {
 		if f.Op != OpBasicFilter || len(up.Inputs) != 1 {
 			return false
@@ -247,33 +262,37 @@ func filterReadsExtracted(filters []FilterSpec, fields []llm.FieldSpec) bool {
 	return false
 }
 
-// reorderLLMFilters swaps an llmFilter above the llmFilter it exclusively
-// consumes when feedback-store evidence says it is strictly more
-// selective; repeated by the driver, every chain of consecutive
-// llmFilters ends up most-selective-first, which shrinks the document
-// flow into the later (equally expensive) filters. Unobserved filters
-// carry the default selectivity and ties never swap, so a cold store
-// leaves the planner's order untouched.
-func reorderLLMFilters(p *LogicalPlan, m *cost.Model) bool {
-	sel := func(n *PlanNode) float64 {
-		s, _ := m.Selectivity(OpLLMFilter, opSignature(n.LogicalOp))
-		return s
-	}
+// fuseLLMFilters merges an llmFilter (or cascade) into the upstream one of
+// the same form and band it exclusively consumes — the fuseExtracts of
+// filters. The fused node asks both question lists of each document in one
+// stage, which sends the document to the model once instead of once per
+// filter and asks only the questions the response cache has no answer to
+// (docset.LLMFilter); answers stay keyed per question, so fused and chained
+// plans share them. Repeated by the driver, a whole run of adjacent
+// filters becomes one node.
+func fuseLLMFilters(p *LogicalPlan) bool {
 	n, up := p.exclusiveEdge(func(n, up *PlanNode) bool {
-		return n.Op == OpLLMFilter && up.Op == OpLLMFilter && len(up.Inputs) == 1 &&
-			sel(n) < sel(up)
+		return (n.Op == OpLLMFilter || n.Op == OpLLMFilterCascade) &&
+			up.Op == n.Op && up.Low == n.Low && up.High == n.High
 	})
 	if n == nil {
 		return false
 	}
-	p.swap(n, up)
+	qs := slices.Clone(up.questions())
+	for _, q := range n.questions() {
+		if !slices.Contains(qs, q) {
+			qs = append(qs, q)
+		}
+	}
+	up.setQuestions(qs)
+	p.splice(n)
 	return true
 }
 
 // insertCascades lowers every llmFilter onto a proxy cascade. The default
 // band is written into the node so the optimized JSON is self-describing;
 // a submitted plan may carry llmFilterCascade nodes with its own band.
-func insertCascades(p *LogicalPlan, _ *cost.Model) bool {
+func insertCascades(p *LogicalPlan) bool {
 	changed := false
 	for i := range p.Nodes {
 		n := &p.Nodes[i]

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"aryn/internal/cost"
 )
 
 // optimizerMixPlans is the six-plan optimizer mix (the shapes each
@@ -23,11 +21,12 @@ var optimizerMixPlans = []struct{ name, plan string }{
 	{"join-filters", `{"nodes":[{"id":"a","op":"queryDatabase"},{"id":"b","inputs":["a"],"op":"llmFilter","question":"Does the report mention a fire?"},{"id":"c","inputs":["a"],"op":"llmFilter","question":"Does the report mention fuel?"},{"id":"d","inputs":["b","c"],"op":"join","left_key":"accidentNumber","right_key":"accidentNumber"},{"id":"e","inputs":["d"],"op":"count"}],"output":"e"}`},
 }
 
-// TestRuleListMatchesGolden pins what the rule list produces for the 15
+// TestRuleListMatchesGolden pins what the rule list produces for the 17
 // equivalence-suite plans and the six optimizer-mix plans, with and
-// without the optimize phase (cold store), to testdata/rules_golden.txt —
-// captured from the separate Rewrite + Optimizer pair this list replaced,
-// one compact plan JSON per "== name phase" header.
+// without the optimize phase, to testdata/rules_golden.txt: one compact
+// plan JSON per "== name phase" header. The chains of two and three
+// filters, the chain only a hoist makes adjacent (fuse-across-hoist,
+// twin-hoist) and the resubmitted fused plan are the fuseLLMFilters cases.
 func TestRuleListMatchesGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/rules_golden.txt")
 	if err != nil {
@@ -58,12 +57,11 @@ func TestRuleListMatchesGolden(t *testing.T) {
 		t.Fatalf("golden file holds %d sections, want %d", len(golden), 2*len(plans))
 	}
 
-	model := cost.NewModel(cost.NewStore())
 	for _, tc := range plans {
 		rewritten := Rewrite(tc.plan)
 		for phase, got := range map[string]*LogicalPlan{
 			"rewritten": rewritten,
-			"optimized": Optimize(rewritten, model),
+			"optimized": Optimize(rewritten),
 		} {
 			b, err := json.Marshal(got)
 			if err != nil {
@@ -75,7 +73,7 @@ func TestRuleListMatchesGolden(t *testing.T) {
 		}
 		// The whole list from the raw plan lands on the same fixpoint as the
 		// optimize phase run over the rewritten plan (what Service does).
-		if direct := Optimize(tc.plan, model); direct.JSON() != Optimize(rewritten, model).JSON() {
+		if direct := Optimize(tc.plan); direct.JSON() != Optimize(rewritten).JSON() {
 			t.Errorf("%s: Optimize(plan) != Optimize(Rewrite(plan)):\n%s", tc.name, direct.JSON())
 		}
 	}
@@ -96,7 +94,7 @@ func TestRulesDoNotModifyInput(t *testing.T) {
 	before := plan.JSON()
 	for name, out := range map[string]*LogicalPlan{
 		"Rewrite":  Rewrite(plan),
-		"Optimize": Optimize(plan, cost.NewModel(cost.NewStore())),
+		"Optimize": Optimize(plan),
 	} {
 		if out.Output != "n4" {
 			t.Errorf("%s: output not inferred on the copy: %q", name, out.Output)

@@ -3,6 +3,7 @@ package luna
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -98,13 +99,9 @@ func Validate(plan *LogicalPlan, schema Schema) error {
 		case OpBasicFilter:
 			validFilters(id, n.Filters, known, addf)
 		case OpLLMFilter:
-			if n.Question == "" {
-				addf("node %s: llmFilter requires a question", id)
-			}
+			validQuestions(n, addf)
 		case OpLLMFilterCascade:
-			if n.Question == "" {
-				addf("node %s: llmFilterCascade requires a question", id)
-			}
+			validQuestions(n, addf)
 			if n.High != 0 && n.Low > n.High {
 				addf("node %s: llmFilterCascade band is empty (low %g > high %g)", id, n.Low, n.High)
 			}
@@ -247,6 +244,21 @@ func produce(plan *LogicalPlan, n PlanNode, visible map[string]map[string]bool, 
 		out["cluster_label"] = true
 	}
 	return out
+}
+
+// validQuestions checks the predicates of an llmFilter / llmFilterCascade
+// node: one question, or the fused list of two or more, never both.
+func validQuestions(n PlanNode, addf func(string, ...any)) {
+	switch {
+	case len(n.Questions) == 0:
+		if n.Question == "" {
+			addf("node %s: %s requires a question", n.ID, n.Op)
+		}
+	case n.Question != "":
+		addf("node %s: %s takes a question or a questions list, not both", n.ID, n.Op)
+	case len(n.Questions) < 2 || slices.Contains(n.Questions, ""):
+		addf("node %s: %s questions must be two or more non-empty questions", n.ID, n.Op)
+	}
 }
 
 func validFilters(id string, filters []FilterSpec, known map[string]bool, addf func(string, ...any)) {

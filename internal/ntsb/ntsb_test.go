@@ -1,6 +1,7 @@
 package ntsb
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,17 @@ func TestCorpusBlobsRoundTrip(t *testing.T) {
 		}
 		if d.ID != id {
 			t.Errorf("blob id mismatch: %s vs %s", d.ID, id)
+		}
+	}
+	// Blobs encodes on several workers; each blob is the bytes a serial
+	// Encode of that report gives.
+	for _, d := range c.Docs {
+		serial, err := d.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blobs[d.ID], serial) {
+			t.Errorf("%s: Blobs() bytes differ from a serial Encode", d.ID)
 		}
 	}
 	if _, ok := c.GroundTruth(c.Incidents[3].ReportID); !ok {

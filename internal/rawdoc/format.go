@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"aryn/internal/docmodel"
 )
@@ -82,12 +83,18 @@ type Doc struct {
 // magic prefixes encoded rawdoc blobs so Decode can reject foreign bytes.
 var magic = []byte("RAWDOC1\n")
 
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // Encode serializes the document to a compressed binary blob — the bytes a
 // DocSet carries in Document.Binary before partitioning.
 func (d *Doc) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Write(magic)
-	zw := gzip.NewWriter(&buf)
+	// A gzip.Writer is over a megabyte of tables: corpora encode thousands
+	// of documents, so writers are reused (Reset gives a fresh stream).
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&buf)
 	if err := json.NewEncoder(zw).Encode(d); err != nil {
 		return nil, fmt.Errorf("rawdoc: encode %s: %w", d.ID, err)
 	}

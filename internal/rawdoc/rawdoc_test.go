@@ -1,6 +1,9 @@
 package rawdoc
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,6 +101,27 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if len(got.Pages[0].Runs) != len(d.Pages[0].Runs) {
 		t.Error("runs lost in round trip")
+	}
+
+	// Encode reuses gzip writers: the bytes are those of a fresh writer,
+	// first use or not.
+	var fresh bytes.Buffer
+	fresh.Write(magic)
+	zw := gzip.NewWriter(&fresh)
+	if err := json.NewEncoder(zw).Encode(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		again, err := d.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, fresh.Bytes()) || !bytes.Equal(again, blob) {
+			t.Fatalf("Encode #%d differs from a fresh gzip.Writer's bytes", i+2)
+		}
 	}
 }
 

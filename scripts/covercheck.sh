@@ -6,10 +6,11 @@
 #
 # The floors guard the optimization loop: internal/cost (the cost model
 # and feedback store), internal/luna (planning, rewriting, the optimize
-# phase), and internal/docset (execution, including the proxy cascade);
-# and the retrieval pair under it, internal/index and internal/embed, whose
-# every score is pinned to the bit. Floors are set below current coverage
-# so they catch erosion, not noise.
+# phase), internal/docset (execution, including the proxy cascade) and
+# internal/llm (the call middleware every model token passes through, and
+# the Sim); and the retrieval pair under it, internal/index and
+# internal/embed, whose every score is pinned to the bit. Floors are set
+# below current coverage so they catch erosion, not noise.
 #
 # Usage: covercheck.sh <coverage-profile>
 set -uo pipefail
@@ -26,6 +27,7 @@ FLOORS="
 aryn/internal/cost 80
 aryn/internal/luna 80
 aryn/internal/docset 80
+aryn/internal/llm 91
 aryn/internal/index 94
 aryn/internal/embed 96
 "
