@@ -1,15 +1,12 @@
 // Command lunabench regenerates Table 4 of the paper: Luna versus the RAG
 // baseline on the 30-question NTSB analytics benchmark, with the §7.2
-// error taxonomy (counting, filter, interpretation). With -joins it
-// instead measures the branch scheduler: a two-sided join plan executed
-// with concurrent branch scheduling versus forced-serial subtrees.
+// error taxonomy (counting, filter, interpretation).
 //
 // Usage:
 //
 //	lunabench                          # defaults: 100 accidents, canonical seeds
 //	lunabench -detail                  # per-question verdicts
 //	lunabench -docs 50 -k 20           # smaller corpus, shallower retrieval
-//	lunabench -joins                   # concurrent vs serial join-build comparison
 package main
 
 import (
@@ -17,11 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"aryn/internal/core"
-	"aryn/internal/llm"
-	"aryn/internal/luna"
 	"aryn/internal/ntsb"
 	"aryn/internal/qa"
 )
@@ -34,115 +28,13 @@ func main() {
 		k          = flag.Int("k", 100, "RAG retrieval depth")
 		detail     = flag.Bool("detail", false, "print per-question verdicts")
 		failures   = flag.Bool("failures", false, "print Luna's incorrect answers vs ground truth")
-		joins      = flag.Bool("joins", false, "measure concurrent vs serial join-build scheduling instead of Table 4")
-		latency    = flag.Duration("latency", 2*time.Millisecond, "simulated per-call LLM latency for -joins")
-		runs       = flag.Int("runs", 3, "measurement runs per mode for -joins (best of)")
 	)
 	flag.Parse()
 
-	var err error
-	if *joins {
-		err = runJoins(*nDocs, *corpusSeed, *sysSeed, *latency, *runs)
-	} else {
-		err = run(*nDocs, *corpusSeed, *sysSeed, *k, *detail, *failures)
-	}
-	if err != nil {
+	if err := run(*nDocs, *corpusSeed, *sysSeed, *k, *detail, *failures); err != nil {
 		fmt.Fprintln(os.Stderr, "lunabench:", err)
 		os.Exit(1)
 	}
-}
-
-// joinPlan is the measured workload: both sides scan the corpus and run
-// an LLM filter, so each side is a real pipeline with fill/drain phases,
-// then join on the accident number. Serial scheduling runs the build side
-// only after the probe side has fully drained; concurrent scheduling
-// starts both at query begin under the shared worker budget.
-func joinPlan() *luna.LogicalPlan {
-	return &luna.LogicalPlan{
-		Nodes: []luna.PlanNode{
-			{ID: "probe", LogicalOp: luna.LogicalOp{Op: luna.OpQueryDatabase}},
-			{ID: "probeFilter", Inputs: []string{"probe"}, LogicalOp: luna.LogicalOp{
-				Op: luna.OpLLMFilter, Question: "Does the document indicate engine problems?"}},
-			{ID: "build", LogicalOp: luna.LogicalOp{Op: luna.OpQueryDatabase}},
-			{ID: "buildFilter", Inputs: []string{"build"}, LogicalOp: luna.LogicalOp{
-				Op: luna.OpLLMFilter, Question: "Does the document indicate damage to the aircraft?"}},
-			{ID: "j", Inputs: []string{"probeFilter", "buildFilter"}, LogicalOp: luna.LogicalOp{
-				Op: luna.OpJoin, LeftKey: "accidentNumber", RightKey: "accidentNumber", Prefix: "r"}},
-			{ID: "out", Inputs: []string{"j"}, LogicalOp: luna.LogicalOp{Op: luna.OpCount}},
-		},
-		Output: "out",
-	}
-}
-
-// runJoins measures the same join plan under serial and concurrent branch
-// scheduling. The LLM cache and batcher are disabled so every call pays
-// the simulated latency and neither mode can warm the other up; both
-// modes share the per-query worker budget, so the speedup measured is
-// scheduling (overlapped branches), not extra workers.
-func runJoins(nDocs int, corpusSeed, sysSeed int64, latency time.Duration, runs int) error {
-	ctx := context.Background()
-	corpus, err := ntsb.GenerateCorpus(nDocs, corpusSeed)
-	if err != nil {
-		return err
-	}
-	blobs, err := corpus.Blobs()
-	if err != nil {
-		return err
-	}
-	sys := core.New(core.Config{
-		Seed:            sysSeed,
-		Parallelism:     8,
-		DisableLLMCache: true,
-		LLMMaxBatch:     1, // 1 disables batching
-		LLMOptions:      []llm.SimOption{llm.WithLatency(latency)},
-	})
-	fmt.Printf("ingesting %d reports (latency %s per LLM call)...\n", len(blobs), latency)
-	stats, err := sys.Ingest(ctx, blobs)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ingested %d docs / %d chunks in %s\n\n", stats.Documents, stats.Chunks, stats.Wall.Round(time.Millisecond))
-
-	measure := func(serial bool) (time.Duration, string, error) {
-		svc := sys.QueryService()
-		svc.Executor.Serial = serial
-		defer func() { svc.Executor.Serial = false }()
-		best := time.Duration(0)
-		answer := ""
-		for i := 0; i < runs; i++ {
-			res, rerr := svc.RunPlan(ctx, "join bench", joinPlan())
-			if rerr != nil {
-				return 0, "", rerr
-			}
-			wall := time.Duration(res.Exec.WallMS * float64(time.Millisecond))
-			if best == 0 || wall < best {
-				best = wall
-			}
-			answer = res.Answer.String()
-		}
-		return best, answer, nil
-	}
-
-	serialWall, serialAns, err := measure(true)
-	if err != nil {
-		return err
-	}
-	concWall, concAns, err := measure(false)
-	if err != nil {
-		return err
-	}
-	if serialAns != concAns {
-		return fmt.Errorf("answers differ: serial %q vs concurrent %q", serialAns, concAns)
-	}
-
-	fmt.Println("Join build scheduling — serial vs concurrent branches (best of", runs, "runs):")
-	fmt.Printf("  %-22s %12s\n", "mode", "wall")
-	fmt.Printf("  %-22s %12s\n", "serial subtrees", serialWall.Round(time.Microsecond))
-	fmt.Printf("  %-22s %12s\n", "concurrent branches", concWall.Round(time.Microsecond))
-	if concWall > 0 {
-		fmt.Printf("  speedup: %.2fx (identical answer: %s)\n", float64(serialWall)/float64(concWall), concAns)
-	}
-	return nil
 }
 
 func run(nDocs int, corpusSeed, sysSeed int64, k int, detail, failures bool) error {

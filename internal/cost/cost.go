@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
+
+	"aryn/internal/statefile"
 )
 
 // Observation is one operator's measured behaviour from a single query
@@ -28,9 +31,9 @@ type Observation struct {
 }
 
 // Aggregate is the accumulated evidence for one operator signature. All
-// fields are sums over the observations recorded so far; derived ratios
-// (selectivity, calls per document) come from the accessor methods so a
-// zero denominator can be reported as "no evidence".
+// fields are sums over the observations recorded so far; the derived
+// selectivity comes from its accessor so a zero denominator can be reported
+// as "no evidence".
 type Aggregate struct {
 	Op               string  `json:"op"`
 	Count            int64   `json:"count"`
@@ -49,15 +52,6 @@ func (a Aggregate) Selectivity() (float64, bool) {
 		return 0, false
 	}
 	return float64(a.DocsOut) / float64(a.DocsIn), true
-}
-
-// CallsPerDoc reports the observed LLM calls per input document. ok is
-// false when no documents have flowed through the operator yet.
-func (a Aggregate) CallsPerDoc() (float64, bool) {
-	if a.DocsIn <= 0 {
-		return 0, false
-	}
-	return float64(a.LLMCalls) / float64(a.DocsIn), true
 }
 
 // StoreStats is the wire-stable snapshot of a feedback store, surfaced
@@ -165,7 +159,10 @@ func (s *Store) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("cost: encode feedback store: %w", err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return statefile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
 }
 
 // Load merges aggregates from a file written by Save into the store.

@@ -27,9 +27,6 @@ func TestObserveAggregatesAndStats(t *testing.T) {
 	if sel, ok := a.Selectivity(); !ok || sel != 0.3 {
 		t.Fatalf("Selectivity = %v, %v; want 0.3, true", sel, ok)
 	}
-	if c, ok := a.CallsPerDoc(); !ok || c != 1.0 {
-		t.Fatalf("CallsPerDoc = %v, %v; want 1, true", c, ok)
-	}
 	if _, ok := s.Lookup("unknown"); ok {
 		t.Fatal("Lookup hit for unseen signature")
 	}
@@ -43,9 +40,6 @@ func TestAggregateNoEvidence(t *testing.T) {
 	var a Aggregate
 	if _, ok := a.Selectivity(); ok {
 		t.Fatal("Selectivity ok with zero docs in")
-	}
-	if _, ok := a.CallsPerDoc(); ok {
-		t.Fatal("CallsPerDoc ok with zero docs in")
 	}
 }
 
@@ -123,12 +117,6 @@ func TestModelPrefersObservedEvidence(t *testing.T) {
 	if sel, observed := m.Selectivity("llmFilter", "llmFilter|unseen"); observed || sel != 0.5 {
 		t.Fatalf("default Selectivity = %v, observed=%v; want 0.5 default", sel, observed)
 	}
-	if c, observed := m.CallsPerDoc("llmFilter", "llmFilter|q"); !observed || c != 1.0 {
-		t.Fatalf("CallsPerDoc = %v, observed=%v; want 1 observed", c, observed)
-	}
-	if c, observed := m.CallsPerDoc("llmExtract", "llmExtract|x"); observed || c != 1.0 {
-		t.Fatalf("default CallsPerDoc = %v, observed=%v; want 1 default", c, observed)
-	}
 }
 
 func TestModelNilStoreFallsBack(t *testing.T) {
@@ -137,8 +125,8 @@ func TestModelNilStoreFallsBack(t *testing.T) {
 		t.Fatalf("nil model Selectivity = %v, observed=%v", sel, observed)
 	}
 	m2 := NewModel(nil)
-	if c, observed := m2.CallsPerDoc("topK", "sig"); observed || c != 0 {
-		t.Fatalf("storeless CallsPerDoc = %v, observed=%v", c, observed)
+	if sel, observed := m2.Selectivity("topK", "sig"); observed || sel != 1.0 {
+		t.Fatalf("storeless Selectivity = %v, observed=%v", sel, observed)
 	}
 	if s := DefaultSelectivity("project"); s != 1.0 {
 		t.Fatalf("pass-through default selectivity = %v", s)

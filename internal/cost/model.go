@@ -24,7 +24,7 @@ const DefaultEscalationRate = 0.7
 // defaultSelectivity maps operator names to the fraction of input
 // documents assumed to survive, before any observed evidence. Operator
 // names mirror luna's wire constants; this package keeps its own copy
-// to stay import-free.
+// so as not to import luna.
 var defaultSelectivity = map[string]float64{
 	"basicFilter":      0.5,
 	"llmFilter":        0.5,
@@ -39,22 +39,6 @@ func DefaultSelectivity(op string) float64 {
 		return s
 	}
 	return 1.0
-}
-
-// defaultCallsPerDoc maps operator names to assumed LLM calls per input
-// document before any observed evidence.
-var defaultCallsPerDoc = map[string]float64{
-	"llmFilter":        1.0,
-	"llmFilterCascade": DefaultEscalationRate,
-	"llmExtract":       1.0,
-	"llmCluster":       1.0,
-	"fraction":         1.0,
-}
-
-// DefaultCallsPerDoc returns the assumed LLM calls per input document
-// for an operator with no observed evidence.
-func DefaultCallsPerDoc(op string) float64 {
-	return defaultCallsPerDoc[op]
 }
 
 // Model answers per-operator cost questions, preferring observed
@@ -83,19 +67,6 @@ func (m *Model) Selectivity(op, signature string) (sel float64, observed bool) {
 		}
 	}
 	return DefaultSelectivity(op), false
-}
-
-// CallsPerDoc returns the expected LLM calls per input document for an
-// operator instance, and whether the figure is observed.
-func (m *Model) CallsPerDoc(op, signature string) (calls float64, observed bool) {
-	if m != nil && m.Store != nil {
-		if a, ok := m.Store.Lookup(signature); ok {
-			if c, ok := a.CallsPerDoc(); ok {
-				return c, true
-			}
-		}
-	}
-	return DefaultCallsPerDoc(op), false
 }
 
 // NodeEstimate is one plan node's cost estimate, wire-stable for

@@ -4,11 +4,13 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"aryn/internal/docmodel"
+	"aryn/internal/statefile"
 )
 
 // MemoryCache is the in-memory materialization target: named snapshots of
@@ -97,22 +99,20 @@ func (ds *DocSet) MaterializeDisk(path string) *DocSet {
 
 // WriteJSONL persists documents as gzipped JSON lines.
 func WriteJSONL(path string, docs []*docmodel.Document) error {
-	f, err := os.Create(path)
+	err := statefile.Write(path, func(w io.Writer) error {
+		zw := gzip.NewWriter(w)
+		enc := json.NewEncoder(zw)
+		for _, d := range docs {
+			if err := enc.Encode(d); err != nil {
+				return fmt.Errorf("encode %s: %w", d.ID, err)
+			}
+		}
+		return zw.Close()
+	})
 	if err != nil {
 		return fmt.Errorf("materialize: %w", err)
 	}
-	defer f.Close()
-	zw := gzip.NewWriter(f)
-	enc := json.NewEncoder(zw)
-	for _, d := range docs {
-		if err := enc.Encode(d); err != nil {
-			return fmt.Errorf("materialize: encode %s: %w", d.ID, err)
-		}
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("materialize: flush: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // ReadJSONL loads documents previously written by WriteJSONL.

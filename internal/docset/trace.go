@@ -308,8 +308,7 @@ func truncName(s string, n int) string {
 }
 
 // tracingLLM wraps the context's LLM client for one stage, counting every
-// call into that stage's trace node. It preserves middleware-stats
-// discovery (llm.StatsOf) by exposing the wrapped client.
+// call into that stage's trace node.
 type tracingLLM struct {
 	inner llm.Client
 	nt    *NodeTrace
@@ -352,7 +351,3 @@ func (t *tracingLLM) CompleteGroup(ctx context.Context, g llm.Group) ([]llm.Resp
 
 // Name identifies the backing model.
 func (t *tracingLLM) Name() string { return t.inner.Name() }
-
-// Inner exposes the wrapped client so llm.StatsOf keeps walking the
-// middleware chain through the per-stage wrapper.
-func (t *tracingLLM) Inner() llm.Client { return t.inner }

@@ -312,9 +312,6 @@ func (f *faultClient) CompleteBatch(ctx context.Context, reqs []llm.Request) ([]
 // Name identifies the wrapped model.
 func (f *faultClient) Name() string { return f.inner.Name() }
 
-// Inner returns the wrapped client so StatsOf keeps walking the chain.
-func (f *faultClient) Inner() llm.Client { return f.inner }
-
 var (
 	_ llm.Client      = (*faultClient)(nil)
 	_ llm.BatchClient = (*faultClient)(nil)

@@ -4,9 +4,11 @@ import (
 	"compress/gzip"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 
 	"aryn/internal/docmodel"
+	"aryn/internal/statefile"
 )
 
 func init() {
@@ -38,19 +40,17 @@ func (s *Store) Save(path string) error {
 	}
 	s.mu.RUnlock()
 
-	f, err := os.Create(path)
+	err := statefile.Write(path, func(w io.Writer) error {
+		zw := gzip.NewWriter(w)
+		if err := gob.NewEncoder(zw).Encode(snap); err != nil {
+			return fmt.Errorf("encode: %w", err)
+		}
+		return zw.Close()
+	})
 	if err != nil {
 		return fmt.Errorf("index: save: %w", err)
 	}
-	defer f.Close()
-	zw := gzip.NewWriter(f)
-	if err := gob.NewEncoder(zw).Encode(snap); err != nil {
-		return fmt.Errorf("index: save encode: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("index: save flush: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // Load reads a store snapshot from path and rebuilds the indexes.

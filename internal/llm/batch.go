@@ -258,9 +258,6 @@ func (b *Batcher) dispatch(batch []*pendingReq) {
 // Name identifies the wrapped model.
 func (b *Batcher) Name() string { return b.inner.Name() }
 
-// Inner returns the wrapped client.
-func (b *Batcher) Inner() Client { return b.inner }
-
 // Stats returns a snapshot of the batching counters.
 func (b *Batcher) Stats() BatchStats {
 	b.mu.Lock()

@@ -9,9 +9,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sync"
+
+	"aryn/internal/statefile"
 )
 
 // This file implements the content-addressed response cache, the first
@@ -390,9 +393,6 @@ func (c *Cache) put(key string, resp Response) {
 // Name identifies the wrapped model.
 func (c *Cache) Name() string { return c.inner.Name() }
 
-// Inner returns the wrapped client.
-func (c *Cache) Inner() Client { return c.inner }
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
@@ -451,19 +451,17 @@ func (c *Cache) Save(path string) error {
 	}
 	c.mu.Unlock()
 
-	f, err := os.Create(path)
+	err := statefile.Write(path, func(w io.Writer) error {
+		zw := gzip.NewWriter(w)
+		if err := gob.NewEncoder(zw).Encode(snap); err != nil {
+			return fmt.Errorf("encode: %w", err)
+		}
+		return zw.Close()
+	})
 	if err != nil {
 		return fmt.Errorf("llm: cache save: %w", err)
 	}
-	defer f.Close()
-	zw := gzip.NewWriter(f)
-	if err := gob.NewEncoder(zw).Encode(snap); err != nil {
-		return fmt.Errorf("llm: cache save encode: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("llm: cache save flush: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // Load merges persisted entries into the cache (existing keys keep their

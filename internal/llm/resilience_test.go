@@ -106,8 +106,7 @@ func TestCachePurge(t *testing.T) {
 	}
 }
 
-// countingWrap is a stand-in resilience layer that counts traversals and
-// exposes Inner so StatsOf keeps walking the chain.
+// countingWrap is a stand-in resilience layer that counts traversals.
 type countingWrap struct {
 	inner Client
 	mu    sync.Mutex
@@ -120,8 +119,7 @@ func (w *countingWrap) Complete(ctx context.Context, req Request) (Response, err
 	w.mu.Unlock()
 	return w.inner.Complete(ctx, req)
 }
-func (w *countingWrap) Name() string  { return w.inner.Name() }
-func (w *countingWrap) Inner() Client { return w.inner }
+func (w *countingWrap) Name() string { return w.inner.Name() }
 
 // TestStackResilienceOrder: WithResilience sits below the cache — a hit
 // never traverses the resilience layer (cached answers keep serving

@@ -106,10 +106,9 @@ func WithBatching(maxBatch int, linger time.Duration) StackOption {
 // WithResilience inserts wrap between the cache and the batcher: below
 // the cache (hits never touch a breaker — serving cached answers during
 // an outage is the first line of graceful degradation) and above the
-// batcher (retried attempts re-enter batching). The wrapped client
-// should expose Inner() Client so StatsOf keeps walking the chain. The
-// llm package stays dependency-free of the resilience implementation;
-// internal/resilience provides the canonical wrapper.
+// batcher (retried attempts re-enter batching). The llm package stays
+// dependency-free of the resilience implementation; internal/resilience
+// provides the canonical wrapper.
 func WithResilience(wrap func(Client) Client) StackOption {
 	return func(c *stackConfig) { c.resilience = wrap }
 }
@@ -157,9 +156,6 @@ func (s *Stack) CompleteGroup(ctx context.Context, g Group) ([]Response, error) 
 // Name identifies the backing model.
 func (s *Stack) Name() string { return s.inner.Name() }
 
-// Inner returns the backing client beneath all middleware.
-func (s *Stack) Inner() Client { return s.inner }
-
 // Cache returns the cache layer (nil when disabled).
 func (s *Stack) CacheLayer() *Cache { return s.cache }
 
@@ -191,8 +187,8 @@ type statsProvider interface{ StackStats() StackStats }
 // wrapper is implemented by middleware that exposes its wrapped client.
 type wrapper interface{ Inner() Client }
 
-// StatsOf walks a chain of wrapped clients (Meter, Cache, Batcher,
-// Stack…) and returns the first middleware stats snapshot found.
+// StatsOf walks a chain of wrapped clients (a Meter around a Stack) and
+// returns the first middleware stats snapshot found.
 func StatsOf(c Client) (StackStats, bool) {
 	for c != nil {
 		if sp, ok := c.(statsProvider); ok {

@@ -36,8 +36,8 @@ type Executor struct {
 	// Store is the index the plan roots read from.
 	Store *index.Store
 	// Serial disables branch concurrency: scheduled subtrees run to
-	// completion one at a time before the output pipeline executes. For
-	// benchmarking (lunabench -joins) and debugging; output is
+	// completion one at a time before the output pipeline executes. The
+	// determinism tests' reference path and a debugging aid; output is
 	// byte-identical either way.
 	Serial bool
 }
@@ -64,53 +64,35 @@ type Result struct {
 	LLM *llm.StackStats
 }
 
-// lowered is the physical form of a plan: the output DocSet pipeline, the
-// independently-schedulable branch tasks it depends on, plus the
-// answer-shaping facts the terminal operator needs.
+// lowered is the physical form of a plan: the output DocSet pipeline and
+// the independently-schedulable branch tasks it depends on.
 type lowered struct {
 	ds *docset.DocSet
 	// tasks are the plan's independent branches (join build sides, shared
 	// diamond prefixes) in dependency order; Run starts them all when the
 	// query begins so they overlap in wall-clock time.
 	tasks []*docset.Task
-	// terminal is the last answer-shaping operator on the path to the
-	// output (pass-through operators like limit and distinct keep the
-	// upstream terminal, matching the historical linear executor).
-	terminal LogicalOp
-	// keyField is the group key in effect at the output (for table and
-	// top-k answer shaping), propagated through the DAG.
-	keyField string
+	// order is the plan's topological order (node indices).
+	order []int
 }
 
-// lower compiles the DAG onto DocSet pipelines in topological order under
-// the given execution context (Run passes a query-scoped context carrying
-// the worker budget; Compile passes the bare context). Each node's DocSet
-// is built from its inputs'; join lowers onto the physical docset join
-// with its build side (the second input) wrapped as a schedulable task.
-// count and fraction are answer-shaping terminals: they pass their input
-// pipeline through untouched and are resolved after execution. Every
-// node's stages are tagged with the node's ID so runtime traces aggregate
-// back to plan nodes.
+// lower checks the plan's structure (checkStructure) and compiles the DAG
+// onto DocSet pipelines in topological order under the given execution
+// context (Run passes a query-scoped context carrying the worker budget;
+// Compile passes the bare context). Each node's DocSet is built from its
+// inputs'; join lowers onto the physical docset join with its build side
+// (the second input) wrapped as a schedulable task. fraction lowers to the
+// filter stage its predicate is — the answer is that stage's pass rate —
+// while count and project shape the answer from their input's documents
+// and add no stage. Every node's stages are tagged with the node's ID so
+// runtime traces aggregate back to plan nodes.
 func (e *Executor) lower(ec *docset.Context, plan *LogicalPlan) (*lowered, error) {
-	plan.normalize()
-	if len(plan.Nodes) == 0 {
-		return nil, fmt.Errorf("%w: empty plan", ErrInvalidPlan)
-	}
-	order, err := plan.topoOrder()
+	order, err := checkStructure(plan, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidPlan, err)
-	}
-	output := plan.Output
-	if output == "" {
-		return nil, fmt.Errorf("%w: plan has no output node", ErrInvalidPlan)
-	}
-	if plan.node(output) == nil {
-		return nil, fmt.Errorf("%w: output %q names no node", ErrInvalidPlan, output)
+		return nil, err
 	}
 
 	sets := map[string]*docset.DocSet{}
-	keys := map[string]string{}
-	terminals := map[string]LogicalOp{}
 	// Fan-out counts: a node consumed by several downstream operators (a
 	// diamond) is materialized with Shared() so its subtree executes once,
 	// not once per consumer.
@@ -120,120 +102,76 @@ func (e *Executor) lower(ec *docset.Context, plan *LogicalPlan) (*lowered, error
 			fanout[in]++
 		}
 	}
-	input := func(n PlanNode, i int) (*docset.DocSet, error) {
-		if len(n.Inputs) <= i {
-			return nil, fmt.Errorf("%w: node %s: %s is missing input %d", ErrInvalidPlan, n.ID, n.Op, i)
-		}
-		ds := sets[n.Inputs[i]]
-		if ds == nil {
-			return nil, fmt.Errorf("%w: node %s: input %q not lowered", ErrInvalidPlan, n.ID, n.Inputs[i])
-		}
-		return ds, nil
-	}
 
 	var tasks []*docset.Task
 	for _, idx := range order {
 		n := plan.Nodes[idx]
-		// Inherit answer-shaping facts from the primary input.
+		// in is the pipeline this node extends (nil for a source); Tag
+		// labels the stages added beyond it with the node's ID.
+		var in, out *docset.DocSet
 		if len(n.Inputs) > 0 {
-			keys[n.ID] = keys[n.Inputs[0]]
-			terminals[n.ID] = terminals[n.Inputs[0]]
+			in = sets[n.Inputs[0]]
 		}
 		switch n.Op {
-		case OpGroupByAggregate, OpLLMCluster, OpTopK, OpProject,
-			OpLLMGenerate, OpCount, OpFraction:
-			terminals[n.ID] = n.LogicalOp
-		}
-		// base is the pipeline this node extends; Tag labels the stages
-		// added beyond it with the node's ID.
-		var base *docset.DocSet
-		switch n.Op {
-		case OpQueryDatabase, OpQueryVectorDatabase:
-			if len(n.Inputs) != 0 {
-				return nil, fmt.Errorf("%w: node %s: %s is a source and takes no inputs", ErrInvalidPlan, n.ID, n.Op)
+		case OpQueryDatabase:
+			out = docset.QueryDatabase(ec, e.Store, index.Query{
+				Keyword: n.Keyword,
+				Filter:  compileFilters(n.Filters),
+			})
+		case OpQueryVectorDatabase:
+			k := n.K
+			if k <= 0 {
+				k = 20
 			}
-			root, rerr := e.root(ec, n.LogicalOp)
-			if rerr != nil {
-				return nil, rerr
-			}
-			sets[n.ID] = root
+			out = docset.QueryVectorDatabase(ec, e.Store, n.Query, nil, k)
 		case OpJoin:
-			left, lerr := input(n, 0)
-			if lerr != nil {
-				return nil, lerr
-			}
-			right, rerr := input(n, 1)
-			if rerr != nil {
-				return nil, rerr
-			}
 			// The build side becomes its own scheduled branch: Run starts
 			// it when the query begins, so it executes concurrently with
 			// the probe side instead of after the probe has drained.
-			build := docset.NewTask("join build["+n.Inputs[1]+"]", right)
+			build := docset.NewTask("join build["+n.Inputs[1]+"]", sets[n.Inputs[1]])
 			tasks = append(tasks, build)
-			base = left
-			sets[n.ID] = left.JoinTask(build, n.LeftKey, n.RightKey, n.Prefix,
+			out = in.JoinTask(build, n.LeftKey, n.RightKey, n.Prefix,
 				docset.JoinKind(joinKindOrDefault(n.JoinKind)))
-		default:
-			in, ierr := input(n, 0)
-			if ierr != nil {
-				return nil, ierr
+		case OpBasicFilter:
+			out = in.FilterProps(compileFilters(n.Filters))
+		case OpLLMFilter:
+			out = in.LLMFilter(n.questions()...)
+		case OpLLMFilterCascade:
+			out = in.LLMFilterCascade(n.questions(), n.Low, n.High)
+		case OpLLMExtract:
+			out = in.LLMExtract(n.Fields)
+		case OpGroupByAggregate:
+			out = in.GroupByAggregate(n.Key, docset.AggKind(n.Agg), n.ValueField)
+		case OpLLMCluster:
+			out = in.LLMCluster(n.K, nil, 17)
+		case OpTopK:
+			out = in.TopK(n.Field, n.K)
+		case OpLimit:
+			out = in.Limit(n.K)
+		case opDistinct:
+			out = in.Distinct(n.Field)
+		case OpLLMGenerate:
+			out = in.Summarize(n.Instruction)
+		case OpFraction:
+			if n.Question != "" {
+				out = in.LLMFilter(n.Question)
+			} else {
+				out = in.FilterProps(compileFilters(n.Filters))
 			}
-			base = in
-			switch n.Op {
-			case OpBasicFilter:
-				sets[n.ID] = in.FilterProps(compileFilters(n.Filters))
-			case OpLLMFilter:
-				sets[n.ID] = in.LLMFilter(n.questions()...)
-			case OpLLMFilterCascade:
-				sets[n.ID] = in.LLMFilterCascade(n.questions(), n.Low, n.High)
-			case OpLLMExtract:
-				sets[n.ID] = in.LLMExtract(n.Fields)
-			case OpGroupByAggregate:
-				sets[n.ID] = in.GroupByAggregate(n.Key, docset.AggKind(n.Agg), n.ValueField)
-				key := n.Key
-				if key == "" {
-					key = "group"
-				}
-				keys[n.ID] = key
-			case OpLLMCluster:
-				sets[n.ID] = in.LLMCluster(n.K, nil, 17)
-			case OpTopK:
-				sets[n.ID] = in.TopK(n.Field, n.K)
-			case OpLimit:
-				sets[n.ID] = in.Limit(n.K)
-			case opDistinct:
-				sets[n.ID] = in.Distinct(n.Field)
-			case OpProject:
-				sets[n.ID] = in
-			case OpLLMGenerate:
-				sets[n.ID] = in.Summarize(n.Instruction)
-			case OpCount, OpFraction:
-				// Answer-shaping terminals: resolved post-execution over
-				// the input pipeline's documents.
-				if n.ID != output {
-					return nil, fmt.Errorf("%w: node %s: %s must be the output node", ErrInvalidPlan, n.ID, n.Op)
-				}
-				sets[n.ID] = in
-			default:
-				return nil, fmt.Errorf("%w: node %s: unknown operator %q", ErrInvalidPlan, n.ID, n.Op)
-			}
+		case OpCount, OpProject:
+			out = in
 		}
-		sets[n.ID] = sets[n.ID].Tag(base, n.ID)
+		out = out.Tag(in, n.ID)
 		if fanout[n.ID] > 1 {
 			// A diamond prefix: materialize once as a scheduled branch and
 			// replay to every consumer.
-			shared := sets[n.ID].ShareTask()
+			shared := out.ShareTask()
 			tasks = append(tasks, shared)
-			sets[n.ID] = shared.DocSet()
+			out = shared.DocSet()
 		}
+		sets[n.ID] = out
 	}
-	return &lowered{
-		ds:       sets[output],
-		tasks:    tasks,
-		terminal: terminals[output],
-		keyField: keys[output],
-	}, nil
+	return &lowered{ds: sets[plan.Output], tasks: tasks, order: order}, nil
 }
 
 // Compile lowers the plan and returns the physical Sycamore pipeline
@@ -297,7 +235,7 @@ func (e *Executor) Run(ctx context.Context, plan *LogicalPlan, hooks StreamHooks
 	for _, t := range low.tasks {
 		t.Start(tctx)
 		if e.Serial {
-			// Benchmark/debug mode: drain each branch before the next
+			// Reference/debug mode: drain each branch before the next
 			// starts (errors surface through the consumer below).
 			t.Join()
 		}
@@ -330,111 +268,103 @@ func (e *Executor) Run(ctx context.Context, plan *LogicalPlan, hooks StreamHooks
 	}
 	res.Trace = merged
 	res.Docs = docs
-	res.Exec = buildExecDetail(plan, merged, start, wall, qec.Parallelism, len(low.tasks)+1)
+	res.Exec = buildExecDetail(plan, low.order, merged, start, wall, qec.Parallelism, len(low.tasks)+1)
 	if execErr != nil {
 		// Partial result: the trace carries per-node error annotations and
 		// docs holds whatever flowed out before the failure. Callers decide
 		// whether to degrade (serve what ran, flagged) or fail outright.
 		return res, fmt.Errorf("luna: execute: %w", execErr)
 	}
-
-	if serr := e.shapeAnswer(ctx, res, low, docs); serr != nil {
-		return nil, serr
-	}
+	res.Answer = shapeAnswer(plan, res.Exec, docs)
 	return res, nil
 }
 
-// shapeAnswer derives the typed answer from the terminal operator over
-// the executed documents.
-func (e *Executor) shapeAnswer(ctx context.Context, res *Result, low *lowered, docs []*docmodel.Document) error {
-	groupKeyField := low.keyField
-	switch low.terminal.Op {
+// shaping are the operators that decide the answer's type; every other
+// operator passes its primary input's shape through.
+var shaping = map[string]bool{
+	OpGroupByAggregate: true, OpLLMCluster: true, OpTopK: true, OpProject: true,
+	OpLLMGenerate: true, OpCount: true, OpFraction: true,
+}
+
+// upstream walks primary inputs up from node id (inclusive) to the nearest
+// node match accepts (nil when the walk reaches a source without one).
+func (p *LogicalPlan) upstream(id string, match func(*PlanNode) bool) *PlanNode {
+	for n := p.node(id); ; n = p.node(n.Inputs[0]) {
+		if match(n) {
+			return n
+		}
+		if len(n.Inputs) == 0 {
+			return nil
+		}
+	}
+}
+
+// shapeAnswer derives the typed answer from the executed documents and the
+// plan's terminal: the nearest answer-shaping operator at or above the
+// output (pass-through operators like limit and distinct keep the upstream
+// shape). A plan without one answers with its documents' IDs.
+func shapeAnswer(plan *LogicalPlan, exec *ExecDetail, docs []*docmodel.Document) Answer {
+	terminal := plan.upstream(plan.Output, func(n *PlanNode) bool { return shaping[n.Op] })
+	if terminal == nil {
+		ids := make([]string, 0, len(docs))
+		for _, d := range docs {
+			ids = append(ids, d.ID)
+		}
+		return ListAnswer(ids...)
+	}
+	switch terminal.Op {
 	case OpCount:
-		res.Answer = NumberAnswer(float64(len(docs)))
+		return NumberAnswer(float64(len(docs)))
 	case OpFraction:
-		ans, ferr := e.fraction(ctx, docs, low.terminal)
-		if ferr != nil {
-			return ferr
+		// The node ran as a filter stage: its answer is the stage's pass rate.
+		r := exec.Node(terminal.ID).Runtime
+		if r.DocsIn == 0 {
+			return NumberAnswer(0)
 		}
-		res.Answer = ans
+		return NumberAnswer(float64(r.DocsOut) / float64(r.DocsIn))
 	case OpGroupByAggregate:
-		key := low.terminal.Key
-		if key == "" {
-			key = "group"
-		}
-		res.Answer = tableFromGroups(docs, key)
-		if low.terminal.Key == "" && len(docs) == 1 {
+		if terminal.Key == "" && len(docs) == 1 {
 			// Global aggregate: a single number.
 			if v, ok := docs[0].Properties.Float("value"); ok {
-				res.Answer = NumberAnswer(v)
+				return NumberAnswer(v)
 			}
 		}
+		return tableFromGroups(docs, groupKey(terminal))
 	case OpTopK:
+		// Rows are named by the group key in effect above the topK.
+		keyField := ""
+		if g := plan.upstream(terminal.ID, func(n *PlanNode) bool { return n.Op == OpGroupByAggregate }); g != nil {
+			keyField = groupKey(g)
+		}
 		keys := make([]string, 0, len(docs))
 		for _, d := range docs {
-			key := d.Property(groupKeyField)
+			key := d.Property(keyField)
 			if key == "" {
 				key = d.ID
 			}
 			keys = append(keys, key)
 		}
-		res.Answer = ListAnswer(keys...)
+		return ListAnswer(keys...)
 	case OpProject:
-		res.Answer = projectAnswer(docs, low.terminal.ProjectFields)
+		return projectAnswer(docs, terminal.ProjectFields)
 	case OpLLMGenerate:
 		text := ""
 		if len(docs) > 0 {
 			text = docs[0].Text
 		}
-		res.Answer = TextAnswer(text)
-	case OpLLMCluster:
-		res.Answer = tableFromClusterLabels(docs)
-	default:
-		ids := make([]string, 0, len(docs))
-		for _, d := range docs {
-			ids = append(ids, d.ID)
-		}
-		res.Answer = ListAnswer(ids...)
-	}
-	return nil
-}
-
-// root builds a source DocSet under the given execution context.
-func (e *Executor) root(ec *docset.Context, op LogicalOp) (*docset.DocSet, error) {
-	switch op.Op {
-	case OpQueryDatabase:
-		return docset.QueryDatabase(ec, e.Store, index.Query{
-			Keyword: op.Keyword,
-			Filter:  compileFilters(op.Filters),
-		}), nil
-	case OpQueryVectorDatabase:
-		k := op.K
-		if k <= 0 {
-			k = 20
-		}
-		return docset.QueryVectorDatabase(ec, e.Store, op.Query, nil, k), nil
-	default:
-		return nil, fmt.Errorf("%w: plan must start with a query operator, got %q", ErrInvalidPlan, op.Op)
+		return TextAnswer(text)
+	default: // OpLLMCluster
+		return tableFromClusterLabels(docs)
 	}
 }
 
-// fraction computes the terminal fraction op: the share of the incoming
-// documents satisfying the predicate.
-func (e *Executor) fraction(ctx context.Context, docs []*docmodel.Document, op LogicalOp) (Answer, error) {
-	if len(docs) == 0 {
-		return NumberAnswer(0), nil
+// groupKey is the property a groupByAggregate node's rows carry their group
+// under.
+func groupKey(n *PlanNode) string {
+	if n.Key == "" {
+		return "group"
 	}
-	num := docset.FromDocuments(e.EC, docs)
-	if op.Question != "" {
-		num = num.LLMFilter(op.Question)
-	} else if len(op.Filters) > 0 {
-		num = num.FilterProps(compileFilters(op.Filters))
-	}
-	matched, err := num.Count(ctx)
-	if err != nil {
-		return Answer{}, fmt.Errorf("luna: fraction: %w", err)
-	}
-	return NumberAnswer(float64(matched) / float64(len(docs))), nil
+	return n.Key
 }
 
 // compileFilters lowers FilterSpecs to an index predicate.

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"aryn/internal/cost"
@@ -308,6 +309,50 @@ func TestOptimizerEquivalence(t *testing.T) {
 	}
 	t.Logf("LLM calls: suite %d unoptimized, %d optimized; mix %d unoptimized, %d optimized",
 		totalOff, totalOn, mixOff, mixOn)
+}
+
+// countingLLM counts what an execution sends through its client: one per
+// request, one per request group.
+type countingLLM struct {
+	llm.Client
+	calls atomic.Int64
+}
+
+func (c *countingLLM) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	c.calls.Add(1)
+	return c.Client.Complete(ctx, req)
+}
+
+func (c *countingLLM) CompleteGroup(ctx context.Context, g llm.Group) ([]llm.Response, error) {
+	c.calls.Add(1)
+	return llm.CompleteGroup(ctx, c.Client, g)
+}
+
+// TestExecAccountsForEveryModelCall is the accounting invariant of EXPLAIN
+// ANALYZE: over the representative plans, optimize off and on, the plan
+// nodes' llm_calls sum to exactly the calls the execution sent through the
+// client — no operator works outside the trace.
+func TestExecAccountsForEveryModelCall(t *testing.T) {
+	var total int64
+	for _, tc := range equivalencePlans() {
+		for _, optimize := range []bool{false, true} {
+			svc := newEquivService(t, optimize, cost.NewModel(cost.NewStore()))
+			counter := &countingLLM{Client: svc.Executor.EC.LLM}
+			svc.Executor.EC.LLM = counter
+			res, err := svc.RunPlan(context.Background(), "accounting", tc.plan.Clone())
+			if err != nil {
+				t.Fatalf("%s optimize=%v: %v", tc.name, optimize, err)
+			}
+			if sent, traced := counter.calls.Load(), sumLLMCalls(res.Exec); sent != traced {
+				t.Errorf("%s optimize=%v: execution sent %d calls, its plan nodes account for %d",
+					tc.name, optimize, sent, traced)
+			}
+			total += counter.calls.Load()
+		}
+	}
+	if total == 0 {
+		t.Fatal("no plan called the model; the invariant checked nothing")
+	}
 }
 
 // TestOptimizedResultAnnotations pins the observability contract: with the

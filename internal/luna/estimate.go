@@ -130,9 +130,10 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 			calls = in
 			units = calls * cost.UnitsPerLLMCall
 		case OpLLMCluster:
+			// k-means over embeddings (docset.LLMCluster): one embedding per
+			// document, no model call.
 			out = in
-			calls = in
-			units = calls * cost.UnitsPerLLMCall
+			units = in * cost.UnitsPerProxy
 		case OpGroupByAggregate:
 			out = math.Min(in, defaultGroupCount)
 			units = in * cost.UnitsPerPredicate

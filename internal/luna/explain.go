@@ -92,8 +92,8 @@ type ExecDetail struct {
 	// plus the output pipeline).
 	Branches int `json:"branches"`
 	// Nodes lists runtime per executed plan node in topological order.
-	// Nodes that lower to no physical stage (count, fraction, project —
-	// answer shaping resolved after execution) are absent.
+	// Nodes that lower to no physical stage (count, project — they shape
+	// the answer from their input's documents) are absent.
 	Nodes []NodeExec `json:"nodes"`
 }
 
@@ -109,21 +109,12 @@ func (d *ExecDetail) Node(id string) *NodeExec {
 }
 
 // buildExecDetail aggregates a merged execution trace back onto plan
-// nodes via stage tags.
-func buildExecDetail(plan *LogicalPlan, trace *docset.Trace, start time.Time, wall time.Duration, budget, branches int) *ExecDetail {
+// nodes via stage tags, in the plan's topological order.
+func buildExecDetail(plan *LogicalPlan, order []int, trace *docset.Trace, start time.Time, wall time.Duration, budget, branches int) *ExecDetail {
 	d := &ExecDetail{
 		WallMS:   roundMS(wall),
 		Budget:   budget,
 		Branches: branches,
-	}
-	order, err := plan.topoOrder()
-	if err != nil {
-		// Run already executed this plan, so the order cannot fail; fall
-		// back to declaration order defensively.
-		order = make([]int, len(plan.Nodes))
-		for i := range order {
-			order[i] = i
-		}
 	}
 	for _, idx := range order {
 		n := plan.Nodes[idx]

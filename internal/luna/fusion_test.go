@@ -418,3 +418,22 @@ func TestFeedbackKeepsEvidencePerQuestion(t *testing.T) {
 		t.Errorf("fused estimate = %+v; want observed, %v docs out, one call per escalated document", ne, roundEst(16*selPilot*selFire))
 	}
 }
+
+// llmCluster is k-means over embeddings (docset.LLMCluster): the estimate
+// prices it at one proxy unit per document and no model call, which is what
+// the execution then reports.
+func TestEstimateLLMClusterCallsNoModel(t *testing.T) {
+	svc := newEquivService(t, false, cost.NewModel(cost.NewStore()))
+	res, err := svc.RunPlan(context.Background(), "cluster", Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMCluster, K: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ne := res.Cost.Nodes[1]; ne.LLMCalls != 0 || ne.Units != 16*cost.UnitsPerProxy || res.Cost.LLMCalls != 0 {
+		t.Errorf("llmCluster estimate = %+v (plan total %v calls); want 0 calls, %v units", ne, res.Cost.LLMCalls, 16*cost.UnitsPerProxy)
+	}
+	if r := res.Exec.Node("n2").Runtime; r.LLMCalls != 0 || r.DocsOut != 16 {
+		t.Errorf("llmCluster ran %d model calls over %d documents; want 0 over 16", r.LLMCalls, r.DocsOut)
+	}
+}

@@ -6,7 +6,12 @@ package luna
 // valid plan, not just the ones the equivalence suite enumerates). Seed corpora live in testdata/fuzz/<Target>/; CI runs a
 // short -fuzztime smoke over each target.
 
-import "testing"
+import (
+	"testing"
+
+	"aryn/internal/docset"
+	"aryn/internal/index"
+)
 
 // fuzzSeeds is the shared seed mix: well-formed chain and DAG plans, the
 // optimizer's special shapes (chains, hoists, cascades), and malformed
@@ -62,6 +67,7 @@ func FuzzValidatePlan(f *testing.F) {
 		f.Add(s)
 	}
 	schema := testSchema()
+	ex := &Executor{EC: docset.NewContext(), Store: index.NewStore()}
 	f.Fuzz(func(t *testing.T, data string) {
 		plan, err := ParsePlan(data)
 		if err != nil {
@@ -71,6 +77,11 @@ func FuzzValidatePlan(f *testing.F) {
 		second := Validate(plan, schema)
 		if (first == nil) != (second == nil) {
 			t.Fatalf("validation not deterministic: %v then %v", first, second)
+		}
+		// The compiler trusts the structural check: whatever it admits must
+		// lower without a panic, and a valid plan without an error.
+		if _, err := ex.Compile(plan); first == nil && err != nil {
+			t.Fatalf("valid plan does not compile: %v\n%s", err, plan.JSON())
 		}
 	})
 }

@@ -2,9 +2,13 @@ package luna
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aryn/internal/docmodel"
 	"aryn/internal/docset"
@@ -262,6 +266,47 @@ func TestExecutorFraction(t *testing.T) {
 	}
 }
 
+// A fraction's predicate is a stage of the query's own pipeline, so it
+// computes under the query's worker budget beside the stages upstream of it:
+// never more than Parallelism busy workers (the probe of docset's
+// TestQueryScopeBudgetCapsBusyWorkers, hooked into every map-stage attempt).
+func TestFractionRunsUnderQueryBudget(t *testing.T) {
+	const parallelism = 2
+	var busy, peak atomic.Int64
+	gauge := func(string) error {
+		n := busy.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+		busy.Add(-1)
+		return nil
+	}
+	ex := &Executor{Store: equivCorpus(t), EC: docset.NewContext(docset.WithLLM(llm.NewSim(1)),
+		docset.WithParallelism(parallelism), docset.WithFaultHook(gauge))}
+	res, err := ex.Run(context.Background(), Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMFilter, Question: qPilot},
+		LogicalOp{Op: OpFraction, Question: qFire},
+	), StreamHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frac := res.Exec.Node("n3")
+	if frac == nil || frac.Runtime.DocsIn <= parallelism || frac.Runtime.LLMCalls != frac.Runtime.DocsIn {
+		t.Fatalf("fraction node did not run as a stage over more documents than the budget: %+v", frac)
+	}
+	if want := float64(frac.Runtime.DocsOut) / float64(frac.Runtime.DocsIn); res.Answer.Number != want || len(res.Docs) != int(frac.Runtime.DocsOut) {
+		t.Errorf("answer %v over %d docs, node passed %d of %d", res.Answer.Number, len(res.Docs), frac.Runtime.DocsOut, frac.Runtime.DocsIn)
+	}
+	if got := peak.Load(); got > parallelism {
+		t.Errorf("peak busy workers = %d, want <= %d (the fraction stage shares the query's budget)", got, parallelism)
+	}
+}
+
 func TestExecutorProjectAndDistinct(t *testing.T) {
 	ex, _ := executorFixture(t)
 	res, err := ex.Run(context.Background(), Chain(
@@ -299,6 +344,30 @@ func TestExecutorRejectsBadPlans(t *testing.T) {
 	}
 	if _, err := ex.Run(context.Background(), Chain(LogicalOp{Op: "bogus"}), StreamHooks{}); err == nil {
 		t.Error("bogus root should fail")
+	}
+
+	// Run and Compile report every structural fault at once, in Validate's
+	// words: the executor and the validator share one check.
+	bad := &LogicalPlan{Nodes: []PlanNode{
+		{ID: "n1", LogicalOp: LogicalOp{Op: OpQueryDatabase}},
+		{ID: "n2", Inputs: []string{"n1"}, LogicalOp: LogicalOp{Op: OpCount}},
+		{ID: "n3", Inputs: []string{"n2"}, LogicalOp: LogicalOp{Op: "bogus"}},
+		{ID: "n4", Inputs: []string{"n3"}, LogicalOp: LogicalOp{Op: OpJoin, LeftKey: "us_state", RightKey: "us_state"}},
+	}, Output: "n4"}
+	want := []string{
+		"node n2: count must be the output node",
+		`node n3: unknown operator "bogus"`,
+		"node n4: join takes exactly 2 inputs (left, right), got 1",
+	}
+	_, runErr := ex.Run(context.Background(), bad.Clone(), StreamHooks{})
+	_, compileErr := ex.Compile(bad.Clone())
+	for name, err := range map[string]error{"Run": runErr, "Compile": compileErr, "Validate": Validate(bad.Clone(), Schema{})} {
+		if !errors.Is(err, ErrInvalidPlan) {
+			t.Errorf("%s: error %v does not match ErrInvalidPlan", name, err)
+		}
+		if got := Issues(err); !slices.Equal(got, want) {
+			t.Errorf("%s: issues = %q, want %q", name, got, want)
+		}
 	}
 }
 

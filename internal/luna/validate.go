@@ -10,55 +10,15 @@ import (
 // ErrInvalidPlan wraps all plan validation failures.
 var ErrInvalidPlan = errors.New("luna: invalid plan")
 
-// Validate checks a plan structurally (well-formed DAG: unique node IDs,
-// no dangling inputs, no cycles, correct input arity, a single output
-// sink every node feeds) and semantically (known operators, required
-// parameters, filter and group-by fields must exist in the schema or be
-// produced upstream) — the §6.1 validation step that catches LLM
-// hallucinations before execution.
+// Validate checks a plan structurally (checkStructure: a well-formed DAG
+// of known operators) and semantically (required parameters; filter and
+// group-by fields must exist in the schema or be produced upstream) — the
+// §6.1 validation step that catches LLM hallucinations before execution.
 //
 // All node-level failures are aggregated with errors.Join rather than
 // stopping at the first, so a plan-editing client sees every problem in
 // one round trip; the combined error still matches ErrInvalidPlan.
 func Validate(plan *LogicalPlan, schema Schema) error {
-	if plan == nil {
-		return fmt.Errorf("%w: empty plan", ErrInvalidPlan)
-	}
-	plan.normalize()
-	if len(plan.Nodes) == 0 {
-		return fmt.Errorf("%w: empty plan", ErrInvalidPlan)
-	}
-
-	var errs []error
-	addf := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("%w: "+format, append([]any{ErrInvalidPlan}, args...)...))
-	}
-
-	order, terr := plan.topoOrder()
-	if terr != nil {
-		// Without a topological order there is no provenance walk;
-		// report the structural fault alone.
-		addf("%v", terr)
-		return errors.Join(errs...)
-	}
-
-	// Output resolution: the plan must name (or imply) exactly one sink.
-	output := plan.Output
-	if output == "" {
-		addf("plan has no output node (sinks: %s)", strings.Join(plan.sinks(), ", "))
-	} else if plan.node(output) == nil {
-		addf("output %q names no node", output)
-		output = ""
-	} else if len(plan.consumers(output)) > 0 {
-		addf("output node %s is consumed by %s and cannot be the result",
-			output, strings.Join(plan.consumers(output), ", "))
-	}
-	for _, sink := range plan.sinks() {
-		if sink != output {
-			addf("node %s does not feed the output (dangling branch)", sink)
-		}
-	}
-
 	// Provenance walk: the set of fields visible at each node is the
 	// schema plus everything its ancestors materialized.
 	base := map[string]bool{}
@@ -67,26 +27,8 @@ func Validate(plan *LogicalPlan, schema Schema) error {
 	}
 	visible := map[string]map[string]bool{}
 
-	for _, idx := range order {
-		n := plan.Nodes[idx]
+	_, err := checkStructure(plan, func(n PlanNode, addf func(string, ...any)) {
 		id := n.ID
-
-		// Input arity per operator class.
-		switch n.Op {
-		case OpQueryDatabase, OpQueryVectorDatabase:
-			if len(n.Inputs) != 0 {
-				addf("node %s: %s is a source and takes no inputs, got %d", id, n.Op, len(n.Inputs))
-			}
-		case OpJoin:
-			if len(n.Inputs) != 2 {
-				addf("node %s: join takes exactly 2 inputs (left, right), got %d", id, len(n.Inputs))
-			}
-		default:
-			if len(n.Inputs) != 1 {
-				addf("node %s: %s takes exactly 1 input, got %d", id, n.Op, len(n.Inputs))
-			}
-		}
-
 		known := fieldsAt(plan, n, visible, base)
 
 		switch n.Op {
@@ -132,10 +74,6 @@ func Validate(plan *LogicalPlan, schema Schema) error {
 			} else if !known[n.Field] {
 				addf("node %s: topK field %q not in schema", id, n.Field)
 			}
-		case OpCount, OpFraction, OpLLMGenerate:
-			if id != output {
-				addf("node %s: %s must be the output node", id, n.Op)
-			}
 		case OpLimit:
 			if n.K <= 0 {
 				addf("node %s: limit requires n > 0", id)
@@ -171,13 +109,97 @@ func Validate(plan *LogicalPlan, schema Schema) error {
 					addf("node %s: join right_key %q not produced by input %s", id, n.RightKey, n.Inputs[1])
 				}
 			}
+		}
+
+		visible[id] = produce(plan, n, visible, base)
+	})
+	return err
+}
+
+// checkStructure is the one statement of what a well-formed plan is,
+// whatever the schema: unique node IDs, no dangling inputs, no cycles, a
+// single output sink every node feeds, the input arity of each operator
+// class, known operators only, and count / fraction / llmGenerate nowhere
+// but at the output. Validate, Executor.Run and Executor.Compile all go
+// through it, so the compiler lowers a checked plan and re-checks nothing.
+//
+// It returns the plan's topological order, or every fault found joined
+// into one error matching ErrInvalidPlan. visit, when non-nil, runs on each
+// node in that order after the node's own checks and may add the caller's
+// issues (Validate's schema checks) to the same list.
+func checkStructure(plan *LogicalPlan, visit func(n PlanNode, addf func(string, ...any))) ([]int, error) {
+	if plan == nil || len(plan.Nodes) == 0 {
+		return nil, fmt.Errorf("%w: empty plan", ErrInvalidPlan)
+	}
+	plan.normalize()
+
+	var errs []error
+	addf := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("%w: "+format, append([]any{ErrInvalidPlan}, args...)...))
+	}
+
+	order, terr := plan.topoOrder()
+	if terr != nil {
+		// Without a topological order there is no walk; report the fault
+		// alone.
+		addf("%v", terr)
+		return nil, errors.Join(errs...)
+	}
+
+	// Output resolution: the plan must name (or imply) exactly one sink.
+	output := plan.Output
+	if output == "" {
+		addf("plan has no output node (sinks: %s)", strings.Join(plan.sinks(), ", "))
+	} else if plan.node(output) == nil {
+		addf("output %q names no node", output)
+		output = ""
+	} else if len(plan.consumers(output)) > 0 {
+		addf("output node %s is consumed by %s and cannot be the result",
+			output, strings.Join(plan.consumers(output), ", "))
+	}
+	for _, sink := range plan.sinks() {
+		if sink != output {
+			addf("node %s does not feed the output (dangling branch)", sink)
+		}
+	}
+
+	for _, idx := range order {
+		n := plan.Nodes[idx]
+		id := n.ID
+
+		// Input arity per operator class.
+		switch n.Op {
+		case OpQueryDatabase, OpQueryVectorDatabase:
+			if len(n.Inputs) != 0 {
+				addf("node %s: %s is a source and takes no inputs, got %d", id, n.Op, len(n.Inputs))
+			}
+		case OpJoin:
+			if len(n.Inputs) != 2 {
+				addf("node %s: join takes exactly 2 inputs (left, right), got %d", id, len(n.Inputs))
+			}
+		default:
+			if len(n.Inputs) != 1 {
+				addf("node %s: %s takes exactly 1 input, got %d", id, n.Op, len(n.Inputs))
+			}
+		}
+
+		switch n.Op {
+		case OpQueryDatabase, OpQueryVectorDatabase, OpJoin, OpBasicFilter,
+			OpLLMFilter, OpLLMFilterCascade, OpLLMExtract, OpGroupByAggregate,
+			OpLLMCluster, OpTopK, OpLimit, OpProject, opDistinct:
+		case OpCount, OpFraction, OpLLMGenerate:
+			if id != output {
+				addf("node %s: %s must be the output node", id, n.Op)
+			}
 		default:
 			addf("node %s: unknown operator %q", id, n.Op)
 		}
 
-		visible[id] = produce(plan, n, visible, base)
+		if visit != nil {
+			visit(n, addf)
+		}
 	}
-	return errors.Join(errs...)
+	return order, errors.Join(errs...)
 }
 
 // fieldsAt is the field set an operator may reference: the union of what

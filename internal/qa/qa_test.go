@@ -2,9 +2,11 @@ package qa
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"aryn/internal/core"
+	"aryn/internal/llm"
 	"aryn/internal/luna"
 	"aryn/internal/ntsb"
 )
@@ -215,10 +217,28 @@ func TestTable4Reproduction(t *testing.T) {
 	}
 }
 
+// countingLLM counts what an execution sends through its client: one per
+// request, one per request group.
+type countingLLM struct {
+	llm.Client
+	calls atomic.Int64
+}
+
+func (c *countingLLM) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	c.calls.Add(1)
+	return c.Client.Complete(ctx, req)
+}
+
+func (c *countingLLM) CompleteGroup(ctx context.Context, g llm.Group) ([]llm.Response, error) {
+	c.calls.Add(1)
+	return llm.CompleteGroup(ctx, c.Client, g)
+}
+
 // TestRecordedPlansReExecute closes the §6.2 inspect→edit→re-run loop
 // through the harness: every plan the benchmark recorded round-trips
 // through its DAG JSON and, resubmitted via RunPlan, reproduces the
-// answer it was recorded with.
+// answer it was recorded with — and its EXPLAIN ANALYZE nodes account for
+// every call the re-execution sent through the model client.
 func TestRecordedPlansReExecute(t *testing.T) {
 	corpus, err := ntsb.GenerateCorpus(20, 42)
 	if err != nil {
@@ -236,6 +256,9 @@ func TestRecordedPlansReExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The executor's client only: planning calls go through sys.LLM.
+	counter := &countingLLM{Client: sys.EC.LLM}
+	sys.EC.LLM = counter
 	replayed := 0
 	for _, rec := range records {
 		if rec.Err != nil || rec.Plan == nil {
@@ -245,9 +268,18 @@ func TestRecordedPlansReExecute(t *testing.T) {
 		if perr != nil {
 			t.Fatalf("q%d: recorded plan does not round-trip: %v", rec.Question.ID, perr)
 		}
+		sentBefore := counter.calls.Load()
 		res, rerr := sys.Query.RunPlan(context.Background(), rec.Question.Text, parsed)
 		if rerr != nil {
 			t.Fatalf("q%d: recorded plan does not re-execute: %v", rec.Question.ID, rerr)
+		}
+		var traced int64
+		for _, ne := range res.Exec.Nodes {
+			traced += ne.Runtime.LLMCalls
+		}
+		if sent := counter.calls.Load() - sentBefore; sent != traced {
+			t.Errorf("q%d: re-execution sent %d model calls, its plan nodes account for %d",
+				rec.Question.ID, sent, traced)
 		}
 		if res.Answer.String() != rec.Answer.String() {
 			t.Errorf("q%d: re-executed answer %q != recorded %q",

@@ -66,14 +66,6 @@ func (b *Builder) Meta(key, value string) { b.doc.Meta[key] = value }
 // Doc finalizes and returns the built document.
 func (b *Builder) Doc() *Doc { return b.doc }
 
-// CurrentPage returns the 1-based page number content is flowing onto.
-func (b *Builder) CurrentPage() int {
-	if b.page == nil {
-		return 0
-	}
-	return b.page.Number
-}
-
 func (b *Builder) contentWidth() float64 { return PageWidth - 2*Margin }
 
 // bottomLimit is the largest y a block may extend to on the current page.

@@ -154,10 +154,6 @@ func (m *Middleware) Complete(ctx context.Context, req llm.Request) (llm.Respons
 // Name identifies the backing model.
 func (m *Middleware) Name() string { return m.inner.Name() }
 
-// Inner exposes the wrapped client so llm.StatsOf keeps walking the
-// middleware chain.
-func (m *Middleware) Inner() llm.Client { return m.inner }
-
 // Breaker returns the circuit breaker (for health endpoints and tests).
 func (m *Middleware) Breaker() *Breaker { return m.breaker }
 

@@ -92,10 +92,6 @@ type ClientOption func(*Client)
 // WithRecorder installs r as the observation sink.
 func WithRecorder(r Recorder) ClientOption { return func(c *Client) { c.rec = r } }
 
-// WithHTTPClient substitutes the underlying http.Client (timeouts,
-// transports).
-func WithHTTPClient(hc *http.Client) ClientOption { return func(c *Client) { c.hc = hc } }
-
 // WithParams sets the scenario sizing knobs.
 func WithParams(p Params) ClientOption { return func(c *Client) { c.Params = p } }
 
@@ -127,35 +123,6 @@ func (c *Client) withRecorder(r Recorder) *Client {
 	cc := *c
 	cc.rec = r
 	return &cc
-}
-
-// WaitReady polls /v1/healthz until the server answers or timeout elapses.
-func (c *Client) WaitReady(ctx context.Context, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		reqCtx, cancel := context.WithTimeout(ctx, time.Second)
-		req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, c.base+"/healthz", nil)
-		if err != nil {
-			cancel()
-			return err
-		}
-		resp, err := c.hc.Do(req)
-		cancel()
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("scenario: server at %s not healthy after %s", c.base, timeout)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
 }
 
 // Stats fetches the /v1/stats snapshot (typed against the server's api
