@@ -135,6 +135,15 @@ func (d *Document) TextContent() string {
 	return sb.String()
 }
 
+// EmbeddingText is the text a document is embedded by: its own Text when it
+// has one (a chunk), its whole TextContent otherwise (a parsed report).
+func (d *Document) EmbeddingText() string {
+	if d.Text != "" {
+		return d.Text
+	}
+	return d.TextContent()
+}
+
 // PageCount returns the highest page number any element reports.
 func (d *Document) PageCount() int {
 	maxPage := 0

@@ -66,6 +66,20 @@ func TestTextContent(t *testing.T) {
 	}
 }
 
+// EmbeddingText is a chunk's own text, a parsed document's whole content.
+func TestEmbeddingText(t *testing.T) {
+	parsed := sampleDoc()
+	parsed.Text = ""
+	if got := parsed.EmbeddingText(); got != parsed.TextContent() {
+		t.Errorf("a document without Text must embed by its TextContent, got %q", got)
+	}
+	chunk := sampleDoc()
+	chunk.Text = "the chunk's own text"
+	if got := chunk.EmbeddingText(); got != chunk.Text {
+		t.Errorf("a document with Text must embed by it, got %q", got)
+	}
+}
+
 func TestPageCount(t *testing.T) {
 	if got := sampleDoc().PageCount(); got != 3 {
 		t.Errorf("PageCount = %d, want 3", got)

@@ -1,6 +1,9 @@
 package docset
 
-import "aryn/internal/docmodel"
+import (
+	"aryn/internal/docmodel"
+	"aryn/internal/index"
+)
 
 // Default proxy-cascade thresholds. The low bar is deliberately close to
 // zero: a document whose text shares essentially no vocabulary with the
@@ -33,15 +36,17 @@ func (ds *DocSet) LLMFilterCascade(questions []string, low, high float64) *DocSe
 }
 
 // proxyVector is the document side of the cascade's cheap screen: the
-// document's embedding, computed on the fly from its text when ingestion
-// did not embed it.
-func proxyVector(ec *Context, d *docmodel.Document) []float32 {
-	if len(d.Embedding) > 0 {
+// embedding of the document's text (Embedder.Embed of its EmbeddingText, to
+// the bit) unless ingestion already embedded it. A document read from an
+// index is embedded once per store, not once per query: store keeps the
+// vector (index.Store.DocVector). Anything else — an in-memory DocSet, a
+// document a stage made or rewrote — is embedded here.
+func proxyVector(ec *Context, store *index.Store, d *docmodel.Document) []float32 {
+	switch {
+	case len(d.Embedding) > 0:
 		return d.Embedding
+	case store != nil:
+		return store.DocVector(d, ec.Embedder)
 	}
-	text := d.Text
-	if text == "" {
-		text = d.TextContent()
-	}
-	return ec.Embedder.Embed(text)
+	return ec.Embedder.Embed(d.EmbeddingText())
 }

@@ -106,6 +106,7 @@ func QueryDatabase(ec *Context, store *index.Store, q index.Query) *DocSet {
 			// SearchDocs returns the store's shared snapshots; the
 			// executor clones them only for mutating plans.
 			shared: true,
+			store:  store,
 			emit: func(ctx context.Context, _ *Context, yield func(*docmodel.Document) error) error {
 				for _, hit := range store.SearchDocs(q) {
 					if err := yield(hit.Doc); err != nil {
@@ -127,6 +128,7 @@ func QueryVectorDatabase(ec *Context, store *index.Store, queryText string, filt
 		source: sourceSpec{
 			name:   fmt.Sprintf("queryVectorDatabase[%q, k=%d]", queryText, k),
 			shared: true,
+			store:  store,
 			emit: func(ctx context.Context, ec *Context, yield func(*docmodel.Document) error) error {
 				vec := ec.Embedder.Embed(queryText)
 				q := index.Query{Vector: vec, Filter: filter, K: k}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"aryn/internal/docmodel"
+	"aryn/internal/index"
 	"aryn/internal/llm"
 	"aryn/internal/resilience"
 )
@@ -101,6 +102,10 @@ type sourceSpec struct {
 	// created for this plan. Execute clones shared documents at the
 	// source iff a downstream stage mutates.
 	shared bool
+	// store is the index the source's documents were read from (nil for an
+	// in-memory source). A cascade downstream takes each stored document's
+	// proxy vector from it (index.Store.DocVector).
+	store *index.Store
 }
 
 // needsSourceClone reports whether Execute must copy documents as they

@@ -90,6 +90,7 @@ func (ds *DocSet) llmFilters(questions []string, low, high float64) *DocSet {
 	}
 	var once sync.Once
 	var qvecs [][]float32
+	store := ds.source.store
 	return ds.with(stageSpec{
 		name:       name,
 		kind:       mapKind,
@@ -105,7 +106,7 @@ func (ds *DocSet) llmFilters(questions []string, low, high float64) *DocSet {
 						qvecs[i] = ec.Embedder.Embed(q)
 					}
 				})
-				dvec := proxyVector(ec, d)
+				dvec := proxyVector(ec, store, d)
 				ask, asked = nil, nil
 				for i, q := range questions {
 					switch score := embed.Cosine(qvecs[i], dvec); {
@@ -197,11 +198,7 @@ func (ds *DocSet) Embed() *DocSet {
 		kind:    mapKind,
 		mutates: true, // assigns d.Embedding
 		mapFn: func(ec *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
-			text := d.Text
-			if text == "" {
-				text = d.TextContent()
-			}
-			d.Embedding = ec.Embedder.Embed(text)
+			d.Embedding = ec.Embedder.Embed(d.EmbeddingText())
 			return []*docmodel.Document{d}, nil
 		},
 	})

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"aryn/internal/docmodel"
+	"aryn/internal/embed"
 )
 
 // Chunk is one indexed unit of text with provenance back to its parent
@@ -36,17 +37,22 @@ type Store struct {
 	// of filter-only scans. Ingest writes from parallel workers, so arrival
 	// order is scheduling; ID order is the same on every boot.
 	docOrder []string
-	chunks   []Chunk
-	bm25     *bm25Index
-	vec      *Exact
+	// docVecs holds, for each stored document a cascade has scored, the
+	// embedding of its text (DocVector): at most one vector per document,
+	// computed on first use, dropped when PutDocument replaces the document.
+	docVecs map[string][]float32
+	chunks  []Chunk
+	bm25    *bm25Index
+	vec     *Exact
 }
 
 // NewStore returns an empty store; vector search is exact brute force.
 func NewStore() *Store {
 	return &Store{
-		docs: make(map[string]*docmodel.Document),
-		bm25: newBM25(),
-		vec:  NewExact(),
+		docs:    make(map[string]*docmodel.Document),
+		docVecs: make(map[string][]float32),
+		bm25:    newBM25(),
+		vec:     NewExact(),
 	}
 }
 
@@ -65,7 +71,40 @@ func (s *Store) PutDocument(d *docmodel.Document) error {
 		s.docOrder = slices.Insert(s.docOrder, i, d.ID)
 	}
 	s.docs[d.ID] = d.Clone()
+	delete(s.docVecs, d.ID)
 	return nil
+}
+
+// DocVector returns e.Embed(d.EmbeddingText()), bit for bit, embedding a
+// stored document's text once instead of once per query that scores it. The
+// kept vector belongs to the stored snapshot's text, not to its ID: d
+// receives it only when it is that snapshot or carries the same text (the
+// clone a mutating plan takes at its source), so a document that shares
+// nothing with the stored one but the ID — a group a reduce emitted, a text
+// a stage rewrote — is embedded on its own and keeps nothing. Like the chunk
+// vectors, what is kept assumes the store is used with one embedder. The
+// returned slice is shared: read-only. Safe for concurrent use; two queries
+// that race to a document's first scoring both embed it, to the same bits.
+func (s *Store) DocVector(d *docmodel.Document, e embed.Embedder) []float32 {
+	s.mu.RLock()
+	stored, vec := s.docs[d.ID], s.docVecs[d.ID]
+	s.mu.RUnlock()
+	if stored == d && vec != nil {
+		return vec
+	}
+	text := d.EmbeddingText()
+	if stored == nil || (stored != d && stored.EmbeddingText() != text) {
+		return e.Embed(text)
+	}
+	if vec == nil {
+		vec = e.Embed(text)
+		s.mu.Lock()
+		if s.docs[d.ID] == stored { // not replaced meanwhile
+			s.docVecs[d.ID] = vec
+		}
+		s.mu.Unlock()
+	}
+	return vec
 }
 
 // PutChunk indexes one text chunk (keyword + vector).

@@ -1,12 +1,15 @@
 package luna
 
-// Equivalence suite for the cost-based optimizer: every representative
-// plan below executes twice against identically-seeded fresh systems —
-// once with Optimize off, once with it on (predicate hoisting, filter
-// fusion, proxy-cascade insertion) — and the results must be
-// byte-identical while the optimized run spends no more LLM calls. This
-// is the semantics-preservation contract that makes the optimizer safe
-// to turn on.
+// Equivalence suite for the rule list: every representative plan below
+// executes three times against identically-seeded fresh systems — as the
+// planner wrote it, with no rule applied (the reference), after the exact
+// rules (Rewrite: extract and filter fusion, pushdown, predicate hoisting)
+// and after the whole list (Optimize: proxy-cascade insertion as well) — and
+// the results must be byte-identical while each step spends no more LLM
+// calls than the one before. This is the semantics-preservation contract
+// that lets the exact rules run on every query. The cascade rung passes it
+// here because the corpus below has a controlled vocabulary; on real report
+// text its drop rung is approximate (core.TestCascadeFalseDrops).
 
 import (
 	"context"
@@ -215,6 +218,18 @@ func runEquiv(t *testing.T, plan *LogicalPlan, optimize bool) (*Result, int64) {
 	return res, sumLLMCalls(res.Exec)
 }
 
+// runRaw executes a plan on a fresh system exactly as written — straight
+// through Executor.Run, no rule applied: the reference leg.
+func runRaw(t *testing.T, plan *LogicalPlan) (*Result, int64) {
+	t.Helper()
+	svc := newEquivService(t, false, nil)
+	res, err := svc.Executor.Run(context.Background(), plan.Clone(), StreamHooks{})
+	if err != nil {
+		t.Fatalf("raw: %v", err)
+	}
+	return res, sumLLMCalls(res.Exec)
+}
+
 func sumLLMCalls(d *ExecDetail) int64 {
 	if d == nil {
 		return 0
@@ -235,11 +250,12 @@ func docIDs(res *Result) []string {
 }
 
 // TestOptimizerEquivalence runs the 17 representative plans and the six
-// optimizer-mix plans (rewrite_test.go) with the optimize phase off and
-// on. Every plan must give identical answers and documents for no more
-// LLM calls; the mix — one plan shape per rule the phase applies — must
-// also come in at 70% of the unoptimized calls or fewer, the bar the
-// optimizer ships under.
+// optimizer-mix plans (rewrite_test.go) three ways: raw (no rule), through
+// Rewrite (optimize off) and through Optimize (optimize on). Both rewritten
+// forms must give the raw plan's answer and documents, byte for byte, and
+// the calls must not grow from one leg to the next; the mix — one plan
+// shape per rule — must also come in at 70% of the raw plan's calls or
+// fewer with the whole list, the bar the optimizer ships under.
 func TestOptimizerEquivalence(t *testing.T) {
 	type equivCase struct {
 		name string
@@ -258,28 +274,30 @@ func TestOptimizerEquivalence(t *testing.T) {
 		cases = append(cases, equivCase{"mix-" + tc.name, plan, true})
 	}
 
-	var totalOff, totalOn, mixOff, mixOn int64
+	answerJSON := func(t *testing.T, res *Result) string {
+		b, err := json.Marshal(res.Answer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var totalRaw, totalOff, totalOn, mixRaw, mixOn int64
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			raw, callsRaw := runRaw(t, tc.plan)
 			off, callsOff := runEquiv(t, tc.plan, false)
 			on, callsOn := runEquiv(t, tc.plan, true)
 
-			offJSON, err := json.Marshal(off.Answer)
-			if err != nil {
-				t.Fatal(err)
+			for leg, res := range map[string]*Result{"rewritten": off, "optimized": on} {
+				if want, got := answerJSON(t, raw), answerJSON(t, res); got != want {
+					t.Errorf("%s answer diverges from the raw plan's:\n  raw: %s\n  got: %s", leg, want, got)
+				}
+				if !reflect.DeepEqual(docIDs(raw), docIDs(res)) {
+					t.Errorf("%s result docs diverge from the raw plan's:\n  raw: %v\n  got: %v", leg, docIDs(raw), docIDs(res))
+				}
 			}
-			onJSON, err := json.Marshal(on.Answer)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(offJSON) != string(onJSON) {
-				t.Errorf("answers diverge:\n  off: %s\n  on:  %s", offJSON, onJSON)
-			}
-			if !reflect.DeepEqual(docIDs(off), docIDs(on)) {
-				t.Errorf("result docs diverge:\n  off: %v\n  on:  %v", docIDs(off), docIDs(on))
-			}
-			if callsOn > callsOff {
-				t.Errorf("optimized run spent MORE LLM calls: %d > %d", callsOn, callsOff)
+			if callsOff > callsRaw || callsOn > callsOff {
+				t.Errorf("LLM calls grew along raw -> rewritten -> optimized: %d, %d, %d", callsRaw, callsOff, callsOn)
 			}
 			if off.Optimized != nil {
 				t.Error("unoptimized result must not carry an optimized plan")
@@ -287,28 +305,29 @@ func TestOptimizerEquivalence(t *testing.T) {
 			if on.Optimized == nil {
 				t.Error("optimized result must carry the optimized plan")
 			}
+			totalRaw += callsRaw
 			totalOff += callsOff
 			totalOn += callsOn
 			if tc.mix {
-				mixOff += callsOff
+				mixRaw += callsRaw
 				mixOn += callsOn
 			}
 		})
 	}
-	// Across the whole suite the optimizer must actually save something —
-	// equal counts everywhere would mean the phase is a no-op.
-	if totalOn >= totalOff {
-		t.Errorf("no aggregate savings: optimized %d calls vs %d unoptimized", totalOn, totalOff)
+	// Across the whole suite each step must actually save something — equal
+	// counts would mean the exact rules, or the cascade rung, are a no-op.
+	if totalOff >= totalRaw || totalOn >= totalOff {
+		t.Errorf("no aggregate savings: %d calls raw, %d rewritten, %d optimized", totalRaw, totalOff, totalOn)
 	}
-	if mixOff == 0 {
-		t.Fatal("unoptimized mix made no LLM calls; the mix no longer exercises the optimizer")
+	if mixRaw == 0 {
+		t.Fatal("raw mix made no LLM calls; the mix no longer exercises the rules")
 	}
-	if limit := mixOff * 7 / 10; mixOn > limit {
-		t.Errorf("optimizer saved too little on the mix: %d LLM calls optimized vs %d unoptimized (need <= %d, a 30%% cut)",
-			mixOn, mixOff, limit)
+	if limit := mixRaw * 7 / 10; mixOn > limit {
+		t.Errorf("the rule list saved too little on the mix: %d LLM calls optimized vs %d raw (need <= %d, a 30%% cut)",
+			mixOn, mixRaw, limit)
 	}
-	t.Logf("LLM calls: suite %d unoptimized, %d optimized; mix %d unoptimized, %d optimized",
-		totalOff, totalOn, mixOff, mixOn)
+	t.Logf("LLM calls: suite %d raw, %d rewritten, %d optimized; mix %d raw, %d optimized",
+		totalRaw, totalOff, totalOn, mixRaw, mixOn)
 }
 
 // countingLLM counts what an execution sends through its client: one per

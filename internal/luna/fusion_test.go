@@ -2,9 +2,9 @@ package luna
 
 // Tests of the fuseLLMFilters rule and the fused node it writes: the node
 // form (validation, round trip, display), the call-count guard that fails
-// without the rule, the token bound against the same optimizer minus the
-// rule under three cache regimes, the refinement sequence, and the
-// per-question feedback evidence.
+// without the rule (and hoistBasicFilters' beside it), the token bound
+// against the same rule list minus the rule under three cache regimes, the
+// refinement sequence, and the per-question feedback evidence.
 
 import (
 	"context"
@@ -158,14 +158,21 @@ func TestFuseLLMFiltersRule(t *testing.T) {
 		t.Errorf("a diamond prefix was fused into one of its consumers:\n%s", out)
 	}
 
-	// dropDuplicateFilters reads fused ancestors and trims fused nodes.
-	dup := Rewrite(Chain(root,
+	// dropDuplicateFilters reads fused ancestors and trims fused nodes, and
+	// what it leaves fuses into the one node.
+	dup := Chain(root,
 		LogicalOp{Op: OpLLMFilter, Questions: []string{qPilot, qFire}},
 		LogicalOp{Op: OpLLMFilter, Questions: []string{qFire, qFuel}},
-		LogicalOp{Op: OpLLMFilter, Question: qPilot}, count))
-	if got := filters(dup); len(got) != 2 || !slices.Equal(got[0], []string{qPilot, qFire}) || !slices.Equal(got[1], []string{qFuel}) {
-		t.Errorf("duplicates of fused ancestors not dropped: %v", got)
+		LogicalOp{Op: OpLLMFilter, Question: qPilot}, count)
+	if got := filters(Rewrite(dup)); len(got) != 1 || !slices.Equal(got[0], []string{qPilot, qFire, qFuel}) {
+		t.Errorf("a chain with repeated questions did not become one fused node: %v", got)
 	}
+	t.Run("without the rule", func(t *testing.T) {
+		withoutRule(t, "fuseLLMFilters")
+		if got := filters(Rewrite(dup)); len(got) != 2 || !slices.Equal(got[0], []string{qPilot, qFire}) || !slices.Equal(got[1], []string{qFuel}) {
+			t.Errorf("duplicates of fused ancestors not dropped: %v", got)
+		}
+	})
 }
 
 // oneCallPerDocument is the named assertion fuseLLMFilters exists for: the
@@ -188,6 +195,34 @@ func oneCallPerDocument(res *Result) error {
 	return nil
 }
 
+// guardRule is the shape of a per-rule guard: over each plan the named
+// assertion holds with the rule in the list and fails with it removed, the
+// rule saves model calls, and the answer is the same either way.
+func guardRule(t *testing.T, ruleName string, optimize bool, plans map[string]*LogicalPlan, holds func(*Result) error) {
+	t.Helper()
+	for name, plan := range plans {
+		t.Run(name, func(t *testing.T) {
+			with, withCalls := runEquiv(t, plan, optimize)
+			if err := holds(with); err != nil {
+				t.Errorf("with %s: %v", ruleName, err)
+			}
+			t.Run("without the rule", func(t *testing.T) {
+				withoutRule(t, ruleName)
+				without, withoutCalls := runEquiv(t, plan, optimize)
+				if holds(without) == nil {
+					t.Errorf("the guard assertion holds without %s: it guards nothing", ruleName)
+				}
+				if withCalls >= withoutCalls {
+					t.Errorf("%s saved no calls: %d with, %d without", ruleName, withCalls, withoutCalls)
+				}
+				if with.Answer.String() != without.Answer.String() {
+					t.Errorf("answers diverge: %q with, %q without", with.Answer.String(), without.Answer.String())
+				}
+			})
+		})
+	}
+}
+
 // TestFuseLLMFiltersGuard is the rule's guard: twin-hoist and the two- and
 // three-filter chains ask the model once per document, and the assertion
 // fails the moment the rule leaves the list.
@@ -198,27 +233,41 @@ func TestFuseLLMFiltersGuard(t *testing.T) {
 			plans[tc.name] = tc.plan
 		}
 	}
-	for name, plan := range plans {
-		t.Run(name, func(t *testing.T) {
-			with, withCalls := runEquiv(t, plan, true)
-			if err := oneCallPerDocument(with); err != nil {
-				t.Errorf("with fuseLLMFilters: %v", err)
-			}
-			t.Run("without the rule", func(t *testing.T) {
-				withoutRule(t, "fuseLLMFilters")
-				without, withoutCalls := runEquiv(t, plan, true)
-				if oneCallPerDocument(without) == nil {
-					t.Error("the guard assertion holds without fuseLLMFilters: it guards nothing")
-				}
-				if withCalls >= withoutCalls {
-					t.Errorf("fusion saved no calls: %d with, %d without", withCalls, withoutCalls)
-				}
-				if with.Answer.String() != without.Answer.String() {
-					t.Errorf("answers diverge: %q with, %q without", with.Answer.String(), without.Answer.String())
-				}
-			})
-		})
+	guardRule(t, "fuseLLMFilters", true, plans, oneCallPerDocument)
+}
+
+// predicateRunsFirst is the named assertion hoistBasicFilters exists for:
+// no basicFilter executes downstream of the model (the predicate reached the
+// scan and was pushed into it), so every node that calls the model reads
+// fewer documents than the corpus holds.
+func predicateRunsFirst(res *Result, corpus int64) error {
+	for _, ne := range res.Exec.Nodes {
+		if ne.Op == OpBasicFilter {
+			return fmt.Errorf("basicFilter %s still executes as a stage of its own", ne.ID)
+		}
+		if r := ne.Runtime; r.LLMCalls > 0 && r.DocsIn >= corpus {
+			return fmt.Errorf("%s %s read %d of %d documents: the predicate did not run first", ne.Op, ne.ID, r.DocsIn, corpus)
+		}
 	}
+	return nil
+}
+
+// TestHoistBasicFiltersGuard is the rule's guard, with optimize off (the
+// rule is exact and runs on every plan): a structured predicate written
+// after an llmFilter or an llmExtract runs before it, and the assertion
+// fails the moment the rule leaves the list.
+func TestHoistBasicFiltersGuard(t *testing.T) {
+	plans := map[string]*LogicalPlan{
+		"state-fuel":      mixPlan(t, "state-fuel"),
+		"destroyed-birds": mixPlan(t, "destroyed-birds"),
+	}
+	for _, tc := range equivalencePlans() {
+		if tc.name == "hoist-basic-filter" || tc.name == "hoist-past-extract" {
+			plans[tc.name] = tc.plan
+		}
+	}
+	const corpus = 16 // equivCorpus
+	guardRule(t, "hoistBasicFilters", false, plans, func(res *Result) error { return predicateRunsFirst(res, corpus) })
 }
 
 // fusionSlack is what fusing may add to a plan's cost: for every fused

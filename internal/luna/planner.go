@@ -55,10 +55,10 @@ type Service struct {
 	// Cost backs the plan estimates and receives per-operator feedback
 	// observations after every executed query; nil disables both.
 	Cost *cost.Model
-	// Optimize runs the optimize-phase rules after the always-on ones (see
-	// the rule list in rewrite.go). Off, queries still feed the feedback
-	// store (when Cost is set), so turning optimization on later starts
-	// warm.
+	// Optimize runs the approximate rule, insertCascades, as well as the
+	// exact ones every plan gets (see the rule list in rewrite.go). Off,
+	// queries still feed the feedback store (when Cost is set), so turning
+	// optimization on later starts warm.
 	Optimize bool
 	// Hooks observe every execution Ask and RunPlan start (partial result
 	// batches, live per-operator traces; see Executor.Run). Set them on a
@@ -86,10 +86,10 @@ type PlanPreview struct {
 	// Plan is the plan as emitted by the planner (or submitted by the
 	// user), validated and otherwise untouched.
 	Plan *LogicalPlan
-	// Rewritten is the plan after the always-on rules.
+	// Rewritten is the plan after the exact rules.
 	Rewritten *LogicalPlan
-	// Optimized is the plan after the optimize-phase rules as well (nil
-	// when the phase is off).
+	// Optimized is the plan after the whole rule list, cascades included
+	// (nil when the phase is off).
 	Optimized *LogicalPlan
 	// Cost/CostOptimized are the model's estimates for the rewritten and
 	// optimized plans (nil without a cost model) — the "estimated" half
@@ -113,8 +113,8 @@ func (pv *PlanPreview) ExecutedPlan() *LogicalPlan {
 }
 
 // lifecycle builds the record for a validated plan, all but Compiled: the
-// always-on rewrites, the optimize phase when it is on, and the cost
-// model's estimates for both.
+// exact rewrites, the optimize phase when it is on, and the cost model's
+// estimates for both.
 func (s *Service) lifecycle(question string, plan *LogicalPlan) PlanPreview {
 	pv := PlanPreview{Question: question, Plan: plan, Rewritten: Rewrite(plan)}
 	if s.Optimize {

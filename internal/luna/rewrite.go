@@ -7,46 +7,51 @@ import (
 	"aryn/internal/llm"
 )
 
-// rule is one result-preserving plan rewrite (§6.1). apply performs the
-// first rewrite it finds and reports whether it changed the plan; the
-// driver calls it until it reports false. optimizePhase marks the rules
-// that run only when the optimize phase is on.
+// rule is one plan rewrite (§6.1). apply performs the first rewrite it
+// finds and reports whether it changed the plan; the driver calls it until
+// it reports false. approximate marks a rule whose plan may keep fewer
+// documents than the plan it replaces: only the request's optimize flag
+// turns such a rule on.
 type rule struct {
-	name          string
-	optimizePhase bool
-	apply         func(p *LogicalPlan) (changed bool)
+	name        string
+	approximate bool
+	apply       func(p *LogicalPlan) (changed bool)
 }
 
 // rules is the one ordered rewrite list, run to fixpoint by applyRules.
-// Rewrite skips the optimizePhase rules; Optimize runs them all. (A test
-// checks the table in docs/optimizer.md against it.)
+// Rewrite runs the exact rules, Optimize all of them. (A test checks the
+// table in docs/optimizer.md against it.)
 //
-// All six are exact: extract fusion and filter pushdown change where work
-// happens, not what it computes; a repeated llmFilter cannot change the
-// result; structured predicates and LLM predicates commute; a chain of
-// llmFilters is the conjunction of its questions however they are asked;
-// and a cascade escalates to the exact llmFilter predicate for every
-// document its proxy cannot decide.
+// Five are exact, one is approximate. Extract fusion and filter pushdown
+// change where work happens, not what it computes; a repeated llmFilter
+// cannot change the result; structured predicates and LLM predicates
+// commute; a chain of llmFilters is the conjunction of its questions however
+// they are asked. Those run on every plan. A cascade escalates to the exact
+// llmFilter predicate every document its proxy cannot decide, but its drop
+// rung removes a document on embedding similarity alone — on real report
+// text it drops documents the model would keep (the counts are pinned by
+// core.TestCascadeFalseDrops) — so it waits for optimize.
 var rules = []rule{
 	{"fuseExtracts", false, fuseExtracts},
 	{"pushFilters", false, pushFilters},
 	{"dropDuplicateFilters", false, dropDuplicateFilters},
-	{"hoistBasicFilters", true, hoistBasicFilters},
-	{"fuseLLMFilters", true, fuseLLMFilters},
+	{"hoistBasicFilters", false, hoistBasicFilters},
+	{"fuseLLMFilters", false, fuseLLMFilters},
 	{"insertCascades", true, insertCascades},
 }
 
-// Rewrite applies the always-on rules over the DAG and returns a new
-// plan; the input is not modified. Every rule operates on nodes and
-// edges, so it applies uniformly to chains and join plans.
+// Rewrite applies the exact rules over the DAG and returns a new plan; the
+// input is not modified. Every rule operates on nodes and edges, so it
+// applies uniformly to chains and join plans.
 func Rewrite(plan *LogicalPlan) *LogicalPlan {
 	return applyRules(plan, false)
 }
 
-// Optimize applies the whole rule list — the always-on rules plus the
-// optimize phase — and returns a new plan; the input is not modified. No
-// rule consults the feedback store: its evidence feeds the estimates
-// (EstimatePlan), not the plan's shape.
+// Optimize is Rewrite plus insertCascades: the whole rule list, since a
+// filter that becomes a cascade can fuse with the cascade it now matches.
+// It returns a new plan; the input is not modified. No rule consults the
+// feedback store: its evidence feeds the estimates (EstimatePlan), not the
+// plan's shape.
 func Optimize(plan *LogicalPlan) *LogicalPlan {
 	return applyRules(plan, true)
 }
@@ -55,13 +60,13 @@ func Optimize(plan *LogicalPlan) *LogicalPlan {
 // no longer fires, the whole list again until a round changes nothing (a
 // later rule can expose work for an earlier one: a hoisted basicFilter
 // lands on its queryDatabase root and pushes down).
-func applyRules(plan *LogicalPlan, optimize bool) *LogicalPlan {
+func applyRules(plan *LogicalPlan, approximate bool) *LogicalPlan {
 	p := plan.Clone()
 	p.normalize()
 	for changed := true; changed; {
 		changed = false
 		for _, r := range rules {
-			if r.optimizePhase && !optimize {
+			if r.approximate && !approximate {
 				continue
 			}
 			for r.apply(p) {

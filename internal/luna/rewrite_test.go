@@ -109,9 +109,10 @@ func TestRulesDoNotModifyInput(t *testing.T) {
 var ruleRowRE = regexp.MustCompile("(?m)^\\| (\\d+) \\| `(\\w+)` \\| (always|optimize) \\|")
 
 // TestRuleListMatchesDocs: the documented rule table is the code's list —
-// same rules, same order, same phase — each rule is listed once, and the
-// always-on rules precede the optimize-phase ones (so Rewrite's output is
-// a prefix of what Optimize does in its first round).
+// same rules, same order, same phase (the exact rules run always, the
+// approximate one under optimize) — each rule is listed once, and the exact
+// rules precede the approximate one (so Rewrite's output is a prefix of what
+// Optimize does in its first round).
 func TestRuleListMatchesDocs(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/optimizer.md")
 	if err != nil {
@@ -125,7 +126,7 @@ func TestRuleListMatchesDocs(t *testing.T) {
 	optimize := false
 	for i, r := range rules {
 		phase := "always"
-		if r.optimizePhase {
+		if r.approximate {
 			phase = "optimize"
 		}
 		if row := rows[i]; row[1] != strconv.Itoa(i+1) || row[2] != r.name || row[3] != phase {
@@ -135,9 +136,9 @@ func TestRuleListMatchesDocs(t *testing.T) {
 			t.Errorf("rule %s listed twice", r.name)
 		}
 		seen[r.name] = true
-		if optimize && !r.optimizePhase {
-			t.Errorf("always-on rule %s listed after an optimize-phase rule", r.name)
+		if optimize && !r.approximate {
+			t.Errorf("exact rule %s listed after an approximate rule", r.name)
 		}
-		optimize = r.optimizePhase
+		optimize = r.approximate
 	}
 }

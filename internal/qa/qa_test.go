@@ -217,6 +217,52 @@ func TestTable4Reproduction(t *testing.T) {
 	}
 }
 
+// TestColdPassTokenBudget pins what the 30 benchmark questions cost, asked
+// once each of a cold system over the benchmark's corpus (seed 42, 103
+// reports): the tokens bench/ reports as cold_tokens_per_query × 30, under
+// serve-warm's wiring (optimize off, default cache) and under
+// analytics-cold's (optimize on, a 256-entry cache). The count repeats
+// exactly, so a rule, prompt or cache change that moves it fails here
+// instead of waiting for the benchmark.
+func TestColdPassTokenBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full corpus evaluation")
+	}
+	corpus, err := ntsb.GenerateCorpus(100, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := corpus.Blobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    core.Config
+		tokens int
+	}{
+		{"optimize off", core.Config{Seed: 7, Parallelism: 8}, 318851},
+		{"optimize on, 256-entry cache", core.Config{Seed: 7, Parallelism: 8, Optimize: true, LLMCacheCapacity: 256}, 258475},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := core.New(tc.cfg)
+			if _, err := sys.Ingest(context.Background(), blobs); err != nil {
+				t.Fatal(err)
+			}
+			before := sys.LLM.Usage()
+			for _, q := range Questions(corpus) {
+				if _, err := sys.QueryService().Ask(context.Background(), q.Text); err != nil {
+					t.Fatalf("q%02d: %v", q.ID, err)
+				}
+			}
+			if got := sys.LLM.Usage().Sub(before).Total(); got != tc.tokens {
+				t.Errorf("the cold pass cost %d tokens, want %d (%.2f per question, want %.2f)",
+					got, tc.tokens, float64(got)/30, float64(tc.tokens)/30)
+			}
+		})
+	}
+}
+
 // countingLLM counts what an execution sends through its client: one per
 // request, one per request group.
 type countingLLM struct {

@@ -154,10 +154,11 @@ type QueryRequest struct {
 	// IncludePlan attaches the original and rewritten plan JSON plus the
 	// compiled physical pipeline to the response.
 	IncludePlan bool `json:"include_plan,omitempty"`
-	// Optimize overrides the server's cost-based-optimization default for
-	// this request: true forces the optimize phase on, false forces it
-	// off, absent inherits the server configuration. Equivalence tests
-	// diff the same query both ways through this flag.
+	// Optimize overrides the server's optimize default for this request:
+	// true forces the optimize phase — proxy cascades in front of
+	// llmFilters, the one approximate rewrite — on, false forces it off,
+	// absent inherits the server configuration. The exact rewrites run
+	// either way.
 	Optimize *bool `json:"optimize,omitempty"`
 }
 
@@ -168,10 +169,13 @@ type QueryRequest struct {
 // (wall/busy time, first-output latency, docs in/out, LLM calls/tokens/
 // cache hits, retries).
 type PlanDetail struct {
-	Original  json.RawMessage `json:"original,omitempty"`
+	Original json.RawMessage `json:"original,omitempty"`
+	// Rewritten is the plan after the exact rules (fused extracts and
+	// filters, pushed-down and hoisted predicates): what executes unless
+	// Optimized is present.
 	Rewritten json.RawMessage `json:"rewritten,omitempty"`
-	// Optimized is the plan after the cost-based optimize phase (absent
-	// when the phase is off for this request).
+	// Optimized is Rewritten with its llmFilters lowered onto proxy
+	// cascades (absent when the optimize phase is off for this request).
 	Optimized json.RawMessage `json:"optimized,omitempty"`
 	// Cost/CostOptimized are the cost model's pre-execution estimates for
 	// the rewritten and optimized plans: per-node document cardinalities,

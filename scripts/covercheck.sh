@@ -27,7 +27,7 @@ fi
 FLOORS="
 aryn/internal/cost 80
 aryn/internal/luna 88
-aryn/internal/docset 80
+aryn/internal/docset 88
 aryn/internal/llm 91
 aryn/internal/index 94
 aryn/internal/embed 96
