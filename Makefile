@@ -99,8 +99,9 @@ bench-e2e:
 # Coverage gate: merged profile over ./..., then per-package floors for
 # the optimization-loop packages (internal/cost, internal/luna,
 # internal/docset, internal/llm), the retrieval pair (internal/index,
-# internal/embed) and the serving pair (internal/server,
-# internal/resilience). CI uploads coverage.out as an artifact.
+# internal/embed), the serving pair (internal/server,
+# internal/resilience) and internal/docmodel. CI uploads coverage.out as
+# an artifact.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	./scripts/covercheck.sh coverage.out

@@ -45,7 +45,7 @@ func main() {
 		stream      = flag.Bool("stream", false, "watch the execution: print partial result batches as the output pipeline emits them, then the final result")
 		demo        = flag.String("demo", "", "demo mode: 'schema' prints the extracted schema (Table 3)")
 		parallelism = flag.Int("parallelism", 8, "Sycamore stage parallelism")
-		optimize    = flag.Bool("optimize", false, "enable the optimize phase: proxy cascades in front of llmFilters (the exact rewrites — predicate hoisting, llmFilter fusion — always run)")
+		optimize    = flag.Bool("optimize", false, "enable the optimize phase: proxy cascades in front of llmFilters, llmExtracts scoped to a section (the exact rewrites — predicate hoisting, llmFilter fusion — always run)")
 	)
 	flag.Parse()
 

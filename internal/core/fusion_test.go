@@ -16,7 +16,12 @@ const (
 
 func ingested(t *testing.T, cfg Config, accidents int) *System {
 	t.Helper()
-	corpus, err := ntsb.GenerateCorpus(accidents, 42)
+	return ingestedCorpus(t, cfg, accidents, 42)
+}
+
+func ingestedCorpus(t *testing.T, cfg Config, accidents int, corpusSeed int64) *System {
+	t.Helper()
+	corpus, err := ntsb.GenerateCorpus(accidents, corpusSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,13 +56,14 @@ type Config struct {
 	// batches carry (0 = docset default). Smaller batches lower time-to-
 	// first-result at the cost of more events on the wire.
 	StreamBatch int
-	// Optimize turns on the one approximate plan rewrite, proxy cascades in
-	// front of llmFilters: fewer model calls, and on real text a few
-	// documents dropped that the model would keep. The exact rewrites
-	// (structured filters hoisted above LLM operators, chained llmFilters
-	// fused into one call per document, …) run on every plan either way,
-	// and the feedback store records observations either way, so enabling
-	// it later starts warm.
+	// Optimize turns on the two approximate plan rewrites: proxy cascades in
+	// front of llmFilters (fewer model calls, and on real text a few
+	// documents dropped that the model would keep) and llmExtracts that read
+	// the section their field is in before the whole document (fewer
+	// tokens). The exact rewrites (structured filters hoisted above LLM
+	// operators, chained llmFilters fused into one call per document, …) run
+	// on every plan either way, and the feedback store records observations
+	// either way, so enabling it later starts warm.
 	Optimize bool
 	// FeedbackPath warm-starts the optimizer feedback store from disk
 	// when set; call SaveFeedback to persist it back.

@@ -115,24 +115,60 @@ func (d *Document) ElementsOfType(t ElementType) []*Element {
 func (d *Document) TextContent() string {
 	var sb strings.Builder
 	d.Walk(func(n *Document) bool {
-		if n.Text != "" {
-			sb.WriteString(n.Text)
-			sb.WriteString("\n")
-		}
+		writeText(&sb, n.Text)
 		for _, e := range n.Elements {
-			switch {
-			case e.Type == Table && e.Table != nil:
-				sb.WriteString(e.Table.Markdown())
-			case e.Type == Picture && e.Image != nil && e.Image.Summary != "":
-				sb.WriteString("[image: " + e.Image.Summary + "]\n")
-			case e.Text != "":
-				sb.WriteString(e.Text)
-				sb.WriteString("\n")
-			}
+			writeElement(&sb, e)
 		}
 		return true
 	})
 	return sb.String()
+}
+
+// Sections cuts TextContent at every Section-header: the first string is
+// the preamble before the first header (empty when the document opens with
+// one), each later string a header and what follows it, in reading order.
+// Page furniture (Page-header, Page-footer) is boilerplate shared by every
+// document and is left out, as Explode leaves it out: joined, the strings
+// are TextContent without those elements. A document with no Section-header
+// is one preamble.
+func (d *Document) Sections() []string {
+	var sb strings.Builder
+	var out []string
+	d.Walk(func(n *Document) bool {
+		writeText(&sb, n.Text)
+		for _, e := range n.Elements {
+			switch e.Type {
+			case PageHeader, PageFooter:
+				continue
+			case SectionHeader:
+				out = append(out, sb.String())
+				sb.Reset()
+			}
+			writeElement(&sb, e)
+		}
+		return true
+	})
+	return append(out, sb.String())
+}
+
+// writeText appends one non-empty line of text.
+func writeText(sb *strings.Builder, text string) {
+	if text != "" {
+		sb.WriteString(text)
+		sb.WriteString("\n")
+	}
+}
+
+// writeElement appends an element as TextContent shows it.
+func writeElement(sb *strings.Builder, e *Element) {
+	switch {
+	case e.Type == Table && e.Table != nil:
+		sb.WriteString(e.Table.Markdown())
+	case e.Type == Picture && e.Image != nil && e.Image.Summary != "":
+		sb.WriteString("[image: " + e.Image.Summary + "]\n")
+	default:
+		writeText(sb, e.Text)
+	}
 }
 
 // EmbeddingText is the text a document is embedded by: its own Text when it

@@ -66,6 +66,51 @@ func TestTextContent(t *testing.T) {
 	}
 }
 
+// Sections cuts at each Section-header, across child documents, and joined
+// in order renders TextContent minus the page furniture.
+func TestSections(t *testing.T) {
+	d := sampleDoc()
+	d.Text = "own text"
+	d.Elements = append([]*Element{{Type: PageHeader, Text: "NTSB — Final Report"}}, d.Elements...)
+	d.Children[0].AddElement(&Element{Type: PageFooter, Text: "Page 3 of 3"})
+	d.Children[0].AddElement(&Element{Type: SectionHeader, Text: "Administrative Information"})
+	d.Children[0].AddElement(&Element{Type: Text, Text: "Docket closed."})
+
+	got := d.Sections()
+	want := []string{
+		"own text\nAviation Incident Report\nThe pilot reported a loss of engine power.\n",
+		"Probable Cause\nFuel contamination.\n| Registration | N220SW |\n| --- | --- |\n[image: wreckage photo]\n",
+		"Administrative Information\nDocket closed.\n",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Sections = %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("section %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+	text := d.TextContent()
+	for _, furniture := range []string{"NTSB — Final Report\n", "Page 3 of 3\n"} {
+		if !strings.Contains(text, furniture) {
+			t.Fatalf("TextContent lost %q", furniture)
+		}
+		text = strings.Replace(text, furniture, "", 1)
+	}
+	if joined := strings.Join(got, ""); joined != text {
+		t.Errorf("sections joined:\n%q\nTextContent minus page furniture:\n%q", joined, text)
+	}
+
+	if plain := New("p"); len(plain.Sections()) != 1 || plain.Sections()[0] != "" {
+		t.Errorf("an empty document is one empty preamble, got %q", plain.Sections())
+	}
+	opens := New("o")
+	opens.AddElement(&Element{Type: SectionHeader, Text: "Analysis"})
+	if got := opens.Sections(); len(got) != 2 || got[0] != "" || got[1] != "Analysis\n" {
+		t.Errorf("a document opening with a header has an empty preamble, got %q", got)
+	}
+}
+
 // EmbeddingText is a chunk's own text, a parsed document's whole content.
 func TestEmbeddingText(t *testing.T) {
 	parsed := sampleDoc()

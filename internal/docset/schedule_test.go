@@ -66,7 +66,9 @@ func TestConcurrentSharedMaterializesOnce(t *testing.T) {
 // consume it, and its trace is retained for the scheduler to merge.
 func TestTaskStartIsEagerAndIdempotent(t *testing.T) {
 	ec := NewContext(WithParallelism(2))
-	started := make(chan struct{})
+	// Buffered: the branch may run all three documents before the test
+	// goroutine gets to its receive, and the signal must not be lost.
+	started := make(chan struct{}, 1)
 	task := NewTask("branch", FromDocuments(ec, scheduleDocs(3)).
 		Filter("signal", func(d *docmodel.Document) (bool, error) {
 			select {

@@ -23,33 +23,84 @@ import (
 // with one LLM call per document, merging the results into the document's
 // properties — Fig. 4/5's OpenAIPropertyExtractor.
 func (ds *DocSet) LLMExtract(fields []llm.FieldSpec) *DocSet {
+	return ds.llmExtract(fields, false)
+}
+
+// llmExtract is the one extract stage behind LLMExtract and
+// LLMExtractScoped. A scoped stage asks the model about the document's scope
+// first (scopeText) and keeps that reply unless it leaves null a field the
+// rest of the document mentions; such a document, or one with no scope, is
+// asked whole — the prompt, and so the cache entry, of the unscoped stage.
+// The stage's NodeTrace counts both calls, and each scoped document as
+// ProxyKept (answered from its scope) or an Escalation.
+func (ds *DocSet) llmExtract(fields []llm.FieldSpec, scoped bool) *DocSet {
 	names := make([]string, len(fields))
 	for i, f := range fields {
 		names[i] = f.Name
 	}
+	name := "llmExtract[" + strings.Join(names, ",") + "]"
+	var terms []map[string]bool
+	if scoped {
+		name = "llmExtract[" + strings.Join(names, ",") + ", sections=1]"
+		terms = fieldTerms(fields)
+	}
+	ask := func(ec *Context, d *docmodel.Document, text string) (map[string]any, error) {
+		resp, err := ec.complete(llm.Request{Prompt: llm.ExtractPrompt(fields, text)})
+		if err != nil {
+			return nil, err
+		}
+		var extracted map[string]any
+		if err := json.Unmarshal([]byte(resp.Text), &extracted); err != nil {
+			return nil, fmt.Errorf("llmExtract: model returned non-JSON for %s: %w", d.ID, err)
+		}
+		return extracted, nil
+	}
 	return ds.with(stageSpec{
-		name:       "llmExtract[" + strings.Join(names, ",") + "]",
+		name:       name,
 		kind:       mapKind,
 		callsModel: true,
 		mutates:    true, // merges extracted fields into d.Properties
 		mapFn: func(ec *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
-			prompt := llm.ExtractPrompt(fields, d.TextContent())
-			resp, err := ec.complete(llm.Request{Prompt: prompt})
+			var scope string
+			var elsewhere []bool
+			if scoped {
+				scope, elsewhere = scopeText(d.Sections(), terms)
+			}
+			if scope != "" {
+				extracted, err := ask(ec, d, scope)
+				if err != nil {
+					return nil, err
+				}
+				missed := false
+				for f, field := range fields {
+					missed = missed || (elsewhere[f] && extracted[field.Name] == nil)
+				}
+				if !missed {
+					atomic.AddInt64(&ec.nt.ProxyKept, 1)
+					return setExtracted(d, extracted), nil
+				}
+			}
+			extracted, err := ask(ec, d, d.TextContent())
 			if err != nil {
 				return nil, err
 			}
-			var extracted map[string]any
-			if err := json.Unmarshal([]byte(resp.Text), &extracted); err != nil {
-				return nil, fmt.Errorf("llmExtract: model returned non-JSON for %s: %w", d.ID, err)
+			if scope != "" {
+				atomic.AddInt64(&ec.nt.Escalations, 1)
 			}
-			for k, v := range extracted {
-				if v != nil {
-					d.SetProperty(k, v)
-				}
-			}
-			return []*docmodel.Document{d}, nil
+			return setExtracted(d, extracted), nil
 		},
 	})
+}
+
+// setExtracted merges a model's extract reply into the document's
+// properties; a null leaves the property as it was.
+func setExtracted(d *docmodel.Document, extracted map[string]any) []*docmodel.Document {
+	for k, v := range extracted {
+		if v != nil {
+			d.SetProperty(k, v)
+		}
+	}
+	return []*docmodel.Document{d}
 }
 
 // LLMFilter keeps the documents for which the LLM answers every one of the

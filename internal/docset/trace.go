@@ -71,10 +71,13 @@ type NodeTrace struct {
 	PromptTokens     int64
 	CompletionTokens int64
 	CacheHits        int64
-	// Escalations, ProxyKept, and ProxyDropped are proxy-cascade counters
-	// (llmFilterCascade stages only; zero elsewhere): documents escalated
-	// to the full LLM because their proxy score fell inside the threshold
-	// band, kept on proxy score alone, and dropped on proxy score alone.
+	// Escalations, ProxyKept, and ProxyDropped count what a stage's cheap
+	// first step settled (zero on stages that have none). llmFilterCascade:
+	// documents escalated to the full LLM because their proxy score fell
+	// inside the threshold band, kept on proxy score alone, and dropped on
+	// proxy score alone. Scoped llmExtract: documents asked again whole
+	// because the scoped reply left a field null, and documents answered
+	// from their scope; it drops none.
 	Escalations  int64
 	ProxyKept    int64
 	ProxyDropped int64

@@ -94,6 +94,15 @@ var encoderAssociations = map[string][]string{
 	"accident": {"incident"},
 }
 
+// Fold is how Embed reads one token of llm.Tokenize: "" for a function word,
+// the plural-folded term otherwise.
+func Fold(tok string) string {
+	if functionWords[tok] {
+		return ""
+	}
+	return stem(tok)
+}
+
 // Embed computes the normalized hashed bag-of-tokens vector of text. The
 // zero vector is returned for token-free text. Tokens accumulate in sorted
 // order so floating-point summation is byte-reproducible across runs.
@@ -101,10 +110,9 @@ func (h *Hash) Embed(text string) []float32 {
 	vec := make([]float32, h.dim)
 	counts := map[string]int{}
 	for _, raw := range llm.Tokenize(text) {
-		if functionWords[raw] {
-			continue
+		if term := Fold(raw); term != "" {
+			counts[term]++
 		}
-		counts[stem(raw)]++
 	}
 	toks := make([]string, 0, len(counts))
 	for tok := range counts {

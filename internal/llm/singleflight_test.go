@@ -3,7 +3,9 @@ package llm
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -89,8 +91,45 @@ func TestFlightFollowerUsageZeroed(t *testing.T) {
 	}
 }
 
+// heldClient is an upstream the test holds open: every call announces
+// itself on entered and then waits for release (or its own cancellation),
+// so a test orders leader, follower and cancel by events, not by sleeps.
+type heldClient struct {
+	calls   atomic.Int64
+	entered chan struct{} // buffered: one slot per call the test expects
+	release chan struct{}
+}
+
+func newHeldClient(calls int) *heldClient {
+	return &heldClient{entered: make(chan struct{}, calls), release: make(chan struct{})}
+}
+
+func (h *heldClient) Complete(ctx context.Context, req Request) (Response, error) {
+	h.calls.Add(1)
+	h.entered <- struct{}{}
+	select {
+	case <-h.release:
+		return Response{Text: "echo:" + req.Prompt}, nil
+	case <-ctx.Done():
+		return Response{}, ctx.Err()
+	}
+}
+
+func (h *heldClient) Name() string { return "held" }
+
+// awaitShared returns once n calls have joined an in-flight leader, and
+// fails the test if they have not within five seconds.
+func awaitShared(t *testing.T, flight *Cache, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); flight.FlightStats().Shared < n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d calls joined the flight, want %d", flight.FlightStats().Shared, n)
+		}
+	}
+}
+
 func TestFlightWaiterHonorsOwnCancellation(t *testing.T) {
-	inner := &countingClient{delay: 200 * time.Millisecond}
+	inner := newHeldClient(1)
 	flight := NewCache(inner)
 
 	leaderDone := make(chan struct{})
@@ -98,23 +137,27 @@ func TestFlightWaiterHonorsOwnCancellation(t *testing.T) {
 		defer close(leaderDone)
 		flight.Complete(context.Background(), Request{Prompt: "slow"})
 	}()
-	// Let the leader take off, then join with an already-expiring context.
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := flight.Complete(ctx, Request{Prompt: "slow"})
-	if err == nil {
+	<-inner.entered // the leader is upstream, and stays there
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := flight.Complete(ctx, Request{Prompt: "slow"})
+		waiterErr <- err
+	}()
+	awaitShared(t, flight, 1)
+	cancel()
+	// The leader is still held upstream: a waiter that returns now did not
+	// block on it.
+	if err := <-waiterErr; err == nil {
 		t.Fatal("expected context error")
 	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("cancelled waiter blocked %v on the leader", elapsed)
-	}
+	close(inner.release)
 	<-leaderDone
 }
 
 func TestFlightFollowerRetriesAfterLeaderCancellation(t *testing.T) {
-	inner := &countingClient{delay: 50 * time.Millisecond}
+	inner := newHeldClient(2)
 	flight := NewCache(inner)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -123,14 +166,14 @@ func TestFlightFollowerRetriesAfterLeaderCancellation(t *testing.T) {
 		_, err := flight.Complete(leaderCtx, Request{Prompt: "shared"})
 		leaderErr <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // leader in flight
+	<-inner.entered // leader in flight
 
 	followerDone := make(chan error, 1)
 	go func() {
 		_, err := flight.Complete(context.Background(), Request{Prompt: "shared"})
 		followerDone <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // follower joined the flight
+	awaitShared(t, flight, 1) // follower joined the flight
 	cancelLeader()
 
 	if err := <-leaderErr; err == nil {
@@ -138,6 +181,8 @@ func TestFlightFollowerRetriesAfterLeaderCancellation(t *testing.T) {
 	}
 	// The follower's context is healthy: it must re-issue, not inherit
 	// the leader's cancellation.
+	<-inner.entered
+	close(inner.release)
 	if err := <-followerDone; err != nil {
 		t.Errorf("follower inherited leader's cancellation: %v", err)
 	}

@@ -139,7 +139,11 @@ func (e *Executor) lower(ec *docset.Context, plan *LogicalPlan) (*lowered, error
 		case OpLLMFilterCascade:
 			out = in.LLMFilterCascade(n.questions(), n.Low, n.High)
 		case OpLLMExtract:
-			out = in.LLMExtract(n.Fields)
+			if n.Sections > 0 {
+				out = in.LLMExtractScoped(n.Fields)
+			} else {
+				out = in.LLMExtract(n.Fields)
+			}
 		case OpGroupByAggregate:
 			out = in.GroupByAggregate(n.Key, docset.AggKind(n.Agg), n.ValueField)
 		case OpLLMCluster:

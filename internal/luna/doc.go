@@ -16,8 +16,8 @@
 // It is rewritten one way too: the rule list in rewrite.go, run to a
 // fixpoint by one driver — §6.1's optimizer that "uses a combination of
 // rule-based and cost-based" rewrites. Rewrite applies the exact rules
-// (every plan gets them), Optimize the whole list: those plus the one
-// approximate rule, the proxy cascade.
+// (every plan gets them), Optimize the whole list: those plus the two
+// approximate rules, the proxy cascade and the scoped extract.
 // One record, PlanPreview, carries every form of the plan (original,
 // rewritten, optimized, cost estimates, compiled pipeline); Service
 // builds it in one step for PlanOnly, InspectPlan, Ask and RunPlan, and a

@@ -4,12 +4,14 @@ package luna
 // executes three times against identically-seeded fresh systems — as the
 // planner wrote it, with no rule applied (the reference), after the exact
 // rules (Rewrite: extract and filter fusion, pushdown, predicate hoisting)
-// and after the whole list (Optimize: proxy-cascade insertion as well) — and
-// the results must be byte-identical while each step spends no more LLM
-// calls than the one before. This is the semantics-preservation contract
-// that lets the exact rules run on every query. The cascade rung passes it
-// here because the corpus below has a controlled vocabulary; on real report
-// text its drop rung is approximate (core.TestCascadeFalseDrops).
+// and after the whole list (Optimize: proxy cascades and scoped extracts as
+// well) — and the results must be byte-identical while each step spends no
+// more LLM calls than the one before, a scoped extract's second, whole-
+// document asks aside. This is the semantics-preservation contract that lets
+// the exact rules run on every query. The approximate rules pass it here
+// because the corpus below has a controlled vocabulary; on real report text
+// the cascade's drop rung is approximate (core.TestCascadeFalseDrops) and
+// the scope is held to zero changed values (core.TestScopedExtractValues).
 
 import (
 	"context"
@@ -38,7 +40,10 @@ const (
 
 // equivCorpus indexes 16 documents with controlled topic vocabulary:
 // fire in 4, birds in 3, fuel in 6, ice in 3, pilot in 13. Texts avoid
-// the sim lexicon's synonym sets for topics they should not match.
+// the sim lexicon's synonym sets for topics they should not match. Two
+// documents also carry sections, for the scoped extract: A10's damage
+// sentence is in the section its terms rank first, A12's in the other one,
+// so a scoped llmExtract answers A10 from the scope and asks A12 whole.
 func equivCorpus(t *testing.T) *index.Store {
 	t.Helper()
 	store := index.NewStore()
@@ -71,11 +76,33 @@ func equivCorpus(t *testing.T) *index.Store {
 		doc.SetProperty("aircraftDamage", d.damage)
 		doc.SetProperty("engines", d.engines)
 		doc.Text = d.text
+		for _, e := range equivSections[d.id] {
+			doc.AddElement(&docmodel.Element{Type: e.typ, Text: e.text})
+		}
 		if err := store.PutDocument(doc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return store
+}
+
+// equivSections are the elements of equivCorpus's sectioned documents.
+var equivSections = map[string][]struct {
+	typ  docmodel.ElementType
+	text string
+}{
+	"A10": {
+		{docmodel.SectionHeader, "Analysis"},
+		{docmodel.Text, "The collision resulted in damage to the left wing. The damaged panel was replaced."},
+		{docmodel.SectionHeader, "Administrative Information"},
+		{docmodel.Text, "The docket was closed in March."},
+	},
+	"A12": {
+		{docmodel.SectionHeader, "Analysis"},
+		{docmodel.Text, "The frame was damaged and the hinge was damaged when the latch let go."},
+		{docmodel.SectionHeader, "Administrative Information"},
+		{docmodel.Text, "Inspectors recorded damage to the canopy rail."},
+	},
 }
 
 // newEquivService wires a fresh, identically-seeded system. Fresh per run
@@ -145,6 +172,15 @@ func equivalencePlans() []struct {
 			LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
 			LogicalOp{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "us_state", Kind: "term", Value: "TX"}}},
 			LogicalOp{Op: OpCount})},
+		{"scoped-extract-topk", Chain(
+			LogicalOp{Op: OpQueryDatabase},
+			LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
+			LogicalOp{Op: OpGroupByAggregate, Key: "damaged_part", Agg: "count"},
+			LogicalOp{Op: OpTopK, Field: "value", K: 3})},
+		{"resubmitted-scoped", Chain(
+			LogicalOp{Op: OpQueryDatabase},
+			LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}, Sections: 1},
+			LogicalOp{Op: OpProject, ProjectFields: []string{"damaged_part"}})},
 		{"filter-then-group", Chain(
 			LogicalOp{Op: OpQueryDatabase},
 			LogicalOp{Op: OpLLMFilter, Question: qPilot},
@@ -249,7 +285,7 @@ func docIDs(res *Result) []string {
 	return ids
 }
 
-// TestOptimizerEquivalence runs the 17 representative plans and the six
+// TestOptimizerEquivalence runs the 19 representative plans and the six
 // optimizer-mix plans (rewrite_test.go) three ways: raw (no rule), through
 // Rewrite (optimize off) and through Optimize (optimize on). Both rewritten
 // forms must give the raw plan's answer and documents, byte for byte, and
@@ -262,6 +298,7 @@ func TestOptimizerEquivalence(t *testing.T) {
 		plan *LogicalPlan
 		mix  bool
 	}
+	scopedReasks := map[string]int64{"hoist-past-extract": 1, "scoped-extract-topk": 1, "resubmitted-scoped": 1}
 	var cases []equivCase
 	for _, tc := range equivalencePlans() {
 		cases = append(cases, equivCase{tc.name, tc.plan, false})
@@ -296,8 +333,20 @@ func TestOptimizerEquivalence(t *testing.T) {
 					t.Errorf("%s result docs diverge from the raw plan's:\n  raw: %v\n  got: %v", leg, docIDs(raw), docIDs(res))
 				}
 			}
-			if callsOff > callsRaw || callsOn > callsOff {
-				t.Errorf("LLM calls grew along raw -> rewritten -> optimized: %d, %d, %d", callsRaw, callsOff, callsOn)
+			// A scoped extract that asks a document again whole spends a
+			// second call on it (the first read a fraction of the tokens):
+			// A12, in the three plans that extract from it.
+			var reasked int64
+			for _, ne := range on.Exec.Nodes {
+				if ne.Op == OpLLMExtract {
+					reasked += ne.Runtime.Escalations
+				}
+			}
+			if want := scopedReasks[tc.name]; reasked != want {
+				t.Errorf("scoped extracts asked %d documents again whole, want %d", reasked, want)
+			}
+			if callsOff > callsRaw || callsOn-reasked > callsOff {
+				t.Errorf("LLM calls grew along raw -> rewritten -> optimized: %d, %d, %d (%d of them re-asks)", callsRaw, callsOff, callsOn, reasked)
 			}
 			if off.Optimized != nil {
 				t.Error("unoptimized result must not carry an optimized plan")

@@ -33,6 +33,11 @@ func opSignature(op LogicalOp) string {
 		for i, f := range op.Fields {
 			names[i] = f.Name
 		}
+		if op.Sections > 0 {
+			// A scoped extract spends differently (it can ask twice), so its
+			// evidence is its own.
+			return "llmExtract|" + strings.Join(names, ",") + "|sections=1"
+		}
 		return "llmExtract|" + strings.Join(names, ",")
 	case opDistinct:
 		return "distinct|" + op.Field
@@ -128,6 +133,14 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 		case OpLLMExtract:
 			out = in
 			calls = in
+			if n.Sections > 0 {
+				// One scoped call per document plus the share it has been
+				// seen to ask again whole; never less than one.
+				if a, ok := lookupSig(m, sig); ok && a.LLMCalls > a.DocsIn && a.DocsIn > 0 {
+					calls = in * float64(a.LLMCalls) / float64(a.DocsIn)
+					ne.Observed = true
+				}
+			}
 			units = calls * cost.UnitsPerLLMCall
 		case OpLLMCluster:
 			// k-means over embeddings (docset.LLMCluster): one embedding per

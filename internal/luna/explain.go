@@ -52,9 +52,11 @@ type NodeRuntime struct {
 	PromptTokens     int64 `json:"llm_prompt_tokens"`
 	CompletionTokens int64 `json:"llm_completion_tokens"`
 	CacheHits        int64 `json:"llm_cache_hits"`
-	// Proxy-cascade counters (llmFilterCascade nodes only; omitted
-	// elsewhere): documents escalated to the full LLM, kept on proxy
-	// score alone, and dropped on proxy score alone.
+	// What the node's cheap first step settled (omitted on nodes that have
+	// none). llmFilterCascade: documents escalated to the full LLM, kept on
+	// proxy score alone, and dropped on proxy score alone. Scoped
+	// llmExtract: documents asked again whole (llm_calls counts both asks)
+	// and documents answered from their scope.
 	Escalations  int64 `json:"escalations,omitempty"`
 	ProxyKept    int64 `json:"proxy_kept,omitempty"`
 	ProxyDropped int64 `json:"proxy_dropped,omitempty"`

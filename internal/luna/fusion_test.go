@@ -468,6 +468,51 @@ func TestFeedbackKeepsEvidencePerQuestion(t *testing.T) {
 	}
 }
 
+// A scoped llmExtract is priced at one call per document until it has been
+// seen to ask documents again whole, then at the calls per document it was
+// seen to make; adjacent extracts fuse only when they read the same scope.
+func TestScopedExtractEstimateAndFusion(t *testing.T) {
+	plan := Chain(
+		LogicalOp{Op: OpQueryDatabase},
+		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
+		LogicalOp{Op: OpProject, ProjectFields: []string{"damaged_part"}})
+	model := cost.NewModel(cost.NewStore())
+	svc := newEquivService(t, true, model)
+	res, err := svc.RunPlan(context.Background(), "scoped", plan.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ne := res.CostOptimized.Nodes[1]; ne.LLMCalls != 16 || ne.Observed {
+		t.Errorf("cold estimate of the scoped extract = %+v; want 16 calls from defaults", ne)
+	}
+	// equivCorpus: A10 answers from its scope, A12 is asked again, the other
+	// 14 have no sections.
+	if r := res.Exec.Nodes[1].Runtime; r.ProxyKept != 1 || r.Escalations != 1 || r.LLMCalls != 17 {
+		t.Fatalf("scoped extract ran %d from scope, %d again, %d calls; want 1, 1, 17", r.ProxyKept, r.Escalations, r.LLMCalls)
+	}
+	warm := EstimatePlan(res.Optimized, model, 16)
+	if ne := warm.Nodes[1]; ne.LLMCalls != 17 || !ne.Observed || warm.LLMCalls != 17 {
+		t.Errorf("warm estimate of the scoped extract = %+v; want the 17 calls observed", ne)
+	}
+	if ne := EstimatePlan(res.Rewritten, model, 16).Nodes[1]; ne.LLMCalls != 16 {
+		t.Errorf("the whole-document extract's estimate = %+v; it shares no evidence with the scoped one", ne)
+	}
+
+	chain := func(first, second int) *LogicalPlan {
+		return Chain(
+			LogicalOp{Op: OpQueryDatabase},
+			LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}, Sections: first},
+			LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "phase", Type: "string"}}, Sections: second},
+			LogicalOp{Op: OpProject, ProjectFields: []string{"damaged_part", "phase"}})
+	}
+	if got := Optimize(chain(0, 0)); len(got.Nodes) != 3 || got.Nodes[1].Sections != 1 || len(got.Nodes[1].Fields) != 2 {
+		t.Errorf("two whole-document extracts must fuse and be scoped once:\n%s", got)
+	}
+	if got := Rewrite(chain(1, 0)); len(got.Nodes) != 4 || got.Nodes[1].Sections != 1 || got.Nodes[2].Sections != 0 {
+		t.Errorf("a scoped and a whole-document extract must stay apart:\n%s", got)
+	}
+}
+
 // llmCluster is k-means over embeddings (docset.LLMCluster): the estimate
 // prices it at one proxy unit per document and no model call, which is what
 // the execution then reports.

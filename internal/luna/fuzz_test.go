@@ -14,14 +14,18 @@ import (
 )
 
 // fuzzSeeds is the shared seed mix: well-formed chain and DAG plans, the
-// optimizer's special shapes (chains, hoists, cascades), and malformed
-// inputs that must fail cleanly — among them the retired {"ops": [...]}
-// form, which decodes to a plan with no nodes and must be rejected.
+// optimizer's special shapes (chains, hoists, cascades, a scoped extract
+// beside a whole-document one, which fuse only once both are scoped), and
+// malformed inputs that must fail cleanly — among them the retired
+// {"ops": [...]} form, which decodes to a plan with no nodes and must be
+// rejected.
 var fuzzSeeds = []string{
 	`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"count"}],"output":"n2"}`,
 	`{"nodes":[{"id":"n1","op":"queryDatabase","filters":[{"field":"us_state","kind":"term","value":"KY"}]},{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention a fire?"},{"id":"n3","inputs":["n2"],"op":"count"}],"output":"n3"}`,
 	`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"a?"},{"id":"n3","inputs":["n2"],"op":"llmFilter","question":"b?"},{"id":"n4","inputs":["n3"],"op":"basicFilter","filters":[{"field":"engines","kind":"term","value":1}]},{"id":"n5","inputs":["n4"],"op":"count"}],"output":"n5"}`,
 	`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"llmExtract","fields":[{"name":"damaged_part","type":"string"}]},{"id":"n3","inputs":["n2"],"op":"groupByAggregate","key":"damaged_part","agg":"count"}],"output":"n3"}`,
+	`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"llmExtract","fields":[{"name":"damaged_part","type":"string"}],"sections":1},{"id":"n3","inputs":["n2"],"op":"llmExtract","fields":[{"name":"phase","type":"string"}]},{"id":"n4","inputs":["n3"],"op":"groupByAggregate","key":"damaged_part","agg":"count"}],"output":"n4"}`,
+	`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"llmExtract","fields":[{"name":"damaged_part","type":"string"}],"sections":-1}],"output":"n2"}`,
 	`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"llmFilterCascade","question":"q?","low":0.05,"high":0.9},{"id":"n3","inputs":["n2"],"op":"count"}],"output":"n3"}`,
 	`{"nodes":[{"id":"n1","op":"queryDatabase","filters":[{"field":"us_state","kind":"term","value":"KY"}]},{"id":"n2","op":"queryDatabase"},{"id":"n3","inputs":["n1","n2"],"op":"join","left_key":"accidentNumber","right_key":"accidentNumber","join_kind":"inner","prefix":"right"},{"id":"n4","inputs":["n3"],"op":"count"}],"output":"n4"}`,
 	`{"nodes":[{"id":"a","op":"queryDatabase"},{"id":"b","inputs":["a"],"op":"llmFilter","question":"x?"},{"id":"c","inputs":["a"],"op":"llmFilter","question":"y?"},{"id":"d","inputs":["b","c"],"op":"join","left_key":"accidentNumber","right_key":"accidentNumber"},{"id":"e","inputs":["d"],"op":"count"}],"output":"e"}`,

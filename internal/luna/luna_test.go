@@ -81,6 +81,8 @@ func TestValidateRejects(t *testing.T) {
 		{"project unknown field", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpProject, ProjectFields: []string{"bogus"}})},
 		{"topK unknown field", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpTopK, Field: "bogus", K: 3})},
 		{"cluster k=0", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMCluster})},
+		{"negative sections", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part"}}, Sections: -1})},
+		{"more than one section", Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part"}}, Sections: 2})},
 	}
 	for _, c := range cases {
 		if err := Validate(c.plan, schema); err == nil {

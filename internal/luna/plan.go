@@ -71,6 +71,12 @@ type LogicalOp struct {
 	High float64 `json:"high,omitempty"`
 	// llmExtract
 	Fields []llm.FieldSpec `json:"fields,omitempty"`
+	// llmExtract, scoped form (1; 0 reads the whole document): the model
+	// reads each document's preamble and, per field, the one section ranked
+	// highest for it, and the whole document only when that leaves a field
+	// null (docset.LLMExtractScoped). The optimize phase writes it
+	// (scopeExtracts), so a resubmitted plan.optimized carries it.
+	Sections int `json:"sections,omitempty"`
 	// groupByAggregate
 	Key        string `json:"key,omitempty"`
 	Agg        string `json:"agg,omitempty"`
@@ -385,6 +391,9 @@ func (op LogicalOp) Describe() string {
 		names := make([]string, len(op.Fields))
 		for i, f := range op.Fields {
 			names[i] = f.Name
+		}
+		if op.Sections > 0 {
+			return "llmExtract(" + strings.Join(names, ", ") + ", sections=1)"
 		}
 		return "llmExtract(" + strings.Join(names, ", ") + ")"
 	case OpGroupByAggregate:

@@ -18,6 +18,7 @@ func TestPlanStringAndDescribe(t *testing.T) {
 		LogicalOp{Op: OpBasicFilter, Filters: []FilterSpec{{Field: "engines", Kind: "gte", Value: 1}}},
 		LogicalOp{Op: OpLLMFilter, Question: "birds?"},
 		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part"}}},
+		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "phase"}}, Sections: 1},
 		LogicalOp{Op: OpGroupByAggregate, Key: "us_state", Agg: "count"},
 		LogicalOp{Op: OpGroupByAggregate, Key: "", Agg: "avg", ValueField: "flightTime"},
 		LogicalOp{Op: OpLLMCluster, K: 3},
@@ -36,6 +37,7 @@ func TestPlanStringAndDescribe(t *testing.T) {
 		"basicFilter(engines gte 1)",
 		`llmFilter("birds?")`,
 		"llmExtract(damaged_part)",
+		"llmExtract(phase, sections=1)",
 		"groupByAggregate(by=us_state, count)",
 		"groupByAggregate(by=, avg(flightTime))",
 		"llmCluster(k=3)",

@@ -55,8 +55,8 @@ type Service struct {
 	// Cost backs the plan estimates and receives per-operator feedback
 	// observations after every executed query; nil disables both.
 	Cost *cost.Model
-	// Optimize runs the approximate rule, insertCascades, as well as the
-	// exact ones every plan gets (see the rule list in rewrite.go). Off,
+	// Optimize runs the approximate rules, insertCascades and scopeExtracts,
+	// as well as the exact ones every plan gets (see the rule list in rewrite.go). Off,
 	// queries still feed the feedback store (when Cost is set), so turning
 	// optimization on later starts warm.
 	Optimize bool

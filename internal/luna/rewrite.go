@@ -9,9 +9,9 @@ import (
 
 // rule is one plan rewrite (§6.1). apply performs the first rewrite it
 // finds and reports whether it changed the plan; the driver calls it until
-// it reports false. approximate marks a rule whose plan may keep fewer
-// documents than the plan it replaces: only the request's optimize flag
-// turns such a rule on.
+// it reports false. approximate marks a rule whose plan may compute a
+// different result from the plan it replaces: only the request's optimize
+// flag turns such a rule on.
 type rule struct {
 	name        string
 	approximate bool
@@ -22,7 +22,7 @@ type rule struct {
 // Rewrite runs the exact rules, Optimize all of them. (A test checks the
 // table in docs/optimizer.md against it.)
 //
-// Five are exact, one is approximate. Extract fusion and filter pushdown
+// Five are exact, two are approximate. Extract fusion and filter pushdown
 // change where work happens, not what it computes; a repeated llmFilter
 // cannot change the result; structured predicates and LLM predicates
 // commute; a chain of llmFilters is the conjunction of its questions however
@@ -30,7 +30,11 @@ type rule struct {
 // llmFilter predicate every document its proxy cannot decide, but its drop
 // rung removes a document on embedding similarity alone — on real report
 // text it drops documents the model would keep (the counts are pinned by
-// core.TestCascadeFalseDrops) — so it waits for optimize.
+// core.TestCascadeFalseDrops) — so it waits for optimize. So does a scoped
+// extract: it re-asks the whole document only for a field its scope left
+// null and the rest of the document mentions, so a value the scope got
+// wrong stands (core.TestScopedExtractValues counts none on the benchmark
+// corpora; core.TestScopedExtractShapes pins the other field shapes).
 var rules = []rule{
 	{"fuseExtracts", false, fuseExtracts},
 	{"pushFilters", false, pushFilters},
@@ -38,6 +42,7 @@ var rules = []rule{
 	{"hoistBasicFilters", false, hoistBasicFilters},
 	{"fuseLLMFilters", false, fuseLLMFilters},
 	{"insertCascades", true, insertCascades},
+	{"scopeExtracts", true, scopeExtracts},
 }
 
 // Rewrite applies the exact rules over the DAG and returns a new plan; the
@@ -47,11 +52,11 @@ func Rewrite(plan *LogicalPlan) *LogicalPlan {
 	return applyRules(plan, false)
 }
 
-// Optimize is Rewrite plus insertCascades: the whole rule list, since a
-// filter that becomes a cascade can fuse with the cascade it now matches.
-// It returns a new plan; the input is not modified. No rule consults the
-// feedback store: its evidence feeds the estimates (EstimatePlan), not the
-// plan's shape.
+// Optimize is Rewrite plus insertCascades and scopeExtracts: the whole rule
+// list, since a filter that becomes a cascade can fuse with the cascade it
+// now matches. It returns a new plan; the input is not modified. No rule
+// consults the feedback store: its evidence feeds the estimates
+// (EstimatePlan), not the plan's shape.
 func Optimize(plan *LogicalPlan) *LogicalPlan {
 	return applyRules(plan, true)
 }
@@ -134,10 +139,10 @@ func (p *LogicalPlan) exclusiveEdge(match func(n, up *PlanNode) bool) (n, up *Pl
 
 // fuseExtracts merges an llmExtract into the upstream llmExtract it
 // exclusively consumes: one LLM call per document instead of two (§6.1's
-// example rewrite).
+// example rewrite). Both must read the same scope of the document.
 func fuseExtracts(p *LogicalPlan) bool {
 	n, up := p.exclusiveEdge(func(n, up *PlanNode) bool {
-		return n.Op == OpLLMExtract && up.Op == OpLLMExtract
+		return n.Op == OpLLMExtract && up.Op == OpLLMExtract && up.Sections == n.Sections
 	})
 	if n == nil {
 		return false
@@ -304,6 +309,22 @@ func insertCascades(p *LogicalPlan) bool {
 		if n.Op == OpLLMFilter {
 			n.Op = OpLLMFilterCascade
 			n.Low, n.High = docset.DefaultCascadeLow, docset.DefaultCascadeHigh
+			changed = true
+		}
+	}
+	return changed
+}
+
+// scopeExtracts points every whole-document llmExtract at the one section
+// each of its fields is most likely in (docset.LLMExtractScoped). The scope
+// is written into the node, like a cascade's band, so the optimized JSON is
+// self-describing.
+func scopeExtracts(p *LogicalPlan) bool {
+	changed := false
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if n.Op == OpLLMExtract && n.Sections == 0 {
+			n.Sections = 1
 			changed = true
 		}
 	}

@@ -21,12 +21,14 @@ var optimizerMixPlans = []struct{ name, plan string }{
 	{"join-filters", `{"nodes":[{"id":"a","op":"queryDatabase"},{"id":"b","inputs":["a"],"op":"llmFilter","question":"Does the report mention a fire?"},{"id":"c","inputs":["a"],"op":"llmFilter","question":"Does the report mention fuel?"},{"id":"d","inputs":["b","c"],"op":"join","left_key":"accidentNumber","right_key":"accidentNumber"},{"id":"e","inputs":["d"],"op":"count"}],"output":"e"}`},
 }
 
-// TestRuleListMatchesGolden pins what the rule list produces for the 17
+// TestRuleListMatchesGolden pins what the rule list produces for the 19
 // equivalence-suite plans and the six optimizer-mix plans, with and
 // without the optimize phase, to testdata/rules_golden.txt: one compact
 // plan JSON per "== name phase" header. The chains of two and three
 // filters, the chain only a hoist makes adjacent (fuse-across-hoist,
-// twin-hoist) and the resubmitted fused plan are the fuseLLMFilters cases.
+// twin-hoist) and the resubmitted fused plan are the fuseLLMFilters cases,
+// the three llmExtract plans (one resubmitted with its own scope) the
+// scopeExtracts ones.
 func TestRuleListMatchesGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/rules_golden.txt")
 	if err != nil {
@@ -110,8 +112,8 @@ var ruleRowRE = regexp.MustCompile("(?m)^\\| (\\d+) \\| `(\\w+)` \\| (always|opt
 
 // TestRuleListMatchesDocs: the documented rule table is the code's list —
 // same rules, same order, same phase (the exact rules run always, the
-// approximate one under optimize) — each rule is listed once, and the exact
-// rules precede the approximate one (so Rewrite's output is a prefix of what
+// approximate ones under optimize) — each rule is listed once, and the exact
+// rules precede the approximate ones (so Rewrite's output is a prefix of what
 // Optimize does in its first round).
 func TestRuleListMatchesDocs(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/optimizer.md")

@@ -51,6 +51,9 @@ func Validate(plan *LogicalPlan, schema Schema) error {
 			if len(n.Fields) == 0 {
 				addf("node %s: llmExtract requires fields", id)
 			}
+			if n.Sections != 0 && n.Sections != 1 {
+				addf("node %s: llmExtract sections must be 0 (the whole document) or 1, got %d", id, n.Sections)
+			}
 		case OpGroupByAggregate:
 			if n.Key != "" && !known[n.Key] {
 				addf("node %s: group key %q not in schema", id, n.Key)

@@ -242,7 +242,7 @@ func TestColdPassTokenBudget(t *testing.T) {
 		tokens int
 	}{
 		{"optimize off", core.Config{Seed: 7, Parallelism: 8}, 318851},
-		{"optimize on, 256-entry cache", core.Config{Seed: 7, Parallelism: 8, Optimize: true, LLMCacheCapacity: 256}, 258475},
+		{"optimize on, 256-entry cache", core.Config{Seed: 7, Parallelism: 8, Optimize: true, LLMCacheCapacity: 256}, 221518},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := core.New(tc.cfg)

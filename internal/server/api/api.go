@@ -156,7 +156,8 @@ type QueryRequest struct {
 	IncludePlan bool `json:"include_plan,omitempty"`
 	// Optimize overrides the server's optimize default for this request:
 	// true forces the optimize phase — proxy cascades in front of
-	// llmFilters, the one approximate rewrite — on, false forces it off,
+	// llmFilters and section-scoped llmExtracts, the two approximate
+	// rewrites — on, false forces it off,
 	// absent inherits the server configuration. The exact rewrites run
 	// either way.
 	Optimize *bool `json:"optimize,omitempty"`

@@ -213,17 +213,33 @@ func eventNames(events []sseEvent) []string {
 // TestQueryStreamMatchesBatch: the same plan streamed and not streamed
 // yields identical final answers and doc counts, and the same execution
 // shape — pipelines scheduled, worker budget, executed plan nodes — since
-// both run the one executor path.
+// both run the one executor path. The second case is the optimize phase's
+// scoped llmExtract (preamble and one section first, the whole document for
+// what that leaves null).
 func TestQueryStreamMatchesBatch(t *testing.T) {
+	optimize := true
+	for name, req := range map[string]QueryRequest{
+		"filter": {Plan: filterPlan("Does the document indicate engine problems?"), IncludePlan: true},
+		"scoped extract": {Plan: json.RawMessage(`{"nodes":[
+			{"id":"n1","op":"queryDatabase"},
+			{"id":"n2","op":"llmExtract","fields":[{"name":"damaged_part","type":"string"}],"inputs":["n1"]},
+			{"id":"n3","op":"groupByAggregate","key":"damaged_part","agg":"count","inputs":["n2"]},
+			{"id":"n4","op":"topK","field":"value","k":3,"inputs":["n3"]}],"output":"n4"}`),
+			IncludePlan: true, Optimize: &optimize},
+	} {
+		t.Run(name, func(t *testing.T) { streamMatchesBatch(t, req) })
+	}
+}
+
+func streamMatchesBatch(t *testing.T, req QueryRequest) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	plan := filterPlan("Does the document indicate engine problems?")
 
 	var batch QueryResponse
-	if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: plan, IncludePlan: true}, &batch); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v1/query", req, &batch); resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch query status = %d", resp.StatusCode)
 	}
 
-	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", QueryRequest{Plan: plan, IncludePlan: true})
+	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", req)
 	defer resp.Body.Close()
 	events := readSSE(t, resp.Body)
 	last := events[len(events)-1]

@@ -10,8 +10,9 @@
 # internal/llm (the call middleware every model token passes through, and
 # the Sim); and the retrieval pair under it, internal/index and
 # internal/embed, whose every score is pinned to the bit; and the serving
-# pair, internal/server and internal/resilience. Floors are set below
-# current coverage so they catch erosion, not noise.
+# pair, internal/server and internal/resilience; and internal/docmodel,
+# whose Sections() the scoped extract builds its prompts from. Floors are
+# set below current coverage so they catch erosion, not noise.
 #
 # Usage: covercheck.sh <coverage-profile>
 set -uo pipefail
@@ -28,6 +29,7 @@ FLOORS="
 aryn/internal/cost 80
 aryn/internal/luna 88
 aryn/internal/docset 88
+aryn/internal/docmodel 85
 aryn/internal/llm 91
 aryn/internal/index 94
 aryn/internal/embed 96
