@@ -106,14 +106,16 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	./scripts/covercheck.sh coverage.out
 
-# Short native-fuzz smoke over the plan surface: decode, validate, and
-# the cost-rewrite phase each fuzz briefly beyond their seed corpora
-# (testdata/fuzz/). One -fuzz pattern per invocation — go test allows
-# only a single fuzzing target at a time.
+# Short native-fuzz smoke: the plan surface (decode, validate, and the
+# cost-rewrite phase each fuzz briefly beyond their seed corpora,
+# testdata/fuzz/) and the first persisted-file loader, the index snapshot
+# (an error or a usable store, never a panic). One -fuzz pattern per
+# invocation — go test allows only a single fuzzing target at a time.
 fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzCostRewrite$$' -fuzztime 10s
+	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzIndexLoad$$' -fuzztime 10s
 
 # Source size: non-test Go lines under internal/ and cmd/ (bench/ is a
 # module of its own and stays out), per package and in total — the number

@@ -3,6 +3,7 @@ package docmodel
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -160,15 +161,63 @@ func writeText(sb *strings.Builder, text string) {
 }
 
 // writeElement appends an element as TextContent shows it.
-func writeElement(sb *strings.Builder, e *Element) {
+func writeElement(sb *strings.Builder, e *Element) { writeText(sb, elementText(e)) }
+
+// elementText is the line (or, for a table, lines) TextContent shows for an
+// element, without the newline writeText ends it with: a table's Markdown, a
+// summarized picture's annotation, any other element's Text.
+func elementText(e *Element) string {
 	switch {
 	case e.Type == Table && e.Table != nil:
-		sb.WriteString(e.Table.Markdown())
+		return strings.TrimSuffix(e.Table.Markdown(), "\n")
 	case e.Type == Picture && e.Image != nil && e.Image.Summary != "":
-		sb.WriteString("[image: " + e.Image.Summary + "]\n")
+		return "[image: " + e.Image.Summary + "]"
 	default:
-		writeText(sb, e.Text)
+		return e.Text
 	}
+}
+
+// TextView returns a copy of the document that keeps what a query reads and
+// drops the layout DocParse produced on the way there: the same ID, parent,
+// path, title, text, properties, embedding and children, and of every
+// element its type, its page and, as Text, the text TextContent shows for
+// it. Box, Confidence, Properties, Table and Image are left zero, and so is
+// the raw Binary. TextContent, Sections, EmbeddingText and Summary of the
+// view equal the document's own, byte for byte, and the view of a view is
+// equal to it. This is what index.Store keeps; Clone is the copy that keeps
+// everything.
+//
+// The view shares no mutable state with d (element texts are strings). A
+// node's elements live in one array, so a report costs a handful of
+// allocations however many elements it has.
+func (d *Document) TextView() *Document {
+	if d == nil {
+		return nil
+	}
+	v := &Document{
+		ID:         d.ID,
+		ParentID:   d.ParentID,
+		Path:       d.Path,
+		Title:      d.Title,
+		Text:       d.Text,
+		Properties: d.Properties.Clone(),
+		Embedding:  slices.Clone(d.Embedding),
+	}
+	if d.Elements != nil {
+		elems := make([]Element, len(d.Elements))
+		v.Elements = make([]*Element, len(d.Elements))
+		for i, e := range d.Elements {
+			elems[i] = Element{Type: e.Type, Page: e.Page, Text: elementText(e)}
+			v.Elements[i] = &elems[i]
+		}
+	}
+	if d.Children != nil {
+		v.Children = make([]*Document, len(d.Children))
+		for i, c := range d.Children {
+			v.Children[i] = c.TextView()
+		}
+	}
+	return v
 }
 
 // EmbeddingText is the text a document is embedded by: its own Text when it

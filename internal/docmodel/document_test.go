@@ -2,6 +2,8 @@ package docmodel
 
 import (
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -197,5 +199,160 @@ func TestSummary(t *testing.T) {
 	anon := New("x1")
 	if !strings.Contains(anon.Summary(), "x1") {
 		t.Errorf("untitled Summary should fall back to ID: %q", anon.Summary())
+	}
+}
+
+// viewCases are hand-built documents covering every way an element reaches
+// TextContent: each is read through its text view exactly as it reads itself.
+func viewCases() map[string]*Document {
+	table := &TableData{NumRows: 2, NumCols: 2, Cells: []TableCell{
+		{Row: 0, Col: 0, Text: "Registration", Box: BBox{X1: 5, Y1: 5}}, {Row: 0, Col: 1, Text: "N220SW"},
+		{Row: 1, Col: 0, Text: "Damage"}, {Row: 1, Col: 1, Text: "Sub|stantial"},
+	}}
+	every := New("every")
+	for _, typ := range AllElementTypes() {
+		every.AddElement(&Element{
+			Type: typ, Text: "a " + typ.String() + " element", Page: 1 + int(typ),
+			Box: BBox{X0: 1, Y0: 2, X1: 30, Y1: 40}, Confidence: 0.9, Properties: Properties{"k": typ.String()},
+		})
+	}
+	elems := New("elems")
+	elems.Title = "Aviation Incident Report"
+	elems.Path = "s3://reports/elems.pdf"
+	elems.ParentID = "batch-7"
+	elems.Binary = []byte{1, 2, 3}
+	elems.Embedding = []float32{0.25, 0.5}
+	elems.SetProperty("us_state", "AK")
+	elems.SetProperty("nested", map[string]any{"list": []any{"a", 1}})
+	for _, e := range []*Element{
+		{Type: PageHeader, Text: "NTSB — Final Report", Page: 1},
+		{Type: Picture, Text: "ocr under the photo", Image: &ImageData{Format: "png", Width: 4, Height: 3, Summary: "wreckage photo"}},
+		{Type: Picture, Text: "caption-like text", Image: &ImageData{Format: "png"}},
+		{Type: Picture, Text: "a picture with no raster"},
+		{Type: Picture},
+		{Type: SectionHeader, Text: "Factual Information", Page: 2},
+		{Type: Table, Text: "stale text the cells override", Table: table, Page: 2},
+		{Type: Table, Text: "| a table | whose grid was dropped |", Page: 2},
+		{Type: Table, Text: "an empty grid renders nothing", Table: &TableData{}},
+		{Type: Text, Text: ""},
+		{Type: Text, Text: "ends in a newline\n"},
+		{Type: Text, Text: "\n"},
+		{Type: Text, Image: &ImageData{Summary: "a summary on a non-picture is not shown"}, Text: "plain"},
+		{Type: PageFooter, Text: "Page 2 of 2", Page: 2},
+	} {
+		elems.AddElement(e)
+	}
+	nested := sampleDoc()
+	nested.Text = "own text"
+	grandchild := New("doc-1-s1-a")
+	grandchild.Text = "a leaf with text and no elements"
+	nested.Children[0].AddChild(grandchild)
+	nested.Children[0].AddChild(elems.Clone())
+	nested.AddChild(nil)
+	chunk := New("elems#3")
+	chunk.ParentID = "elems"
+	chunk.Text = "the chunk's own text"
+	chunk.AddElement(&Element{Type: Table, Table: table})
+	return map[string]*Document{
+		"every type": every, "element shapes": elems, "nested": nested, "chunk": chunk, "empty": New("empty"),
+	}
+}
+
+// The text view reads as the document does — TextContent, Sections,
+// EmbeddingText and Summary byte for byte — keeps identity, properties and
+// tree shape, and carries no layout.
+func TestTextViewReadsAsTheDocument(t *testing.T) {
+	for name, d := range viewCases() {
+		v := d.TextView()
+		if got, want := v.TextContent(), d.TextContent(); got != want {
+			t.Errorf("%s: TextContent\n%q\nwant\n%q", name, got, want)
+		}
+		if got, want := v.Sections(), d.Sections(); !slices.Equal(got, want) {
+			t.Errorf("%s: Sections\n%q\nwant\n%q", name, got, want)
+		}
+		if got, want := v.EmbeddingText(), d.EmbeddingText(); got != want {
+			t.Errorf("%s: EmbeddingText %q, want %q", name, got, want)
+		}
+		if got, want := v.Summary(), d.Summary(); got != want {
+			t.Errorf("%s: Summary %q, want %q", name, got, want)
+		}
+		if v.PageCount() != d.PageCount() {
+			t.Errorf("%s: PageCount %d, want %d", name, v.PageCount(), d.PageCount())
+		}
+		tree := func(root *Document) (nodes []string) {
+			root.Walk(func(n *Document) bool {
+				nodes = append(nodes, n.ID+"|"+n.ParentID+"|"+n.Path+"|"+n.Title+"|"+n.Text)
+				return true
+			})
+			return nodes
+		}
+		if got, want := tree(v), tree(d); !slices.Equal(got, want) {
+			t.Errorf("%s: tree %q, want %q", name, got, want)
+		}
+		v.Walk(func(n *Document) bool {
+			if n.Binary != nil {
+				t.Errorf("%s: the view of %s keeps the raw binary", name, n.ID)
+			}
+			return true
+		})
+		if !v.Properties.Equal(d.Properties) || !slices.Equal(v.Embedding, d.Embedding) {
+			t.Errorf("%s: properties or embedding differ", name)
+		}
+		from, to := d.AllElements(), v.AllElements()
+		if len(from) != len(to) {
+			t.Fatalf("%s: %d elements, want %d", name, len(to), len(from))
+		}
+		for i, e := range to {
+			if !reflect.DeepEqual(*e, Element{Type: from[i].Type, Page: from[i].Page, Text: e.Text}) {
+				t.Errorf("%s: view element %d carries more than type, page and text: %+v", name, i, *e)
+			}
+		}
+		if again := v.TextView(); !reflect.DeepEqual(again, v) {
+			t.Errorf("%s: the view of a view differs from it", name)
+		}
+	}
+	var none *Document
+	if none.TextView() != nil {
+		t.Error("the view of a nil document is nil")
+	}
+}
+
+// The view shares nothing mutable with its source, and prints no layout:
+// its JSON has no bbox, confidence, table or image.
+func TestTextViewIsIndependentAndPrintsNoLayout(t *testing.T) {
+	d := viewCases()["element shapes"]
+	v := d.TextView()
+	want := v.TextContent()
+	d.SetProperty("us_state", "MUTATED")
+	d.Properties["nested"].(map[string]any)["list"].([]any)[0] = "MUTATED"
+	d.Embedding[0] = 9
+	for _, e := range d.Elements {
+		e.Text = "MUTATED"
+		if e.Table != nil && len(e.Table.Cells) > 0 {
+			e.Table.Cells[0].Text = "MUTATED"
+		}
+	}
+	if v.Property("us_state") != "AK" || v.Embedding[0] != 0.25 || strings.Contains(v.Properties.JSON(), "MUTATED") || v.TextContent() != want {
+		t.Error("the view must not share mutable state with its source")
+	}
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"bbox"`, `"confidence"`, `"table"`, `"image"`, `"binary_bytes"`} {
+		if strings.Contains(string(out), field) {
+			t.Errorf("view JSON carries %s: %s", field, out)
+		}
+	}
+	if !strings.Contains(string(out), `{"type":5,"text":"NTSB — Final Report","page":1}`) {
+		t.Errorf("a view element prints as type, text and page: %s", out)
+	}
+	// A parsed element's real box still prints.
+	parsed, err := json.Marshal(&Element{Type: Text, Text: "x", Page: 1, Box: BBox{X1: 10, Y1: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(parsed), `"bbox":{"X0":0,"Y0":0,"X1":10,"Y1":10}`) {
+		t.Errorf("a real box must still be printed: %s", parsed)
 	}
 }

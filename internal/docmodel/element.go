@@ -163,8 +163,9 @@ type Element struct {
 	Text string `json:"text,omitempty"`
 	// Page is the 1-based page number the chunk appears on.
 	Page int `json:"page"`
-	// Box is the chunk's bounding box on its page.
-	Box BBox `json:"bbox"`
+	// Box is the chunk's bounding box on its page; the zero box of an
+	// element that has no layout (index.Store's text view) is not printed.
+	Box BBox `json:"bbox,omitzero"`
 	// Confidence is the detector's score for this region in [0, 1].
 	Confidence float64 `json:"confidence,omitempty"`
 	// Properties carries arbitrary extracted metadata for the chunk.
@@ -241,11 +242,33 @@ func (t *TableData) Cell(row, col int) *TableCell {
 	return nil
 }
 
+// anchored indexes the cells of rows [first, first+n) by anchor, for one pass
+// over them instead of a Cell scan per position: the result holds at
+// (r-first)*NumCols+c the first cell anchored at (r, c), as Cell finds it,
+// or nil. Cells anchored outside those rows or outside the NumCols columns
+// have no slot.
+func (t *TableData) anchored(first, n int) []*TableCell {
+	if n <= 0 || t.NumCols <= 0 {
+		return nil
+	}
+	idx := make([]*TableCell, n*t.NumCols)
+	for i := range t.Cells {
+		c := &t.Cells[i]
+		if c.Row < first || c.Row >= first+n || c.Col < 0 || c.Col >= t.NumCols {
+			continue
+		}
+		if slot := &idx[(c.Row-first)*t.NumCols+c.Col]; *slot == nil {
+			*slot = c
+		}
+	}
+	return idx
+}
+
 // Row returns the texts of the cells anchored on row r, ordered by column.
 func (t *TableData) Row(r int) []string {
 	out := make([]string, 0, t.NumCols)
-	for c := 0; c < t.NumCols; c++ {
-		if cell := t.Cell(r, c); cell != nil {
+	for _, cell := range t.anchored(r, 1) {
+		if cell != nil {
 			out = append(out, cell.Text)
 		}
 	}
@@ -259,16 +282,17 @@ func (t *TableData) AsMap() map[string]string {
 	if t.NumCols < 2 {
 		return m
 	}
+	grid := t.anchored(0, t.NumRows)
 	for r := 0; r < t.NumRows; r++ {
 		key := ""
-		if c := t.Cell(r, 0); c != nil {
+		if c := grid[r*t.NumCols]; c != nil {
 			key = strings.TrimSpace(c.Text)
 		}
 		if key == "" {
 			continue
 		}
 		val := ""
-		if c := t.Cell(r, 1); c != nil {
+		if c := grid[r*t.NumCols+1]; c != nil {
 			val = strings.TrimSpace(c.Text)
 		}
 		m[key] = val
@@ -279,11 +303,12 @@ func (t *TableData) AsMap() map[string]string {
 // Markdown renders the table as GitHub-flavored Markdown.
 func (t *TableData) Markdown() string {
 	var sb strings.Builder
+	grid := t.anchored(0, t.NumRows)
 	for r := 0; r < t.NumRows; r++ {
 		sb.WriteString("|")
 		for c := 0; c < t.NumCols; c++ {
 			text := ""
-			if cell := t.Cell(r, c); cell != nil {
+			if cell := grid[r*t.NumCols+c]; cell != nil {
 				text = strings.ReplaceAll(cell.Text, "|", "\\|")
 			}
 			sb.WriteString(" " + text + " |")

@@ -1,7 +1,11 @@
 package docmodel
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -156,5 +160,123 @@ func TestElementClone(t *testing.T) {
 	var nilElem *Element
 	if nilElem.Clone() != nil {
 		t.Error("nil Clone should be nil")
+	}
+}
+
+// scanMarkdown, scanRow and scanAsMap are the table accessors as they were
+// before anchored(): one linear Cell scan per grid position. They are the
+// reference the indexed ones must match byte for byte.
+func scanMarkdown(t *TableData) string {
+	var sb strings.Builder
+	for r := 0; r < t.NumRows; r++ {
+		sb.WriteString("|")
+		for c := 0; c < t.NumCols; c++ {
+			text := ""
+			if cell := t.Cell(r, c); cell != nil {
+				text = strings.ReplaceAll(cell.Text, "|", "\\|")
+			}
+			sb.WriteString(" " + text + " |")
+		}
+		sb.WriteString("\n")
+		if r == 0 {
+			sb.WriteString("|" + strings.Repeat(" --- |", max(t.NumCols, 0)) + "\n")
+		}
+	}
+	return sb.String()
+}
+
+func scanRow(t *TableData, r int) []string {
+	out := []string{}
+	for c := 0; c < t.NumCols; c++ {
+		if cell := t.Cell(r, c); cell != nil {
+			out = append(out, cell.Text)
+		}
+	}
+	return out
+}
+
+func scanAsMap(t *TableData) map[string]string {
+	m := map[string]string{}
+	if t.NumCols < 2 {
+		return m
+	}
+	for r := 0; r < t.NumRows; r++ {
+		key, val := "", ""
+		if c := t.Cell(r, 0); c != nil {
+			key = strings.TrimSpace(c.Text)
+		}
+		if c := t.Cell(r, 1); c != nil {
+			val = strings.TrimSpace(c.Text)
+		}
+		if key != "" {
+			m[key] = val
+		}
+	}
+	return m
+}
+
+// Markdown, Row and AsMap find cells through one index per call; what they
+// return is what a Cell scan per position returns, on spanning, ragged and
+// duplicate-anchor tables, on cells anchored outside the grid and on
+// degenerate grids.
+func TestTableAccessorsMatchCellScan(t *testing.T) {
+	tables := map[string]*TableData{
+		"plain": {NumRows: 2, NumCols: 2, Cells: []TableCell{
+			{Row: 0, Col: 0, Text: "Aircraft"}, {Row: 0, Col: 1, Text: "Cessna 172"},
+			{Row: 1, Col: 0, Text: " Registration "}, {Row: 1, Col: 1, Text: "N1|2345"},
+		}},
+		// A header spanning both columns and a cell spanning two rows: the
+		// covered positions have no anchor and render empty.
+		"spanning": {NumRows: 3, NumCols: 2, Cells: []TableCell{
+			{Row: 0, Col: 0, ColSpan: 2, Text: "Pilot Information", Header: true},
+			{Row: 1, Col: 0, RowSpan: 2, Text: "Certificate"}, {Row: 1, Col: 1, Text: "Commercial"},
+			{Row: 2, Col: 1, Text: "Private"},
+		}},
+		// Rows of different lengths, a missing key, cells out of reading order.
+		"ragged": {NumRows: 4, NumCols: 3, Cells: []TableCell{
+			{Row: 2, Col: 1, Text: "late"}, {Row: 0, Col: 0, Text: "k0"},
+			{Row: 1, Col: 0, Text: "k1"}, {Row: 1, Col: 1, Text: "v1"}, {Row: 1, Col: 2, Text: "x1"},
+			{Row: 3, Col: 0, Text: "   "}, {Row: 3, Col: 1, Text: "orphan"},
+		}},
+		// Two cells anchored at (0,1) and at (1,0): the first in Cells wins.
+		"duplicate": {NumRows: 2, NumCols: 2, Cells: []TableCell{
+			{Row: 0, Col: 0, Text: "key"}, {Row: 0, Col: 1, Text: "first"}, {Row: 0, Col: 1, Text: "second"},
+			{Row: 1, Col: 0, Text: "winner"}, {Row: 1, Col: 1, Text: "v"}, {Row: 1, Col: 0, Text: "loser"},
+		}},
+		"outside": {NumRows: 1, NumCols: 2, Cells: []TableCell{
+			{Row: -1, Col: 0, Text: "above"}, {Row: 0, Col: 2, Text: "right"}, {Row: 1, Col: 0, Text: "below"},
+			{Row: 0, Col: -1, Text: "left"}, {Row: 0, Col: 1, Text: "in"},
+		}},
+		"no cells":   {NumRows: 2, NumCols: 3},
+		"no columns": {NumRows: 2, NumCols: 0, Cells: []TableCell{{Text: "x"}}},
+		"no rows":    {NumRows: 0, NumCols: 2, Cells: []TableCell{{Text: "x"}}},
+		"empty":      {},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 50; i++ {
+		td := &TableData{NumRows: rng.Intn(6), NumCols: rng.Intn(5)}
+		for j := rng.Intn(40); j > 0; j-- {
+			td.Cells = append(td.Cells, TableCell{Row: rng.Intn(8) - 1, Col: rng.Intn(7) - 1, Text: fmt.Sprintf(" c%d|%d ", i, j)})
+		}
+		tables[fmt.Sprintf("random %d", i)] = td
+	}
+	for name, td := range tables {
+		if got, want := td.Markdown(), scanMarkdown(td); got != want {
+			t.Errorf("%s: Markdown\n%q\nwant\n%q", name, got, want)
+		}
+		for r := -1; r <= td.NumRows; r++ {
+			if got, want := td.Row(r), scanRow(td, r); !slices.Equal(got, want) || got == nil {
+				t.Errorf("%s: Row(%d) = %q, want %q", name, r, got, want)
+			}
+		}
+		if got, want := td.AsMap(), scanAsMap(td); !maps.Equal(got, want) {
+			t.Errorf("%s: AsMap = %v, want %v", name, got, want)
+		}
+	}
+	if got := tables["duplicate"].Markdown(); got != "| key | first |\n| --- | --- |\n| winner | v |\n" {
+		t.Errorf("first cell anchored at a position must win:\n%s", got)
+	}
+	if got := tables["spanning"].Markdown(); got != "| Pilot Information |  |\n| --- | --- |\n| Certificate | Commercial |\n|  | Private |\n" {
+		t.Errorf("spanned positions render empty:\n%s", got)
 	}
 }

@@ -7,9 +7,15 @@
 // Paper counterpart: the OpenSearch indexes Sycamore loads and Luna
 // queries (§3, §6.1).
 //
+// What is stored is what queries read (§5–6.1): a report's properties and
+// its text-representation, element by element, and the chunk texts and
+// vectors. The layout DocParse produced on the way there (§4: boxes,
+// detector confidences, table cell grids) is not: PutDocument keeps the
+// document's docmodel.Document.TextView.
+//
 // Concurrency: Store is safe for concurrent readers and writers behind
-// internal locks. Reads are zero-clone: documents are deep-cloned once on
-// Put and the shared snapshot is returned directly thereafter — callers
-// must treat returned documents as read-only (DocSet pipelines clone at
-// the source when a plan mutates).
+// internal locks. Reads are zero-clone: that view is taken once on Put and
+// the shared snapshot is returned directly thereafter — callers must treat
+// returned documents as read-only (DocSet pipelines clone at the source
+// when a plan mutates).
 package index

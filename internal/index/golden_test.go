@@ -16,7 +16,6 @@ import (
 	"aryn/internal/docset"
 	"aryn/internal/embed"
 	"aryn/internal/index"
-	"aryn/internal/ntsb"
 )
 
 // The two golden files pin retrieval to the bit. They were captured at
@@ -68,15 +67,7 @@ var goldenQueries = []string{
 // indexes, then the unmerged elements (shorter texts, more ties).
 func goldenChunkTexts(t *testing.T) (texts, parents []string) {
 	t.Helper()
-	corpus, err := ntsb.GenerateCorpus(30, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobs, err := corpus.Blobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exploded := docset.ReadBinary(docset.NewContext(), blobs).Partition(docparse.New()).Explode()
+	exploded := docset.ReadBinary(docset.NewContext(), corpusBlobs(t, 30, 42)).Partition(docparse.New()).Explode()
 	for _, ds := range []*docset.DocSet{exploded.MergeChunks(120), exploded} {
 		chunks, err := ds.TakeAll(context.Background())
 		if err != nil {

@@ -33,6 +33,13 @@ type snapshot struct {
 // Save writes the store to path (gzip+gob). The vector and keyword indexes
 // are rebuilt on Load, so only source data is persisted.
 func (s *Store) Save(path string) error {
+	if err := statefile.Write(path, s.encode); err != nil {
+		return fmt.Errorf("index: save: %w", err)
+	}
+	return nil
+}
+
+func (s *Store) encode(w io.Writer) error {
 	s.mu.RLock()
 	snap := snapshot{Chunks: append([]Chunk(nil), s.chunks...)}
 	for _, id := range s.docOrder {
@@ -40,34 +47,44 @@ func (s *Store) Save(path string) error {
 	}
 	s.mu.RUnlock()
 
-	err := statefile.Write(path, func(w io.Writer) error {
-		zw := gzip.NewWriter(w)
-		if err := gob.NewEncoder(zw).Encode(snap); err != nil {
-			return fmt.Errorf("encode: %w", err)
-		}
-		return zw.Close()
-	})
-	if err != nil {
-		return fmt.Errorf("index: save: %w", err)
+	zw := gzip.NewWriter(w)
+	if err := gob.NewEncoder(zw).Encode(snap); err != nil {
+		return fmt.Errorf("encode: %w", err)
 	}
-	return nil
+	return zw.Close()
 }
 
-// Load reads a store snapshot from path and rebuilds the indexes.
+// Load reads a store snapshot from path and rebuilds the indexes. A file an
+// earlier version wrote, with DocParse's whole element trees in it, loads
+// into the same store a fresh ingest builds: PutDocument keeps the text view
+// of whatever it is given. A truncated or corrupted file is an error.
 func Load(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: load: %w", err)
 	}
 	defer f.Close()
-	zr, err := gzip.NewReader(f)
+	s, err := decode(f)
 	if err != nil {
 		return nil, fmt.Errorf("index: load: %w", err)
+	}
+	return s, nil
+}
+
+func decode(r io.Reader) (*Store, error) {
+	zr, err := gzip.NewReader(r)
+	if err != nil {
+		return nil, err
 	}
 	defer zr.Close()
 	var snap snapshot
 	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("index: load decode: %w", err)
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	// gob stops at the end of its message; gzip checks its checksum only at
+	// the end of the stream, so read on to there.
+	if _, err := io.Copy(io.Discard, zr); err != nil {
+		return nil, err
 	}
 	s := NewStore()
 	for _, d := range snap.Docs {

@@ -24,12 +24,18 @@ type Chunk struct {
 // properties, plus a chunk-level BM25 inverted index and vector index.
 // Safe for concurrent use.
 //
-// Documents are immutable-on-write: PutDocument deep-clones its input
-// once, and every read path (Document, Documents, SearchDocs) returns
-// that stored snapshot directly — zero clones per hit. Returned documents
-// are shared and MUST be treated as read-only; callers that need to
-// mutate take an explicit copy with Document.Clone (the docset sources do
-// this automatically when a pipeline contains a mutating operator).
+// The store keeps what queries read and no more: PutDocument stores the
+// document's text view (docmodel.Document.TextView: properties, and per
+// element type, page and text), not the layout tree DocParse produced —
+// boxes, detector confidences and table cell grids stop here. A DocSet that
+// must keep its layout is what docset materialization is for.
+//
+// Documents are immutable-on-write: that view is taken once, and every read
+// path (Document, Documents, SearchDocs) returns it directly — zero copies
+// per hit. Returned documents are shared and MUST be treated as read-only;
+// callers that need to mutate take an explicit copy with Document.Clone (the
+// docset sources do this automatically when a pipeline contains a mutating
+// operator).
 type Store struct {
 	mu   sync.RWMutex
 	docs map[string]*docmodel.Document
@@ -57,20 +63,22 @@ func NewStore() *Store {
 }
 
 // PutDocument upserts a parent document (replacing any prior version with
-// the same ID). The input is deep-cloned once here — the immutable-on-write
-// snapshot every later read shares. Chunk postings for replaced documents
-// are not rewritten; re-ingest into a fresh store for full replacement
-// semantics, as with an OpenSearch reindex.
+// the same ID). What is stored is the input's text view, taken once here —
+// the immutable-on-write snapshot every later read shares, sharing nothing
+// mutable with d. Chunk postings for replaced documents are not rewritten;
+// re-ingest into a fresh store for full replacement semantics, as with an
+// OpenSearch reindex.
 func (s *Store) PutDocument(d *docmodel.Document) error {
 	if d == nil || d.ID == "" {
 		return fmt.Errorf("index: document must have an ID")
 	}
+	view := d.TextView() // renders tables: before the write lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i, found := slices.BinarySearch(s.docOrder, d.ID); !found {
 		s.docOrder = slices.Insert(s.docOrder, i, d.ID)
 	}
-	s.docs[d.ID] = d.Clone()
+	s.docs[d.ID] = view
 	delete(s.docVecs, d.ID)
 	return nil
 }
