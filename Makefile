@@ -84,7 +84,10 @@ docs-check:
 # Bench smoke: every paper-table, figure and ablation benchmark compiles
 # and completes one iteration, so bench_test.go cannot silently rot. Full
 # runs use -benchtime=default. These regenerate the paper's numbers; how
-# fast the system is, is measured by bench/ alone (go run -C bench .).
+# fast the system is, is measured by bench/ alone (go run -C bench .). Two
+# print sizes next to each other in every CI log: BenchmarkStoreFootprint
+# (heap per stored report and per chunk) and BenchmarkExactScan (bytes per
+# vector row, rows scored per second).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -108,14 +111,17 @@ cover:
 
 # Short native-fuzz smoke: the plan surface (decode, validate, and the
 # cost-rewrite phase each fuzz briefly beyond their seed corpora,
-# testdata/fuzz/) and the first persisted-file loader, the index snapshot
-# (an error or a usable store, never a panic). One -fuzz pattern per
-# invocation — go test allows only a single fuzzing target at a time.
+# testdata/fuzz/), the first persisted-file loader, the index snapshot
+# (an error or a usable store, never a panic), and the vector row codec
+# (any finite float32 row: unit decoded norm, encode∘decode idempotent). One
+# -fuzz pattern per invocation — go test allows only a single fuzzing target
+# at a time.
 fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzCostRewrite$$' -fuzztime 10s
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzIndexLoad$$' -fuzztime 10s
+	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzVectorCodec$$' -fuzztime 10s
 
 # Source size: non-test Go lines under internal/ and cmd/ (bench/ is a
 # module of its own and stays out), per package and in total — the number

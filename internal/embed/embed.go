@@ -218,18 +218,3 @@ func Cosine(a, b []float32) float64 {
 	}
 	return dot / math.Sqrt(na*nb)
 }
-
-// Dot returns the inner product of a and b (0 for mismatched inputs).
-// Embed emits unit vectors, so for embeddings Dot equals Cosine without
-// recomputing either norm — the score function of the vector-index hot
-// path.
-func Dot(a, b []float32) float64 {
-	if len(a) != len(b) {
-		return 0
-	}
-	var dot float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-	}
-	return dot
-}

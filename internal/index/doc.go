@@ -9,7 +9,9 @@
 //
 // What is stored is what queries read (§5–6.1): a report's properties and
 // its text-representation, element by element, and the chunk texts and
-// vectors. The layout DocParse produced on the way there (§4: boxes,
+// vectors — a vector as a row of 16-bit fixed-point codes and one
+// multiplier, half a float32 slice's bytes, scored in integer arithmetic
+// (vector.go). The layout DocParse produced on the way there (§4: boxes,
 // detector confidences, table cell grids) is not: PutDocument keeps the
 // document's docmodel.Document.TextView.
 //

@@ -8,6 +8,8 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,10 +20,13 @@ import (
 	"aryn/internal/index"
 )
 
-// The two golden files pin retrieval to the bit. They were captured at
-// the commit before the direction cache was bounded, the postings
-// narrowed and the exact scan unrolled (PR 16), and every later change
-// to internal/embed or internal/index must leave them as they are:
+// The two golden files pin retrieval to the bit. The embeddings and the
+// keyword rankings were captured at the commit before the direction cache
+// was bounded, the postings narrowed and the exact scan unrolled (PR 16);
+// the vector and hybrid rankings when rows became 16-bit codes scored in
+// integers (PR 23: same hits, scores moved by at most a few 1e-6). Every
+// later change to internal/embed or internal/index must leave them as they
+// are:
 //
 //   - testdata/embed_golden.txt: FNV-64a of the bytes of Embed(text) for
 //     every chunk text of ntsb.GenerateCorpus(30, 42) and every query
@@ -135,17 +140,26 @@ func TestEmbedMatchesGolden(t *testing.T) {
 	checkGolden(t, "testdata/embed_golden.txt", b.String())
 }
 
-func TestSearchMatchesGolden(t *testing.T) {
+// goldenStore indexes the golden chunk texts, each under its ordinal as ID,
+// so hits name the ordinal the store assigned.
+func goldenStore(t *testing.T) *index.Store {
+	t.Helper()
 	texts, parents := goldenChunkTexts(t)
 	em := embed.NewHash(7)
 	store := index.NewStore()
 	for i, text := range texts {
-		// The chunk ID is the ordinal the store assigns, so hits name it.
 		err := store.PutChunk(index.Chunk{ID: strconv.Itoa(i), ParentID: parents[i], Text: text, Vector: em.Embed(text)})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	return store
+}
+
+// goldenSearches runs every golden query in every mode and renders each
+// ranking as one line: hit count, first hit, FNV-64a over the whole list.
+func goldenSearches(store *index.Store) string {
+	em := embed.NewHash(7)
 	var b strings.Builder
 	for qi, q := range goldenQueries {
 		vec := em.Embed(q)
@@ -179,5 +193,38 @@ func TestSearchMatchesGolden(t *testing.T) {
 			fmt.Fprintf(&b, "q%02d %-9s n=%d first=%s fnv=%016x\n", qi, m.name, len(hits), first, h.Sum64())
 		}
 	}
-	checkGolden(t, "testdata/search_golden.txt", b.String())
+	return b.String()
+}
+
+func TestSearchMatchesGolden(t *testing.T) {
+	checkGolden(t, "testdata/search_golden.txt", goldenSearches(goldenStore(t)))
+}
+
+// A snapshot carries each chunk's decoded row, and Load encodes it again:
+// for every chunk of the golden corpus that gives back the codes and the
+// multiplier the saved store held, so the loaded store answers every golden
+// search with the same hits at the same score bits.
+func TestSaveLoadKeepsEveryRowAndScore(t *testing.T) {
+	saved := goldenStore(t)
+	path := filepath.Join(t.TempDir(), "store.gob.gz")
+	if err := saved.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := index.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCodes, wantMuls := index.Rows(saved)
+	gotCodes, gotMuls := index.Rows(loaded)
+	if len(gotCodes) != len(wantCodes) || len(wantCodes) != saved.NumChunks() {
+		t.Fatalf("%d rows loaded, %d saved, %d chunks", len(gotCodes), len(wantCodes), saved.NumChunks())
+	}
+	for i := range wantCodes {
+		if !slices.Equal(gotCodes[i], wantCodes[i]) || gotMuls[i] != wantMuls[i] {
+			t.Fatalf("row %d came back as other codes (mul %v, saved %v)", i, gotMuls[i], wantMuls[i])
+		}
+	}
+	if got, want := goldenSearches(loaded), goldenSearches(saved); got != want {
+		t.Error("the loaded store ranks or scores differently from the saved one")
+	}
 }

@@ -31,7 +31,10 @@ type snapshot struct {
 }
 
 // Save writes the store to path (gzip+gob). The vector and keyword indexes
-// are rebuilt on Load, so only source data is persisted.
+// are rebuilt on Load, so only source data is persisted: chunks go out with
+// their vectors decoded to float32, the format every earlier version wrote
+// and reads, and a decoded row encodes back to the codes it came from, so
+// the loaded store scores bit for bit as the saved one did.
 func (s *Store) Save(path string) error {
 	if err := statefile.Write(path, s.encode); err != nil {
 		return fmt.Errorf("index: save: %w", err)
@@ -41,7 +44,10 @@ func (s *Store) Save(path string) error {
 
 func (s *Store) encode(w io.Writer) error {
 	s.mu.RLock()
-	snap := snapshot{Chunks: append([]Chunk(nil), s.chunks...)}
+	snap := snapshot{Chunks: make([]Chunk, len(s.chunks))}
+	for ord := range s.chunks {
+		snap.Chunks[ord] = s.chunk(ord)
+	}
 	for _, id := range s.docOrder {
 		snap.Docs = append(snap.Docs, s.docs[id])
 	}

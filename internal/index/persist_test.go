@@ -2,8 +2,12 @@ package index
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aryn/internal/docmodel"
@@ -35,6 +39,25 @@ func smallSnapshot(t testing.TB) (*Store, []byte) {
 		t.Fatal(err)
 	}
 	return s, buf.Bytes()
+}
+
+// nanSnapshot is a snapshot no Save writes but a file can hold: one chunk
+// whose vector has a NaN component.
+func nanSnapshot(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	snap := snapshot{
+		Docs:   []*docmodel.Document{docmodel.New("R1")},
+		Chunks: []Chunk{{ID: "R1#m1", ParentID: "R1", Text: "loss of engine power", Vector: []float32{1, float32(math.NaN()), 0, 0}}},
+	}
+	if err := gob.NewEncoder(zw).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // describe is everything a query can read of a store.
@@ -98,6 +121,14 @@ func TestLoadRejectsDamagedSnapshots(t *testing.T) {
 	}
 }
 
+// A well-formed snapshot whose chunk vector holds a NaN is an error, as the
+// same PutChunk is: indexed, the row scored NaN against every query.
+func TestLoadRejectsNaNVector(t *testing.T) {
+	if _, err := decode(bytes.NewReader(nanSnapshot(t))); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("decode of a snapshot with a NaN vector: %v", err)
+	}
+}
+
 // FuzzIndexLoad feeds the snapshot loader arbitrary bytes: an error or a
 // usable store, never a panic.
 func FuzzIndexLoad(f *testing.F) {
@@ -108,6 +139,7 @@ func FuzzIndexLoad(f *testing.F) {
 	f.Add(whole[:len(whole)/2])
 	f.Add(flipped)
 	f.Add([]byte{})
+	f.Add(nanSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decode(bytes.NewReader(data))
 		if err != nil {

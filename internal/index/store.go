@@ -12,6 +12,10 @@ import (
 // Chunk is one indexed unit of text with provenance back to its parent
 // document. Indexing happens at chunk granularity; query results are
 // reassembled into documents (§6.1).
+//
+// Vector is the chunk's embedding. Only its direction is indexed (search
+// ranks by cosine), so what PutChunk reads at any length, a hit carries back
+// at unit length: the row the store scores, decoded.
 type Chunk struct {
 	ID       string
 	ParentID string
@@ -47,9 +51,31 @@ type Store struct {
 	// embedding of its text (DocVector): at most one vector per document,
 	// computed on first use, dropped when PutDocument replaces the document.
 	docVecs map[string][]float32
-	chunks  []Chunk
+	chunks  []storedChunk
 	bm25    *bm25Index
 	vec     *Exact
+}
+
+// storedChunk is a Chunk as the store keeps it: everything but the vector,
+// which is row `row` of the vector index (noRow for a chunk put without
+// one) — 16-bit codes there, never a []float32 here.
+type storedChunk struct {
+	id, parentID, text string
+	page               int
+	row                int
+}
+
+const noRow = -1
+
+// chunk is stored chunk ord as callers see it. Its Vector is the decoded
+// row, a fresh slice: the unit vector searches score, to float32.
+func (s *Store) chunk(ord int) Chunk {
+	sc := s.chunks[ord]
+	c := Chunk{ID: sc.id, ParentID: sc.parentID, Text: sc.text, Page: sc.page}
+	if sc.row != noRow {
+		c.Vector = s.vec.rows[sc.row].decode()
+	}
+	return c
 }
 
 // NewStore returns an empty store; vector search is exact brute force.
@@ -115,26 +141,29 @@ func (s *Store) DocVector(d *docmodel.Document, e embed.Embedder) []float32 {
 	return vec
 }
 
-// PutChunk indexes one text chunk (keyword + vector).
+// PutChunk indexes one text chunk (keyword + vector). c.Vector is read, not
+// kept: the store holds its direction as a row of the vector index. A vector
+// with a NaN or ±Inf component is an error, and the chunk is not indexed.
 func (s *Store) PutChunk(c Chunk) error {
 	if c.ParentID == "" {
 		return fmt.Errorf("index: chunk %q must reference a parent document", c.ID)
 	}
 	// Everything that needs no store state happens before the write lock:
-	// tokenizing, and normalizing the vector, so that the chunk and the
-	// vector index hold the one unit slice.
+	// tokenizing, and encoding the vector.
 	terms := countTerms(c.Text)
-	if c.Vector != nil {
-		c.Vector = unitVector(c.Vector)
+	r, err := encodeRow(c.Vector) // of a nil vector: an empty row, not indexed
+	if err != nil {
+		return fmt.Errorf("index: chunk %q: %w", c.ID, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ord := len(s.chunks)
-	s.chunks = append(s.chunks, c)
-	s.bm25.add(ord, terms)
+	sc := storedChunk{id: c.ID, parentID: c.ParentID, text: c.Text, page: c.Page, row: noRow}
 	if c.Vector != nil {
-		s.vec.Add(ord, c.Vector)
+		sc.row = s.vec.add(ord, r)
 	}
+	s.chunks = append(s.chunks, sc)
+	s.bm25.add(ord, terms)
 	return nil
 }
 
@@ -253,10 +282,10 @@ func (s *Store) collectDocHits(ranked []Scored, filter Predicate, k int) []DocHi
 	best := map[string]float64{}
 	var order []string
 	for _, sc := range ranked {
-		c := s.chunks[sc.Doc]
-		if _, seen := best[c.ParentID]; !seen {
-			order = append(order, c.ParentID)
-			best[c.ParentID] = sc.Score
+		pid := s.chunks[sc.Doc].parentID
+		if _, seen := best[pid]; !seen {
+			order = append(order, pid)
+			best[pid] = sc.Score
 		}
 	}
 	var out []DocHit
@@ -303,11 +332,10 @@ func (s *Store) SearchChunks(q Query) []ChunkHit {
 func (s *Store) collectChunkHits(ranked []Scored, filter Predicate, k int) []ChunkHit {
 	var out []ChunkHit
 	for _, sc := range ranked {
-		c := s.chunks[sc.Doc]
-		if parent, ok := s.docs[c.ParentID]; ok && !filter.Match(parent.Properties) {
+		if parent, ok := s.docs[s.chunks[sc.Doc].parentID]; ok && !filter.Match(parent.Properties) {
 			continue
 		}
-		out = append(out, ChunkHit{Chunk: c, Score: sc.Score})
+		out = append(out, ChunkHit{Chunk: s.chunk(sc.Doc), Score: sc.Score})
 		if k > 0 && len(out) == k {
 			break
 		}

@@ -287,28 +287,31 @@ func TestStoreConcurrentReadWrite(t *testing.T) {
 	}
 }
 
+// liveHeap is the heap still reachable after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // TestLiveHeapPerChunk is the retrieval state's memory budget. 4,000
 // chunks, each with three tokens no other chunk has (an accident number, a
 // registration, a date — what makes most of a real corpus's vocabulary),
 // go through Embed and PutChunk; what stays live afterwards must fit
-// vector (4 KB) + text + 1.5 KB per chunk for the chunk record, postings
-// and index slack, plus the embedder's direction cache at its 8 MB bound.
+// vector (2 KB of codes + its multiplier) + text + 1.5 KB per chunk for the
+// chunk record, postings and index slack, plus the embedder's direction
+// cache at its 8 MB bound.
 // Before that cache was bounded at 2,048 entries it kept every one-off
 // token's 4 KB direction and this read 18 KB per chunk against the 8 KB
 // allowed.
 func TestLiveHeapPerChunk(t *testing.T) {
 	const (
 		n             = 4000
-		vectorBytes   = 4 * embed.Dim
+		vectorBytes   = 2*embed.Dim + 8
 		overheadBytes = 1536
 		cacheBytes    = 8 << 20
 	)
-	liveHeap := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	base := liveHeap()
 	em := embed.NewHash(7)
 	s := NewStore()

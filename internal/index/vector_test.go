@@ -1,10 +1,13 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -63,10 +66,12 @@ func fullSortRanking(cands []Scored, k int) []Scored {
 }
 
 // TestExactHeapSelectMatchesFullSort proves the bounded-heap (and
-// sharded) top-k path returns exactly the old full-sort ranking,
-// including duplicate-vector score ties broken by id. GOMAXPROCS is
-// raised so the sharded scan (n >= 2*exactShardMin with multiple
-// workers) is exercised even on single-core runners.
+// sharded) top-k path returns the full-sort ranking of the decoded rows —
+// the float cosine a caller computes over the vectors hits carry —
+// including duplicate-vector score ties broken by id, every score within
+// 1e-7 of that cosine. GOMAXPROCS is raised so the sharded scan
+// (n >= 2*exactShardMin with multiple workers) is exercised even on
+// single-core runners.
 func TestExactHeapSelectMatchesFullSort(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const dim = 32
@@ -77,26 +82,51 @@ func TestExactHeapSelectMatchesFullSort(t *testing.T) {
 	}
 	e := NewExact()
 	for i, v := range vecs {
-		e.Add(i, v)
+		if err := e.Add(i, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, q := range randomVectors(10, dim, 12) {
-		// Reference: score all candidates with the same dot product, full sort.
 		all := make([]Scored, len(vecs))
-		for i, v := range vecs {
-			all[i] = Scored{Doc: i, Score: embed.Dot(q, v)}
+		for i := range vecs {
+			all[i] = Scored{Doc: i, Score: embed.Cosine(q, e.rows[i].decode())}
 		}
 		for _, k := range []int{1, 10, 100} {
 			want := fullSortRanking(all, k)
 			got := e.Search(q, k)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("k=%d: heap select diverged from full sort\ngot  %v\nwant %v", k, got[:3], want[:3])
+			if len(got) != len(want) {
+				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Doc != want[i].Doc || math.Abs(got[i].Score-want[i].Score) > 1e-7 {
+					t.Fatalf("k=%d rank %d: heap select has %+v, the full sort of decoded rows %+v", k, i, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
-// TestScanMatchesDotBitForBit holds the four-rows-per-pass scan to the
-// one-row-at-a-time embed.Dot reference, score bits and all: for every
+// referenceScore scores vec against query the slow way: encode, then one
+// row, one component at a time.
+func referenceScore(t *testing.T, query, vec []float32) float64 {
+	t.Helper()
+	r, err := encodeRow(vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := quantizeQuery(query)
+	if len(q) != len(r.codes) {
+		return 0
+	}
+	var sum int64
+	for j := range q {
+		sum += q[j] * int64(r.codes[j])
+	}
+	return float64(sum) * r.mul / (1 << 30)
+}
+
+// TestScanMatchesDotBitForBit holds the four-rows-per-pass scan to a
+// one-row-at-a-time integer dot product, score bits and all: for every
 // remainder of n mod 4, with rows of the wrong length in the middle of a
 // group of four (they score 0), and through the sharded path.
 func TestScanMatchesDotBitForBit(t *testing.T) {
@@ -111,11 +141,16 @@ func TestScanMatchesDotBitForBit(t *testing.T) {
 		}
 		e := NewExact()
 		for i, v := range vecs {
-			e.Add(i, v)
+			if err := e.Add(i, v); err != nil {
+				t.Fatal(err)
+			}
 		}
 		want := make([]Scored, n)
 		for i, v := range vecs {
-			want[i] = Scored{Doc: i, Score: embed.Dot(q, v)}
+			want[i] = Scored{Doc: i, Score: referenceScore(t, q, v)}
+		}
+		if n > 6 && (want[5].Score != 0 || want[n-1].Score != 0) {
+			t.Fatalf("n=%d: rows of the wrong length score %v and %v, want 0", n, want[5].Score, want[n-1].Score)
 		}
 		want = fullSortRanking(want, 0)
 		for _, k := range []int{0, 3, n} {
@@ -134,6 +169,212 @@ func TestScanMatchesDotBitForBit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScanSplitInvariant is the property integer sums buy: a row's score is
+// one exact integer whatever else the scan did, so cutting the rows into 1
+// to 8 shards, or storing them in the opposite order, returns the same
+// Scored list to the bit.
+func TestScanSplitInvariant(t *testing.T) {
+	const dim = 16
+	vecs := randomVectors(8*exactShardMin+5, dim, 41)
+	forward, backward := NewExact(), NewExact()
+	for i := range vecs {
+		if err := forward.Add(i, vecs[i]); err != nil {
+			t.Fatal(err)
+		}
+		j := len(vecs) - 1 - i
+		if err := backward.Add(j, vecs[j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, q := range randomVectors(3, dim, 42) {
+		for _, k := range []int{10, 0} {
+			want := forward.Search(q, k)
+			for shards := 1; shards <= 8; shards++ {
+				runtime.GOMAXPROCS(shards)
+				for name, e := range map[string]*Exact{"forward": forward, "backward": backward} {
+					if got := e.Search(q, k); !slices.Equal(got, want) {
+						t.Fatalf("k=%d, %d shards, rows %s: the ranking moved", k, shards, name)
+					}
+				}
+			}
+			runtime.GOMAXPROCS(1)
+		}
+	}
+}
+
+// checkCodec holds one vector to the codec's contract: the largest
+// component carries ±32,767, the decoded row is a unit vector, and it
+// encodes back to the codes and multiplier it was decoded from. The zero
+// vector encodes to zero codes and scores 0.
+func checkCodec(t *testing.T, vec []float32) {
+	t.Helper()
+	r, err := encodeRow(vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.codes) != len(vec) {
+		t.Fatalf("%d codes for %d components", len(r.codes), len(vec))
+	}
+	peak, zero := 0, true
+	for i, c := range r.codes {
+		peak = max(peak, int(c), -int(c))
+		zero = zero && vec[i] == 0
+	}
+	if zero {
+		if peak != 0 || r.mul != 0 || r.score(dotCodes(quantizeQuery(vec), r.codes)) != 0 {
+			t.Fatalf("the zero vector encodes to peak %d, mul %v", peak, r.mul)
+		}
+		return
+	}
+	if peak != codeMax {
+		t.Fatalf("largest |code| is %d, want %d", peak, codeMax)
+	}
+	decoded := r.decode()
+	var sq float64
+	for _, x := range decoded {
+		sq += float64(x) * float64(x)
+	}
+	if norm := math.Sqrt(sq); math.Abs(norm-1) > 1e-6 {
+		t.Fatalf("decoded norm %v", norm)
+	}
+	again, err := encodeRow(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(again.codes, r.codes) || again.mul != r.mul {
+		t.Fatalf("decode then encode moved the row: mul %v → %v", r.mul, again.mul)
+	}
+	// A vector is its own nearest neighbour, at cosine 1 to the codes' grain.
+	if self := r.score(dotCodes(quantizeQuery(vec), r.codes)); math.Abs(self-1) > 1e-4 {
+		t.Fatalf("scores %v against itself", self)
+	}
+}
+
+func TestVectorCodec(t *testing.T) {
+	for _, vec := range [][]float32{
+		nil, {0, 0, 0}, {1}, {-2.5}, {3, 4}, {1e-30, -1e-38, 1e-45},
+		{math.MaxFloat32, -math.MaxFloat32, 1}, {1, 1e-9, 0, -1},
+	} {
+		checkCodec(t, vec)
+	}
+	for _, vec := range randomVectors(50, 1024, 51) {
+		checkCodec(t, vec)
+	}
+}
+
+// FuzzVectorCodec reads its input as float32s and holds every finite row to
+// checkCodec; a row with a NaN or ±Inf component must be refused.
+func FuzzVectorCodec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 192, 0, 0, 0, 0})      // 1, -2, 0
+	f.Add([]byte{0, 0, 192, 127, 0, 0, 128, 63})                // NaN, 1
+	f.Add([]byte{1, 0, 0, 0, 255, 255, 127, 127, 0, 0, 128, 0}) // smallest subnormal, MaxFloat32, smallest normal
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vec := make([]float32, len(data)/4)
+		finite := true
+		for i := range vec {
+			vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+			finite = finite && !math.IsNaN(float64(vec[i])) && !math.IsInf(float64(vec[i]), 0)
+		}
+		if !finite {
+			if _, err := encodeRow(vec); err == nil {
+				t.Fatalf("encoded %v", vec)
+			}
+			return
+		}
+		checkCodec(t, vec)
+	})
+}
+
+// A vector with a NaN or ±Inf component is refused at the door. Indexed, it
+// made every score against its row NaN, which compares false both ways: the
+// top-k heap's order, and which real hits it evicted, were undefined.
+func TestNonFiniteVectorIsAnError(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	s := NewStore()
+	if err := s.PutChunk(Chunk{ID: "ok", ParentID: "d", Text: "engine", Vector: []float32{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, vec := range [][]float32{{1, nan, 3}, {inf, 2, 3}, {1, 2, -inf}} {
+		if err := s.PutChunk(Chunk{ID: "bad", ParentID: "d", Text: "engine", Vector: vec}); err == nil {
+			t.Errorf("PutChunk indexed %v", vec)
+		}
+		if err := s.vec.Add(9, vec); err == nil {
+			t.Errorf("Exact.Add indexed %v", vec)
+		}
+	}
+	if s.NumChunks() != 1 || len(s.vec.rows) != 1 || len(s.SearchChunks(Query{Keyword: "engine"})) != 1 {
+		t.Errorf("a refused chunk left something behind: %d chunks, %d rows", s.NumChunks(), len(s.vec.rows))
+	}
+	// A query with no direction scores 0 against everything; it is not a NaN.
+	for _, q := range [][]float32{{nan, 1, 1}, {inf, 0, 0}, {0, 0, 0}} {
+		hits := s.SearchChunks(Query{Vector: q})
+		if len(hits) != 1 || hits[0].Score != 0 {
+			t.Errorf("query %v: hits %+v, want one at score 0", q, hits)
+		}
+	}
+}
+
+// What the store keeps per chunk holds no float slice: the vector is 16-bit
+// codes in the vector index and nowhere else. A []float32 field added to
+// either type is 4 KB a chunk back on the heap; this fails first.
+func TestStoredChunkHoldsNoFloatSlice(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Slice, reflect.Array, reflect.Pointer:
+			if k := typ.Elem().Kind(); k == reflect.Float32 || k == reflect.Float64 {
+				t.Errorf("%s is a %s", path, typ)
+			}
+			walk(typ.Elem(), path+"[]")
+		case reflect.Map:
+			walk(typ.Key(), path+"[key]")
+			walk(typ.Elem(), path+"[value]")
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(storedChunk{}), "storedChunk")
+	walk(reflect.TypeOf(Exact{}), "Exact")
+	if got := reflect.TypeOf(row{}.codes).Elem().Size(); got != 2 {
+		t.Errorf("a code is %d bytes, want 2", got)
+	}
+}
+
+// BenchmarkExactScan is the retrieval-heavy workload's inner loop alone: a
+// top-10 search over 7,642 unit rows of 1,024 (the 1,500-accident corpus's
+// chunk count), with what a row costs on the heap beside how fast rows are
+// scored. `make bench` prints both in every CI log.
+func BenchmarkExactScan(b *testing.B) {
+	const n, dim = 7642, 1024
+	base := liveHeap()
+	e := NewExact()
+	rng := rand.New(rand.NewSource(61))
+	vec := make([]float32, dim)
+	for i := 0; i < n+1; i++ {
+		for j := range vec {
+			vec[j] = float32(rng.NormFloat64())
+		}
+		if i == n {
+			break // the last draw is the query
+		}
+		if err := e.Add(i, vec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bytesPerRow := float64(liveHeap()-base) / n
+	for b.Loop() {
+		if hits := e.Search(vec, 10); len(hits) != 10 {
+			b.Fatalf("%d hits", len(hits))
+		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(bytesPerRow, "bytes/row")
 }
 
 // TestBM25HeapSelectMatchesFullSort proves BM25's bounded top-k equals
