@@ -42,7 +42,6 @@ var scope = []string{
 	"internal/llm",
 	"internal/core",
 	"internal/index",
-	"internal/scenario",
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -2,7 +2,7 @@
 // testing the serving stack. It wraps the backing model as llm.Client
 // middleware (injected at the backend boundary, beneath cache, breaker,
 // and batcher) and hooks the docset ingest/query operator paths, so
-// scenarios can script backend failure without touching production code
+// tests can script backend failure without touching production code
 // paths.
 //
 // A Spec describes the faults to inject: transient/permanent error
@@ -11,7 +11,7 @@
 // from spec activation). Specs are JSON (see docs/fault-injection.md for
 // runnable examples) and swappable at runtime: arynd activates one at
 // boot via -fault-spec and exposes the dev-only /faults endpoint so
-// chaos scenarios can flip faults mid-run.
+// chaos tests can flip faults mid-run.
 //
 // Determinism: all randomness flows from the spec's seed through one
 // guarded rand stream, so a single-threaded caller replays the same

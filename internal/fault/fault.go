@@ -23,7 +23,7 @@ type Window struct {
 
 // Spec describes the faults to inject. The zero Spec injects nothing, so
 // an injector can stay wired into production paths at zero cost until a
-// chaos scenario activates a real spec.
+// chaos test activates a real spec.
 type Spec struct {
 	// Seed feeds the deterministic fault stream (same seed, same
 	// single-threaded draw sequence).
@@ -147,7 +147,7 @@ func New(spec Spec) *Injector {
 }
 
 // Set activates a new spec: outage windows re-anchor to now, the fault
-// stream reseeds, and stats reset so each scenario reads its own counts.
+// stream reseeds, and stats reset so each spec reads its own counts.
 func (inj *Injector) Set(spec Spec) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()

@@ -96,7 +96,7 @@ type BreakerStats struct {
 	// Probes counts half-open calls admitted to test the backend.
 	Probes int64 `json:"probes"`
 	// ProbeIntervalMS is the configured open → half-open delay; clients
-	// (chaos scenarios) read it to bound their recovery deadline.
+	// (chaos tests, operators) read it to bound their recovery deadline.
 	ProbeIntervalMS int64 `json:"probe_interval_ms"`
 	// OpenRemainingMS is the time until the next probe window (0 unless
 	// open).

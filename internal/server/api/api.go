@@ -1,9 +1,9 @@
 // Package api defines the wire types of the Aryn serving layer: request
 // and response DTOs for every endpoint, the unified error envelope, the
 // async ingest-job resource, and the SSE streaming events. The server
-// marshals these; the scenario harness and external clients unmarshal the
-// same structs, so drift between producer and consumer breaks at compile
-// time instead of in production.
+// marshals these; bench/ and external clients unmarshal the same structs,
+// so drift between producer and consumer breaks at compile time instead
+// of in production.
 //
 // Versioning: every endpoint is mounted under /v1/ and nowhere else
 // (docs/streaming-api.md records the policy).
@@ -354,7 +354,7 @@ type JobStats struct {
 }
 
 // EndpointStats is one route's /stats snapshot — the counters the
-// scenario tests and bench/ read (docs/operations.md documents each
+// server's tests and bench/ read (docs/operations.md documents each
 // field). Counters are keyed by the route's name under /v1 ("/query").
 type EndpointStats struct {
 	Requests     int64   `json:"requests"`
@@ -398,7 +398,7 @@ type StatsResponse struct {
 	// Endpoints breaks the traffic down per route: request counts by
 	// outcome class (ok / client error / server error / shed) plus
 	// cumulative and max handler latency — the server-side counters the
-	// scenario tests, bench/ and operators read.
+	// server's tests, bench/ and operators read.
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
 

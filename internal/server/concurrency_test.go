@@ -3,29 +3,44 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"aryn/internal/core"
+	"aryn/internal/llm"
+	"aryn/internal/server/api"
 )
 
-// TestConcurrentMixedWorkload drives 32 concurrent clients — half
-// stateful /chat sessions, half one-shot /query — through one server
-// with a deliberately tight admission gate over a latency-bearing LLM,
-// asserting the three properties the serving layer exists for:
+// TestConcurrentMixedWorkload drives 36 concurrent clients — 16 stateful
+// /chat sessions, 16 one-shot /query clients, 4 streaming the same
+// questions over SSE — and one async ingest job through one server with a
+// deliberately tight admission gate over a latency-bearing LLM, asserting
+// the three properties the serving layer exists for:
 //
 //  1. session integrity: every chat client sees its own session ID and a
 //     strictly incrementing turn counter — no lost or interleaved state;
 //  2. load shedding: saturation produces 429s (clients retry) instead of
 //     unbounded queueing — the waiter high-water mark never exceeds
 //     MaxWaiters;
-//  3. determinism: identical one-shot questions get identical answers
-//     regardless of interleaving.
+//  3. determinism: identical one-shot questions get identical answers,
+//     streamed or not, regardless of interleaving.
 //
 // Run with -race (CI does): it doubles as the data-race audit of the
-// session table, conversation locking, and the Prepare swap.
+// session table, conversation locking, the store's writes beside reads,
+// and the Prepare swap.
 func TestConcurrentMixedWorkload(t *testing.T) {
-	sys := latencySystem(t)
+	// A system of its own: the ingest job writes to its store.
+	sys, err := buildSystem(core.Config{
+		Seed:        7,
+		Parallelism: 4,
+		LLMOptions:  []llm.SimOption{llm.WithLatency(10 * time.Millisecond)},
+	}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{
 		MaxInFlight: 4,
 		MaxWaiters:  8,
@@ -34,9 +49,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	ts := newTestServer(t, sys, cfg)
 
 	const (
-		chatClients  = 16
-		queryClients = 16
-		turns        = 4
+		chatClients   = 16
+		queryClients  = 16
+		streamClients = 4
+		turns         = 4
 	)
 	chatScript := [turns]string{
 		"How many incidents involved substantial damage?",
@@ -52,15 +68,25 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 
 	// do posts the request, retrying on 429 (the contract: shed clients
-	// back off and come back). Any other non-200 is a test failure.
-	do := func(t *testing.T, req any, path string, out any) bool {
+	// back off and come back). Any other non-200 is a test failure. With
+	// stream set it asks for SSE and decodes the terminal result event.
+	do := func(t *testing.T, req any, path string, out any, stream bool) bool {
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Error(err)
 			return false
 		}
 		for attempt := 0; attempt < 200; attempt++ {
-			resp, err := http.Post(ts.URL+"/v1"+path, "application/json", bytes.NewReader(body))
+			hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1"+path, bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			hreq.Header.Set("Content-Type", "application/json")
+			if stream {
+				hreq.Header.Set("Accept", "text/event-stream")
+			}
+			resp, err := http.DefaultClient.Do(hreq)
 			if err != nil {
 				t.Error(err)
 				return false
@@ -75,7 +101,16 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				resp.Body.Close()
 				return false
 			}
-			err = json.NewDecoder(resp.Body).Decode(out)
+			if stream {
+				events := readSSE(t, resp.Body)
+				if n := len(events); n > 0 && events[n-1].name == api.EventResult {
+					err = json.Unmarshal(events[n-1].data, out)
+				} else {
+					err = fmt.Errorf("stream %v does not end in a result", eventNames(events))
+				}
+			} else {
+				err = json.NewDecoder(resp.Body).Decode(out)
+			}
 			resp.Body.Close()
 			if err != nil {
 				t.Errorf("decode %s: %v", path, err)
@@ -99,7 +134,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			sessionID := ""
 			for turn := 1; turn <= turns; turn++ {
 				var out ChatResponse
-				if !do(t, ChatRequest{SessionID: sessionID, Question: chatScript[turn-1]}, "/chat", &out) {
+				if !do(t, ChatRequest{SessionID: sessionID, Question: chatScript[turn-1]}, "/chat", &out, false) {
 					return
 				}
 				if turn == 1 {
@@ -121,10 +156,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}(c)
 	}
 
-	// Query clients: one-shot questions; record answers per question to
-	// check cross-client determinism.
-	answers := make([]map[string]string, queryClients)
-	for c := 0; c < queryClients; c++ {
+	// Query clients, the last few streaming: one-shot questions; record
+	// answers per question to check cross-client determinism.
+	answers := make([]map[string]string, queryClients+streamClients)
+	for c := range answers {
 		answers[c] = make(map[string]string)
 		wg.Add(1)
 		go func(c int) {
@@ -133,7 +168,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			for i := 0; i < turns; i++ {
 				q := queryQuestions[(c+i)%len(queryQuestions)]
 				var out QueryResponse
-				if !do(t, QueryRequest{Question: q}, "/query", &out) {
+				if !do(t, QueryRequest{Question: q}, "/query", &out, c >= queryClients) {
 					return
 				}
 				if out.Answer == "" {
@@ -146,7 +181,15 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 
 	close(start)
+	// The ingest job rewrites the served corpus, same documents under the
+	// same IDs, so every answer stays comparable while the store takes
+	// writes beside the reads.
+	var acc api.JobAccepted
+	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 10, Seed: 42}, &acc); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest status = %d", resp.StatusCode)
+	}
 	wg.Wait()
+	waitJobState(t, ts.URL+acc.Location, api.JobDone, 30*time.Second)
 	if t.Failed() {
 		return
 	}
@@ -167,7 +210,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	var stats StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Gate.Shed == 0 {
-		t.Error("32 clients against 4 slots + 8 waiters should shed at least once")
+		t.Error("36 clients against 4 slots + 8 waiters should shed at least once")
 	}
 	if stats.Gate.WaitersHigh > int64(cfg.MaxWaiters) {
 		t.Errorf("waiter high-water %d exceeds MaxWaiters %d — queue is not bounded",

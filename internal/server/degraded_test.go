@@ -1,14 +1,20 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"aryn/internal/core"
 	"aryn/internal/fault"
 	"aryn/internal/resilience"
+	"aryn/internal/server/api"
 )
 
 // degradedHarness builds a small system with the resilience stack and a
@@ -36,11 +42,10 @@ func degradedHarness(t *testing.T) (ts string, inj *fault.Injector) {
 // uniqueQuestions defeat the LLM cache so every query actually exercises
 // the (possibly broken) backend. The 5M+ year range is disjoint from
 // every other suite's question space.
-var degradedSeq int
+var degradedSeq atomic.Int64
 
 func degradedQuestion() string {
-	degradedSeq++
-	return fmt.Sprintf("How many incidents were there in year %d?", 5_000_000+degradedSeq)
+	return fmt.Sprintf("How many incidents were there in year %d?", 5_000_000+degradedSeq.Add(1))
 }
 
 // TestDegradedModeServing pins the serving-layer degradation contract: a
@@ -59,21 +64,24 @@ func TestDegradedModeServing(t *testing.T) {
 		t.Fatalf("fault activation failed: %d %+v", resp.StatusCode, fs)
 	}
 
-	// Every query during the outage degrades; none may fail. Enough
-	// queries to walk the breaker past its failure threshold.
-	for i := 0; i < 7; i++ {
-		var out QueryResponse
-		resp := postJSON(t, url+"/v1/query", QueryRequest{Question: degradedQuestion()}, &out)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d during outage: status %d, want 200 (degraded)", i, resp.StatusCode)
+	// Every query during the outage degrades; none may fail, and none may
+	// leave a goroutine behind. Enough queries to walk the breaker past its
+	// failure threshold.
+	expectNoQueryGoroutines(t, func() {
+		for i := 0; i < 7; i++ {
+			var out QueryResponse
+			resp := postJSON(t, url+"/v1/query", QueryRequest{Question: degradedQuestion()}, &out)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("query %d during outage: status %d, want 200 (degraded)", i, resp.StatusCode)
+			}
+			if !out.Degraded || out.Kind != "retrieval-only" {
+				t.Fatalf("query %d during outage: degraded=%v kind=%q", i, out.Degraded, out.Kind)
+			}
+			if out.Answer == "" || out.DegradedReason == "" {
+				t.Fatalf("query %d: degraded response missing answer (%q) or reason (%q)", i, out.Answer, out.DegradedReason)
+			}
 		}
-		if !out.Degraded || out.Kind != "retrieval-only" {
-			t.Fatalf("query %d during outage: degraded=%v kind=%q", i, out.Degraded, out.Kind)
-		}
-		if out.Answer == "" || out.DegradedReason == "" {
-			t.Fatalf("query %d: degraded response missing answer (%q) or reason (%q)", i, out.Answer, out.DegradedReason)
-		}
-	}
+	})
 
 	// The state is observable.
 	var health map[string]any
@@ -95,7 +103,16 @@ func TestDegradedModeServing(t *testing.T) {
 		t.Errorf("/query produced %d server errors during the outage; the contract is zero 500s", q.ServerErrors)
 	}
 
-	// Clearing the fault recovers within a probe interval (plus slack).
+	recoverFromFaults(t, url)
+}
+
+// recoverFromFaults clears the injector and holds the server to the
+// recovery half of the contract: probe traffic closes the breaker within
+// about one probe interval (plus slack), after which queries serve
+// undegraded and /healthz is back to ok.
+func recoverFromFaults(t *testing.T, url string) {
+	t.Helper()
+	var fs FaultStateResponse
 	postJSON(t, url+"/v1/faults", FaultControlRequest{Clear: true}, &fs)
 	if fs.Active {
 		t.Fatalf("injector still active after clear: %+v", fs)
@@ -113,9 +130,123 @@ func TestDegradedModeServing(t *testing.T) {
 		}
 		time.Sleep(probe / 4)
 	}
+	var health map[string]any
 	getJSON(t, url+"/v1/healthz", &health)
 	if health["status"] != "ok" {
 		t.Errorf("healthz status = %v after recovery, want ok", health["status"])
+	}
+}
+
+// TestFaultContracts scripts one fault per case through /v1/faults while
+// several goroutines keep asking fresh questions — under -race, fault
+// scripting against concurrent traffic — and every one of those queries
+// must answer 200 with an answer. Each case then checks its own contract,
+// and the server recovers once the fault clears.
+func TestFaultContracts(t *testing.T) {
+	setFaults := func(t *testing.T, url string, spec fault.Spec) {
+		if resp := postJSON(t, url+"/v1/faults", FaultControlRequest{Spec: &spec}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("fault activation status = %d", resp.StatusCode)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, url string)
+	}{
+		// A backend failing a third of its calls is absorbed by retries.
+		{"flaky backend", func(t *testing.T, url string) {
+			setFaults(t, url, fault.Spec{Seed: 13, ErrorRate: 0.35, RetryAfterMS: 5, LatencyMS: 10, LatencyRate: 0.2})
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				var stats StatsResponse
+				getJSON(t, url+"/v1/stats", &stats)
+				if stats.Resilience != nil && stats.Resilience.Retries > 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no middleware retries at a 35%% injected error rate: %+v", stats.Resilience)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}},
+		// Losing the LLM cache is a latency event, not a correctness event.
+		{"cache purge", func(t *testing.T, url string) {
+			q := degradedQuestion()
+			var first, second QueryResponse
+			postJSON(t, url+"/v1/query", QueryRequest{Question: q}, &first)
+			var fs FaultStateResponse
+			postJSON(t, url+"/v1/faults", FaultControlRequest{PurgeLLMCache: true}, &fs)
+			if fs.PurgedCacheEntries == 0 {
+				t.Error("purge_llm_cache after uncached queries dropped 0 entries")
+			}
+			postJSON(t, url+"/v1/query", QueryRequest{Question: q}, &second)
+			if first.Degraded || second.Degraded || first.Answer != second.Answer {
+				t.Errorf("answer across a cache purge: %q (degraded %v) → %q (degraded %v)",
+					first.Answer, first.Degraded, second.Answer, second.Degraded)
+			}
+		}},
+		// Stage faults end an ingest job done, or failed as unavailable.
+		{"ingest under stage faults", func(t *testing.T, url string) {
+			setFaults(t, url, fault.Spec{Seed: 17, OpErrorRate: 0.25, OpLatencyMS: 2})
+			var acc api.JobAccepted
+			if resp := postJSON(t, url+"/v1/ingest", IngestRequest{Docs: 3, Seed: 50_001}, &acc); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("ingest status = %d", resp.StatusCode)
+			}
+			resp := sseOpen(t, context.Background(), "GET", url+acc.Location, nil)
+			defer resp.Body.Close()
+			events := readSSE(t, resp.Body)
+			var job api.JobResponse
+			decodeEvent(t, events[len(events)-1], &job)
+			if job.State != api.JobDone && (job.State != api.JobFailed || job.Error.Code != api.CodeUnavailable) {
+				t.Errorf("ingest under stage faults ended %s (%+v), want done or failed unavailable", job.State, job.Error)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			url, _ := degradedHarness(t)
+			func() {
+				defer queryBeside(t, url, 3)() // stopped before the server closes, even on a failed case
+				tc.run(t, url)
+			}()
+			recoverFromFaults(t, url)
+		})
+	}
+}
+
+// queryBeside keeps n goroutines asking fresh questions, each at least
+// once, until the returned stop is called; stop waits for them. Every
+// reply must be a 200 with an answer, degraded or not.
+func queryBeside(t *testing.T, url string, n int) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				body, _ := json.Marshal(QueryRequest{Question: degradedQuestion()})
+				resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out QueryResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil || out.Answer == "" {
+					t.Errorf("query beside faults: status %d, answer %q (%v)", resp.StatusCode, out.Answer, err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	return func() {
+		close(done)
+		wg.Wait()
 	}
 }
 

@@ -43,8 +43,8 @@ func (e *endpointCounters) record(status int, elapsed time.Duration) {
 	}
 }
 
-// EndpointStats is one route's /stats snapshot — the counters the
-// scenario tests and the bench/ module read (the wire shape lives in the
+// EndpointStats is one route's /stats snapshot — the counters this
+// package's tests and the bench/ module read (the wire shape lives in the
 // api package; docs/operations.md documents each field).
 type EndpointStats = api.EndpointStats
 

@@ -9,7 +9,7 @@ import (
 
 // TestEndpointCountersOnStats drives traffic through distinct outcome
 // classes and checks the /stats endpoint breakdown moved accordingly —
-// these counters are what the scenario tests and bench/ read.
+// these counters are what this package's tests and bench/ read.
 func TestEndpointCountersOnStats(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 
@@ -54,8 +54,8 @@ func TestEndpointCountersOnStats(t *testing.T) {
 }
 
 // TestEndpointCountersShed pins that gate sheds land in the shed class,
-// not client_errors — the scenario client's shed count depends on this
-// distinction.
+// not client_errors — a client counting sheds from /v1/stats, as bench/
+// does, depends on this distinction.
 func TestEndpointCountersShed(t *testing.T) {
 	ts := newTestServer(t, latencySystem(t), Config{
 		MaxInFlight: 1,

@@ -231,9 +231,9 @@ func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// The wire types live in the api package so the scenario harness and
-// external clients share them; the aliases below keep this package's
-// historical names working.
+// The wire types live in the api package so bench/ and external clients
+// share them; the aliases below keep this package's historical names
+// working.
 
 type (
 	IngestRequest       = api.IngestRequest

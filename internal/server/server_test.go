@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -245,6 +246,27 @@ func TestIngestGeneratedCorpusThenQuery(t *testing.T) {
 	if out.Answer != "6" {
 		t.Errorf("count after 6-doc ingest = %q", out.Answer)
 	}
+
+	// A client-side corpus of the same seed, uploaded as blobs under IDs
+	// of its own, lands beside the first instead of over it.
+	corpus, err := ntsb.GenerateCorpus(3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := corpus.Blobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := make(map[string]string, len(raw))
+	for id, b := range raw {
+		blobs["upload-"+id] = base64.StdEncoding.EncodeToString(b)
+	}
+	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Blobs: blobs}, &acc); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blob ingest status = %d", resp.StatusCode)
+	}
+	if ing := waitJobState(t, ts.URL+acc.Location, api.JobDone, 30*time.Second).Result; ing == nil || ing.Documents != 9 {
+		t.Errorf("blob ingest result = %+v, want 9 documents: 6 generated + 3 uploaded", ing)
+	}
 }
 
 func TestIngestValidation(t *testing.T) {
@@ -428,35 +450,40 @@ func TestAdmission429OverHTTP(t *testing.T) {
 		QueueWait:   20 * time.Millisecond,
 	})
 
+	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+
 	const clients = 12
 	statuses := make(chan int, clients)
 	retryAfter := make(chan string, clients)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			// Distinct questions defeat the LLM cache + singleflight so
-			// each request does real work and holds its slot.
-			body, _ := json.Marshal(QueryRequest{
-				Question: fmt.Sprintf("How many incidents were there in year %d?", 2000+i),
-			})
-			resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			statuses <- resp.StatusCode
-			if resp.StatusCode == http.StatusTooManyRequests {
-				retryAfter <- resp.Header.Get("Retry-After")
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
+	// Served or shed, the burst leaves no query goroutine behind.
+	expectNoQueryGoroutines(t, func() {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				// Distinct questions defeat the LLM cache + singleflight so
+				// each request does real work and holds its slot.
+				body, _ := json.Marshal(QueryRequest{
+					Question: fmt.Sprintf("How many incidents were there in year %d?", 2000+i),
+				})
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				statuses <- resp.StatusCode
+				if resp.StatusCode == http.StatusTooManyRequests {
+					retryAfter <- resp.Header.Get("Retry-After")
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+	})
 	close(statuses)
 	close(retryAfter)
 

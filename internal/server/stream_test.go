@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -12,10 +13,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"aryn/internal/core"
+	"aryn/internal/fault"
 	"aryn/internal/llm"
 	"aryn/internal/server/api"
 )
@@ -26,6 +29,7 @@ type sseEvent struct {
 	id   int
 	name string
 	data json.RawMessage
+	at   time.Time // when the event's last line arrived
 }
 
 // sseOpen issues a request with Accept: text/event-stream and returns the
@@ -56,7 +60,9 @@ func sseOpen(t *testing.T, ctx context.Context, method, url string, body any) *h
 }
 
 // readSSE consumes the stream to EOF (the server closes it after the
-// terminal event) and returns every event in arrival order.
+// terminal event) and returns every event in arrival order. A malformed
+// stream fails the test with t.Errorf, so clients on goroutines of their
+// own may call it.
 func readSSE(t *testing.T, body io.Reader) []sseEvent {
 	t.Helper()
 	var events []sseEvent
@@ -68,13 +74,14 @@ func readSSE(t *testing.T, body io.Reader) []sseEvent {
 		switch {
 		case line == "":
 			if cur.name != "" {
+				cur.at = time.Now()
 				events = append(events, cur)
 			}
 			cur = sseEvent{}
 		case strings.HasPrefix(line, "id: "):
 			id, err := strconv.Atoi(strings.TrimPrefix(line, "id: "))
 			if err != nil {
-				t.Fatalf("bad SSE id line %q: %v", line, err)
+				t.Errorf("bad SSE id line %q: %v", line, err)
 			}
 			cur.id = id
 		case strings.HasPrefix(line, "event: "):
@@ -82,11 +89,11 @@ func readSSE(t *testing.T, body io.Reader) []sseEvent {
 		case strings.HasPrefix(line, "data: "):
 			cur.data = json.RawMessage(strings.TrimPrefix(line, "data: "))
 		default:
-			t.Fatalf("unexpected SSE line %q", line)
+			t.Errorf("unexpected SSE line %q", line)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatalf("read SSE stream: %v", err)
+		t.Errorf("read SSE stream: %v", err)
 	}
 	return events
 }
@@ -305,6 +312,11 @@ func executedShape(t *testing.T, resp QueryResponse) execShape {
 	return execShape{branches: executed.Exec.Branches, budget: executed.Exec.Budget, nodeIDs: strings.Join(ids, ",")}
 }
 
+// heartbeatSeq numbers TestQueryStreamHeartbeat's runs, so each asks a
+// question no earlier run in the binary asked and pays the model latency
+// instead of reading verySlowSystem's LLM cache.
+var heartbeatSeq atomic.Int64
+
 // TestQueryStreamHeartbeat: a short heartbeat cadence on a slow query
 // produces multiple heartbeats before the terminal result.
 func TestQueryStreamHeartbeat(t *testing.T) {
@@ -312,8 +324,9 @@ func TestQueryStreamHeartbeat(t *testing.T) {
 		StreamHeartbeat: 10 * time.Millisecond,
 		StreamProgress:  10 * time.Millisecond,
 	})
+	question := fmt.Sprintf("Is the heartbeat cadence observable on this document (run %d)?", heartbeatSeq.Add(1))
 	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query",
-		QueryRequest{Plan: filterPlan("Is the heartbeat cadence observable on this document?")})
+		QueryRequest{Plan: filterPlan(question)})
 	defer resp.Body.Close()
 	events := readSSE(t, resp.Body)
 	heartbeats := 0
@@ -336,6 +349,72 @@ func TestQueryStreamHeartbeat(t *testing.T) {
 	if last := events[len(events)-1]; last.name != api.EventResult {
 		t.Errorf("terminal event = %q, want result", last.name)
 	}
+}
+
+// TestStreamFirstPartialBeatsBatch: against a backend with real per-call
+// latency, the SSE path delivers its first partial batch strictly before
+// the batch path's total wall for the same plan at the same cache
+// temperature — the LLM cache is purged between the runs so both pay the
+// full cold cost.
+func TestStreamFirstPartialBeatsBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock latency bound")
+	}
+	// StreamBatch 1 hands each document to the stream as it clears the
+	// filter. 256 documents are four windows of in-flight model calls (a
+	// model stage keeps 64 in flight), so the batch reply waits for the
+	// last round while the stream's first partial needs only the first.
+	inj := fault.New(fault.Spec{})
+	sys, err := buildSystem(core.Config{
+		Seed:        11,
+		Parallelism: 4,
+		LLMMaxBatch: 1,
+		LLMOptions:  []llm.SimOption{llm.WithLatency(20 * time.Millisecond)},
+		Fault:       inj,
+		StreamBatch: 1,
+	}, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, sys, Config{Fault: inj})
+	req := QueryRequest{Plan: filterPlan("Does the report mention an engine problem?")}
+
+	var batch QueryResponse
+	start := time.Now()
+	if resp := postJSON(t, ts.URL+"/v1/query", req, &batch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch query status = %d", resp.StatusCode)
+	}
+	batchWall := time.Since(start)
+	if resp := postJSON(t, ts.URL+"/v1/faults", FaultControlRequest{PurgeLLMCache: true}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cache purge status = %d", resp.StatusCode)
+	}
+
+	start = time.Now()
+	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", req)
+	defer resp.Body.Close()
+	events := readSSE(t, resp.Body)
+	var streamed QueryResponse
+	decodeEvent(t, events[len(events)-1], &streamed)
+	if streamed.Answer != batch.Answer || streamed.Docs != batch.Docs {
+		t.Fatalf("stream (answer %q, docs %d) != batch (answer %q, docs %d)",
+			streamed.Answer, streamed.Docs, batch.Answer, batch.Docs)
+	}
+	partials, firstPartial := 0, time.Duration(0)
+	for _, ev := range events {
+		if ev.name == api.EventPartial {
+			if partials == 0 {
+				firstPartial = ev.at.Sub(start)
+			}
+			partials++
+		}
+	}
+	if partials == 0 {
+		t.Fatalf("stream carried no partial batches (events: %v); nothing pipelined", eventNames(events))
+	}
+	if firstPartial >= batchWall {
+		t.Errorf("first partial at %s did not beat the %s batch wall", firstPartial, batchWall)
+	}
+	t.Logf("batch wall %s, stream first partial %s (%d partials)", batchWall, firstPartial, partials)
 }
 
 // TestQueryStreamInvalidPlanErrorEvent: failures after the stream opened

@@ -10,7 +10,10 @@
 #      or directory that exists (external http(s) links are not fetched —
 #      the gate is hermetic);
 #   4. every docs/*.md page is linked from at least one other markdown
-#      file (no orphaned documentation).
+#      file (no orphaned documentation);
+#   5. every backticked internal/, cmd/, scripts/ or examples/ path in
+#      the current documentation exists on disk (ROADMAP.md and
+#      CHANGES.md are history and stay out).
 #
 # Fails with a list of every problem found, not just the first.
 set -uo pipefail
@@ -96,6 +99,23 @@ for page in docs/*.md; do
     echo "docscheck: $page is not linked from any other markdown file" >&2
     fail=1
   fi
+done
+
+# ---- 5. backticked source paths exist ----
+# A path inside a code span names a file or directory: `internal/x`,
+# `./cmd/y`, `internal/x/file.go:45`. A line suffix is dropped, and a
+# pattern (`{a,b}`, `*`, `<pkg>`) is checked up to its first wildcard.
+for md in README.md ARCHITECTURE.md docs/*.md .claude/skills/verify/SKILL.md; do
+  [ -e "$md" ] || continue
+  paths=$(grep -o '`[^`]*`' "$md" |
+    grep -oE '(^`|[ (=])(\./)?(internal|cmd|scripts|examples)/[^ `:,;)]*' |
+    sed -E 's/^[` (=]//; s/^\.\///; s/[{*<].*//; s/[./]+$//' | sort -u)
+  for p in $paths; do
+    if [ ! -e "$p" ]; then
+      echo "docscheck: $md names missing path: $p" >&2
+      fail=1
+    fi
+  done
 done
 
 if [ "$fail" -ne 0 ]; then
