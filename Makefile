@@ -86,8 +86,9 @@ docs-check:
 # runs use -benchtime=default. These regenerate the paper's numbers; how
 # fast the system is, is measured by bench/ alone (go run -C bench .). Two
 # print sizes next to each other in every CI log: BenchmarkStoreFootprint
-# (heap per stored report and per chunk) and BenchmarkExactScan (bytes per
-# vector row, rows scored per second).
+# (heap per stored report and per chunk), BenchmarkExactScan (bytes per
+# vector row, rows scored per second) and BenchmarkRawdocCodec (encode and
+# decode time and allocations per report, blob bytes per report).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -103,7 +104,7 @@ bench-e2e:
 # the optimization-loop packages (internal/cost, internal/luna,
 # internal/docset, internal/llm), the retrieval pair (internal/index,
 # internal/embed), the serving pair (internal/server,
-# internal/resilience) and internal/docmodel. CI uploads coverage.out as
+# internal/resilience), internal/docmodel and internal/rawdoc. CI uploads coverage.out as
 # an artifact.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
@@ -112,16 +113,20 @@ cover:
 # Short native-fuzz smoke: the plan surface (decode, validate, and the
 # cost-rewrite phase each fuzz briefly beyond their seed corpora,
 # testdata/fuzz/), the first persisted-file loader, the index snapshot
-# (an error or a usable store, never a panic), and the vector row codec
-# (any finite float32 row: unit decoded norm, encode∘decode idempotent). One
-# -fuzz pattern per invocation — go test allows only a single fuzzing target
-# at a time.
+# (an error or a usable store, never a panic), the vector row codec
+# (any finite float32 row: unit decoded norm, encode∘decode idempotent) and
+# the rawdoc blob decoder /v1/ingest feeds client bytes (an error or a
+# document, never a panic, never a heap much past the blob's size; its
+# minimizing is capped at 1s, or shrinking one ≈ 9 KB seed blob eats the
+# whole burst). One -fuzz pattern per invocation — go test allows only a
+# single fuzzing target at a time.
 fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzCostRewrite$$' -fuzztime 10s
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzIndexLoad$$' -fuzztime 10s
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzVectorCodec$$' -fuzztime 10s
+	$(GO) test ./internal/rawdoc/ -run '^$$' -fuzz '^FuzzRawdocDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Source size: non-test Go lines under internal/ and cmd/ (bench/ is a
 # module of its own and stays out), per package and in total — the number

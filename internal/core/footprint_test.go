@@ -10,8 +10,7 @@ import (
 )
 
 // liveHeap is the heap still reachable after a collection; after two, since
-// what a sync.Pool held (corpus generation's encoders, ≈ 1.7 MB) survives the
-// first as the pool's victim cache.
+// what a sync.Pool held survives the first as the pool's victim cache.
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()

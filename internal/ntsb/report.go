@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"aryn/internal/llm"
 	"aryn/internal/rawdoc"
@@ -336,30 +333,15 @@ func GenerateCorpus(n int, seed int64) (*Corpus, error) {
 	return c, nil
 }
 
-// Blobs encodes every report to its rawdoc binary, keyed by report ID, on
-// GOMAXPROCS workers: encoding (JSON under gzip) is pure computation and
-// the reports are independent.
+// Blobs encodes every report to its rawdoc binary, keyed by report ID.
 func (c *Corpus) Blobs() (map[string][]byte, error) {
-	blobs := make([][]byte, len(c.Docs))
-	errs := make([]error, len(c.Docs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(c.Docs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(c.Docs); i = int(next.Add(1)) - 1 {
-				blobs[i], errs[i] = c.Docs[i].Encode()
-			}
-		}()
-	}
-	wg.Wait()
 	out := make(map[string][]byte, len(c.Docs))
-	for i, d := range c.Docs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("ntsb: encode %s: %w", d.ID, errs[i])
+	for _, d := range c.Docs {
+		blob, err := d.Encode()
+		if err != nil {
+			return nil, fmt.Errorf("ntsb: encode %s: %w", d.ID, err)
 		}
-		out[d.ID] = blobs[i]
+		out[d.ID] = blob
 	}
 	return out, nil
 }

@@ -2,8 +2,9 @@ package rawdoc
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/json"
+	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,7 @@ func TestRunsBelongToSomeRegion(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	d := buildSample()
+	d.Meta = map[string]string{"source": "ntsb", "kind": "final", "year": "2024", "agency": "NTSB"}
 	blob, err := d.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -96,42 +98,60 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != d.ID || len(got.Pages) != len(d.Pages) || len(got.Regions) != len(d.Regions) {
+	if !reflect.DeepEqual(got, d) {
 		t.Errorf("round trip mismatch: %s vs %s", got.Stats(), d.Stats())
 	}
-	if len(got.Pages[0].Runs) != len(d.Pages[0].Runs) {
-		t.Error("runs lost in round trip")
-	}
 
-	// Encode reuses gzip writers: the bytes are those of a fresh writer,
-	// first use or not.
-	var fresh bytes.Buffer
-	fresh.Write(magic)
-	zw := gzip.NewWriter(&fresh)
-	if err := json.NewEncoder(zw).Encode(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range 3 {
+	// Meta is written in key order, so map iteration cannot change the
+	// bytes: the same document always encodes the same.
+	for i := range 5 {
 		again, err := d.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, fresh.Bytes()) || !bytes.Equal(again, blob) {
-			t.Fatalf("Encode #%d differs from a fresh gzip.Writer's bytes", i+2)
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("Encode #%d differs from the first", i+2)
 		}
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not a rawdoc")); err == nil {
-		t.Error("Decode should reject foreign bytes")
+	blob, err := buildSample().Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Decode(append([]byte("RAWDOC1\n"), 0xff, 0x00)); err == nil {
-		t.Error("Decode should reject corrupt gzip")
+	bad := map[string][]byte{
+		"foreign bytes":  []byte("not a rawdoc"),
+		"empty":          nil,
+		"RAWDOC1 header": append([]byte("RAWDOC1\n"), blob[len(magic):]...),
+		"trailing byte":  append(bytes.Clone(blob), 0),
+		"huge count":     append(bytes.Clone(magic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
+		"bad bool":       badBool(t),
 	}
+	for name, b := range bad {
+		if _, err := Decode(b); err == nil {
+			t.Errorf("%s: Decode accepted it", name)
+		}
+	}
+	for n := range len(blob) {
+		if _, err := Decode(blob[:n]); err == nil {
+			t.Fatalf("Decode accepted the blob truncated to %d of %d bytes", n, len(blob))
+		}
+	}
+}
+
+// badBool is a minimal blob whose one region's table flag is 2.
+func badBool(t *testing.T) []byte {
+	d := &Doc{ID: "x", Regions: []Region{{Page: 1}}}
+	blob, err := d.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(blob); err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)-2] = 2 // the table flag; the image flag is last
+	return blob
 }
 
 func TestWrap(t *testing.T) {
@@ -232,4 +252,67 @@ func TestCharWidthMonotonic(t *testing.T) {
 	if TextWidth("abcd", FontBody) != 4*CharWidth(FontBody) {
 		t.Error("TextWidth should be len*CharWidth")
 	}
+}
+
+// maxAllocPerByte bounds what Decode may allocate per blob byte: the worst
+// element is a one-byte Meta key, a map entry from three bytes.
+const maxAllocPerByte = 32
+
+// FuzzRawdocDecode feeds the decoder /v1/ingest's input: never a panic, never
+// an allocation far past the blob's size, and what decodes re-encodes to a
+// canonical blob that decodes to itself.
+func FuzzRawdocDecode(f *testing.F) {
+	blob, err := buildSample().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add(append([]byte("RAWDOC1\n"), blob[len(magic):]...))
+	f.Add(append(bytes.Clone(magic), 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	// Hundreds of one- and two-byte Meta keys: the most heap per input byte
+	// a valid blob can ask for (≈ 21×).
+	meta := &Doc{ID: "m", Meta: map[string]string{}}
+	for i := range 256 {
+		meta.Meta[string(rune(i))] = ""
+	}
+	if blob, err = meta.Encode(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, limit := decodeAlloc(data), uint64(maxAllocPerByte*len(data)+4096); got > limit {
+			t.Fatalf("Decode of %d bytes allocated %d, over %d", len(data), got, limit)
+		}
+		d, err := Decode(data)
+		if err != nil {
+			return
+		}
+		canon, err := d.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d2, err := Decode(canon)
+		if err != nil {
+			t.Fatalf("re-encoded blob does not decode: %v", err)
+		}
+		if again, _ := d2.Encode(); !bytes.Equal(again, canon) {
+			t.Fatal("re-encoding is not stable")
+		}
+	})
+}
+
+// decodeAlloc is the fewest bytes any of three Decodes of data allocated:
+// TotalAlloc is process-wide, and the minimum drops what other goroutines
+// (the fuzzing engine's) allocated meanwhile.
+func decodeAlloc(data []byte) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = Decode(data)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -71,7 +71,10 @@ type ErrorEnvelope struct {
 // IngestRequest loads documents: either raw blobs (base64 rawdoc
 // binaries keyed by document ID) or a generated synthetic NTSB corpus.
 type IngestRequest struct {
-	// Blobs are base64-encoded rawdoc binaries keyed by document ID.
+	// Blobs are base64-encoded rawdoc binaries keyed by document ID, ≈ 21 KB
+	// per NTSB report, so a request under the 64 MiB default body cap
+	// carries ≈ 3,000 reports. Each must decode as a rawdoc, or the request
+	// is a 400 naming the first bad ID in sorted order.
 	Blobs map[string]string `json:"blobs,omitempty"`
 	// Docs generates that many synthetic NTSB reports when Blobs is empty.
 	Docs int `json:"docs,omitempty"`

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"aryn/internal/docset"
 	"aryn/internal/ntsb"
+	"aryn/internal/rawdoc"
 	"aryn/internal/server/api"
 )
 
@@ -313,14 +316,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestBlobs materializes the request's document set: decoded client
-// blobs when provided, a generated NTSB corpus otherwise.
+// blobs when provided, a generated NTSB corpus otherwise. Client blobs are
+// checked in ID order, so the error names the first bad one: a blob that
+// is not a rawdoc is the client's mistake, and a 400 now, not a failed job
+// later.
 func (s *Server) ingestBlobs(req IngestRequest) (map[string][]byte, error) {
 	if len(req.Blobs) > 0 {
 		blobs := make(map[string][]byte, len(req.Blobs))
-		for id, b64 := range req.Blobs {
-			raw, err := base64.StdEncoding.DecodeString(b64)
+		for _, id := range slices.Sorted(maps.Keys(req.Blobs)) {
+			raw, err := base64.StdEncoding.DecodeString(req.Blobs[id])
 			if err != nil {
 				return nil, fmt.Errorf("blob %q: invalid base64: %w", id, err)
+			}
+			if _, err := rawdoc.Decode(raw); err != nil {
+				return nil, fmt.Errorf("blob %q: %w", id, err)
 			}
 			blobs[id] = raw
 		}

@@ -286,6 +286,47 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// A blob that is not a rawdoc is the client's mistake: 400 bad_request
+// naming the first bad blob in ID order, and no job is queued.
+func TestIngestRejectsNonRawdocBlob(t *testing.T) {
+	sys, err := buildSystem(core.Config{Seed: 3, Parallelism: 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, sys, Config{})
+	corpus, err := ntsb.GenerateCorpus(1, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := corpus.Docs[0].Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &before)
+	for name, bad := range map[string][]byte{
+		"garbage":   []byte("%PDF-1.7 not a rawdoc"),
+		"truncated": good[:len(good)/2],
+	} {
+		blobs := map[string]string{
+			"a-good": base64.StdEncoding.EncodeToString(good),
+			"b-bad":  base64.StdEncoding.EncodeToString(bad),
+			"c-good": base64.StdEncoding.EncodeToString(good),
+		}
+		var env api.ErrorEnvelope
+		resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Blobs: blobs}, &env)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeBadRequest ||
+			!strings.Contains(env.Error.Message, `"b-bad"`) {
+			t.Errorf("%s blob: %d %+v, want 400 bad_request naming \"b-bad\"", name, resp.StatusCode, env.Error)
+		}
+	}
+	var after StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &after)
+	if after.Jobs != before.Jobs {
+		t.Errorf("jobs %+v → %+v: a rejected ingest queued a job", before.Jobs, after.Jobs)
+	}
+}
+
 func TestChatSessionFollowUp(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 

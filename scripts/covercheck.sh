@@ -11,8 +11,9 @@
 # the Sim); and the retrieval pair under it, internal/index and
 # internal/embed, whose every score is pinned to the bit; and the serving
 # pair, internal/server and internal/resilience; and internal/docmodel,
-# whose Sections() the scoped extract builds its prompts from. Floors are
-# set below current coverage so they catch erosion, not noise.
+# whose Sections() the scoped extract builds its prompts from; and
+# internal/rawdoc, whose decoder reads client bytes from /v1/ingest. Floors
+# are set below current coverage so they catch erosion, not noise.
 #
 # Usage: covercheck.sh <coverage-profile>
 set -uo pipefail
@@ -35,6 +36,7 @@ aryn/internal/index 94
 aryn/internal/embed 96
 aryn/internal/server 88
 aryn/internal/resilience 88
+aryn/internal/rawdoc 92
 "
 
 awk -v floors="$FLOORS" '
