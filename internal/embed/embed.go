@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"aryn/internal/llm"
+	"aryn/internal/simd"
 )
 
 // Dim is the embedding dimensionality. MiniLM uses 384 trained
@@ -122,10 +123,7 @@ func (h *Hash) Embed(text string) []float32 {
 	for _, tok := range toks {
 		// Sub-linear term frequency, as in standard lexical weighting.
 		w := float32(1 + math.Log(float64(counts[tok])))
-		dir := h.tokenDirection(tok)
-		for i, v := range dir {
-			vec[i] += w * v
-		}
+		accumulate(vec, w, h.tokenDirection(tok))
 		// Semantic smoothing toward synonym directions.
 		syns := llm.Expand(tok)
 		if len(syns) > 5 {
@@ -134,15 +132,29 @@ func (h *Hash) Embed(text string) []float32 {
 		neighbors := append(syns[1:], encoderAssociations[tok]...)
 		for _, syn := range neighbors {
 			for _, word := range strings.Fields(syn) {
-				sdir := h.tokenDirection(stem(word))
-				for i, v := range sdir {
-					vec[i] += synonymWeight * w * v
-				}
+				accumulate(vec, synonymWeight*w, h.tokenDirection(stem(word)))
 			}
 		}
 	}
 	Normalize(vec)
 	return vec
+}
+
+// kernel is whether accumulate runs simd.Axpy. It is fixed at start-up by
+// the CPU; tests turn it off to hold the Go loop to the same bits.
+var kernel = simd.Available()
+
+// accumulate adds w·dir to vec, each product rounded to float32 before the
+// add: simd.Axpy where the CPU has it, the Go loop — which amd64 compiles
+// to exactly that multiply and add — otherwise.
+func accumulate(vec []float32, w float32, dir []float32) {
+	if kernel {
+		simd.Axpy(vec, w, dir)
+		return
+	}
+	for i, v := range dir {
+		vec[i] += w * v
+	}
 }
 
 // tokenDirection derives the token's unit direction from its hash,

@@ -15,6 +15,13 @@
 // detector confidences, table cell grids) is not: PutDocument keeps the
 // document's docmodel.Document.TextView.
 //
+// On CPUs with AVX2 and FMA the scan's dot product is simd.Dot, in float64,
+// and it is exact, not approximate. The quantised unit query has |q| ≤ 2³⁰
+// and Σq² ≈ 2⁶⁰, so Σ|q| ≤ 2³⁰·√d; with |code| ≤ 32,767 every partial sum,
+// in any order, is an integer below 2⁴⁵·√d (2⁵⁰ at d = 1,024, under 2⁵²
+// at the kernel's longest row, 8,192), which float64 holds exactly: the
+// int64 dot and the score bits are the Go loop's.
+//
 // Concurrency: Store is safe for concurrent readers and writers behind
 // internal locks. Reads are zero-clone: that view is taken once on Put and
 // the shared snapshot is returned directly thereafter — callers must treat

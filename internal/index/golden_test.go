@@ -196,8 +196,13 @@ func goldenSearches(store *index.Store) string {
 	return b.String()
 }
 
+// TestSearchMatchesGolden holds both vector scans to the golden: the simd
+// kernel where the CPU has it, and the Go loop every other CPU runs.
 func TestSearchMatchesGolden(t *testing.T) {
-	checkGolden(t, "testdata/search_golden.txt", goldenSearches(goldenStore(t)))
+	store := goldenStore(t)
+	checkGolden(t, "testdata/search_golden.txt", goldenSearches(store))
+	defer index.SetKernel(false)()
+	checkGolden(t, "testdata/search_golden.txt", goldenSearches(store))
 }
 
 // A snapshot carries each chunk's decoded row, and Load encodes it again:

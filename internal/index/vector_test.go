@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"aryn/internal/embed"
+	"aryn/internal/simd"
 )
 
 func randomVectors(n, dim int, seed int64) [][]float32 {
@@ -70,12 +71,12 @@ func fullSortRanking(cands []Scored, k int) []Scored {
 // the float cosine a caller computes over the vectors hits carry —
 // including duplicate-vector score ties broken by id, every score within
 // 1e-7 of that cosine. GOMAXPROCS is raised so the sharded scan
-// (n >= 2*exactShardMin with multiple workers) is exercised even on
+// (n >= 2*rowsPerWorker with multiple workers) is exercised even on
 // single-core runners.
 func TestExactHeapSelectMatchesFullSort(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const dim = 32
-	vecs := randomVectors(2*exactShardMin+800, dim, 11)
+	vecs := randomVectors(2*rowsPerWorker+800, dim, 11)
 	// Duplicates exercise the id tie-break.
 	for i := 0; i < 200; i++ {
 		vecs = append(vecs, vecs[i])
@@ -125,15 +126,37 @@ func referenceScore(t *testing.T, query, vec []float32) float64 {
 	return float64(sum) * r.mul / (1 << 30)
 }
 
-// TestScanMatchesDotBitForBit holds the four-rows-per-pass scan to a
-// one-row-at-a-time integer dot product, score bits and all: for every
-// remainder of n mod 4, with rows of the wrong length in the middle of a
-// group of four (they score 0), and through the sharded path.
+// onBothScans runs test once per scan: the simd.Dot kernel (where the CPU
+// has it) and the Go loop, so every CPU that has the kernel also tests the
+// path the others take.
+func onBothScans(t *testing.T, test func(t *testing.T)) {
+	for _, on := range []bool{true, false} {
+		name := map[bool]string{true: "kernel", false: "go"}[on]
+		t.Run(name, func(t *testing.T) {
+			if on && !simd.Available() {
+				t.Skip("this CPU has no kernel")
+			}
+			defer func(was bool) { kernel = was }(kernel)
+			kernel = on
+			test(t)
+		})
+	}
+}
+
+// TestScanMatchesDotBitForBit holds both scans — the kernel and the Go
+// loop's four rows per pass — to a one-row-at-a-time integer dot product,
+// score bits and all: for every remainder of n mod 4, with rows of the
+// wrong length in the middle of a group of four (they score 0), and
+// through the sharded path.
 func TestScanMatchesDotBitForBit(t *testing.T) {
+	onBothScans(t, testScanMatchesDot)
+}
+
+func testScanMatchesDot(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const dim = 64
 	q := randomVectors(1, dim, 31)[0]
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 101, 2*exactShardMin + 3} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 101, 2*rowsPerWorker + 3} {
 		vecs := randomVectors(n, dim, int64(32+n))
 		if n > 6 {
 			vecs[5] = vecs[5][:dim-1] // wrong length inside the second group
@@ -174,10 +197,14 @@ func TestScanMatchesDotBitForBit(t *testing.T) {
 // TestScanSplitInvariant is the property integer sums buy: a row's score is
 // one exact integer whatever else the scan did, so cutting the rows into 1
 // to 8 shards, or storing them in the opposite order, returns the same
-// Scored list to the bit.
+// Scored list to the bit — on either scan.
 func TestScanSplitInvariant(t *testing.T) {
+	onBothScans(t, testScanSplitInvariant)
+}
+
+func testScanSplitInvariant(t *testing.T) {
 	const dim = 16
-	vecs := randomVectors(8*exactShardMin+5, dim, 41)
+	vecs := randomVectors(8*rowsPerWorker+5, dim, 41)
 	forward, backward := NewExact(), NewExact()
 	for i := range vecs {
 		if err := forward.Add(i, vecs[i]); err != nil {
@@ -346,12 +373,14 @@ func TestStoredChunkHoldsNoFloatSlice(t *testing.T) {
 	}
 }
 
-// BenchmarkExactScan is the retrieval-heavy workload's inner loop alone: a
-// top-10 search over 7,642 unit rows of 1,024 (the 1,500-accident corpus's
-// chunk count), with what a row costs on the heap beside how fast rows are
-// scored. `make bench` prints both in every CI log.
-func BenchmarkExactScan(b *testing.B) {
-	const n, dim = 7642, 1024
+// BenchmarkExactSearch is the retrieval-heavy workload's inner loop alone: a
+// top-10 search over 7,635 unit rows of 1,024 (the 1,500-accident corpus's
+// chunk count), on each scan — the simd.Dot kernel and the Go loop — at one
+// shard and at as many as GOMAXPROCS and rowsPerWorker allow. Beside ns/op
+// it prints the row bytes scanned per second and what a row costs on the
+// heap; `make bench` prints all three in every CI log.
+func BenchmarkExactSearch(b *testing.B) {
+	const n, dim = 7635, 1024
 	base := liveHeap()
 	e := NewExact()
 	rng := rand.New(rand.NewSource(61))
@@ -368,13 +397,27 @@ func BenchmarkExactScan(b *testing.B) {
 		}
 	}
 	bytesPerRow := float64(liveHeap()-base) / n
-	for b.Loop() {
-		if hits := e.Search(vec, 10); len(hits) != 10 {
-			b.Fatalf("%d hits", len(hits))
+	procs := runtime.GOMAXPROCS(0)
+	for _, on := range []bool{true, false} {
+		for _, shards := range []int{1, min(procs, n/rowsPerWorker)} {
+			name := fmt.Sprintf("%s/shards=%d", map[bool]string{true: "kernel", false: "go"}[on], shards)
+			b.Run(name, func(b *testing.B) {
+				if on && !simd.Available() {
+					b.Skip("this CPU has no kernel")
+				}
+				defer func(was bool) { kernel = was }(kernel)
+				kernel = on
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(shards, 1)))
+				for b.Loop() {
+					if hits := e.Search(vec, 10); len(hits) != 10 {
+						b.Fatalf("%d hits", len(hits))
+					}
+				}
+				b.ReportMetric(float64(n*dim*2)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+				b.ReportMetric(bytesPerRow, "bytes/row")
+			})
 		}
 	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-	b.ReportMetric(bytesPerRow, "bytes/row")
 }
 
 // TestBM25HeapSelectMatchesFullSort proves BM25's bounded top-k equals

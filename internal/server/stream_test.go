@@ -19,6 +19,7 @@ import (
 
 	"aryn/internal/core"
 	"aryn/internal/fault"
+	"aryn/internal/index"
 	"aryn/internal/llm"
 	"aryn/internal/server/api"
 )
@@ -451,8 +452,9 @@ func goroutineDump() string {
 // expectNoQueryGoroutines runs fn — requests against an already-warm test
 // server — and then waits for the goroutine count to settle back to where
 // it started. A count that stays high fails the test only when a query's
-// own frames (handler, executor, pipeline stages) are still on a stack:
-// idle HTTP connections come and go on their own schedule.
+// own frames (handler, executor, pipeline stages, index scan shards) are
+// still on a stack: idle HTTP connections come and go on their own
+// schedule.
 func expectNoQueryGoroutines(t *testing.T, fn func()) {
 	t.Helper()
 	http.DefaultClient.CloseIdleConnections()
@@ -466,7 +468,7 @@ func expectNoQueryGoroutines(t *testing.T, fn func()) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		dump := goroutineDump()
-		for _, frame := range []string{"(*Server).handleQuery", "(*Server).streamQuery", "aryn/internal/luna.", "aryn/internal/docset."} {
+		for _, frame := range []string{"(*Server).handleQuery", "(*Server).streamQuery", "aryn/internal/luna.", "aryn/internal/docset.", "aryn/internal/index."} {
 			if strings.Contains(dump, frame) {
 				t.Errorf("goroutines: %d before, %d after, with %s still running:\n%s", before, after, frame, dump)
 				return
@@ -541,5 +543,97 @@ func TestQueryStreamDisconnectReleasesSlot(t *testing.T) {
 		if out.Answer != "16" {
 			t.Errorf("follow-up answer = %q, want 16", out.Answer)
 		}
+	})
+}
+
+// shardedChunks is how many chunks shardedSystem pads its store with: over
+// twice the 1,024 rows an index scan shard takes at least, so every vector
+// search on it starts scan goroutines once GOMAXPROCS is 2 or more.
+const shardedChunks = 2100
+
+var (
+	shardedOnce sync.Once
+	shardedSys  *core.System
+	shardedErr  error
+)
+
+// shardedSystem is verySlowSystem's configuration with a vector index large
+// enough to shard: the 16 reports, plus shardedChunks chunks spread over
+// them.
+func shardedSystem(t *testing.T) *core.System {
+	t.Helper()
+	shardedOnce.Do(func() {
+		shardedSys, shardedErr = buildSystem(core.Config{
+			Seed:        7,
+			Parallelism: 4,
+			LLMMaxBatch: 1,
+			LLMOptions:  []llm.SimOption{llm.WithLatency(50 * time.Millisecond)},
+		}, 16)
+		if shardedErr != nil {
+			return
+		}
+		docs := shardedSys.Store.Documents()
+		for i := 0; i < shardedChunks && shardedErr == nil; i++ {
+			text := fmt.Sprintf("note %d on engine power, fuel and the landing gear", i)
+			shardedErr = shardedSys.Store.PutChunk(index.Chunk{
+				ID:       fmt.Sprintf("pad-%d", i),
+				ParentID: docs[i%len(docs)].ID,
+				Text:     text,
+				Vector:   shardedSys.Embedder.Embed(text),
+			})
+		}
+	})
+	if shardedErr != nil {
+		t.Fatal(shardedErr)
+	}
+	return shardedSys
+}
+
+// vectorPlan is queryVectorDatabase → llmFilter → count: the filter holds
+// the request on the model long after the search.
+func vectorPlan(question string) json.RawMessage {
+	return json.RawMessage(`{"nodes":[
+		{"id":"n1","op":"queryVectorDatabase","query":"loss of engine power","k":20},
+		{"id":"n2","op":"llmFilter","question":"` + question + `","inputs":["n1"]},
+		{"id":"n3","op":"count","inputs":["n2"]}],"output":"n3"}`)
+}
+
+// TestShardedVectorQueryLeavesNoGoroutines: a vector query over a store
+// large enough to shard its scan leaves no scan shard behind, whether it
+// runs to completion or its client vanishes mid-request.
+func TestShardedVectorQueryLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sys := shardedSystem(t)
+	if n := sys.Store.NumChunks(); n < shardedChunks {
+		t.Fatalf("store holds %d chunks, want at least %d", n, shardedChunks)
+	}
+	ts := newTestServer(t, sys, Config{StreamProgress: 5 * time.Millisecond})
+	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+
+	t.Run("completed", func(t *testing.T) {
+		expectNoQueryGoroutines(t, func() {
+			var out QueryResponse
+			plan := vectorPlan("Did this search finish cleanly?")
+			if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: plan}, &out); resp.StatusCode != http.StatusOK {
+				t.Fatalf("vector query status = %d", resp.StatusCode)
+			}
+			if out.Answer == "" {
+				t.Error("vector query came back without an answer")
+			}
+		})
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		expectNoQueryGoroutines(t, func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			resp := sseOpen(t, ctx, "POST", ts.URL+"/v1/query",
+				QueryRequest{Plan: vectorPlan("Did this search outlive its client?")})
+			if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+				t.Fatalf("read first event line: %v", err)
+			}
+			cancel()
+			resp.Body.Close()
+		})
 	})
 }

@@ -9,7 +9,8 @@
 # phase), internal/docset (execution, including the proxy cascade) and
 # internal/llm (the call middleware every model token passes through, and
 # the Sim); and the retrieval pair under it, internal/index and
-# internal/embed, whose every score is pinned to the bit; and the serving
+# internal/embed, whose every score is pinned to the bit, with
+# internal/simd, the kernels both run on AVX2 CPUs; and the serving
 # pair, internal/server and internal/resilience; and internal/docmodel,
 # whose Sections() the scoped extract builds its prompts from; and
 # internal/rawdoc, whose decoder reads client bytes from /v1/ingest. Floors
@@ -34,6 +35,7 @@ aryn/internal/docmodel 85
 aryn/internal/llm 91
 aryn/internal/index 94
 aryn/internal/embed 96
+aryn/internal/simd 81
 aryn/internal/server 88
 aryn/internal/resilience 88
 aryn/internal/rawdoc 92
