@@ -120,10 +120,12 @@ cover:
 # the rawdoc blob decoder /v1/ingest feeds client bytes (an error or a
 # document, never a panic, never a heap much past the blob's size; its
 # minimizing is capped at 1s, or shrinking one ≈ 9 KB seed blob eats the
-# whole burst) and the simd dot-product kernel (any query inside its
-# exactness bound against any codes: the int64 loop's sum, to the bit). One
-# -fuzz pattern per invocation — go test allows only a single fuzzing
-# target at a time.
+# whole burst), the simd dot-product kernel (any query inside its
+# exactness bound against any codes: the int64 loop's sum, to the bit) and
+# the filter prompt (any questions, document ID and text: the packed prompt
+# reads back to them, and the Sim's packed reply is its solo replies, line
+# by line). One -fuzz pattern per invocation — go test allows only a single
+# fuzzing target at a time.
 fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
@@ -132,6 +134,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzVectorCodec$$' -fuzztime 10s
 	$(GO) test ./internal/rawdoc/ -run '^$$' -fuzz '^FuzzRawdocDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s
 
 # Source size: non-test Go lines under internal/ and cmd/ (bench/ is a
 # module of its own and stays out), per package and in total — the number

@@ -64,7 +64,7 @@ func main() {
 		maxJobs     = flag.Int("max-queued-jobs", 4, "max ingest jobs waiting for the worker before shedding 429s")
 		faultSpec   = flag.String("fault-spec", "", "activate this JSON fault spec at boot (implies -fault-endpoint; see docs/fault-injection.md)")
 		faultEP     = flag.Bool("fault-endpoint", false, "expose the dev-only /v1/faults chaos-control endpoint")
-		optimize    = flag.Bool("optimize", false, "run the optimize phase (proxy cascades in front of llmFilters, llmExtracts scoped to a section) by default; the per-request \"optimize\" field overrides. The exact rewrites (filter hoisting, llmFilter fusion) always run")
+		optimize    = flag.Bool("optimize", false, "run the optimize phase (llmExtracts scoped to a section) by default; the per-request \"optimize\" field overrides. The exact rewrites (filter hoisting, llmFilter fusion) always run")
 		feedback    = flag.String("feedback", "", "optimizer feedback-store path: warm-start from it at boot, persist back on shutdown")
 	)
 	flag.Parse()
@@ -128,7 +128,7 @@ func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache s
 		log.Printf("arynd: LLM cache warm-start from %s", llmCache)
 	}
 	if optimize {
-		log.Printf("arynd: optimize phase (proxy cascades, scoped extracts) ON by default")
+		log.Printf("arynd: optimize phase (scoped extracts) ON by default")
 	}
 	if feedback != "" {
 		log.Printf("arynd: optimizer feedback warm-start from %s (%d signatures)", feedback, sys.OptimizerStats().Entries)

@@ -1,0 +1,150 @@
+package core_test
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"testing"
+
+	"aryn/internal/core"
+	"aryn/internal/docset"
+	"aryn/internal/index"
+	"aryn/internal/llm"
+	"aryn/internal/ntsb"
+	"aryn/internal/qa"
+)
+
+// mixQuestions are the predicates of the six-plan optimizer mix (bench's
+// optimizerMix).
+var mixQuestions = []string{
+	"Does the report mention a fire?",
+	"Does the report mention fuel?",
+	"Does the report mention a pilot?",
+	"Does the report mention ice?",
+	"Does the report mention birds?",
+}
+
+// TestScopedFilterVerdicts holds llmFilter's scope to its contract: over the
+// corpora of seeds 42 to 45, every distinct filter predicate the 30
+// benchmark questions plan and the optimizer mix asks gets, from every
+// report, the verdict the whole report gets. It also reports what the scope
+// reads: a share of the whole report's prompt tokens.
+func TestScopedFilterVerdicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four corpora")
+	}
+	ctx := context.Background()
+	changed, verdicts := 0, 0
+	for _, seed := range []int64{42, 43, 44, 45} {
+		t.Run(fmt.Sprintf("corpus %d", seed), func(t *testing.T) {
+			corpus, err := ntsb.GenerateCorpus(100, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs, err := corpus.Blobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := core.New(core.Config{Seed: 7, Parallelism: 4})
+			if _, err := sys.Ingest(ctx, blobs); err != nil {
+				t.Fatal(err)
+			}
+			questions := slices.Clone(mixQuestions)
+			for _, q := range qa.Questions(corpus) {
+				pv, err := sys.QueryService().PlanOnly(ctx, q.Text)
+				if err != nil {
+					t.Fatalf("q%02d: %v", q.ID, err)
+				}
+				var plan struct {
+					Nodes []struct {
+						Op, Question string
+						Questions    []string
+					}
+				}
+				if err := json.Unmarshal([]byte(pv.Rewritten.JSON()), &plan); err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range plan.Nodes {
+					if n.Op != "llmFilter" && n.Op != "fraction" {
+						continue
+					}
+					for _, pred := range append(n.Questions, n.Question) {
+						if pred != "" && !slices.Contains(questions, pred) {
+							questions = append(questions, pred)
+						}
+					}
+				}
+			}
+			if len(questions) <= len(mixQuestions) {
+				t.Fatalf("the benchmark questions plan no llmFilter beyond the mix's: %q", questions)
+			}
+			scopedTokens, wholeTokens := 0, 0
+			for _, hit := range sys.Store.SearchDocs(index.Query{}) {
+				d := hit.Doc
+				for _, q := range questions {
+					scoped := docset.FilterGroup([]string{q}, d).Reqs[0]
+					whole := llm.Request{Prompt: llm.FilterPrompt(q, d.ID, d.TextContent())}
+					rs, err := sys.Sim.Complete(ctx, scoped)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rw, err := sys.Sim.Complete(ctx, whole)
+					if err != nil {
+						t.Fatal(err)
+					}
+					verdicts++
+					if rs.Text != rw.Text {
+						changed++
+						t.Errorf("%s, %q: %q scoped, %q whole", d.ID, q, rs.Text, rw.Text)
+					}
+					scopedTokens += rs.Usage.PromptTokens
+					wholeTokens += rw.Usage.PromptTokens
+				}
+			}
+			if scopedTokens > wholeTokens {
+				t.Errorf("the scoped prompts cost %d tokens, the whole ones %d", scopedTokens, wholeTokens)
+			}
+			t.Logf("%d predicates over %d reports: scoped prompts %d tokens, whole %d (%.1f%%)",
+				len(questions), len(sys.Store.SearchDocs(index.Query{})), scopedTokens, wholeTokens,
+				100*float64(scopedTokens)/float64(wholeTokens))
+		})
+	}
+	t.Logf("%d changed verdicts of %d", changed, verdicts)
+}
+
+// BenchmarkWarmFilterQuery is the warm path of a filter question: every
+// model call a cache hit, so what is left is the stage's own work per report,
+// the scoped request group included.
+func BenchmarkWarmFilterQuery(b *testing.B) {
+	ctx := context.Background()
+	corpus, err := ntsb.GenerateCorpus(100, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blobs, err := corpus.Blobs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := core.New(core.Config{Seed: 7, Parallelism: 2})
+	if _, err := sys.Ingest(ctx, blobs); err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{
+		"How many incidents were caused by a loss of engine power?",
+		"What fraction of incidents that resulted in substantial damage were due to engine problems?",
+	} {
+		b.Run(q, func(b *testing.B) {
+			if _, err := sys.Ask(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Ask(ctx, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

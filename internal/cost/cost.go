@@ -19,8 +19,6 @@ type Observation struct {
 	// Signature identifies the operator instance across queries: the
 	// operator name plus its semantically load-bearing parameters (the
 	// question for llmFilter, the rendered predicate for basicFilter).
-	// Proxy cascades share the plain llmFilter signature — they evaluate
-	// the same predicate, so their selectivity evidence is interchangeable.
 	Signature string
 	// DocsIn/DocsOut are the document counts crossing the operator.
 	DocsIn, DocsOut int64

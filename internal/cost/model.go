@@ -9,27 +9,20 @@ const (
 	// UnitsPerPredicate is the unit cost of evaluating one structured
 	// predicate (or index probe) on one document.
 	UnitsPerPredicate = 0.01
-	// UnitsPerProxy is the unit cost of one embedding-similarity proxy
-	// screen (a dot product; far cheaper than an LLM call, pricier than
-	// a property compare).
+	// UnitsPerProxy is the unit cost of one embedding per document (vector
+	// arithmetic; far cheaper than an LLM call, pricier than a property
+	// compare).
 	UnitsPerProxy = 1.0
 )
-
-// DefaultEscalationRate is the assumed fraction of documents a proxy
-// cascade escalates to the full LLM before any evidence is observed.
-// Deliberately conservative: the optimizer should not promise savings
-// the cascade has not yet demonstrated.
-const DefaultEscalationRate = 0.7
 
 // defaultSelectivity maps operator names to the fraction of input
 // documents assumed to survive, before any observed evidence. Operator
 // names mirror luna's wire constants; this package keeps its own copy
 // so as not to import luna.
 var defaultSelectivity = map[string]float64{
-	"basicFilter":      0.5,
-	"llmFilter":        0.5,
-	"llmFilterCascade": 0.5,
-	"distinct":         0.9,
+	"basicFilter": 0.5,
+	"llmFilter":   0.5,
+	"distinct":    0.9,
 }
 
 // DefaultSelectivity returns the assumed selectivity for an operator

@@ -152,6 +152,39 @@ func (d *Document) Sections() []string {
 	return append(out, sb.String())
 }
 
+// Line is one entry of TextContent without its newline: a node's text or
+// an element as TextContent shows it (a table's Markdown is several lines),
+// with the section it is in as Sections numbers them and whether it is
+// page furniture. Joined, Lines are TextContent; the non-furniture ones of
+// section i are Sections()[i].
+type Line struct {
+	Text      string
+	Section   int
+	Furniture bool
+}
+
+// Lines cuts TextContent into its entries in one walk, empty ones left out.
+func (d *Document) Lines() []Line {
+	out := make([]Line, 0, len(d.Elements)+1)
+	section := 0
+	add := func(text string, furniture bool) {
+		if text != "" {
+			out = append(out, Line{Text: text, Section: section, Furniture: furniture})
+		}
+	}
+	d.Walk(func(n *Document) bool {
+		add(n.Text, false)
+		for _, e := range n.Elements {
+			if e.Type == SectionHeader {
+				section++
+			}
+			add(elementText(e), e.Type == PageHeader || e.Type == PageFooter)
+		}
+		return true
+	})
+	return out
+}
+
 // writeText appends one non-empty line of text.
 func writeText(sb *strings.Builder, text string) {
 	if text != "" {

@@ -113,6 +113,47 @@ func TestSections(t *testing.T) {
 	}
 }
 
+// Lines are TextContent cut into entries: joined they are TextContent, the
+// non-furniture ones of a section are that section, and page furniture is
+// numbered with the section it sits in.
+func TestLines(t *testing.T) {
+	d := sampleDoc()
+	d.Elements = append([]*Element{{Type: PageHeader, Text: "NTSB — Final Report"}}, d.Elements...)
+	d.Children[0].AddElement(&Element{Type: SectionHeader, Text: "Administrative Information"})
+	d.Children[0].AddElement(&Element{Type: PageFooter, Text: "Page 3 of 3"})
+	d.Children[0].AddElement(&Element{Type: Text, Text: ""})
+	d.Children[0].AddElement(&Element{Type: Text, Text: "Docket closed."})
+	sections := d.Sections()
+	if len(sections) != 3 {
+		t.Fatalf("fixture has %d sections, want 3: %q", len(sections), sections)
+	}
+	lines := d.Lines()
+	var all strings.Builder
+	bySection := make([]string, len(sections))
+	for _, l := range lines {
+		if l.Text == "" {
+			t.Errorf("an empty entry: %+v", l)
+		}
+		all.WriteString(l.Text + "\n")
+		if !l.Furniture {
+			bySection[l.Section] += l.Text + "\n"
+		}
+	}
+	if all.String() != d.TextContent() {
+		t.Errorf("joined lines:\n%q\nwant TextContent\n%q", all.String(), d.TextContent())
+	}
+	if !slices.Equal(bySection, sections) {
+		t.Errorf("lines by section:\n%q\nwant Sections\n%q", bySection, sections)
+	}
+	footer := lines[slices.IndexFunc(lines, func(l Line) bool { return l.Text == "Page 3 of 3" })]
+	if !footer.Furniture || footer.Section != 2 {
+		t.Errorf("the footer after the second header reads %+v", footer)
+	}
+	if lines[0].Text != "NTSB — Final Report" || !lines[0].Furniture || lines[0].Section != 0 {
+		t.Errorf("the page header opens the preamble, got %+v", lines[0])
+	}
+}
+
 // EmbeddingText is a chunk's own text, a parsed document's whole content.
 func TestEmbeddingText(t *testing.T) {
 	parsed := sampleDoc()

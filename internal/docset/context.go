@@ -66,7 +66,7 @@ type Context struct {
 
 	// nt is the trace node of the stage this context view executes
 	// (installed by forStage), so stage bodies can record activity the
-	// generic runners cannot see, like cascade proxy verdicts.
+	// generic runners cannot see, like a filter's per-question verdicts.
 	nt *NodeTrace
 
 	// slot is the budget claim of the map-stage worker this context view

@@ -6,9 +6,17 @@
 // and a full per-operator lineage trace, handing batches of arriving
 // documents to an optional sink on the collecting goroutine (a slow sink
 // is the pipeline's back-pressure). Execute is ExecuteStream with no sink.
-// LLMFilter and LLMFilterCascade are one stage (llmFilters in semantic.go):
-// any number of questions, each document sent to the model at most once and
-// asked only what the response cache lacks (llm.FilterGroup).
+// LLMFilter is one stage (llmFilters in semantic.go): any number of
+// questions, each document sent to the model at most once and asked only
+// what the response cache lacks (llm.FilterGroup).
+//
+// A filter question is sent the document's TextContent less every section
+// holding none of its terms outside rows the model reads as negatives
+// ("Aircraft Fire: None"); the preamble and page furniture stay, and a
+// document with fewer than two sections or no ID goes whole (filterGroup).
+// Every sentence that mentions the question stays, so the verdict is the
+// whole document's (core.TestScopedFilterVerdicts): unlike
+// LLMExtractScoped, this scope is not an optimizer choice.
 //
 // Paper counterpart: Sycamore, the DocSet ETL/analytics engine of §5.
 //
@@ -17,7 +25,7 @@
 // safe. Execute bounds two resources per map stage. Busy workers: up to
 // Context.Parallelism goroutines compute on documents at once. Outstanding
 // model calls: a stage that calls the model per document (llmExtract,
-// llmFilter, llmFilterCascade, llmCombine) keeps a fixed window of 64
+// llmFilter, llmCombine) keeps a fixed window of 64
 // documents in flight (eight of the batcher's batches), each computing
 // only under one of Parallelism worker slots and giving the slot back for
 // the round trip, so its model latency overlaps while its CPU footprint

@@ -3,7 +3,8 @@ package docset
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"aryn/internal/docmodel"
@@ -78,22 +79,30 @@ func FromDocuments(ec *Context, docs []*docmodel.Document) *DocSet {
 // ReadBinary builds a single-node DocSet per raw blob, the state documents
 // are in before partitioning (§5.1: "when first reading a PDF, it may be
 // represented as a single-node document with the raw PDF binary").
+//
+// The DocSet owns the documents it builds: every execution builds them
+// afresh, so a mutating stage downstream changes no one else's document and
+// nothing is cloned at the source. The blob bytes stay the caller's:
+// Document.Binary is the caller's slice, and the plan only reads it.
 func ReadBinary(ec *Context, blobs map[string][]byte) *DocSet {
-	// Deterministic order: sort ids.
-	ids := make([]string, 0, len(blobs))
-	for id := range blobs {
-		ids = append(ids, id)
+	ids := slices.Sorted(maps.Keys(blobs)) // deterministic order
+	bins := make([][]byte, len(ids))
+	for i, id := range ids {
+		bins[i] = blobs[id]
 	}
-	sort.Strings(ids)
-	docs := make([]*docmodel.Document, 0, len(ids))
-	for _, id := range ids {
-		d := docmodel.New(id)
-		d.Binary = blobs[id]
-		docs = append(docs, d)
-	}
-	ds := FromDocuments(ec, docs)
-	ds.source.name = fmt.Sprintf("readBinary[%d blobs]", len(docs))
-	return ds
+	return &DocSet{ctx: ec, source: sourceSpec{
+		name: fmt.Sprintf("readBinary[%d blobs]", len(ids)),
+		emit: func(ctx context.Context, _ *Context, yield func(*docmodel.Document) error) error {
+			for i, id := range ids {
+				d := docmodel.New(id)
+				d.Binary = bins[i]
+				if err := yield(d); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}}
 }
 
 // QueryDatabase scans an index with keyword search and/or property filters
@@ -106,7 +115,6 @@ func QueryDatabase(ec *Context, store *index.Store, q index.Query) *DocSet {
 			// SearchDocs returns the store's shared snapshots; the
 			// executor clones them only for mutating plans.
 			shared: true,
-			store:  store,
 			emit: func(ctx context.Context, _ *Context, yield func(*docmodel.Document) error) error {
 				for _, hit := range store.SearchDocs(q) {
 					if err := yield(hit.Doc); err != nil {
@@ -128,7 +136,6 @@ func QueryVectorDatabase(ec *Context, store *index.Store, queryText string, filt
 		source: sourceSpec{
 			name:   fmt.Sprintf("queryVectorDatabase[%q, k=%d]", queryText, k),
 			shared: true,
-			store:  store,
 			emit: func(ctx context.Context, ec *Context, yield func(*docmodel.Document) error) error {
 				vec := ec.Embedder.Embed(queryText)
 				q := index.Query{Vector: vec, Filter: filter, K: k}

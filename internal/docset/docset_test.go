@@ -408,6 +408,38 @@ func TestNeedsSourceClone(t *testing.T) {
 	}
 }
 
+// TestReadBinaryOwnsItsDocuments: ReadBinary's documents are its own, so a
+// mutating pipeline over them clones nothing at the source — Binary is the
+// caller's blob, read in place, never a copy — and each execution builds
+// them afresh, so one run's mutation is not the next run's input.
+func TestReadBinaryOwnsItsDocuments(t *testing.T) {
+	blobs := map[string][]byte{"b": []byte("second blob"), "a": []byte("first blob")}
+	ds := ReadBinary(NewContext(), blobs).Map("mark", func(d *docmodel.Document) (*docmodel.Document, error) {
+		if d.Property("runs") != "" {
+			return nil, fmt.Errorf("%s: a document of an earlier run came back", d.ID)
+		}
+		d.SetProperty("runs", 1)
+		return d, nil
+	})
+	if ds.needsSourceClone() {
+		t.Fatal("a mutating plan over ReadBinary clones its source")
+	}
+	for run := 0; run < 2; run++ {
+		out, err := ds.TakeAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 2 || out[0].ID != "a" || out[1].ID != "b" {
+			t.Fatalf("run %d: documents %v", run, ids(out))
+		}
+		for _, d := range out {
+			if &d.Binary[0] != &blobs[d.ID][0] || len(d.Binary) != len(blobs[d.ID]) {
+				t.Errorf("run %d: %s carries a copy of its blob, not the blob", run, d.ID)
+			}
+		}
+	}
+}
+
 func TestWriteRoutesDocsAndChunks(t *testing.T) {
 	ec := NewContext()
 	store := index.NewStore()

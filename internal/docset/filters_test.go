@@ -51,8 +51,8 @@ func filterDocs() []*docmodel.Document {
 }
 
 // TestLLMFilterFusedMatchesChain: several questions in one stage keep what
-// the chain of single-question stages keeps, plain and cascaded, and spend
-// one upstream request per document instead of one per question.
+// the chain of single-question stages keeps, and spend one upstream request
+// per document instead of one per question.
 func TestLLMFilterFusedMatchesChain(t *testing.T) {
 	ctx := context.Background()
 	run := func(build func(*DocSet) *DocSet) ([]string, int) {
@@ -67,13 +67,10 @@ func TestLLMFilterFusedMatchesChain(t *testing.T) {
 	chain, chainCalls := run(func(ds *DocSet) *DocSet { return ds.LLMFilter(qBirdsInvolved).LLMFilter(qWindshield) })
 	fused, fusedCalls := run(func(ds *DocSet) *DocSet { return ds.LLMFilter(qBirdsInvolved, qWindshield) })
 	swapped, _ := run(func(ds *DocSet) *DocSet { return ds.LLMFilter(qWindshield, qBirdsInvolved) })
-	cascaded, _ := run(func(ds *DocSet) *DocSet {
-		return ds.LLMFilterCascade([]string{qBirdsInvolved, qWindshield}, DefaultCascadeLow, DefaultCascadeHigh)
-	})
 	if !reflect.DeepEqual(chain, []string{"A"}) {
 		t.Fatalf("chain kept %v, want [A]", chain)
 	}
-	for name, got := range map[string][]string{"fused": fused, "swapped": swapped, "cascaded": cascaded} {
+	for name, got := range map[string][]string{"fused": fused, "swapped": swapped} {
 		if !reflect.DeepEqual(got, chain) {
 			t.Errorf("%s kept %v, the chain %v", name, got, chain)
 		}
@@ -117,7 +114,7 @@ func TestLLMFilterPackedCallAccounting(t *testing.T) {
 		t.Errorf("Questions = %+v, want %+v", nt.Questions, want)
 	}
 	for _, q := range []string{qBirdsInvolved, qWindshield} {
-		resp, err := stack.Complete(context.Background(), llm.Request{Prompt: llm.FilterPrompt(q, docs[0].TextContent())})
+		resp, err := stack.Complete(context.Background(), llm.Request{Prompt: llm.FilterPrompt(q, docs[0].ID, docs[0].TextContent())})
 		if err != nil || !resp.FromCache {
 			t.Errorf("%q: solo prompt after the packed call: %+v, %v; want a hit", q, resp, err)
 		}
@@ -148,7 +145,7 @@ func TestLLMFilterAsksOnlyWhatIsMissing(t *testing.T) {
 	var want []string
 	for _, d := range docs {
 		if d.ID == "A" || d.ID == "C" { // the two bird reports survive the cached answer
-			want = append(want, llm.FilterPrompt(qWindshield, d.TextContent()))
+			want = append(want, llm.FilterPrompt(qWindshield, d.ID, d.TextContent()))
 		}
 	}
 	if got := model.sent()[first:]; !reflect.DeepEqual(sorted(got), sorted(want)) {
@@ -174,8 +171,110 @@ func TestLLMFilterAsksOnlyWhatIsMissing(t *testing.T) {
 	}
 }
 
+// sectionedDoc is a report cut into sections, with page furniture: a
+// preamble, a narrative about birds, a weather section about neither
+// question, and a wreckage section about the windshield.
+func sectionedDoc(id string) *docmodel.Document {
+	d := docmodel.New(id)
+	for _, e := range []*docmodel.Element{
+		{Type: docmodel.PageHeader, Text: "NTSB Aviation Investigation Final Report"},
+		{Type: docmodel.Title, Text: "Report " + id},
+		{Type: docmodel.SectionHeader, Text: "Narrative"},
+		{Type: docmodel.Text, Text: "A flock of geese crossed the departure path."},
+		{Type: docmodel.SectionHeader, Text: "Weather"},
+		{Type: docmodel.Text, Text: "Visibility was ten miles under a clear sky."},
+		{Type: docmodel.PageFooter, Text: "Page 1 of 2"},
+		{Type: docmodel.SectionHeader, Text: "Wreckage"},
+		{Type: docmodel.Text, Text: "The windshield was shattered."},
+	} {
+		d.AddElement(e)
+	}
+	return d
+}
+
+// TestLLMFilterReadsItsSections: each question reads the preamble, the page
+// furniture and the sections that hold one of its terms; the packed prompt
+// reads the union of the scopes once; and the verdicts are those of the
+// whole document.
+func TestLLMFilterReadsItsSections(t *testing.T) {
+	ctx := context.Background()
+	d := sectionedDoc("S1")
+	g := FilterGroup([]string{qBirdsInvolved, qWindshield}, d)
+	birds := g.Reqs[0].Prompt
+	for _, want := range []string{"DOCUMENT-ID: S1\n", "NTSB Aviation Investigation Final Report", "Report S1", "geese", "Page 1 of 2"} {
+		if !strings.Contains(birds, want) {
+			t.Errorf("the birds prompt lacks %q:\n%s", want, birds)
+		}
+	}
+	for _, absent := range []string{"Visibility", "windshield"} {
+		if strings.Contains(birds, absent) {
+			t.Errorf("the birds prompt holds %q, from a section it is not about:\n%s", absent, birds)
+		}
+	}
+	packed := g.Pack([]int{0, 1}).Prompt
+	if !strings.Contains(packed, "geese") || !strings.Contains(packed, "windshield") || strings.Contains(packed, "Visibility") {
+		t.Errorf("the packed prompt is not the union of the two scopes:\n%s", packed)
+	}
+
+	sim := llm.NewSim(1)
+	for i, q := range []string{qBirdsInvolved, qWindshield} {
+		scoped, err := sim.Complete(ctx, g.Reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := sim.Complete(ctx, llm.Request{Prompt: llm.FilterPrompt(q, d.ID, d.TextContent())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scoped.Text != whole.Text || scoped.Usage.PromptTokens >= whole.Usage.PromptTokens {
+			t.Errorf("%q: scoped %q in %d tokens, whole %q in %d", q, scoped.Text, scoped.Usage.PromptTokens, whole.Text, whole.Usage.PromptTokens)
+		}
+	}
+
+	model := &upstreamLog{sim: llm.NewSim(1)}
+	ec := NewContext(WithLLM(llm.NewStack(model)))
+	out, err := FromDocuments(ec, []*docmodel.Document{d, filterDocs()[0]}).LLMFilter(qBirdsInvolved, qWindshield).TakeAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(out); !reflect.DeepEqual(got, []string{"S1", "A"}) {
+		t.Errorf("kept %v, want [S1 A]", got)
+	}
+	if sent := model.sent(); len(sent) != 2 || !slices.Contains(sent, packed) {
+		t.Errorf("upstream: %d prompts, want the two packed ones, S1's the union of its scopes", len(sent))
+	}
+	// A document without two sections is read whole.
+	if got, whole := FilterGroup([]string{qBirdsInvolved}, filterDocs()[0]).Reqs[0].Prompt, llm.FilterPrompt(qBirdsInvolved, "A", filterDocs()[0].TextContent()); got != whole {
+		t.Errorf("an unsectioned document is scoped:\n%s", got)
+	}
+}
+
 func sorted(s []string) []string {
 	out := slices.Clone(s)
 	slices.Sort(out)
 	return out
+}
+
+// A question the scope cannot choose sections for — no content token, or a
+// concept the fold drops — reads the whole document, and so does every
+// question about a document with no ID: without a DOCUMENT-ID line the
+// model's coin is the prompt's, so only the whole document keeps its verdict.
+func TestLLMFilterUnscopableQuestionReadsWhole(t *testing.T) {
+	d := sectionedDoc("S2")
+	for _, q := range []string{"Is it?", "Was there not a fire?"} {
+		got := FilterGroup([]string{q}, d).Reqs[0].Prompt
+		if want := llm.FilterPrompt(q, d.ID, d.TextContent()); got != want {
+			t.Errorf("%q is scoped:\n%s", q, got)
+		}
+	}
+	anonymous := sectionedDoc("")
+	g := FilterGroup([]string{qBirdsInvolved, qWindshield}, anonymous)
+	for i, q := range []string{qBirdsInvolved, qWindshield} {
+		if got, want := g.Reqs[i].Prompt, llm.FilterPrompt(q, "", anonymous.TextContent()); got != want {
+			t.Errorf("%q about a document with no ID is scoped:\n%s", q, got)
+		}
+	}
+	if packed := g.Pack([]int{0, 1}).Prompt; !strings.Contains(packed, "Visibility") || strings.Contains(packed, "DOCUMENT-ID") {
+		t.Errorf("the packed prompt about a document with no ID is scoped or names an ID:\n%s", packed)
+	}
 }

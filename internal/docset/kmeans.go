@@ -186,7 +186,9 @@ func clusterLabels(texts []string, assign []int, k int) []string {
 				break
 			}
 		}
-		labels[ci] = strings.Join(top, "/")
+		// A label outlives the texts its tokens were cut from
+		// (llm.Tokenize): it keeps its own bytes.
+		labels[ci] = strings.Clone(strings.Join(top, "/"))
 	}
 	return labels
 }

@@ -111,7 +111,6 @@ func (t *Task) DocSet() *DocSet {
 		source: sourceSpec{
 			name:   t.name,
 			shared: true,
-			store:  t.ds.source.store,
 			emit: func(ctx context.Context, _ *Context, yield func(*docmodel.Document) error) error {
 				docs, err := t.Wait(ctx)
 				if err != nil {

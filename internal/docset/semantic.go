@@ -3,13 +3,10 @@ package docset
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"aryn/internal/docmodel"
-	"aryn/internal/embed"
 	"aryn/internal/llm"
 )
 
@@ -39,7 +36,7 @@ func (ds *DocSet) llmExtract(fields []llm.FieldSpec, scoped bool) *DocSet {
 		names[i] = f.Name
 	}
 	name := "llmExtract[" + strings.Join(names, ",") + "]"
-	var terms []map[string]bool
+	var terms *termSets
 	if scoped {
 		name = "llmExtract[" + strings.Join(names, ",") + ", sections=1]"
 		terms = fieldTerms(fields)
@@ -106,97 +103,50 @@ func setExtracted(d *docmodel.Document, extracted map[string]any) []*docmodel.Do
 // LLMFilter keeps the documents for which the LLM answers every one of the
 // natural-language predicates affirmatively (Table 2b). Several questions
 // are one stage, not a chain: each document is sent to the model at most
-// once, asking only what the response cache lacks (llmFilters).
+// once, asking only what the response cache lacks, and each question reads
+// only the sections it is about (llmFilters).
 func (ds *DocSet) LLMFilter(questions ...string) *DocSet {
-	return ds.llmFilters(questions, 0, math.Inf(1))
+	return ds.llmFilters(questions)
 }
 
-// llmFilters is the one filter stage behind LLMFilter and LLMFilterCascade:
-// the conjunction of the questions over each document, behind the proxy
-// rungs of the band low..high when it has any (LLMFilter's band has none).
-// Per document it
+// llmFilters is the one filter stage: the conjunction of the questions over
+// each document. Per document it
 //
-//  1. scores every question's proxy: a score under low drops the document,
-//     a score at or over high answers that question "yes" unasked;
-//  2. hands the questions left to the model client as one llm.FilterGroup.
-//     Each answer lives in the response cache under the question's own
-//     solo llm.FilterPrompt, so a resident "no" ends the document with
-//     nothing sent, resident answers are not asked again, and what is
-//     missing goes upstream as one request: the solo prompt for one
-//     question, one packed prompt — the document once — for several;
-//  3. keeps the document when every answer is yes.
+//  1. hands the questions to the model client as one FilterGroup, each
+//     question scoped to the document's preamble, its page furniture and
+//     the sections that hold one of the question's terms. Each answer lives
+//     in the response cache under the question's own solo llm.FilterPrompt,
+//     so a resident "no" ends the document with nothing sent, resident
+//     answers are not asked again, and what is missing goes upstream as one
+//     request: the solo prompt for one question, one packed prompt — the
+//     union of their scopes, once — for several;
+//  2. keeps the document when every answer is yes.
 //
 // The result is what the chain of single-question filters gives, in any
-// question order. The stage's NodeTrace counts one LLM call per document
-// asked and each question's verdicts in Questions.
-func (ds *DocSet) llmFilters(questions []string, low, high float64) *DocSet {
-	proxied := low > 0 || !math.IsInf(high, 1)
-	name := "llmFilter[" + strings.Join(questions, " AND ") + "]"
-	if proxied {
-		name = fmt.Sprintf("llmFilterCascade[%s, band=%g..%g]", strings.Join(questions, " AND "), low, high)
-	}
-	all := make([]int, len(questions))
-	for i := range all {
-		all[i] = i
-	}
-	var once sync.Once
-	var qvecs [][]float32
-	store := ds.source.store
+// question order, and what the same questions asked of the whole document
+// give. The stage's NodeTrace counts one LLM call per document asked and
+// each question's verdicts in Questions.
+func (ds *DocSet) llmFilters(questions []string) *DocSet {
+	terms := filterTerms(questions)
 	return ds.with(stageSpec{
-		name:       name,
+		name:       "llmFilter[" + strings.Join(questions, " AND ") + "]",
 		kind:       mapKind,
 		callsModel: true,
 		questions:  questions,
 		mapFn: func(ec *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
-			ask, asked := all, questions
-			var proxyYes []int
-			if proxied {
-				once.Do(func() {
-					qvecs = make([][]float32, len(questions))
-					for i, q := range questions {
-						qvecs[i] = ec.Embedder.Embed(q)
-					}
-				})
-				dvec := proxyVector(ec, store, d)
-				ask, asked = nil, nil
-				for i, q := range questions {
-					switch score := embed.Cosine(qvecs[i], dvec); {
-					case low > 0 && score < low:
-						ec.nt.noteVerdict(i, false)
-						atomic.AddInt64(&ec.nt.ProxyDropped, 1)
-						return nil, nil
-					case score >= high:
-						proxyYes = append(proxyYes, i)
-					default:
-						ask, asked = append(ask, i), append(asked, q)
-					}
-				}
+			resps, err := ec.completeGroup(filterGroup(questions, terms, d))
+			if err != nil {
+				return nil, err
 			}
 			keep := true
-			if len(ask) > 0 {
-				resps, err := ec.completeGroup(llm.FilterGroup(asked, d.TextContent()))
-				if err != nil {
-					return nil, err
+			for i, r := range resps {
+				if r == (llm.Response{}) {
+					// Not asked: a resident "no" settled the document.
+					continue
 				}
-				for j, r := range resps {
-					if r == (llm.Response{}) {
-						// Not asked: a resident "no" settled the document.
-						continue
-					}
-					yes := llm.FilterYes(r.Text)
-					ec.nt.noteVerdict(ask[j], yes)
-					keep = keep && yes
-				}
-			}
-			for _, i := range proxyYes {
-				ec.nt.noteVerdict(i, true)
-			}
-			switch {
-			case !proxied:
-			case len(ask) > 0:
-				atomic.AddInt64(&ec.nt.Escalations, 1)
-			default:
-				atomic.AddInt64(&ec.nt.ProxyKept, 1)
+				yes := llm.FilterYes(r.Text)
+				ec.nt.noteVerdict(i, yes)
+				keep = keep && yes
 			}
 			if !keep {
 				return nil, nil

@@ -71,16 +71,12 @@ type NodeTrace struct {
 	PromptTokens     int64
 	CompletionTokens int64
 	CacheHits        int64
-	// Escalations, ProxyKept, and ProxyDropped count what a stage's cheap
-	// first step settled (zero on stages that have none). llmFilterCascade:
-	// documents escalated to the full LLM because their proxy score fell
-	// inside the threshold band, kept on proxy score alone, and dropped on
-	// proxy score alone. Scoped llmExtract: documents asked again whole
+	// Escalations and ProxyKept count what a scoped llmExtract's cheap first
+	// step settled (zero on every other stage): documents asked again whole
 	// because the scoped reply left a field null, and documents answered
-	// from their scope; it drops none.
-	Escalations  int64
-	ProxyKept    int64
-	ProxyDropped int64
+	// from their scope.
+	Escalations int64
+	ProxyKept   int64
 	// Questions is the per-question account of an llmFilter stage (nil
 	// elsewhere), in the stage's question order.
 	Questions []QuestionTrace
@@ -98,8 +94,8 @@ type NodeTrace struct {
 }
 
 // QuestionTrace is one question's share of an llmFilter stage: how many
-// documents reached a verdict on it — from its proxy rung, a resident
-// answer or the model — and how many of those verdicts were yes. A
+// documents reached a verdict on it — from a resident answer or the
+// model — and how many of those verdicts were yes. A
 // document that another question settled first reaches no verdict here, so
 // Yes/Asked is the question's own selectivity whichever questions it was
 // asked beside. A single-question stage's pair is its In and Out.
@@ -177,7 +173,6 @@ type NodeSnapshot struct {
 	CacheHits        int64
 	Escalations      int64
 	ProxyKept        int64
-	ProxyDropped     int64
 	Err              string
 }
 
@@ -198,7 +193,6 @@ func (n *NodeTrace) Snapshot() NodeSnapshot {
 		CacheHits:        atomic.LoadInt64(&n.CacheHits),
 		Escalations:      atomic.LoadInt64(&n.Escalations),
 		ProxyKept:        atomic.LoadInt64(&n.ProxyKept),
-		ProxyDropped:     atomic.LoadInt64(&n.ProxyDropped),
 	}
 	n.mu.Lock()
 	s.Busy = n.Duration

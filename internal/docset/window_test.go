@@ -246,7 +246,7 @@ func TestModelStagesDeterministicAcrossParallelismAndBudget(t *testing.T) {
 		}
 		out, _, err := FromDocuments(ec, docs()).
 			LLMExtract([]llm.FieldSpec{{Name: "us_state", Type: "string"}}).
-			LLMFilterCascade([]string{"Did the engine lose power?"}, 0.01, 0).
+			LLMFilter("Did the engine lose power?").
 			LLMFilter("Was weather a factor?").
 			LLMReduceByKey("us_state", "Summarize the accidents").
 			Execute(context.Background())

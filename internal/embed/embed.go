@@ -181,7 +181,9 @@ func (h *Hash) tokenDirection(tok string) []float32 {
 		if len(h.dirs) >= maxCachedDirections {
 			h.dirs = make(map[string][]float32, maxCachedDirections)
 		}
-		h.dirs[tok] = dir
+		// tok may be a substring of a whole text's lowered copy
+		// (llm.Tokenize): the key keeps only its own bytes.
+		h.dirs[strings.Clone(tok)] = dir
 	}
 	h.mu.Unlock()
 	return dir

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"strings"
 
 	"aryn/internal/llm"
 )
@@ -18,9 +19,14 @@ const (
 // frequencies and lengths are uint32: a posting is 8 bytes, and an
 // in-process store is far from four billion chunks.
 type bm25Index struct {
-	postings map[string][]posting // term -> sorted doc postings
-	docLen   []uint32             // tokens per indexed chunk
-	totalLen int                  // running sum of docLen
+	// terms numbers the vocabulary (postings[terms[t]] are term t's sorted
+	// doc postings). A term is stored once, cloned: assigning a map entry
+	// again would make the key a substring of the newest chunk's lowered
+	// text (llm.Tokenize) and keep that whole text alive.
+	terms    map[string]uint32
+	postings [][]posting
+	docLen   []uint32 // tokens per indexed chunk
+	totalLen int      // running sum of docLen
 }
 
 type posting struct {
@@ -29,7 +35,7 @@ type posting struct {
 }
 
 func newBM25() *bm25Index {
-	return &bm25Index{postings: make(map[string][]posting)}
+	return &bm25Index{terms: make(map[string]uint32)}
 }
 
 // termStats is what the index keeps of one chunk's text: how often each
@@ -54,7 +60,13 @@ func countTerms(text string) termStats {
 // in increasing id order (the store guarantees this).
 func (ix *bm25Index) add(id int, ts termStats) {
 	for t, tf := range ts.counts {
-		ix.postings[t] = append(ix.postings[t], posting{doc: uint32(id), tf: tf})
+		term, ok := ix.terms[t]
+		if !ok {
+			term = uint32(len(ix.postings))
+			ix.terms[strings.Clone(t)] = term
+			ix.postings = append(ix.postings, nil)
+		}
+		ix.postings[term] = append(ix.postings[term], posting{doc: uint32(id), tf: tf})
 	}
 	for len(ix.docLen) <= id {
 		ix.docLen = append(ix.docLen, 0)
@@ -95,10 +107,11 @@ func (ix *bm25Index) search(query string, k int) []Scored {
 			continue
 		}
 		seen[t] = true
-		plist := ix.postings[t]
-		if len(plist) == 0 {
+		term, ok := ix.terms[t]
+		if !ok {
 			continue
 		}
+		plist := ix.postings[term]
 		idf := math.Log(1 + (float64(n)-float64(len(plist))+0.5)/(float64(len(plist))+0.5))
 		for _, p := range plist {
 			tf := float64(p.tf)
@@ -125,4 +138,4 @@ func (ix *bm25Index) search(query string, k int) []Scored {
 }
 
 // vocabSize reports the number of distinct indexed terms.
-func (ix *bm25Index) vocabSize() int { return len(ix.postings) }
+func (ix *bm25Index) vocabSize() int { return len(ix.terms) }

@@ -13,7 +13,7 @@
 // multiplier, half a float32 slice's bytes, scored in integer arithmetic
 // (vector.go). The layout DocParse produced on the way there (§4: boxes,
 // detector confidences, table cell grids) is not: PutDocument keeps the
-// document's docmodel.Document.TextView.
+// document's docmodel.Document.TextView, and only chunks carry vectors.
 //
 // On CPUs with AVX2 and FMA the scan's dot product is simd.Dot, in float64,
 // and it is exact, not approximate. The quantised unit query has |q| ≤ 2³⁰

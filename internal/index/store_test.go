@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -406,59 +405,4 @@ func hitIDs(hits []DocHit) []string {
 		out[i] = h.Doc.ID
 	}
 	return out
-}
-
-// TestDocVectorKeptPerStoredDocument walks DocVector's contract at the
-// store: the vector is Embed of the document's text; the stored snapshot and
-// a clone of it share the one kept slice; a document that has the ID but
-// another text, or an ID the store does not hold, is embedded on its own and
-// keeps nothing; PutDocument drops the replaced document's vector.
-func TestDocVectorKeptPerStoredDocument(t *testing.T) {
-	s := NewStore()
-	em := embed.NewHash(1)
-	put := func(id, text string) *docmodel.Document {
-		d := docmodel.New(id)
-		d.Text = text
-		if err := s.PutDocument(d); err != nil {
-			t.Fatal(err)
-		}
-		stored, _ := s.Document(id)
-		return stored
-	}
-	a := put("A", "The airplane struck a flock of geese.")
-	put("B", "A post-crash fire consumed the fuselage.")
-
-	first := s.DocVector(a, em)
-	if want := em.Embed(a.Text); !slices.Equal(first, want) {
-		t.Fatal("DocVector is not Embed of the document's text")
-	}
-	if again := s.DocVector(a.Clone(), em); &again[0] != &first[0] {
-		t.Error("a clone of the stored document did not receive the kept vector")
-	}
-
-	other := docmodel.New("A")
-	other.Text = "us_state=KY: three reports merged by a reduce."
-	if got := s.DocVector(other, em); !slices.Equal(got, em.Embed(other.Text)) || &got[0] == &first[0] {
-		t.Error("a document with the stored ID and another text was not embedded by its own text")
-	}
-	if kept := s.DocVector(a, em); &kept[0] != &first[0] {
-		t.Error("the other-text document displaced the stored document's vector")
-	}
-	stranger := docmodel.New("Z")
-	stranger.Text = "not in the store"
-	s.DocVector(stranger, em)
-	if len(s.docVecs) != 1 {
-		t.Errorf("store keeps %d vectors, want 1: only the stored, scored document A", len(s.docVecs))
-	}
-
-	replaced := put("A", "The pilot ran the left tank dry.")
-	if len(s.docVecs) != 0 {
-		t.Errorf("PutDocument left %d vectors, want the replaced document's dropped", len(s.docVecs))
-	}
-	if got := s.DocVector(a, em); !slices.Equal(got, first) || len(s.docVecs) != 0 {
-		t.Error("the replaced snapshot was not embedded by its own text, or took the new document's place")
-	}
-	if got := s.DocVector(replaced, em); !slices.Equal(got, em.Embed(replaced.Text)) || len(s.docVecs) != 1 {
-		t.Error("the re-put document did not get and keep its own vector")
-	}
 }

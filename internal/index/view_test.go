@@ -41,10 +41,10 @@ func parsedReports(t *testing.T, n int, seed int64) []*docmodel.Document {
 	return docs
 }
 
-// Every prompt, every cascade score and every scoped extract is cut from
-// the stored document's TextContent, Sections and EmbeddingText, and filter
-// verdicts hang on prompt bytes: for every report of the benchmark's two
-// corpora, what the store holds reads exactly as what DocParse produced.
+// Every prompt, every scoped filter and every scoped extract is cut from the
+// stored document's TextContent, Sections, Lines and EmbeddingText:
+// for every report of the benchmark's two corpora, what the store holds
+// reads exactly as what DocParse produced.
 func TestStoredReportReadsAsParsed(t *testing.T) {
 	for _, seed := range []int64{42, 43} {
 		store := index.NewStore()
@@ -59,6 +59,9 @@ func TestStoredReportReadsAsParsed(t *testing.T) {
 			}
 			if got, want := stored.Sections(), d.Sections(); !slices.Equal(got, want) {
 				t.Fatalf("corpus %d, %s: Sections\n%q\nwant\n%q", seed, d.ID, got, want)
+			}
+			if got, want := stored.Lines(), d.Lines(); !slices.Equal(got, want) {
+				t.Fatalf("corpus %d, %s: Lines\n%+v\nwant\n%+v", seed, d.ID, got, want)
 			}
 			if got, want := stored.EmbeddingText(), d.EmbeddingText(); got != want {
 				t.Fatalf("corpus %d, %s: EmbeddingText differs", seed, d.ID)

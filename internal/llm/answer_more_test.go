@@ -165,6 +165,55 @@ func TestSimOptionSetters(t *testing.T) {
 	}
 }
 
+// negatedRowSplit is NegatedRow as the split-and-lower it replaced: the
+// reference every line must agree with.
+func negatedRowSplit(line string) bool {
+	trimmed := strings.TrimSpace(line)
+	value := ""
+	switch {
+	case strings.HasPrefix(trimmed, "|"):
+		cells := strings.Split(strings.Trim(trimmed, "|"), "|")
+		if len(cells) == 2 {
+			value = strings.TrimSpace(cells[1])
+		}
+	case strings.Contains(trimmed, ": "):
+		_, v, _ := strings.Cut(trimmed, ": ")
+		value = strings.TrimSpace(v)
+	}
+	switch strings.ToLower(value) {
+	case "none", "no", "n/a", "not applicable", "false":
+		return true
+	}
+	return false
+}
+
+func TestNegatedRowMatchesSplit(t *testing.T) {
+	for _, line := range []string{
+		"", "None", "| Aircraft Fire | None |", "  | Injuries | N/A |  ", "| Fire | NONE | extra |",
+		"| Fire |", "|| none |", "| a | b | none |", "Ground Injuries: n/a", "Fire: Not Applicable",
+		"Fire:None", "Fire: none: no", "Fire: False ", "Fire: İnone", "Fire: NOT APPLİCABLE",
+		"| Wind | \u212a |", "Fire: No", "Fire: Nope", "Fire: | none |", "| key: none |",
+	} {
+		if got, want := NegatedRow(line), negatedRowSplit(line); got != want {
+			t.Errorf("NegatedRow(%q) = %v, want %v", line, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { NegatedRow("| Aircraft Fire | None |") }); n > 0 {
+		t.Errorf("NegatedRow made %v allocations on an ASCII row, want 0", n)
+	}
+}
+
+func FuzzNegatedRow(f *testing.F) {
+	for _, line := range []string{"| Aircraft Fire | None |", "Fire: N/A", "Fire: NOT APPLİCABLE", "| a | b | c |"} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		if got, want := NegatedRow(line), negatedRowSplit(line); got != want {
+			t.Fatalf("NegatedRow(%q) = %v, want %v", line, got, want)
+		}
+	})
+}
+
 func TestStripNegatedRows(t *testing.T) {
 	doc := "| Aircraft Fire | None |\n| Aircraft Damage | Substantial |\nGround Injuries: N/A\nNarrative line about fire damage."
 	out := stripNegatedRows(doc)

@@ -25,6 +25,10 @@
 // rests on — a model answers each question of a packed prompt as it would
 // alone — are stated in prompts.go.
 //
+// A filter prompt names its document on a DOCUMENT-ID line; Sim seeds the
+// coin that settles a weak filter match from the question and that line,
+// so a document gets one verdict sent whole, scoped or packed.
+//
 // Paper counterpart: the GPT-4o calls made by Sycamore transforms and the
 // Luna planner (§5.2, §6.1).
 //

@@ -2,7 +2,9 @@ package llm
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
 // runFilter implements the yes/no predicate skill behind llmFilter. It
@@ -21,6 +23,12 @@ func (s *Sim) runFilter(rng *rand.Rand, prompt string) string {
 	doc := documentBody(prompt)
 	if question == "" || doc == "" {
 		return "no"
+	}
+	// A verdict depends only on the lines that mention the question, so
+	// when the prompt names its document the coin is the document's, not
+	// the prompt's: sent whole or scoped, the document gets one answer.
+	if line := promptDocumentID(prompt); line != "" {
+		rng = s.rng(question + "\x00" + line)
 	}
 	if filterMatch(rng, question, doc, s.filterLeniency) {
 		return "yes"
@@ -74,40 +82,47 @@ func filterMatch(rng *rand.Rand, question, doc string, leniency float64) bool {
 	return rng != nil && rng.Float64() < leniency*frac*0.35
 }
 
-// stripNegatedRows removes key/value structure whose value is an explicit
-// negative ("Aircraft Fire: None"), so a predicate about fire does not
-// match every report's boilerplate table row. The model reads tables; it
-// understands "None".
+// stripNegatedRows removes the lines NegatedRow names, so a predicate
+// about fire does not match every report's boilerplate table row. The model
+// reads tables; it understands "None": what is left is every line a filter
+// question's concept can be in.
 func stripNegatedRows(doc string) string {
 	var out []string
 	for _, line := range strings.Split(doc, "\n") {
-		trimmed := strings.TrimSpace(line)
-		value := ""
-		switch {
-		case strings.HasPrefix(trimmed, "|"):
-			cells := strings.Split(strings.Trim(trimmed, "|"), "|")
-			if len(cells) == 2 {
-				value = strings.TrimSpace(cells[1])
-			}
-		case strings.Contains(trimmed, ": "):
-			_, v, _ := strings.Cut(trimmed, ": ")
-			value = strings.TrimSpace(v)
+		if !NegatedRow(line) {
+			out = append(out, line)
 		}
-		if negatedValue(value) {
-			continue
-		}
-		out = append(out, line)
 	}
 	return strings.Join(out, "\n")
 }
 
-func negatedValue(v string) bool {
-	switch strings.ToLower(v) {
-	case "none", "no", "n/a", "not applicable", "false":
-		return true
+// NegatedRow reports whether a line is key/value structure whose value is
+// an explicit negative ("Aircraft Fire: None", "| Injuries | N/A |"): it
+// names a thing to say it is absent, so the model does not read it as a
+// mention.
+func NegatedRow(line string) bool {
+	trimmed := strings.TrimSpace(line)
+	value := ""
+	switch {
+	case strings.HasPrefix(trimmed, "|"):
+		if _, cell, ok := strings.Cut(strings.Trim(trimmed, "|"), "|"); ok && !strings.Contains(cell, "|") {
+			value = cell
+		}
+	case strings.Contains(trimmed, ": "):
+		_, value, _ = strings.Cut(trimmed, ": ")
 	}
-	return false
+	value = strings.TrimSpace(value)
+	for i := 0; i < len(value); i++ {
+		if value[i] >= utf8.RuneSelf {
+			return slices.Contains(negatives, strings.ToLower(value))
+		}
+	}
+	// ASCII: a case-insensitive match is a lowered one, with no copy.
+	return slices.ContainsFunc(negatives, func(neg string) bool { return strings.EqualFold(value, neg) })
 }
+
+// negatives are the values NegatedRow reads as "absent", lowered.
+var negatives = []string{"none", "no", "n/a", "not applicable", "false"}
 
 // conceptGroups splits a predicate question into concept groups: each
 // content token plus its synonym expansion. Multi-word proper phrases

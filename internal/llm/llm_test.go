@@ -103,7 +103,7 @@ func TestMeterAccumulates(t *testing.T) {
 
 func TestSimDeterminism(t *testing.T) {
 	ctx := context.Background()
-	req := Request{Prompt: FilterPrompt("does the document mention engine problems?",
+	req := Request{Prompt: FilterPrompt("does the document mention engine problems?", "N42",
 		"The engine lost power. Examination revealed a failure of the carburetor.")}
 	a, _ := NewSim(42).Complete(ctx, req)
 	b, _ := NewSim(42).Complete(ctx, req)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aryn/internal/core"
+	"aryn/internal/docset"
 	"aryn/internal/index"
 	"aryn/internal/llm"
 	"aryn/internal/ntsb"
@@ -27,8 +28,10 @@ var mixQuestions = []string{
 // assumption on the benchmark corpus: for every report and every subset of
 // two or three of the filter questions the 30 benchmark questions and the
 // optimizer mix ask, each line of the Sim's packed reply is its reply to
-// that question's solo prompt — including where the solo reply is a draw
-// of the per-question rng, of which the corpus must hold at least one.
+// that question's solo prompt — the packed prompt reading the union of the
+// sections its questions are about, each solo prompt its own question's
+// (docset.FilterGroup) — including where the solo reply is a draw of the
+// per-question rng, of which the corpus must hold at least one.
 func TestSimPackedRepliesMatchSolo(t *testing.T) {
 	ctx := context.Background()
 	corpus, err := ntsb.GenerateCorpus(100, 42)
@@ -95,11 +98,10 @@ func TestSimPackedRepliesMatchSolo(t *testing.T) {
 	others := []*llm.Sim{llm.NewSim(1), llm.NewSim(2), llm.NewSim(3), llm.NewSim(4)}
 	rngDecided := 0
 	for _, hit := range hits {
-		text := hit.Doc.TextContent()
 		solo := map[string]string{}
 		drawn := map[string]bool{}
 		for _, q := range questions {
-			req := llm.FilterGroup([]string{q}, text).Reqs[0]
+			req := docset.FilterGroup([]string{q}, hit.Doc).Reqs[0]
 			resp, err := sim.Complete(ctx, req)
 			if err != nil {
 				t.Fatal(err)
@@ -112,7 +114,7 @@ func TestSimPackedRepliesMatchSolo(t *testing.T) {
 			}
 		}
 		for _, subset := range subsets {
-			g := llm.FilterGroup(subset, text)
+			g := docset.FilterGroup(subset, hit.Doc)
 			members := make([]int, len(subset))
 			for i := range members {
 				members[i] = i

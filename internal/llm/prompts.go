@@ -80,16 +80,49 @@ func ExtractPrompt(fields []FieldSpec, docText string) string {
 	return sb.String()
 }
 
-// FilterPrompt builds the prompt for a yes/no document predicate.
-func FilterPrompt(question, docText string) string {
+// FilterPrompt builds the prompt for a yes/no document predicate over
+// docText, the document docID whole or scoped to the sections the question
+// is about; the ID travels on its own line (documentIDLine).
+func FilterPrompt(question, docID, docText string) string {
 	var sb strings.Builder
 	sb.WriteString(TaskFilter + "\n")
 	sb.WriteString("Answer strictly \"yes\" or \"no\".\n")
 	sb.WriteString("QUESTION: " + question + "\n")
+	sb.WriteString(documentIDLine(docID))
 	sb.WriteString(docOpen + "\n")
 	sb.WriteString(docText)
 	sb.WriteString("\n" + docClose + "\n")
 	return sb.String()
+}
+
+// documentIDLabel opens the line, just before the document block, that
+// names the document a filter prompt is about.
+const documentIDLabel = "DOCUMENT-ID: "
+
+// documentIDLine is that line: empty for a document without an ID, the ID
+// Go-quoted when it holds a character that could end or forge a line.
+func documentIDLine(id string) string {
+	if id == "" {
+		return ""
+	}
+	if quoted := strconv.Quote(id); quoted[1:len(quoted)-1] != id {
+		id = quoted
+	}
+	return documentIDLabel + id + "\n"
+}
+
+// promptDocumentID returns the DOCUMENT-ID line that stands just before a
+// prompt's document block, without its newline, or "" when there is none.
+func promptDocumentID(prompt string) string {
+	head, _, ok := strings.Cut(prompt, "\n"+docOpen+"\n")
+	if !ok {
+		return ""
+	}
+	line := head[strings.LastIndexByte(head, '\n')+1:]
+	if !strings.HasPrefix(line, documentIDLabel) {
+		return ""
+	}
+	return line
 }
 
 // FilterYes reports whether a filter completion is affirmative — the one
@@ -110,32 +143,35 @@ func FilterYes(text string) bool {
 //
 // Each question travels as a Go-quoted string on its own line, so a
 // question holding a newline, a "QUESTION: " or a document delimiter
-// cannot forge a line: unpackFilterPrompt(packFilterPrompt(qs, doc))
-// returns exactly (qs, doc).
+// cannot forge a line: unpackFilterPrompt(packFilterPrompt(qs, id, doc))
+// returns exactly (qs, id, doc).
 const (
 	filterPackInstruction = "Answer each question strictly \"yes\" or \"no\": one line per question, in order."
 	filterPackQuestion    = "QUESTION: "
 )
 
-// packFilterPrompt builds the packed prompt asking questions of docText.
-func packFilterPrompt(questions []string, docText string) string {
+// packFilterPrompt builds the packed prompt asking questions of docText,
+// the text of the document docID.
+func packFilterPrompt(questions []string, docID, docText string) string {
 	var sb strings.Builder
 	sb.WriteString(TaskFilter + "\n" + filterPackInstruction + "\n")
 	for _, q := range questions {
 		sb.WriteString(filterPackQuestion + strconv.Quote(q) + "\n")
 	}
+	sb.WriteString(documentIDLine(docID))
 	sb.WriteString(docOpen + "\n")
 	sb.WriteString(docText)
 	sb.WriteString("\n" + docClose + "\n")
 	return sb.String()
 }
 
-// unpackFilterPrompt reads a packed prompt back into its questions and
-// document; ok is false for anything packFilterPrompt did not build.
-func unpackFilterPrompt(prompt string) (questions []string, docText string, ok bool) {
+// unpackFilterPrompt reads a packed prompt back into its questions, its
+// document's ID and its document text; ok is false for anything
+// packFilterPrompt did not build.
+func unpackFilterPrompt(prompt string) (questions []string, docID, docText string, ok bool) {
 	rest, ok := strings.CutPrefix(prompt, TaskFilter+"\n"+filterPackInstruction+"\n")
 	if !ok {
-		return nil, "", false
+		return nil, "", "", false
 	}
 	for {
 		line, after, found := strings.Cut(rest, "\n")
@@ -145,14 +181,23 @@ func unpackFilterPrompt(prompt string) (questions []string, docText string, ok b
 		}
 		q, err := strconv.Unquote(quoted)
 		if err != nil {
-			return nil, "", false
+			return nil, "", "", false
 		}
 		questions = append(questions, q)
 		rest = after
 	}
+	if line, after, found := strings.Cut(rest, "\n"); found && strings.HasPrefix(line, documentIDLabel) {
+		docID, rest = line[len(documentIDLabel):], after
+		if strings.HasPrefix(docID, `"`) {
+			var err error
+			docID, err = strconv.Unquote(docID)
+			ok = err == nil
+		}
+		ok = ok && docID != ""
+	}
 	rest, opened := strings.CutPrefix(rest, docOpen+"\n")
 	docText, closed := strings.CutSuffix(rest, "\n"+docClose+"\n")
-	return questions, docText, opened && closed && len(questions) > 0
+	return questions, docID, docText, ok && opened && closed && len(questions) > 0
 }
 
 // splitFilterReply cuts the reply to a packed prompt into its n answer
@@ -166,15 +211,16 @@ func splitFilterReply(text string, n int) ([]string, error) {
 	return lines, nil
 }
 
-// FilterGroup is the request group asking every question of one document:
-// member i is the solo FilterPrompt request of questions[i] — its cache
-// key — two or more missing members go upstream as one packed prompt, and
-// a resident "no" settles the group (the document fails the conjunction
-// whatever the other answers are).
-func FilterGroup(questions []string, docText string) Group {
+// FilterGroup is the request group asking every question of one document,
+// docID: member i is the solo FilterPrompt request of questions[i] over
+// scope([]int{i}) — its cache key — two or more missing members go upstream
+// as one packed prompt over scope(members), the text those questions need,
+// and a resident "no" settles the group (the document fails the
+// conjunction whatever the other answers are).
+func FilterGroup(questions []string, docID string, scope func(members []int) string) Group {
 	reqs := make([]Request, len(questions))
 	for i, q := range questions {
-		reqs[i] = Request{Prompt: FilterPrompt(q, docText)}
+		reqs[i] = Request{Prompt: FilterPrompt(q, docID, scope([]int{i}))}
 	}
 	return Group{
 		Reqs: reqs,
@@ -183,7 +229,7 @@ func FilterGroup(questions []string, docText string) Group {
 			for j, i := range members {
 				asked[j] = questions[i]
 			}
-			return Request{Prompt: packFilterPrompt(asked, docText)}
+			return Request{Prompt: packFilterPrompt(asked, docID, scope(members))}
 		},
 		Split: splitFilterReply,
 		Stop:  func(r Response) bool { return !FilterYes(r.Text) },

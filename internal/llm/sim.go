@@ -150,14 +150,14 @@ func (s *Sim) complete(ctx context.Context, req Request) (Response, error) {
 
 	var text string
 	var refusal bool
-	if questions, doc, ok := unpackFilterPrompt(req.Prompt); ok {
+	if questions, docID, doc, ok := unpackFilterPrompt(req.Prompt); ok {
 		// The packed prompt's modelling assumption, by construction: each
 		// line is what the question's solo prompt would have been answered
 		// with — same per-question rng, same window cut.
 		lines := make([]string, len(questions))
 		for i, q := range questions {
 			solo := req
-			solo.Prompt = FilterPrompt(q, doc)
+			solo.Prompt = FilterPrompt(q, docID, doc)
 			// A solo prompt is no longer than the packed one, so it only
 			// needs counting when that one overflows the window.
 			soloTokens := tokens

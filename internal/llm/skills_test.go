@@ -100,7 +100,7 @@ func TestExtractMissingFieldIsNull(t *testing.T) {
 
 func TestFilterSkillPositive(t *testing.T) {
 	sim := NewSim(1)
-	out := completeText(t, sim, FilterPrompt("Does the document indicate engine problems?", ntsbLikeDoc))
+	out := completeText(t, sim, FilterPrompt("Does the document indicate engine problems?", "", ntsbLikeDoc))
 	if out != "yes" {
 		t.Errorf("engine-problem doc should pass filter, got %q", out)
 	}
@@ -109,7 +109,7 @@ func TestFilterSkillPositive(t *testing.T) {
 func TestFilterSkillNegative(t *testing.T) {
 	sim := NewSim(1)
 	doc := "The glider landed long and overran the runway into a fence. No mechanical issues with the airframe."
-	out := completeText(t, sim, FilterPrompt("Does the document mention birds?", doc))
+	out := completeText(t, sim, FilterPrompt("Does the document mention birds?", "", doc))
 	if out != "no" {
 		t.Errorf("no birds mentioned, filter said %q", out)
 	}
@@ -124,7 +124,7 @@ and there was no evidence of any pre-impact failure.`
 	passes := 0
 	for seed := int64(0); seed < 20; seed++ {
 		sim := NewSim(seed)
-		if completeText(t, sim, FilterPrompt("Was the incident due to engine problems?", doc)) == "yes" {
+		if completeText(t, sim, FilterPrompt("Was the incident due to engine problems?", "", doc)) == "yes" {
 			passes++
 		}
 	}
@@ -298,5 +298,50 @@ func TestContainsWord(t *testing.T) {
 	}
 	if !containsWord("struck a flock of geese", "flock of geese") {
 		t.Error("multi-word synonym should substring-match")
+	}
+}
+
+// TestFilterVerdictIsTheDocuments: with the DOCUMENT-ID line, a filter
+// verdict is one per (question, document) — the same for the document sent
+// whole, cut to the lines that mention the question, and packed with
+// another question — and the leniency coin that settles it does not move
+// with the prompt's length; without the line, the coin is the prompt's.
+func TestFilterVerdictIsTheDocuments(t *testing.T) {
+	ctx := context.Background()
+	const question = "Was the incident due to engine problems?"
+	// The concepts never share a sentence: the coin decides.
+	scoped := "Examination of the engine revealed nothing unusual.\nThe pilot reported a problem with the radio."
+	whole := "Aviation Investigation Final Report\n" + scoped + "\nThe docket was closed in March.\nInspectors recorded the weather."
+	reply := func(sim *Sim, prompt string) string {
+		resp, err := sim.Complete(ctx, Request{Prompt: prompt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Text
+	}
+	yes, movedWithoutID := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		sim := NewSim(seed)
+		id := fmt.Sprintf("N%03d", seed)
+		want := reply(sim, FilterPrompt(question, id, whole))
+		if got := reply(sim, FilterPrompt(question, id, scoped)); got != want {
+			t.Errorf("seed %d: %q scoped, %q whole", seed, got, want)
+		}
+		packed := reply(sim, packFilterPrompt([]string{"Does the report mention birds?", question}, id, whole))
+		if lines := strings.Split(packed, "\n"); len(lines) != 2 || lines[1] != want {
+			t.Errorf("seed %d: packed reply %q, solo %q", seed, packed, want)
+		}
+		if want == "yes" {
+			yes++
+		}
+		if reply(sim, FilterPrompt(question, "", whole)) != reply(sim, FilterPrompt(question, "", scoped)) {
+			movedWithoutID++
+		}
+	}
+	if yes == 0 || yes == 40 {
+		t.Errorf("%d of 40 seeds said yes: the coin settled nothing", yes)
+	}
+	if movedWithoutID == 0 {
+		t.Error("without the DOCUMENT-ID line no verdict moved with the prompt: the per-prompt coin is not exercised")
 	}
 }

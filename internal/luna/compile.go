@@ -136,8 +136,6 @@ func (e *Executor) lower(ec *docset.Context, plan *LogicalPlan) (*lowered, error
 			out = in.FilterProps(compileFilters(n.Filters))
 		case OpLLMFilter:
 			out = in.LLMFilter(n.questions()...)
-		case OpLLMFilterCascade:
-			out = in.LLMFilterCascade(n.questions(), n.Low, n.High)
 		case OpLLMExtract:
 			if n.Sections > 0 {
 				out = in.LLMExtractScoped(n.Fields)

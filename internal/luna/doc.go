@@ -16,8 +16,9 @@
 // It is rewritten one way too: the rule list in rewrite.go, run to a
 // fixpoint by one driver — §6.1's optimizer that "uses a combination of
 // rule-based and cost-based" rewrites. Rewrite applies the exact rules
-// (every plan gets them), Optimize the whole list: those plus the two
-// approximate rules, the proxy cascade and the scoped extract.
+// (every plan gets them), Optimize the whole list: those plus the one
+// approximate rule, the scoped extract. (A filter needs no rule to read
+// less: llmFilter always reads only the sections its question is about.)
 // One record, PlanPreview, carries every form of the plan (original,
 // rewritten, optimized, cost estimates, compiled pipeline); Service
 // builds it in one step for PlanOnly, InspectPlan, Ask and RunPlan, and a

@@ -4,19 +4,20 @@ package luna
 // executes three times against identically-seeded fresh systems — as the
 // planner wrote it, with no rule applied (the reference), after the exact
 // rules (Rewrite: extract and filter fusion, pushdown, predicate hoisting)
-// and after the whole list (Optimize: proxy cascades and scoped extracts as
-// well) — and the results must be byte-identical while each step spends no
-// more LLM calls than the one before, a scoped extract's second, whole-
-// document asks aside. This is the semantics-preservation contract that lets
-// the exact rules run on every query. The approximate rules pass it here
-// because the corpus below has a controlled vocabulary; on real report text
-// the cascade's drop rung is approximate (core.TestCascadeFalseDrops) and
-// the scope is held to zero changed values (core.TestScopedExtractValues).
+// and after the whole list (Optimize: scoped extracts as well) — and the
+// results must be byte-identical while each step spends no more LLM calls
+// than the one before, a scoped extract's second, whole-document asks aside.
+// This is the semantics-preservation contract that lets the exact rules run
+// on every query. The approximate rule passes it here because the corpus
+// below has a controlled vocabulary; on real report text the scope is held
+// to zero changed values (core.TestScopedExtractValues).
 
 import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -29,7 +30,7 @@ import (
 
 // Single-concept predicate questions: the sim's filter matcher resolves
 // these deterministically (one concept group → lexical presence decides),
-// so commutation and cascade checks are exact, not probabilistic.
+// so commutation and fusion checks are exact, not probabilistic.
 const (
 	qFire  = "Does the report mention a fire?"
 	qBirds = "Does the report mention birds?"
@@ -159,7 +160,7 @@ func equivalencePlans() []struct {
 			LogicalOp{Op: OpCount})},
 		{"resubmitted-fused", Chain(
 			LogicalOp{Op: OpQueryDatabase},
-			LogicalOp{Op: OpLLMFilterCascade, Questions: []string{qPilot, qFuel}, Low: docset.DefaultCascadeLow, High: docset.DefaultCascadeHigh},
+			LogicalOp{Op: OpLLMFilter, Questions: []string{qPilot, qFuel}},
 			LogicalOp{Op: OpLLMFilter, Question: qIce},
 			LogicalOp{Op: OpCount})},
 		{"hoist-basic-filter", Chain(
@@ -266,6 +267,52 @@ func runRaw(t *testing.T, plan *LogicalPlan) (*Result, int64) {
 	return res, sumLLMCalls(res.Exec)
 }
 
+// firstAsks records, per document of equivCorpus, the prompt tokens of the
+// first extract prompt an execution sent about it: the scoped prompt where
+// the optimize phase scoped the extract, not the whole-document re-ask that
+// may follow it.
+type firstAsks struct {
+	llm.Client
+	docs   []*docmodel.Document
+	mu     sync.Mutex
+	tokens map[string]int
+}
+
+func (f *firstAsks) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if strings.HasPrefix(req.Prompt, llm.TaskExtract) {
+		for _, d := range f.docs {
+			if strings.Contains(req.Prompt, d.Text) {
+				f.mu.Lock()
+				if _, ok := f.tokens[d.ID]; !ok {
+					f.tokens[d.ID] = llm.CountTokens(req.Prompt)
+				}
+				f.mu.Unlock()
+			}
+		}
+	}
+	return f.Client.Complete(ctx, req)
+}
+
+func (f *firstAsks) CompleteGroup(ctx context.Context, g llm.Group) ([]llm.Response, error) {
+	return llm.CompleteGroup(ctx, f.Client, g)
+}
+
+// runFirstAsks is runEquiv, also returning the firstAsks of the execution.
+func runFirstAsks(t *testing.T, plan *LogicalPlan, optimize bool) (*Result, int64, map[string]int) {
+	t.Helper()
+	svc := newEquivService(t, optimize, cost.NewModel(cost.NewStore()))
+	log := &firstAsks{Client: svc.Executor.EC.LLM, tokens: map[string]int{}}
+	for _, hit := range svc.Executor.Store.SearchDocs(index.Query{}) {
+		log.docs = append(log.docs, hit.Doc)
+	}
+	svc.Executor.EC.LLM = log
+	res, err := svc.RunPlan(context.Background(), "equiv", plan.Clone())
+	if err != nil {
+		t.Fatalf("optimize=%v: %v", optimize, err)
+	}
+	return res, sumLLMCalls(res.Exec), log.tokens
+}
+
 func sumLLMCalls(d *ExecDetail) int64 {
 	if d == nil {
 		return 0
@@ -291,7 +338,11 @@ func docIDs(res *Result) []string {
 // forms must give the raw plan's answer and documents, byte for byte, and
 // the calls must not grow from one leg to the next; the mix — one plan
 // shape per rule — must also come in at 70% of the raw plan's calls or
-// fewer with the whole list, the bar the optimizer ships under.
+// fewer with the whole list, the bar the optimizer ships under. Across the
+// suite the exact rules must save calls, and the optimize phase — whose one
+// rule, scopeExtracts, reads a document's scope first and sometimes asks it
+// again whole — tokens on those first asks, re-asks set aside as their
+// calls are.
 func TestOptimizerEquivalence(t *testing.T) {
 	type equivCase struct {
 		name string
@@ -318,12 +369,12 @@ func TestOptimizerEquivalence(t *testing.T) {
 		}
 		return string(b)
 	}
-	var totalRaw, totalOff, totalOn, mixRaw, mixOn int64
+	var totalRaw, totalOff, totalOn, mixRaw, mixOn, firstOff, firstOn int64
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			raw, callsRaw := runRaw(t, tc.plan)
-			off, callsOff := runEquiv(t, tc.plan, false)
-			on, callsOn := runEquiv(t, tc.plan, true)
+			off, callsOff, asksOff := runFirstAsks(t, tc.plan, false)
+			on, callsOn, asksOn := runFirstAsks(t, tc.plan, true)
 
 			for leg, res := range map[string]*Result{"rewritten": off, "optimized": on} {
 				if want, got := answerJSON(t, raw), answerJSON(t, res); got != want {
@@ -357,6 +408,13 @@ func TestOptimizerEquivalence(t *testing.T) {
 			totalRaw += callsRaw
 			totalOff += callsOff
 			totalOn += callsOn
+			if len(asksOn) != len(asksOff) {
+				t.Errorf("the legs asked extracts of %d and %d documents", len(asksOff), len(asksOn))
+			}
+			for id, n := range asksOff {
+				firstOff += int64(n)
+				firstOn += int64(asksOn[id])
+			}
 			if tc.mix {
 				mixRaw += callsRaw
 				mixOn += callsOn
@@ -364,9 +422,10 @@ func TestOptimizerEquivalence(t *testing.T) {
 		})
 	}
 	// Across the whole suite each step must actually save something — equal
-	// counts would mean the exact rules, or the cascade rung, are a no-op.
-	if totalOff >= totalRaw || totalOn >= totalOff {
-		t.Errorf("no aggregate savings: %d calls raw, %d rewritten, %d optimized", totalRaw, totalOff, totalOn)
+	// counts would mean the exact rules, or the scoped extract, are a no-op.
+	if totalOff >= totalRaw || firstOn >= firstOff {
+		t.Errorf("no aggregate savings: %d calls raw, %d rewritten; %d first-ask extract prompt tokens rewritten, %d optimized",
+			totalRaw, totalOff, firstOff, firstOn)
 	}
 	if mixRaw == 0 {
 		t.Fatal("raw mix made no LLM calls; the mix no longer exercises the rules")
@@ -375,8 +434,8 @@ func TestOptimizerEquivalence(t *testing.T) {
 		t.Errorf("the rule list saved too little on the mix: %d LLM calls optimized vs %d raw (need <= %d, a 30%% cut)",
 			mixOn, mixRaw, limit)
 	}
-	t.Logf("LLM calls: suite %d raw, %d rewritten, %d optimized; mix %d raw, %d optimized",
-		totalRaw, totalOff, totalOn, mixRaw, mixOn)
+	t.Logf("LLM calls: suite %d raw, %d rewritten, %d optimized; mix %d raw, %d optimized; first-ask extract prompt tokens: %d rewritten, %d optimized",
+		totalRaw, totalOff, totalOn, mixRaw, mixOn, firstOff, firstOn)
 }
 
 // countingLLM counts what an execution sends through its client: one per
@@ -425,7 +484,8 @@ func TestExecAccountsForEveryModelCall(t *testing.T) {
 
 // TestOptimizedResultAnnotations pins the observability contract: with the
 // phase on, the result carries the optimized plan, both cost estimates,
-// and an exec trace whose cascade node accounts for every input document.
+// and an exec trace whose filter node asked the model once per input
+// document and dropped none on a proxy.
 func TestOptimizedResultAnnotations(t *testing.T) {
 	plan := Chain(
 		LogicalOp{Op: OpQueryDatabase},
@@ -443,22 +503,19 @@ func TestOptimizedResultAnnotations(t *testing.T) {
 	if res.ExecutedPlan() != res.Optimized {
 		t.Error("ExecutedPlan must be the optimized plan when the phase ran")
 	}
-	var cascade *NodeExec
+	var filter *NodeExec
 	for i, ne := range res.Exec.Nodes {
-		if ne.Op == OpLLMFilterCascade {
-			cascade = &res.Exec.Nodes[i]
+		if ne.Op == OpLLMFilter {
+			filter = &res.Exec.Nodes[i]
 		}
 	}
-	if cascade == nil {
-		t.Fatalf("no cascade node in exec detail: %+v", res.Exec.Nodes)
+	if filter == nil {
+		t.Fatalf("no llmFilter node in exec detail: %+v", res.Exec.Nodes)
 	}
-	r := cascade.Runtime
-	if r.Escalations+r.ProxyKept+r.ProxyDropped != r.DocsIn {
-		t.Errorf("cascade accounting: escalated %d + kept %d + dropped %d != in %d",
-			r.Escalations, r.ProxyKept, r.ProxyDropped, r.DocsIn)
-	}
-	if r.LLMCalls > r.Escalations {
-		t.Errorf("cascade spent %d calls on %d escalations", r.LLMCalls, r.Escalations)
+	r := filter.Runtime
+	if r.DocsIn == 0 || r.LLMCalls != r.DocsIn || r.Escalations+r.ProxyKept+r.ProxyDropped != 0 {
+		t.Errorf("filter accounting: %d calls for %d documents, %d escalated, %d kept and %d dropped on a proxy",
+			r.LLMCalls, r.DocsIn, r.Escalations, r.ProxyKept, r.ProxyDropped)
 	}
 	// The estimates must cover the LLM-bearing node and mark totals.
 	if res.Cost.LLMCalls <= 0 || res.Cost.Units <= 0 {

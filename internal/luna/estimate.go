@@ -20,7 +20,7 @@ import (
 // walk its questions.
 func opSignature(op LogicalOp) string {
 	switch op.Op {
-	case OpLLMFilter, OpLLMFilterCascade:
+	case OpLLMFilter:
 		return filterSignature(strings.Join(op.questions(), "|"))
 	case OpBasicFilter:
 		return "basicFilter|" + filterSig(op.Filters)
@@ -51,8 +51,8 @@ func opSignature(op LogicalOp) string {
 }
 
 // filterSignature is the feedback-store key of one llmFilter question.
-// The plain, cascaded and fused forms share it — they evaluate the same
-// predicate, so selectivity evidence transfers between them.
+// The plain and fused forms share it — they evaluate the same predicate, so
+// selectivity evidence transfers between them.
 func filterSignature(question string) string { return "llmFilter|" + question }
 
 func filterSig(filters []FilterSpec) string {
@@ -115,7 +115,7 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 			out = in * sel
 			units = in * math.Max(float64(len(n.Filters)), 1) * cost.UnitsPerPredicate
 			ne.Observed = observed
-		case OpLLMFilter, OpLLMFilterCascade:
+		case OpLLMFilter:
 			// One call per document however many questions it asks; the
 			// questions' selectivities multiply (independence).
 			out = in
@@ -125,11 +125,7 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 				ne.Observed = ne.Observed || observed
 			}
 			calls = in
-			if n.Op == OpLLMFilterCascade {
-				calls = in * cost.DefaultEscalationRate
-				units = in * cost.UnitsPerProxy * float64(len(n.questions()))
-			}
-			units += calls * cost.UnitsPerLLMCall
+			units = calls * cost.UnitsPerLLMCall
 		case OpLLMExtract:
 			out = in
 			calls = in

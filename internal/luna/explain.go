@@ -52,22 +52,21 @@ type NodeRuntime struct {
 	PromptTokens     int64 `json:"llm_prompt_tokens"`
 	CompletionTokens int64 `json:"llm_completion_tokens"`
 	CacheHits        int64 `json:"llm_cache_hits"`
-	// What the node's cheap first step settled (omitted on nodes that have
-	// none). llmFilterCascade: documents escalated to the full LLM, kept on
-	// proxy score alone, and dropped on proxy score alone. Scoped
-	// llmExtract: documents asked again whole (llm_calls counts both asks)
-	// and documents answered from their scope.
+	// What a scoped llmExtract's cheap first step settled (omitted on every
+	// other node): documents asked again whole (llm_calls counts both asks)
+	// and documents answered from their scope. ProxyDropped stays zero (no
+	// operator drops on a proxy); readers of these counters bind to it.
 	Escalations  int64 `json:"escalations,omitempty"`
 	ProxyKept    int64 `json:"proxy_kept,omitempty"`
 	ProxyDropped int64 `json:"proxy_dropped,omitempty"`
-	// Questions is the per-question account of a fused llmFilter /
-	// llmFilterCascade node, in the node's question order (omitted on a
-	// single-question node, whose pair is docs_in / docs_out).
+	// Questions is the per-question account of a fused llmFilter node, in
+	// the node's question order (omitted on a single-question node, whose
+	// pair is docs_in / docs_out).
 	Questions []QuestionRuntime `json:"questions,omitempty"`
 }
 
 // QuestionRuntime is one question's share of a fused filter node: the
-// documents that reached a verdict on it (proxy rung, resident answer or
+// documents that reached a verdict on it (resident answer or
 // model reply — a document another question settled first reaches none)
 // and how many of those verdicts were yes.
 type QuestionRuntime struct {
@@ -152,7 +151,6 @@ func buildExecDetail(plan *LogicalPlan, order []int, trace *docset.Trace, start 
 			r.CacheHits += nt.CacheHits
 			r.Escalations += nt.Escalations
 			r.ProxyKept += nt.ProxyKept
-			r.ProxyDropped += nt.ProxyDropped
 			if len(nt.Questions) > 1 {
 				for _, q := range nt.Questions {
 					r.Questions = append(r.Questions, QuestionRuntime(q))

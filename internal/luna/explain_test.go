@@ -41,7 +41,7 @@ func modelStagePlan() *LogicalPlan {
 		Nodes: []PlanNode{
 			{ID: "m1", LogicalOp: LogicalOp{Op: OpQueryDatabase}},
 			{ID: "m2", Inputs: []string{"m1"}, LogicalOp: LogicalOp{
-				Op: OpLLMFilterCascade, Question: "Does the document indicate substantial damage?", Low: 0.01}},
+				Op: OpLLMFilter, Question: "Does the document indicate substantial damage?"}},
 			{ID: "m3", Inputs: []string{"m2"}, LogicalOp: LogicalOp{
 				Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "weather_related", Type: "bool"}}}},
 			{ID: "m4", Inputs: []string{"m3"}, LogicalOp: LogicalOp{

@@ -14,11 +14,12 @@ import (
 )
 
 // fuzzSeeds is the shared seed mix: well-formed chain and DAG plans, the
-// optimizer's special shapes (chains, hoists, cascades, a scoped extract
-// beside a whole-document one, which fuse only once both are scoped), and
-// malformed inputs that must fail cleanly — among them the retired
-// {"ops": [...]} form, which decodes to a plan with no nodes and must be
-// rejected.
+// optimizer's special shapes (chains, hoists, a scoped extract beside a
+// whole-document one, which fuse only once both are scoped), and malformed
+// inputs that must fail cleanly — among them two retired forms: the
+// {"ops": [...]} form, which decodes to a plan with no nodes, and the
+// llmFilterCascade operator, an unknown op since llmFilter reads only the
+// sections its question is about; both must be rejected.
 var fuzzSeeds = []string{
 	`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"count"}],"output":"n2"}`,
 	`{"nodes":[{"id":"n1","op":"queryDatabase","filters":[{"field":"us_state","kind":"term","value":"KY"}]},{"id":"n2","inputs":["n1"],"op":"llmFilter","question":"Does the report mention a fire?"},{"id":"n3","inputs":["n2"],"op":"count"}],"output":"n3"}`,
@@ -93,8 +94,8 @@ func FuzzValidatePlan(f *testing.F) {
 // FuzzCostRewrite asserts the rule list is total and safe on every valid
 // plan, with and without the optimize phase: no panic, the output still
 // validates, the number of LLM-predicate evaluations per document cannot
-// grow (cascade conversion is 1:1; hoists only move nodes; fusion and
-// duplicate removal only delete them), and the driver stops at
+// grow (hoists only move nodes; fusion and duplicate removal only delete
+// them; scoping an extract changes none), and the driver stops at
 // a fixpoint — running it again over its own output changes nothing.
 func FuzzCostRewrite(f *testing.F) {
 	for _, s := range fuzzSeeds {
@@ -138,7 +139,7 @@ func countLLMNodes(p *LogicalPlan) int {
 	n := 0
 	for _, node := range q.Nodes {
 		switch node.Op {
-		case OpLLMFilter, OpLLMFilterCascade, OpLLMExtract, OpLLMCluster, OpFraction:
+		case OpLLMFilter, OpLLMExtract, OpLLMCluster, OpFraction:
 			n++
 		}
 	}

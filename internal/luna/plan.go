@@ -28,12 +28,6 @@ const (
 	OpLimit               = "limit"
 	OpProject             = "project"
 	OpLLMGenerate         = "llmGenerate"
-	// OpLLMFilterCascade is llmFilter behind an embedding-similarity
-	// proxy: documents scoring below Low are dropped and at or above High
-	// kept without an LLM call; only the uncertain band escalates to the
-	// full llmFilter predicate. The cost-based optimizer rewrites
-	// llmFilter into this form; plans may also request it directly.
-	OpLLMFilterCascade = "llmFilterCascade"
 	// OpJoin combines two upstream pipelines on equal property values —
 	// the §9 "extend Aryn to support joins" direction. It is the only
 	// operator with two inputs, which is what makes plans DAGs rather
@@ -56,19 +50,13 @@ type LogicalOp struct {
 	// queryDatabase / basicFilter
 	Keyword string       `json:"keyword,omitempty"`
 	Filters []FilterSpec `json:"filters,omitempty"`
-	// llmFilter / llmFilterCascade / fraction
+	// llmFilter / fraction
 	Question string `json:"question,omitempty"`
-	// llmFilter / llmFilterCascade, fused form: the node keeps a document
+	// llmFilter, fused form: the node keeps a document
 	// when every one of these (two or more) is answered yes, asking the
 	// model about each document at most once. The optimize phase writes it
 	// (fuseLLMFilters); a submitted plan may carry it in place of question.
 	Questions []string `json:"questions,omitempty"`
-	// llmFilterCascade: the proxy threshold band. Proxy scores below Low
-	// drop the document, at or above High keep it, in between escalate to
-	// the LLM. Zero values select the docset defaults (no drop rung / the
-	// cosine ceiling).
-	Low  float64 `json:"low,omitempty"`
-	High float64 `json:"high,omitempty"`
 	// llmExtract
 	Fields []llm.FieldSpec `json:"fields,omitempty"`
 	// llmExtract, scoped form (1; 0 reads the whole document): the model
@@ -278,7 +266,7 @@ func cloneOp(op LogicalOp) LogicalOp {
 	return op
 }
 
-// questions returns the predicates an llmFilter / llmFilterCascade node
+// questions returns the predicates an llmFilter node
 // asks: its fused list, or its one question.
 func (op LogicalOp) questions() []string {
 	if len(op.Questions) > 0 {
@@ -287,8 +275,8 @@ func (op LogicalOp) questions() []string {
 	return []string{op.Question}
 }
 
-// setQuestions writes the predicates of an llmFilter / llmFilterCascade
-// node in its wire form: one is a question, several are the fused list.
+// setQuestions writes the predicates of an llmFilter node in its wire
+// form: one is a question, several are the fused list.
 func (op *LogicalOp) setQuestions(qs []string) {
 	op.Question, op.Questions = "", qs
 	if len(qs) == 1 {
@@ -385,8 +373,6 @@ func (op LogicalOp) Describe() string {
 		return "basicFilter(" + strings.Join(parts, " AND ") + ")"
 	case OpLLMFilter:
 		return "llmFilter(" + op.describeQuestions() + ")"
-	case OpLLMFilterCascade:
-		return fmt.Sprintf("llmFilterCascade(%s, band=%g..%g)", op.describeQuestions(), op.Low, op.High)
 	case OpLLMExtract:
 		names := make([]string, len(op.Fields))
 		for i, f := range op.Fields {

@@ -55,8 +55,7 @@ type Service struct {
 	// Cost backs the plan estimates and receives per-operator feedback
 	// observations after every executed query; nil disables both.
 	Cost *cost.Model
-	// Optimize runs the approximate rules, insertCascades and scopeExtracts,
-	// as well as the exact ones every plan gets (see the rule list in rewrite.go). Off,
+	// Optimize runs the approximate rule, scopeExtracts, as well as the exact ones every plan gets (see the rule list in rewrite.go). Off,
 	// queries still feed the feedback store (when Cost is set), so turning
 	// optimization on later starts warm.
 	Optimize bool
@@ -88,8 +87,8 @@ type PlanPreview struct {
 	Plan *LogicalPlan
 	// Rewritten is the plan after the exact rules.
 	Rewritten *LogicalPlan
-	// Optimized is the plan after the whole rule list, cascades included
-	// (nil when the phase is off).
+	// Optimized is the plan after the whole rule list, scoped extracts
+	// included (nil when the phase is off).
 	Optimized *LogicalPlan
 	// Cost/CostOptimized are the model's estimates for the rewritten and
 	// optimized plans (nil without a cost model) — the "estimated" half

@@ -3,7 +3,6 @@ package luna
 import (
 	"slices"
 
-	"aryn/internal/docset"
 	"aryn/internal/llm"
 )
 
@@ -22,26 +21,24 @@ type rule struct {
 // Rewrite runs the exact rules, Optimize all of them. (A test checks the
 // table in docs/optimizer.md against it.)
 //
-// Five are exact, two are approximate. Extract fusion and filter pushdown
+// Five are exact, one is approximate. Extract fusion and filter pushdown
 // change where work happens, not what it computes; a repeated llmFilter
 // cannot change the result; structured predicates and LLM predicates
 // commute; a chain of llmFilters is the conjunction of its questions however
-// they are asked. Those run on every plan. A cascade escalates to the exact
-// llmFilter predicate every document its proxy cannot decide, but its drop
-// rung removes a document on embedding similarity alone — on real report
-// text it drops documents the model would keep (the counts are pinned by
-// core.TestCascadeFalseDrops) — so it waits for optimize. So does a scoped
-// extract: it re-asks the whole document only for a field its scope left
+// they are asked. Those run on every plan. A scoped extract waits for
+// optimize: it re-asks the whole document only for a field its scope left
 // null and the rest of the document mentions, so a value the scope got
 // wrong stands (core.TestScopedExtractValues counts none on the benchmark
-// corpora; core.TestScopedExtractShapes pins the other field shapes).
+// corpora; core.TestScopedExtractShapes pins the other field shapes). A
+// filter needs no rule to be scoped: llmFilter always reads only the
+// sections that mention its question, and that changes no verdict
+// (core.TestScopedFilterVerdicts).
 var rules = []rule{
 	{"fuseExtracts", false, fuseExtracts},
 	{"pushFilters", false, pushFilters},
 	{"dropDuplicateFilters", false, dropDuplicateFilters},
 	{"hoistBasicFilters", false, hoistBasicFilters},
 	{"fuseLLMFilters", false, fuseLLMFilters},
-	{"insertCascades", true, insertCascades},
 	{"scopeExtracts", true, scopeExtracts},
 }
 
@@ -52,9 +49,9 @@ func Rewrite(plan *LogicalPlan) *LogicalPlan {
 	return applyRules(plan, false)
 }
 
-// Optimize is Rewrite plus insertCascades and scopeExtracts: the whole rule
-// list, since a filter that becomes a cascade can fuse with the cascade it
-// now matches. It returns a new plan; the input is not modified. No rule
+// Optimize is Rewrite plus scopeExtracts: the whole rule list, since a
+// scoped extract can fuse with the scoped extract it now matches. It
+// returns a new plan; the input is not modified. No rule
 // consults the feedback store: its evidence feeds the estimates
 // (EstimatePlan), not the plan's shape.
 func Optimize(plan *LogicalPlan) *LogicalPlan {
@@ -243,7 +240,7 @@ func hoistBasicFilters(p *LogicalPlan) bool {
 			return false
 		}
 		switch up.Op {
-		case OpLLMFilter, OpLLMFilterCascade:
+		case OpLLMFilter:
 			return true
 		case OpLLMExtract:
 			return !filterReadsExtracted(f.Filters, up.Fields)
@@ -272,9 +269,8 @@ func filterReadsExtracted(filters []FilterSpec, fields []llm.FieldSpec) bool {
 	return false
 }
 
-// fuseLLMFilters merges an llmFilter (or cascade) into the upstream one of
-// the same form and band it exclusively consumes — the fuseExtracts of
-// filters. The fused node asks both question lists of each document in one
+// fuseLLMFilters merges an llmFilter into the upstream llmFilter it
+// exclusively consumes — the fuseExtracts of filters. The fused node asks both question lists of each document in one
 // stage, which sends the document to the model once instead of once per
 // filter and asks only the questions the response cache has no answer to
 // (docset.LLMFilter); answers stay keyed per question, so fused and chained
@@ -282,8 +278,7 @@ func filterReadsExtracted(filters []FilterSpec, fields []llm.FieldSpec) bool {
 // filters becomes one node.
 func fuseLLMFilters(p *LogicalPlan) bool {
 	n, up := p.exclusiveEdge(func(n, up *PlanNode) bool {
-		return (n.Op == OpLLMFilter || n.Op == OpLLMFilterCascade) &&
-			up.Op == n.Op && up.Low == n.Low && up.High == n.High
+		return n.Op == OpLLMFilter && up.Op == OpLLMFilter
 	})
 	if n == nil {
 		return false
@@ -299,26 +294,9 @@ func fuseLLMFilters(p *LogicalPlan) bool {
 	return true
 }
 
-// insertCascades lowers every llmFilter onto a proxy cascade. The default
-// band is written into the node so the optimized JSON is self-describing;
-// a submitted plan may carry llmFilterCascade nodes with its own band.
-func insertCascades(p *LogicalPlan) bool {
-	changed := false
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		if n.Op == OpLLMFilter {
-			n.Op = OpLLMFilterCascade
-			n.Low, n.High = docset.DefaultCascadeLow, docset.DefaultCascadeHigh
-			changed = true
-		}
-	}
-	return changed
-}
-
 // scopeExtracts points every whole-document llmExtract at the one section
 // each of its fields is most likely in (docset.LLMExtractScoped). The scope
-// is written into the node, like a cascade's band, so the optimized JSON is
-// self-describing.
+// is written into the node, so the optimized JSON is self-describing.
 func scopeExtracts(p *LogicalPlan) bool {
 	changed := false
 	for i := range p.Nodes {

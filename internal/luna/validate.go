@@ -42,11 +42,6 @@ func Validate(plan *LogicalPlan, schema Schema) error {
 			validFilters(id, n.Filters, known, addf)
 		case OpLLMFilter:
 			validQuestions(n, addf)
-		case OpLLMFilterCascade:
-			validQuestions(n, addf)
-			if n.High != 0 && n.Low > n.High {
-				addf("node %s: llmFilterCascade band is empty (low %g > high %g)", id, n.Low, n.High)
-			}
 		case OpLLMExtract:
 			if len(n.Fields) == 0 {
 				addf("node %s: llmExtract requires fields", id)
@@ -188,7 +183,7 @@ func checkStructure(plan *LogicalPlan, visit func(n PlanNode, addf func(string, 
 
 		switch n.Op {
 		case OpQueryDatabase, OpQueryVectorDatabase, OpJoin, OpBasicFilter,
-			OpLLMFilter, OpLLMFilterCascade, OpLLMExtract, OpGroupByAggregate,
+			OpLLMFilter, OpLLMExtract, OpGroupByAggregate,
 			OpLLMCluster, OpTopK, OpLimit, OpProject, opDistinct:
 		case OpCount, OpFraction, OpLLMGenerate:
 			if id != output {
@@ -271,8 +266,7 @@ func produce(plan *LogicalPlan, n PlanNode, visible map[string]map[string]bool, 
 	return out
 }
 
-// validQuestions checks the predicates of an llmFilter / llmFilterCascade
-// node: one question, or the fused list of two or more, never both.
+// validQuestions checks the predicates of an llmFilter node: one question, or the fused list of two or more, never both.
 func validQuestions(n PlanNode, addf func(string, ...any)) {
 	switch {
 	case len(n.Questions) == 0:

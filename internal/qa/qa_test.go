@@ -151,11 +151,11 @@ func TestGroundTruthAccidentSemantics(t *testing.T) {
 
 // TestTable4Reproduction is the headline §7.2 regression: on the standard
 // corpus and seeds, Luna and RAG must land in the paper's Table 4 regime.
-// Exact per-cell equality with the paper (Luna 20/10/0 with 6 counting +
-// 3 filter + 1 interpretation; RAG 2/20/8) holds at the canonical seeds
-// and is recorded in EXPERIMENTS.md; this test pins the slightly wider
-// bands that any reasonable seed satisfies, so the reproduction cannot
-// silently regress.
+// The Luna column is pinned to the paper's cells exactly (20/10/0 with 6
+// counting + 3 filter + 1 interpretation errors): at the canonical seeds it
+// repeats on every run, so a change that re-draws a filter verdict shows
+// here. The RAG column varies from run to run (retrieval ties), so it keeps
+// the bands around the paper's 2/20/8.
 func TestTable4Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus evaluation")
@@ -178,18 +178,18 @@ func TestTable4Reproduction(t *testing.T) {
 	}
 	t.Logf("\n%s", t4.Format())
 
-	// Luna column: ~2/3 correct, zero refusals, all three error categories.
-	if t4.Luna.Correct < 18 || t4.Luna.Correct > 22 {
-		t.Errorf("Luna correct = %d, want ~20", t4.Luna.Correct)
+	// Luna column: exactly the paper's 20/10/0, all three error categories.
+	if t4.Luna.Correct != 20 || t4.Luna.Incorrect != 10 {
+		t.Errorf("Luna = %d correct, %d incorrect; want 20 and 10", t4.Luna.Correct, t4.Luna.Incorrect)
 	}
 	if t4.Luna.Refusal != 0 {
 		t.Errorf("Luna must never refuse (aggregation is engine-side), got %d", t4.Luna.Refusal)
 	}
-	if n := t4.Luna.ByCategory[ErrCounting]; n < 4 || n > 8 {
-		t.Errorf("counting errors = %d, want ~6", n)
+	if n := t4.Luna.ByCategory[ErrCounting]; n != 6 {
+		t.Errorf("counting errors = %d, want 6", n)
 	}
-	if n := t4.Luna.ByCategory[ErrFilter]; n < 2 || n > 5 {
-		t.Errorf("filter errors = %d, want ~3", n)
+	if n := t4.Luna.ByCategory[ErrFilter]; n != 3 {
+		t.Errorf("filter errors = %d, want 3", n)
 	}
 	if n := t4.Luna.ByCategory[ErrInterpretation]; n != 1 {
 		t.Errorf("interpretation errors = %d, want 1", n)
@@ -241,8 +241,8 @@ func TestColdPassTokenBudget(t *testing.T) {
 		cfg    core.Config
 		tokens int
 	}{
-		{"optimize off", core.Config{Seed: 7, Parallelism: 8}, 318851},
-		{"optimize on, 256-entry cache", core.Config{Seed: 7, Parallelism: 8, Optimize: true, LLMCacheCapacity: 256}, 221518},
+		{"optimize off", core.Config{Seed: 7, Parallelism: 8}, 224962},
+		{"optimize on, 256-entry cache", core.Config{Seed: 7, Parallelism: 8, Optimize: true, LLMCacheCapacity: 256}, 199379},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := core.New(tc.cfg)

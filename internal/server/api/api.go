@@ -158,11 +158,9 @@ type QueryRequest struct {
 	// compiled physical pipeline to the response.
 	IncludePlan bool `json:"include_plan,omitempty"`
 	// Optimize overrides the server's optimize default for this request:
-	// true forces the optimize phase — proxy cascades in front of
-	// llmFilters and section-scoped llmExtracts, the two approximate
-	// rewrites — on, false forces it off,
-	// absent inherits the server configuration. The exact rewrites run
-	// either way.
+	// true forces the optimize phase — section-scoped llmExtracts, the
+	// approximate rewrite — on, false forces it off, absent inherits the
+	// server configuration. The exact rewrites run either way.
 	Optimize *bool `json:"optimize,omitempty"`
 }
 
@@ -178,8 +176,8 @@ type PlanDetail struct {
 	// filters, pushed-down and hoisted predicates): what executes unless
 	// Optimized is present.
 	Rewritten json.RawMessage `json:"rewritten,omitempty"`
-	// Optimized is Rewritten with its llmFilters lowered onto proxy
-	// cascades (absent when the optimize phase is off for this request).
+	// Optimized is Rewritten with its llmExtracts scoped to a section
+	// (absent when the optimize phase is off for this request).
 	Optimized json.RawMessage `json:"optimized,omitempty"`
 	// Cost/CostOptimized are the cost model's pre-execution estimates for
 	// the rewritten and optimized plans: per-node document cardinalities,

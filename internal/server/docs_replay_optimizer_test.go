@@ -12,7 +12,7 @@ import (
 // docs_replay_optimizer_test replays every HTTP example in
 // docs/optimizer.md against a live handler, holding the page to what it
 // promises: optimize:true plan responses carry the optimized DAG (with a
-// proxy cascade) and both cost estimates, and optimize:true executions
+// scoped extract) and both cost estimates, and optimize:true executions
 // answer with the optimized plan as the executed annotation.
 
 func readOptimizerDoc(t *testing.T) string {
@@ -78,8 +78,8 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 			if len(body.Plan.Optimized) == 0 {
 				t.Fatal("doc promises plan.optimized under optimize:true")
 			}
-			if !rawPlanContainsOp(body.Plan.Optimized, "llmFilterCascade") {
-				t.Errorf("doc promises the predicate becomes a cascade, optimized plan: %s", body.Plan.Optimized)
+			if !rawPlanHasScopedExtract(body.Plan.Optimized) {
+				t.Errorf("doc promises the extract is scoped, optimized plan: %s", body.Plan.Optimized)
 			}
 			if body.Plan.Cost == nil || body.Plan.CostOptimized == nil {
 				t.Fatalf("doc promises plan.cost and plan.cost_optimized: cost=%v cost_optimized=%v",
@@ -102,8 +102,8 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 					t.Fatal("doc promises plan.executed under include_plan")
 				}
 				// "executed is the optimized plan annotated with runtime
-				// metrics": the cascade must appear in the annotation too.
-				if !rawPlanContainsOp(body.Plan.Executed, "llmFilterCascade") {
+				// metrics": the scoped extract must appear in the annotation too.
+				if !rawPlanHasScopedExtract(body.Plan.Executed) {
 					t.Errorf("executed annotation is not the optimized plan: %s", body.Plan.Executed)
 				}
 				// The executed costs land in the feedback store.
@@ -117,18 +117,20 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 	}
 }
 
-// rawPlanContainsOp reports whether any node of an encoded plan carries op.
-func rawPlanContainsOp(plan json.RawMessage, op string) bool {
+// rawPlanHasScopedExtract reports whether an encoded plan holds an
+// llmExtract node scoped to a section ("sections": 1).
+func rawPlanHasScopedExtract(plan json.RawMessage) bool {
 	var p struct {
 		Nodes []struct {
-			Op string `json:"op"`
+			Op       string `json:"op"`
+			Sections int    `json:"sections"`
 		} `json:"nodes"`
 	}
 	if err := json.Unmarshal(plan, &p); err != nil {
 		return false
 	}
 	for _, n := range p.Nodes {
-		if n.Op == op {
+		if n.Op == "llmExtract" && n.Sections == 1 {
 			return true
 		}
 	}

@@ -111,13 +111,15 @@ func TestPlanDryRunValidatesEdits(t *testing.T) {
 }
 
 // TestInvalidPlanReturnsStructuredErrors is the 400 structured-error
-// regression: every node-level failure must surface in one response.
+// regression: every node-level failure must surface in one response — the
+// retired llmFilterCascade operator among them.
 func TestInvalidPlanReturnsStructuredErrors(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	bad := []byte(`{"nodes":[
 		{"id":"n1","op":"queryDatabase","filters":[{"field":"hallucinated","kind":"fuzzy","value":1}]},
 		{"id":"n2","op":"llmFilter","inputs":["n1"]},
-		{"id":"n3","op":"count","inputs":["n2"]}],"output":"n3"}`)
+		{"id":"n4","op":"llmFilterCascade","inputs":["n2"],"question":"Does the report mention a fire?","low":0.05,"high":1},
+		{"id":"n3","op":"count","inputs":["n4"]}],"output":"n3"}`)
 	for _, path := range []string{"/query", "/plan"} {
 		var errOut errorResponse
 		resp := postJSON(t, ts.URL+"/v1"+path, map[string]any{"plan": json.RawMessage(bad)}, &errOut)
@@ -131,7 +133,7 @@ func TestInvalidPlanReturnsStructuredErrors(t *testing.T) {
 			t.Errorf("%s should list all validation failures, got %q", path, errOut.Error.Details)
 		}
 		joined := strings.Join(errOut.Error.Details, "\n")
-		for _, want := range []string{"hallucinated", "filter kind", "llmFilter requires a question"} {
+		for _, want := range []string{"hallucinated", "filter kind", "llmFilter requires a question", `unknown operator "llmFilterCascade"`} {
 			if !strings.Contains(joined, want) {
 				t.Errorf("%s errors missing %q: %q", path, want, errOut.Error.Details)
 			}

@@ -6,7 +6,7 @@
 #
 # The floors guard the optimization loop: internal/cost (the cost model
 # and feedback store), internal/luna (planning, rewriting, the optimize
-# phase), internal/docset (execution, including the proxy cascade) and
+# phase), internal/docset (execution, including the scoped filter) and
 # internal/llm (the call middleware every model token passes through, and
 # the Sim); and the retrieval pair under it, internal/index and
 # internal/embed, whose every score is pinned to the bit, with
