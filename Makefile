@@ -122,10 +122,14 @@ cover:
 # minimizing is capped at 1s, or shrinking one ≈ 9 KB seed blob eats the
 # whole burst), the simd dot-product kernel (any query inside its
 # exactness bound against any codes: the int64 loop's sum, to the bit) and
-# the filter prompt (any questions, document ID and text: the packed prompt
-# reads back to them, and the Sim's packed reply is its solo replies, line
-# by line). One -fuzz pattern per invocation — go test allows only a single
-# fuzzing target at a time.
+# the filter prompt (any questions, document ID and text, inside the Sim's
+# context window and past it: the packed prompt reads back to them, and the
+# Sim's packed reply is its solo replies, line by line), and two more
+# persisted-file loaders: the LLM response cache (an error or a cache that
+# serves what it loaded, never a panic; minimizing capped at 1s like the
+# rawdoc decoder's) and the optimizer feedback store (an error or a store
+# whose every selectivity is ≥ 0, never a panic). One -fuzz pattern per
+# invocation — go test allows only a single fuzzing target at a time.
 fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
@@ -135,6 +139,8 @@ fuzz-smoke:
 	$(GO) test ./internal/rawdoc/ -run '^$$' -fuzz '^FuzzRawdocDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzCacheLoad$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/cost/ -run '^$$' -fuzz '^FuzzFeedbackLoad$$' -fuzztime 10s
 
 # Source size: non-test Go lines under internal/ and cmd/ (bench/ is a
 # module of its own and stays out), per package and in total — the number

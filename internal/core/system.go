@@ -29,13 +29,10 @@ type Config struct {
 	// (stages that call the model keep a wider, fixed window of calls
 	// outstanding; see internal/docset).
 	Parallelism int
-	// LLMOptions tune the simulated model (context window, leniency…).
+	// LLMOptions tune the simulated model (its round-trip latency).
 	LLMOptions []llm.SimOption
 	// RAGK is the baseline retrieval depth (default 100).
 	RAGK int
-	// DisableLLMCache turns off the content-addressed response cache and
-	// the singleflight deduplication that is part of it.
-	DisableLLMCache bool
 	// LLMCacheCapacity bounds the response cache (default 4096 entries).
 	LLMCacheCapacity int
 	// LLMCachePath warm-starts the response cache from disk when set;
@@ -94,10 +91,10 @@ type System struct {
 	// Fault is the injector from Config.Fault (nil when chaos testing is
 	// not wired).
 	Fault *fault.Injector
-	// Cost is the optimizer's cost model and feedback store. Built once
-	// at construction and re-injected into every query service Prepare
-	// swaps in, so observed evidence survives re-ingests.
-	Cost *cost.Model
+	// Cost is the optimizer's feedback store. Built once at construction
+	// and re-injected into every query service Prepare swaps in, so
+	// observed evidence survives re-ingests.
+	Cost *cost.Store
 
 	// mu guards the Prepare swap of Schema/Query/Conv against concurrent
 	// accessor reads.
@@ -117,9 +114,6 @@ func New(cfg Config) *System {
 	sim := llm.NewSim(cfg.Seed, cfg.LLMOptions...)
 	sim.Register(luna.PlannerSkill{})
 	stackOpts := []llm.StackOption{}
-	if cfg.DisableLLMCache {
-		stackOpts = append(stackOpts, llm.WithoutCache())
-	}
 	if cfg.LLMCacheCapacity > 0 {
 		stackOpts = append(stackOpts, llm.WithCacheCapacity(cfg.LLMCacheCapacity))
 	}
@@ -177,14 +171,13 @@ func New(cfg Config) *System {
 	}
 	s.RAG = rag.New(store, meter, embedder)
 	s.RAG.K = cfg.RAGK
-	feedback := cost.NewStore()
+	s.Cost = cost.NewStore()
 	if cfg.FeedbackPath != "" {
 		// A missing file is a cold start; a malformed one degrades to cold
 		// rather than failing construction (the store rebuilds itself from
 		// the very next query).
-		_ = feedback.Load(cfg.FeedbackPath)
+		_ = s.Cost.Load(cfg.FeedbackPath)
 	}
-	s.Cost = cost.NewModel(feedback)
 	return s
 }
 
@@ -334,10 +327,10 @@ func (s *System) SaveLLMCache(path string) error { return s.Stack.SaveCache(path
 
 // SaveFeedback persists the optimizer feedback store so a later process
 // starts with observed per-operator costs (pair with Config.FeedbackPath).
-func (s *System) SaveFeedback(path string) error { return s.Cost.Store.Save(path) }
+func (s *System) SaveFeedback(path string) error { return s.Cost.Save(path) }
 
 // OptimizerStats snapshots the feedback store's counters for /stats.
-func (s *System) OptimizerStats() cost.StoreStats { return s.Cost.Store.Stats() }
+func (s *System) OptimizerStats() cost.StoreStats { return s.Cost.Stats() }
 
 // Ask answers a natural-language question through Luna (conversational:
 // follow-ups resolve against the previous query) using the system's
@@ -372,12 +365,7 @@ func (s *System) Degraded() (bool, string) {
 
 // PurgeLLMCache drops every resident response-cache entry (the
 // cache-killed-mid-run chaos hook), returning how many were dropped.
-func (s *System) PurgeLLMCache() int {
-	if c := s.Stack.CacheLayer(); c != nil {
-		return c.Purge()
-	}
-	return 0
-}
+func (s *System) PurgeLLMCache() int { return s.Stack.CacheLayer().Purge() }
 
 // RetrievalOnly answers a question without any LLM call: the top-k
 // retrieved chunks rendered as a numbered excerpt list. This is the

@@ -324,7 +324,7 @@ func TestDisabledMiddlewareStillAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(Config{Seed: 3, Parallelism: 2, DisableLLMCache: true, LLMMaxBatch: 1})
+	sys := New(Config{Seed: 3, Parallelism: 2, LLMMaxBatch: 1})
 	if _, err := sys.Ingest(context.Background(), blobs); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestDisabledMiddlewareStillAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Answer.Kind == "" {
-		t.Error("no answer with middleware disabled")
+		t.Error("no answer with batching disabled")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sync"
 
@@ -52,6 +53,25 @@ func (a Aggregate) Selectivity() (float64, bool) {
 	return float64(a.DocsOut) / float64(a.DocsIn), true
 }
 
+// add folds b's sums into a.
+func (a *Aggregate) add(b Aggregate) {
+	a.Count += b.Count
+	a.DocsIn += b.DocsIn
+	a.DocsOut += b.DocsOut
+	a.LLMCalls += b.LLMCalls
+	a.PromptTokens += b.PromptTokens
+	a.CompletionTokens += b.CompletionTokens
+	a.BusyMS += b.BusyMS
+}
+
+// valid reports whether every sum is non-negative. Sums of observations
+// cannot be negative, so an aggregate with one below zero is corrupt (or
+// overflowed), and its selectivity would be too.
+func (a Aggregate) valid() bool {
+	return a.Count >= 0 && a.DocsIn >= 0 && a.DocsOut >= 0 && a.LLMCalls >= 0 &&
+		a.PromptTokens >= 0 && a.CompletionTokens >= 0 && a.BusyMS >= 0
+}
+
 // StoreStats is the wire-stable snapshot of a feedback store, surfaced
 // on /stats so operators can watch the loop learn.
 type StoreStats struct {
@@ -92,19 +112,17 @@ func (s *Store) Observe(o Observation) {
 		a = &Aggregate{Op: o.Op}
 		s.entries[o.Signature] = a
 	}
-	a.Count++
-	a.DocsIn += o.DocsIn
-	a.DocsOut += o.DocsOut
-	a.LLMCalls += o.LLMCalls
-	a.PromptTokens += o.PromptTokens
-	a.CompletionTokens += o.CompletionTokens
-	a.BusyMS += o.BusyMS
+	a.add(Aggregate{Count: 1, DocsIn: o.DocsIn, DocsOut: o.DocsOut, LLMCalls: o.LLMCalls,
+		PromptTokens: o.PromptTokens, CompletionTokens: o.CompletionTokens, BusyMS: o.BusyMS})
 	s.observations++
 }
 
 // Lookup returns the aggregate for a signature, counting the probe as a
-// hit or miss in the store's stats.
+// hit or miss in the store's stats. A nil store has seen nothing.
 func (s *Store) Lookup(signature string) (Aggregate, bool) {
+	if s == nil {
+		return Aggregate{}, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a, ok := s.entries[signature]
@@ -114,6 +132,19 @@ func (s *Store) Lookup(signature string) (Aggregate, bool) {
 	}
 	s.hits++
 	return *a, true
+}
+
+// Selectivity returns the expected docs-out/docs-in ratio for an
+// operator instance, and whether the figure comes from observed evidence
+// rather than DefaultSelectivity. A nil store (or a signature it has never
+// seen) falls back to the default, so a cold store is always usable.
+func (s *Store) Selectivity(op, signature string) (sel float64, observed bool) {
+	if a, ok := s.Lookup(signature); ok {
+		if sel, ok := a.Selectivity(); ok {
+			return sel, true
+		}
+	}
+	return DefaultSelectivity(op), false
 }
 
 // Len reports the number of distinct signatures observed.
@@ -164,7 +195,9 @@ func (s *Store) Save(path string) error {
 }
 
 // Load merges aggregates from a file written by Save into the store.
-// A missing file is not an error (cold start); a malformed file is.
+// A missing file is not an error (cold start); a malformed file is, and so
+// is one with a negative sum or one whose sums would overflow the store's:
+// either leaves the store as it was.
 func (s *Store) Load(path string) error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -182,23 +215,23 @@ func (s *Store) Load(path string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	merged := make(map[string]*Aggregate, len(file.Entries))
 	for sig, a := range file.Entries {
 		if a == nil || sig == "" {
 			continue
 		}
-		cur := s.entries[sig]
-		if cur == nil {
-			cp := *a
-			s.entries[sig] = &cp
-			continue
+		if !a.valid() {
+			return fmt.Errorf("cost: feedback store %s: entry %q has a negative sum", path, sig)
 		}
-		cur.Count += a.Count
-		cur.DocsIn += a.DocsIn
-		cur.DocsOut += a.DocsOut
-		cur.LLMCalls += a.LLMCalls
-		cur.PromptTokens += a.PromptTokens
-		cur.CompletionTokens += a.CompletionTokens
-		cur.BusyMS += a.BusyMS
+		m := *a
+		if cur := s.entries[sig]; cur != nil {
+			m = *cur
+			if m.add(*a); !m.valid() {
+				return fmt.Errorf("cost: feedback store %s: entry %q overflows the store's sums", path, sig)
+			}
+		}
+		merged[sig] = &m
 	}
+	maps.Copy(s.entries, merged)
 	return nil
 }

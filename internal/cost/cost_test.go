@@ -106,27 +106,79 @@ func TestLoadMissingAndMalformed(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsNegativeSums: a feedback file whose sums go below zero
+// (or would overflow the store's) is malformed, and the store keeps what
+// it had.
+func TestLoadRejectsNegativeSums(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"negative": `{"version":1,"entries":{"llmFilter|q":{"count":1,"docs_in":10,"docs_out":-5}}}`,
+		"overflow": `{"version":1,"entries":{"llmFilter|q":{"count":1,"docs_in":9223372036854775807,"docs_out":1}}}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := NewStore()
+		s.Observe(Observation{Op: "llmFilter", Signature: "llmFilter|q", DocsIn: 4, DocsOut: 1})
+		if err := s.Load(path); err == nil {
+			t.Errorf("%s: Load accepted %s", name, body)
+		}
+		if a, _ := s.Lookup("llmFilter|q"); a.DocsIn != 4 || a.DocsOut != 1 || a.Count != 1 {
+			t.Errorf("%s: a rejected file changed the store: %+v", name, a)
+		}
+	}
+}
+
+// FuzzFeedbackLoad: for any bytes, Load returns an error or a store whose
+// every selectivity is ≥ 0, and it never panics.
+func FuzzFeedbackLoad(f *testing.F) {
+	f.Add([]byte(`{"version":1,"entries":{"llmFilter|q":{"op":"llmFilter","count":1,"docs_in":10,"docs_out":-5}}}`))
+	f.Add([]byte(`{"version":1,"entries":{"llmFilter|q":{"op":"llmFilter","count":2,"docs_in":10,"docs_out":4,"llm_calls":10,"busy_ms":1.5},"basicFilter|x":null,"":{}}}`))
+	f.Add([]byte(`{"version":9,"entries":{}}`))
+	f.Add([]byte(`{not json`))
+	f.Add([]byte{})
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// One fuzz process runs its inputs one at a time: one file serves.
+		path := filepath.Join(dir, "feedback.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := NewStore()
+		if err := s.Load(path); err != nil {
+			return
+		}
+		for sig, a := range s.entries {
+			if sel, _ := s.Selectivity(a.Op, sig); sel < 0 {
+				t.Fatalf("%q: selectivity %v from %+v", sig, sel, *a)
+			}
+		}
+	})
+}
+
 func TestModelPrefersObservedEvidence(t *testing.T) {
 	s := NewStore()
 	s.Observe(Observation{Op: "llmFilter", Signature: "llmFilter|q", DocsIn: 10, DocsOut: 1, LLMCalls: 10})
-	m := NewModel(s)
 
-	if sel, observed := m.Selectivity("llmFilter", "llmFilter|q"); !observed || sel != 0.1 {
+	if sel, observed := s.Selectivity("llmFilter", "llmFilter|q"); !observed || sel != 0.1 {
 		t.Fatalf("Selectivity = %v, observed=%v; want 0.1 observed", sel, observed)
 	}
-	if sel, observed := m.Selectivity("llmFilter", "llmFilter|unseen"); observed || sel != 0.5 {
+	if sel, observed := s.Selectivity("llmFilter", "llmFilter|unseen"); observed || sel != 0.5 {
 		t.Fatalf("default Selectivity = %v, observed=%v; want 0.5 default", sel, observed)
 	}
 }
 
 func TestModelNilStoreFallsBack(t *testing.T) {
-	var m *Model
-	if sel, observed := m.Selectivity("basicFilter", "sig"); observed || sel != 0.5 {
-		t.Fatalf("nil model Selectivity = %v, observed=%v", sel, observed)
+	var s *Store
+	if sel, observed := s.Selectivity("basicFilter", "sig"); observed || sel != 0.5 {
+		t.Fatalf("nil store Selectivity = %v, observed=%v", sel, observed)
 	}
-	m2 := NewModel(nil)
-	if sel, observed := m2.Selectivity("topK", "sig"); observed || sel != 1.0 {
-		t.Fatalf("storeless Selectivity = %v, observed=%v", sel, observed)
+	if sel, observed := s.Selectivity("topK", "sig"); observed || sel != 1.0 {
+		t.Fatalf("nil store pass-through Selectivity = %v, observed=%v", sel, observed)
+	}
+	if _, ok := s.Lookup("sig"); ok {
+		t.Fatal("nil store found evidence")
 	}
 	if s := DefaultSelectivity("project"); s != 1.0 {
 		t.Fatalf("pass-through default selectivity = %v", s)

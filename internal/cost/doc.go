@@ -12,7 +12,7 @@
 // it, asking this package for per-operator numbers keyed by stable
 // signature strings.
 //
-// Concurrency: Store is safe for concurrent Observe/Lookup/Stats from
-// any number of query goroutines (one mutex; operations are O(1)).
-// Model is a stateless view over a Store and is safe to share.
+// Concurrency: Store is safe for concurrent Observe/Lookup/Selectivity/
+// Stats from any number of query goroutines (one mutex; operations are
+// O(1)).
 package cost

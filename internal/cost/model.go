@@ -34,34 +34,6 @@ func DefaultSelectivity(op string) float64 {
 	return 1.0
 }
 
-// Model answers per-operator cost questions, preferring observed
-// evidence from its feedback store over the static defaults. A nil
-// Store (or a signature the store has never seen) falls back to
-// defaults, so a cold model is always usable.
-type Model struct {
-	Store *Store
-}
-
-// NewModel returns a model backed by store (which may be nil for a
-// defaults-only model).
-func NewModel(store *Store) *Model {
-	return &Model{Store: store}
-}
-
-// Selectivity returns the expected docs-out/docs-in ratio for an
-// operator instance, and whether the figure comes from observed
-// evidence rather than defaults.
-func (m *Model) Selectivity(op, signature string) (sel float64, observed bool) {
-	if m != nil && m.Store != nil {
-		if a, ok := m.Store.Lookup(signature); ok {
-			if s, ok := a.Selectivity(); ok {
-				return s, true
-			}
-		}
-	}
-	return DefaultSelectivity(op), false
-}
-
 // NodeEstimate is one plan node's cost estimate, wire-stable for
 // embedding in /plan responses and EXPLAIN output.
 type NodeEstimate struct {

@@ -12,11 +12,13 @@ import (
 // Service is the parsing pipeline. It implements docset.Partitioner, so
 // `ds.Partition(docparse.New())` is the paper's `partition(DocParse())`.
 type Service struct {
-	segmenter     vision.Segmenter
-	minConfidence float64
-	ocrErrorRate  float64 // applied only to scanned documents
-	seed          int64
+	segmenter    vision.Segmenter
+	ocrErrorRate float64 // applied only to scanned documents
+	seed         int64
 }
+
+// minConfidence is the score under which a detection is dropped.
+const minConfidence = 0.45
 
 // Option configures the service.
 type Option func(*Service)
@@ -25,11 +27,6 @@ type Option func(*Service)
 // for ablations).
 func WithSegmenter(s vision.Segmenter) Option {
 	return func(svc *Service) { svc.segmenter = s }
-}
-
-// WithMinConfidence drops detections under the threshold (default 0.45).
-func WithMinConfidence(c float64) Option {
-	return func(svc *Service) { svc.minConfidence = c }
 }
 
 // WithOCRErrorRate sets the character error rate applied to documents
@@ -45,7 +42,7 @@ func WithSeed(seed int64) Option {
 
 // New builds a DocParse service with the paper's own segmentation model.
 func New(opts ...Option) *Service {
-	svc := &Service{minConfidence: 0.45, ocrErrorRate: 0.02, seed: 1}
+	svc := &Service{ocrErrorRate: 0.02, seed: 1}
 	for _, o := range opts {
 		o(svc)
 	}
@@ -151,7 +148,7 @@ func (s *Service) postprocess(dets []vision.Detection) []vision.Detection {
 	byConf := append([]vision.Detection(nil), dets...)
 	sort.SliceStable(byConf, func(i, j int) bool { return byConf[i].Confidence > byConf[j].Confidence })
 	for _, d := range byConf {
-		if d.Confidence < s.minConfidence {
+		if d.Confidence < minConfidence {
 			continue
 		}
 		overlap := false

@@ -144,7 +144,7 @@ func TestOCRPathForScannedDocs(t *testing.T) {
 }
 
 func TestPostprocessNMSAndThreshold(t *testing.T) {
-	svc := New(WithMinConfidence(0.5))
+	svc := New()
 	dets := []vision.Detection{
 		{Box: docmodel.BBox{X0: 0, Y0: 0, X1: 100, Y1: 20}, Type: docmodel.Text, Confidence: 0.9},
 		{Box: docmodel.BBox{X0: 2, Y0: 1, X1: 99, Y1: 21}, Type: docmodel.Text, Confidence: 0.7},   // duplicate

@@ -21,15 +21,6 @@ type Context struct {
 	// and per query under QueryScope (default 4). It does not bound the
 	// model calls a stage keeps outstanding (see runMapStage).
 	Parallelism int
-	// Retries is how many times a transient LLM failure is retried per
-	// document (default 2).
-	Retries int
-	// SampleSize is how many document summaries each operator keeps in its
-	// lineage trace (default 3).
-	SampleSize int
-	// AttemptTimeout bounds each per-document attempt (map-stage retries
-	// get a fresh budget per attempt). 0 means no per-attempt bound.
-	AttemptTimeout time.Duration
 	// Backoff paces the delay between transient-failure retries. The
 	// default is a fast seeded full-jitter policy (single-digit
 	// milliseconds) so in-process retries stay cheap; server deployments
@@ -53,7 +44,7 @@ type Context struct {
 	// callCtx is the context the current stage attempt runs under. Stage
 	// runners install it (per attempt for map stages, per plan for
 	// barriers) so semantic operators issue LLM calls that honor the
-	// plan's cancellation and the per-attempt timeout.
+	// plan's cancellation.
 	callCtx context.Context
 
 	// budget, when set, caps the busy map-stage workers across every
@@ -193,9 +184,8 @@ func (c *Context) roundTrip(call func(context.Context) error) error {
 }
 
 // CallContext returns the context the current stage attempt should issue
-// model and I/O calls under: the plan's context bounded by the per-attempt
-// timeout. Background when the operator runs outside a stage (direct
-// calls in tests).
+// model and I/O calls under: the plan's context. Background when the
+// operator runs outside a stage (direct calls in tests).
 func (c *Context) CallContext() context.Context {
 	if c.callCtx != nil {
 		return c.callCtx
@@ -243,24 +233,10 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithRetries sets the per-document retry budget for transient failures.
-func WithRetries(n int) Option {
-	return func(ctx *Context) {
-		if n >= 0 {
-			ctx.Retries = n
-		}
-	}
-}
-
 // WithBackoff sets the retrier pacing delays between transient-failure
-// retries (its MaxAttempts is ignored here — Retries owns the budget).
+// retries (its MaxAttempts is ignored here — retryBudget owns the budget).
 func WithBackoff(r *resilience.Retrier) Option {
 	return func(ctx *Context) { ctx.Backoff = r }
-}
-
-// WithAttemptTimeout bounds each per-document map-stage attempt.
-func WithAttemptTimeout(d time.Duration) Option {
-	return func(ctx *Context) { ctx.AttemptTimeout = d }
 }
 
 // WithFaultHook installs a chaos-testing hook consulted once per
@@ -282,7 +258,7 @@ func WithStreamBatch(n int) Option {
 // NewContext builds an execution context. Unset services default to a
 // seeded Sim LLM and hash embedder so examples work out of the box.
 func NewContext(opts ...Option) *Context {
-	ctx := &Context{Parallelism: 4, Retries: 2, SampleSize: 3, StreamBatch: 8}
+	ctx := &Context{Parallelism: 4, StreamBatch: 8}
 	for _, o := range opts {
 		o(ctx)
 	}

@@ -151,10 +151,10 @@ func (ds *DocSet) ExecuteStream(ctx context.Context, sink StreamSink) ([]*docmod
 	trace := &Trace{}
 	llmBefore, hasLLMStats := llm.StatsOf(ds.ctx.LLM)
 	traces := make([]*NodeTrace, 0, len(ds.stages)+1)
-	srcTrace := newNodeTrace(ds.source.name, ds.source.tag, ds.ctx.SampleSize)
+	srcTrace := newNodeTrace(ds.source.name, ds.source.tag)
 	traces = append(traces, srcTrace)
 	for _, sp := range ds.stages {
-		traces = append(traces, newStageTrace(sp, ds.ctx.SampleSize))
+		traces = append(traces, newStageTrace(sp))
 	}
 	for _, nt := range traces {
 		nt.epoch = start
@@ -415,16 +415,21 @@ func runMapStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTrace, 
 	return stageErr
 }
 
+// retryBudget is how many times a transient failure is retried per
+// document.
+const retryBudget = 2
+
 // applyWithRetry runs one document through a map function, retrying
-// transient failures up to the context's Retries budget. Retries pace
-// through the context's resilience.Retrier (full-jitter backoff, honoring
-// Retry-After hints and the plan deadline), each attempt runs under a
-// fresh AttemptTimeout when one is configured, and the FaultHook gets a
-// chance to fail the attempt first. Backoff waits accumulate in the trace
-// node so EXPLAIN ANALYZE separates "stalled retrying" from "busy".
+// transient failures up to retryBudget times. Retries pace through the
+// context's resilience.Retrier (full-jitter backoff, honoring Retry-After
+// hints and the plan deadline), and the FaultHook gets a chance to fail
+// the attempt first. A slow model call is bounded beneath this loop, by
+// the per-class attempt timeouts of the resilience middleware the serving
+// stack installs (core.Config.Resilience). Backoff waits accumulate in the
+// trace node so EXPLAIN ANALYZE separates "stalled retrying" from "busy".
 func applyWithRetry(ctx context.Context, ec *Context, fn func(*Context, *docmodel.Document) ([]*docmodel.Document, error), doc *docmodel.Document, nt *NodeTrace) ([]*docmodel.Document, error) {
 	var lastErr error
-	for attempt := 0; attempt <= ec.Retries; attempt++ {
+	for attempt := 0; attempt <= retryBudget; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
 				return nil, fmt.Errorf("retries cut short: %w", lastErr)
@@ -449,15 +454,7 @@ func applyWithRetry(ctx context.Context, ec *Context, fn func(*Context, *docmode
 				continue
 			}
 		}
-		actx := ctx
-		var cancel context.CancelFunc
-		if ec.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, ec.AttemptTimeout)
-		}
-		results, err := fn(ec.withCallCtx(actx), doc)
-		if cancel != nil {
-			cancel()
-		}
+		results, err := fn(ec.withCallCtx(ctx), doc)
 		if err == nil {
 			return results, nil
 		}
@@ -465,11 +462,6 @@ func applyWithRetry(ctx context.Context, ec *Context, fn func(*Context, *docmode
 			// The plan itself was canceled or timed out mid-attempt: not an
 			// operator failure, and not retryable.
 			return nil, ctx.Err()
-		}
-		if ec.AttemptTimeout > 0 && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-			// Only the attempt's own budget expired (the plan is alive): a
-			// slow backend call, retryable like any transient failure.
-			err = fmt.Errorf("attempt timed out after %s: %w", ec.AttemptTimeout, llm.ErrTransient)
 		}
 		lastErr = err
 		if !errors.Is(err, llm.ErrTransient) {
@@ -499,8 +491,8 @@ func runBarrierStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTra
 	t0 := wallclock()
 	var results []*docmodel.Document
 	var err error
-	// Barriers run one shot under the plan context directly (no per-attempt
-	// budget: a reduce over the whole collection is not retryable work).
+	// Barriers run one shot under the plan context directly (no retries:
+	// a reduce over the whole collection is not retryable work).
 	bec := ec.withCallCtx(ctx)
 	if sp.barrierCtxFn != nil {
 		results, err = sp.barrierCtxFn(ctx, bec, docs)

@@ -24,7 +24,7 @@ func testRetrier() *resilience.Retrier {
 // paced backoff, and the stall shows up in the stage's trace node so
 // EXPLAIN ANALYZE separates "stalled retrying" from "busy".
 func TestRetryBackoffRecordedInTrace(t *testing.T) {
-	ec := NewContext(WithParallelism(1), WithRetries(2), WithBackoff(testRetrier()))
+	ec := NewContext(WithParallelism(1), WithBackoff(testRetrier()))
 	var calls atomic.Int32
 	docs, trace, err := FromDocuments(ec, testDocs(1)).
 		Map("flaky", func(d *docmodel.Document) (*docmodel.Document, error) {
@@ -59,7 +59,7 @@ func TestRetryBackoffRecordedInTrace(t *testing.T) {
 // flowed out before the failure, and the trace pins the failure to the
 // stage that actually died.
 func TestPartialDocsAndErrAnnotation(t *testing.T) {
-	ec := NewContext(WithParallelism(1), WithRetries(0))
+	ec := NewContext(WithParallelism(1))
 	docs, trace, err := FromDocuments(ec, testDocs(5)).
 		Map("explode", func(d *docmodel.Document) (*docmodel.Document, error) {
 			if d.ID == "d003" {
@@ -88,35 +88,10 @@ func TestPartialDocsAndErrAnnotation(t *testing.T) {
 	}
 }
 
-// TestAttemptTimeoutIsTransient: an attempt cut off by its own budget is
-// retried like any transient failure while the plan stays alive.
-func TestAttemptTimeoutIsTransient(t *testing.T) {
-	ec := NewContext(WithRetries(1), WithAttemptTimeout(15*time.Millisecond), WithBackoff(testRetrier()))
-	var attempts atomic.Int32
-	fn := func(c *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
-		if attempts.Add(1) == 1 {
-			<-c.CallContext().Done() // wedge until the attempt budget fires
-			return nil, c.CallContext().Err()
-		}
-		return []*docmodel.Document{d}, nil
-	}
-	nt := &NodeTrace{Name: "map[slow]"}
-	docs, err := applyWithRetry(context.Background(), ec, fn, docmodel.New("d"), nt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 1 || attempts.Load() != 2 {
-		t.Fatalf("docs = %d, attempts = %d; want a retry after the budget fired", len(docs), attempts.Load())
-	}
-	if nt.Retries != 1 {
-		t.Errorf("trace retries = %d, want 1", nt.Retries)
-	}
-}
-
 // TestPlanDeadlineNotRetried: when the plan's own context dies mid-attempt
 // the failure is terminal — not an operator fault, not retryable.
 func TestPlanDeadlineNotRetried(t *testing.T) {
-	ec := NewContext(WithRetries(3), WithBackoff(testRetrier()))
+	ec := NewContext(WithBackoff(testRetrier()))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	var attempts atomic.Int32
@@ -139,7 +114,7 @@ func TestPlanDeadlineNotRetried(t *testing.T) {
 // permanent one aborts before the operator ever runs.
 func TestFaultHookGatesAttempts(t *testing.T) {
 	var hookCalls, fnCalls atomic.Int32
-	ec := NewContext(WithRetries(2), WithBackoff(testRetrier()),
+	ec := NewContext(WithBackoff(testRetrier()),
 		WithFaultHook(func(op string) error {
 			if hookCalls.Add(1) == 1 {
 				return fmt.Errorf("fault[%s]: %w", op, llm.ErrTransient)
@@ -159,7 +134,7 @@ func TestFaultHookGatesAttempts(t *testing.T) {
 	}
 
 	perm := errors.New("permanent fault")
-	ec2 := NewContext(WithRetries(2), WithFaultHook(func(string) error { return perm }))
+	ec2 := NewContext(WithFaultHook(func(string) error { return perm }))
 	var ran atomic.Int32
 	_, err := applyWithRetry(context.Background(), ec2, func(_ *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
 		ran.Add(1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aryn/internal/docmodel"
+	"aryn/internal/fault"
 	"aryn/internal/llm"
 )
 
@@ -61,8 +62,11 @@ func TestLLMFilter(t *testing.T) {
 }
 
 func TestLLMFilterRetriesTransientFailures(t *testing.T) {
-	// 40% failure rate with 5 retries: all docs should eventually pass.
-	ec := NewContext(WithLLM(llm.NewSim(3, llm.WithFailureRate(0.4))), WithRetries(6), WithParallelism(2))
+	// Seed 10's 40% stream fails the first call and at most one of the
+	// next five, so however the two documents' calls interleave, neither
+	// fails more often than the retry budget allows.
+	model := fault.New(fault.Spec{Seed: 10, ErrorRate: 0.4}).Client(llm.NewSim(3))
+	ec := NewContext(WithLLM(model), WithParallelism(2))
 	docs := []*docmodel.Document{
 		ntsbishDoc("A", "Mesa, Arizona", "A bird strike damaged the windshield."),
 		ntsbishDoc("B", "Reno, Nevada", "Geese were ingested into the engine."),
@@ -81,11 +85,15 @@ func TestLLMFilterRetriesTransientFailures(t *testing.T) {
 }
 
 func TestLLMExtractFailsAfterRetryBudget(t *testing.T) {
-	ec := NewContext(WithLLM(llm.NewSim(3, llm.WithFailureRate(1.0))), WithRetries(2))
+	inj := fault.New(fault.Spec{Seed: 3, ErrorRate: 1})
+	ec := NewContext(WithLLM(inj.Client(llm.NewSim(3))))
 	docs := []*docmodel.Document{ntsbishDoc("A", "Mesa, Arizona", "text")}
 	_, _, err := FromDocuments(ec, docs).LLMExtract([]llm.FieldSpec{{Name: "us_state", Type: "string"}}).Execute(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "retries exhausted") {
 		t.Fatalf("want retries exhausted, got %v", err)
+	}
+	if calls := inj.Stats().Calls; calls != retryBudget+1 {
+		t.Errorf("model called %d times, want the first attempt and %d retries", calls, retryBudget)
 	}
 }
 

@@ -158,7 +158,7 @@ func TestExecuteStreamSinkBackpressure(t *testing.T) {
 // delivered stands), returns the documents that cleared the pipeline, and
 // names the failing node in both the error and the trace.
 func TestExecuteStreamFailureWithholdsTail(t *testing.T) {
-	ec := NewContext(WithParallelism(1), WithStreamBatch(3), WithRetries(0))
+	ec := NewContext(WithParallelism(1), WithStreamBatch(3))
 	boom := errors.New("producer exploded")
 	var delivered int
 	docs, trace, err := FromDocuments(ec, streamDocs(8)).

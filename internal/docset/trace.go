@@ -80,11 +80,10 @@ type NodeTrace struct {
 	// Questions is the per-question account of an llmFilter stage (nil
 	// elsewhere), in the stage's question order.
 	Questions []QuestionTrace
-	// Samples holds up to SampleSize one-line summaries of output docs.
+	// Samples holds up to traceSamples one-line summaries of output docs.
 	Samples []string
 
-	mu  sync.Mutex
-	cap int
+	mu sync.Mutex
 	// start/end bound the operator's busy window (first work started /
 	// last work finished). Zero when the operator never ran work.
 	start, end time.Time
@@ -120,13 +119,17 @@ func (n *NodeTrace) noteVerdict(i int, yes bool) {
 // the point it is introduced.
 var wallclock = time.Now //lint:allow determinism trace-only timing seam; spans never reach result bytes
 
-func newNodeTrace(name, tag string, sampleCap int) *NodeTrace {
-	return &NodeTrace{Name: name, Tag: tag, cap: sampleCap}
+// traceSamples is how many document summaries each operator keeps in its
+// lineage trace.
+const traceSamples = 3
+
+func newNodeTrace(name, tag string) *NodeTrace {
+	return &NodeTrace{Name: name, Tag: tag}
 }
 
 // newStageTrace is the trace node of one stage of a plan.
-func newStageTrace(sp stageSpec, sampleCap int) *NodeTrace {
-	nt := newNodeTrace(sp.name, sp.tag, sampleCap)
+func newStageTrace(sp stageSpec) *NodeTrace {
+	nt := newNodeTrace(sp.name, sp.tag)
 	if len(sp.questions) > 0 {
 		nt.Questions = make([]QuestionTrace, len(sp.questions))
 		for i, q := range sp.questions {
@@ -214,7 +217,7 @@ func (t *Trace) Snapshots() []NodeSnapshot {
 func (n *NodeTrace) addSample(s string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.Samples) < n.cap {
+	if len(n.Samples) < traceSamples {
 		n.Samples = append(n.Samples, s)
 	}
 }

@@ -325,7 +325,7 @@ func goroutineDump() string {
 func TestCancelMidModelStageReleasesBudgetAndGoroutines(t *testing.T) {
 	const rtt = 50 * time.Millisecond
 	model := &slowModel{rtt: rtt, gather: modelWindow, met: make(chan struct{})}
-	stack := llm.NewStack(model, llm.WithoutCache())
+	stack := llm.NewStack(model)
 	qec := NewContext(WithLLM(stack), WithParallelism(8)).QueryScope()
 
 	runtime.GC()

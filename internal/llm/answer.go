@@ -90,7 +90,7 @@ func (s *Sim) runAnswer(rng *rand.Rand, prompt string) (string, bool, error) {
 				poisoned++
 			}
 		}
-		if float64(poisoned) >= s.refusalRatio*float64(len(chunks)) && poisoned > 0 {
+		if float64(poisoned) >= refusalRatio*float64(len(chunks)) && poisoned > 0 {
 			return RefusalText, true, nil
 		}
 	}
@@ -101,8 +101,8 @@ func (s *Sim) runAnswer(rng *rand.Rand, prompt string) (string, bool, error) {
 	// quoting a few specific matches) are what in-context retrieval is
 	// actually good at, so they read everything visible.
 	attended := chunks
-	if len(attended) > s.attendItems {
-		attended = attended[:s.attendItems]
+	if len(attended) > attendItems {
+		attended = attended[:attendItems]
 	}
 
 	qlow := strings.ToLower(question)

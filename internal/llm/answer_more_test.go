@@ -143,28 +143,6 @@ func TestUsageTotalAndClamp(t *testing.T) {
 	}
 }
 
-func TestSimOptionSetters(t *testing.T) {
-	s := NewSim(1,
-		WithFilterLeniency(0.5),
-		WithRefusalRatio(0.3),
-		WithName("custom-model"),
-	)
-	if s.filterLeniency != 0.5 || s.refusalRatio != 0.3 {
-		t.Error("options not applied")
-	}
-	if s.Name() != "custom-model" {
-		t.Errorf("Name = %q", s.Name())
-	}
-	m := NewMeter(s)
-	if m.Name() != "custom-model" {
-		t.Error("meter should proxy name")
-	}
-	var sc Scripted
-	if sc.Name() != "scripted" {
-		t.Error("scripted name")
-	}
-}
-
 // negatedRowSplit is NegatedRow as the split-and-lower it replaced: the
 // reference every line must agree with.
 func negatedRowSplit(line string) bool {

@@ -472,17 +472,9 @@ func (c *Cache) Load(path string) error {
 		return fmt.Errorf("llm: cache load: %w", err)
 	}
 	defer f.Close()
-	zr, err := gzip.NewReader(f)
+	snap, err := decodeCache(f)
 	if err != nil {
-		return fmt.Errorf("llm: cache load: %w", err)
-	}
-	defer zr.Close()
-	var snap persistedCache
-	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
-		return fmt.Errorf("llm: cache load decode: %w", err)
-	}
-	if len(snap.Keys) != len(snap.Responses) {
-		return fmt.Errorf("llm: cache load: corrupt snapshot (%d keys, %d responses)", len(snap.Keys), len(snap.Responses))
+		return err
 	}
 	// Insert least-recent first so the persisted MRU order survives.
 	c.mu.Lock()
@@ -491,6 +483,23 @@ func (c *Cache) Load(path string) error {
 		c.put(snap.Keys[i], snap.Responses[i])
 	}
 	return nil
+}
+
+// decodeCache reads a snapshot written by Save.
+func decodeCache(r io.Reader) (persistedCache, error) {
+	zr, err := gzip.NewReader(r)
+	if err != nil {
+		return persistedCache{}, fmt.Errorf("llm: cache load: %w", err)
+	}
+	defer zr.Close()
+	var snap persistedCache
+	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
+		return persistedCache{}, fmt.Errorf("llm: cache load decode: %w", err)
+	}
+	if len(snap.Keys) != len(snap.Responses) {
+		return persistedCache{}, fmt.Errorf("llm: cache load: corrupt snapshot (%d keys, %d responses)", len(snap.Keys), len(snap.Responses))
+	}
+	return snap, nil
 }
 
 var _ GroupClient = (*Cache)(nil)

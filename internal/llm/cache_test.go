@@ -1,8 +1,12 @@
 package llm
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/gob"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -180,6 +184,102 @@ func TestCachePersistence(t *testing.T) {
 	if got := inner2.calls.Load(); got != 0 {
 		t.Errorf("upstream called %d times on a warm hit, want 0", got)
 	}
+}
+
+// cacheFuzzReqs are the requests FuzzCacheLoad's seed snapshots hold.
+var cacheFuzzReqs = []Request{{Prompt: "p0"}, {Prompt: "p1"}, {System: "s", Prompt: "p2", MaxTokens: 4}}
+
+// cacheSnapshot is the file Save writes for snap, built without a cache so
+// a seed can hold what no cache would write (duplicate keys, mismatched
+// lengths).
+func cacheSnapshot(f *testing.F, snap persistedCache) []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(snap); err != nil {
+		f.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzCacheLoad: for any bytes, Load returns an error or a cache that
+// serves what it loaded — every key of the snapshot resident with the
+// response its most recent copy carries, and every seed request whose key
+// was loaded a hit that never goes upstream — and it never panics.
+func FuzzCacheLoad(f *testing.F) {
+	cache := NewCache(&countingClient{})
+	for _, req := range cacheFuzzReqs {
+		if _, err := cache.Complete(context.Background(), req); err != nil {
+			f.Fatal(err)
+		}
+	}
+	dir := f.TempDir()
+	path := filepath.Join(dir, "seed.gob.gz")
+	if err := cache.Save(path); err != nil {
+		f.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(whole)
+	flipped[len(flipped)/2] ^= 0x10
+	key := Key("counting", cacheFuzzReqs[0])
+	f.Add(whole)
+	f.Add(whole[:len(whole)/2])
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Add(cacheSnapshot(f, persistedCache{Keys: []string{key, key}, Responses: []Response{{Text: "new"}, {Text: "old", Refusal: true}}}))
+	f.Add(cacheSnapshot(f, persistedCache{Keys: []string{key, "k"}, Responses: []Response{{Text: "one"}}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// One fuzz process runs its inputs one at a time: one file serves.
+		path := filepath.Join(dir, "input.gob.gz")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, decodeErr := decodeCache(bytes.NewReader(data))
+		inner := &countingClient{}
+		cache := NewCache(inner, WithCapacity(len(snap.Keys)+1))
+		loadErr := cache.Load(path)
+		if (decodeErr == nil) != (loadErr == nil) {
+			t.Fatalf("decode error %v, load error %v", decodeErr, loadErr)
+		}
+		if loadErr != nil {
+			return
+		}
+		// Entries are put least recent first and a resident key keeps its
+		// value, so a duplicated key holds its last copy's response.
+		want := map[string]Response{}
+		for i := len(snap.Keys) - 1; i >= 0; i-- {
+			if _, ok := want[snap.Keys[i]]; !ok {
+				want[snap.Keys[i]] = snap.Responses[i]
+			}
+		}
+		if cache.Len() != len(want) {
+			t.Fatalf("%d entries resident, want the snapshot's %d keys", cache.Len(), len(want))
+		}
+		for k, resp := range want {
+			el, ok := cache.entries[k]
+			if !ok || el.Value.(*cacheEntry).resp != resp {
+				t.Fatalf("key %q: resident %v, want %+v", k, ok, resp)
+			}
+		}
+		for _, req := range cacheFuzzReqs {
+			resp, ok := want[Key(inner.Name(), req)]
+			if !ok {
+				continue
+			}
+			got, err := cache.Complete(context.Background(), req)
+			if err != nil || !got.FromCache || got.Text != resp.Text || got.Refusal != resp.Refusal {
+				t.Fatalf("request %+v: got %+v (%v), want the loaded %+v from cache", req, got, err, resp)
+			}
+		}
+		if n := inner.calls.Load(); n != 0 {
+			t.Fatalf("loaded requests went upstream %d times", n)
+		}
+	})
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {

@@ -8,7 +8,25 @@
 // prompts, over-generous filters, boilerplate-driven refusals, and
 // reliable narrow-task performance when queries are decomposed (§2
 // tenets, §7.2 failure analysis). Sim reproduces those mechanisms with
-// seeded determinism so every experiment regenerates identically.
+// seeded determinism so every experiment regenerates identically. Its
+// parameters are fixed, one per behaviour:
+//
+//   - an 8,192-token context window: a longer prompt is truncated, and the
+//     model never sees past the cut (bounded context windows, §2);
+//   - a filter leniency of 0.85: a document where only one of the
+//     question's concepts appears still passes with that probability
+//     ("the LLM filter ... tends to pass through documents where an engine
+//     problem was not indicated", §7.2);
+//   - 30 attended items: an aggregate RAG answer counts over the first 30
+//     context chunks only (lost in the middle, §7.2);
+//   - a refusal ratio of 0.08: a fault-adjacent question is refused once
+//     that share of the context chunks carries liability boilerplate
+//     (context poisoning, §7.2).
+//
+// Only its seed and its round-trip latency (WithLatency) are set per
+// instance. Sim never fails on its own: backend failures — errors, latency
+// spikes, outages, truncated replies — come from internal/fault, the one
+// failure injector, which wraps whatever model sits beneath the stack.
 //
 // The middleware's unit of storage is the fact and its unit of dispatch is
 // the document. A Group is k requests about one document — the k

@@ -30,7 +30,7 @@ func (s *Sim) runFilter(rng *rand.Rand, prompt string) string {
 	if line := promptDocumentID(prompt); line != "" {
 		rng = s.rng(question + "\x00" + line)
 	}
-	if filterMatch(rng, question, doc, s.filterLeniency) {
+	if filterMatch(rng, question, doc, filterLeniency) {
 		return "yes"
 	}
 	return "no"

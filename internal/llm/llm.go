@@ -14,8 +14,8 @@ type Request struct {
 	Prompt string
 	// MaxTokens caps the completion length (0 = model default).
 	MaxTokens int
-	// Temperature is accepted for API fidelity; Sim is deterministic at
-	// any temperature but uses it to scale its error knobs.
+	// Temperature is accepted for API fidelity and is part of the cache
+	// key; the Sim never reads it.
 	Temperature float64
 }
 
@@ -71,10 +71,6 @@ type Client interface {
 // ErrTransient marks a retryable model failure (rate limit, timeout). The
 // DocSet executor retries these.
 var ErrTransient = errors.New("llm: transient failure")
-
-// ErrContextTooLong is returned when a prompt exceeds the context window
-// and the model is configured to reject rather than truncate.
-var ErrContextTooLong = errors.New("llm: prompt exceeds context window")
 
 // Meter wraps a Client and accumulates usage across calls; safe for
 // concurrent use.

@@ -2,7 +2,6 @@ package llm
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -113,31 +112,16 @@ func TestSimDeterminism(t *testing.T) {
 }
 
 func TestSimContextWindowTruncates(t *testing.T) {
-	sim := NewSim(1, WithContextWindow(50))
-	long := strings.Repeat("filler words to blow the window ", 50)
-	resp, err := sim.Complete(context.Background(), Request{Prompt: long})
+	long := strings.Repeat("filler words to blow the window ", contextWindow/4)
+	if n := CountTokens(long); n <= contextWindow {
+		t.Fatalf("prompt of %d tokens does not overflow the %d-token window", n, contextWindow)
+	}
+	resp, err := NewSim(1).Complete(context.Background(), Request{Prompt: long})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Usage.PromptTokens > 50 {
-		t.Errorf("prompt tokens %d exceed window", resp.Usage.PromptTokens)
-	}
-}
-
-func TestSimStrictContextRejects(t *testing.T) {
-	sim := NewSim(1, WithContextWindow(10), WithStrictContext())
-	long := strings.Repeat("word ", 100)
-	_, err := sim.Complete(context.Background(), Request{Prompt: long})
-	if !errors.Is(err, ErrContextTooLong) {
-		t.Errorf("want ErrContextTooLong, got %v", err)
-	}
-}
-
-func TestSimFailureInjection(t *testing.T) {
-	sim := NewSim(7, WithFailureRate(1.0))
-	_, err := sim.Complete(context.Background(), Request{Prompt: "anything"})
-	if !errors.Is(err, ErrTransient) {
-		t.Errorf("want ErrTransient, got %v", err)
+	if resp.Usage.PromptTokens != contextWindow {
+		t.Errorf("prompt tokens %d, want the window's %d", resp.Usage.PromptTokens, contextWindow)
 	}
 }
 

@@ -2,30 +2,42 @@ package llm
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
+// The Sim's fixed parameters. Each reproduces a behaviour the paper
+// observes of GPT-4o-class models (see doc.go).
+const (
+	// simName is the model name the Sim reports.
+	simName = "sim-gpt"
+	// contextWindow is the prompt token budget; a prompt past it is
+	// truncated, never rejected.
+	contextWindow = 8192
+	// filterLeniency is the probability that a weak single-concept match
+	// still passes an llmFilter: the paper's "occasionally too generous"
+	// filter (§7.2).
+	filterLeniency = 0.85
+	// attendItems caps how many context items the answer skill attends
+	// to: the "lost in the middle" effect [Liu et al. 2023].
+	attendItems = 30
+	// refusalRatio is the fraction of visible context chunks that must
+	// carry liability boilerplate before a fault-adjacent question is
+	// refused (§7.2 context poisoning).
+	refusalRatio = 0.08
+)
+
 // Sim is the deterministic heuristic language model. It dispatches on the
-// task marker in the prompt and runs the matching skill. All stochastic
-// behaviour (fault injection, leniency) is seeded per-request so runs are
-// reproducible.
+// task marker in the prompt and runs the matching skill. Its one
+// stochastic behaviour, filter leniency, is seeded per request so runs
+// are reproducible; failures are injected around it (internal/fault), not
+// by it.
 type Sim struct {
-	name           string
-	seed           int64
-	contextWindow  int
-	strictContext  bool
-	filterLeniency float64
-	failureRate    float64
-	attendItems    int
-	refusalRatio   float64
-	latency        time.Duration
-	skills         []Skill
-	calls          atomic.Int64
+	seed    int64
+	latency time.Duration
+	skills  []Skill
 }
 
 // Skill extends the Sim with a custom task handler (e.g. Luna's planner).
@@ -39,37 +51,6 @@ type Skill interface {
 // SimOption configures a Sim.
 type SimOption func(*Sim)
 
-// WithContextWindow sets the prompt token budget (default 8192). Prompts
-// over the window are truncated (or rejected under WithStrictContext).
-func WithContextWindow(tokens int) SimOption {
-	return func(s *Sim) { s.contextWindow = tokens }
-}
-
-// WithStrictContext makes over-window prompts an error instead of
-// truncating.
-func WithStrictContext() SimOption { return func(s *Sim) { s.strictContext = true } }
-
-// WithFilterLeniency sets the probability that a weak single-concept match
-// still passes an llmFilter (default 0.85 — the paper's "occasionally too
-// generous" behaviour).
-func WithFilterLeniency(p float64) SimOption { return func(s *Sim) { s.filterLeniency = p } }
-
-// WithFailureRate injects seeded transient failures at rate p, exercising
-// executor retries.
-func WithFailureRate(p float64) SimOption { return func(s *Sim) { s.failureRate = p } }
-
-// WithAttendItems caps how many context items the answer skill can attend
-// to (default 30): the "lost in the middle" effect [Liu et al. 2023].
-func WithAttendItems(n int) SimOption { return func(s *Sim) { s.attendItems = n } }
-
-// WithRefusalRatio sets the fraction of visible context chunks that must
-// carry liability boilerplate before a fault-adjacent question triggers a
-// refusal (default 0.08, §7.2 context poisoning).
-func WithRefusalRatio(p float64) SimOption { return func(s *Sim) { s.refusalRatio = p } }
-
-// WithName overrides the reported model name.
-func WithName(name string) SimOption { return func(s *Sim) { s.name = name } }
-
 // WithLatency adds a fixed per-dispatch delay modelling network round-trip
 // to a hosted model. A batched dispatch (CompleteBatch) pays it once for
 // the whole group — the amortization that makes batching worthwhile.
@@ -77,14 +58,7 @@ func WithLatency(d time.Duration) SimOption { return func(s *Sim) { s.latency = 
 
 // NewSim builds the simulated model with the given seed.
 func NewSim(seed int64, opts ...SimOption) *Sim {
-	s := &Sim{
-		name:           "sim-gpt",
-		seed:           seed,
-		contextWindow:  8192,
-		filterLeniency: 0.85,
-		attendItems:    30,
-		refusalRatio:   0.08,
-	}
+	s := &Sim{seed: seed}
 	for _, o := range opts {
 		o(s)
 	}
@@ -92,7 +66,7 @@ func NewSim(seed int64, opts ...SimOption) *Sim {
 }
 
 // Name identifies the model.
-func (s *Sim) Name() string { return s.name }
+func (s *Sim) Name() string { return simName }
 
 // Register adds a custom skill, consulted before the built-in ones.
 func (s *Sim) Register(sk Skill) { s.skills = append(s.skills, sk) }
@@ -134,19 +108,7 @@ func (s *Sim) complete(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	// Failure injection draws from a per-call stream so retries of the same
-	// prompt can succeed; skill behaviour below stays prompt-deterministic.
-	call := s.calls.Add(1)
-	if s.failureRate > 0 {
-		failRng := rand.New(rand.NewSource(s.seed ^ (call * 0x9e3779b9)))
-		if failRng.Float64() < s.failureRate {
-			return Response{}, fmt.Errorf("simulated rate limit: %w", ErrTransient)
-		}
-	}
 	tokens := CountTokens(req.System) + CountTokens(req.Prompt)
-	if tokens > s.contextWindow && s.strictContext {
-		return Response{}, fmt.Errorf("%d tokens > window %d: %w", tokens, s.contextWindow, ErrContextTooLong)
-	}
 
 	var text string
 	var refusal bool
@@ -161,7 +123,7 @@ func (s *Sim) complete(ctx context.Context, req Request) (Response, error) {
 			// A solo prompt is no longer than the packed one, so it only
 			// needs counting when that one overflows the window.
 			soloTokens := tokens
-			if tokens > s.contextWindow {
+			if tokens > contextWindow {
 				soloTokens = CountTokens(solo.System) + CountTokens(solo.Prompt)
 			}
 			line, _, err := s.answer(solo, soloTokens)
@@ -183,7 +145,7 @@ func (s *Sim) complete(ctx context.Context, req Request) (Response, error) {
 	return Response{
 		Text:    text,
 		Refusal: refusal,
-		Usage:   Usage{Calls: 1, PromptTokens: min(tokens, s.contextWindow), CompletionTokens: CountTokens(text)},
+		Usage:   Usage{Calls: 1, PromptTokens: min(tokens, contextWindow), CompletionTokens: CountTokens(text)},
 	}, nil
 }
 
@@ -192,9 +154,9 @@ func (s *Sim) complete(ctx context.Context, req Request) (Response, error) {
 // window.
 func (s *Sim) answer(req Request, tokens int) (text string, refusal bool, err error) {
 	rng := s.rng(req.System + "\x00" + req.Prompt)
-	if tokens > s.contextWindow {
+	if tokens > contextWindow {
 		// Hard truncation.
-		req.Prompt = TruncateTokens(req.Prompt, s.contextWindow-CountTokens(req.System))
+		req.Prompt = TruncateTokens(req.Prompt, contextWindow-CountTokens(req.System))
 	}
 	return s.dispatch(rng, req)
 }

@@ -232,13 +232,12 @@ func TestAnswerSkillList(t *testing.T) {
 }
 
 func TestAnswerSkillAttendLimit(t *testing.T) {
-	sim := NewSim(1, WithAttendItems(5))
 	var chunks []RAGChunk
-	for i := 0; i < 40; i++ {
-		chunks = append(chunks, RAGChunk{DocID: string(rune('A' + i%26)), Text: "substantial damage to the wing"})
+	for i := 0; i < 2*attendItems; i++ {
+		chunks = append(chunks, RAGChunk{DocID: fmt.Sprintf("D%02d", i), Text: "substantial damage to the wing"})
 	}
-	resp, _ := sim.Complete(context.Background(), Request{Prompt: RAGPrompt("How many incidents involved substantial damage?", chunks)})
-	// 26 distinct docs, but only the first 5 chunks are attended; the
+	resp, _ := NewSim(1).Complete(context.Background(), Request{Prompt: RAGPrompt("How many incidents involved substantial damage?", chunks)})
+	// 60 distinct docs, but only the first 30 chunks are attended; the
 	// counting-slip noise then perturbs the tally by at most a few.
 	got := answerLine(resp.Text)
 	if got == "" {
@@ -248,8 +247,8 @@ func TestAnswerSkillAttendLimit(t *testing.T) {
 	if _, err := fmt.Sscanf(got, "%d", &n); err != nil {
 		t.Fatalf("non-numeric count %q", got)
 	}
-	if n < 2 || n > 6 {
-		t.Errorf("attend-limited count = %d, want within slip range of 5", n)
+	if n < attendItems-3 || n > attendItems+1 {
+		t.Errorf("attend-limited count = %d, want within slip range of %d", n, attendItems)
 	}
 }
 

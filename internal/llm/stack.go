@@ -62,15 +62,13 @@ func (s StackStats) String() string {
 // drops into any place a model is consumed; individual layers stay
 // addressable for stats and persistence.
 type Stack struct {
-	client  Client // entry point (outermost enabled layer)
-	cache   *Cache
+	cache   *Cache // entry point: the outermost layer
 	batcher *Batcher
 	inner   Client
 }
 
 // stackConfig collects construction options.
 type stackConfig struct {
-	disableCache  bool
 	cacheCapacity int
 	cachePath     string
 	maxBatch      int
@@ -80,10 +78,6 @@ type stackConfig struct {
 
 // StackOption configures a Stack.
 type StackOption func(*stackConfig)
-
-// WithoutCache disables the response cache layer, and with it the
-// singleflight deduplication: every request goes upstream.
-func WithoutCache() StackOption { return func(c *stackConfig) { c.disableCache = true } }
 
 // WithCacheCapacity bounds the response cache (default 4096 entries).
 func WithCacheCapacity(n int) StackOption { return func(c *stackConfig) { c.cacheCapacity = n } }
@@ -128,52 +122,39 @@ func NewStack(inner Client, opts ...StackOption) *Stack {
 	if cfg.resilience != nil {
 		client = cfg.resilience(client)
 	}
-	if !cfg.disableCache {
-		s.cache = NewCache(client, WithCapacity(cfg.cacheCapacity))
-		if cfg.cachePath != "" {
-			// Best-effort warm start: a missing or unreadable snapshot just
-			// means a cold cache.
-			_ = s.cache.Load(cfg.cachePath)
-		}
-		client = s.cache
+	s.cache = NewCache(client, WithCapacity(cfg.cacheCapacity))
+	if cfg.cachePath != "" {
+		// Best-effort warm start: a missing or unreadable snapshot just
+		// means a cold cache.
+		_ = s.cache.Load(cfg.cachePath)
 	}
-	s.client = client
 	return s
 }
 
 // Complete runs the request through the middleware pipeline.
 func (s *Stack) Complete(ctx context.Context, req Request) (Response, error) {
-	return s.client.Complete(ctx, req)
+	return s.cache.Complete(ctx, req)
 }
 
 // CompleteGroup runs the group through the pipeline: the cache decides
 // what of it goes upstream, and the layers beneath see one ordinary
 // request.
 func (s *Stack) CompleteGroup(ctx context.Context, g Group) ([]Response, error) {
-	return CompleteGroup(ctx, s.client, g)
+	return s.cache.CompleteGroup(ctx, g)
 }
 
 // Name identifies the backing model.
 func (s *Stack) Name() string { return s.inner.Name() }
 
-// Cache returns the cache layer (nil when disabled).
+// CacheLayer returns the cache layer.
 func (s *Stack) CacheLayer() *Cache { return s.cache }
 
-// SaveCache persists the response cache to path (no-op when disabled).
-func (s *Stack) SaveCache(path string) error {
-	if s.cache == nil {
-		return nil
-	}
-	return s.cache.Save(path)
-}
+// SaveCache persists the response cache to path.
+func (s *Stack) SaveCache(path string) error { return s.cache.Save(path) }
 
 // StackStats snapshots every layer's counters.
 func (s *Stack) StackStats() StackStats {
-	var st StackStats
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-		st.Flight = s.cache.FlightStats()
-	}
+	st := StackStats{Cache: s.cache.Stats(), Flight: s.cache.FlightStats()}
 	if s.batcher != nil {
 		st.Batch = s.batcher.Stats()
 	}

@@ -175,18 +175,15 @@ func TestStackStatsDiscoveryThroughMeter(t *testing.T) {
 }
 
 func TestStackLayerToggles(t *testing.T) {
-	bare := NewStack(&countingClient{}, WithoutCache(), WithBatching(1, 0))
-	if bare.CacheLayer() != nil {
-		t.Error("cache layer present despite WithoutCache")
+	unbatched := NewStack(&countingClient{}, WithBatching(1, 0))
+	if unbatched.CacheLayer() == nil {
+		t.Fatal("stack built without its cache layer")
 	}
-	if _, err := bare.Complete(context.Background(), Request{Prompt: "p"}); err != nil {
+	if _, err := unbatched.Complete(context.Background(), Request{Prompt: "p"}); err != nil {
 		t.Fatal(err)
 	}
-	if st := bare.StackStats(); st.Cache.Misses != 0 || st.Flight.Leads != 0 || st.Batch.Requests != 0 {
-		t.Errorf("disabled layers recorded activity: %+v", st)
-	}
-	if err := bare.SaveCache("/nonexistent/dir/file"); err != nil {
-		t.Errorf("SaveCache on cacheless stack must be a no-op, got %v", err)
+	if st := unbatched.StackStats(); st.Cache.Misses != 1 || st.Batch.Requests != 0 {
+		t.Errorf("want one cache miss and no batcher activity, got %+v", st)
 	}
 }
 

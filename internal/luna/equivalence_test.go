@@ -109,14 +109,14 @@ var equivSections = map[string][]struct {
 // newEquivService wires a fresh, identically-seeded system. Fresh per run
 // so the optimized and unoptimized executions cannot share an LLM cache —
 // call counts stay honest.
-func newEquivService(t *testing.T, optimize bool, model *cost.Model) *Service {
+func newEquivService(t *testing.T, optimize bool, feedback *cost.Store) *Service {
 	t.Helper()
 	store := equivCorpus(t)
 	ec := docset.NewContext(docset.WithLLM(llm.NewSim(1)))
 	return &Service{
 		Planner:  NewPlanner(llm.NewSim(1), InferSchema(store)),
 		Executor: &Executor{EC: ec, Store: store},
-		Cost:     model,
+		Cost:     feedback,
 		Optimize: optimize,
 	}
 }
@@ -247,7 +247,7 @@ func equivalencePlans() []struct {
 // as given and returns the result plus its total LLM call count.
 func runEquiv(t *testing.T, plan *LogicalPlan, optimize bool) (*Result, int64) {
 	t.Helper()
-	svc := newEquivService(t, optimize, cost.NewModel(cost.NewStore()))
+	svc := newEquivService(t, optimize, cost.NewStore())
 	res, err := svc.RunPlan(context.Background(), "equiv", plan.Clone())
 	if err != nil {
 		t.Fatalf("optimize=%v: %v", optimize, err)
@@ -300,7 +300,7 @@ func (f *firstAsks) CompleteGroup(ctx context.Context, g llm.Group) ([]llm.Respo
 // runFirstAsks is runEquiv, also returning the firstAsks of the execution.
 func runFirstAsks(t *testing.T, plan *LogicalPlan, optimize bool) (*Result, int64, map[string]int) {
 	t.Helper()
-	svc := newEquivService(t, optimize, cost.NewModel(cost.NewStore()))
+	svc := newEquivService(t, optimize, cost.NewStore())
 	log := &firstAsks{Client: svc.Executor.EC.LLM, tokens: map[string]int{}}
 	for _, hit := range svc.Executor.Store.SearchDocs(index.Query{}) {
 		log.docs = append(log.docs, hit.Doc)
@@ -463,7 +463,7 @@ func TestExecAccountsForEveryModelCall(t *testing.T) {
 	var total int64
 	for _, tc := range equivalencePlans() {
 		for _, optimize := range []bool{false, true} {
-			svc := newEquivService(t, optimize, cost.NewModel(cost.NewStore()))
+			svc := newEquivService(t, optimize, cost.NewStore())
 			counter := &countingLLM{Client: svc.Executor.EC.LLM}
 			svc.Executor.EC.LLM = counter
 			res, err := svc.RunPlan(context.Background(), "accounting", tc.plan.Clone())
@@ -491,7 +491,7 @@ func TestOptimizedResultAnnotations(t *testing.T) {
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMFilter, Question: qFire},
 		LogicalOp{Op: OpCount})
-	svc := newEquivService(t, true, cost.NewModel(cost.NewStore()))
+	svc := newEquivService(t, true, cost.NewStore())
 	res, err := svc.RunPlan(context.Background(), "annotated", plan)
 	if err != nil {
 		t.Fatal(err)
@@ -526,8 +526,8 @@ func TestOptimizedResultAnnotations(t *testing.T) {
 // TestObservationsSkipErroredRuns guards the feedback store against
 // poisoning: a cancelled execution must record nothing.
 func TestObservationsSkipErroredRuns(t *testing.T) {
-	model := cost.NewModel(cost.NewStore())
-	svc := newEquivService(t, false, model)
+	feedback := cost.NewStore()
+	svc := newEquivService(t, false, feedback)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	plan := Chain(
@@ -537,7 +537,7 @@ func TestObservationsSkipErroredRuns(t *testing.T) {
 	if _, err := svc.RunPlan(ctx, "cancelled", plan); err == nil {
 		t.Skip("cancelled run unexpectedly succeeded")
 	}
-	if n := model.Store.Len(); n != 0 {
+	if n := feedback.Len(); n != 0 {
 		t.Errorf("errored run recorded %d signatures", n)
 	}
 }

@@ -69,10 +69,10 @@ const defaultGroupCount = 8
 
 // EstimatePlan walks the DAG in topological order propagating estimated
 // document cardinalities and accumulating per-node LLM calls and unit
-// costs — defaults refined by whatever evidence the model's feedback
-// store holds. baseDocs is the corpus size the source scans. Returns nil
+// costs — defaults refined by whatever evidence the feedback store holds
+// (nil: defaults only). baseDocs is the corpus size the source scans. Returns nil
 // for nil/cyclic plans.
-func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.PlanEstimate {
+func EstimatePlan(plan *LogicalPlan, store *cost.Store, baseDocs float64) *cost.PlanEstimate {
 	if plan == nil {
 		return nil
 	}
@@ -98,7 +98,7 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 				out *= 0.3
 			}
 			out *= math.Pow(0.5, float64(len(n.Filters)))
-			if a, ok := lookupSig(m, sig); ok && a.Count > 0 {
+			if a, ok := store.Lookup(sig); ok && a.Count > 0 {
 				out = float64(a.DocsOut) / float64(a.Count)
 				ne.Observed = true
 			}
@@ -111,7 +111,7 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 			out = math.Min(k, baseDocs)
 			units = baseDocs * cost.UnitsPerPredicate
 		case OpBasicFilter:
-			sel, observed := m.Selectivity(n.Op, sig)
+			sel, observed := store.Selectivity(n.Op, sig)
 			out = in * sel
 			units = in * math.Max(float64(len(n.Filters)), 1) * cost.UnitsPerPredicate
 			ne.Observed = observed
@@ -120,7 +120,7 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 			// questions' selectivities multiply (independence).
 			out = in
 			for _, q := range n.questions() {
-				sel, observed := m.Selectivity(n.Op, filterSignature(q))
+				sel, observed := store.Selectivity(n.Op, filterSignature(q))
 				out *= sel
 				ne.Observed = ne.Observed || observed
 			}
@@ -132,7 +132,7 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 			if n.Sections > 0 {
 				// One scoped call per document plus the share it has been
 				// seen to ask again whole; never less than one.
-				if a, ok := lookupSig(m, sig); ok && a.LLMCalls > a.DocsIn && a.DocsIn > 0 {
+				if a, ok := store.Lookup(sig); ok && a.LLMCalls > a.DocsIn && a.DocsIn > 0 {
 					calls = in * float64(a.LLMCalls) / float64(a.DocsIn)
 					ne.Observed = true
 				}
@@ -150,7 +150,7 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 			out = math.Min(float64(n.K), in)
 			units = in * cost.UnitsPerPredicate
 		case opDistinct:
-			sel, observed := m.Selectivity(n.Op, sig)
+			sel, observed := store.Selectivity(n.Op, sig)
 			out = in * sel
 			units = in * cost.UnitsPerPredicate
 			ne.Observed = observed
@@ -186,16 +186,6 @@ func EstimatePlan(plan *LogicalPlan, m *cost.Model, baseDocs float64) *cost.Plan
 	est.LLMCalls = roundEst(est.LLMCalls)
 	est.Units = roundEst(est.Units)
 	return est
-}
-
-// lookupSig fetches observed evidence without the Model's default
-// fallback (for estimates that need raw aggregates, e.g. source output
-// cardinality).
-func lookupSig(m *cost.Model, sig string) (cost.Aggregate, bool) {
-	if m == nil || m.Store == nil {
-		return cost.Aggregate{}, false
-	}
-	return m.Store.Lookup(sig)
 }
 
 // roundEst keeps estimate JSON readable (two decimals is plenty for

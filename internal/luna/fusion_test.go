@@ -38,7 +38,7 @@ func withoutRule(t *testing.T, name string) {
 // tokens and share answers between queries. A serial service runs one
 // worker per stage over an unbatched stack, so calls reach the cache in
 // nearly the plan's own order: only pipelined stages still interleave.
-func meteredService(t *testing.T, optimize bool, capacity int, model *cost.Model, serial bool) (*Service, *llm.Meter) {
+func meteredService(t *testing.T, optimize bool, capacity int, feedback *cost.Store, serial bool) (*Service, *llm.Meter) {
 	t.Helper()
 	store := equivCorpus(t)
 	stackOpts := []llm.StackOption{llm.WithCacheCapacity(capacity)}
@@ -51,7 +51,7 @@ func meteredService(t *testing.T, optimize bool, capacity int, model *cost.Model
 	return &Service{
 		Planner:  NewPlanner(meter, InferSchema(store)),
 		Executor: &Executor{EC: docset.NewContext(append(ecOpts, docset.WithLLM(meter))...), Store: store},
-		Cost:     model,
+		Cost:     feedback,
 		Optimize: optimize,
 	}, meter
 }
@@ -431,8 +431,8 @@ func TestFeedbackKeepsEvidencePerQuestion(t *testing.T) {
 		LogicalOp{Op: OpLLMFilter, Question: qPilot}, // 13 of 16 pass
 		LogicalOp{Op: OpLLMFilter, Question: qFire},  // 4 of 16 pass
 		LogicalOp{Op: OpCount})
-	model := cost.NewModel(cost.NewStore())
-	svc := newEquivService(t, true, model)
+	feedback := cost.NewStore()
+	svc := newEquivService(t, true, feedback)
 	res, err := svc.RunPlan(context.Background(), "fused", plan.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -440,15 +440,15 @@ func TestFeedbackKeepsEvidencePerQuestion(t *testing.T) {
 	if err := oneCallPerDocument(res); err != nil {
 		t.Fatal(err)
 	}
-	pilot, ok := model.Store.Lookup(filterSignature(qPilot))
+	pilot, ok := feedback.Lookup(filterSignature(qPilot))
 	if !ok || pilot.DocsIn == 0 {
 		t.Fatalf("no evidence for %q: %+v", qPilot, pilot)
 	}
-	fire, ok := model.Store.Lookup(filterSignature(qFire))
+	fire, ok := feedback.Lookup(filterSignature(qFire))
 	if !ok || fire.DocsIn == 0 {
 		t.Fatalf("no evidence for %q: %+v", qFire, fire)
 	}
-	if _, ok := model.Store.Lookup(opSignature(res.Optimized.Nodes[1].LogicalOp)); ok {
+	if _, ok := feedback.Lookup(opSignature(res.Optimized.Nodes[1].LogicalOp)); ok {
 		t.Error("the fused node was observed under a signature of its own")
 	}
 	// Both questions were put to every document in one packed call, so each
@@ -464,11 +464,11 @@ func TestFeedbackKeepsEvidencePerQuestion(t *testing.T) {
 	}
 
 	// The un-fused form reads the same evidence.
-	solo := EstimatePlan(Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMFilter, Question: qFire}, LogicalOp{Op: OpCount}), model, 16)
+	solo := EstimatePlan(Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMFilter, Question: qFire}, LogicalOp{Op: OpCount}), feedback, 16)
 	if ne := solo.Nodes[1]; !ne.Observed {
 		t.Errorf("a solo llmFilter does not see the fused node's evidence: %+v", ne)
 	}
-	est := EstimatePlan(res.Optimized, model, 16)
+	est := EstimatePlan(res.Optimized, feedback, 16)
 	selPilot, _ := pilot.Selectivity()
 	selFire, _ := fire.Selectivity()
 	if ne := est.Nodes[1]; !ne.Observed || ne.DocsOut != roundEst(16*selPilot*selFire) || ne.LLMCalls != 16 {
@@ -484,8 +484,8 @@ func TestScopedExtractEstimateAndFusion(t *testing.T) {
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
 		LogicalOp{Op: OpProject, ProjectFields: []string{"damaged_part"}})
-	model := cost.NewModel(cost.NewStore())
-	svc := newEquivService(t, true, model)
+	feedback := cost.NewStore()
+	svc := newEquivService(t, true, feedback)
 	res, err := svc.RunPlan(context.Background(), "scoped", plan.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -498,11 +498,11 @@ func TestScopedExtractEstimateAndFusion(t *testing.T) {
 	if r := res.Exec.Nodes[1].Runtime; r.ProxyKept != 1 || r.Escalations != 1 || r.LLMCalls != 17 {
 		t.Fatalf("scoped extract ran %d from scope, %d again, %d calls; want 1, 1, 17", r.ProxyKept, r.Escalations, r.LLMCalls)
 	}
-	warm := EstimatePlan(res.Optimized, model, 16)
+	warm := EstimatePlan(res.Optimized, feedback, 16)
 	if ne := warm.Nodes[1]; ne.LLMCalls != 17 || !ne.Observed || warm.LLMCalls != 17 {
 		t.Errorf("warm estimate of the scoped extract = %+v; want the 17 calls observed", ne)
 	}
-	if ne := EstimatePlan(res.Rewritten, model, 16).Nodes[1]; ne.LLMCalls != 16 {
+	if ne := EstimatePlan(res.Rewritten, feedback, 16).Nodes[1]; ne.LLMCalls != 16 {
 		t.Errorf("the whole-document extract's estimate = %+v; it shares no evidence with the scoped one", ne)
 	}
 
@@ -525,7 +525,7 @@ func TestScopedExtractEstimateAndFusion(t *testing.T) {
 // prices it at one proxy unit per document and no model call, which is what
 // the execution then reports.
 func TestEstimateLLMClusterCallsNoModel(t *testing.T) {
-	svc := newEquivService(t, false, cost.NewModel(cost.NewStore()))
+	svc := newEquivService(t, false, cost.NewStore())
 	res, err := svc.RunPlan(context.Background(), "cluster", Chain(
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMCluster, K: 3}))

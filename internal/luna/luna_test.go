@@ -567,7 +567,7 @@ func TestPlannerRepairLoop(t *testing.T) {
 	if plan == nil || scripted.Calls() != 2 {
 		t.Fatalf("repair loop: calls=%d", scripted.Calls())
 	}
-	// Repeated invalid plans exhaust MaxRepairs.
+	// Repeated invalid plans exhaust the repair budget.
 	bad := &llm.Scripted{Responses: []llm.Response{{Text: `{"nodes":[{"id":"n1","op":"teleport"}]}`}}}
 	p2 := NewPlanner(bad, testSchema())
 	if _, err := p2.Plan(context.Background(), "q"); err == nil {

@@ -26,7 +26,7 @@ func (b brokenLLM) Name() string { return "broken" }
 func TestRunReturnsPartialResultOnFailure(t *testing.T) {
 	ex, _ := executorFixture(t)
 	boom := errors.New("model exploded")
-	ex.EC = docset.NewContext(docset.WithLLM(brokenLLM{err: boom}), docset.WithRetries(0))
+	ex.EC = docset.NewContext(docset.WithLLM(brokenLLM{err: boom}))
 
 	res, err := ex.Run(context.Background(), Chain(
 		LogicalOp{Op: OpQueryDatabase},
@@ -71,7 +71,7 @@ func TestRunReturnsPartialResultOnFailure(t *testing.T) {
 // failures degrade the same way, and the retry effort is visible.
 func TestRunPartialSurvivesTransientExhaustion(t *testing.T) {
 	ex, _ := executorFixture(t)
-	ex.EC = docset.NewContext(docset.WithLLM(brokenLLM{err: llm.ErrTransient}), docset.WithRetries(1))
+	ex.EC = docset.NewContext(docset.WithLLM(brokenLLM{err: llm.ErrTransient}))
 
 	res, err := ex.Run(context.Background(), Chain(
 		LogicalOp{Op: OpQueryDatabase},

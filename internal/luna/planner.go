@@ -15,13 +15,14 @@ type Planner struct {
 	Client llm.Client
 	// Schema describes the queryable DocSet.
 	Schema Schema
-	// MaxRepairs bounds re-planning attempts after validation failures.
-	MaxRepairs int
 }
+
+// maxRepairs bounds re-planning attempts after validation failures.
+const maxRepairs = 1
 
 // NewPlanner builds a planner that re-plans once on a validation failure.
 func NewPlanner(client llm.Client, schema Schema) *Planner {
-	return &Planner{Client: client, Schema: schema, MaxRepairs: 1}
+	return &Planner{Client: client, Schema: schema}
 }
 
 // Plan produces the validated plan for a question. On validation failure
@@ -41,7 +42,7 @@ func (p *Planner) Plan(ctx context.Context, question string) (*LogicalPlan, erro
 		if perr == nil {
 			return plan, nil
 		}
-		if attempt >= p.MaxRepairs {
+		if attempt >= maxRepairs {
 			return nil, fmt.Errorf("luna: plan for %q failed validation: %w", question, perr)
 		}
 		prompt += fmt.Sprintf("\nYour previous plan was invalid (%v). Emit a corrected JSON plan.\n", perr)
@@ -54,7 +55,7 @@ type Service struct {
 	Executor *Executor
 	// Cost backs the plan estimates and receives per-operator feedback
 	// observations after every executed query; nil disables both.
-	Cost *cost.Model
+	Cost *cost.Store
 	// Optimize runs the approximate rule, scopeExtracts, as well as the exact ones every plan gets (see the rule list in rewrite.go). Off,
 	// queries still feed the feedback store (when Cost is set), so turning
 	// optimization on later starts warm.
@@ -161,7 +162,7 @@ func (s *Service) run(ctx context.Context, question string, plan *LogicalPlan) (
 		res.PlanPreview = pv
 	}
 	if err == nil && s.Cost != nil {
-		ObserveExec(res.ExecutedPlan(), res.Exec, s.Cost.Store)
+		ObserveExec(res.ExecutedPlan(), res.Exec, s.Cost)
 	}
 	return res, err
 }

@@ -141,7 +141,7 @@ func TestExecDetailFirstOut(t *testing.T) {
 func TestRunStreamPartialOnFailure(t *testing.T) {
 	ex, _ := executorFixture(t)
 	ex.EC = docset.NewContext(docset.WithLLM(brokenLLM{err: errSentinel}),
-		docset.WithParallelism(1), docset.WithRetries(0))
+		docset.WithParallelism(1))
 	plan := &LogicalPlan{
 		Nodes: []PlanNode{
 			{ID: "n1", LogicalOp: LogicalOp{Op: OpQueryDatabase}},

@@ -141,7 +141,8 @@ func recoverFromFaults(t *testing.T, url string) {
 // several goroutines keep asking fresh questions — under -race, fault
 // scripting against concurrent traffic — and every one of those queries
 // must answer 200 with an answer. Each case then checks its own contract,
-// and the server recovers once the fault clears.
+// leaves no query, pipeline or index goroutine behind, and the server
+// recovers once the fault clears.
 func TestFaultContracts(t *testing.T) {
 	setFaults := func(t *testing.T, url string, spec fault.Spec) {
 		if resp := postJSON(t, url+"/v1/faults", FaultControlRequest{Spec: &spec}, nil); resp.StatusCode != http.StatusOK {
@@ -203,10 +204,11 @@ func TestFaultContracts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			url, _ := degradedHarness(t)
-			func() {
+			getJSON(t, url+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+			expectNoQueryGoroutines(t, func() {
 				defer queryBeside(t, url, 3)() // stopped before the server closes, even on a failed case
 				tc.run(t, url)
-			}()
+			})
 			recoverFromFaults(t, url)
 		})
 	}

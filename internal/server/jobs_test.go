@@ -38,6 +38,34 @@ func jobsSystem(t *testing.T) *core.System {
 	return jobsSys
 }
 
+// TestIngestTimeoutLeavesNoGoroutines: an ingest job that
+// Config.IngestTimeout cuts off mid-extract ends failed with a timeout,
+// and none of its pipeline stages or index writes is left running.
+func TestIngestTimeoutLeavesNoGoroutines(t *testing.T) {
+	// Every extract call takes longer than the job is given.
+	sys, err := buildSystem(core.Config{
+		Seed:        7,
+		Parallelism: 4,
+		LLMMaxBatch: 1,
+		LLMOptions:  []llm.SimOption{llm.WithLatency(50 * time.Millisecond)},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, sys, Config{IngestTimeout: 20 * time.Millisecond})
+	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+	expectNoQueryGoroutines(t, func() {
+		var acc api.JobAccepted
+		if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 4, Seed: 60_001}, &acc); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest status = %d", resp.StatusCode)
+		}
+		job := waitJobState(t, ts.URL+acc.Location, api.JobFailed, 10*time.Second)
+		if job.Error == nil || job.Error.Code != api.CodeTimeout {
+			t.Errorf("timed-out ingest error = %+v, want code %q", job.Error, api.CodeTimeout)
+		}
+	})
+}
+
 // waitJobState polls the job resource until it reports want; reaching a
 // terminal state while waiting for running fails loudly (the job outran
 // the test — grow the corpus).
