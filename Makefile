@@ -18,12 +18,16 @@ build:
 test:
 	$(GO) test -race ./...
 
+# vet, gofmt, and the dead-export gate: every exported function under
+# internal/ has a non-test caller (scripts/deadcheck.sh, with its
+# allowlist).
 lint:
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
+	./scripts/deadcheck.sh
 
 # Static analysis beyond vet. Skips with a notice when the binary is not
 # installed (the dev container has no network); CI always installs the

@@ -162,6 +162,9 @@ func printResult(res *luna.Result, show display) {
 	if show.trace && res.Trace != nil {
 		fmt.Println("\n-- execution trace --")
 		fmt.Print(res.Trace.String())
+		if res.LLM != nil {
+			fmt.Printf("llm middleware: %s\n", res.LLM)
+		}
 	}
 	if show.explain && res.Exec != nil {
 		fmt.Println("\n-- explain analyze --")

@@ -106,11 +106,9 @@ func main() {
 
 func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache string, optimize bool, feedback string, inj *fault.Injector, cfg server.Config) error {
 	sys := core.New(core.Config{
-		Seed:         sysSeed,
-		Parallelism:  parallelism,
-		LLMCachePath: llmCache,
-		Optimize:     optimize,
-		FeedbackPath: feedback,
+		Seed:        sysSeed,
+		Parallelism: parallelism,
+		Optimize:    optimize,
 		// The daemon always serves with the resilience middleware: retries
 		// with jittered backoff, the per-backend circuit breaker behind
 		// /v1/stats, and degraded-mode serving when the breaker opens.
@@ -124,13 +122,21 @@ func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache s
 			log.Printf("arynd: /v1/faults chaos endpoint enabled (dev only)")
 		}
 	}
+	// A state file that exists but does not load stops the daemon: serving
+	// cold and saving over it at shutdown would destroy the operator's file.
 	if llmCache != "" {
-		log.Printf("arynd: LLM cache warm-start from %s", llmCache)
+		if err := sys.LoadLLMCache(llmCache); err != nil {
+			return fmt.Errorf("-llm-cache: %w", err)
+		}
+		log.Printf("arynd: LLM cache warm-start from %s (%d entries)", llmCache, sys.LLMStats().Cache.Entries)
 	}
 	if optimize {
 		log.Printf("arynd: optimize phase (scoped extracts) ON by default")
 	}
 	if feedback != "" {
+		if err := sys.LoadFeedback(feedback); err != nil {
+			return fmt.Errorf("-feedback: %w", err)
+		}
 		log.Printf("arynd: optimizer feedback warm-start from %s (%d signatures)", feedback, sys.OptimizerStats().Entries)
 	}
 

@@ -113,7 +113,10 @@ func TestFilterAnswersShareOneKeySpace(t *testing.T) {
 			if err := writer.SaveLLMCache(path); err != nil {
 				t.Fatal(err)
 			}
-			reader := ingested(t, Config{Seed: 7, Parallelism: 4, LLMCachePath: path}, 12)
+			reader := ingested(t, Config{Seed: 7, Parallelism: 4}, 12)
+			if err := reader.LoadLLMCache(path); err != nil {
+				t.Fatal(err)
+			}
 			read, spent := spend(t, reader, dir.reader)
 			if spent != 0 {
 				t.Errorf("the reader sent %d tokens upstream with every answer in the file", spent)

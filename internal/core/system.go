@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,9 +37,6 @@ type Config struct {
 	RAGK int
 	// LLMCacheCapacity bounds the response cache (default 4096 entries).
 	LLMCacheCapacity int
-	// LLMCachePath warm-starts the response cache from disk when set;
-	// call SaveLLMCache to persist it back.
-	LLMCachePath string
 	// LLMMaxBatch bounds the batching dispatcher (default 8; 1 disables).
 	LLMMaxBatch int
 	// Resilience, when set, inserts the retry/circuit-breaker middleware
@@ -60,9 +59,6 @@ type Config struct {
 	// on every plan either way, and the feedback store records observations
 	// either way, so enabling it later starts warm.
 	Optimize bool
-	// FeedbackPath warm-starts the optimizer feedback store from disk
-	// when set; call SaveFeedback to persist it back.
-	FeedbackPath string
 }
 
 // System is a fully wired Aryn instance.
@@ -73,10 +69,11 @@ type Config struct {
 // synchronize against that swap. Direct field access remains fine for
 // single-goroutine CLI/example use.
 type System struct {
-	Config   Config
-	Sim      *llm.Sim
-	Stack    *llm.Stack
-	LLM      *llm.Meter
+	Config Config
+	Sim    *llm.Sim
+	// LLM is the call-middleware stack every model call goes through; it
+	// also counts their usage.
+	LLM      *llm.Stack
 	Embedder embed.Embedder
 	Store    *index.Store
 	Parser   *docparse.Service
@@ -117,9 +114,6 @@ func New(cfg Config) *System {
 	if cfg.LLMCacheCapacity > 0 {
 		stackOpts = append(stackOpts, llm.WithCacheCapacity(cfg.LLMCacheCapacity))
 	}
-	if cfg.LLMCachePath != "" {
-		stackOpts = append(stackOpts, llm.WithCachePersistence(cfg.LLMCachePath))
-	}
 	if cfg.LLMMaxBatch > 0 {
 		stackOpts = append(stackOpts, llm.WithBatching(cfg.LLMMaxBatch, llm.DefaultLinger))
 	}
@@ -138,11 +132,10 @@ func New(cfg Config) *System {
 		backend = cfg.Fault.Client(sim)
 	}
 	stack := llm.NewStack(backend, stackOpts...)
-	meter := llm.NewMeter(stack)
 	embedder := embed.NewHash(cfg.Seed)
 	store := index.NewStore()
 	ecOpts := []docset.Option{
-		docset.WithLLM(meter),
+		docset.WithLLM(stack),
 		docset.WithEmbedder(embedder),
 		docset.WithParallelism(cfg.Parallelism),
 	}
@@ -160,8 +153,7 @@ func New(cfg Config) *System {
 	s := &System{
 		Config:     cfg,
 		Sim:        sim,
-		Stack:      stack,
-		LLM:        meter,
+		LLM:        stack,
 		Embedder:   embedder,
 		Store:      store,
 		Parser:     docparse.New(docparse.WithSeed(cfg.Seed + 1)),
@@ -169,15 +161,9 @@ func New(cfg Config) *System {
 		Resilience: resMW,
 		Fault:      cfg.Fault,
 	}
-	s.RAG = rag.New(store, meter, embedder)
+	s.RAG = rag.New(store, stack, embedder)
 	s.RAG.K = cfg.RAGK
 	s.Cost = cost.NewStore()
-	if cfg.FeedbackPath != "" {
-		// A missing file is a cold start; a malformed one degrades to cold
-		// rather than failing construction (the store rebuilds itself from
-		// the very next query).
-		_ = s.Cost.Load(cfg.FeedbackPath)
-	}
 	return s
 }
 
@@ -236,7 +222,7 @@ func (s *System) Ingest(ctx context.Context, blobs map[string][]byte) (*IngestSt
 func (s *System) IngestObserved(ctx context.Context, blobs map[string][]byte, sink func(*docset.Trace)) (*IngestStats, error) {
 	start := time.Now()
 	before := s.LLM.Usage()
-	llmBefore := s.Stack.StackStats()
+	llmBefore := s.LLM.StackStats()
 
 	ec := s.EC
 	if sink != nil {
@@ -269,7 +255,7 @@ func (s *System) IngestObserved(ctx context.Context, blobs map[string][]byte, si
 		Elements:  elements,
 		Wall:      time.Since(start),
 		Usage:     s.LLM.Usage().Sub(before),
-		LLM:       s.Stack.StackStats().Sub(llmBefore),
+		LLM:       s.LLM.StackStats().Sub(llmBefore),
 	}, nil
 }
 
@@ -319,14 +305,30 @@ func (s *System) NewSession() (*luna.Conversation, error) {
 
 // LLMStats snapshots the middleware counters (cache hit/miss, singleflight
 // collapses, batch sizes) accumulated since construction.
-func (s *System) LLMStats() llm.StackStats { return s.Stack.StackStats() }
+func (s *System) LLMStats() llm.StackStats { return s.LLM.StackStats() }
 
-// SaveLLMCache persists the response cache next to the index snapshots so
-// a later process warm-starts (pair with Config.LLMCachePath).
-func (s *System) SaveLLMCache(path string) error { return s.Stack.SaveCache(path) }
+// LoadLLMCache warm-starts the response cache from a file SaveLLMCache
+// wrote. A missing file is a cold start; any other failure is an error
+// naming the file, and loads nothing.
+func (s *System) LoadLLMCache(path string) error {
+	err := s.LLM.CacheLayer().Load(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	return err
+}
+
+// SaveLLMCache persists the response cache so a later process warm-starts
+// from it (LoadLLMCache).
+func (s *System) SaveLLMCache(path string) error { return s.LLM.SaveCache(path) }
+
+// LoadFeedback warm-starts the optimizer feedback store from a file
+// SaveFeedback wrote. A missing file is a cold start; any other failure is
+// an error naming the file, and leaves the store as it was.
+func (s *System) LoadFeedback(path string) error { return s.Cost.Load(path) }
 
 // SaveFeedback persists the optimizer feedback store so a later process
-// starts with observed per-operator costs (pair with Config.FeedbackPath).
+// starts with observed per-operator costs (LoadFeedback).
 func (s *System) SaveFeedback(path string) error { return s.Cost.Save(path) }
 
 // OptimizerStats snapshots the feedback store's counters for /stats.
@@ -365,7 +367,7 @@ func (s *System) Degraded() (bool, string) {
 
 // PurgeLLMCache drops every resident response-cache entry (the
 // cache-killed-mid-run chaos hook), returning how many were dropped.
-func (s *System) PurgeLLMCache() int { return s.Stack.CacheLayer().Purge() }
+func (s *System) PurgeLLMCache() int { return s.LLM.CacheLayer().Purge() }
 
 // RetrievalOnly answers a question without any LLM call: the top-k
 // retrieved chunks rendered as a numbered excerpt list. This is the

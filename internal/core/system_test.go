@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -285,11 +288,42 @@ func TestLLMMiddlewareWiredThroughQueries(t *testing.T) {
 	if d := usageAfter.Calls - usageBefore.Calls; d != 0 {
 		t.Errorf("repeated query consumed %d upstream calls, want 0 (all cached)", d)
 	}
-	if second.Trace == nil || second.Trace.LLM == nil {
-		t.Fatal("execution trace missing middleware stats")
+	if !strings.Contains(second.LLM.String(), "hits") {
+		t.Errorf("Result.LLM renders no cache line: %q", second.LLM)
 	}
-	if !strings.Contains(second.Trace.String(), "llm middleware:") {
-		t.Error("trace rendering missing the middleware line")
+}
+
+// TestLoadStateFiles: a missing state file is a cold start, and one that
+// does not load is an error naming it that loads nothing and leaves the
+// file as it was. (The round trips: TestFilterAnswersShareOneKeySpace here,
+// TestSaveLoadRoundTrip in internal/cost.)
+func TestLoadStateFiles(t *testing.T) {
+	dir := t.TempDir()
+	sys := New(Config{Seed: 7})
+	corrupt := []byte("not a state file")
+	for name, load := range map[string]func(string) error{
+		"llm.cache":     sys.LoadLLMCache,
+		"feedback.json": sys.LoadFeedback,
+	} {
+		path := filepath.Join(dir, name)
+		if err := load(path); err != nil {
+			t.Errorf("%s: missing file: %v, want a cold start", name, err)
+		}
+		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := load(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: corrupt file loaded with %v, want an error naming %s", name, err, path)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, corrupt) {
+			t.Errorf("%s: a failed load changed the file", name)
+		}
+	}
+	if n := sys.LLMStats().Cache.Entries; n != 0 {
+		t.Errorf("failed loads left %d cache entries", n)
+	}
+	if n := sys.OptimizerStats().Entries; n != 0 {
+		t.Errorf("failed loads left %d feedback signatures", n)
 	}
 }
 

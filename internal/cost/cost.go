@@ -23,10 +23,8 @@ type Observation struct {
 	Signature string
 	// DocsIn/DocsOut are the document counts crossing the operator.
 	DocsIn, DocsOut int64
-	// LLMCalls and token counts are the operator's LLM spend.
-	LLMCalls, PromptTokens, CompletionTokens int64
-	// BusyMS is the operator's cumulative worker-occupied milliseconds.
-	BusyMS float64
+	// LLMCalls is the operator's model calls.
+	LLMCalls int64
 }
 
 // Aggregate is the accumulated evidence for one operator signature. All
@@ -34,14 +32,11 @@ type Observation struct {
 // selectivity comes from its accessor so a zero denominator can be reported
 // as "no evidence".
 type Aggregate struct {
-	Op               string  `json:"op"`
-	Count            int64   `json:"count"`
-	DocsIn           int64   `json:"docs_in"`
-	DocsOut          int64   `json:"docs_out"`
-	LLMCalls         int64   `json:"llm_calls"`
-	PromptTokens     int64   `json:"prompt_tokens"`
-	CompletionTokens int64   `json:"completion_tokens"`
-	BusyMS           float64 `json:"busy_ms"`
+	Op       string `json:"op"`
+	Count    int64  `json:"count"`
+	DocsIn   int64  `json:"docs_in"`
+	DocsOut  int64  `json:"docs_out"`
+	LLMCalls int64  `json:"llm_calls"`
 }
 
 // Selectivity reports the observed docs-out/docs-in ratio. ok is false
@@ -59,17 +54,13 @@ func (a *Aggregate) add(b Aggregate) {
 	a.DocsIn += b.DocsIn
 	a.DocsOut += b.DocsOut
 	a.LLMCalls += b.LLMCalls
-	a.PromptTokens += b.PromptTokens
-	a.CompletionTokens += b.CompletionTokens
-	a.BusyMS += b.BusyMS
 }
 
 // valid reports whether every sum is non-negative. Sums of observations
 // cannot be negative, so an aggregate with one below zero is corrupt (or
 // overflowed), and its selectivity would be too.
 func (a Aggregate) valid() bool {
-	return a.Count >= 0 && a.DocsIn >= 0 && a.DocsOut >= 0 && a.LLMCalls >= 0 &&
-		a.PromptTokens >= 0 && a.CompletionTokens >= 0 && a.BusyMS >= 0
+	return a.Count >= 0 && a.DocsIn >= 0 && a.DocsOut >= 0 && a.LLMCalls >= 0
 }
 
 // StoreStats is the wire-stable snapshot of a feedback store, surfaced
@@ -112,8 +103,7 @@ func (s *Store) Observe(o Observation) {
 		a = &Aggregate{Op: o.Op}
 		s.entries[o.Signature] = a
 	}
-	a.add(Aggregate{Count: 1, DocsIn: o.DocsIn, DocsOut: o.DocsOut, LLMCalls: o.LLMCalls,
-		PromptTokens: o.PromptTokens, CompletionTokens: o.CompletionTokens, BusyMS: o.BusyMS})
+	a.add(Aggregate{Count: 1, DocsIn: o.DocsIn, DocsOut: o.DocsOut, LLMCalls: o.LLMCalls})
 	s.observations++
 }
 

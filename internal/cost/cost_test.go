@@ -10,8 +10,8 @@ import (
 
 func TestObserveAggregatesAndStats(t *testing.T) {
 	s := NewStore()
-	s.Observe(Observation{Op: "llmFilter", Signature: "llmFilter|q", DocsIn: 10, DocsOut: 4, LLMCalls: 10, PromptTokens: 100, CompletionTokens: 20, BusyMS: 5})
-	s.Observe(Observation{Op: "llmFilter", Signature: "llmFilter|q", DocsIn: 10, DocsOut: 2, LLMCalls: 10, PromptTokens: 100, CompletionTokens: 20, BusyMS: 5})
+	s.Observe(Observation{Op: "llmFilter", Signature: "llmFilter|q", DocsIn: 10, DocsOut: 4, LLMCalls: 10})
+	s.Observe(Observation{Op: "llmFilter", Signature: "llmFilter|q", DocsIn: 10, DocsOut: 2, LLMCalls: 10})
 	s.Observe(Observation{Signature: ""}) // ignored: no signature
 
 	if got := s.Len(); got != 1 {
@@ -103,6 +103,24 @@ func TestLoadMissingAndMalformed(t *testing.T) {
 	}
 	if err := s.Load(wrongVersion); err == nil {
 		t.Fatal("unsupported version should error")
+	}
+}
+
+// TestLoadIgnoresRetiredSums: a file written when the store also summed
+// tokens and busy time still loads, and those sums are dropped.
+func TestLoadIgnoresRetiredSums(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"version":1,"entries":{"llmFilter|q":{"op":"llmFilter","count":2,"docs_in":10,"docs_out":4,"llm_calls":10,"prompt_tokens":900,"completion_tokens":20,"busy_ms":1.5}}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore()
+	if err := s.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	want := Aggregate{Op: "llmFilter", Count: 2, DocsIn: 10, DocsOut: 4, LLMCalls: 10}
+	if a, ok := s.Lookup("llmFilter|q"); !ok || a != want {
+		t.Fatalf("loaded %+v, want %+v", a, want)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package cost implements the cost model behind Luna's cost-based plan
-// optimization: per-operator default estimates (selectivity, relative
-// unit costs) refined by a persistent feedback store that accumulates the
-// per-operator costs EXPLAIN ANALYZE observes
-// after every executed query. ZenDB and UQE both argue that an LLM query
+// Package cost implements the cost model behind Luna's plan estimates (the
+// figures /v1/plan prints; no rewrite rule consults them): per-operator
+// default estimates (selectivity, relative unit costs) refined by a
+// persistent feedback store that accumulates the document counts and
+// model calls EXPLAIN ANALYZE observes after every executed query. ZenDB and UQE both argue that an LLM query
 // engine must learn operator costs from its own runs — LLM spend
 // dominates so thoroughly that even coarse observed selectivities beat
 // static guesses; this package is that loop's memory.

@@ -97,18 +97,6 @@ func (d *Document) AllElements() []*Element {
 	return out
 }
 
-// ElementsOfType returns all elements (including descendants') with the
-// given layout class.
-func (d *Document) ElementsOfType(t ElementType) []*Element {
-	var out []*Element
-	for _, e := range d.AllElements() {
-		if e.Type == t {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // TextContent concatenates the document's own text plus every element's
 // text (tables render as markdown, pictures contribute their summary) in
 // reading order. This is the "text-representation" field the Luna planner

@@ -50,21 +50,6 @@ func (t ElementType) String() string {
 	return elementTypeNames[t]
 }
 
-// Valid reports whether t is one of the 11 defined classes.
-func (t ElementType) Valid() bool { return t >= 0 && int(t) < NumElementTypes }
-
-// ParseElementType resolves a class name (case-insensitive, "-" and "_"
-// equivalent) to an ElementType.
-func ParseElementType(s string) (ElementType, error) {
-	norm := strings.ToLower(strings.ReplaceAll(s, "_", "-"))
-	for i, name := range elementTypeNames {
-		if strings.ToLower(name) == norm {
-			return ElementType(i), nil
-		}
-	}
-	return 0, fmt.Errorf("docmodel: unknown element type %q", s)
-}
-
 // AllElementTypes returns the 11 classes in canonical order.
 func AllElementTypes() []ElementType {
 	out := make([]ElementType, NumElementTypes)
@@ -242,68 +227,31 @@ func (t *TableData) Cell(row, col int) *TableCell {
 	return nil
 }
 
-// anchored indexes the cells of rows [first, first+n) by anchor, for one pass
-// over them instead of a Cell scan per position: the result holds at
-// (r-first)*NumCols+c the first cell anchored at (r, c), as Cell finds it,
-// or nil. Cells anchored outside those rows or outside the NumCols columns
-// have no slot.
-func (t *TableData) anchored(first, n int) []*TableCell {
-	if n <= 0 || t.NumCols <= 0 {
+// anchored indexes the cells of the grid by anchor, for one pass over them
+// instead of a Cell scan per position: the result holds at r*NumCols+c the
+// first cell anchored at (r, c), as Cell finds it, or nil. Cells anchored
+// outside the NumRows×NumCols grid have no slot.
+func (t *TableData) anchored() []*TableCell {
+	if t.NumRows <= 0 || t.NumCols <= 0 {
 		return nil
 	}
-	idx := make([]*TableCell, n*t.NumCols)
+	idx := make([]*TableCell, t.NumRows*t.NumCols)
 	for i := range t.Cells {
 		c := &t.Cells[i]
-		if c.Row < first || c.Row >= first+n || c.Col < 0 || c.Col >= t.NumCols {
+		if c.Row < 0 || c.Row >= t.NumRows || c.Col < 0 || c.Col >= t.NumCols {
 			continue
 		}
-		if slot := &idx[(c.Row-first)*t.NumCols+c.Col]; *slot == nil {
+		if slot := &idx[c.Row*t.NumCols+c.Col]; *slot == nil {
 			*slot = c
 		}
 	}
 	return idx
 }
 
-// Row returns the texts of the cells anchored on row r, ordered by column.
-func (t *TableData) Row(r int) []string {
-	out := make([]string, 0, t.NumCols)
-	for _, cell := range t.anchored(r, 1) {
-		if cell != nil {
-			out = append(out, cell.Text)
-		}
-	}
-	return out
-}
-
-// AsMap interprets a two-column table as key/value pairs, the layout NTSB
-// factual-information tables use. Keys are first-column texts.
-func (t *TableData) AsMap() map[string]string {
-	m := make(map[string]string)
-	if t.NumCols < 2 {
-		return m
-	}
-	grid := t.anchored(0, t.NumRows)
-	for r := 0; r < t.NumRows; r++ {
-		key := ""
-		if c := grid[r*t.NumCols]; c != nil {
-			key = strings.TrimSpace(c.Text)
-		}
-		if key == "" {
-			continue
-		}
-		val := ""
-		if c := grid[r*t.NumCols+1]; c != nil {
-			val = strings.TrimSpace(c.Text)
-		}
-		m[key] = val
-	}
-	return m
-}
-
 // Markdown renders the table as GitHub-flavored Markdown.
 func (t *TableData) Markdown() string {
 	var sb strings.Builder
-	grid := t.anchored(0, t.NumRows)
+	grid := t.anchored()
 	for r := 0; r < t.NumRows; r++ {
 		sb.WriteString("|")
 		for c := 0; c < t.NumCols; c++ {

@@ -2,10 +2,8 @@ package docmodel
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,28 +24,6 @@ func TestElementTypeString(t *testing.T) {
 	}
 	if got := ElementType(99).String(); got != "ElementType(99)" {
 		t.Errorf("out-of-range String() = %q", got)
-	}
-}
-
-func TestParseElementType(t *testing.T) {
-	for _, et := range AllElementTypes() {
-		got, err := ParseElementType(et.String())
-		if err != nil {
-			t.Fatalf("ParseElementType(%q): %v", et.String(), err)
-		}
-		if got != et {
-			t.Errorf("ParseElementType(%q) = %v, want %v", et.String(), got, et)
-		}
-	}
-	// Case and separator insensitivity.
-	if got, err := ParseElementType("section_header"); err != nil || got != SectionHeader {
-		t.Errorf("ParseElementType(section_header) = %v, %v", got, err)
-	}
-	if got, err := ParseElementType("LIST-ITEM"); err != nil || got != ListItem {
-		t.Errorf("ParseElementType(LIST-ITEM) = %v, %v", got, err)
-	}
-	if _, err := ParseElementType("bogus"); err == nil {
-		t.Error("ParseElementType(bogus) should fail")
 	}
 }
 
@@ -122,14 +98,6 @@ func TestTableDataAccessors(t *testing.T) {
 	if c := td.Cell(5, 5); c != nil {
 		t.Fatal("Cell out of range should be nil")
 	}
-	row := td.Row(0)
-	if len(row) != 2 || row[0] != "Aircraft" {
-		t.Errorf("Row(0) = %v", row)
-	}
-	m := td.AsMap()
-	if m["Aircraft"] != "Cessna 172" || m["Registration"] != "N12345" {
-		t.Errorf("AsMap = %v", m)
-	}
 	md := td.Markdown()
 	if !strings.Contains(md, "| Aircraft | Cessna 172 |") || !strings.Contains(md, "| --- | --- |") {
 		t.Errorf("Markdown:\n%s", md)
@@ -163,9 +131,9 @@ func TestElementClone(t *testing.T) {
 	}
 }
 
-// scanMarkdown, scanRow and scanAsMap are the table accessors as they were
-// before anchored(): one linear Cell scan per grid position. They are the
-// reference the indexed ones must match byte for byte.
+// scanMarkdown is Markdown as it was before anchored(): one linear Cell
+// scan per grid position. It is the reference the indexed one must match
+// byte for byte.
 func scanMarkdown(t *TableData) string {
 	var sb strings.Builder
 	for r := 0; r < t.NumRows; r++ {
@@ -185,38 +153,8 @@ func scanMarkdown(t *TableData) string {
 	return sb.String()
 }
 
-func scanRow(t *TableData, r int) []string {
-	out := []string{}
-	for c := 0; c < t.NumCols; c++ {
-		if cell := t.Cell(r, c); cell != nil {
-			out = append(out, cell.Text)
-		}
-	}
-	return out
-}
-
-func scanAsMap(t *TableData) map[string]string {
-	m := map[string]string{}
-	if t.NumCols < 2 {
-		return m
-	}
-	for r := 0; r < t.NumRows; r++ {
-		key, val := "", ""
-		if c := t.Cell(r, 0); c != nil {
-			key = strings.TrimSpace(c.Text)
-		}
-		if c := t.Cell(r, 1); c != nil {
-			val = strings.TrimSpace(c.Text)
-		}
-		if key != "" {
-			m[key] = val
-		}
-	}
-	return m
-}
-
-// Markdown, Row and AsMap find cells through one index per call; what they
-// return is what a Cell scan per position returns, on spanning, ragged and
+// Markdown finds cells through one index per call; what it returns is
+// what a Cell scan per position returns, on spanning, ragged and
 // duplicate-anchor tables, on cells anchored outside the grid and on
 // degenerate grids.
 func TestTableAccessorsMatchCellScan(t *testing.T) {
@@ -263,14 +201,6 @@ func TestTableAccessorsMatchCellScan(t *testing.T) {
 	for name, td := range tables {
 		if got, want := td.Markdown(), scanMarkdown(td); got != want {
 			t.Errorf("%s: Markdown\n%q\nwant\n%q", name, got, want)
-		}
-		for r := -1; r <= td.NumRows; r++ {
-			if got, want := td.Row(r), scanRow(td, r); !slices.Equal(got, want) || got == nil {
-				t.Errorf("%s: Row(%d) = %q, want %q", name, r, got, want)
-			}
-		}
-		if got, want := td.AsMap(), scanAsMap(td); !maps.Equal(got, want) {
-			t.Errorf("%s: AsMap = %v, want %v", name, got, want)
 		}
 	}
 	if got := tables["duplicate"].Markdown(); got != "| key | first |\n| --- | --- |\n| winner | v |\n" {

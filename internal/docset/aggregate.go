@@ -76,7 +76,7 @@ func (ds *DocSet) GroupByAggregate(keyField string, agg AggKind, valueField stri
 			return nil, fmt.Errorf("groupByAggregate: unknown aggregation %q", agg)
 		}
 		return out, nil
-	}, false)
+	})
 }
 
 // TopK sorts groups/documents by a numeric property descending and keeps

@@ -170,12 +170,6 @@ func (ds *DocSet) TakeAll(ctx context.Context) ([]*docmodel.Document, error) {
 	return docs, err
 }
 
-// Take executes the plan and returns at most n documents.
-func (ds *DocSet) Take(ctx context.Context, n int) ([]*docmodel.Document, error) {
-	docs, err := ds.Limit(n).TakeAll(ctx)
-	return docs, err
-}
-
 // Count executes the plan and returns the number of result documents.
 func (ds *DocSet) Count(ctx context.Context) (int, error) {
 	docs, _, err := ds.Execute(ctx)

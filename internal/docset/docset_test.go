@@ -24,6 +24,18 @@ func testDocs(n int) []*docmodel.Document {
 	return docs
 }
 
+// flatMap appends a one-to-many map stage (the shape of Explode) running fn.
+func flatMap(ds *DocSet, name string, fn func(*docmodel.Document) ([]*docmodel.Document, error)) *DocSet {
+	return ds.with(stageSpec{
+		name:    "flatMap[" + name + "]",
+		kind:    mapKind,
+		mutates: true,
+		mapFn: func(_ *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
+			return fn(d)
+		},
+	})
+}
+
 func TestMapFilterFlatMap(t *testing.T) {
 	ec := NewContext()
 	ds := FromDocuments(ec, testDocs(10)).
@@ -34,12 +46,12 @@ func TestMapFilterFlatMap(t *testing.T) {
 		Map("tag", func(d *docmodel.Document) (*docmodel.Document, error) {
 			d.SetProperty("tagged", true)
 			return d, nil
-		}).
-		FlatMap("dup", func(d *docmodel.Document) ([]*docmodel.Document, error) {
-			c := d.Clone()
-			c.ID += "-copy"
-			return []*docmodel.Document{d, c}, nil
 		})
+	ds = flatMap(ds, "dup", func(d *docmodel.Document) ([]*docmodel.Document, error) {
+		c := d.Clone()
+		c.ID += "-copy"
+		return []*docmodel.Document{d, c}, nil
+	})
 	docs, trace, err := ds.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +76,9 @@ func TestMapFilterFlatMap(t *testing.T) {
 func TestDeterministicOrderAcrossParallelism(t *testing.T) {
 	run := func(par int) []string {
 		ec := NewContext(WithParallelism(par))
-		ds := FromDocuments(ec, testDocs(50)).
-			Map("noop", func(d *docmodel.Document) (*docmodel.Document, error) { return d, nil }).
-			FlatMap("expand", func(d *docmodel.Document) ([]*docmodel.Document, error) {
+		ds := flatMap(FromDocuments(ec, testDocs(50)).
+			Map("noop", func(d *docmodel.Document) (*docmodel.Document, error) { return d, nil }),
+			"expand", func(d *docmodel.Document) ([]*docmodel.Document, error) {
 				c := d.Clone()
 				c.ID += "-x"
 				return []*docmodel.Document{d, c}, nil
@@ -202,7 +214,7 @@ func TestReduceByKeySortedAndSkipsEmptyKeys(t *testing.T) {
 	docs := testDocs(10)
 	docs[3].Properties["parity"] = "" // missing key -> dropped
 	out, err := FromDocuments(ec, docs).
-		ReduceByKey("parity", func(d *docmodel.Document) string { return d.Property("parity") },
+		reduceByKey("parity", func(d *docmodel.Document) string { return d.Property("parity") },
 			func(key string, group []*docmodel.Document) (*docmodel.Document, error) {
 				r := docmodel.New(key)
 				r.SetProperty("n", len(group))
@@ -314,9 +326,9 @@ func TestCountAndTake(t *testing.T) {
 	if err != nil || n != 7 {
 		t.Fatalf("Count = %d, %v", n, err)
 	}
-	docs, err := FromDocuments(ec, testDocs(7)).Take(context.Background(), 2)
+	docs, err := FromDocuments(ec, testDocs(7)).Limit(2).TakeAll(context.Background())
 	if err != nil || len(docs) != 2 {
-		t.Fatalf("Take = %d, %v", len(docs), err)
+		t.Fatalf("Limit(2).TakeAll = %d, %v", len(docs), err)
 	}
 }
 

@@ -149,7 +149,6 @@ type StreamSink func(docs []*docmodel.Document)
 func (ds *DocSet) ExecuteStream(ctx context.Context, sink StreamSink) ([]*docmodel.Document, *Trace, error) {
 	start := wallclock()
 	trace := &Trace{}
-	llmBefore, hasLLMStats := llm.StatsOf(ds.ctx.LLM)
 	traces := make([]*NodeTrace, 0, len(ds.stages)+1)
 	srcTrace := newNodeTrace(ds.source.name, ds.source.tag)
 	traces = append(traces, srcTrace)
@@ -187,9 +186,6 @@ func (ds *DocSet) ExecuteStream(ctx context.Context, sink StreamSink) ([]*docmod
 				env.doc = env.doc.Clone()
 			}
 			atomic.AddInt64(&srcTrace.In, 1)
-			// Sample before sending: once a document crosses the channel its
-			// ownership transfers downstream.
-			srcTrace.addSample(env.doc.Summary())
 			srcTrace.noteSpan(resumed, wallclock(), 0)
 			defer func() { resumed = wallclock() }()
 			select {
@@ -267,12 +263,6 @@ func (ds *DocSet) ExecuteStream(ctx context.Context, sink StreamSink) ([]*docmod
 	}
 	wg.Wait()
 	trace.Wall = time.Since(start)
-	if hasLLMStats {
-		if after, ok := llm.StatsOf(ds.ctx.LLM); ok {
-			delta := after.Sub(llmBefore)
-			trace.LLM = &delta
-		}
-	}
 
 	// Report the first real (non-cancellation) error.
 	var firstErr error
@@ -397,7 +387,6 @@ func runMapStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTrace, 
 			}
 			for j, d := range results {
 				outEnv := envelope{seq: childSeq(env.seq, j), doc: d}
-				nt.addSample(d.Summary())
 				select {
 				case out <- outEnv:
 					atomic.AddInt64(&nt.Out, 1)
@@ -504,7 +493,6 @@ func runBarrierStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTra
 		return fmt.Errorf("%s: %w", sp.name, err)
 	}
 	for i, d := range results {
-		nt.addSample(d.Summary())
 		select {
 		case out <- envelope{seq: []int32{int32(i)}, doc: d}:
 			atomic.AddInt64(&nt.Out, 1)

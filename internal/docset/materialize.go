@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"aryn/internal/docmodel"
@@ -82,21 +80,6 @@ func (ds *DocSet) ShareTask() *Task {
 	return NewTask(fmt.Sprintf("shared[%s +%d stages]", ds.source.name, len(ds.stages)), ds)
 }
 
-// MaterializeDisk writes the documents flowing through this point to a
-// gzipped JSON-lines file and passes them through unchanged.
-func (ds *DocSet) MaterializeDisk(path string) *DocSet {
-	return ds.with(stageSpec{
-		name: "materialize[disk:" + filepath.Base(path) + "]",
-		kind: barrierKind,
-		barrierFn: func(_ *Context, docs []*docmodel.Document) ([]*docmodel.Document, error) {
-			if err := WriteJSONL(path, docs); err != nil {
-				return nil, err
-			}
-			return docs, nil
-		},
-	})
-}
-
 // WriteJSONL persists documents as gzipped JSON lines.
 func WriteJSONL(path string, docs []*docmodel.Document) error {
 	err := statefile.Write(path, func(w io.Writer) error {
@@ -113,28 +96,4 @@ func WriteJSONL(path string, docs []*docmodel.Document) error {
 		return fmt.Errorf("materialize: %w", err)
 	}
 	return nil
-}
-
-// ReadJSONL loads documents previously written by WriteJSONL.
-func ReadJSONL(path string) ([]*docmodel.Document, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("materialize: %w", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("materialize: %w", err)
-	}
-	defer zr.Close()
-	dec := json.NewDecoder(zr)
-	var out []*docmodel.Document
-	for dec.More() {
-		var d docmodel.Document
-		if err := dec.Decode(&d); err != nil {
-			return nil, fmt.Errorf("materialize: decode: %w", err)
-		}
-		out = append(out, &d)
-	}
-	return out, nil
 }

@@ -64,13 +64,6 @@ func (t *Task) Start(ctx context.Context) {
 	}()
 }
 
-// Started reports whether the task has been launched.
-func (t *Task) Started() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.started
-}
-
 // Wait blocks until the subtree has executed (starting it if nobody has)
 // and returns its documents. The returned slice is shared by every
 // consumer — treat it as read-only (consumers with mutating stages clone
@@ -86,9 +79,9 @@ func (t *Task) Wait(ctx context.Context) ([]*docmodel.Document, error) {
 }
 
 // Join blocks until the task's goroutine has fully exited (or forever if
-// it was never started — check Started). Unlike Wait it ignores ctx: the
-// scheduler uses it on error paths, after cancelling the execution
-// context, to make sure no subtree goroutine outlives its query.
+// it was never started). Unlike Wait it ignores ctx: the scheduler uses it
+// on error paths, after cancelling the execution context, to make sure no
+// subtree goroutine outlives its query.
 func (t *Task) Join() {
 	<-t.done
 }

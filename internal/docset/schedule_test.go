@@ -93,9 +93,6 @@ func TestTaskStartIsEagerAndIdempotent(t *testing.T) {
 	if task.Trace() == nil || len(task.Trace().Nodes) == 0 {
 		t.Error("task trace missing after completion")
 	}
-	if !task.Started() {
-		t.Error("Started() = false after Start")
-	}
 }
 
 // A failing subtree surfaces its error through every consumer.

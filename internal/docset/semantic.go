@@ -173,7 +173,7 @@ func (ds *DocSet) LLMReduceByKey(keyField, instruction string) *DocSet {
 		}
 		merged.Text = strings.Join(items, "\n")
 		return merged, nil
-	}, false) // reduce reads members and emits fresh group documents
+	})
 	return grouped.with(stageSpec{
 		name:       "llmCombine[" + instruction + "]",
 		kind:       mapKind,

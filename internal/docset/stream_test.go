@@ -241,7 +241,8 @@ func TestTraceSinkLiveSnapshots(t *testing.T) {
 	}
 	snaps := registered[0].Snapshots()
 	final := snaps[len(snaps)-1]
-	if final.Out != 40 || final.FirstOut <= 0 {
-		t.Errorf("final snapshot = %+v, want Out=40 and positive FirstOut", final)
+	last := registered[0].Nodes[len(snaps)-1]
+	if final.Out != 40 || last.FirstOutNS <= 0 {
+		t.Errorf("final snapshot = %+v, first out after %d ns, want Out=40 and a positive first-out time", final, last.FirstOutNS)
 	}
 }

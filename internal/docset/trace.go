@@ -12,21 +12,13 @@ import (
 )
 
 // Trace is the execution lineage of one plan run: per-operator input and
-// output counts, durations, retries, and sampled records. Luna surfaces
+// output counts, durations, retries and model calls. Luna surfaces
 // this to users for answer auditing (§6.2: "inspecting the data flowing
 // out of each of the operators").
 type Trace struct {
 	Nodes []*NodeTrace
 	// Wall is the end-to-end execution time.
 	Wall time.Duration
-	// LLM reports call-middleware activity during this run (cache hits,
-	// singleflight collapses, batch sizes) when the context's client
-	// carries a middleware stack; nil otherwise. When branches of one
-	// query execute concurrently their middleware windows overlap, so the
-	// scheduler replaces the per-branch deltas with a single query-level
-	// delta in the merged trace (per-node attribution lives in the
-	// NodeTrace LLM counters, which count each call exactly once).
-	LLM *llm.StackStats
 }
 
 // NodeTrace is the lineage record for one operator.
@@ -80,8 +72,6 @@ type NodeTrace struct {
 	// Questions is the per-question account of an llmFilter stage (nil
 	// elsewhere), in the stage's question order.
 	Questions []QuestionTrace
-	// Samples holds up to traceSamples one-line summaries of output docs.
-	Samples []string
 
 	mu sync.Mutex
 	// start/end bound the operator's busy window (first work started /
@@ -118,10 +108,6 @@ func (n *NodeTrace) noteVerdict(i int, yes bool) {
 // so any new wall-clock read added to an execution path is flagged at
 // the point it is introduced.
 var wallclock = time.Now //lint:allow determinism trace-only timing seam; spans never reach result bytes
-
-// traceSamples is how many document summaries each operator keeps in its
-// lineage trace.
-const traceSamples = 3
 
 func newNodeTrace(name, tag string) *NodeTrace {
 	return &NodeTrace{Name: name, Tag: tag}
@@ -160,48 +146,24 @@ func (n *NodeTrace) setErr(msg string) {
 }
 
 // NodeSnapshot is a race-safe point-in-time copy of an operator's
-// counters, taken while the pipeline may still be executing. It backs
-// live progress reporting (SSE progress events, job phase polling).
+// progress counters, taken while the pipeline may still be executing. It
+// backs live progress reporting (SSE progress events, job phase polling).
 type NodeSnapshot struct {
-	Name             string
-	Tag              string
-	In, Out          int64
-	Retries          int64
-	Batches          int64
-	FirstOut         time.Duration
-	Busy             time.Duration
-	LLMCalls         int64
-	PromptTokens     int64
-	CompletionTokens int64
-	CacheHits        int64
-	Escalations      int64
-	ProxyKept        int64
-	Err              string
+	Name    string
+	Tag     string
+	In, Out int64
+	Batches int64
 }
 
-// Snapshot returns a consistent view of the node's counters. Atomic
-// fields load atomically; mutex-guarded fields copy under the lock.
+// Snapshot returns a consistent view of the node's progress counters.
 func (n *NodeTrace) Snapshot() NodeSnapshot {
-	s := NodeSnapshot{
-		Name:             n.Name,
-		Tag:              n.Tag,
-		In:               atomic.LoadInt64(&n.In),
-		Out:              atomic.LoadInt64(&n.Out),
-		Retries:          atomic.LoadInt64(&n.Retries),
-		Batches:          atomic.LoadInt64(&n.Batches),
-		FirstOut:         time.Duration(atomic.LoadInt64(&n.FirstOutNS)),
-		LLMCalls:         atomic.LoadInt64(&n.LLMCalls),
-		PromptTokens:     atomic.LoadInt64(&n.PromptTokens),
-		CompletionTokens: atomic.LoadInt64(&n.CompletionTokens),
-		CacheHits:        atomic.LoadInt64(&n.CacheHits),
-		Escalations:      atomic.LoadInt64(&n.Escalations),
-		ProxyKept:        atomic.LoadInt64(&n.ProxyKept),
+	return NodeSnapshot{
+		Name:    n.Name,
+		Tag:     n.Tag,
+		In:      atomic.LoadInt64(&n.In),
+		Out:     atomic.LoadInt64(&n.Out),
+		Batches: atomic.LoadInt64(&n.Batches),
 	}
-	n.mu.Lock()
-	s.Busy = n.Duration
-	s.Err = n.Err
-	n.mu.Unlock()
-	return s
 }
 
 // Snapshots returns race-safe copies of every node's counters, in
@@ -212,14 +174,6 @@ func (t *Trace) Snapshots() []NodeSnapshot {
 		out[i] = n.Snapshot()
 	}
 	return out
-}
-
-func (n *NodeTrace) addSample(s string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.Samples) < traceSamples {
-		n.Samples = append(n.Samples, s)
-	}
 }
 
 // noteSpan records one unit of work: busy time accumulates and the busy
@@ -255,25 +209,6 @@ func (t *Trace) String() string {
 			truncName(n.Name, 40), n.In, n.Out, n.Retries, n.Duration.Round(time.Microsecond), n.LLMCalls)
 	}
 	fmt.Fprintf(&sb, "wall time: %s\n", t.Wall.Round(time.Microsecond))
-	if t.LLM != nil {
-		fmt.Fprintf(&sb, "llm middleware: %s\n", t.LLM)
-	}
-	return sb.String()
-}
-
-// Detailed renders the trace including sampled records (drill-down view).
-func (t *Trace) Detailed() string {
-	var sb strings.Builder
-	sb.WriteString(t.String())
-	for _, n := range t.Nodes {
-		if len(n.Samples) == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "\n%s samples:\n", n.Name)
-		for _, s := range n.Samples {
-			fmt.Fprintf(&sb, "  - %s\n", truncName(s, 120))
-		}
-	}
 	return sb.String()
 }
 

@@ -61,19 +61,6 @@ func (ds *DocSet) FilterProps(pred index.Predicate) *DocSet {
 	})
 }
 
-// FlatMap expands each document into zero or more documents (fn may
-// mutate its argument).
-func (ds *DocSet) FlatMap(name string, fn func(*docmodel.Document) ([]*docmodel.Document, error)) *DocSet {
-	return ds.with(stageSpec{
-		name:    "flatMap[" + name + "]",
-		kind:    mapKind,
-		mutates: true,
-		mapFn: func(_ *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
-			return fn(d)
-		},
-	})
-}
-
 // Partitioner converts a raw binary document into a parsed document tree.
 // DocParse implements this interface; the transform is Sycamore's
 // `partition` (Table 2a).
@@ -184,25 +171,18 @@ func (ds *DocSet) MergeChunks(maxTokens int) *DocSet {
 	})
 }
 
-// ReduceByKey groups documents by key and reduces each group to one
+// reduceByKey groups documents by key and reduces each group to one
 // document (Table 2a). Groups are emitted in sorted key order. Documents
-// with an empty key are dropped, accommodating missing fields (§5.2).
-func (ds *DocSet) ReduceByKey(name string, key func(*docmodel.Document) string, reduce func(key string, docs []*docmodel.Document) (*docmodel.Document, error)) *DocSet {
-	// User-supplied reduce functions may write to group members.
-	return ds.reduceByKey(name, key, reduce, true)
-}
-
-// reduceByKey is ReduceByKey with an explicit mutation contract: internal
-// callers whose reduce functions only read their group and emit brand-new
-// group documents (GroupByAggregate, LLMReduceByKey) pass mutates=false,
-// which also marks the stage as a fresh-document barrier — shared-source
-// plans stay zero-clone even with mutators downstream of the aggregation.
-func (ds *DocSet) reduceByKey(name string, key func(*docmodel.Document) string, reduce func(key string, docs []*docmodel.Document) (*docmodel.Document, error), mutates bool) *DocSet {
+// with an empty key are dropped, accommodating missing fields (§5.2). Its
+// callers (GroupByAggregate, LLMReduceByKey) only read their group and
+// emit brand-new group documents, so the stage is a fresh-document
+// barrier: shared-source plans stay zero-clone even with mutators
+// downstream of the aggregation.
+func (ds *DocSet) reduceByKey(name string, key func(*docmodel.Document) string, reduce func(key string, docs []*docmodel.Document) (*docmodel.Document, error)) *DocSet {
 	return ds.with(stageSpec{
-		name:    "reduceByKey[" + name + "]",
-		kind:    barrierKind,
-		mutates: mutates,
-		fresh:   !mutates,
+		name:  "reduceByKey[" + name + "]",
+		kind:  barrierKind,
+		fresh: true,
 		barrierFn: func(_ *Context, docs []*docmodel.Document) ([]*docmodel.Document, error) {
 			groups := map[string][]*docmodel.Document{}
 			var order []string

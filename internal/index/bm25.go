@@ -136,6 +136,3 @@ func (ix *bm25Index) search(query string, k int) []Scored {
 	}
 	return selectTopK(out, 0)
 }
-
-// vocabSize reports the number of distinct indexed terms.
-func (ix *bm25Index) vocabSize() int { return len(ix.terms) }

@@ -104,18 +104,6 @@ func (r rangePred) String() string {
 	return fmt.Sprintf("%s in [%s, %s]", r.field, lo, hi)
 }
 
-type existsPred struct{ field string }
-
-// Exists matches documents where the field is present and non-nil.
-func Exists(field string) Predicate { return existsPred{field: field} }
-
-func (e existsPred) Match(p docmodel.Properties) bool {
-	v, ok := p.Get(e.field)
-	return ok && v != nil
-}
-
-func (e existsPred) String() string { return fmt.Sprintf("exists(%s)", e.field) }
-
 type andPred struct{ ps []Predicate }
 
 // And matches when every sub-predicate matches (vacuously true when empty).
@@ -136,35 +124,6 @@ func (a andPred) Match(p docmodel.Properties) bool {
 }
 
 func (a andPred) String() string { return joinPreds(a.ps, " AND ") }
-
-type orPred struct{ ps []Predicate }
-
-// Or matches when any sub-predicate matches (vacuously false when empty).
-func Or(ps ...Predicate) Predicate {
-	if len(ps) == 1 {
-		return ps[0]
-	}
-	return orPred{ps: ps}
-}
-
-func (o orPred) Match(p docmodel.Properties) bool {
-	for _, sub := range o.ps {
-		if sub.Match(p) {
-			return true
-		}
-	}
-	return false
-}
-
-func (o orPred) String() string { return joinPreds(o.ps, " OR ") }
-
-type notPred struct{ p Predicate }
-
-// Not inverts a predicate.
-func Not(p Predicate) Predicate { return notPred{p: p} }
-
-func (n notPred) Match(p docmodel.Properties) bool { return !n.p.Match(p) }
-func (n notPred) String() string                   { return "NOT (" + n.p.String() + ")" }
 
 func joinPreds(ps []Predicate, sep string) string {
 	parts := make([]string, len(ps))

@@ -3,7 +3,6 @@ package index
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"aryn/internal/docmodel"
 )
@@ -74,38 +73,20 @@ func TestRangePredicate(t *testing.T) {
 
 func TestBooleanCombinators(t *testing.T) {
 	p := props()
-	pred := And(Term("us_state", "KY"), Not(Term("fatal", true)))
-	if !pred.Match(p) {
-		t.Error("AND/NOT combination should match")
+	if !And(Term("us_state", "KY"), Contains("aircraft", "Piper")).Match(p) {
+		t.Error("AND of matching predicates should match")
 	}
-	if !Or(Term("us_state", "CA"), Contains("aircraft", "Piper")).Match(p) {
-		t.Error("OR should match on second branch")
+	if And(Term("us_state", "KY"), Term("us_state", "CA")).Match(p) {
+		t.Error("AND with one failing branch should not match")
 	}
 	if !And().Match(p) {
 		t.Error("empty AND is vacuously true")
 	}
-	if Or().Match(p) {
-		t.Error("empty OR is vacuously false")
-	}
-	if !Exists("us_state").Match(p) || Exists("nilProp").Match(p) || Exists("nope").Match(p) {
-		t.Error("Exists semantics wrong")
-	}
-}
-
-func TestNotIsInvolution(t *testing.T) {
-	f := func(field, value string) bool {
-		p := docmodel.Properties{field: value}
-		base := Term(field, value)
-		return Not(Not(base)).Match(p) == base.Match(p)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPredicateStrings(t *testing.T) {
-	s := And(Term("a", 1), Or(Contains("b", "x"), Not(Exists("c")))).String()
-	for _, want := range []string{"a == \"1\"", "AND", "OR", "NOT", "exists(c)", "b contains \"x\""} {
+	s := And(Term("a", 1), Contains("b", "x")).String()
+	for _, want := range []string{"a == \"1\"", "AND", "b contains \"x\""} {
 		if !strings.Contains(s, want) {
 			t.Errorf("predicate string missing %q: %s", want, s)
 		}

@@ -167,13 +167,6 @@ func (s *Store) NumChunks() int {
 	return len(s.chunks)
 }
 
-// VocabSize reports the BM25 vocabulary size.
-func (s *Store) VocabSize() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bm25.vocabSize()
-}
-
 // Query describes one retrieval: keyword search, vector search, a property
 // filter, or any combination. Zero-value fields are unused.
 type Query struct {

@@ -163,7 +163,7 @@ func TestDocumentAccessorsAndSnapshotSemantics(t *testing.T) {
 	if s.NumDocs() != 4 || s.NumChunks() != 6 {
 		t.Errorf("counts: docs=%d chunks=%d", s.NumDocs(), s.NumChunks())
 	}
-	if s.VocabSize() == 0 {
+	if len(s.bm25.terms) == 0 {
 		t.Error("vocabulary should be non-empty")
 	}
 	if _, ok := s.Document("nope"); ok {

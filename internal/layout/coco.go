@@ -3,7 +3,6 @@ package layout
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"aryn/internal/docmodel"
 )
@@ -183,18 +182,4 @@ func prAtThreshold(preds []Pred, gtByImage map[string][]docmodel.BBox, totalGT i
 // String renders the result as a report row.
 func (r Result) String() string {
 	return fmt.Sprintf("mAP=%.3f mAR=%.3f", r.MAP, r.MAR)
-}
-
-// ClassTable renders the per-class breakdown.
-func (r Result) ClassTable() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-16s %8s %8s %6s\n", "class", "AP", "AR", "#gt")
-	for _, cls := range docmodel.AllElementTypes() {
-		cr, ok := r.PerClass[cls]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&sb, "%-16s %8.3f %8.3f %6d\n", cls, cr.AP, cr.AR, cr.NumGT)
-	}
-	return sb.String()
 }

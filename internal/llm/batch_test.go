@@ -284,10 +284,12 @@ func (g gatedClient) Complete(ctx context.Context, req Request) (Response, error
 // no tokens, and the live requests batched with it are served as usual.
 func TestBatcherDropsCancelledWaiters(t *testing.T) {
 	scripted := &Scripted{Responses: []Response{{Text: "answer"}}}
-	meter := NewMeter(scripted)
+	// An unbatched stack between the batcher and the model counts what is
+	// sent upstream.
+	upstream := NewStack(scripted, WithBatching(1, 0))
 	gate := make(chan struct{})
 	// Only Flush can deliver the queued requests: no size or linger flush.
-	b := NewBatcher(gatedClient{Client: meter, gate: gate}, WithMaxBatch(8), WithLinger(time.Hour))
+	b := NewBatcher(gatedClient{Client: upstream, gate: gate}, WithMaxBatch(8), WithLinger(time.Hour))
 
 	occupied := make(chan struct{})
 	go func() {
@@ -338,8 +340,8 @@ func TestBatcherDropsCancelledWaiters(t *testing.T) {
 		t.Errorf("upstream saw %d requests %v, want only the live one", got, scripted.Requests)
 	}
 	want := Usage{Calls: 1, PromptTokens: CountTokens("live"), CompletionTokens: CountTokens("answer")}
-	if got := meter.Usage(); got != want {
-		t.Errorf("metered usage = %+v, want the live request's alone: %+v", got, want)
+	if got := upstream.Usage(); got != want {
+		t.Errorf("upstream usage = %+v, want the live request's alone: %+v", got, want)
 	}
 	if st := b.Stats(); st.Requests != 2 || st.Batches != 2 {
 		t.Errorf("stats = %+v, want 2 requests in 2 dispatches (occupier, live)", st)

@@ -107,7 +107,7 @@ func (s FlightStats) Sub(prev FlightStats) FlightStats {
 // errors are not, but are shared across the flight. Cache hits return the
 // stored response with FromCache set, and hits and follower copies carry
 // zero Usage (the leader's response already accounts for the spend), so
-// an outer Meter keeps reporting true upstream spend; the spend avoided
+// the Stack's usage above it is true upstream spend; the spend avoided
 // by hits accumulates in CacheStats.Saved.
 type Cache struct {
 	inner Client
@@ -171,7 +171,7 @@ type Group struct {
 
 // GroupClient is a Client that passes a Group through to the cache
 // beneath it (or is that cache). Every wrapper that can sit above the
-// cache implements it — Meter, Stack, docset's per-stage tracer — so that
+// cache implements it — Stack, docset's per-stage tracer — so that
 // only the cache decides what goes upstream.
 type GroupClient interface {
 	Client
@@ -474,7 +474,7 @@ func (c *Cache) Load(path string) error {
 	defer f.Close()
 	snap, err := decodeCache(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	// Insert least-recent first so the persisted MRU order survives.
 	c.mu.Lock()

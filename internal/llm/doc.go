@@ -36,8 +36,8 @@
 // own when one is missing, the group's packed prompt otherwise, whose
 // reply it splits back into one resident entry per member. No entry is
 // ever keyed by a packed prompt, so grouped and solo callers, and cache
-// files of any age, share answers. Complete is the group of one; Meter,
-// Stack and docset's per-stage tracer pass groups through (GroupClient);
+// files of any age, share answers. Complete is the group of one; Stack
+// and docset's per-stage tracer pass groups through (GroupClient);
 // the resilience layer, the batcher and the backend see one ordinary
 // request. The packed filter prompt and the independence assumption it
 // rests on — a model answers each question of a packed prompt as it would
@@ -50,7 +50,7 @@
 // Paper counterpart: the GPT-4o calls made by Sycamore transforms and the
 // Luna planner (§5.2, §6.1).
 //
-// Concurrency: every Client in this package (Sim, Meter, Stack and its
+// Concurrency: every Client in this package (Sim, Stack and its
 // middleware layers, Scripted) is safe for concurrent Complete calls;
 // pipeline workers, concurrent queries, and the serving layer all share
 // one client chain. The singleflight and batching layers exist precisely

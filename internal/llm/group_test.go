@@ -360,18 +360,18 @@ func TestGroupGarbledPackedReply(t *testing.T) {
 	}
 }
 
-// What the meter reports is what went upstream, group or not, through the
-// whole stack, batched or not.
+// The usage the stack reports is what went upstream, group or not, batched
+// or not.
 func TestGroupMeterEqualsUpstreamUsage(t *testing.T) {
 	for _, opts := range [][]StackOption{nil, {WithBatching(1, 0)}} {
 		backend := &filterBackend{}
-		meter := NewMeter(NewStack(backend, opts...))
+		stack := NewStack(backend, opts...)
 		ctx := context.Background()
-		if _, err := meter.Complete(ctx, FilterGroup([]string{"yes one?"}, groupID, wholeDocument(groupDoc)).Reqs[0]); err != nil {
+		if _, err := stack.Complete(ctx, FilterGroup([]string{"yes one?"}, groupID, wholeDocument(groupDoc)).Reqs[0]); err != nil {
 			t.Fatal(err)
 		}
 		for range 2 {
-			if _, err := CompleteGroup(ctx, meter, FilterGroup([]string{"yes one?", "yes two?", "never?"}, groupID, wholeDocument(groupDoc))); err != nil {
+			if _, err := CompleteGroup(ctx, stack, FilterGroup([]string{"yes one?", "yes two?", "never?"}, groupID, wholeDocument(groupDoc))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,8 +380,8 @@ func TestGroupMeterEqualsUpstreamUsage(t *testing.T) {
 			resp, _ := (&filterBackend{}).Complete(ctx, req)
 			upstream.Add(resp.Usage)
 		}
-		if got := meter.Usage(); got != upstream || got.Calls == 0 {
-			t.Errorf("meter = %+v, upstream = %+v", got, upstream)
+		if got := stack.Usage(); got != upstream || got.Calls == 0 {
+			t.Errorf("stack usage = %+v, upstream = %+v", got, upstream)
 		}
 	}
 }

@@ -126,23 +126,6 @@ func StateOfLocation(loc string) string {
 	return ""
 }
 
-// StateName returns the title-cased full name for a USPS code ("" if
-// unknown).
-func StateName(abbrev string) string {
-	up := strings.ToUpper(strings.TrimSpace(abbrev))
-	for name, ab := range usStates {
-		if ab == up {
-			// Title-case each word.
-			words := strings.Fields(name)
-			for i, w := range words {
-				words[i] = strings.ToUpper(w[:1]) + w[1:]
-			}
-			return strings.Join(words, " ")
-		}
-	}
-	return ""
-}
-
 // ContentTokens tokenizes text and strips stopwords.
 func ContentTokens(text string) []string {
 	var out []string

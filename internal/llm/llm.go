@@ -72,81 +72,6 @@ type Client interface {
 // DocSet executor retries these.
 var ErrTransient = errors.New("llm: transient failure")
 
-// Meter wraps a Client and accumulates usage across calls; safe for
-// concurrent use.
-type Meter struct {
-	inner  Client
-	mu     sync.Mutex
-	usage  Usage
-	failed Usage
-}
-
-// NewMeter wraps client with a usage accumulator.
-func NewMeter(client Client) *Meter { return &Meter{inner: client} }
-
-// Complete forwards to the wrapped client and records usage. Spend
-// carried by failed calls accumulates separately (FailedUsage): a retry
-// storm against a flaky backend must not inflate the reported completion
-// tokens of answers that were actually delivered.
-func (m *Meter) Complete(ctx context.Context, req Request) (Response, error) {
-	resp, err := m.inner.Complete(ctx, req)
-	m.mu.Lock()
-	if err != nil {
-		m.failed.Add(resp.Usage)
-	} else {
-		m.usage.Add(resp.Usage)
-	}
-	m.mu.Unlock()
-	return resp, err
-}
-
-// CompleteGroup forwards the group and records what its one upstream
-// request (if any) cost, exactly as Complete would.
-func (m *Meter) CompleteGroup(ctx context.Context, g Group) ([]Response, error) {
-	resps, err := CompleteGroup(ctx, m.inner, g)
-	var spent Usage
-	for _, r := range resps {
-		spent.Add(r.Usage)
-	}
-	m.mu.Lock()
-	if err != nil {
-		m.failed.Add(spent)
-	} else {
-		m.usage.Add(spent)
-	}
-	m.mu.Unlock()
-	return resps, err
-}
-
-// Name returns the wrapped model's name.
-func (m *Meter) Name() string { return m.inner.Name() }
-
-// Inner returns the wrapped client (for middleware-stats discovery).
-func (m *Meter) Inner() Client { return m.inner }
-
-// Usage returns a snapshot of usage accumulated by successful calls.
-func (m *Meter) Usage() Usage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.usage
-}
-
-// FailedUsage returns the spend carried by calls that ultimately errored
-// (partial batches, faults injected after tokens were burned).
-func (m *Meter) FailedUsage() Usage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.failed
-}
-
-// Reset clears accumulated usage (successful and failed).
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.usage = Usage{}
-	m.failed = Usage{}
-}
-
 // Scripted is a test double that returns canned responses in order, then
 // repeats the last one.
 type Scripted struct {

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -63,9 +64,6 @@ func TestStateHelpers(t *testing.T) {
 	if got := StateOfLocation("near Winchester, Virginia (OKV)"); got != "VA" {
 		t.Errorf("StateOfLocation with airport code = %q", got)
 	}
-	if StateName("NM") != "New Mexico" {
-		t.Errorf("StateName(NM) = %q", StateName("NM"))
-	}
 }
 
 func TestUsageSub(t *testing.T) {
@@ -82,21 +80,16 @@ func TestUsageSub(t *testing.T) {
 }
 
 func TestMeterAccumulates(t *testing.T) {
-	sim := NewSim(1)
-	m := NewMeter(sim)
+	stack := NewStack(NewSim(1))
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := m.Complete(ctx, Request{Prompt: "hello world test prompt"}); err != nil {
+		if _, err := stack.Complete(ctx, Request{Prompt: fmt.Sprintf("hello world test prompt %d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	u := m.Usage()
+	u := stack.Usage()
 	if u.Calls != 3 || u.PromptTokens == 0 {
 		t.Errorf("Usage = %+v", u)
-	}
-	m.Reset()
-	if m.Usage().Calls != 0 {
-		t.Error("Reset failed")
 	}
 }
 

@@ -3,6 +3,7 @@ package llm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -28,23 +29,19 @@ func (c *usageErrClient) Complete(_ context.Context, _ Request) (Response, error
 
 func (c *usageErrClient) Name() string { return "usage-err" }
 
-// TestMeterFailedUsage: spend carried by failed calls accumulates
-// separately from delivered-answer spend, and Reset clears both.
+// TestMeterFailedUsage: the stack accumulates spend carried by failed
+// calls separately from delivered-answer spend.
 func TestMeterFailedUsage(t *testing.T) {
 	transient := errors.New("boom")
-	m := NewMeter(&usageErrClient{errs: []error{nil, transient, transient, nil}})
+	stack := NewStack(&usageErrClient{errs: []error{nil, transient, transient, nil}}, WithBatching(1, 0))
 	for i := 0; i < 4; i++ {
-		_, _ = m.Complete(context.Background(), Request{Prompt: "p"})
+		_, _ = stack.Complete(context.Background(), Request{Prompt: fmt.Sprintf("p%d", i)})
 	}
-	if u := m.Usage(); u.Calls != 2 || u.Total() != 30 {
+	if u := stack.Usage(); u.Calls != 2 || u.Total() != 30 {
 		t.Errorf("successful usage = %+v, want 2 calls / 30 tokens", u)
 	}
-	if f := m.FailedUsage(); f.Calls != 2 || f.Total() != 30 {
+	if f := stack.FailedUsage(); f.Calls != 2 || f.Total() != 30 {
 		t.Errorf("failed usage = %+v, want the 2 errored calls' spend", f)
-	}
-	m.Reset()
-	if u, f := m.Usage(), m.FailedUsage(); u.Total() != 0 || f.Total() != 0 {
-		t.Errorf("Reset left usage %+v / failed %+v", u, f)
 	}
 }
 
@@ -123,8 +120,7 @@ func (w *countingWrap) Name() string { return w.inner.Name() }
 
 // TestStackResilienceOrder: WithResilience sits below the cache — a hit
 // never traverses the resilience layer (cached answers keep serving
-// through an outage) — and above the batcher, and StatsOf still finds the
-// stack through an outer Meter.
+// through an outage) — and above the batcher.
 func TestStackResilienceOrder(t *testing.T) {
 	var wrap *countingWrap
 	stack := NewStack(&Scripted{Responses: []Response{{Text: "ok"}}},
@@ -135,11 +131,10 @@ func TestStackResilienceOrder(t *testing.T) {
 	if wrap == nil {
 		t.Fatal("WithResilience wrapper was never installed")
 	}
-	meter := NewMeter(stack)
 	ctx := context.Background()
 	req := Request{Prompt: "same question"}
 	for i := 0; i < 3; i++ {
-		if _, err := meter.Complete(ctx, req); err != nil {
+		if _, err := stack.Complete(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,11 +144,7 @@ func TestStackResilienceOrder(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("resilience layer saw %d calls for 1 miss + 2 hits, want 1 (hits must bypass it)", calls)
 	}
-	st, ok := StatsOf(meter)
-	if !ok {
-		t.Fatal("StatsOf failed to walk Meter → Stack")
-	}
-	if st.Cache.Hits != 2 || st.Cache.Misses != 1 {
+	if st := stack.StackStats(); st.Cache.Hits != 2 || st.Cache.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 2 hits / 1 miss", st.Cache)
 	}
 }

@@ -70,15 +70,14 @@ func TestFlightDistinctRequestsDoNotCollapse(t *testing.T) {
 
 func TestFlightFollowerUsageZeroed(t *testing.T) {
 	inner := &countingClient{delay: 20 * time.Millisecond}
-	flight := NewCache(inner)
-	meter := NewMeter(flight)
+	stack := NewStack(inner, WithBatching(1, 0))
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := meter.Complete(ctx, Request{Prompt: "dedup me"}); err != nil {
+			if _, err := stack.Complete(ctx, Request{Prompt: "dedup me"}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -86,7 +85,7 @@ func TestFlightFollowerUsageZeroed(t *testing.T) {
 	wg.Wait()
 	// Only the leader's usage should be metered: duplicate work costs
 	// nothing upstream.
-	if u := meter.Usage(); u.Calls != 1 {
+	if u := stack.Usage(); u.Calls != 1 {
 		t.Errorf("metered %d calls, want 1", u.Calls)
 	}
 }

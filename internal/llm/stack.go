@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -17,9 +18,9 @@ import (
 // circuit breaker, attempt timeouts) sits below the cache so cached
 // answers keep serving through an outage, and above the batcher so
 // retried attempts re-enter batching; the batcher coalesces what remains
-// into grouped upstream dispatches. An outer Meter (not part of the
-// stack) keeps reporting true upstream spend because hit/follower
-// responses carry zero Usage.
+// into grouped upstream dispatches. The stack counts usage at its own
+// entry, above the cache, so Usage is true upstream spend: hit and
+// follower responses carry zero Usage.
 
 // StackStats aggregates the counters of every middleware layer.
 type StackStats struct {
@@ -60,17 +61,21 @@ func (s StackStats) String() string {
 
 // Stack is the assembled middleware pipeline. It satisfies Client, so it
 // drops into any place a model is consumed; individual layers stay
-// addressable for stats and persistence.
+// addressable for stats and persistence. It accumulates the usage of the
+// calls it answers; safe for concurrent use.
 type Stack struct {
 	cache   *Cache // entry point: the outermost layer
 	batcher *Batcher
 	inner   Client
+
+	mu     sync.Mutex
+	usage  Usage // spend of calls that succeeded
+	failed Usage // spend carried by calls that errored
 }
 
 // stackConfig collects construction options.
 type stackConfig struct {
 	cacheCapacity int
-	cachePath     string
 	maxBatch      int
 	linger        time.Duration
 	resilience    func(Client) Client
@@ -81,12 +86,6 @@ type StackOption func(*stackConfig)
 
 // WithCacheCapacity bounds the response cache (default 4096 entries).
 func WithCacheCapacity(n int) StackOption { return func(c *stackConfig) { c.cacheCapacity = n } }
-
-// WithCachePersistence warm-starts the cache from path when the file
-// exists; call Stack.SaveCache to write it back.
-func WithCachePersistence(path string) StackOption {
-	return func(c *stackConfig) { c.cachePath = path }
-}
 
 // WithBatching sets the dispatcher's batch bound and linger window.
 // maxBatch 1 disables coalescing (every call forwards directly).
@@ -123,24 +122,57 @@ func NewStack(inner Client, opts ...StackOption) *Stack {
 		client = cfg.resilience(client)
 	}
 	s.cache = NewCache(client, WithCapacity(cfg.cacheCapacity))
-	if cfg.cachePath != "" {
-		// Best-effort warm start: a missing or unreadable snapshot just
-		// means a cold cache.
-		_ = s.cache.Load(cfg.cachePath)
-	}
 	return s
 }
 
-// Complete runs the request through the middleware pipeline.
+// Complete runs the request through the middleware pipeline and records
+// its usage.
 func (s *Stack) Complete(ctx context.Context, req Request) (Response, error) {
-	return s.cache.Complete(ctx, req)
+	resp, err := s.cache.Complete(ctx, req)
+	s.record(resp.Usage, err)
+	return resp, err
 }
 
 // CompleteGroup runs the group through the pipeline: the cache decides
 // what of it goes upstream, and the layers beneath see one ordinary
-// request.
+// request. What that request cost is recorded as Complete records it.
 func (s *Stack) CompleteGroup(ctx context.Context, g Group) ([]Response, error) {
-	return s.cache.CompleteGroup(ctx, g)
+	resps, err := s.cache.CompleteGroup(ctx, g)
+	var spent Usage
+	for _, r := range resps {
+		spent.Add(r.Usage)
+	}
+	s.record(spent, err)
+	return resps, err
+}
+
+// record adds one call's spend to the stack's usage. Spend carried by
+// failed calls accumulates separately (FailedUsage): a retry storm against
+// a flaky backend must not inflate the reported tokens of answers that
+// were actually delivered.
+func (s *Stack) record(spent Usage, err error) {
+	s.mu.Lock()
+	if err != nil {
+		s.failed.Add(spent)
+	} else {
+		s.usage.Add(spent)
+	}
+	s.mu.Unlock()
+}
+
+// Usage returns the spend accumulated by successful calls.
+func (s *Stack) Usage() Usage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.usage
+}
+
+// FailedUsage returns the spend carried by calls that ultimately errored
+// (partial batches, faults injected after tokens were burned).
+func (s *Stack) FailedUsage() Usage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed
 }
 
 // Name identifies the backing model.
@@ -159,29 +191,6 @@ func (s *Stack) StackStats() StackStats {
 		st.Batch = s.batcher.Stats()
 	}
 	return st
-}
-
-// statsProvider is implemented by the Stack (and anything else that can
-// report middleware stats).
-type statsProvider interface{ StackStats() StackStats }
-
-// wrapper is implemented by middleware that exposes its wrapped client.
-type wrapper interface{ Inner() Client }
-
-// StatsOf walks a chain of wrapped clients (a Meter around a Stack) and
-// returns the first middleware stats snapshot found.
-func StatsOf(c Client) (StackStats, bool) {
-	for c != nil {
-		if sp, ok := c.(statsProvider); ok {
-			return sp.StackStats(), true
-		}
-		w, ok := c.(wrapper)
-		if !ok {
-			break
-		}
-		c = w.Inner()
-	}
-	return StackStats{}, false
 }
 
 var _ GroupClient = (*Stack)(nil)

@@ -12,15 +12,14 @@ import (
 func TestStackCacheShortCircuitsAllLayers(t *testing.T) {
 	inner := &batchCountingClient{}
 	stack := NewStack(inner)
-	meter := NewMeter(stack)
 	ctx := context.Background()
 
 	req := Request{Prompt: "repeated workload"}
-	if _, err := meter.Complete(ctx, req); err != nil {
+	if _, err := stack.Complete(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		resp, err := meter.Complete(ctx, req)
+		resp, err := stack.Complete(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +30,7 @@ func TestStackCacheShortCircuitsAllLayers(t *testing.T) {
 	if got := inner.calls.Load(); got != 1 {
 		t.Errorf("upstream called %d times for 11 identical requests, want 1", got)
 	}
-	if u := meter.Usage(); u.Calls != 1 {
+	if u := stack.Usage(); u.Calls != 1 {
 		t.Errorf("metered %d calls, want 1 (hits are free)", u.Calls)
 	}
 	st := stack.StackStats()
@@ -43,7 +42,6 @@ func TestStackCacheShortCircuitsAllLayers(t *testing.T) {
 func TestStackConcurrentMixedWorkload(t *testing.T) {
 	inner := &batchCountingClient{countingClient: countingClient{delay: 2 * time.Millisecond}}
 	stack := NewStack(inner, WithBatching(8, 5*time.Millisecond))
-	meter := NewMeter(stack)
 	ctx := context.Background()
 
 	// 8 workers × 40 requests over 20 distinct prompts: heavy overlap both
@@ -55,7 +53,7 @@ func TestStackConcurrentMixedWorkload(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				req := Request{Prompt: fmt.Sprintf("prompt-%d", (w*7+i)%20)}
-				resp, err := meter.Complete(ctx, req)
+				resp, err := stack.Complete(ctx, req)
 				if err != nil {
 					t.Error(err)
 					return
@@ -150,27 +148,6 @@ func TestStackNoGapBetweenCacheAndFlight(t *testing.T) {
 	}
 	if st := stack.StackStats(); st.Flight.Leads != 1 || st.Cache.Hits+st.Flight.Shared != 1 {
 		t.Errorf("stats = %+v, want one lead and one hit or follower", st)
-	}
-}
-
-func TestStackStatsDiscoveryThroughMeter(t *testing.T) {
-	stack := NewStack(&countingClient{})
-	meter := NewMeter(stack)
-	if _, err := meter.Complete(context.Background(), Request{Prompt: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := meter.Complete(context.Background(), Request{Prompt: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	st, ok := StatsOf(meter)
-	if !ok {
-		t.Fatal("StatsOf failed to find the stack behind the meter")
-	}
-	if st.Cache.Hits != 1 {
-		t.Errorf("discovered stats report %d hits, want 1", st.Cache.Hits)
-	}
-	if _, ok := StatsOf(&countingClient{}); ok {
-		t.Error("StatsOf found stats on a bare client")
 	}
 }
 

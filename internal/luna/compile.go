@@ -58,9 +58,12 @@ type Result struct {
 	// aggregated from the trace (wall/busy time, docs in/out, LLM
 	// calls/tokens/cache hits, retries).
 	Exec *ExecDetail
-	// LLM reports call-middleware activity (cache hits, singleflight
-	// collapses, batches) across planning AND execution of this query;
-	// nil when the client carries no middleware stack.
+	// LLM is the shared middleware stack's activity (cache hits,
+	// singleflight collapses, batches) while Service.Ask planned and ran
+	// this query: a before/after delta of the stack's counters, so it
+	// includes whatever concurrent queries did through the same stack in
+	// that window. Nil on other paths and when the client is no
+	// llm.Stack. Per-operator calls, each counted once, are in Trace.
 	LLM *llm.StackStats
 }
 
@@ -228,7 +231,6 @@ func (e *Executor) Run(ctx context.Context, plan *LogicalPlan, hooks StreamHooks
 	// record with the whole lifecycle.
 	res := &Result{PlanPreview: PlanPreview{Rewritten: plan, Compiled: low.ds.PlanString()}}
 
-	llmBefore, hasLLMStats := llm.StatsOf(qec.LLM)
 	start := wallclock()
 	// Branch goroutines run under a child context so an executor error
 	// cancels them, and Join below guarantees none outlives the query.
@@ -257,16 +259,6 @@ func (e *Executor) Run(ctx context.Context, plan *LogicalPlan, hooks StreamHooks
 	}
 	if trace != nil {
 		merged.Nodes = append(merged.Nodes, trace.Nodes...)
-	}
-	if hasLLMStats {
-		// One query-level middleware delta: per-branch deltas overlap in
-		// time when branches run concurrently, so summing them would
-		// double-count (the per-node counters in the trace attribute each
-		// call exactly once).
-		if after, ok := llm.StatsOf(qec.LLM); ok {
-			delta := after.Sub(llmBefore)
-			merged.LLM = &delta
-		}
 	}
 	res.Trace = merged
 	res.Docs = docs

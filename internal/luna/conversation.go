@@ -161,16 +161,6 @@ func (c *Conversation) mergeFollowUp(prev *LogicalPlan, fragment string) *Logica
 	return plan
 }
 
-// Last returns the most recent result (nil if none).
-func (c *Conversation) Last() *Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.History) == 0 {
-		return nil
-	}
-	return c.History[len(c.History)-1]
-}
-
 // Turns reports how many exchanges the conversation has recorded.
 func (c *Conversation) Turns() int {
 	c.mu.Lock()

@@ -14,10 +14,11 @@
 // StreamHooks set on a per-request copy of the Service.
 //
 // It is rewritten one way too: the rule list in rewrite.go, run to a
-// fixpoint by one driver — §6.1's optimizer that "uses a combination of
-// rule-based and cost-based" rewrites. Rewrite applies the exact rules
-// (every plan gets them), Optimize the whole list: those plus the one
-// approximate rule, the scoped extract. (A filter needs no rule to read
+// fixpoint by one driver — §6.1's optimizer "uses a combination of
+// rule-based and cost-based" rewrites; here every rule is rule-based, and
+// the cost estimate is printed, not consulted. Rewrite applies the exact
+// rules (every plan gets them), Optimize the whole list: those plus the
+// one approximate rule, the scoped extract. (A filter needs no rule to read
 // less: llmFilter always reads only the sections its question is about.)
 // One record, PlanPreview, carries every form of the plan (original,
 // rewritten, optimized, cost estimates, compiled pipeline); Service

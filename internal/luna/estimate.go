@@ -209,14 +209,11 @@ func ObserveExec(plan *LogicalPlan, exec *ExecDetail, store *cost.Store) {
 		}
 		r := ne.Runtime
 		o := cost.Observation{
-			Op:               n.Op,
-			Signature:        opSignature(n.LogicalOp),
-			DocsIn:           r.DocsIn,
-			DocsOut:          r.DocsOut,
-			LLMCalls:         r.LLMCalls,
-			PromptTokens:     r.PromptTokens,
-			CompletionTokens: r.CompletionTokens,
-			BusyMS:           r.BusyMS,
+			Op:        n.Op,
+			Signature: opSignature(n.LogicalOp),
+			DocsIn:    r.DocsIn,
+			DocsOut:   r.DocsOut,
+			LLMCalls:  r.LLMCalls,
 		}
 		if len(r.Questions) == 0 {
 			store.Observe(o)

@@ -315,7 +315,7 @@ func TestSharedSubtreeLLMCountedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	meter := llm.NewMeter(llm.NewSim(1))
+	meter := llm.NewStack(llm.NewSim(1), llm.WithBatching(1, 0))
 	ex := &Executor{
 		EC:    docset.NewContext(docset.WithLLM(meter), docset.WithParallelism(4)),
 		Store: store,

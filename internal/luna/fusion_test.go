@@ -34,11 +34,11 @@ func withoutRule(t *testing.T, name string) {
 }
 
 // meteredService is newEquivService with the production middleware stack
-// (cache of the given capacity) under a meter, so tests read true upstream
-// tokens and share answers between queries. A serial service runs one
+// (cache of the given capacity), whose usage is true upstream tokens, so
+// tests read those and share answers between queries. A serial service runs one
 // worker per stage over an unbatched stack, so calls reach the cache in
 // nearly the plan's own order: only pipelined stages still interleave.
-func meteredService(t *testing.T, optimize bool, capacity int, feedback *cost.Store, serial bool) (*Service, *llm.Meter) {
+func meteredService(t *testing.T, optimize bool, capacity int, feedback *cost.Store, serial bool) (*Service, *llm.Stack) {
 	t.Helper()
 	store := equivCorpus(t)
 	stackOpts := []llm.StackOption{llm.WithCacheCapacity(capacity)}
@@ -47,7 +47,7 @@ func meteredService(t *testing.T, optimize bool, capacity int, feedback *cost.St
 		stackOpts = append(stackOpts, llm.WithBatching(1, 0))
 		ecOpts = append(ecOpts, docset.WithParallelism(1))
 	}
-	meter := llm.NewMeter(llm.NewStack(llm.NewSim(1), stackOpts...))
+	meter := llm.NewStack(llm.NewSim(1), stackOpts...)
 	return &Service{
 		Planner:  NewPlanner(meter, InferSchema(store)),
 		Executor: &Executor{EC: docset.NewContext(append(ecOpts, docset.WithLLM(meter))...), Store: store},
@@ -58,7 +58,7 @@ func meteredService(t *testing.T, optimize bool, capacity int, feedback *cost.St
 
 // runMetered executes plan and returns the result with the upstream tokens
 // it cost.
-func runMetered(t *testing.T, svc *Service, meter *llm.Meter, plan *LogicalPlan) (*Result, int) {
+func runMetered(t *testing.T, svc *Service, meter *llm.Stack, plan *LogicalPlan) (*Result, int) {
 	t.Helper()
 	before := meter.Usage()
 	res, err := svc.RunPlan(context.Background(), "metered", plan.Clone())

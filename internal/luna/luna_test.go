@@ -429,7 +429,7 @@ func TestConversationFollowUpMergesFilters(t *testing.T) {
 	if second.Answer.Number != 1 {
 		t.Errorf("follow-up should keep damage filter and add CA: %v", second.Answer.Number)
 	}
-	if conv.Last() != second || len(conv.History) != 2 {
+	if len(conv.History) != 2 || conv.History[1] != second {
 		t.Error("history bookkeeping wrong")
 	}
 }
@@ -572,13 +572,6 @@ func TestPlannerRepairLoop(t *testing.T) {
 	p2 := NewPlanner(bad, testSchema())
 	if _, err := p2.Plan(context.Background(), "q"); err == nil {
 		t.Error("persistent invalid plans should fail")
-	}
-}
-
-func TestConversationLastEmpty(t *testing.T) {
-	conv := NewConversation(nil)
-	if conv.Last() != nil {
-		t.Error("empty conversation Last should be nil")
 	}
 }
 

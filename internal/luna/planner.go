@@ -169,7 +169,11 @@ func (s *Service) run(ctx context.Context, question string, plan *LogicalPlan) (
 
 // Ask plans, validates, optimizes, compiles, and executes the question.
 func (s *Service) Ask(ctx context.Context, question string) (*Result, error) {
-	before, hasStats := llm.StatsOf(s.Planner.Client)
+	stack, hasStats := s.Planner.Client.(*llm.Stack)
+	var before llm.StackStats
+	if hasStats {
+		before = stack.StackStats()
+	}
 	plan, err := s.Planner.Plan(ctx, question)
 	if err != nil {
 		return nil, err
@@ -178,10 +182,8 @@ func (s *Service) Ask(ctx context.Context, question string) (*Result, error) {
 	if res != nil && hasStats {
 		// Planner and executor share one middleware stack in a wired
 		// system, so a single delta covers the whole query.
-		if after, ok := llm.StatsOf(s.Planner.Client); ok {
-			delta := after.Sub(before)
-			res.LLM = &delta
-		}
+		delta := stack.StackStats().Sub(before)
+		res.LLM = &delta
 	}
 	return res, err
 }

@@ -356,13 +356,3 @@ func setCause(inc *Incident, c Cause, rng *rand.Rand) {
 		}
 	}
 }
-
-// Accidents returns the number of distinct accident numbers (the unit a
-// correct "how many incidents" answer counts).
-func Accidents(incidents []Incident) int {
-	seen := map[string]bool{}
-	for i := range incidents {
-		seen[incidents[i].AccidentNumber] = true
-	}
-	return len(seen)
-}

@@ -384,17 +384,6 @@ func (r *reader) image() ImageBlob {
 	return ImageBlob{Box: r.box(), Format: r.str(), Width: r.int(), Height: r.int(), Desc: r.str()}
 }
 
-// PageRegions returns the ground-truth regions on the given 1-based page.
-func (d *Doc) PageRegions(page int) []Region {
-	var out []Region
-	for _, r := range d.Regions {
-		if r.Page == page {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Stats summarizes a document for logging.
 func (d *Doc) Stats() string {
 	runs := 0

@@ -70,7 +70,7 @@ func TestRunsBelongToSomeRegion(t *testing.T) {
 	// the invariant the segmentation evaluation depends on.
 	d := buildSample()
 	for pi, p := range d.Pages {
-		regions := d.PageRegions(pi + 1)
+		regions := pageRegions(d, pi+1)
 		for _, run := range p.Runs {
 			cx, cy := run.Box.CenterX(), run.Box.CenterY()
 			found := false
@@ -229,7 +229,7 @@ func TestMultiPageFlow(t *testing.T) {
 	}
 	// Furniture repeats on every page.
 	for i := range d.Pages {
-		regions := d.PageRegions(i + 1)
+		regions := pageRegions(d, i+1)
 		hasHeader, hasFooter := false, false
 		for _, r := range regions {
 			if r.Type == docmodel.PageHeader {
@@ -315,4 +315,15 @@ func decodeAlloc(data []byte) uint64 {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	return least
+}
+
+// pageRegions returns the ground-truth regions on the given 1-based page.
+func pageRegions(d *Doc, page int) []Region {
+	var out []Region
+	for _, r := range d.Regions {
+		if r.Page == page {
+			out = append(out, r)
+		}
+	}
+	return out
 }

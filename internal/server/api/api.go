@@ -196,14 +196,17 @@ type PlanDetail struct {
 // QueryResponse is the answer to a one-shot question, and the payload of
 // the SSE "result" event.
 type QueryResponse struct {
-	TraceID  string          `json:"trace_id"`
-	Question string          `json:"question"`
-	Answer   string          `json:"answer"`
-	Kind     string          `json:"kind,omitempty"`
-	Docs     int             `json:"docs,omitempty"`
-	Plan     *PlanDetail     `json:"plan,omitempty"`
-	LLM      *llm.StackStats `json:"llm,omitempty"`
-	WallMS   int64           `json:"wall_ms"`
+	TraceID  string      `json:"trace_id"`
+	Question string      `json:"question"`
+	Answer   string      `json:"answer"`
+	Kind     string      `json:"kind,omitempty"`
+	Docs     int         `json:"docs,omitempty"`
+	Plan     *PlanDetail `json:"plan,omitempty"`
+	// LLM is the shared LLM stack's activity while the question was
+	// planned and run — a delta of the server-wide counters, so it
+	// includes concurrent requests' calls — or absent.
+	LLM    *llm.StackStats `json:"llm,omitempty"`
+	WallMS int64           `json:"wall_ms"`
 	// Degraded marks a retrieval-only fallback answer served because the
 	// model backend was unavailable (circuit open or retries exhausted);
 	// DegradedReason says why. The request still succeeded (200) — the
@@ -223,8 +226,9 @@ type PlanRequest struct {
 	// executed plan annotated with per-node runtime metrics — EXPLAIN
 	// ANALYZE: full runtime feedback without the answer payload.
 	Analyze bool `json:"analyze,omitempty"`
-	// Optimize overrides the server's cost-based-optimization default for
-	// this request (see QueryRequest.Optimize).
+	// Optimize overrides the server's optimization default (the
+	// approximate scoped-extract rule) for this request (see
+	// QueryRequest.Optimize).
 	Optimize *bool `json:"optimize,omitempty"`
 }
 

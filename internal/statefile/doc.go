@@ -1,7 +1,7 @@
-// Package statefile is the one writer of the files arynd warm-starts from:
-// the LLM response cache (llm.Cache.Save), the index snapshot
-// (index.Store.Save), the optimizer's feedback store (cost.Store.Save) and
-// materialized DocSets (docset.WriteJSONL). Each hands Write its encoder;
+// Package statefile is the one writer of the state files: the LLM response
+// cache (llm.Cache.Save) and the optimizer's feedback store
+// (cost.Store.Save), which arynd warm-starts from, the index snapshot
+// (index.Store.Save), and DocSets written out (docset.WriteJSONL). Each hands Write its encoder;
 // Write owns create → sync → rename, so a crash or a failed encode leaves
 // the previous file as it was. The formats stay with their packages.
 //

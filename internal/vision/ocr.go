@@ -10,19 +10,13 @@ import (
 	"aryn/internal/rawdoc"
 )
 
-// ExtractText reads the text inside a detected region in reading order
-// (top-down, then left-right). With charErrorRate == 0 it behaves like
-// direct extraction from the file format (PDFMiner, §4); a positive rate
-// simulates OCR on scanned pages (EasyOCR/PaddleOCR) with character-level
-// substitutions.
-func ExtractText(page rawdoc.Page, region docmodel.BBox, charErrorRate float64, seed int64) string {
-	return ExtractTextExcluding(page, region, nil, charErrorRate, seed)
-}
-
-// ExtractTextExcluding is ExtractText with ownership exclusions: runs
-// whose centers fall inside any exclude box (detected table grids) belong
-// to that structure and are not re-extracted as free text, even when a
-// jittered text box overlaps them.
+// ExtractTextExcluding reads the text inside a detected region in reading
+// order (top-down, then left-right). With charErrorRate == 0 it behaves
+// like direct extraction from the file format (PDFMiner, §4); a positive
+// rate simulates OCR on scanned pages (EasyOCR/PaddleOCR) with
+// character-level substitutions. Runs whose centers fall inside any
+// exclude box (detected table grids) belong to that structure and are not
+// re-extracted as free text, even when a jittered text box overlaps them.
 func ExtractTextExcluding(page rawdoc.Page, region docmodel.BBox, exclude []docmodel.BBox, charErrorRate float64, seed int64) string {
 	var runs []rawdoc.TextRun
 	for _, r := range page.Runs {

@@ -9,21 +9,16 @@ import (
 	"aryn/internal/rawdoc"
 )
 
-// TableStructure recovers the cell grid of a detected table region — the
-// Table-Transformer stage of DocParse (§4: "for tables, we use a Table
+// TableStructureOCR recovers the cell grid of a detected table region —
+// the Table-Transformer stage of DocParse (§4: "for tables, we use a Table
 // Transformer-based model to identify the individual cells").
 //
 // It reads the rule lines inside the region to find row and column
 // boundaries, then assigns text runs to cells. Like the paper's model it
 // is robust but not clairvoyant: tables without visible rules fall back to
-// run-position inference.
-func TableStructure(page rawdoc.Page, region docmodel.BBox) *docmodel.TableData {
-	return TableStructureOCR(page, region, 0, 0)
-}
-
-// TableStructureOCR is TableStructure for scanned pages: cell texts pass
-// through the OCR channel and pick up character substitutions at the
-// given error rate.
+// run-position inference. On scanned pages (charErrorRate > 0) cell texts
+// pass through the OCR channel and pick up character substitutions at
+// that rate.
 func TableStructureOCR(page rawdoc.Page, region docmodel.BBox, charErrorRate float64, seed int64) *docmodel.TableData {
 	td := tableStructure(page, region)
 	if charErrorRate > 0 {

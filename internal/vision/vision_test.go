@@ -29,7 +29,7 @@ func TestCleanSegmentationMatchesGroundTruth(t *testing.T) {
 	// Zero-noise model: proposals + classifier only.
 	m := NewModel("clean", 1, NoiseProfile{ClusterSlop: 1})
 	dets := m.Segment(page, "t1/1")
-	gt := doc.PageRegions(1)
+	gt := doc.Regions
 
 	// Every GT region should have a detection with high IoU and the right
 	// label.
@@ -67,7 +67,7 @@ func TestSegmentDeterministic(t *testing.T) {
 
 func TestNoiseProfilesDegradeQuality(t *testing.T) {
 	page, doc := samplePage()
-	gt := doc.PageRegions(1)
+	gt := doc.Regions
 	quality := func(p NoiseProfile) float64 {
 		m := NewModel("svc", 7, p)
 		var sum float64
@@ -105,7 +105,7 @@ func TestTableStructureFromRules(t *testing.T) {
 	page, doc := samplePage()
 	var tableRegion docmodel.BBox
 	var gt *docmodel.TableData
-	for _, r := range doc.PageRegions(1) {
+	for _, r := range doc.Regions {
 		if r.Type == docmodel.Table {
 			tableRegion, gt = r.Box, r.Table
 		}
@@ -113,7 +113,7 @@ func TestTableStructureFromRules(t *testing.T) {
 	if gt == nil {
 		t.Fatal("no GT table on page")
 	}
-	td := TableStructure(page, tableRegion)
+	td := TableStructureOCR(page, tableRegion, 0, 0)
 	if td.NumRows != gt.NumRows || td.NumCols != gt.NumCols {
 		t.Fatalf("grid %dx%d, want %dx%d", td.NumRows, td.NumCols, gt.NumRows, gt.NumCols)
 	}
@@ -123,8 +123,8 @@ func TestTableStructureFromRules(t *testing.T) {
 	if c := td.Cell(0, 0); c == nil || !c.Header {
 		t.Errorf("header flag missing on first row: %+v", c)
 	}
-	if got := td.AsMap()["Registration"]; got != "N12345" {
-		t.Errorf("AsMap[Registration] = %q", got)
+	if md := td.Markdown(); !strings.Contains(md, "| Registration | N12345 |") {
+		t.Errorf("Registration row missing:\n%s", md)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestTableStructureBorderless(t *testing.T) {
 			})
 		}
 	}
-	td := TableStructure(page, docmodel.BBox{X0: 90, Y0: 90, X1: 400, Y1: 150})
+	td := TableStructureOCR(page, docmodel.BBox{X0: 90, Y0: 90, X1: 400, Y1: 150}, 0, 0)
 	if td.NumRows != 2 || td.NumCols != 2 {
 		t.Fatalf("borderless grid %dx%d", td.NumRows, td.NumCols)
 	}
@@ -161,12 +161,12 @@ func TestExtractTextReadingOrder(t *testing.T) {
 	add(60, 140, "third")
 	add(60, 100, "first")
 	add(200, 100, "second")
-	got := ExtractText(page, docmodel.BBox{X0: 0, Y0: 0, X1: 612, Y1: 792}, 0, 0)
+	got := ExtractTextExcluding(page, docmodel.BBox{X0: 0, Y0: 0, X1: 612, Y1: 792}, nil, 0, 0)
 	if got != "first second third" {
 		t.Errorf("reading order = %q", got)
 	}
 	// Region restriction.
-	got = ExtractText(page, docmodel.BBox{X0: 0, Y0: 90, X1: 612, Y1: 120}, 0, 0)
+	got = ExtractTextExcluding(page, docmodel.BBox{X0: 0, Y0: 90, X1: 612, Y1: 120}, nil, 0, 0)
 	if got != "first second" {
 		t.Errorf("region-restricted = %q", got)
 	}
