@@ -18,9 +18,9 @@ build:
 test:
 	$(GO) test -race ./...
 
-# vet, gofmt, and the dead-export gate: every exported function under
-# internal/ has a non-test caller (scripts/deadcheck.sh, with its
-# allowlist).
+# vet, gofmt, and the dead-code gate: every function and method under
+# internal/ has a non-test user, resolved by type (scripts/deadcheck.sh
+# runs TestNoDeadCode, deadcode_test.go, which holds the allowlist).
 lint:
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); \
@@ -118,27 +118,25 @@ cover:
 
 # Short native-fuzz smoke: the plan surface (decode, validate, and the
 # cost-rewrite phase each fuzz briefly beyond their seed corpora,
-# testdata/fuzz/), the first persisted-file loader, the index snapshot
-# (an error or a usable store, never a panic), the vector row codec
-# (any finite float32 row: unit decoded norm, encode∘decode idempotent) and
-# the rawdoc blob decoder /v1/ingest feeds client bytes (an error or a
-# document, never a panic, never a heap much past the blob's size; its
-# minimizing is capped at 1s, or shrinking one ≈ 9 KB seed blob eats the
-# whole burst), the simd dot-product kernel (any query inside its
-# exactness bound against any codes: the int64 loop's sum, to the bit) and
-# the filter prompt (any questions, document ID and text, inside the Sim's
-# context window and past it: the packed prompt reads back to them, and the
-# Sim's packed reply is its solo replies, line by line), and two more
-# persisted-file loaders: the LLM response cache (an error or a cache that
-# serves what it loaded, never a panic; minimizing capped at 1s like the
-# rawdoc decoder's) and the optimizer feedback store (an error or a store
-# whose every selectivity is ≥ 0, never a panic). One -fuzz pattern per
+# testdata/fuzz/), the vector row codec (any finite float32 row: unit
+# decoded norm, encode∘decode idempotent) and the rawdoc blob decoder
+# /v1/ingest feeds client bytes (an error or a document, never a panic,
+# never a heap much past the blob's size; its minimizing is capped at
+# 1s, or shrinking one ≈ 9 KB seed blob eats the whole burst), the simd
+# dot-product kernel (any query inside its exactness bound against any
+# codes: the int64 loop's sum, to the bit) and the filter prompt (any
+# questions, document ID and text, inside the Sim's context window and
+# past it: the packed prompt reads back to them, and the Sim's packed
+# reply is its solo replies, line by line), and the two persisted-file
+# loaders: the LLM response cache (an error or a cache that serves what
+# it loaded, never a panic; minimizing capped at 1s like the rawdoc
+# decoder's) and the optimizer feedback store (an error or a store whose
+# every selectivity is ≥ 0, never a panic). One -fuzz pattern per
 # invocation — go test allows only a single fuzzing target at a time.
 fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzCostRewrite$$' -fuzztime 10s
-	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzIndexLoad$$' -fuzztime 10s
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzVectorCodec$$' -fuzztime 10s
 	$(GO) test ./internal/rawdoc/ -run '^$$' -fuzz '^FuzzRawdocDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s

@@ -3,11 +3,13 @@ package core_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"aryn/internal/core"
+	"aryn/internal/docmodel"
 	"aryn/internal/docset"
 	"aryn/internal/index"
 	"aryn/internal/llm"
@@ -83,7 +85,7 @@ func TestScopedFilterVerdicts(t *testing.T) {
 			for _, hit := range sys.Store.SearchDocs(index.Query{}) {
 				d := hit.Doc
 				for _, q := range questions {
-					scoped := docset.FilterGroup([]string{q}, d).Reqs[0]
+					scoped := filterGroupOf(t, []string{q}, d).Reqs[0]
 					whole := llm.Request{Prompt: llm.FilterPrompt(q, d.ID, d.TextContent())}
 					rs, err := sys.Sim.Complete(ctx, scoped)
 					if err != nil {
@@ -111,6 +113,33 @@ func TestScopedFilterVerdicts(t *testing.T) {
 		})
 	}
 	t.Logf("%d changed verdicts of %d", changed, verdicts)
+}
+
+// stageGroup is a model client that keeps the request group the llmFilter
+// stage hands it and answers none of it, so the document passes.
+type stageGroup struct{ g llm.Group }
+
+func (s *stageGroup) Name() string { return "stage-group" }
+
+func (s *stageGroup) Complete(context.Context, llm.Request) (llm.Response, error) {
+	return llm.Response{}, errors.New("stageGroup takes request groups only")
+}
+
+func (s *stageGroup) CompleteGroup(_ context.Context, g llm.Group) ([]llm.Response, error) {
+	s.g = g
+	return make([]llm.Response, len(g.Reqs)), nil
+}
+
+// filterGroupOf returns the request group the llmFilter stage over
+// questions sends for d.
+func filterGroupOf(t testing.TB, questions []string, d *docmodel.Document) llm.Group {
+	t.Helper()
+	rec := &stageGroup{}
+	ec := docset.NewContext(docset.WithLLM(rec))
+	if _, err := docset.FromDocuments(ec, []*docmodel.Document{d}).LLMFilter(questions...).TakeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return rec.g
 }
 
 // BenchmarkWarmFilterQuery is the warm path of a filter question: every

@@ -260,8 +260,7 @@ func (s *System) IngestObserved(ctx context.Context, blobs map[string][]byte, si
 }
 
 // Prepare (re)infers the schema from the store and wires the Luna query
-// service and conversation. Called automatically by Ingest; call it
-// manually after loading a persisted store. Safe to call while queries
+// service and conversation. Ingest calls it. Safe to call while queries
 // are in flight: readers using the accessors see either the old or the
 // new service, never a half-built one.
 func (s *System) Prepare() {

@@ -137,13 +137,6 @@ func (s *Store) Selectivity(op, signature string) (sel float64, observed bool) {
 	return DefaultSelectivity(op), false
 }
 
-// Len reports the number of distinct signatures observed.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // Stats snapshots the store's counters.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()

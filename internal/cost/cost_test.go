@@ -14,8 +14,8 @@ func TestObserveAggregatesAndStats(t *testing.T) {
 	s.Observe(Observation{Op: "llmFilter", Signature: "llmFilter|q", DocsIn: 10, DocsOut: 2, LLMCalls: 10})
 	s.Observe(Observation{Signature: ""}) // ignored: no signature
 
-	if got := s.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1", got)
+	if got := s.Stats().Entries; got != 1 {
+		t.Fatalf("Entries = %d, want 1", got)
 	}
 	a, ok := s.Lookup("llmFilter|q")
 	if !ok {

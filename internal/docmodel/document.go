@@ -2,7 +2,6 @@ package docmodel
 
 import (
 	"encoding/json"
-	"fmt"
 	"slices"
 	"strings"
 )
@@ -286,55 +285,4 @@ func (d *Document) MarshalJSON() ([]byte, error) {
 		HasVector   bool `json:"has_embedding,omitempty"`
 	}{alias: (*alias)(d), BinaryBytes: len(d.Binary), HasVector: d.Embedding != nil}
 	return json.Marshal(a)
-}
-
-// Summary returns a short single-line description used in traces and the
-// CLI drill-down view.
-func (d *Document) Summary() string {
-	title := d.Title
-	if title == "" {
-		title = d.ID
-	}
-	nElem := len(d.AllElements())
-	return fmt.Sprintf("%s (elements=%d, props=%d)", title, nElem, len(d.Properties))
-}
-
-// Markdown renders the parsed document as Markdown: titles become headers,
-// tables render as pipe tables, pictures as annotations. This is the
-// "higher-level format" DocParse postprocessing emits (§4).
-func (d *Document) Markdown() string {
-	var sb strings.Builder
-	if d.Title != "" {
-		sb.WriteString("# " + d.Title + "\n\n")
-	}
-	d.Walk(func(n *Document) bool {
-		for _, e := range n.Elements {
-			switch e.Type {
-			case Title:
-				sb.WriteString("# " + e.Text + "\n\n")
-			case SectionHeader:
-				sb.WriteString("## " + e.Text + "\n\n")
-			case Table:
-				if e.Table != nil {
-					sb.WriteString(e.Table.Markdown() + "\n")
-				} else {
-					sb.WriteString(e.Text + "\n\n")
-				}
-			case Picture:
-				if e.Image != nil && e.Image.Summary != "" {
-					sb.WriteString("![" + e.Image.Summary + "]()\n\n")
-				} else {
-					sb.WriteString("![figure]()\n\n")
-				}
-			case ListItem:
-				sb.WriteString("- " + e.Text + "\n")
-			case PageHeader, PageFooter:
-				// page furniture is dropped from the reading view
-			default:
-				sb.WriteString(e.Text + "\n\n")
-			}
-		}
-		return true
-	})
-	return sb.String()
 }

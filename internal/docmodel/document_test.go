@@ -211,39 +211,6 @@ func TestMarshalJSONElidesBinary(t *testing.T) {
 	}
 }
 
-func TestMarkdownRendering(t *testing.T) {
-	md := sampleDoc().Markdown()
-	for _, want := range []string{"# Aviation Incident Report", "## Probable Cause", "| Registration | N220SW |", "![wreckage photo]()"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("Markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
-func TestMarkdownDropsPageFurniture(t *testing.T) {
-	d := New("d")
-	d.AddElement(&Element{Type: PageHeader, Text: "SECRET HEADER"})
-	d.AddElement(&Element{Type: Text, Text: "body"})
-	md := d.Markdown()
-	if strings.Contains(md, "SECRET HEADER") {
-		t.Error("page header should be dropped from Markdown")
-	}
-	if !strings.Contains(md, "body") {
-		t.Error("body text missing")
-	}
-}
-
-func TestSummary(t *testing.T) {
-	s := sampleDoc().Summary()
-	if !strings.Contains(s, "Aviation Incident Report") || !strings.Contains(s, "elements=6") {
-		t.Errorf("Summary = %q", s)
-	}
-	anon := New("x1")
-	if !strings.Contains(anon.Summary(), "x1") {
-		t.Errorf("untitled Summary should fall back to ID: %q", anon.Summary())
-	}
-}
-
 // viewCases are hand-built documents covering every way an element reaches
 // TextContent: each is read through its text view exactly as it reads itself.
 func viewCases() map[string]*Document {
@@ -300,9 +267,9 @@ func viewCases() map[string]*Document {
 	}
 }
 
-// The text view reads as the document does — TextContent, Sections,
-// EmbeddingText and Summary byte for byte — keeps identity, properties and
-// tree shape, and carries no layout.
+// The text view reads as the document does — TextContent, Sections and
+// EmbeddingText byte for byte, element for element — keeps identity,
+// properties and tree shape, and carries no layout.
 func TestTextViewReadsAsTheDocument(t *testing.T) {
 	for name, d := range viewCases() {
 		v := d.TextView()
@@ -315,8 +282,8 @@ func TestTextViewReadsAsTheDocument(t *testing.T) {
 		if got, want := v.EmbeddingText(), d.EmbeddingText(); got != want {
 			t.Errorf("%s: EmbeddingText %q, want %q", name, got, want)
 		}
-		if got, want := v.Summary(), d.Summary(); got != want {
-			t.Errorf("%s: Summary %q, want %q", name, got, want)
+		if got, want := len(v.AllElements()), len(d.AllElements()); got != want {
+			t.Errorf("%s: %d elements, want %d", name, got, want)
 		}
 		if v.PageCount() != d.PageCount() {
 			t.Errorf("%s: PageCount %d, want %d", name, v.PageCount(), d.PageCount())

@@ -3,7 +3,6 @@ package docmodel
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -108,27 +107,6 @@ func (p Properties) Int(key string) (int, bool) {
 	return int(f), true
 }
 
-// Bool returns the value for key coerced to bool. Strings "true"/"false"
-// (any case) coerce; other values do not.
-func (p Properties) Bool(key string) (bool, bool) {
-	v, ok := p[key]
-	if !ok {
-		return false, false
-	}
-	switch t := v.(type) {
-	case bool:
-		return t, true
-	case string:
-		b, err := strconv.ParseBool(strings.ToLower(strings.TrimSpace(t)))
-		if err != nil {
-			return false, false
-		}
-		return b, true
-	default:
-		return false, false
-	}
-}
-
 // Set assigns key = value, allocating the map if needed, and returns the
 // (possibly new) map so callers can use p = p.Set(...).
 func (p Properties) Set(key string, value any) Properties {
@@ -152,16 +130,6 @@ func (p Properties) Merge(other Properties) Properties {
 		p[k] = cloneValue(v)
 	}
 	return p
-}
-
-// Keys returns the property names in sorted order.
-func (p Properties) Keys() []string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // JSON renders the properties as compact JSON (keys sorted by

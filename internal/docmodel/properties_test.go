@@ -22,14 +22,8 @@ func TestPropertiesCoercions(t *testing.T) {
 	if i, ok := p.Int("i"); !ok || i != 7 {
 		t.Errorf("Int(i) = %v, %v", i, ok)
 	}
-	if b, ok := p.Bool("bs"); !ok || !b {
-		t.Errorf("Bool(bs) = %v, %v", b, ok)
-	}
 	if _, ok := p.Float("s"); ok {
 		t.Error("Float of non-numeric string should fail")
-	}
-	if _, ok := p.Bool("f"); ok {
-		t.Error("Bool of float should fail")
 	}
 }
 
@@ -59,14 +53,6 @@ func TestPropertiesMerge(t *testing.T) {
 	var nilP Properties
 	if got := nilP.Merge(nil); got != nil {
 		t.Error("nil.Merge(nil) should stay nil")
-	}
-}
-
-func TestPropertiesKeysSorted(t *testing.T) {
-	p := Properties{"z": 1, "a": 2, "m": 3}
-	keys := p.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[1] != "m" || keys[2] != "z" {
-		t.Errorf("Keys = %v", keys)
 	}
 }
 

@@ -184,7 +184,7 @@ func TestCompetitorSegmenterDegradesParse(t *testing.T) {
 	if len(good.AllElements()) == 0 || len(bad.AllElements()) == 0 {
 		t.Fatal("parses should be non-empty")
 	}
-	if good.Summary() == bad.Summary() && good.TextContent() == bad.TextContent() {
+	if len(good.AllElements()) == len(bad.AllElements()) && good.TextContent() == bad.TextContent() {
 		t.Error("competitor profile produced an identical parse; noise model inert")
 	}
 }

@@ -170,15 +170,6 @@ func (ds *DocSet) TakeAll(ctx context.Context) ([]*docmodel.Document, error) {
 	return docs, err
 }
 
-// Count executes the plan and returns the number of result documents.
-func (ds *DocSet) Count(ctx context.Context) (int, error) {
-	docs, _, err := ds.Execute(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return len(docs), nil
-}
-
 // PlanString renders the logical plan for inspection (§6.2 explainability).
 func (ds *DocSet) PlanString() string {
 	out := ds.source.name

@@ -92,7 +92,7 @@ func TestLLMFilterPackedCallAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt := trace.Node("llmFilter[" + qBirdsInvolved + " AND " + qWindshield + "]")
+	nt := traceNode(trace, "llmFilter["+qBirdsInvolved+" AND "+qWindshield+"]")
 	if nt == nil {
 		t.Fatalf("no fused stage in trace:\n%s", trace)
 	}
@@ -199,7 +199,8 @@ func sectionedDoc(id string) *docmodel.Document {
 func TestLLMFilterReadsItsSections(t *testing.T) {
 	ctx := context.Background()
 	d := sectionedDoc("S1")
-	g := FilterGroup([]string{qBirdsInvolved, qWindshield}, d)
+	qs := []string{qBirdsInvolved, qWindshield}
+	g := filterGroup(qs, filterTerms(qs), d)
 	birds := g.Reqs[0].Prompt
 	for _, want := range []string{"DOCUMENT-ID: S1\n", "NTSB Aviation Investigation Final Report", "Report S1", "geese", "Page 1 of 2"} {
 		if !strings.Contains(birds, want) {
@@ -244,7 +245,9 @@ func TestLLMFilterReadsItsSections(t *testing.T) {
 		t.Errorf("upstream: %d prompts, want the two packed ones, S1's the union of its scopes", len(sent))
 	}
 	// A document without two sections is read whole.
-	if got, whole := FilterGroup([]string{qBirdsInvolved}, filterDocs()[0]).Reqs[0].Prompt, llm.FilterPrompt(qBirdsInvolved, "A", filterDocs()[0].TextContent()); got != whole {
+	qs = []string{qBirdsInvolved}
+	a := filterDocs()[0]
+	if got, whole := filterGroup(qs, filterTerms(qs), a).Reqs[0].Prompt, llm.FilterPrompt(qBirdsInvolved, "A", a.TextContent()); got != whole {
 		t.Errorf("an unsectioned document is scoped:\n%s", got)
 	}
 }
@@ -262,14 +265,16 @@ func sorted(s []string) []string {
 func TestLLMFilterUnscopableQuestionReadsWhole(t *testing.T) {
 	d := sectionedDoc("S2")
 	for _, q := range []string{"Is it?", "Was there not a fire?"} {
-		got := FilterGroup([]string{q}, d).Reqs[0].Prompt
+		qs := []string{q}
+		got := filterGroup(qs, filterTerms(qs), d).Reqs[0].Prompt
 		if want := llm.FilterPrompt(q, d.ID, d.TextContent()); got != want {
 			t.Errorf("%q is scoped:\n%s", q, got)
 		}
 	}
 	anonymous := sectionedDoc("")
-	g := FilterGroup([]string{qBirdsInvolved, qWindshield}, anonymous)
-	for i, q := range []string{qBirdsInvolved, qWindshield} {
+	qs := []string{qBirdsInvolved, qWindshield}
+	g := filterGroup(qs, filterTerms(qs), anonymous)
+	for i, q := range qs {
 		if got, want := g.Reqs[i].Prompt, llm.FilterPrompt(q, "", anonymous.TextContent()); got != want {
 			t.Errorf("%q about a document with no ID is scoped:\n%s", q, got)
 		}

@@ -136,29 +136,3 @@ func merged(l, r *docmodel.Document, prefix string) *docmodel.Document {
 	}
 	return out
 }
-
-// Lookup is the §1 "data integration" convenience: enrich each document
-// from an external key→properties table (a data-warehouse dimension
-// table), left-join semantics with missing keys passed through.
-func (ds *DocSet) Lookup(field, prefix string, table map[string]docmodel.Properties) *DocSet {
-	if prefix == "" {
-		prefix = "lookup"
-	}
-	norm := make(map[string]docmodel.Properties, len(table))
-	for k, v := range table {
-		norm[strings.ToLower(strings.TrimSpace(k))] = v
-	}
-	return ds.with(stageSpec{
-		name:    fmt.Sprintf("lookup[%s]", field),
-		kind:    mapKind,
-		mutates: true, // merges looked-up properties into d
-		mapFn: func(_ *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
-			if props, ok := norm[joinKey(d, field)]; ok {
-				for k, v := range props {
-					d.SetProperty(prefix+"."+k, v)
-				}
-			}
-			return []*docmodel.Document{d}, nil
-		},
-	})
-}

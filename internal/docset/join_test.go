@@ -140,31 +140,6 @@ func TestJoinUnknownKind(t *testing.T) {
 	}
 }
 
-func TestLookupEnrichment(t *testing.T) {
-	ec := NewContext()
-	left, _ := joinFixtures(ec)
-	registry := map[string]docmodel.Properties{
-		"Cessna": {"country": "USA"},
-		"PIPER":  {"country": "USA"}, // key normalization
-	}
-	docs, err := left.Lookup("manufacturer", "reg", registry).TakeAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	enriched := 0
-	for _, d := range docs {
-		if d.Property("reg.country") == "USA" {
-			enriched++
-		}
-	}
-	if enriched != 3 { // I1, I2, I4
-		t.Errorf("lookup enriched %d docs, want 3", enriched)
-	}
-	if len(docs) != 4 {
-		t.Error("lookup must pass all docs through")
-	}
-}
-
 func TestSharedExecutesSubtreeOnce(t *testing.T) {
 	ec := NewContext()
 	left, _ := joinFixtures(ec)
@@ -172,7 +147,7 @@ func TestSharedExecutesSubtreeOnce(t *testing.T) {
 	shared := left.Map("counted", func(d *docmodel.Document) (*docmodel.Document, error) {
 		runs.Add(1)
 		return d, nil
-	}).Shared()
+	}).ShareTask().DocSet()
 
 	// A diamond: the shared subtree probes AND builds the same join.
 	docs, _, err := shared.Join(shared, "manufacturer", "manufacturer", "self", InnerJoin).

@@ -55,27 +55,15 @@ func (ds *DocSet) MaterializeMemory(cache *MemoryCache, name string) *DocSet {
 	})
 }
 
-// Shared returns a DocSet whose pipeline executes at most once and
-// replays its result to every consumer — the materialization a DAG plan
-// needs when one subtree feeds several downstream operators (a diamond),
-// so the shared prefix is not re-computed per consumer. The replayed
-// documents are marked shared: consumers with mutating stages clone at
-// their source, keeping branches isolated.
-//
-// Shared is the lazy convenience form of ShareTask: execution starts on
-// first demand. The Luna scheduler uses ShareTask directly so it can
-// start the subtree eagerly, concurrent with the branches that consume
-// it, and collect its lineage trace (which this form discards). Either
-// way the subtree's LLM usage is attributed to its own stages exactly
-// once — concurrent first-demand from two consumers cannot double-count
-// it, because attribution happens at call dispatch, not by re-tracing
-// each consumer's execution window.
-func (ds *DocSet) Shared() *DocSet {
-	return ds.ShareTask().DocSet()
-}
-
-// ShareTask wraps this DocSet as a schedulable Task whose output replays
-// to any number of consumers (see Task).
+// ShareTask wraps this DocSet as a schedulable Task whose pipeline
+// executes at most once and replays its result to every consumer (see
+// Task): the materialization a DAG plan needs when one subtree feeds
+// several downstream operators (a diamond), so the shared prefix is not
+// re-computed per consumer. The replayed documents are marked shared:
+// consumers with mutating stages clone at their source, keeping branches
+// isolated. The subtree's LLM usage is attributed to its own stages
+// exactly once, because attribution happens at call dispatch, not by
+// re-tracing each consumer's execution window.
 func (ds *DocSet) ShareTask() *Task {
 	return NewTask(fmt.Sprintf("shared[%s +%d stages]", ds.source.name, len(ds.stages)), ds)
 }

@@ -40,7 +40,7 @@ func TestRetryBackoffRecordedInTrace(t *testing.T) {
 	if len(docs) != 1 {
 		t.Fatalf("got %d docs, want the retried document", len(docs))
 	}
-	nt := trace.Node("map[flaky]")
+	nt := traceNode(trace, "map[flaky]")
 	if nt == nil {
 		t.Fatal("no trace node for map[flaky]")
 	}
@@ -79,7 +79,7 @@ func TestPartialDocsAndErrAnnotation(t *testing.T) {
 			t.Errorf("doc %s flowed out past the failure point", d.ID)
 		}
 	}
-	nt := trace.Node("map[explode]")
+	nt := traceNode(trace, "map[explode]")
 	if nt == nil {
 		t.Fatal("no trace node for map[explode]")
 	}

@@ -41,14 +41,10 @@ func NewTask(name string, ds *DocSet) *Task {
 	return &Task{name: name, ds: ds, done: make(chan struct{})}
 }
 
-// Name returns the task's display label.
-func (t *Task) Name() string { return t.name }
-
 // Start launches the subtree in its own goroutine. Idempotent: the first
 // caller's context governs the execution (later contexts only bound that
-// caller's Wait), exactly as the lazy Shared() contract always worked —
-// except the scheduler calls Start eagerly at query begin, so the subtree
-// runs concurrently with everything that does not consume it.
+// caller's Wait). The scheduler calls Start eagerly at query begin, so the
+// subtree runs concurrently with everything that does not consume it.
 func (t *Task) Start(ctx context.Context) {
 	t.mu.Lock()
 	if t.started {
@@ -89,9 +85,6 @@ func (t *Task) Join() {
 // Trace returns the subtree's lineage trace; valid only after the task
 // completed (Wait or Join returned).
 func (t *Task) Trace() *Trace { return t.trace }
-
-// Err returns the subtree's execution error; valid only after completion.
-func (t *Task) Err() error { return t.err }
 
 // DocSet returns a pipeline source that replays the task's output: it
 // waits for the subtree (starting it on first demand if the scheduler

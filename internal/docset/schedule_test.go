@@ -26,7 +26,7 @@ func scheduleDocs(n int) []*docmodel.Document {
 
 // Concurrent first-demand from many consumers must execute a shared
 // subtree exactly once, with no race on its memoized result (run under
-// -race: this is the regression test for concurrent Shared()
+// -race: this is the regression test for concurrent ShareTask
 // materialization).
 func TestConcurrentSharedMaterializesOnce(t *testing.T) {
 	ec := NewContext(WithParallelism(4))
@@ -35,7 +35,7 @@ func TestConcurrentSharedMaterializesOnce(t *testing.T) {
 		Filter("counted", func(d *docmodel.Document) (bool, error) {
 			atomic.AddInt64(&runs, 1)
 			return true, nil
-		}).Shared()
+		}).ShareTask().DocSet()
 
 	const consumers = 8
 	var wg sync.WaitGroup

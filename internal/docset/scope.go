@@ -168,20 +168,15 @@ func scopeText(sections []string, terms *termSets) (scope string, elsewhere []bo
 	return sections[0] + sb.String(), elsewhere
 }
 
-// FilterGroup is the request group the llmFilter stage over questions
-// sends for d, exposed so tests and tools see exactly what a filter asks;
-// it is not a second way to filter.
-func FilterGroup(questions []string, d *docmodel.Document) llm.Group {
-	return filterGroup(questions, filterTerms(questions), d)
-}
-
-// filterGroup is FilterGroup with the stage's terms. A question's scope is
-// d's lines (docmodel.Document.Lines) less the sections holding none of its
-// terms outside rows the model reads as negatives (llm.NegatedRow); the
-// packed prompt carries the union of the members' scopes. d is read whole
-// when it has fewer than two sections or no ID (without a DOCUMENT-ID line
-// the coin is the prompt's), and by a question with a nil set. A section
-// every question keeps already is not read further.
+// filterGroup is the request group the llmFilter stage over questions sends
+// for d; terms are the questions' term sets (filterTerms). A question's
+// scope is d's lines (docmodel.Document.Lines) less the sections holding
+// none of its terms outside rows the model reads as negatives
+// (llm.NegatedRow); the packed prompt carries the union of the members'
+// scopes. d is read whole when it has fewer than two sections or no ID
+// (without a DOCUMENT-ID line the coin is the prompt's), and by a question
+// with a nil set. A section every question keeps already is not read
+// further.
 func filterGroup(questions []string, terms *termSets, d *docmodel.Document) llm.Group {
 	lines := d.Lines()
 	sections := 1

@@ -42,9 +42,8 @@ func TestLLMExtract(t *testing.T) {
 	if out[0].Property("us_state") != "AZ" || out[1].Property("us_state") != "HI" {
 		t.Errorf("states = %q, %q", out[0].Property("us_state"), out[1].Property("us_state"))
 	}
-	wA, _ := out[0].Properties.Bool("weather_related")
-	wB, _ := out[1].Properties.Bool("weather_related")
-	if wA || !wB {
+	wA, wB := out[0].Properties["weather_related"], out[1].Properties["weather_related"]
+	if wA != false || wB != true {
 		t.Errorf("weather_related = %v, %v (want false, true)", wA, wB)
 	}
 }
@@ -81,7 +80,7 @@ func TestLLMFilterRetriesTransientFailures(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("kept %d docs", len(out))
 	}
-	nt := trace.Node("llmFilter[Does the incident involve birds?]")
+	nt := traceNode(trace, "llmFilter[Does the incident involve birds?]")
 	if nt == nil || nt.Retries == 0 {
 		t.Error("expected recorded retries under failure injection")
 	}

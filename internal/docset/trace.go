@@ -212,16 +212,6 @@ func (t *Trace) String() string {
 	return sb.String()
 }
 
-// Node returns the trace entry with the given name (nil if absent).
-func (t *Trace) Node(name string) *NodeTrace {
-	for _, n := range t.Nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // Tagged returns every trace entry compiled from the given logical plan
 // node, in pipeline order (a logical operator may lower to several
 // physical stages).

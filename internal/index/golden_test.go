@@ -8,8 +8,6 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
-	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -203,33 +201,4 @@ func TestSearchMatchesGolden(t *testing.T) {
 	checkGolden(t, "testdata/search_golden.txt", goldenSearches(store))
 	defer index.SetKernel(false)()
 	checkGolden(t, "testdata/search_golden.txt", goldenSearches(store))
-}
-
-// A snapshot carries each chunk's decoded row, and Load encodes it again:
-// for every chunk of the golden corpus that gives back the codes and the
-// multiplier the saved store held, so the loaded store answers every golden
-// search with the same hits at the same score bits.
-func TestSaveLoadKeepsEveryRowAndScore(t *testing.T) {
-	saved := goldenStore(t)
-	path := filepath.Join(t.TempDir(), "store.gob.gz")
-	if err := saved.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := index.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCodes, wantMuls := index.Rows(saved)
-	gotCodes, gotMuls := index.Rows(loaded)
-	if len(gotCodes) != len(wantCodes) || len(wantCodes) != saved.NumChunks() {
-		t.Fatalf("%d rows loaded, %d saved, %d chunks", len(gotCodes), len(wantCodes), saved.NumChunks())
-	}
-	for i := range wantCodes {
-		if !slices.Equal(gotCodes[i], wantCodes[i]) || gotMuls[i] != wantMuls[i] {
-			t.Fatalf("row %d came back as other codes (mul %v, saved %v)", i, gotMuls[i], wantMuls[i])
-		}
-	}
-	if got, want := goldenSearches(loaded), goldenSearches(saved); got != want {
-		t.Error("the loaded store ranks or scores differently from the saved one")
-	}
 }

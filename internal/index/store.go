@@ -128,19 +128,6 @@ func (s *Store) PutChunk(c Chunk) error {
 	return nil
 }
 
-// Document returns the stored parent document by ID. The returned
-// document is the store's shared immutable snapshot: read-only (Clone
-// before mutating).
-func (s *Store) Document(id string) (*docmodel.Document, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.docs[id]
-	if !ok {
-		return nil, false
-	}
-	return d, true
-}
-
 // Documents returns all parent documents in ID order, as shared read-only
 // snapshots.
 func (s *Store) Documents() []*docmodel.Document {

@@ -116,17 +116,6 @@ var kernel = simd.Available()
 // NewExact returns an empty brute-force index.
 func NewExact() *Exact { return &Exact{} }
 
-// Add indexes the direction of vec under id; vec is read, not kept. A
-// vector with a NaN or ±Inf component is an error and is not indexed.
-func (e *Exact) Add(id int, vec []float32) error {
-	r, err := encodeRow(vec)
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	e.add(id, r)
-	return nil
-}
-
 // add appends an encoded row and returns its position.
 func (e *Exact) add(id int, r row) int {
 	e.ids = append(e.ids, id)

@@ -29,11 +29,21 @@ func randomVectors(n, dim int, seed int64) [][]float32 {
 	return out
 }
 
+// addVec indexes vec under id as PutChunk does: encoded, then appended.
+func addVec(tb testing.TB, e *Exact, id int, vec []float32) {
+	tb.Helper()
+	r, err := encodeRow(vec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.add(id, r)
+}
+
 func TestExactTopKOrdering(t *testing.T) {
 	e := NewExact()
 	vecs := randomVectors(50, 16, 1)
 	for i, v := range vecs {
-		e.Add(i, v)
+		addVec(t, e, i, v)
 	}
 	q := vecs[7]
 	res := e.Search(q, 5)
@@ -83,9 +93,7 @@ func TestExactHeapSelectMatchesFullSort(t *testing.T) {
 	}
 	e := NewExact()
 	for i, v := range vecs {
-		if err := e.Add(i, v); err != nil {
-			t.Fatal(err)
-		}
+		addVec(t, e, i, v)
 	}
 	for _, q := range randomVectors(10, dim, 12) {
 		all := make([]Scored, len(vecs))
@@ -164,9 +172,7 @@ func testScanMatchesDot(t *testing.T) {
 		}
 		e := NewExact()
 		for i, v := range vecs {
-			if err := e.Add(i, v); err != nil {
-				t.Fatal(err)
-			}
+			addVec(t, e, i, v)
 		}
 		want := make([]Scored, n)
 		for i, v := range vecs {
@@ -207,13 +213,9 @@ func testScanSplitInvariant(t *testing.T) {
 	vecs := randomVectors(8*rowsPerWorker+5, dim, 41)
 	forward, backward := NewExact(), NewExact()
 	for i := range vecs {
-		if err := forward.Add(i, vecs[i]); err != nil {
-			t.Fatal(err)
-		}
+		addVec(t, forward, i, vecs[i])
 		j := len(vecs) - 1 - i
-		if err := backward.Add(j, vecs[j]); err != nil {
-			t.Fatal(err)
-		}
+		addVec(t, backward, j, vecs[j])
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, q := range randomVectors(3, dim, 42) {
@@ -329,9 +331,6 @@ func TestNonFiniteVectorIsAnError(t *testing.T) {
 		if err := s.PutChunk(Chunk{ID: "bad", ParentID: "d", Text: "engine", Vector: vec}); err == nil {
 			t.Errorf("PutChunk indexed %v", vec)
 		}
-		if err := s.vec.Add(9, vec); err == nil {
-			t.Errorf("Exact.Add indexed %v", vec)
-		}
 	}
 	if s.NumChunks() != 1 || len(s.vec.rows) != 1 || len(s.SearchChunks(Query{Keyword: "engine"})) != 1 {
 		t.Errorf("a refused chunk left something behind: %d chunks, %d rows", s.NumChunks(), len(s.vec.rows))
@@ -392,9 +391,7 @@ func BenchmarkExactSearch(b *testing.B) {
 		if i == n {
 			break // the last draw is the query
 		}
-		if err := e.Add(i, vec); err != nil {
-			b.Fatal(err)
-		}
+		addVec(b, e, i, vec)
 	}
 	bytesPerRow := float64(liveHeap()-base) / n
 	procs := runtime.GOMAXPROCS(0)
@@ -446,17 +443,17 @@ func TestBM25HeapSelectMatchesFullSort(t *testing.T) {
 }
 
 // TestExactNormalizationPreservesCosine checks that indexing non-unit
-// vectors still ranks by true cosine similarity (Add normalizes copies,
-// never the caller's slice).
+// vectors still ranks by true cosine similarity (encoding normalizes
+// copies, never the caller's slice).
 func TestExactNormalizationPreservesCosine(t *testing.T) {
 	e := NewExact()
 	raw := []float32{3, 4, 0, 0}
 	rawCopy := append([]float32(nil), raw...)
-	e.Add(0, raw)
-	e.Add(1, []float32{0, 0, 5, 0})
+	addVec(t, e, 0, raw)
+	addVec(t, e, 1, []float32{0, 0, 5, 0})
 	for i := range raw {
 		if raw[i] != rawCopy[i] {
-			t.Fatal("Add must not mutate the caller's vector")
+			t.Fatal("indexing must not mutate the caller's vector")
 		}
 	}
 	res := e.Search([]float32{6, 8, 0, 0}, 2)

@@ -2,16 +2,9 @@ package layout
 
 import (
 	"fmt"
-	"strings"
 
 	"aryn/internal/vision"
 )
-
-// ServiceResult is one Table 1 row.
-type ServiceResult struct {
-	Service string
-	Result  Result
-}
 
 // EvaluateSegmenter runs a segmenter over every page of the corpus and
 // scores it against the ground truth.
@@ -43,25 +36,4 @@ func Table1Services(seed int64) []vision.Segmenter {
 		vision.NewModel("Unstructured (YoloX)", seed, vision.ProfileUnstructured()),
 		vision.NewModel("Azure AI Document Intelligence", seed, vision.ProfileAzure()),
 	}
-}
-
-// RunTable1 regenerates Table 1: segmentation performance of the four
-// services on the synthetic DocLayNet-style benchmark.
-func RunTable1(nDocs int, seed int64) []ServiceResult {
-	corpus := GenerateCorpus(nDocs, seed)
-	var out []ServiceResult
-	for _, seg := range Table1Services(seed + 1) {
-		out = append(out, ServiceResult{Service: seg.Name(), Result: EvaluateSegmenter(corpus, seg)})
-	}
-	return out
-}
-
-// FormatTable1 renders results in the paper's Table 1 layout.
-func FormatTable1(results []ServiceResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-34s %8s %8s\n", "Service", "mAP", "mAR")
-	for _, r := range results {
-		fmt.Fprintf(&sb, "%-34s %8.3f %8.3f\n", r.Service, r.Result.MAP, r.Result.MAR)
-	}
-	return sb.String()
 }

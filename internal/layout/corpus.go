@@ -140,15 +140,6 @@ func GenerateCorpus(n int, seed int64) *Corpus {
 	return c
 }
 
-// Pages reports the total page count.
-func (c *Corpus) Pages() int {
-	n := 0
-	for _, d := range c.Docs {
-		n += len(d.Pages)
-	}
-	return n
-}
-
 // GroundTruths flattens every document's regions into evaluation records.
 func (c *Corpus) GroundTruths() []GroundTruth {
 	var out []GroundTruth

@@ -138,9 +138,6 @@ func TestUsageTotalAndClamp(t *testing.T) {
 	if u.Total() != 15 {
 		t.Errorf("Total = %d", u.Total())
 	}
-	if clamp01(-1) != 0 || clamp01(2) != 1 || clamp01(0.5) != 0.5 {
-		t.Error("clamp01 broken")
-	}
 }
 
 // negatedRowSplit is NegatedRow as the split-and-lower it replaced: the

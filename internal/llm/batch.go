@@ -197,14 +197,6 @@ func (b *Batcher) lingerFlush(gen uint64) {
 	b.dispatch(batch)
 }
 
-// Flush dispatches any pending requests immediately (shutdown hook).
-func (b *Batcher) Flush() {
-	b.mu.Lock()
-	batch := b.takeLocked()
-	b.mu.Unlock()
-	b.dispatch(batch)
-}
-
 // dispatch sends one batch upstream and fans results back to the waiters.
 // Requests whose caller's context is already done are dropped first: a
 // cancelled query that had a window of documents queued pays for none of

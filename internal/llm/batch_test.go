@@ -288,7 +288,7 @@ func TestBatcherDropsCancelledWaiters(t *testing.T) {
 	// sent upstream.
 	upstream := NewStack(scripted, WithBatching(1, 0))
 	gate := make(chan struct{})
-	// Only Flush can deliver the queued requests: no size or linger flush.
+	// Only the test dispatches the queued requests: no size or linger flush.
 	b := NewBatcher(gatedClient{Client: upstream, gate: gate}, WithMaxBatch(8), WithLinger(time.Hour))
 
 	occupied := make(chan struct{})
@@ -331,7 +331,11 @@ func TestBatcherDropsCancelledWaiters(t *testing.T) {
 			t.Errorf("cancelled waiter got (%q, %v), want context.Canceled", o.resp.Text, o.err)
 		}
 	}
-	b.Flush()
+	// Dispatch what is queued, as a size or linger flush would.
+	b.mu.Lock()
+	batch := b.takeLocked()
+	b.mu.Unlock()
+	b.dispatch(batch)
 	if o := <-live; o.err != nil || o.resp.Text != "answer" {
 		t.Errorf("live waiter got (%q, %v), want the model's answer", o.resp.Text, o.err)
 	}

@@ -409,13 +409,6 @@ func (c *Cache) FlightStats() FlightStats {
 	return c.flight
 }
 
-// Len returns the resident entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Purge drops every resident entry, returning how many were dropped —
 // the "kill the cache mid-run" chaos hook. Hit/miss/eviction counters
 // survive (a purge is an operational event, not a stats reset), so
@@ -436,8 +429,8 @@ type persistedCache struct {
 	Responses []Response
 }
 
-// Save writes the cache contents to path so a later process can warm-start
-// (the disk sibling of index/persist.go). Stats are not persisted.
+// Save writes the cache contents to path so a later process can
+// warm-start. Stats are not persisted.
 func (c *Cache) Save(path string) error {
 	c.mu.Lock()
 	snap := persistedCache{

@@ -133,8 +133,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if st := cache.Stats(); st.Evictions < 1 {
 		t.Errorf("evictions = %d, want >= 1", st.Evictions)
 	}
-	if cache.Len() != 2 {
-		t.Errorf("resident entries = %d, want 2", cache.Len())
+	if cache.Stats().Entries != 2 {
+		t.Errorf("resident entries = %d, want 2", cache.Stats().Entries)
 	}
 }
 
@@ -171,8 +171,8 @@ func TestCachePersistence(t *testing.T) {
 	if err := warm.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Len() != 5 {
-		t.Fatalf("loaded %d entries, want 5", warm.Len())
+	if warm.Stats().Entries != 5 {
+		t.Fatalf("loaded %d entries, want 5", warm.Stats().Entries)
 	}
 	resp, err := warm.Complete(ctx, Request{Prompt: "p3"})
 	if err != nil {
@@ -257,8 +257,8 @@ func FuzzCacheLoad(f *testing.F) {
 				want[snap.Keys[i]] = snap.Responses[i]
 			}
 		}
-		if cache.Len() != len(want) {
-			t.Fatalf("%d entries resident, want the snapshot's %d keys", cache.Len(), len(want))
+		if cache.Stats().Entries != len(want) {
+			t.Fatalf("%d entries resident, want the snapshot's %d keys", cache.Stats().Entries, len(want))
 		}
 		for k, resp := range want {
 			el, ok := cache.entries[k]
@@ -305,7 +305,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	if st.Hits+st.Misses != 16*50 {
 		t.Errorf("lookups = %d, want %d", st.Hits+st.Misses, 16*50)
 	}
-	if cache.Len() > 8 {
-		t.Errorf("resident entries = %d, want <= 8", cache.Len())
+	if cache.Stats().Entries > 8 {
+		t.Errorf("resident entries = %d, want <= 8", cache.Stats().Entries)
 	}
 }

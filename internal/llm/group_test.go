@@ -312,8 +312,8 @@ func TestGroupFailedPackedCall(t *testing.T) {
 	if _, err := cache.CompleteGroup(context.Background(), g); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the upstream error", err)
 	}
-	if cache.Len() != 0 {
-		t.Errorf("failed call left %d entries", cache.Len())
+	if cache.Stats().Entries != 0 {
+		t.Errorf("failed call left %d entries", cache.Stats().Entries)
 	}
 
 	// Leader cancelled mid-flight: the follower asks again and succeeds.
@@ -355,8 +355,8 @@ func TestGroupGarbledPackedReply(t *testing.T) {
 	if _, err := cache.CompleteGroup(context.Background(), g); !errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
-	if cache.Len() != 0 {
-		t.Errorf("garbled reply left %d entries", cache.Len())
+	if cache.Stats().Entries != 0 {
+		t.Errorf("garbled reply left %d entries", cache.Stats().Entries)
 	}
 }
 

@@ -3,10 +3,12 @@ package llm_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"slices"
 	"testing"
 
 	"aryn/internal/core"
+	"aryn/internal/docmodel"
 	"aryn/internal/docset"
 	"aryn/internal/index"
 	"aryn/internal/llm"
@@ -24,13 +26,40 @@ var mixQuestions = []string{
 	"Does the report mention birds?",
 }
 
+// stageGroup is a model client that keeps the request group the llmFilter
+// stage hands it and answers none of it, so the document passes.
+type stageGroup struct{ g llm.Group }
+
+func (s *stageGroup) Name() string { return "stage-group" }
+
+func (s *stageGroup) Complete(context.Context, llm.Request) (llm.Response, error) {
+	return llm.Response{}, errors.New("stageGroup takes request groups only")
+}
+
+func (s *stageGroup) CompleteGroup(_ context.Context, g llm.Group) ([]llm.Response, error) {
+	s.g = g
+	return make([]llm.Response, len(g.Reqs)), nil
+}
+
+// filterGroupOf returns the request group the llmFilter stage over
+// questions sends for d.
+func filterGroupOf(t testing.TB, questions []string, d *docmodel.Document) llm.Group {
+	t.Helper()
+	rec := &stageGroup{}
+	ec := docset.NewContext(docset.WithLLM(rec))
+	if _, err := docset.FromDocuments(ec, []*docmodel.Document{d}).LLMFilter(questions...).TakeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return rec.g
+}
+
 // TestSimPackedRepliesMatchSolo pins the packed prompt's modelling
 // assumption on the benchmark corpus: for every report and every subset of
 // two or three of the filter questions the 30 benchmark questions and the
 // optimizer mix ask, each line of the Sim's packed reply is its reply to
 // that question's solo prompt — the packed prompt reading the union of the
 // sections its questions are about, each solo prompt its own question's
-// (docset.FilterGroup) — including where the solo reply is a draw of the
+// (docset's llmFilter stage) — including where the solo reply is a draw of the
 // per-question rng, of which the corpus must hold at least one.
 func TestSimPackedRepliesMatchSolo(t *testing.T) {
 	ctx := context.Background()
@@ -101,7 +130,7 @@ func TestSimPackedRepliesMatchSolo(t *testing.T) {
 		solo := map[string]string{}
 		drawn := map[string]bool{}
 		for _, q := range questions {
-			req := docset.FilterGroup([]string{q}, hit.Doc).Reqs[0]
+			req := filterGroupOf(t, []string{q}, hit.Doc).Reqs[0]
 			resp, err := sim.Complete(ctx, req)
 			if err != nil {
 				t.Fatal(err)
@@ -114,7 +143,7 @@ func TestSimPackedRepliesMatchSolo(t *testing.T) {
 			}
 		}
 		for _, subset := range subsets {
-			g := docset.FilterGroup(subset, hit.Doc)
+			g := filterGroupOf(t, subset, hit.Doc)
 			members := make([]int, len(subset))
 			for i := range members {
 				members[i] = i

@@ -88,8 +88,8 @@ func TestCachePurge(t *testing.T) {
 	if n := c.Purge(); n != 1 {
 		t.Fatalf("Purge dropped %d entries, want 1", n)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("cache still holds %d entries after Purge", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Fatalf("cache still holds %d entries after Purge", c.Stats().Entries)
 	}
 	resp, err := c.Complete(ctx, req)
 	if err != nil {

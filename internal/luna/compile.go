@@ -97,7 +97,7 @@ func (e *Executor) lower(ec *docset.Context, plan *LogicalPlan) (*lowered, error
 
 	sets := map[string]*docset.DocSet{}
 	// Fan-out counts: a node consumed by several downstream operators (a
-	// diamond) is materialized with Shared() so its subtree executes once,
+	// diamond) is materialized with ShareTask so its subtree executes once,
 	// not once per consumer.
 	fanout := map[string]int{}
 	for _, n := range plan.Nodes {

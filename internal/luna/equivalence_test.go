@@ -537,7 +537,7 @@ func TestObservationsSkipErroredRuns(t *testing.T) {
 	if _, err := svc.RunPlan(ctx, "cancelled", plan); err == nil {
 		t.Skip("cancelled run unexpectedly succeeded")
 	}
-	if n := feedback.Len(); n != 0 {
+	if n := feedback.Stats().Entries; n != 0 {
 		t.Errorf("errored run recorded %d signatures", n)
 	}
 }

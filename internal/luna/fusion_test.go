@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"aryn/internal/cost"
+	"aryn/internal/docmodel"
 	"aryn/internal/docset"
 	"aryn/internal/index"
 	"aryn/internal/llm"
@@ -287,11 +288,38 @@ func fusionSlack(t *testing.T, optimized *LogicalPlan, store *index.Store) int {
 			members[i] = i
 		}
 		for _, hit := range store.SearchDocs(index.Query{}) {
-			g := docset.FilterGroup(n.Questions, hit.Doc)
+			g := filterGroupOf(t, n.Questions, hit.Doc)
 			slack += llm.CountTokens(g.Pack(members).Prompt) - llm.CountTokens(g.Reqs[0].Prompt)
 		}
 	}
 	return slack
+}
+
+// stageGroup is a model client that keeps the request group the llmFilter
+// stage hands it and answers none of it, so the document passes.
+type stageGroup struct{ g llm.Group }
+
+func (s *stageGroup) Name() string { return "stage-group" }
+
+func (s *stageGroup) Complete(context.Context, llm.Request) (llm.Response, error) {
+	return llm.Response{}, errors.New("stageGroup takes request groups only")
+}
+
+func (s *stageGroup) CompleteGroup(_ context.Context, g llm.Group) ([]llm.Response, error) {
+	s.g = g
+	return make([]llm.Response, len(g.Reqs)), nil
+}
+
+// filterGroupOf returns the request group the llmFilter stage over
+// questions sends for d.
+func filterGroupOf(t testing.TB, questions []string, d *docmodel.Document) llm.Group {
+	t.Helper()
+	rec := &stageGroup{}
+	ec := docset.NewContext(docset.WithLLM(rec))
+	if _, err := docset.FromDocuments(ec, []*docmodel.Document{d}).LLMFilter(questions...).TakeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return rec.g
 }
 
 // TestFusionCostBound tests the bound rather than arguing it: over the

@@ -492,14 +492,24 @@ func TestConversationFollowUpReferringWords(t *testing.T) {
 	}
 }
 
+// fieldTypes maps each field of the schema to its type.
+func fieldTypes(s Schema) map[string]string {
+	types := map[string]string{}
+	for _, f := range s.Fields {
+		types[f.Name] = f.Type
+	}
+	return types
+}
+
 func TestSchemaInferAndPromptRoundTrip(t *testing.T) {
 	_, store := executorFixture(t)
 	schema := InferSchema(store)
-	if schema.Field("us_state") == nil || schema.Field("engines") == nil {
+	types := fieldTypes(schema)
+	if types["us_state"] == "" || types["engines"] == "" {
 		t.Fatalf("schema = %+v", schema)
 	}
-	if schema.Field("engines").Type != "int" {
-		t.Errorf("engines type = %s", schema.Field("engines").Type)
+	if types["engines"] != "int" {
+		t.Errorf("engines type = %s", types["engines"])
 	}
 	prompt := BuildPlanPrompt(schema, "How many?")
 	back := parseSchemaBlock(prompt)
@@ -591,9 +601,9 @@ func TestSchemaTypeInference(t *testing.T) {
 	if err := store.PutDocument(d2); err != nil {
 		t.Fatal(err)
 	}
-	schema := InferSchema(store)
+	types := fieldTypes(InferSchema(store))
 	for field, want := range map[string]string{"i": "string", "f": "float", "b": "bool", "s": "string"} {
-		if got := schema.Field(field).Type; got != want {
+		if got := types[field]; got != want {
 			t.Errorf("type(%s) = %s, want %s", field, got, want)
 		}
 	}

@@ -25,16 +25,6 @@ type Schema struct {
 	Fields []SchemaField `json:"fields"`
 }
 
-// Field returns the named field (nil if absent).
-func (s Schema) Field(name string) *SchemaField {
-	for i := range s.Fields {
-		if s.Fields[i].Name == name {
-			return &s.Fields[i]
-		}
-	}
-	return nil
-}
-
 // InferSchema derives the schema from the documents stored in the index:
 // every property name with its observed type and up to three sample
 // values, alphabetically ordered. It only reads, so it runs over the

@@ -69,9 +69,6 @@ type Incident struct {
 // Month returns the incident's month name (e.g. "July").
 func (in *Incident) Month() string { return in.Date.Month().String() }
 
-// Year returns the incident's calendar year.
-func (in *Incident) Year() int { return in.Date.Year() }
-
 // aircraft types: manufacturer, model, category, engines, engine type.
 type acType struct {
 	mfr, model, category, engineType string

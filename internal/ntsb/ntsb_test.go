@@ -1,6 +1,7 @@
 package ntsb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -148,8 +149,8 @@ func TestReportDeterministic(t *testing.T) {
 	incs := GenerateIncidents(5, 42)
 	a := BuildReport(&incs[0])
 	b := BuildReport(&incs[0])
-	if a.Stats() != b.Stats() {
-		t.Errorf("report build not deterministic: %s vs %s", a.Stats(), b.Stats())
+	if !reflect.DeepEqual(a, b) {
+		t.Error("report build not deterministic")
 	}
 }
 
@@ -173,12 +174,6 @@ func TestCorpusBlobsRoundTrip(t *testing.T) {
 		if d.ID != id {
 			t.Errorf("blob id mismatch: %s vs %s", d.ID, id)
 		}
-	}
-	if _, ok := c.GroundTruth(c.Incidents[3].ReportID); !ok {
-		t.Error("GroundTruth lookup failed")
-	}
-	if _, ok := c.GroundTruth("nope"); ok {
-		t.Error("GroundTruth should miss unknown id")
 	}
 }
 

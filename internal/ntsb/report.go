@@ -346,15 +346,5 @@ func (c *Corpus) Blobs() (map[string][]byte, error) {
 	return out, nil
 }
 
-// GroundTruth returns the incident record for a report ID.
-func (c *Corpus) GroundTruth(reportID string) (*Incident, bool) {
-	for i := range c.Incidents {
-		if c.Incidents[i].ReportID == reportID {
-			return &c.Incidents[i], true
-		}
-	}
-	return nil, false
-}
-
 // StateAbbrev returns the incident's USPS state code.
 func (in *Incident) StateAbbrev() string { return llm.StateAbbrev(in.State) }

@@ -48,13 +48,15 @@ type Response struct {
 
 // Answer runs one question through the pipeline.
 func (p *Pipeline) Answer(ctx context.Context, question string) (*Response, error) {
-	if p.K <= 0 {
-		p.K = 100
+	// Concurrent requests share p, so the default is not written back.
+	k := p.K
+	if k <= 0 {
+		k = 100
 	}
 	vec := p.Embedder.Embed(question)
 	// SearchChunks hits are read-only store snapshots; the loop below only
 	// reads chunk text, so the zero-clone path is safe here.
-	hits := p.Store.SearchChunks(index.Query{Vector: vec, K: p.K})
+	hits := p.Store.SearchChunks(index.Query{Vector: vec, K: k})
 	chunks := make([]llm.RAGChunk, 0, len(hits))
 	poisoned := 0
 	for _, h := range hits {

@@ -2,7 +2,9 @@ package rag
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"aryn/internal/docmodel"
@@ -86,14 +88,40 @@ func TestAnswerUsageAccounted(t *testing.T) {
 	}
 }
 
+// TestKDefaulting: a pipeline with no K retrieves 100 chunks, and it does
+// so without writing to the pipeline, which concurrent /v1/query rag
+// requests share (run under -race: make test).
 func TestKDefaulting(t *testing.T) {
-	p := fixture(t)
-	p.K = 0
-	if _, err := p.Answer(context.Background(), "anything at all"); err != nil {
+	store := index.NewStore()
+	em := embed.NewHash(1)
+	if err := store.PutDocument(docmodel.New("D")); err != nil {
 		t.Fatal(err)
 	}
-	if p.K != 100 {
-		t.Errorf("K should default to 100, got %d", p.K)
+	for i := range 120 {
+		text := fmt.Sprintf("chunk %d about engine power", i)
+		if err := store.PutChunk(index.Chunk{ID: fmt.Sprint("D-", i), ParentID: "D", Text: text, Vector: em.Embed(text)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := &Pipeline{Store: store, Client: llm.NewSim(1), Embedder: em}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := p.Answer(context.Background(), "Which incidents lost engine power?")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if resp.Retrieved != 100 {
+				t.Errorf("retrieved %d chunks, want the default 100", resp.Retrieved)
+			}
+		}()
+	}
+	wg.Wait()
+	if p.K != 0 {
+		t.Errorf("Answer wrote K = %d into the shared pipeline", p.K)
 	}
 }
 

@@ -60,9 +60,6 @@ func (b *Builder) SetFurniture(header, footer string) {
 	b.footer = footer
 }
 
-// Meta records producer metadata on the document.
-func (b *Builder) Meta(key, value string) { b.doc.Meta[key] = value }
-
 // Doc finalizes and returns the built document.
 func (b *Builder) Doc() *Doc { return b.doc }
 

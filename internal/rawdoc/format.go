@@ -384,15 +384,6 @@ func (r *reader) image() ImageBlob {
 	return ImageBlob{Box: r.box(), Format: r.str(), Width: r.int(), Height: r.int(), Desc: r.str()}
 }
 
-// Stats summarizes a document for logging.
-func (d *Doc) Stats() string {
-	runs := 0
-	for _, p := range d.Pages {
-		runs += len(p.Runs)
-	}
-	return fmt.Sprintf("doc %s: %d pages, %d runs, %d gt-regions", d.ID, len(d.Pages), runs, len(d.Regions))
-}
-
 // CharWidth approximates the rendered advance width of one character at the
 // given font size. The layout engine and the OCR/text extractors share this
 // metric so geometry round-trips.

@@ -99,7 +99,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, d) {
-		t.Errorf("round trip mismatch: %s vs %s", got.Stats(), d.Stats())
+		t.Errorf("round trip mismatch: %d pages, %d regions; want %d, %d", len(got.Pages), len(got.Regions), len(d.Pages), len(d.Regions))
 	}
 
 	// Meta is written in key order, so map iteration cannot change the

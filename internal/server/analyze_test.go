@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"aryn/internal/server/api"
 )
 
 // executedPlanShape is the EXPLAIN ANALYZE wire format both /plan
@@ -35,8 +37,8 @@ func TestPlanAnalyzeExecutesWithoutAnswer(t *testing.T) {
 	plan := json.RawMessage(`{"nodes":[
 		{"id":"n1","op":"queryDatabase"},
 		{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`)
-	var out PlanResponse
-	resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Plan: plan, Analyze: true}, &out)
+	var out api.PlanResponse
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Plan: plan, Analyze: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze status = %d", resp.StatusCode)
 	}
@@ -62,12 +64,12 @@ func TestPlanAnalyzeExecutesWithoutAnswer(t *testing.T) {
 		t.Errorf("exec summary missing: %s", out.Plan.Executed)
 	}
 
-	// No answer payload: PlanResponse has no answer field by shape; make
+	// No answer payload: api.PlanResponse has no answer field by shape; make
 	// sure the raw body does not smuggle one in either.
 	raw := struct {
 		Answer *string `json:"answer"`
 	}{}
-	resp2 := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Plan: plan, Analyze: true}, &raw)
+	resp2 := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Plan: plan, Analyze: true}, &raw)
 	if resp2.StatusCode != http.StatusOK || raw.Answer != nil {
 		t.Errorf("analyze must not return an answer payload (got %v)", raw.Answer)
 	}
@@ -76,9 +78,9 @@ func TestPlanAnalyzeExecutesWithoutAnswer(t *testing.T) {
 // analyze with a question runs the planner and then executes.
 func TestPlanAnalyzeQuestion(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	var out PlanResponse
+	var out api.PlanResponse
 	resp := postJSON(t, ts.URL+"/v1/plan",
-		PlanRequest{Question: "How many incidents were there?", Analyze: true}, &out)
+		api.PlanRequest{Question: "How many incidents were there?", Analyze: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze status = %d", resp.StatusCode)
 	}
@@ -94,8 +96,8 @@ func TestPlanAnalyzeInvalidPlan400(t *testing.T) {
 	bad := json.RawMessage(`{"nodes":[
 		{"id":"n1","op":"queryDatabase","filters":[{"field":"hallucinated","kind":"term","value":1}]}],
 		"output":"n1"}`)
-	var errOut errorResponse
-	resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Plan: bad, Analyze: true}, &errOut)
+	var errOut api.ErrorEnvelope
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Plan: bad, Analyze: true}, &errOut)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("analyze(bad plan) status = %d, want 400", resp.StatusCode)
 	}
@@ -108,9 +110,9 @@ func TestPlanAnalyzeInvalidPlan400(t *testing.T) {
 // original/rewritten/compiled.
 func TestQueryIncludePlanReturnsExecuted(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	var out QueryResponse
+	var out api.QueryResponse
 	resp := postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Question: "How many incidents were there?", IncludePlan: true}, &out)
+		api.QueryRequest{Question: "How many incidents were there?", IncludePlan: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d", resp.StatusCode)
 	}

@@ -6,12 +6,13 @@ import (
 	"time"
 
 	"aryn/internal/resilience"
+	"aryn/internal/server/api"
 )
 
 // handleChat serves POST /v1/chat: one turn of a stateful conversation
 // (session.go owns the sessions).
 func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
-	var req ChatRequest
+	var req api.ChatRequest
 	if !s.decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
@@ -58,7 +59,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 			// answer once the backend recovers.
 			answer, _ := s.sys.RetrievalOnly(req.Question, 5)
 			s.degradedServed.Add(1)
-			s.writeJSON(w, http.StatusOK, ChatResponse{
+			s.writeJSON(w, http.StatusOK, api.ChatResponse{
 				TraceID:        traceFrom(r.Context()),
 				SessionID:      sess.id,
 				Turn:           turn,
@@ -78,7 +79,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, statusOf(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ChatResponse{
+	s.writeJSON(w, http.StatusOK, api.ChatResponse{
 		TraceID:   traceFrom(r.Context()),
 		SessionID: sess.id,
 		Turn:      turn,

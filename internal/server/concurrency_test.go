@@ -133,8 +133,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			<-start
 			sessionID := ""
 			for turn := 1; turn <= turns; turn++ {
-				var out ChatResponse
-				if !do(t, ChatRequest{SessionID: sessionID, Question: chatScript[turn-1]}, "/chat", &out, false) {
+				var out api.ChatResponse
+				if !do(t, api.ChatRequest{SessionID: sessionID, Question: chatScript[turn-1]}, "/chat", &out, false) {
 					return
 				}
 				if turn == 1 {
@@ -167,8 +167,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			<-start
 			for i := 0; i < turns; i++ {
 				q := queryQuestions[(c+i)%len(queryQuestions)]
-				var out QueryResponse
-				if !do(t, QueryRequest{Question: q}, "/query", &out, c >= queryClients) {
+				var out api.QueryResponse
+				if !do(t, api.QueryRequest{Question: q}, "/query", &out, c >= queryClients) {
 					return
 				}
 				if out.Answer == "" {
@@ -185,7 +185,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	// same IDs, so every answer stays comparable while the store takes
 	// writes beside the reads.
 	var acc api.JobAccepted
-	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 10, Seed: 42}, &acc); resp.StatusCode != http.StatusAccepted {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 10, Seed: 42}, &acc); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest status = %d", resp.StatusCode)
 	}
 	wg.Wait()
@@ -207,7 +207,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}
 	}
 
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Gate.Shed == 0 {
 		t.Error("36 clients against 4 slots + 8 waiters should shed at least once")

@@ -56,8 +56,8 @@ func TestDegradedModeServing(t *testing.T) {
 	url, _ := degradedHarness(t)
 
 	// Script a total outage longer than the test could ever run.
-	var fs FaultStateResponse
-	resp := postJSON(t, url+"/v1/faults", FaultControlRequest{
+	var fs api.FaultStateResponse
+	resp := postJSON(t, url+"/v1/faults", api.FaultControlRequest{
 		Spec: &fault.Spec{Seed: 11, Outages: []fault.Window{{StartMS: 0, EndMS: 600_000}}},
 	}, &fs)
 	if resp.StatusCode != http.StatusOK || !fs.Active {
@@ -69,8 +69,8 @@ func TestDegradedModeServing(t *testing.T) {
 	// failure threshold.
 	expectNoQueryGoroutines(t, func() {
 		for i := 0; i < 7; i++ {
-			var out QueryResponse
-			resp := postJSON(t, url+"/v1/query", QueryRequest{Question: degradedQuestion()}, &out)
+			var out api.QueryResponse
+			resp := postJSON(t, url+"/v1/query", api.QueryRequest{Question: degradedQuestion()}, &out)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("query %d during outage: status %d, want 200 (degraded)", i, resp.StatusCode)
 			}
@@ -91,7 +91,7 @@ func TestDegradedModeServing(t *testing.T) {
 	if health["status"] != "degraded" {
 		t.Errorf("healthz status = %v, want degraded", health["status"])
 	}
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, url+"/v1/stats", &stats)
 	if !stats.Degraded || stats.DegradedServed < 7 {
 		t.Errorf("stats degraded=%v served=%d, want degraded with ≥7 served", stats.Degraded, stats.DegradedServed)
@@ -112,16 +112,16 @@ func TestDegradedModeServing(t *testing.T) {
 // undegraded and /healthz is back to ok.
 func recoverFromFaults(t *testing.T, url string) {
 	t.Helper()
-	var fs FaultStateResponse
-	postJSON(t, url+"/v1/faults", FaultControlRequest{Clear: true}, &fs)
+	var fs api.FaultStateResponse
+	postJSON(t, url+"/v1/faults", api.FaultControlRequest{Clear: true}, &fs)
 	if fs.Active {
 		t.Fatalf("injector still active after clear: %+v", fs)
 	}
 	probe := 150 * time.Millisecond
 	deadline := time.Now().Add(2*probe + 10*time.Second)
 	for {
-		var out QueryResponse
-		resp := postJSON(t, url+"/v1/query", QueryRequest{Question: degradedQuestion()}, &out)
+		var out api.QueryResponse
+		resp := postJSON(t, url+"/v1/query", api.QueryRequest{Question: degradedQuestion()}, &out)
 		if resp.StatusCode == http.StatusOK && !out.Degraded {
 			break
 		}
@@ -145,7 +145,7 @@ func recoverFromFaults(t *testing.T, url string) {
 // recovers once the fault clears.
 func TestFaultContracts(t *testing.T) {
 	setFaults := func(t *testing.T, url string, spec fault.Spec) {
-		if resp := postJSON(t, url+"/v1/faults", FaultControlRequest{Spec: &spec}, nil); resp.StatusCode != http.StatusOK {
+		if resp := postJSON(t, url+"/v1/faults", api.FaultControlRequest{Spec: &spec}, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("fault activation status = %d", resp.StatusCode)
 		}
 	}
@@ -158,7 +158,7 @@ func TestFaultContracts(t *testing.T) {
 			setFaults(t, url, fault.Spec{Seed: 13, ErrorRate: 0.35, RetryAfterMS: 5, LatencyMS: 10, LatencyRate: 0.2})
 			deadline := time.Now().Add(10 * time.Second)
 			for {
-				var stats StatsResponse
+				var stats api.StatsResponse
 				getJSON(t, url+"/v1/stats", &stats)
 				if stats.Resilience != nil && stats.Resilience.Retries > 0 {
 					return
@@ -172,14 +172,14 @@ func TestFaultContracts(t *testing.T) {
 		// Losing the LLM cache is a latency event, not a correctness event.
 		{"cache purge", func(t *testing.T, url string) {
 			q := degradedQuestion()
-			var first, second QueryResponse
-			postJSON(t, url+"/v1/query", QueryRequest{Question: q}, &first)
-			var fs FaultStateResponse
-			postJSON(t, url+"/v1/faults", FaultControlRequest{PurgeLLMCache: true}, &fs)
+			var first, second api.QueryResponse
+			postJSON(t, url+"/v1/query", api.QueryRequest{Question: q}, &first)
+			var fs api.FaultStateResponse
+			postJSON(t, url+"/v1/faults", api.FaultControlRequest{PurgeLLMCache: true}, &fs)
 			if fs.PurgedCacheEntries == 0 {
 				t.Error("purge_llm_cache after uncached queries dropped 0 entries")
 			}
-			postJSON(t, url+"/v1/query", QueryRequest{Question: q}, &second)
+			postJSON(t, url+"/v1/query", api.QueryRequest{Question: q}, &second)
 			if first.Degraded || second.Degraded || first.Answer != second.Answer {
 				t.Errorf("answer across a cache purge: %q (degraded %v) → %q (degraded %v)",
 					first.Answer, first.Degraded, second.Answer, second.Degraded)
@@ -189,7 +189,7 @@ func TestFaultContracts(t *testing.T) {
 		{"ingest under stage faults", func(t *testing.T, url string) {
 			setFaults(t, url, fault.Spec{Seed: 17, OpErrorRate: 0.25, OpLatencyMS: 2})
 			var acc api.JobAccepted
-			if resp := postJSON(t, url+"/v1/ingest", IngestRequest{Docs: 3, Seed: 50_001}, &acc); resp.StatusCode != http.StatusAccepted {
+			if resp := postJSON(t, url+"/v1/ingest", api.IngestRequest{Docs: 3, Seed: 50_001}, &acc); resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("ingest status = %d", resp.StatusCode)
 			}
 			resp := sseOpen(t, context.Background(), "GET", url+acc.Location, nil)
@@ -204,7 +204,7 @@ func TestFaultContracts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			url, _ := degradedHarness(t)
-			getJSON(t, url+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+			getJSON(t, url+"/v1/stats", &api.StatsResponse{}) // warm the client and the listener
 			expectNoQueryGoroutines(t, func() {
 				defer queryBeside(t, url, 3)() // stopped before the server closes, even on a failed case
 				tc.run(t, url)
@@ -225,13 +225,13 @@ func queryBeside(t *testing.T, url string, n int) (stop func()) {
 		go func() {
 			defer wg.Done()
 			for {
-				body, _ := json.Marshal(QueryRequest{Question: degradedQuestion()})
+				body, _ := json.Marshal(api.QueryRequest{Question: degradedQuestion()})
 				resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				var out QueryResponse
+				var out api.QueryResponse
 				err = json.NewDecoder(resp.Body).Decode(&out)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK || err != nil || out.Answer == "" {
@@ -270,8 +270,8 @@ func TestFaultsEndpointAbsentByDefault(t *testing.T) {
 // into a 504, not a hang.
 func TestQueryTimeoutBudget(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{RequestTimeout: time.Nanosecond})
-	var out errorResponse
-	resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there in year 6000001?"}, &out)
+	var out api.ErrorEnvelope
+	resp := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: "How many incidents were there in year 6000001?"}, &out)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 when the request budget fires", resp.StatusCode)
 	}

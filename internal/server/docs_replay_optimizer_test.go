@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aryn/internal/server/api"
 )
 
 // docs_replay_optimizer_test replays every HTTP example in
@@ -35,7 +37,7 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 	}
 	ts := newTestServer(t, readySystem(t), Config{})
 	observations := func(t *testing.T) int64 {
-		var stats StatsResponse
+		var stats api.StatsResponse
 		if getJSON(t, ts.URL+"/v1/stats", &stats); stats.Optimizer == nil {
 			return 0
 		}
@@ -66,8 +68,8 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 				t.Fatalf("documented example got status %d", resp.StatusCode)
 			}
 			var body struct {
-				Answer string      `json:"answer"`
-				Plan   *PlanDetail `json:"plan"`
+				Answer string          `json:"answer"`
+				Plan   *api.PlanDetail `json:"plan"`
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 				t.Fatal(err)

@@ -72,7 +72,7 @@ func TestPlanAPIDocExamplesReplay(t *testing.T) {
 			switch path {
 			case "/plan":
 				var pr struct {
-					Plan PlanDetail `json:"plan"`
+					Plan api.PlanDetail `json:"plan"`
 				}
 				mustUnmarshal(t, body, &pr)
 				if hasQuestion && (pr.Plan.Original == nil || pr.Plan.Rewritten == nil || pr.Plan.Compiled == "") {
@@ -425,7 +425,7 @@ func TestPlanAPIDocStructuredErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid plan: status %d, want 400", resp.StatusCode)
 	}
-	var er errorResponse
+	var er api.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,17 @@
 package server
 
-import "net/http"
+import (
+	"net/http"
+
+	"aryn/internal/server/api"
+)
 
 // The dev-only chaos control plane, GET and POST /v1/faults, mounted only
 // when Config.Fault is set. docs/fault-injection.md specifies it.
 
-func (s *Server) faultState(r *http.Request, purged int) FaultStateResponse {
+func (s *Server) faultState(r *http.Request, purged int) api.FaultStateResponse {
 	spec := s.cfg.Fault.Spec()
-	return FaultStateResponse{
+	return api.FaultStateResponse{
 		TraceID:            traceFrom(r.Context()),
 		Spec:               spec,
 		Active:             spec.Active(),
@@ -21,7 +25,7 @@ func (s *Server) handleFaultsGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFaultsPost(w http.ResponseWriter, r *http.Request) {
-	var req FaultControlRequest
+	var req api.FaultControlRequest
 	if !s.decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}

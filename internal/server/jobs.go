@@ -31,6 +31,7 @@ var errJobsFull = fmt.Errorf("server: ingest job queue full")
 // queued → running → done | failed.
 type ingestJob struct {
 	id      string
+	traceID string // of the POST /v1/ingest that submitted the job
 	docs    int
 	created time.Time
 
@@ -125,14 +126,15 @@ func (m *jobManager) full() bool {
 	return len(m.queue) == cap(m.queue)
 }
 
-// submit registers a job for blobs and enqueues it (errJobsFull when the
-// queue is at capacity).
-func (m *jobManager) submit(blobs map[string][]byte) (*ingestJob, error) {
+// submit registers a job for blobs, submitted by the request traceID
+// names, and enqueues it (errJobsFull when the queue is at capacity).
+func (m *jobManager) submit(traceID string, blobs map[string][]byte) (*ingestJob, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seq++
 	job := &ingestJob{
 		id:      fmt.Sprintf("j%x-%d", m.srv.start.UnixNano()&0xffffff, m.seq),
+		traceID: traceID,
 		docs:    len(blobs),
 		created: time.Now(),
 		state:   api.JobQueued,
@@ -226,6 +228,7 @@ func (m *jobManager) run(job *ingestJob) {
 	} else {
 		job.state = api.JobDone
 		job.result = &api.IngestResponse{
+			TraceID:   job.traceID,
 			Documents: stats.Documents,
 			Chunks:    stats.Chunks,
 			Elements:  stats.Elements,
@@ -283,7 +286,7 @@ func (m *jobManager) close() {
 // request should not pay for a corpus (up to MaxIngestDocs generated
 // reports, or a MaxIngestBodyBytes base64 decode) it will throw away.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
+	var req api.IngestRequest
 	if !s.decodeBody(w, r, s.cfg.MaxIngestBodyBytes, &req) {
 		return
 	}
@@ -300,7 +303,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	job, err := s.jobs.submit(blobs)
+	traceID := traceFrom(r.Context())
+	job, err := s.jobs.submit(traceID, blobs)
 	if err != nil {
 		shed(err)
 		return
@@ -308,7 +312,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	loc := "/v1/jobs/" + job.id
 	w.Header().Set("Location", loc)
 	s.writeJSON(w, http.StatusAccepted, api.JobAccepted{
-		TraceID:  traceFrom(r.Context()),
+		TraceID:  traceID,
 		JobID:    job.id,
 		State:    api.JobQueued,
 		Location: loc,
@@ -320,7 +324,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // checked in ID order, so the error names the first bad one: a blob that
 // is not a rawdoc is the client's mistake, and a 400 now, not a failed job
 // later.
-func (s *Server) ingestBlobs(req IngestRequest) (map[string][]byte, error) {
+func (s *Server) ingestBlobs(req api.IngestRequest) (map[string][]byte, error) {
 	if len(req.Blobs) > 0 {
 		blobs := make(map[string][]byte, len(req.Blobs))
 		for _, id := range slices.Sorted(maps.Keys(req.Blobs)) {

@@ -53,10 +53,10 @@ func TestIngestTimeoutLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, sys, Config{IngestTimeout: 20 * time.Millisecond})
-	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+	getJSON(t, ts.URL+"/v1/stats", &api.StatsResponse{}) // warm the client and the listener
 	expectNoQueryGoroutines(t, func() {
 		var acc api.JobAccepted
-		if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 4, Seed: 60_001}, &acc); resp.StatusCode != http.StatusAccepted {
+		if resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 4, Seed: 60_001}, &acc); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("ingest status = %d", resp.StatusCode)
 		}
 		job := waitJobState(t, ts.URL+acc.Location, api.JobFailed, 10*time.Second)
@@ -101,7 +101,7 @@ func TestIngestJobLifecycle(t *testing.T) {
 	// Submit: 96 docs × 20ms extraction calls keep the worker busy for
 	// hundreds of milliseconds.
 	var acc api.JobAccepted
-	resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 96, Seed: 99}, &acc)
+	resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 96, Seed: 99}, &acc)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async ingest status = %d, want 202", resp.StatusCode)
 	}
@@ -118,8 +118,8 @@ func TestIngestJobLifecycle(t *testing.T) {
 	// While the job runs, queries keep answering against the last prepared
 	// service (the store fills incrementally, so counts may already see
 	// newly written docs — what matters is 200s, not 409s or errors).
-	var q QueryResponse
-	if qr := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there?"}, &q); qr.StatusCode != http.StatusOK {
+	var q api.QueryResponse
+	if qr := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: "How many incidents were there?"}, &q); qr.StatusCode != http.StatusOK {
 		t.Fatalf("query during ingest job status = %d, want 200", qr.StatusCode)
 	}
 	if q.Answer == "" {
@@ -131,12 +131,12 @@ func TestIngestJobLifecycle(t *testing.T) {
 	// takes tens of seconds to generate: it must be refused before that
 	// work is done, not after.
 	var accB api.JobAccepted
-	if rb := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 2, Seed: 5}, &accB); rb.StatusCode != http.StatusAccepted {
+	if rb := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 2, Seed: 5}, &accB); rb.StatusCode != http.StatusAccepted {
 		t.Fatalf("second job status = %d, want 202 (queued)", rb.StatusCode)
 	}
-	var erC errorResponse
+	var erC api.ErrorEnvelope
 	shedStart := time.Now()
-	rc := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 10000, Seed: 6}, &erC)
+	rc := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 10000, Seed: 6}, &erC)
 	if rc.StatusCode != http.StatusTooManyRequests || erC.Error.Code != api.CodeSaturated {
 		t.Errorf("overflow job = %d (%q), want 429 saturated", rc.StatusCode, erC.Error.Code)
 	}
@@ -148,7 +148,7 @@ func TestIngestJobLifecycle(t *testing.T) {
 	}
 
 	// /stats sees the population.
-	var st StatsResponse
+	var st api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Jobs.Running != 1 || st.Jobs.Queued != 1 {
 		t.Errorf("job stats = %+v, want 1 running + 1 queued", st.Jobs)
@@ -174,6 +174,10 @@ func TestIngestJobLifecycle(t *testing.T) {
 	if final.Result.Documents < 96 {
 		t.Errorf("done job reports %d documents, want ≥96", final.Result.Documents)
 	}
+	// The result names the request that submitted the job.
+	if final.Result.TraceID == "" || final.Result.TraceID != acc.TraceID {
+		t.Errorf("job result trace_id = %q, want the 202 reply's %q", final.Result.TraceID, acc.TraceID)
+	}
 	progressWithNodes := false
 	for _, ev := range events[:len(events)-1] {
 		if ev.name != api.EventProgress && ev.name != api.EventHeartbeat {
@@ -195,11 +199,13 @@ func TestIngestJobLifecycle(t *testing.T) {
 	done := waitJobState(t, ts.URL+"/v1/jobs/"+accB.JobID, api.JobDone, 30*time.Second)
 	if done.Result == nil {
 		t.Errorf("queued job finished without a result: %+v", done)
+	} else if done.Result.TraceID != accB.TraceID {
+		t.Errorf("queued job result trace_id = %q, want the 202 reply's %q", done.Result.TraceID, accB.TraceID)
 	}
 
 	// After the swap, queries see the new corpus.
-	var q2 QueryResponse
-	postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there?"}, &q2)
+	var q2 api.QueryResponse
+	postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: "How many incidents were there?"}, &q2)
 	if q2.Answer == "8" {
 		t.Error("queries still answer from the pre-job snapshot after the job completed")
 	}
@@ -215,7 +221,7 @@ func TestJobTTLExpiry(t *testing.T) {
 	ts := newTestServer(t, sys, Config{JobTTL: 150 * time.Millisecond})
 
 	var acc api.JobAccepted
-	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 2}, &acc); resp.StatusCode != http.StatusAccepted {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 2}, &acc); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d", resp.StatusCode)
 	}
 	jobURL := ts.URL + acc.Location
@@ -228,7 +234,7 @@ func TestJobTTLExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode == http.StatusNotFound {
-			var er errorResponse
+			var er api.ErrorEnvelope
 			if decodeErr := json.NewDecoder(resp.Body).Decode(&er); decodeErr != nil {
 				t.Fatal(decodeErr)
 			}
@@ -245,7 +251,7 @@ func TestJobTTLExpiry(t *testing.T) {
 		time.Sleep(25 * time.Millisecond)
 	}
 
-	var st StatsResponse
+	var st api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.Jobs.Reaped < 1 {
 		t.Errorf("stats reaped = %d, want ≥1", st.Jobs.Reaped)
@@ -263,7 +269,7 @@ func TestJobNotFound(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job status = %d, want 404", resp.StatusCode)
 	}
-	var er errorResponse
+	var er api.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aryn/internal/server/api"
 )
 
 // TestEndpointCountersOnStats drives traffic through distinct outcome
@@ -14,7 +16,7 @@ func TestEndpointCountersOnStats(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 
 	// One ok query, one 400 (malformed plan JSON is a client error).
-	resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there in total?"}, nil)
+	resp := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: "How many incidents were there in total?"}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: status %d", resp.StatusCode)
 	}
@@ -27,7 +29,7 @@ func TestEndpointCountersOnStats(t *testing.T) {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
 	}
 
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 
 	for _, route := range []string{"/healthz", "/stats", "/ingest", "/plan", "/query", "/chat"} {
@@ -87,7 +89,7 @@ func TestEndpointCountersShed(t *testing.T) {
 		t.Skip("no contention achieved; nothing to assert")
 	}
 
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	q := stats.Endpoints["/query"]
 	if q.Shed != int64(sheds) {

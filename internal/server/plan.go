@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aryn/internal/luna"
+	"aryn/internal/server/api"
 )
 
 // This file holds what POST /v1/plan and POST /v1/query share — the
@@ -98,7 +99,7 @@ func (s *Server) queryService(optimize *bool) *luna.Service {
 // while the answer is withheld: the runtime feedback loop without the
 // result.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
+	var req api.PlanRequest
 	if !s.decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
@@ -129,7 +130,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, statusOf(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, PlanResponse{
+	s.writeJSON(w, http.StatusOK, api.PlanResponse{
 		TraceID:  traceFrom(r.Context()),
 		Question: req.Question,
 		Plan:     planDetail(pv, exec),
@@ -139,14 +140,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 // planDetail renders a plan-lifecycle record for a response; exec (nil
 // for a plan that was not executed) adds the EXPLAIN ANALYZE annotation.
-func planDetail(pv *luna.PlanPreview, exec *luna.ExecDetail) PlanDetail {
+func planDetail(pv *luna.PlanPreview, exec *luna.ExecDetail) api.PlanDetail {
 	raw := func(p *luna.LogicalPlan) json.RawMessage {
 		if p == nil {
 			return nil
 		}
 		return json.RawMessage(p.JSON())
 	}
-	return PlanDetail{
+	return api.PlanDetail{
 		Original:      raw(pv.Plan),
 		Rewritten:     raw(pv.Rewritten),
 		Optimized:     raw(pv.Optimized),

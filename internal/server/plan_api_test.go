@@ -19,8 +19,8 @@ func TestPlanInspectEditReexecute(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 
 	// 1. Inspect: POST /plan returns original + rewritten + compiled.
-	var planned PlanResponse
-	resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Question: "How many incidents were there?"}, &planned)
+	var planned api.PlanResponse
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Question: "How many incidents were there?"}, &planned)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan status = %d", resp.StatusCode)
 	}
@@ -57,8 +57,8 @@ func TestPlanInspectEditReexecute(t *testing.T) {
 	}
 
 	// 3. Re-execute: the edited plan runs and the limit bites.
-	var out QueryResponse
-	resp = postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: edited, IncludePlan: true}, &out)
+	var out api.QueryResponse
+	resp = postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Plan: edited, IncludePlan: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("execute-by-plan status = %d", resp.StatusCode)
 	}
@@ -83,9 +83,9 @@ func TestJoinPlanOverHTTP(t *testing.T) {
 		{"id":"n2","op":"queryDatabase"},
 		{"id":"n3","op":"join","inputs":["n1","n2"],"left_key":"accidentNumber","right_key":"accidentNumber","join_kind":"semi"},
 		{"id":"n4","op":"count","inputs":["n3"]}],"output":"n4"}`)
-	var out QueryResponse
+	var out api.QueryResponse
 	resp := postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Question: "join smoke", Plan: plan, IncludePlan: true}, &out)
+		api.QueryRequest{Question: "join smoke", Plan: plan, IncludePlan: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join plan status = %d", resp.StatusCode)
 	}
@@ -100,8 +100,8 @@ func TestJoinPlanOverHTTP(t *testing.T) {
 func TestPlanDryRunValidatesEdits(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	plan := []byte(`{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`)
-	var out PlanResponse
-	resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Plan: plan}, &out)
+	var out api.PlanResponse
+	resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Plan: plan}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan dry-run status = %d", resp.StatusCode)
 	}
@@ -121,7 +121,7 @@ func TestInvalidPlanReturnsStructuredErrors(t *testing.T) {
 		{"id":"n4","op":"llmFilterCascade","inputs":["n2"],"question":"Does the report mention a fire?","low":0.05,"high":1},
 		{"id":"n3","op":"count","inputs":["n4"]}],"output":"n3"}`)
 	for _, path := range []string{"/query", "/plan"} {
-		var errOut errorResponse
+		var errOut api.ErrorEnvelope
 		resp := postJSON(t, ts.URL+"/v1"+path, map[string]any{"plan": json.RawMessage(bad)}, &errOut)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s invalid plan status = %d, want 400", path, resp.StatusCode)
@@ -147,7 +147,7 @@ func TestInvalidPlanReturnsStructuredErrors(t *testing.T) {
 func TestLegacyLinearPlanOverHTTP(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 	legacy := json.RawMessage(`{"ops":[{"op":"queryDatabase"},{"op":"count"}]}`)
-	check := func(name string, resp *http.Response, env errorResponse) {
+	check := func(name string, resp *http.Response, env api.ErrorEnvelope) {
 		t.Helper()
 		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalidPlan {
 			t.Errorf("%s: status %d code %q, want 400 %s", name, resp.StatusCode, env.Error.Code, api.CodeInvalidPlan)
@@ -157,20 +157,20 @@ func TestLegacyLinearPlanOverHTTP(t *testing.T) {
 		name, path string
 		body       any
 	}{
-		{"query", "/v1/query", QueryRequest{Plan: legacy}},
-		{"plan", "/v1/plan", PlanRequest{Plan: legacy}},
-		{"analyze", "/v1/plan", PlanRequest{Plan: legacy, Analyze: true}},
+		{"query", "/v1/query", api.QueryRequest{Plan: legacy}},
+		{"plan", "/v1/plan", api.PlanRequest{Plan: legacy}},
+		{"analyze", "/v1/plan", api.PlanRequest{Plan: legacy, Analyze: true}},
 	} {
-		var env errorResponse
+		var env api.ErrorEnvelope
 		check(tc.name, postJSON(t, ts.URL+tc.path, tc.body, &env), env)
 	}
 
-	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", QueryRequest{Plan: legacy})
+	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", api.QueryRequest{Plan: legacy})
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("SSE request Content-Type = %q, want a plain JSON error (the stream must not open)", ct)
 	}
-	var env errorResponse
+	var env api.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatalf("decode SSE-request error body: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestLegacyLinearPlanOverHTTP(t *testing.T) {
 
 func TestPlanEndpointValidation(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	if resp := postJSON(t, ts.URL+"/v1/plan", PlanRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty plan request status = %d, want 400", resp.StatusCode)
 	}
 	if resp := postJSON(t, ts.URL+"/v1/plan", map[string]any{"plan": "not an object"}, nil); resp.StatusCode != http.StatusBadRequest {
@@ -191,7 +191,7 @@ func TestPlanEndpointValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := newTestServer(t, sys, Config{})
-	if resp := postJSON(t, empty.URL+"/v1/plan", PlanRequest{Question: "anything?"}, nil); resp.StatusCode != http.StatusConflict {
+	if resp := postJSON(t, empty.URL+"/v1/plan", api.PlanRequest{Question: "anything?"}, nil); resp.StatusCode != http.StatusConflict {
 		t.Errorf("plan before ingest status = %d, want 409", resp.StatusCode)
 	}
 }

@@ -33,7 +33,7 @@ type queryOutcome struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req api.QueryRequest
 	if !s.decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
@@ -60,7 +60,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		o.res, o.err = sub.execute(ctx, &svc)
 		return o
 	}
-	respond := func(o queryOutcome) (QueryResponse, error) {
+	respond := func(o queryOutcome) (api.QueryResponse, error) {
 		return s.queryResponse(r, question, req.IncludePlan, o, start)
 	}
 
@@ -85,8 +85,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // degraded — the degradation contract — and the partial result's plan
 // detail (per-node error annotations in "executed") rides along on
 // request. Any other failure is returned for the error envelope.
-func (s *Server) queryResponse(r *http.Request, question string, includePlan bool, o queryOutcome, start time.Time) (QueryResponse, error) {
-	out := QueryResponse{TraceID: traceFrom(r.Context()), Question: question}
+func (s *Server) queryResponse(r *http.Request, question string, includePlan bool, o queryOutcome, start time.Time) (api.QueryResponse, error) {
+	out := api.QueryResponse{TraceID: traceFrom(r.Context()), Question: question}
 	switch {
 	case o.err != nil:
 		if !resilience.Unavailable(o.err) || r.Context().Err() != nil {
@@ -156,7 +156,7 @@ func (l *liveTraces) progress() api.ProgressEvent {
 // failure — arrives as an event. With observed false the execution has
 // nothing to watch and only the terminal event is sent.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, observed bool,
-	run func(luna.StreamHooks) queryOutcome, respond func(queryOutcome) (QueryResponse, error)) {
+	run func(luna.StreamHooks) queryOutcome, respond func(queryOutcome) (api.QueryResponse, error)) {
 	conn := openSSE(w)
 	if conn == nil {
 		s.writeError(w, r, http.StatusInternalServerError,

@@ -51,7 +51,7 @@ func TestRouteTable(t *testing.T) {
 	}
 
 	_, body := do("GET", "/v1/stats")
-	var st StatsResponse
+	var st api.StatsResponse
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRouteTable(t *testing.T) {
 // into a 400 that names it instead of silently ignoring it.
 func TestUnknownFieldsRejected(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	var out errorResponse
+	var out api.ErrorEnvelope
 	resp := postJSON(t, ts.URL+"/v1/query", map[string]any{"question": "x", "includeplan": true}, &out)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field status = %d, want 400", resp.StatusCode)

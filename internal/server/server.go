@@ -231,25 +231,6 @@ func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// The wire types live in the api package so bench/ and external clients
-// share them; the aliases below keep this package's historical names
-// working.
-
-type (
-	IngestRequest       = api.IngestRequest
-	QueryRequest        = api.QueryRequest
-	PlanDetail          = api.PlanDetail
-	QueryResponse       = api.QueryResponse
-	PlanRequest         = api.PlanRequest
-	PlanResponse        = api.PlanResponse
-	ChatRequest         = api.ChatRequest
-	ChatResponse        = api.ChatResponse
-	StatsResponse       = api.StatsResponse
-	FaultControlRequest = api.FaultControlRequest
-	FaultStateResponse  = api.FaultStateResponse
-	errorResponse       = api.ErrorEnvelope
-)
-
 // handleHealthz distinguishes three conditions: live (the process answers
 // at all — implied by any response), ready (data is ingested and queries
 // can run), and degraded (serving continues but the model backend is
@@ -283,7 +264,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		endpoints[route] = ep.snapshot()
 	}
 	degraded, _ := s.sys.Degraded()
-	resp := StatsResponse{
+	resp := api.StatsResponse{
 		TraceID:        traceFrom(r.Context()),
 		UptimeMS:       time.Since(s.start).Milliseconds(),
 		Requests:       s.requests.Load(),

@@ -145,9 +145,9 @@ func TestHealthzReportsReadiness(t *testing.T) {
 
 func TestQueryRoundTrip(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	var out QueryResponse
+	var out api.QueryResponse
 	resp := postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Question: "How many incidents were there?", IncludePlan: true}, &out)
+		api.QueryRequest{Question: "How many incidents were there?", IncludePlan: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d", resp.StatusCode)
 	}
@@ -167,9 +167,9 @@ func TestQueryRoundTrip(t *testing.T) {
 
 func TestQueryRAG(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	var out QueryResponse
+	var out api.QueryResponse
 	resp := postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Question: "How many incidents involved substantial damage?", RAG: true}, &out)
+		api.QueryRequest{Question: "How many incidents involved substantial damage?", RAG: true}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rag query status = %d", resp.StatusCode)
 	}
@@ -180,8 +180,8 @@ func TestQueryRAG(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	var errOut errorResponse
-	if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{}, &errOut); resp.StatusCode != http.StatusBadRequest {
+	var errOut api.ErrorEnvelope
+	if resp := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{}, &errOut); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty question status = %d", resp.StatusCode)
 	}
 	if errOut.Error.Code != "bad_request" || errOut.Error.Message == "" || errOut.TraceID == "" {
@@ -199,7 +199,7 @@ func TestQueryValidation(t *testing.T) {
 
 func TestOversizedBodyRejected(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{MaxBodyBytes: 256})
-	big := QueryRequest{Question: strings.Repeat("x", 1024)}
+	big := api.QueryRequest{Question: strings.Repeat("x", 1024)}
 	resp := postJSON(t, ts.URL+"/v1/query", big, nil)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body status = %d, want 413", resp.StatusCode)
@@ -212,11 +212,11 @@ func TestQueryBeforeIngestConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, sys, Config{})
-	resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "anything?"}, nil)
+	resp := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: "anything?"}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("query before ingest status = %d, want 409", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "anything?", RAG: true}, nil)
+	resp = postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: "anything?", RAG: true}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("RAG query before ingest status = %d, want 409", resp.StatusCode)
 	}
@@ -230,7 +230,7 @@ func TestIngestGeneratedCorpusThenQuery(t *testing.T) {
 	ts := newTestServer(t, sys, Config{})
 
 	var acc api.JobAccepted
-	resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 6, Seed: 11}, &acc)
+	resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 6, Seed: 11}, &acc)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest status = %d", resp.StatusCode)
 	}
@@ -239,8 +239,8 @@ func TestIngestGeneratedCorpusThenQuery(t *testing.T) {
 		t.Errorf("ingest result = %+v", ing)
 	}
 
-	var out QueryResponse
-	if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there?"}, &out); resp.StatusCode != http.StatusOK {
+	var out api.QueryResponse
+	if resp := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: "How many incidents were there?"}, &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-ingest query status = %d", resp.StatusCode)
 	}
 	if out.Answer != "6" {
@@ -261,7 +261,7 @@ func TestIngestGeneratedCorpusThenQuery(t *testing.T) {
 	for id, b := range raw {
 		blobs["upload-"+id] = base64.StdEncoding.EncodeToString(b)
 	}
-	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Blobs: blobs}, &acc); resp.StatusCode != http.StatusAccepted {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Blobs: blobs}, &acc); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("blob ingest status = %d", resp.StatusCode)
 	}
 	if ing := waitJobState(t, ts.URL+acc.Location, api.JobDone, 30*time.Second).Result; ing == nil || ing.Documents != 9 {
@@ -275,13 +275,13 @@ func TestIngestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, sys, Config{MaxIngestDocs: 10})
-	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty ingest status = %d, want 400", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Docs: 11}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 11}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("over-cap ingest status = %d, want 400", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Blobs: map[string]string{"x": "not-base64!"}}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Blobs: map[string]string{"x": "not-base64!"}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad base64 ingest status = %d, want 400", resp.StatusCode)
 	}
 }
@@ -302,7 +302,7 @@ func TestIngestRejectsNonRawdocBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before StatsResponse
+	var before api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &before)
 	for name, bad := range map[string][]byte{
 		"garbage":   []byte("%PDF-1.7 not a rawdoc"),
@@ -314,13 +314,13 @@ func TestIngestRejectsNonRawdocBlob(t *testing.T) {
 			"c-good": base64.StdEncoding.EncodeToString(good),
 		}
 		var env api.ErrorEnvelope
-		resp := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Blobs: blobs}, &env)
+		resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Blobs: blobs}, &env)
 		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeBadRequest ||
 			!strings.Contains(env.Error.Message, `"b-bad"`) {
 			t.Errorf("%s blob: %d %+v, want 400 bad_request naming \"b-bad\"", name, resp.StatusCode, env.Error)
 		}
 	}
-	var after StatsResponse
+	var after api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &after)
 	if after.Jobs != before.Jobs {
 		t.Errorf("jobs %+v → %+v: a rejected ingest queued a job", before.Jobs, after.Jobs)
@@ -330,9 +330,9 @@ func TestIngestRejectsNonRawdocBlob(t *testing.T) {
 func TestChatSessionFollowUp(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
 
-	var first ChatResponse
+	var first api.ChatResponse
 	resp := postJSON(t, ts.URL+"/v1/chat",
-		ChatRequest{Question: "How many incidents involved substantial damage?"}, &first)
+		api.ChatRequest{Question: "How many incidents involved substantial damage?"}, &first)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("chat status = %d", resp.StatusCode)
 	}
@@ -340,9 +340,9 @@ func TestChatSessionFollowUp(t *testing.T) {
 		t.Fatalf("first chat turn = %+v", first)
 	}
 
-	var second ChatResponse
+	var second api.ChatResponse
 	resp = postJSON(t, ts.URL+"/v1/chat",
-		ChatRequest{SessionID: first.SessionID, Question: "what about destroyed aircraft?"}, &second)
+		api.ChatRequest{SessionID: first.SessionID, Question: "what about destroyed aircraft?"}, &second)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("follow-up status = %d", resp.StatusCode)
 	}
@@ -354,7 +354,7 @@ func TestChatSessionFollowUp(t *testing.T) {
 	}
 
 	if resp := postJSON(t, ts.URL+"/v1/chat",
-		ChatRequest{SessionID: "nope", Question: "hello?"}, nil); resp.StatusCode != http.StatusNotFound {
+		api.ChatRequest{SessionID: "nope", Question: "hello?"}, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session status = %d, want 404", resp.StatusCode)
 	}
 }
@@ -362,16 +362,16 @@ func TestChatSessionFollowUp(t *testing.T) {
 func TestChatSessionEviction(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{SessionTTL: 150 * time.Millisecond})
 
-	var first ChatResponse
+	var first api.ChatResponse
 	if resp := postJSON(t, ts.URL+"/v1/chat",
-		ChatRequest{Question: "How many incidents were there?"}, &first); resp.StatusCode != http.StatusOK {
+		api.ChatRequest{Question: "How many incidents were there?"}, &first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chat status = %d", resp.StatusCode)
 	}
 
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		resp := postJSON(t, ts.URL+"/v1/chat",
-			ChatRequest{SessionID: first.SessionID, Question: "How many incidents were there?"}, nil)
+			api.ChatRequest{SessionID: first.SessionID, Question: "How many incidents were there?"}, nil)
 		if resp.StatusCode == http.StatusNotFound {
 			break // evicted
 		}
@@ -381,7 +381,7 @@ func TestChatSessionEviction(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 	}
 
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Sessions.Evicted == 0 {
 		t.Errorf("stats should count evictions: %+v", stats.Sessions)
@@ -396,11 +396,11 @@ func TestFailedFirstChatDoesNotLeakSession(t *testing.T) {
 	// A question no other test asks, so the LLM cache cannot short-circuit
 	// the deadline.
 	resp := postJSON(t, ts.URL+"/v1/chat",
-		ChatRequest{Question: "How many incidents were there in Wyoming?"}, nil)
+		api.ChatRequest{Question: "How many incidents were there in Wyoming?"}, nil)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline chat status = %d, want 504", resp.StatusCode)
 	}
-	var stats StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Sessions.Live != 0 {
 		t.Errorf("failed first chat leaked %d session(s)", stats.Sessions.Live)
@@ -410,11 +410,11 @@ func TestFailedFirstChatDoesNotLeakSession(t *testing.T) {
 func TestSessionCapSheds(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{MaxSessions: 1})
 	if resp := postJSON(t, ts.URL+"/v1/chat",
-		ChatRequest{Question: "How many incidents were there?"}, nil); resp.StatusCode != http.StatusOK {
+		api.ChatRequest{Question: "How many incidents were there?"}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first session status = %d", resp.StatusCode)
 	}
 	resp := postJSON(t, ts.URL+"/v1/chat",
-		ChatRequest{Question: "How many incidents were there?"}, nil)
+		api.ChatRequest{Question: "How many incidents were there?"}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("over-cap session status = %d, want 429", resp.StatusCode)
 	}
@@ -425,9 +425,9 @@ func TestSessionCapSheds(t *testing.T) {
 
 func TestStatsSnapshot(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{})
-	postJSON(t, ts.URL+"/v1/query", QueryRequest{Question: "How many incidents were there?"}, nil)
+	postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: "How many incidents were there?"}, nil)
 
-	var stats StatsResponse
+	var stats api.StatsResponse
 	resp := getJSON(t, ts.URL+"/v1/stats", &stats)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", resp.StatusCode)
@@ -491,7 +491,7 @@ func TestAdmission429OverHTTP(t *testing.T) {
 		QueueWait:   20 * time.Millisecond,
 	})
 
-	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+	getJSON(t, ts.URL+"/v1/stats", &api.StatsResponse{}) // warm the client and the listener
 
 	const clients = 12
 	statuses := make(chan int, clients)
@@ -507,7 +507,7 @@ func TestAdmission429OverHTTP(t *testing.T) {
 				<-start
 				// Distinct questions defeat the LLM cache + singleflight so
 				// each request does real work and holds its slot.
-				body, _ := json.Marshal(QueryRequest{
+				body, _ := json.Marshal(api.QueryRequest{
 					Question: fmt.Sprintf("How many incidents were there in year %d?", 2000+i),
 				})
 				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))

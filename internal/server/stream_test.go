@@ -147,7 +147,7 @@ func filterPlan(question string) json.RawMessage {
 func TestQueryStreamContract(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{StreamProgress: 5 * time.Millisecond})
 	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query",
-		QueryRequest{Question: "How many incidents were there?"})
+		api.QueryRequest{Question: "How many incidents were there?"})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status = %d, want 200", resp.StatusCode)
@@ -164,7 +164,7 @@ func TestQueryStreamContract(t *testing.T) {
 	if last.name != api.EventResult {
 		t.Fatalf("terminal event = %q, want result (events: %v)", last.name, eventNames(events))
 	}
-	var res QueryResponse
+	var res api.QueryResponse
 	decodeEvent(t, last, &res)
 	if res.Answer != "16" || res.TraceID == "" {
 		t.Errorf("streamed result = %q (trace %q), want answer 16 with a trace id", res.Answer, res.TraceID)
@@ -226,7 +226,7 @@ func eventNames(events []sseEvent) []string {
 // what that leaves null).
 func TestQueryStreamMatchesBatch(t *testing.T) {
 	optimize := true
-	for name, req := range map[string]QueryRequest{
+	for name, req := range map[string]api.QueryRequest{
 		"filter": {Plan: filterPlan("Does the document indicate engine problems?"), IncludePlan: true},
 		"scoped extract": {Plan: json.RawMessage(`{"nodes":[
 			{"id":"n1","op":"queryDatabase"},
@@ -239,10 +239,10 @@ func TestQueryStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-func streamMatchesBatch(t *testing.T, req QueryRequest) {
+func streamMatchesBatch(t *testing.T, req api.QueryRequest) {
 	ts := newTestServer(t, readySystem(t), Config{})
 
-	var batch QueryResponse
+	var batch api.QueryResponse
 	if resp := postJSON(t, ts.URL+"/v1/query", req, &batch); resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch query status = %d", resp.StatusCode)
 	}
@@ -254,7 +254,7 @@ func streamMatchesBatch(t *testing.T, req QueryRequest) {
 	if last.name != api.EventResult {
 		t.Fatalf("terminal event = %q, want result", last.name)
 	}
-	var streamed QueryResponse
+	var streamed api.QueryResponse
 	decodeEvent(t, last, &streamed)
 	if streamed.Answer != batch.Answer || streamed.Docs != batch.Docs {
 		t.Errorf("streamed (answer %q, docs %d) != batch (answer %q, docs %d)",
@@ -286,7 +286,7 @@ type execShape struct {
 
 // executedShape reads the EXPLAIN ANALYZE summary off a response's
 // executed plan: the runtime-carrying node IDs plus the exec block.
-func executedShape(t *testing.T, resp QueryResponse) execShape {
+func executedShape(t *testing.T, resp api.QueryResponse) execShape {
 	t.Helper()
 	if resp.Plan == nil || len(resp.Plan.Executed) == 0 {
 		t.Fatalf("response carries no executed plan: %+v", resp.Plan)
@@ -327,7 +327,7 @@ func TestQueryStreamHeartbeat(t *testing.T) {
 	})
 	question := fmt.Sprintf("Is the heartbeat cadence observable on this document (run %d)?", heartbeatSeq.Add(1))
 	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query",
-		QueryRequest{Plan: filterPlan(question)})
+		api.QueryRequest{Plan: filterPlan(question)})
 	defer resp.Body.Close()
 	events := readSSE(t, resp.Body)
 	heartbeats := 0
@@ -378,15 +378,15 @@ func TestStreamFirstPartialBeatsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, sys, Config{Fault: inj})
-	req := QueryRequest{Plan: filterPlan("Does the report mention an engine problem?")}
+	req := api.QueryRequest{Plan: filterPlan("Does the report mention an engine problem?")}
 
-	var batch QueryResponse
+	var batch api.QueryResponse
 	start := time.Now()
 	if resp := postJSON(t, ts.URL+"/v1/query", req, &batch); resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch query status = %d", resp.StatusCode)
 	}
 	batchWall := time.Since(start)
-	if resp := postJSON(t, ts.URL+"/v1/faults", FaultControlRequest{PurgeLLMCache: true}, nil); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v1/faults", api.FaultControlRequest{PurgeLLMCache: true}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cache purge status = %d", resp.StatusCode)
 	}
 
@@ -394,7 +394,7 @@ func TestStreamFirstPartialBeatsBatch(t *testing.T) {
 	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", req)
 	defer resp.Body.Close()
 	events := readSSE(t, resp.Body)
-	var streamed QueryResponse
+	var streamed api.QueryResponse
 	decodeEvent(t, events[len(events)-1], &streamed)
 	if streamed.Answer != batch.Answer || streamed.Docs != batch.Docs {
 		t.Fatalf("stream (answer %q, docs %d) != batch (answer %q, docs %d)",
@@ -425,7 +425,7 @@ func TestQueryStreamInvalidPlanErrorEvent(t *testing.T) {
 	bad := json.RawMessage(`{"nodes":[
 		{"id":"n1","op":"queryDatabase","filters":[{"field":"hallucinated","kind":"term","value":1}]}],
 		"output":"n1"}`)
-	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", QueryRequest{Plan: bad})
+	resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query", api.QueryRequest{Plan: bad})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status = %d; post-open failures must arrive as events", resp.StatusCode)
@@ -435,7 +435,7 @@ func TestQueryStreamInvalidPlanErrorEvent(t *testing.T) {
 	if last.name != api.EventError {
 		t.Fatalf("terminal event = %q, want error (events: %v)", last.name, eventNames(events))
 	}
-	var env errorResponse
+	var env api.ErrorEnvelope
 	decodeEvent(t, last, &env)
 	if env.Error.Code != api.CodeInvalidPlan || len(env.Error.Details) == 0 {
 		t.Errorf("error event envelope = %+v, want invalid_plan with details", env)
@@ -481,10 +481,10 @@ func expectNoQueryGoroutines(t *testing.T, fn func()) {
 // terminal event leaves no handler, executor or pipeline goroutine behind.
 func TestQueryStreamLeavesNoGoroutines(t *testing.T) {
 	ts := newTestServer(t, readySystem(t), Config{StreamProgress: 5 * time.Millisecond})
-	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+	getJSON(t, ts.URL+"/v1/stats", &api.StatsResponse{}) // warm the client and the listener
 	expectNoQueryGoroutines(t, func() {
 		resp := sseOpen(t, context.Background(), "POST", ts.URL+"/v1/query",
-			QueryRequest{Plan: filterPlan("Does this document leave a goroutine behind?")})
+			api.QueryRequest{Plan: filterPlan("Does this document leave a goroutine behind?")})
 		defer resp.Body.Close()
 		events := readSSE(t, resp.Body)
 		if last := events[len(events)-1]; last.name != api.EventResult {
@@ -503,11 +503,11 @@ func TestQueryStreamDisconnectReleasesSlot(t *testing.T) {
 		StreamProgress:  5 * time.Millisecond,
 		StreamHeartbeat: 10 * time.Millisecond,
 	})
-	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+	getJSON(t, ts.URL+"/v1/stats", &api.StatsResponse{}) // warm the client and the listener
 	expectNoQueryGoroutines(t, func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		resp := sseOpen(t, ctx, "POST", ts.URL+"/v1/query",
-			QueryRequest{Plan: filterPlan("Did this document survive a client disconnect?")})
+			api.QueryRequest{Plan: filterPlan("Did this document survive a client disconnect?")})
 
 		// Wait for the first event so execution has demonstrably started,
 		// then drop the connection.
@@ -521,7 +521,7 @@ func TestQueryStreamDisconnectReleasesSlot(t *testing.T) {
 		// notices cancellation). A wedged drain holds InFlight at 1 forever.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			var st StatsResponse
+			var st api.StatsResponse
 			getJSON(t, ts.URL+"/v1/stats", &st)
 			if st.Gate.InFlight == 0 {
 				break
@@ -536,8 +536,8 @@ func TestQueryStreamDisconnectReleasesSlot(t *testing.T) {
 		countPlan := json.RawMessage(`{"nodes":[
 			{"id":"n1","op":"queryDatabase"},
 			{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`)
-		var out QueryResponse
-		if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: countPlan}, &out); resp.StatusCode != http.StatusOK {
+		var out api.QueryResponse
+		if resp := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Plan: countPlan}, &out); resp.StatusCode != http.StatusOK {
 			t.Fatalf("follow-up query status = %d; the slot was not released cleanly", resp.StatusCode)
 		}
 		if out.Answer != "16" {
@@ -608,13 +608,13 @@ func TestShardedVectorQueryLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("store holds %d chunks, want at least %d", n, shardedChunks)
 	}
 	ts := newTestServer(t, sys, Config{StreamProgress: 5 * time.Millisecond})
-	getJSON(t, ts.URL+"/v1/stats", &StatsResponse{}) // warm the client and the listener
+	getJSON(t, ts.URL+"/v1/stats", &api.StatsResponse{}) // warm the client and the listener
 
 	t.Run("completed", func(t *testing.T) {
 		expectNoQueryGoroutines(t, func() {
-			var out QueryResponse
+			var out api.QueryResponse
 			plan := vectorPlan("Did this search finish cleanly?")
-			if resp := postJSON(t, ts.URL+"/v1/query", QueryRequest{Plan: plan}, &out); resp.StatusCode != http.StatusOK {
+			if resp := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Plan: plan}, &out); resp.StatusCode != http.StatusOK {
 				t.Fatalf("vector query status = %d", resp.StatusCode)
 			}
 			if out.Answer == "" {
@@ -628,7 +628,7 @@ func TestShardedVectorQueryLeavesNoGoroutines(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			resp := sseOpen(t, ctx, "POST", ts.URL+"/v1/query",
-				QueryRequest{Plan: vectorPlan("Did this search outlive its client?")})
+				api.QueryRequest{Plan: vectorPlan("Did this search outlive its client?")})
 			if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
 				t.Fatalf("read first event line: %v", err)
 			}
