@@ -131,8 +131,11 @@ cover:
 # loaders: the LLM response cache (an error or a cache that serves what
 # it loaded, never a panic; minimizing capped at 1s like the rawdoc
 # decoder's) and the optimizer feedback store (an error or a store whose
-# every selectivity is ≥ 0, never a panic). One -fuzz pattern per
-# invocation — go test allows only a single fuzzing target at a time.
+# every selectivity is ≥ 0, never a panic), and the serving wire: any
+# /v1/query, /v1/plan, /v1/chat or /v1/ingest body decodes or is a 4xx
+# error envelope, never a panic, and every SSE event the emitter sends
+# reads back in order with its id, name and payload. One -fuzz pattern
+# per invocation — go test allows only a single fuzzing target at a time.
 fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
@@ -143,6 +146,8 @@ fuzz-smoke:
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzCacheLoad$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/cost/ -run '^$$' -fuzz '^FuzzFeedbackLoad$$' -fuzztime 10s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzSSERoundTrip$$' -fuzztime 10s
 
 # Source size: non-test Go lines under internal/ and cmd/ (bench/ is a
 # module of its own and stays out), per package and in total — the number

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"aryn/internal/core"
@@ -27,6 +28,71 @@ var mixQuestions = []string{
 	"Does the report mention birds?",
 }
 
+// filterCorpus ingests the 100 reports of the corpus of seed into a system
+// of its own and returns it with every distinct filter predicate the 30
+// benchmark questions plan and the optimizer mix asks.
+func filterCorpus(t *testing.T, seed int64) (*core.System, []string) {
+	t.Helper()
+	ctx := context.Background()
+	corpus, err := ntsb.GenerateCorpus(100, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := corpus.Blobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.New(core.Config{Seed: 7, Parallelism: 4})
+	if _, err := sys.Ingest(ctx, blobs); err != nil {
+		t.Fatal(err)
+	}
+	questions := slices.Clone(mixQuestions)
+	for _, q := range qa.Questions(corpus) {
+		pv, err := sys.QueryService().PlanOnly(ctx, q.Text)
+		if err != nil {
+			t.Fatalf("q%02d: %v", q.ID, err)
+		}
+		var plan struct {
+			Nodes []struct {
+				Op, Question string
+				Questions    []string
+			}
+		}
+		if err := json.Unmarshal([]byte(pv.Rewritten.JSON()), &plan); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range plan.Nodes {
+			if n.Op != "llmFilter" && n.Op != "fraction" {
+				continue
+			}
+			for _, pred := range append(n.Questions, n.Question) {
+				if pred != "" && !slices.Contains(questions, pred) {
+					questions = append(questions, pred)
+				}
+			}
+		}
+	}
+	if len(questions) <= len(mixQuestions) {
+		t.Fatalf("the benchmark questions plan no llmFilter beyond the mix's: %q", questions)
+	}
+	return sys, questions
+}
+
+// sameReply asks the Sim a and b and reports whether it answers both alike,
+// with the prompt tokens of each.
+func sameReply(t *testing.T, sys *core.System, a, b llm.Request) (same bool, aTokens, bTokens int) {
+	t.Helper()
+	ra, err := sys.Sim.Complete(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := sys.Sim.Complete(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ra.Text == rb.Text, ra.Usage.PromptTokens, rb.Usage.PromptTokens
+}
+
 // TestScopedFilterVerdicts holds llmFilter's scope to its contract: over the
 // corpora of seeds 42 to 45, every distinct filter predicate the 30
 // benchmark questions plan and the optimizer mix asks gets, from every
@@ -36,72 +102,24 @@ func TestScopedFilterVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four corpora")
 	}
-	ctx := context.Background()
 	changed, verdicts := 0, 0
 	for _, seed := range []int64{42, 43, 44, 45} {
 		t.Run(fmt.Sprintf("corpus %d", seed), func(t *testing.T) {
-			corpus, err := ntsb.GenerateCorpus(100, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blobs, err := corpus.Blobs()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys := core.New(core.Config{Seed: 7, Parallelism: 4})
-			if _, err := sys.Ingest(ctx, blobs); err != nil {
-				t.Fatal(err)
-			}
-			questions := slices.Clone(mixQuestions)
-			for _, q := range qa.Questions(corpus) {
-				pv, err := sys.QueryService().PlanOnly(ctx, q.Text)
-				if err != nil {
-					t.Fatalf("q%02d: %v", q.ID, err)
-				}
-				var plan struct {
-					Nodes []struct {
-						Op, Question string
-						Questions    []string
-					}
-				}
-				if err := json.Unmarshal([]byte(pv.Rewritten.JSON()), &plan); err != nil {
-					t.Fatal(err)
-				}
-				for _, n := range plan.Nodes {
-					if n.Op != "llmFilter" && n.Op != "fraction" {
-						continue
-					}
-					for _, pred := range append(n.Questions, n.Question) {
-						if pred != "" && !slices.Contains(questions, pred) {
-							questions = append(questions, pred)
-						}
-					}
-				}
-			}
-			if len(questions) <= len(mixQuestions) {
-				t.Fatalf("the benchmark questions plan no llmFilter beyond the mix's: %q", questions)
-			}
+			sys, questions := filterCorpus(t, seed)
 			scopedTokens, wholeTokens := 0, 0
 			for _, hit := range sys.Store.SearchDocs(index.Query{}) {
 				d := hit.Doc
 				for _, q := range questions {
 					scoped := filterGroupOf(t, []string{q}, d).Reqs[0]
 					whole := llm.Request{Prompt: llm.FilterPrompt(q, d.ID, d.TextContent())}
-					rs, err := sys.Sim.Complete(ctx, scoped)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rw, err := sys.Sim.Complete(ctx, whole)
-					if err != nil {
-						t.Fatal(err)
-					}
+					same, st, wt := sameReply(t, sys, scoped, whole)
 					verdicts++
-					if rs.Text != rw.Text {
+					if !same {
 						changed++
-						t.Errorf("%s, %q: %q scoped, %q whole", d.ID, q, rs.Text, rw.Text)
+						t.Errorf("%s, %q: the scoped verdict is not the whole report's", d.ID, q)
 					}
-					scopedTokens += rs.Usage.PromptTokens
-					wholeTokens += rw.Usage.PromptTokens
+					scopedTokens += st
+					wholeTokens += wt
 				}
 			}
 			if scopedTokens > wholeTokens {
@@ -113,6 +131,78 @@ func TestScopedFilterVerdicts(t *testing.T) {
 		})
 	}
 	t.Logf("%d changed verdicts of %d", changed, verdicts)
+}
+
+// withFurniture is a stored report's text with its page furniture, where
+// the report's pages put it: every node's text and every element's, in
+// reading order, one line each.
+func withFurniture(d *docmodel.Document) string {
+	var sb strings.Builder
+	line := func(text string) {
+		if text != "" {
+			sb.WriteString(text + "\n")
+		}
+	}
+	d.Walk(func(n *docmodel.Document) bool {
+		line(n.Text)
+		for _, e := range n.Elements {
+			line(e.Text)
+		}
+		return true
+	})
+	return sb.String()
+}
+
+// TestPageFurnitureChangesNoAnswer: the model reads no page furniture, and
+// no answer moves for it. Over the corpora of seeds 42 to 45, every filter
+// predicate TestScopedFilterVerdicts collects gets from every report's
+// scoped prompt the verdict the whole report with its furniture gets, and
+// the ETL schema and damaged_part get from the furniture-free text the reply
+// the text with furniture gets.
+func TestPageFurnitureChangesNoAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four corpora")
+	}
+	extracts := [][]llm.FieldSpec{core.ExtractionSchema(), {{Name: "damaged_part", Type: "string"}}}
+	var verdicts, changedVerdicts, values, changedValues int
+	for _, seed := range []int64{42, 43, 44, 45} {
+		t.Run(fmt.Sprintf("corpus %d", seed), func(t *testing.T) {
+			sys, questions := filterCorpus(t, seed)
+			var filterTokens, filterTokensBefore, extractTokens, extractTokensBefore int
+			for _, hit := range sys.Store.SearchDocs(index.Query{}) {
+				d := hit.Doc
+				before := withFurniture(d)
+				if before == d.TextContent() {
+					t.Fatalf("%s has no page furniture", d.ID)
+				}
+				for _, q := range questions {
+					same, now, was := sameReply(t, sys, filterGroupOf(t, []string{q}, d).Reqs[0],
+						llm.Request{Prompt: llm.FilterPrompt(q, d.ID, before)})
+					verdicts++
+					if !same {
+						changedVerdicts++
+						t.Errorf("%s, %q: the verdict moved", d.ID, q)
+					}
+					filterTokens += now
+					filterTokensBefore += was
+				}
+				for _, fields := range extracts {
+					same, now, was := sameReply(t, sys, llm.Request{Prompt: llm.ExtractPrompt(fields, d.TextContent())},
+						llm.Request{Prompt: llm.ExtractPrompt(fields, before)})
+					values += len(fields)
+					if !same {
+						changedValues += len(fields)
+						t.Errorf("%s, %d fields: the extracted values moved", d.ID, len(fields))
+					}
+					extractTokens += now
+					extractTokensBefore += was
+				}
+			}
+			t.Logf("filter prompts %d tokens, %d with furniture read whole; extract prompts %d, %d with furniture",
+				filterTokens, filterTokensBefore, extractTokens, extractTokensBefore)
+		})
+	}
+	t.Logf("%d changed verdicts of %d, %d changed values of %d", changedVerdicts, verdicts, changedValues, values)
 }
 
 // stageGroup is a model client that keeps the request group the llmFilter

@@ -59,10 +59,10 @@ func filterChain(questions ...string) *luna.LogicalPlan {
 // follow-up chains a new llmFilter onto the previous plan) on the 103
 // reports of the benchmark corpus, optimize on: "fire?" and then "fire? and
 // fuel?". Fused, the second query must cost what the un-fused chain costs —
-// 1,443 tokens, the fuel question put to the reports that mention a fire,
-// each reading the sections that mention fuel (4,520 when filters read the
-// whole report) — and not a second reading of the corpus (57,761 with the
-// packed prompt as the cache key).
+// 979 tokens, the fuel question put to the reports that mention a fire,
+// each reading the sections that mention fuel (≈ 4,100 when filters read
+// the whole report) — and not a second reading of the corpus (≈ 52,700
+// with the packed prompt as the cache key).
 func TestRefinementOverBenchmarkCorpus(t *testing.T) {
 	run := func(optimize bool) (first, second int, answer string) {
 		sys := ingested(t, Config{Seed: 7, Parallelism: 8, Optimize: optimize}, 100)
@@ -75,7 +75,7 @@ func TestRefinementOverBenchmarkCorpus(t *testing.T) {
 	if answer != chainedAnswer {
 		t.Errorf("answers diverge: %s optimized, %s not", answer, chainedAnswer)
 	}
-	const pinnedSecond = 1443
+	const pinnedSecond = 979
 	if second > pinnedSecond*105/100 || second < pinnedSecond*95/100 {
 		t.Errorf("second query cost %d tokens, pinned at %d (first query: %d)", second, pinnedSecond, first)
 	}

@@ -98,78 +98,71 @@ func (d *Document) AllElements() []*Element {
 
 // TextContent concatenates the document's own text plus every element's
 // text (tables render as markdown, pictures contribute their summary) in
-// reading order. This is the "text-representation" field the Luna planner
-// sees (§6.1).
+// reading order. Page furniture (Page-header, Page-footer) is boilerplate
+// repeated on every page of every document and is left out, as Explode
+// leaves it out of chunks. This is the "text-representation" field the Luna
+// planner sees (§6.1) and the text every LLM prompt carries of a document.
 func (d *Document) TextContent() string {
 	var sb strings.Builder
-	d.Walk(func(n *Document) bool {
-		writeText(&sb, n.Text)
-		for _, e := range n.Elements {
-			writeElement(&sb, e)
-		}
-		return true
-	})
+	d.eachEntry(func(text string, _ bool) { writeText(&sb, text) })
 	return sb.String()
 }
 
 // Sections cuts TextContent at every Section-header: the first string is
 // the preamble before the first header (empty when the document opens with
 // one), each later string a header and what follows it, in reading order.
-// Page furniture (Page-header, Page-footer) is boilerplate shared by every
-// document and is left out, as Explode leaves it out: joined, the strings
-// are TextContent without those elements. A document with no Section-header
-// is one preamble.
+// Joined, the strings are TextContent. A document with no Section-header is
+// one preamble.
 func (d *Document) Sections() []string {
 	var sb strings.Builder
 	var out []string
-	d.Walk(func(n *Document) bool {
-		writeText(&sb, n.Text)
-		for _, e := range n.Elements {
-			switch e.Type {
-			case PageHeader, PageFooter:
-				continue
-			case SectionHeader:
-				out = append(out, sb.String())
-				sb.Reset()
-			}
-			writeElement(&sb, e)
+	d.eachEntry(func(text string, header bool) {
+		if header {
+			out = append(out, sb.String())
+			sb.Reset()
 		}
-		return true
+		writeText(&sb, text)
 	})
 	return append(out, sb.String())
 }
 
 // Line is one entry of TextContent without its newline: a node's text or
 // an element as TextContent shows it (a table's Markdown is several lines),
-// with the section it is in as Sections numbers them and whether it is
-// page furniture. Joined, Lines are TextContent; the non-furniture ones of
-// section i are Sections()[i].
+// with the section it is in as Sections numbers them. Joined, Lines are
+// TextContent; those of section i are Sections()[i].
 type Line struct {
-	Text      string
-	Section   int
-	Furniture bool
+	Text    string
+	Section int
 }
 
 // Lines cuts TextContent into its entries in one walk, empty ones left out.
 func (d *Document) Lines() []Line {
 	out := make([]Line, 0, len(d.Elements)+1)
 	section := 0
-	add := func(text string, furniture bool) {
-		if text != "" {
-			out = append(out, Line{Text: text, Section: section, Furniture: furniture})
+	d.eachEntry(func(text string, header bool) {
+		if header {
+			section++
 		}
-	}
+		if text != "" {
+			out = append(out, Line{Text: text, Section: section})
+		}
+	})
+	return out
+}
+
+// eachEntry calls fn with every entry of TextContent in reading order,
+// empty ones too: each node's text, then each of its elements but page
+// furniture as elementText shows it, header reporting a Section-header.
+func (d *Document) eachEntry(fn func(text string, header bool)) {
 	d.Walk(func(n *Document) bool {
-		add(n.Text, false)
+		fn(n.Text, false)
 		for _, e := range n.Elements {
-			if e.Type == SectionHeader {
-				section++
+			if !e.Type.IsFurniture() {
+				fn(elementText(e), e.Type == SectionHeader)
 			}
-			add(elementText(e), e.Type == PageHeader || e.Type == PageFooter)
 		}
 		return true
 	})
-	return out
 }
 
 // writeText appends one non-empty line of text.
@@ -179,9 +172,6 @@ func writeText(sb *strings.Builder, text string) {
 		sb.WriteString("\n")
 	}
 }
-
-// writeElement appends an element as TextContent shows it.
-func writeElement(sb *strings.Builder, e *Element) { writeText(sb, elementText(e)) }
 
 // elementText is the line (or, for a table, lines) TextContent shows for an
 // element, without the newline writeText ends it with: a table's Markdown, a
@@ -200,12 +190,12 @@ func elementText(e *Element) string {
 // TextView returns a copy of the document that keeps what a query reads and
 // drops the layout DocParse produced on the way there: the same ID, parent,
 // path, title, text, properties, embedding and children, and of every
-// element its type, its page and, as Text, the text TextContent shows for
-// it. Box, Confidence, Properties, Table and Image are left zero, and so is
-// the raw Binary. TextContent, Sections, EmbeddingText and Summary of the
-// view equal the document's own, byte for byte, and the view of a view is
-// equal to it. This is what index.Store keeps; Clone is the copy that keeps
-// everything.
+// element, page furniture too, its type, its page and, as Text, the text
+// elementText gives (what TextContent shows for an element it shows). Box,
+// Confidence, Properties, Table and Image are left zero, and so is the raw
+// Binary. TextContent, Sections, Lines, EmbeddingText and PageCount of the
+// view equal the document's own, and the view of a view is equal to it.
+// This is what index.Store keeps; Clone is the copy that keeps everything.
 //
 // The view shares no mutable state with d (element texts are strings). A
 // node's elements live in one array, so a report costs a handful of

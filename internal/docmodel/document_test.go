@@ -70,7 +70,7 @@ func TestTextContent(t *testing.T) {
 }
 
 // Sections cuts at each Section-header, across child documents, and joined
-// in order renders TextContent minus the page furniture.
+// in order renders TextContent, which leaves the page furniture out.
 func TestSections(t *testing.T) {
 	d := sampleDoc()
 	d.Text = "own text"
@@ -93,15 +93,13 @@ func TestSections(t *testing.T) {
 			t.Errorf("section %d = %q, want %q", i, got[i], want[i])
 		}
 	}
-	text := d.TextContent()
-	for _, furniture := range []string{"NTSB — Final Report\n", "Page 3 of 3\n"} {
-		if !strings.Contains(text, furniture) {
-			t.Fatalf("TextContent lost %q", furniture)
-		}
-		text = strings.Replace(text, furniture, "", 1)
+	if joined, text := strings.Join(got, ""), d.TextContent(); joined != text {
+		t.Errorf("sections joined:\n%q\nTextContent:\n%q", joined, text)
 	}
-	if joined := strings.Join(got, ""); joined != text {
-		t.Errorf("sections joined:\n%q\nTextContent minus page furniture:\n%q", joined, text)
+	for _, furniture := range []string{"NTSB — Final Report", "Page 3 of 3"} {
+		if strings.Contains(d.TextContent(), furniture) {
+			t.Errorf("TextContent carries the page furniture %q", furniture)
+		}
 	}
 
 	if plain := New("p"); len(plain.Sections()) != 1 || plain.Sections()[0] != "" {
@@ -114,9 +112,8 @@ func TestSections(t *testing.T) {
 	}
 }
 
-// Lines are TextContent cut into entries: joined they are TextContent, the
-// non-furniture ones of a section are that section, and page furniture is
-// numbered with the section it sits in.
+// Lines are TextContent cut into entries: joined they are TextContent, those
+// of a section are that section, and page furniture is none of them.
 func TestLines(t *testing.T) {
 	d := sampleDoc()
 	d.Elements = append([]*Element{{Type: PageHeader, Text: "NTSB — Final Report"}}, d.Elements...)
@@ -135,10 +132,11 @@ func TestLines(t *testing.T) {
 		if l.Text == "" {
 			t.Errorf("an empty entry: %+v", l)
 		}
-		all.WriteString(l.Text + "\n")
-		if !l.Furniture {
-			bySection[l.Section] += l.Text + "\n"
+		if l.Text == "NTSB — Final Report" || l.Text == "Page 3 of 3" {
+			t.Errorf("a page furniture entry: %+v", l)
 		}
+		all.WriteString(l.Text + "\n")
+		bySection[l.Section] += l.Text + "\n"
 	}
 	if all.String() != d.TextContent() {
 		t.Errorf("joined lines:\n%q\nwant TextContent\n%q", all.String(), d.TextContent())
@@ -146,12 +144,11 @@ func TestLines(t *testing.T) {
 	if !slices.Equal(bySection, sections) {
 		t.Errorf("lines by section:\n%q\nwant Sections\n%q", bySection, sections)
 	}
-	footer := lines[slices.IndexFunc(lines, func(l Line) bool { return l.Text == "Page 3 of 3" })]
-	if !footer.Furniture || footer.Section != 2 {
-		t.Errorf("the footer after the second header reads %+v", footer)
+	if want := (Line{Text: "Aviation Incident Report"}); lines[0] != want {
+		t.Errorf("the title opens the preamble, got %+v, want %+v", lines[0], want)
 	}
-	if lines[0].Text != "NTSB — Final Report" || !lines[0].Furniture || lines[0].Section != 0 {
-		t.Errorf("the page header opens the preamble, got %+v", lines[0])
+	if want := (Line{Text: "Docket closed.", Section: 2}); lines[len(lines)-1] != want {
+		t.Errorf("the last entry is %+v, want %+v", lines[len(lines)-1], want)
 	}
 }
 
@@ -267,8 +264,8 @@ func viewCases() map[string]*Document {
 	}
 }
 
-// The text view reads as the document does — TextContent, Sections and
-// EmbeddingText byte for byte, element for element — keeps identity,
+// The text view reads as the document does — TextContent, Sections, Lines
+// and EmbeddingText byte for byte, element for element — keeps identity,
 // properties and tree shape, and carries no layout.
 func TestTextViewReadsAsTheDocument(t *testing.T) {
 	for name, d := range viewCases() {
@@ -278,6 +275,9 @@ func TestTextViewReadsAsTheDocument(t *testing.T) {
 		}
 		if got, want := v.Sections(), d.Sections(); !slices.Equal(got, want) {
 			t.Errorf("%s: Sections\n%q\nwant\n%q", name, got, want)
+		}
+		if got, want := v.Lines(), d.Lines(); !slices.Equal(got, want) {
+			t.Errorf("%s: Lines\n%+v\nwant\n%+v", name, got, want)
 		}
 		if got, want := v.EmbeddingText(), d.EmbeddingText(); got != want {
 			t.Errorf("%s: EmbeddingText %q, want %q", name, got, want)

@@ -50,6 +50,11 @@ func (t ElementType) String() string {
 	return elementTypeNames[t]
 }
 
+// IsFurniture reports whether t is page furniture (Page-header,
+// Page-footer): text repeated on every page of every document, which
+// neither TextContent nor Explode's chunks carry.
+func (t ElementType) IsFurniture() bool { return t == PageHeader || t == PageFooter }
+
 // AllElementTypes returns the 11 classes in canonical order.
 func AllElementTypes() []ElementType {
 	out := make([]ElementType, NumElementTypes)

@@ -33,6 +33,14 @@ func TestAllElementTypesCount(t *testing.T) {
 	}
 }
 
+func TestIsFurniture(t *testing.T) {
+	for _, typ := range AllElementTypes() {
+		if got, want := typ.IsFurniture(), typ == PageHeader || typ == PageFooter; got != want {
+			t.Errorf("%s.IsFurniture() = %v, want %v", typ, got, want)
+		}
+	}
+}
+
 func TestBBoxGeometry(t *testing.T) {
 	a := BBox{0, 0, 10, 10}
 	b := BBox{5, 5, 15, 15}

@@ -10,10 +10,11 @@
 // questions, each document sent to the model at most once and asked only
 // what the response cache lacks (llm.FilterGroup).
 //
-// A filter question is sent the document's TextContent less every section
+// A filter question is sent the document's TextContent, which carries no
+// page furniture (docmodel.Document.TextContent), less every section
 // holding none of its terms outside rows the model reads as negatives
-// ("Aircraft Fire: None"); the preamble and page furniture stay, and a
-// document with fewer than two sections or no ID goes whole (filterGroup).
+// ("Aircraft Fire: None"); the preamble stays, and a document with fewer
+// than two sections or no ID goes whole (filterGroup).
 // Every sentence that mentions the question stays, so the verdict is the
 // whole document's (core.TestScopedFilterVerdicts): unlike
 // LLMExtractScoped, this scope is not an optimizer choice.

@@ -192,29 +192,27 @@ func sectionedDoc(id string) *docmodel.Document {
 	return d
 }
 
-// TestLLMFilterReadsItsSections: each question reads the preamble, the page
-// furniture and the sections that hold one of its terms; the packed prompt
-// reads the union of the scopes once; and the verdicts are those of the
-// whole document.
+// TestLLMFilterReadsItsSections: each question reads the preamble and the
+// sections that hold one of its terms, never the page furniture; the packed
+// prompt reads the union of the scopes once; and the verdicts are those of
+// the whole document.
 func TestLLMFilterReadsItsSections(t *testing.T) {
 	ctx := context.Background()
 	d := sectionedDoc("S1")
 	qs := []string{qBirdsInvolved, qWindshield}
 	g := filterGroup(qs, filterTerms(qs), d)
 	birds := g.Reqs[0].Prompt
-	for _, want := range []string{"DOCUMENT-ID: S1\n", "NTSB Aviation Investigation Final Report", "Report S1", "geese", "Page 1 of 2"} {
-		if !strings.Contains(birds, want) {
-			t.Errorf("the birds prompt lacks %q:\n%s", want, birds)
-		}
-	}
-	for _, absent := range []string{"Visibility", "windshield"} {
-		if strings.Contains(birds, absent) {
-			t.Errorf("the birds prompt holds %q, from a section it is not about:\n%s", absent, birds)
-		}
+	if want := llm.FilterPrompt(qBirdsInvolved, "S1", "Report S1\nNarrative\nA flock of geese crossed the departure path.\n"); birds != want {
+		t.Errorf("the birds prompt:\n got: %q\nwant: %q", birds, want)
 	}
 	packed := g.Pack([]int{0, 1}).Prompt
 	if !strings.Contains(packed, "geese") || !strings.Contains(packed, "windshield") || strings.Contains(packed, "Visibility") {
 		t.Errorf("the packed prompt is not the union of the two scopes:\n%s", packed)
+	}
+	for _, furniture := range []string{"NTSB Aviation Investigation Final Report", "Page 1 of 2"} {
+		if strings.Contains(packed, furniture) || strings.Contains(d.TextContent(), furniture) {
+			t.Errorf("a filter prompt carries the page furniture %q:\n%s", furniture, packed)
+		}
 	}
 
 	sim := llm.NewSim(1)

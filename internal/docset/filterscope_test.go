@@ -16,7 +16,7 @@ import (
 // it, computed the plain way: every section of d.Sections kept that, its
 // negated rows left out, has a token llm.Tokenize and embed.Fold turn into
 // a term of one of the members' sets (a nil set keeps every section), and
-// TextContent's lines of the kept sections and the page furniture joined.
+// TextContent's lines of the kept sections joined.
 func scopeByDefinition(d *docmodel.Document, sets []map[string]bool, members []int) string {
 	sections := d.Sections()
 	keep := make([]bool, len(sections))
@@ -38,7 +38,7 @@ func scopeByDefinition(d *docmodel.Document, sets []map[string]bool, members []i
 	}
 	var sb strings.Builder
 	for _, l := range d.Lines() {
-		if l.Furniture || keep[l.Section] {
+		if keep[l.Section] {
 			sb.WriteString(l.Text + "\n")
 		}
 	}

@@ -198,7 +198,7 @@ func filterGroup(questions []string, terms *termSets, d *docmodel.Document) llm.
 	}
 	var buf []byte
 	for _, l := range lines {
-		if l.Section == 0 || l.Furniture || settled(l.Section) {
+		if l.Section == 0 || settled(l.Section) {
 			continue
 		}
 		for text := l.Text; text != ""; {
@@ -222,9 +222,9 @@ func filterGroup(questions []string, terms *termSets, d *docmodel.Document) llm.
 }
 
 // joinLines is the TextContent of the lines whose section keep keeps (all
-// when keep is nil), page furniture always.
+// when keep is nil).
 func joinLines(lines []docmodel.Line, keep []bool) string {
-	kept := func(l docmodel.Line) bool { return keep == nil || l.Furniture || keep[l.Section] }
+	kept := func(l docmodel.Line) bool { return keep == nil || keep[l.Section] }
 	n := 0
 	for _, l := range lines {
 		if kept(l) {

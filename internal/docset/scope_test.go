@@ -58,7 +58,7 @@ func TestScopedExtract(t *testing.T) {
 		doc    *docmodel.Document
 		fields []llm.FieldSpec
 		// bodies are the document texts of the prompts sent, in order; "" is
-		// the document's whole TextContent.
+		// the document's whole TextContent, which has no page furniture.
 		bodies          []string
 		part            string
 		kept, escalated int64
@@ -133,6 +133,9 @@ func TestScopedExtract(t *testing.T) {
 				}
 				if log.prompts[i] != want {
 					t.Errorf("prompt %d:\n got: %q\nwant: %q", i, log.prompts[i], want)
+				}
+				if strings.Contains(log.prompts[i], "Page 1 of 2") {
+					t.Errorf("prompt %d carries the page footer: %q", i, log.prompts[i])
 				}
 			}
 			if got := out[0].Property("damaged_part"); got != tc.part {

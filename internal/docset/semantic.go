@@ -113,13 +113,13 @@ func (ds *DocSet) LLMFilter(questions ...string) *DocSet {
 // each document. Per document it
 //
 //  1. hands the questions to the model client as one FilterGroup, each
-//     question scoped to the document's preamble, its page furniture and
-//     the sections that hold one of the question's terms. Each answer lives
-//     in the response cache under the question's own solo llm.FilterPrompt,
-//     so a resident "no" ends the document with nothing sent, resident
-//     answers are not asked again, and what is missing goes upstream as one
-//     request: the solo prompt for one question, one packed prompt — the
-//     union of their scopes, once — for several;
+//     question scoped to the document's preamble and the sections that
+//     hold one of the question's terms. Each answer lives in the response
+//     cache under the question's own solo llm.FilterPrompt, so a resident
+//     "no" ends the document with nothing sent, resident answers are not
+//     asked again, and what is missing goes upstream as one request: the
+//     solo prompt for one question, one packed prompt — the union of their
+//     scopes, once — for several;
 //  2. keeps the document when every answer is yes.
 //
 // The result is what the chain of single-question filters gives, in any

@@ -99,10 +99,9 @@ func (ds *DocSet) Explode() *DocSet {
 		mapFn: func(_ *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
 			var elements []*docmodel.Element
 			for _, e := range d.AllElements() {
-				if e.Type == docmodel.PageHeader || e.Type == docmodel.PageFooter {
-					continue
+				if !e.Type.IsFurniture() {
+					elements = append(elements, e)
 				}
-				elements = append(elements, e)
 			}
 			out := make([]*docmodel.Document, 0, len(elements))
 			for i, e := range elements {

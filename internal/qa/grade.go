@@ -25,7 +25,6 @@ type ErrorCategory string
 
 // Error categories.
 const (
-	ErrNone           ErrorCategory = ""
 	ErrCounting       ErrorCategory = "counting"       // duplicates counted twice
 	ErrFilter         ErrorCategory = "filter"         // llmFilter too generous
 	ErrInterpretation ErrorCategory = "interpretation" // schema linking misread

@@ -241,8 +241,8 @@ func TestColdPassTokenBudget(t *testing.T) {
 		cfg    core.Config
 		tokens int
 	}{
-		{"optimize off", core.Config{Seed: 7, Parallelism: 8}, 224962},
-		{"optimize on, 256-entry cache", core.Config{Seed: 7, Parallelism: 8, Optimize: true, LLMCacheCapacity: 256}, 199379},
+		{"optimize off", core.Config{Seed: 7, Parallelism: 8}, 195138},
+		{"optimize on, 256-entry cache", core.Config{Seed: 7, Parallelism: 8, Optimize: true, LLMCacheCapacity: 256}, 174473},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := core.New(tc.cfg)
@@ -260,6 +260,40 @@ func TestColdPassTokenBudget(t *testing.T) {
 					got, tc.tokens, float64(got)/30, float64(tc.tokens)/30)
 			}
 		})
+	}
+}
+
+// TestIngestTokenBudget pins what the ingest pass (DocParse, then the ETL
+// llmExtract of every report) costs in prompt and completion tokens on the
+// benchmark's corpus (seed 42) and its held-out one (seed 43). The counts
+// repeat exactly, so a change to what an ingest prompt carries fails here:
+// the benchmark times ingest but does not count its tokens. Usage.Calls is
+// not pinned: it counts dispatches, and how many requests the batcher packs
+// into one depends on timing.
+func TestIngestTokenBudget(t *testing.T) {
+	for _, tc := range []struct {
+		seed               int64
+		prompt, completion int
+	}{
+		{42, 66925, 11090},
+		{43, 66838, 10981},
+	} {
+		corpus, err := ntsb.GenerateCorpus(100, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs, err := corpus.Blobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := core.New(core.Config{Seed: 7, Parallelism: 8}).Ingest(context.Background(), blobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u := stats.Usage; u.PromptTokens != tc.prompt || u.CompletionTokens != tc.completion {
+			t.Errorf("corpus %d: ingest cost %d prompt and %d completion tokens, want %d and %d",
+				tc.seed, u.PromptTokens, u.CompletionTokens, tc.prompt, tc.completion)
+		}
 	}
 }
 
