@@ -134,13 +134,17 @@ cover:
 # every selectivity is ≥ 0, never a panic), and the serving wire: any
 # /v1/query, /v1/plan, /v1/chat or /v1/ingest body decodes or is a 4xx
 # error envelope, never a panic, and every SSE event the emitter sends
-# reads back in order with its id, name and payload. One -fuzz pattern
+# reads back in order with its id, name and payload, and the BM25 posting
+# lists (any ascending ordinals with tf ≥ 1 decode back exactly, and
+# scores over generated chunks equal a plain-posting scorer's to the bit).
+# One -fuzz pattern
 # per invocation — go test allows only a single fuzzing target at a time.
 fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzPlanDecode$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzValidatePlan$$' -fuzztime 10s
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzCostRewrite$$' -fuzztime 10s
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzVectorCodec$$' -fuzztime 10s
+	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzPostings$$' -fuzztime 10s
 	$(GO) test ./internal/rawdoc/ -run '^$$' -fuzz '^FuzzRawdocDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s

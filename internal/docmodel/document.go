@@ -174,14 +174,33 @@ func writeText(sb *strings.Builder, text string) {
 }
 
 // elementText is the line (or, for a table, lines) TextContent shows for an
-// element, without the newline writeText ends it with: a table's Markdown, a
-// summarized picture's annotation, any other element's Text.
-func elementText(e *Element) string {
+// element, without the newline writeText ends it with.
+func elementText(e *Element) string { return viewText(e, ChunkText(e)) }
+
+// viewText is elementText(e) given chunk, e's ChunkText: a table's Markdown
+// without its last newline, a summarized picture's annotation, any other
+// element's Text.
+func viewText(e *Element, chunk string) string {
 	switch {
 	case e.Type == Table && e.Table != nil:
-		return strings.TrimSuffix(e.Table.Markdown(), "\n")
+		return strings.TrimSuffix(chunk, "\n")
 	case e.Type == Picture && e.Image != nil && e.Image.Summary != "":
 		return "[image: " + e.Image.Summary + "]"
+	default:
+		return e.Text
+	}
+}
+
+// ChunkText is the text of the chunk Explode makes of an element: a table's
+// Markdown, a picture's summary, any other element's Text. TextView lays
+// out its one string by the same rule, so the texts of a report's chunks
+// are found in it.
+func ChunkText(e *Element) string {
+	switch {
+	case e.Type == Table && e.Table != nil:
+		return e.Table.Markdown()
+	case e.Type == Picture && e.Image != nil:
+		return e.Image.Summary
 	default:
 		return e.Text
 	}
@@ -197,10 +216,62 @@ func elementText(e *Element) string {
 // view equal the document's own, and the view of a view is equal to it.
 // This is what index.Store keeps; Clone is the copy that keeps everything.
 //
+// The view's element texts are stored once, in text: the ChunkText of every
+// element but page furniture in reading order, joined by newlines, then
+// that of the furniture. An element's view text is a slice of its ChunkText
+// there (a table's trimmed Markdown is a prefix of its own), except that of
+// a picture with an image (its annotation, or its Text when it has no
+// summary), which is a string of its own. The texts of the chunks Explode
+// and MergeChunks cut from the document are found in text too, and
+// index.Store keeps them as slices of it.
+//
 // The view shares no mutable state with d (element texts are strings). A
 // node's elements live in one array, so a report costs a handful of
 // allocations however many elements it has.
-func (d *Document) TextView() *Document {
+func (d *Document) TextView() (view *Document, text string) {
+	if d == nil {
+		return nil, ""
+	}
+	from := d.AllElements()
+	chunks := make([]string, len(from))
+	size := 0
+	for i, e := range from {
+		chunks[i] = ChunkText(e)
+		size += len(chunks[i]) + 1
+	}
+	var sb strings.Builder
+	sb.Grow(max(size-1, 0))      // exactly: text keeps sb's whole buffer
+	at := make([]int, len(from)) // where chunks[i] starts in text
+	written := 0
+	for _, furniture := range []bool{false, true} {
+		for i, e := range from {
+			if e.Type.IsFurniture() == furniture {
+				if written > 0 {
+					sb.WriteByte('\n')
+				}
+				written++
+				at[i] = sb.Len()
+				sb.WriteString(chunks[i])
+			}
+		}
+	}
+	text = sb.String()
+	next := 0 // the index in from of the element textView asks for next
+	view = d.textView(func(e *Element) string {
+		chunk := text[at[next] : at[next]+len(chunks[next])]
+		next++
+		t := viewText(e, chunk)
+		if strings.HasPrefix(chunk, t) {
+			t = chunk[:len(t)]
+		}
+		return t
+	})
+	return view, text
+}
+
+// textView is TextView's view of d, the text of each element e, in reading
+// order, being text(e).
+func (d *Document) textView(text func(*Element) string) *Document {
 	if d == nil {
 		return nil
 	}
@@ -217,14 +288,14 @@ func (d *Document) TextView() *Document {
 		elems := make([]Element, len(d.Elements))
 		v.Elements = make([]*Element, len(d.Elements))
 		for i, e := range d.Elements {
-			elems[i] = Element{Type: e.Type, Page: e.Page, Text: elementText(e)}
+			elems[i] = Element{Type: e.Type, Page: e.Page, Text: text(e)}
 			v.Elements[i] = &elems[i]
 		}
 	}
 	if d.Children != nil {
 		v.Children = make([]*Document, len(d.Children))
 		for i, c := range d.Children {
-			v.Children[i] = c.TextView()
+			v.Children[i] = c.textView(text)
 		}
 	}
 	return v

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func sampleDoc() *Document {
@@ -269,7 +270,7 @@ func viewCases() map[string]*Document {
 // properties and tree shape, and carries no layout.
 func TestTextViewReadsAsTheDocument(t *testing.T) {
 	for name, d := range viewCases() {
-		v := d.TextView()
+		v, _ := d.TextView()
 		if got, want := v.TextContent(), d.TextContent(); got != want {
 			t.Errorf("%s: TextContent\n%q\nwant\n%q", name, got, want)
 		}
@@ -316,13 +317,44 @@ func TestTextViewReadsAsTheDocument(t *testing.T) {
 				t.Errorf("%s: view element %d carries more than type, page and text: %+v", name, i, *e)
 			}
 		}
-		if again := v.TextView(); !reflect.DeepEqual(again, v) {
+		if again, _ := v.TextView(); !reflect.DeepEqual(again, v) {
 			t.Errorf("%s: the view of a view differs from it", name)
 		}
 	}
 	var none *Document
-	if none.TextView() != nil {
+	if v, text := none.TextView(); v != nil || text != "" {
 		t.Error("the view of a nil document is nil")
+	}
+}
+
+// TextView's string is every element's ChunkText, page furniture last,
+// joined by newlines, and each view element's text lies in it (a table's
+// trimmed Markdown at the start of its ChunkText), but that of a picture
+// with an image: its annotation, or with no summary its Text, is a string
+// of its own.
+func TestTextViewTextsShareOneString(t *testing.T) {
+	for name, d := range viewCases() {
+		var body, furniture []string
+		for _, e := range d.AllElements() {
+			if e.Type.IsFurniture() {
+				furniture = append(furniture, ChunkText(e))
+			} else {
+				body = append(body, ChunkText(e))
+			}
+		}
+		v, text := d.TextView()
+		if want := strings.Join(append(body, furniture...), "\n"); text != want {
+			t.Errorf("%s: text\n%q\nwant\n%q", name, text, want)
+		}
+		from := d.AllElements()
+		for i, e := range v.AllElements() {
+			own := from[i].Type == Picture && from[i].Image != nil
+			at := uintptr(unsafe.Pointer(unsafe.StringData(e.Text))) - uintptr(unsafe.Pointer(unsafe.StringData(text)))
+			inside := len(e.Text) <= len(text) && at <= uintptr(len(text)-len(e.Text))
+			if e.Text != "" && inside == own {
+				t.Errorf("%s: element %d (%s, %q) lies in the view's string: %v", name, i, e.Type, e.Text, inside)
+			}
+		}
 	}
 }
 
@@ -330,7 +362,7 @@ func TestTextViewReadsAsTheDocument(t *testing.T) {
 // its JSON has no bbox, confidence, table or image.
 func TestTextViewIsIndependentAndPrintsNoLayout(t *testing.T) {
 	d := viewCases()["element shapes"]
-	v := d.TextView()
+	v, _ := d.TextView()
 	want := v.TextContent()
 	d.SetProperty("us_state", "MUTATED")
 	d.Properties["nested"].(map[string]any)["list"].([]any)[0] = "MUTATED"

@@ -90,7 +90,8 @@ func (ds *DocSet) Partition(p Partitioner) *DocSet {
 // the parent's properties and a ParentID back-pointer (Table 2a). The
 // parent document itself is not emitted. Page furniture (repeated headers
 // and footers) is boilerplate, not content, and is dropped — indexing it
-// would pollute retrieval with chunks shared by every document.
+// would pollute retrieval with chunks shared by every document. A chunk's
+// text is its element's docmodel.ChunkText.
 func (ds *DocSet) Explode() *DocSet {
 	return ds.with(stageSpec{
 		name:  "explode",
@@ -109,14 +110,7 @@ func (ds *DocSet) Explode() *DocSet {
 				chunk.ParentID = d.ID
 				chunk.Title = d.Title
 				chunk.Properties = d.Properties.Clone()
-				switch {
-				case e.Type == docmodel.Table && e.Table != nil:
-					chunk.Text = e.Table.Markdown()
-				case e.Type == docmodel.Picture && e.Image != nil:
-					chunk.Text = e.Image.Summary
-				default:
-					chunk.Text = e.Text
-				}
+				chunk.Text = docmodel.ChunkText(e)
 				chunk.Elements = []*docmodel.Element{e.Clone()}
 				out = append(out, chunk)
 			}

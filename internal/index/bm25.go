@@ -1,6 +1,8 @@
 package index
 
 import (
+	"encoding/binary"
+	"iter"
 	"math"
 	"strings"
 
@@ -16,22 +18,56 @@ const (
 // bm25Index is an inverted index over chunk texts with BM25 ranking.
 // Length statistics are maintained incrementally on add, so avgLen is
 // O(1) at search time rather than a per-search rescan. Ordinals, term
-// frequencies and lengths are uint32: a posting is 8 bytes, and an
-// in-process store is far from four billion chunks.
+// frequencies and lengths are uint32 (an in-process store is far from four
+// billion chunks), and a posting is delta-uvarint bytes: two or three of
+// them for most terms of a corpus.
 type bm25Index struct {
-	// terms numbers the vocabulary (postings[terms[t]] are term t's sorted
-	// doc postings). A term is stored once, cloned: assigning a map entry
+	// terms numbers the vocabulary (postings[terms[t]] are term t's
+	// postings). A term is stored once, cloned: assigning a map entry
 	// again would make the key a substring of the newest chunk's lowered
 	// text (llm.Tokenize) and keep that whole text alive.
 	terms    map[string]uint32
-	postings [][]posting
+	postings []postingList
 	docLen   []uint32 // tokens per indexed chunk
 	totalLen int      // running sum of docLen
 }
 
-type posting struct {
-	doc uint32 // chunk ordinal
-	tf  uint32
+// postingList is one term's postings in ascending chunk ordinal: n pairs
+// of uvarints, the ordinal's distance from the one before (from 0 for the
+// first) and the term's frequency in that chunk. last is the newest
+// ordinal, the base of the next distance.
+type postingList struct {
+	data    []byte
+	n, last uint32
+}
+
+// add appends the posting of chunk doc, which must follow every ordinal
+// already in the list.
+func (p *postingList) add(doc, tf uint32) {
+	delta := doc
+	if p.n > 0 {
+		delta -= p.last
+	}
+	p.data = binary.AppendUvarint(p.data, uint64(delta))
+	p.data = binary.AppendUvarint(p.data, uint64(tf))
+	p.n++
+	p.last = doc
+}
+
+// all yields every (ordinal, tf) posting of the list in order.
+func (p *postingList) all() iter.Seq2[uint32, uint32] {
+	return func(yield func(doc, tf uint32) bool) {
+		data, doc := p.data, uint32(0)
+		for range p.n {
+			delta, k := binary.Uvarint(data)
+			tf, m := binary.Uvarint(data[k:])
+			data = data[k+m:]
+			doc += uint32(delta)
+			if !yield(doc, uint32(tf)) {
+				return
+			}
+		}
+	}
 }
 
 func newBM25() *bm25Index {
@@ -64,9 +100,9 @@ func (ix *bm25Index) add(id int, ts termStats) {
 		if !ok {
 			term = uint32(len(ix.postings))
 			ix.terms[strings.Clone(t)] = term
-			ix.postings = append(ix.postings, nil)
+			ix.postings = append(ix.postings, postingList{})
 		}
-		ix.postings[term] = append(ix.postings[term], posting{doc: uint32(id), tf: tf})
+		ix.postings[term].add(uint32(id), tf)
 	}
 	for len(ix.docLen) <= id {
 		ix.docLen = append(ix.docLen, 0)
@@ -111,13 +147,14 @@ func (ix *bm25Index) search(query string, k int) []Scored {
 		if !ok {
 			continue
 		}
-		plist := ix.postings[term]
-		idf := math.Log(1 + (float64(n)-float64(len(plist))+0.5)/(float64(len(plist))+0.5))
-		for _, p := range plist {
-			tf := float64(p.tf)
-			dl := float64(ix.docLen[p.doc])
+		plist := &ix.postings[term]
+		df := float64(plist.n)
+		idf := math.Log(1 + (float64(n)-df+0.5)/(df+0.5))
+		for doc, f := range plist.all() {
+			tf := float64(f)
+			dl := float64(ix.docLen[doc])
 			denom := tf + bm25K1*(1-bm25B+bm25B*dl/avg)
-			scores[int(p.doc)] += idf * tf * (bm25K1 + 1) / denom
+			scores[int(doc)] += idf * tf * (bm25K1 + 1) / denom
 		}
 	}
 	// Bounded top-k selection instead of sorting the whole score map; the

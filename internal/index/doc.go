@@ -11,9 +11,12 @@
 // its text-representation, element by element, and the chunk texts and
 // vectors — a vector as a row of 16-bit fixed-point codes and one
 // multiplier, half a float32 slice's bytes, scored in integer arithmetic
-// (vector.go). The layout DocParse produced on the way there (§4: boxes,
-// detector confidences, table cell grids) is not: PutDocument keeps the
-// document's docmodel.Document.TextView, and only chunks carry vectors.
+// (vector.go). A report's text is stored once: its element texts and its
+// chunks' texts are slices of one string (docmodel.Document.TextView), and
+// BM25 postings are delta-uvarint bytes (bm25.go). The layout DocParse
+// produced on the way there (§4: boxes, detector confidences, table cell
+// grids) is not: PutDocument keeps the document's
+// docmodel.Document.TextView, and only chunks carry vectors.
 //
 // On CPUs with AVX2 and FMA the scan's dot product is simd.Dot, in float64,
 // and it is exact, not approximate. The quantised unit query has |q| ≤ 2³⁰

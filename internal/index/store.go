@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"aryn/internal/docmodel"
@@ -33,6 +34,11 @@ type Chunk struct {
 // boxes, detector confidences and table cell grids stop here. A DocSet that
 // must keep its layout is what docset materialization is for.
 //
+// A report's text is stored once: the view's element texts are slices of
+// one string per report, and so is the text of every chunk PutChunk finds
+// in its parent's string — which every chunk Explode and MergeChunks cut
+// from the report is.
+//
 // Documents are immutable-on-write: that view is taken once, and every read
 // path (Document, Documents, SearchDocs) returns it directly — zero copies
 // per hit. Returned documents are shared and MUST be treated as read-only;
@@ -41,7 +47,7 @@ type Chunk struct {
 // operator).
 type Store struct {
 	mu   sync.RWMutex
-	docs map[string]*docmodel.Document
+	docs map[string]storedReport
 	// docOrder is every document ID, sorted: the order of Documents and
 	// of filter-only scans. Ingest writes from parallel workers, so arrival
 	// order is scheduling; ID order is the same on every boot.
@@ -51,9 +57,17 @@ type Store struct {
 	vec      *Exact
 }
 
+// storedReport is a parent document as the store keeps it: its text view,
+// and the one string the view's element texts and its chunks' texts slice.
+type storedReport struct {
+	view *docmodel.Document
+	text string
+}
+
 // storedChunk is a Chunk as the store keeps it: everything but the vector,
 // which is row `row` of the vector index (noRow for a chunk put without
-// one) — 16-bit codes there, never a []float32 here.
+// one) — 16-bit codes there, never a []float32 here. Its text is, where it
+// can be, a slice of its parent's string (sharedText).
 type storedChunk struct {
 	id, parentID, text string
 	page               int
@@ -76,7 +90,7 @@ func (s *Store) chunk(ord int) Chunk {
 // NewStore returns an empty store; vector search is exact brute force.
 func NewStore() *Store {
 	return &Store{
-		docs: make(map[string]*docmodel.Document),
+		docs: make(map[string]storedReport),
 		bm25: newBM25(),
 		vec:  NewExact(),
 	}
@@ -87,18 +101,19 @@ func NewStore() *Store {
 // the immutable-on-write snapshot every later read shares, sharing nothing
 // mutable with d. Chunk postings for replaced documents are not rewritten;
 // re-ingest into a fresh store for full replacement semantics, as with an
-// OpenSearch reindex.
+// OpenSearch reindex. The old chunks' texts slice the replaced report's
+// string, so that string stays alive as long as they do.
 func (s *Store) PutDocument(d *docmodel.Document) error {
 	if d == nil || d.ID == "" {
 		return fmt.Errorf("index: document must have an ID")
 	}
-	view := d.TextView() // renders tables: before the write lock
+	view, text := d.TextView() // renders tables: before the write lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i, found := slices.BinarySearch(s.docOrder, d.ID); !found {
 		s.docOrder = slices.Insert(s.docOrder, i, d.ID)
 	}
-	s.docs[d.ID] = view
+	s.docs[d.ID] = storedReport{view: view, text: text}
 	return nil
 }
 
@@ -109,23 +124,48 @@ func (s *Store) PutChunk(c Chunk) error {
 	if c.ParentID == "" {
 		return fmt.Errorf("index: chunk %q must reference a parent document", c.ID)
 	}
-	// Everything that needs no store state happens before the write lock:
-	// tokenizing, and encoding the vector.
+	// Everything that does not write store state happens before the write
+	// lock: tokenizing, encoding the vector, and finding the text in the
+	// parent's.
 	terms := countTerms(c.Text)
 	r, err := encodeRow(c.Vector) // of a nil vector: an empty row, not indexed
 	if err != nil {
 		return fmt.Errorf("index: chunk %q: %w", c.ID, err)
 	}
+	text := s.sharedText(c.ParentID, c.Text)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ord := len(s.chunks)
-	sc := storedChunk{id: c.ID, parentID: c.ParentID, text: c.Text, page: c.Page, row: noRow}
+	sc := storedChunk{id: c.ID, parentID: c.ParentID, text: text, page: c.Page, row: noRow}
 	if c.Vector != nil {
 		sc.row = s.vec.add(ord, r)
 	}
 	s.chunks = append(s.chunks, sc)
 	s.bm25.add(ord, terms)
 	return nil
+}
+
+// sharedText is text as the slice of the parent's stored string where it
+// occurs, so a chunk costs no second copy of its report's text; text itself
+// when there is no such parent or no match.
+func (s *Store) sharedText(parentID, text string) string {
+	s.mu.RLock()
+	whole := s.docs[parentID].text
+	s.mu.RUnlock()
+	// Search for text's head, a needle short enough for strings.Index's
+	// vector search, and compare the rest where it is found: a search for
+	// all of a chunk's text falls back to Rabin-Karp over the report.
+	head := text[:min(len(text), 31)]
+	for at := 0; text != ""; at++ {
+		i := strings.Index(whole[at:], head)
+		if i < 0 {
+			break
+		}
+		if at += i; strings.HasPrefix(whole[at:], text) {
+			return whole[at : at+len(text)]
+		}
+	}
+	return text
 }
 
 // Documents returns all parent documents in ID order, as shared read-only
@@ -135,7 +175,7 @@ func (s *Store) Documents() []*docmodel.Document {
 	defer s.mu.RUnlock()
 	out := make([]*docmodel.Document, 0, len(s.docOrder))
 	for _, id := range s.docOrder {
-		out = append(out, s.docs[id])
+		out = append(out, s.docs[id].view)
 	}
 	return out
 }
@@ -196,7 +236,7 @@ func (s *Store) SearchDocs(q Query) []DocHit {
 		// Pure metadata scan.
 		var out []DocHit
 		for _, id := range s.docOrder {
-			d := s.docs[id]
+			d := s.docs[id].view
 			if filter.Match(d.Properties) {
 				out = append(out, DocHit{Doc: d, Score: 1})
 				if q.K > 0 && len(out) == q.K {
@@ -232,10 +272,10 @@ func (s *Store) collectDocHits(ranked []Scored, filter Predicate, k int) []DocHi
 	var out []DocHit
 	for _, pid := range order {
 		d, ok := s.docs[pid]
-		if !ok || !filter.Match(d.Properties) {
+		if !ok || !filter.Match(d.view.Properties) {
 			continue
 		}
-		out = append(out, DocHit{Doc: d, Score: best[pid]})
+		out = append(out, DocHit{Doc: d.view, Score: best[pid]})
 		if k > 0 && len(out) == k {
 			break
 		}
@@ -273,7 +313,7 @@ func (s *Store) SearchChunks(q Query) []ChunkHit {
 func (s *Store) collectChunkHits(ranked []Scored, filter Predicate, k int) []ChunkHit {
 	var out []ChunkHit
 	for _, sc := range ranked {
-		if parent, ok := s.docs[s.chunks[sc.Doc].parentID]; ok && !filter.Match(parent.Properties) {
+		if parent, ok := s.docs[s.chunks[sc.Doc].parentID]; ok && !filter.Match(parent.view.Properties) {
 			continue
 		}
 		out = append(out, ChunkHit{Chunk: s.chunk(sc.Doc), Score: sc.Score})

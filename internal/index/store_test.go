@@ -3,8 +3,10 @@ package index
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"aryn/internal/docmodel"
 	"aryn/internal/embed"
@@ -292,42 +294,113 @@ func liveHeap() uint64 {
 // TestLiveHeapPerChunk is the retrieval state's memory budget. 4,000
 // chunks, each with three tokens no other chunk has (an accident number, a
 // registration, a date — what makes most of a real corpus's vocabulary),
-// go through Embed and PutChunk; what stays live afterwards must fit
-// vector (2 KB of codes + its multiplier) + text + 1.5 KB per chunk for the
-// chunk record, postings and index slack, plus the embedder's direction
-// cache at its 8 MB bound.
+// go through Embed and PutChunk. What the store keeps alive afterwards must
+// fit the vector (2 KB of codes + its multiplier), the text and
+// overheadBytes per chunk for the chunk record and its delta-varint
+// postings; with the embedder beside it, the embedder's direction cache at
+// its 8 MB bound on top.
 // Before that cache was bounded at 2,048 entries it kept every one-off
 // token's 4 KB direction and this read 18 KB per chunk against the 8 KB
-// allowed.
+// allowed. With a posting an 8-byte struct, the store alone read 2,919 B per
+// chunk against today's 2,833.
+//
+// With the parents stored first, each chunk being one element of its
+// report, the text is counted once per report, plus elementBytes per
+// element and reportBytes per report for the stored view: a chunk that
+// kept a copy of its text instead of a slice of its report's string
+// (≈ 240 B) does not fit.
 func TestLiveHeapPerChunk(t *testing.T) {
 	const (
 		n             = 4000
+		perReport     = 5
 		vectorBytes   = 2*embed.Dim + 8
-		overheadBytes = 1536
+		overheadBytes = 576
+		elementBytes  = 104 // a docmodel.Element and the pointer to it
+		reportBytes   = 512
 		cacheBytes    = 8 << 20
 	)
-	base := liveHeap()
-	em := embed.NewHash(7)
-	s := NewStore()
+	texts := make([]string, n)
 	textBytes := 0
-	for i := 0; i < n; i++ {
-		text := fmt.Sprintf("Accident ERA%02dLA%04d: the airplane N%dQ lost engine power during cruise on 2021-%02d-%02dT%04d "+
+	for i := range texts {
+		texts[i] = fmt.Sprintf("Accident ERA%02dLA%04d: the airplane N%dQ lost engine power during cruise on 2021-%02d-%02dT%04d "+
 			"and the pilot made a forced landing in a field; the airplane sustained substantial damage to the left wing.",
 			i%90, i, 10000+i, 1+i%12, 1+i%28, i)
-		textBytes += len(text)
-		err := s.PutChunk(Chunk{ID: fmt.Sprintf("c%d", i), ParentID: fmt.Sprintf("d%d", i/5), Text: text, Vector: em.Embed(text)})
-		if err != nil {
-			t.Fatal(err)
+		textBytes += len(texts[i])
+	}
+	for _, parents := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parents=%v", parents), func(t *testing.T) {
+			base := liveHeap()
+			em := embed.NewHash(7)
+			s := NewStore()
+			budget := uint64(n*(vectorBytes+overheadBytes) + textBytes)
+			if parents {
+				for r := 0; r < n/perReport; r++ {
+					d := docmodel.New(fmt.Sprintf("d%d", r))
+					for _, text := range texts[r*perReport : (r+1)*perReport] {
+						d.AddElement(&docmodel.Element{Type: docmodel.Text, Text: strings.Clone(text), Page: 1})
+					}
+					if err := s.PutDocument(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+				budget += uint64(n*(elementBytes+1) + n/perReport*reportBytes)
+			}
+			for i, text := range texts {
+				text = strings.Clone(text) // as a chunk arrives: a string of its own
+				err := s.PutChunk(Chunk{ID: fmt.Sprintf("c%d", i), ParentID: fmt.Sprintf("d%d", i/perReport), Text: text, Vector: em.Embed(text)})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			withEmbedder := liveHeap() - base
+			runtime.KeepAlive(em)
+			live := liveHeap() - base
+			t.Logf("store %d B/chunk, budget %d B/chunk; with the embedder %d B/chunk, budget %d B/chunk",
+				live/n, budget/n, withEmbedder/n, (budget+cacheBytes)/n)
+			if live > budget {
+				t.Errorf("the store holds %d B per chunk, budget is %d B per chunk", live/n, budget/n)
+			}
+			if withEmbedder > budget+cacheBytes {
+				t.Errorf("store and embedder hold %d B per chunk, budget is %d B per chunk", withEmbedder/n, (budget+cacheBytes)/n)
+			}
+			runtime.KeepAlive(s)
+		})
+	}
+}
+
+// A chunk's text is kept as the slice of its parent's string where it
+// occurs — after a place where only its head matches, and at the string's
+// end too — and as its own copy when there is no parent or no match.
+func TestChunkTextSlicesItsParent(t *testing.T) {
+	const head = "The airplane sustained substantial damage to the "
+	s := NewStore()
+	d := docmodel.New("R1")
+	for _, text := range []string{head + "left wing.", head + "right wing.", "Fuel exhaustion."} {
+		d.AddElement(&docmodel.Element{Type: docmodel.Text, Text: text, Page: 1})
+	}
+	if err := s.PutDocument(d); err != nil {
+		t.Fatal(err)
+	}
+	whole := s.docs["R1"].text
+	for _, c := range []struct {
+		parent, text string
+		shared       bool
+	}{
+		{"R1", head + "left wing.", true},
+		{"R1", head + "right wing.\nFuel exhaustion.", true},
+		{"R1", "Fuel exhaustion.", true},
+		{"R1", head + "tail.", false},
+		{"R1", "Fuel exhaustion. More", false},
+		{"R1", "", false},
+		{"R2", head + "left wing.", false},
+	} {
+		got := s.sharedText(c.parent, strings.Clone(c.text))
+		at := uintptr(unsafe.Pointer(unsafe.StringData(got))) - uintptr(unsafe.Pointer(unsafe.StringData(whole)))
+		inside := got != "" && at <= uintptr(len(whole)-len(got))
+		if got != c.text || inside != c.shared {
+			t.Errorf("%s %q: kept %q, inside the parent's string %v, want %v", c.parent, c.text, got, inside, c.shared)
 		}
 	}
-	live := liveHeap() - base
-	budget := uint64(n*(vectorBytes+overheadBytes) + textBytes + cacheBytes)
-	t.Logf("live heap %d B/chunk, budget %d B/chunk", live/n, budget/n)
-	if live > budget {
-		t.Errorf("retrieval state holds %d B per chunk, budget is %d B per chunk", live/n, budget/n)
-	}
-	runtime.KeepAlive(em)
-	runtime.KeepAlive(s)
 }
 
 func TestPutValidation(t *testing.T) {

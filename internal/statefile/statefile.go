@@ -1,6 +1,7 @@
 package statefile
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -8,7 +9,8 @@ import (
 
 // Write replaces the file at path with what encode writes. The bytes go to
 // a temporary file in path's directory, are synced to disk, and only then
-// renamed over path: a reader sees the old file or the new one, never a
+// renamed over path, and the directory is synced so the rename itself
+// survives a crash: a reader sees the old file or the new one, never a
 // truncated mix, and an encode that fails leaves the old file intact and
 // no temporary file behind.
 func Write(path string, encode func(io.Writer) error) (err error) {
@@ -34,5 +36,14 @@ func Write(path string, encode func(io.Writer) error) (err error) {
 	if err = tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	// The rename is an entry of the directory: until the directory is
+	// synced too, a crash can still leave the old file under path.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	return errors.Join(dir.Sync(), dir.Close())
 }
