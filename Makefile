@@ -93,8 +93,11 @@ docs-check:
 # (heap per stored report and per chunk), BenchmarkExactSearch (a top-10
 # search over 7,635 rows of 1,024 on the simd kernel and on the Go loop, at
 # one shard and at GOMAXPROCS: ns/op, row bytes scanned per second, bytes
-# per vector row) and BenchmarkRawdocCodec (encode and decode time and
-# allocations per report, blob bytes per report).
+# per vector row), BenchmarkRawdocCodec (encode and decode time and
+# allocations per report, blob bytes per report), BenchmarkTokenDirection
+# (ns and allocations per generated token direction, against the math/rand
+# path it reproduces) and BenchmarkEmbedCorpus (directions generated and
+# the direction cache's hit ratio embedding corpus 42's chunks).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -136,7 +139,9 @@ cover:
 # error envelope, never a panic, and every SSE event the emitter sends
 # reads back in order with its id, name and payload, and the BM25 posting
 # lists (any ascending ordinals with tf ≥ 1 decode back exactly, and
-# scores over generated chunks equal a plain-posting scorer's to the bit).
+# scores over generated chunks equal a plain-posting scorer's to the bit),
+# and the embedder's direction generator (for any seed, its first 1,100
+# draws are math/rand's NormFloat64 stream to the bit; on amd64).
 # One -fuzz pattern
 # per invocation — go test allows only a single fuzzing target at a time.
 fuzz-smoke:
@@ -145,6 +150,7 @@ fuzz-smoke:
 	$(GO) test ./internal/luna/ -run '^$$' -fuzz '^FuzzCostRewrite$$' -fuzztime 10s
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzVectorCodec$$' -fuzztime 10s
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzPostings$$' -fuzztime 10s
+	$(GO) test ./internal/embed/ -run '^$$' -fuzz '^FuzzDirectionSource$$' -fuzztime 10s
 	$(GO) test ./internal/rawdoc/ -run '^$$' -fuzz '^FuzzRawdocDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s

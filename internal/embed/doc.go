@@ -8,12 +8,21 @@
 // Paper counterpart: the embedding model of the §6.1 vector-search path
 // (the paper uses MiniLM embeddings indexed in OpenSearch).
 //
+// A token's direction is the normalized first Dim draws of
+// rand.New(rand.NewSource(seed ^ FNV-1a(token))).NormFloat64(), each
+// rounded to float32. The package draws them with its own copy of that
+// generator (source.go), bit for bit the same stream: math/rand's seeding
+// is 1,841 division steps and an allocation per source, which a direction
+// cache small enough to keep pays on every miss. FuzzDirectionSource holds
+// the copy to math/rand on amd64.
+//
 // On CPUs with AVX2 and FMA a token direction accumulates into the vector
 // through simd.Axpy, eight lanes at a time. It multiplies, rounds to
-// float32, then adds — deliberately not fused: that is what amd64 compiles
-// the Go loop vec[i] += w*v to, and the embedding golden pins those bytes.
+// float32, then adds — deliberately not fused: that is what the Go loop
+// does on every GOARCH (an explicit conversion rounds each product), and
+// the embedding golden pins those bytes.
 //
-// Concurrency: Hash memoizes per-token directions in a bounded cache
-// behind an internal lock, so Embed is safe (and fast) to call from
-// concurrent pipeline workers.
+// Concurrency: Hash caches token directions in a fixed 2 MB slab of 512
+// rows with CLOCK eviction behind an internal lock, so Embed is safe (and
+// fast) to call from concurrent pipeline workers.
 package embed

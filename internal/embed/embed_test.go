@@ -147,38 +147,49 @@ func TestEmbedConcurrent(t *testing.T) {
 func cachedDirections(h *Hash) int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.dirs)
+	return len(h.rows)
 }
 
-// TestDirectionCacheStartsOver: a full cache is dropped and refilled, not
-// frozen, and neither changes an embedding — the text embedded before more
-// than a cache's worth of one-off tokens went through embeds to the same
-// bytes after.
-func TestDirectionCacheStartsOver(t *testing.T) {
-	const text = "the engine lost power during cruise and the pilot made a forced landing"
+// TestDirectionCacheKeepsHotTokens: a text embedded between floods of
+// one-off tokens — each flood half a cache, three caches in all — keeps
+// its directions. CLOCK evicts the one-offs around it, so the hot tokens
+// are never generated again, its bytes never change, and the cache never
+// holds more than its bound.
+func TestDirectionCacheKeepsHotTokens(t *testing.T) {
+	const (
+		hot    = "the engine lost power during cruise and the pilot made a forced landing"
+		flood  = maxCachedDirections / 2
+		floods = 6
+	)
 	e := NewHash(1)
-	before := e.Embed(text)
-	startedOver := false
-	for i, last := 0, cachedDirections(e); i < maxCachedDirections+500; i++ {
-		e.Embed(fmt.Sprintf("n%dx", i))
-		n := cachedDirections(e)
-		if n > maxCachedDirections {
-			t.Fatalf("cache holds %d directions, bound is %d", n, maxCachedDirections)
+	want := e.Embed(hot)
+	oneOffs := 0
+	for f := 0; f < floods; f++ {
+		made := e.made.Load()
+		for i := 0; i < flood; i++ {
+			e.Embed(fmt.Sprintf("n%dx", oneOffs))
+			oneOffs++
+			if n := cachedDirections(e); n > maxCachedDirections {
+				t.Fatalf("cache holds %d directions, bound is %d", n, maxCachedDirections)
+			}
 		}
-		startedOver = startedOver || n < last
-		last = n
-	}
-	if !startedOver {
-		t.Fatal("cache never started over: later tokens were never admitted")
-	}
-	after := e.Embed(text)
-	for i := range before {
-		if math.Float32bits(before[i]) != math.Float32bits(after[i]) {
-			t.Fatalf("embedding changed across a cache start-over at dim %d", i)
+		if got := e.made.Load() - made; got != flood {
+			t.Fatalf("flood %d generated %d directions, want one per one-off token, %d", f, got, flood)
+		}
+		made = e.made.Load()
+		got := e.Embed(hot)
+		if regenerated := e.made.Load() - made; regenerated != 0 {
+			t.Fatalf("after flood %d the hot text generated %d directions again", f, regenerated)
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("after flood %d the hot text embedded differently at dim %d", f, i)
+			}
 		}
 	}
-	if cachedDirections(e) == 0 {
-		t.Error("tokens embedded after the start-over should be cached again")
+	if oneOffs < 3*maxCachedDirections || cachedDirections(e) != maxCachedDirections {
+		t.Errorf("%d one-off tokens left %d directions cached, want ≥ %d through a full cache of %d",
+			oneOffs, cachedDirections(e), 3*maxCachedDirections, maxCachedDirections)
 	}
 }
 

@@ -10,3 +10,12 @@ func SetKernel(on bool) (restore func()) {
 	kernel = on && simd.Available()
 	return func() { kernel = was }
 }
+
+// Generations is how many directions h has generated.
+func Generations(h *Hash) int64 { return h.made.Load() }
+
+// Lookups is how many token directions embedding text reads.
+func Lookups(text string) (n int) {
+	eachDirection(text, func(string, float32) { n++ })
+	return n
+}

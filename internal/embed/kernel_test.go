@@ -16,25 +16,29 @@ import (
 	"aryn/internal/ntsb"
 )
 
-// goldenChunkTexts are the chunk texts internal/index's embed golden pins,
-// in its order: the 120-token merged chunks of ntsb.GenerateCorpus(30, 42),
-// then its unmerged elements.
-func goldenChunkTexts(t *testing.T) []string {
-	t.Helper()
-	corpus, err := ntsb.GenerateCorpus(30, 42)
+// chunkTexts are the chunk texts of ntsb.GenerateCorpus(reports, 42): its
+// 120-token merged chunks, as ingest embeds them, and then, with elements,
+// its unmerged elements.
+func chunkTexts(tb testing.TB, reports int, elements bool) []string {
+	tb.Helper()
+	corpus, err := ntsb.GenerateCorpus(reports, 42)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	blobs, err := corpus.Blobs()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	exploded := docset.ReadBinary(docset.NewContext(), blobs).Partition(docparse.New()).Explode()
+	sets := []*docset.DocSet{exploded.MergeChunks(120)}
+	if elements {
+		sets = append(sets, exploded)
+	}
 	var texts []string
-	for _, ds := range []*docset.DocSet{exploded.MergeChunks(120), exploded} {
+	for _, ds := range sets {
 		chunks, err := ds.TakeAll(context.Background())
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, c := range chunks {
 			texts = append(texts, c.Text)
@@ -62,7 +66,7 @@ func TestEmbedKernelMatchesGoLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := strings.Split(string(raw), "\n")
-	texts := goldenChunkTexts(t)
+	texts := chunkTexts(t, 30, true) // internal/index's embed golden, in its order
 	if len(texts) < 200 || len(texts) > len(golden) {
 		t.Fatalf("%d chunk texts against %d golden lines", len(texts), len(golden))
 	}
@@ -86,4 +90,25 @@ func TestEmbedKernelMatchesGoLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkEmbedCorpus embeds the chunk texts of corpus 42's 100 reports
+// with a fresh embedder, as ingest does, and prints how many directions
+// that generates and what share of direction lookups the cache answers.
+func BenchmarkEmbedCorpus(b *testing.B) {
+	texts := chunkTexts(b, 100, false)
+	lookups := 0
+	for _, text := range texts {
+		lookups += embed.Lookups(text)
+	}
+	var made int64
+	for b.Loop() {
+		em := embed.NewHash(7)
+		for _, text := range texts {
+			em.Embed(text)
+		}
+		made = embed.Generations(em)
+	}
+	b.ReportMetric(float64(made), "generations/op")
+	b.ReportMetric(1-float64(made)/float64(lookups), "hit_ratio")
 }

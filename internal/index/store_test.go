@@ -298,11 +298,11 @@ func liveHeap() uint64 {
 // fit the vector (2 KB of codes + its multiplier), the text and
 // overheadBytes per chunk for the chunk record and its delta-varint
 // postings; with the embedder beside it, the embedder's direction cache at
-// its 8 MB bound on top.
-// Before that cache was bounded at 2,048 entries it kept every one-off
-// token's 4 KB direction and this read 18 KB per chunk against the 8 KB
-// allowed. With a posting an 8-byte struct, the store alone read 2,919 B per
-// chunk against today's 2,833.
+// its 2 MB bound on top (a full slab: these 12,000 one-off tokens fill it).
+// Before that cache was bounded it kept every one-off token's 4 KB
+// direction and this read 18 KB per chunk against the 8 KB allowed. With a
+// posting an 8-byte struct, the store alone read 2,919 B per chunk against
+// today's 2,833.
 //
 // With the parents stored first, each chunk being one element of its
 // report, the text is counted once per report, plus elementBytes per
@@ -317,7 +317,7 @@ func TestLiveHeapPerChunk(t *testing.T) {
 		overheadBytes = 576
 		elementBytes  = 104 // a docmodel.Element and the pointer to it
 		reportBytes   = 512
-		cacheBytes    = 8 << 20
+		cacheBytes    = 2 << 20
 	)
 	texts := make([]string, n)
 	textBytes := 0
