@@ -141,7 +141,11 @@ cover:
 # lists (any ascending ordinals with tf ≥ 1 decode back exactly, and
 # scores over generated chunks equal a plain-posting scorer's to the bit),
 # and the embedder's direction generator (for any seed, its first 1,100
-# draws are math/rand's NormFloat64 stream to the bit; on amd64).
+# draws are math/rand's NormFloat64 stream to the bit; on amd64), and the
+# stored text view (any element tree — furniture, tables, pictures with,
+# without and with an empty summary, empty texts, child nodes — reads
+# through the view's table byte for byte as through the reference view of
+# Elements it replaced).
 # One -fuzz pattern
 # per invocation — go test allows only a single fuzzing target at a time.
 fuzz-smoke:
@@ -151,6 +155,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzVectorCodec$$' -fuzztime 10s
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzPostings$$' -fuzztime 10s
 	$(GO) test ./internal/embed/ -run '^$$' -fuzz '^FuzzDirectionSource$$' -fuzztime 10s
+	$(GO) test ./internal/docmodel/ -run '^$$' -fuzz '^FuzzTextView$$' -fuzztime 10s
 	$(GO) test ./internal/rawdoc/ -run '^$$' -fuzz '^FuzzRawdocDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s

@@ -11,6 +11,7 @@
 //	arynd -addr :8088 -llm-cache /var/aryn/llm.cache # warm-start + persist
 //	curl -s localhost:8088/v1/healthz
 //	curl -s -X POST localhost:8088/v1/query -d '{"question":"How many incidents were there?"}'
+//	arynd -addr :8088 -pprof localhost:6060          # net/http/pprof on a listener of its own
 //
 // Plans are first-class (§6.2 inspect→edit→re-run): POST /v1/plan returns
 // the validated DAG plan without executing it, and POST /v1/query accepts
@@ -31,7 +32,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -66,6 +69,7 @@ func main() {
 		faultEP     = flag.Bool("fault-endpoint", false, "expose the dev-only /v1/faults chaos-control endpoint")
 		optimize    = flag.Bool("optimize", false, "run the optimize phase (llmExtracts scoped to a section) by default; the per-request \"optimize\" field overrides. The exact rewrites (filter hoisting, llmFilter fusion) always run")
 		feedback    = flag.String("feedback", "", "optimizer feedback-store path: warm-start from it at boot, persist back on shutdown")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof's /debug/pprof/ on this address, a listener of its own, never the API's (empty = off)")
 	)
 	flag.Parse()
 
@@ -98,10 +102,39 @@ func main() {
 		cfg.Fault = inj
 	}
 
+	if *pprofAddr != "" {
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "arynd: -pprof:", err)
+			os.Exit(1)
+		}
+		defer servePprof(ln).Close()
+		log.Printf("arynd: pprof on %s/debug/pprof/", ln.Addr())
+	}
 	if err := run(*addr, *docs, *seed, *sysSeed, *parallelism, *llmCache, *optimize, *feedback, inj, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "arynd:", err)
 		os.Exit(1)
 	}
+}
+
+// servePprof serves net/http/pprof's handlers on ln until the returned
+// server is closed, from a mux of their own: a profile is for whoever can
+// reach ln, never for an API client. (Importing net/http/pprof registers
+// them on http.DefaultServeMux too, which arynd serves nowhere.)
+func servePprof(ln net.Listener) *http.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // and every named profile: heap, goroutine, allocs, …
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("arynd: pprof: %v", err)
+		}
+	}()
+	return srv
 }
 
 func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache string, optimize bool, feedback string, inj *fault.Injector, cfg server.Config) error {

@@ -60,7 +60,7 @@ func TestChunkTextSharesReportText(t *testing.T) {
 		stored[d.ID] = d
 	}
 	for _, r := range reports {
-		view, text := r.TextView()
+		view, text := r.TextView(nil)
 		got := stored[r.ID].AllElements()
 		s := shared{text: text}
 		for i, e := range view.AllElements() {

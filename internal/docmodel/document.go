@@ -2,7 +2,6 @@ package docmodel
 
 import (
 	"encoding/json"
-	"slices"
 	"strings"
 )
 
@@ -27,7 +26,10 @@ type Document struct {
 	Binary []byte `json:"-"`
 	// Text is direct textual content for chunk-level documents.
 	Text string `json:"text,omitempty"`
-	// Elements are the leaf chunks of the document in reading order.
+	// Elements are the leaf chunks of the document in reading order. A
+	// node of a text view (TextView) keeps them in its table instead, and
+	// its Elements, nil there, come after the table's: read a node's
+	// elements through AllElements or Walk.
 	Elements []*Element `json:"elements,omitempty"`
 	// Children are nested sub-documents (e.g. sections of a long report).
 	Children []*Document `json:"children,omitempty"`
@@ -35,13 +37,17 @@ type Document struct {
 	Properties Properties `json:"properties,omitempty"`
 	// Embedding is the vector for chunk-level documents after embed().
 	Embedding []float32 `json:"-"`
+	// table holds the elements of a node of a text view (nil otherwise).
+	// It is immutable: copies of the node share it.
+	table *viewTable
 }
 
 // New returns an empty document with the given ID.
 func New(id string) *Document { return &Document{ID: id} }
 
 // Clone returns a deep copy of the document tree. Transforms operate on
-// clones so that upstream operators observe immutable inputs.
+// clones so that upstream operators observe immutable inputs. The clone of
+// a text view shares its nodes' tables and string, which are never written.
 func (d *Document) Clone() *Document {
 	if d == nil {
 		return nil
@@ -72,12 +78,13 @@ func (d *Document) Clone() *Document {
 }
 
 // Walk visits d and every descendant document in depth-first pre-order,
-// stopping early if fn returns false.
+// stopping early if fn returns false. A node of a text view is visited as a
+// copy whose Elements are built from its table.
 func (d *Document) Walk(fn func(*Document) bool) {
 	if d == nil {
 		return
 	}
-	if !fn(d) {
+	if !fn(d.withElements()) {
 		return
 	}
 	for _, c := range d.Children {
@@ -137,7 +144,7 @@ type Line struct {
 
 // Lines cuts TextContent into its entries in one walk, empty ones left out.
 func (d *Document) Lines() []Line {
-	out := make([]Line, 0, len(d.Elements)+1)
+	out := make([]Line, 0, d.elementCount()+1)
 	section := 0
 	d.eachEntry(func(text string, header bool) {
 		if header {
@@ -154,15 +161,25 @@ func (d *Document) Lines() []Line {
 // empty ones too: each node's text, then each of its elements but page
 // furniture as elementText shows it, header reporting a Section-header.
 func (d *Document) eachEntry(fn func(text string, header bool)) {
-	d.Walk(func(n *Document) bool {
-		fn(n.Text, false)
-		for _, e := range n.Elements {
-			if !e.Type.IsFurniture() {
-				fn(elementText(e), e.Type == SectionHeader)
+	if d == nil {
+		return
+	}
+	fn(d.Text, false)
+	if t := d.table; t != nil {
+		for i := range t.len() {
+			if e := t.elem(i); !e.typ.IsFurniture() {
+				fn(t.textOf(e), e.typ == SectionHeader)
 			}
 		}
-		return true
-	})
+	}
+	for _, e := range d.Elements {
+		if !e.Type.IsFurniture() {
+			fn(elementText(e), e.Type == SectionHeader)
+		}
+	}
+	for _, c := range d.Children {
+		c.eachEntry(fn)
+	}
 }
 
 // writeText appends one non-empty line of text.
@@ -206,101 +223,6 @@ func ChunkText(e *Element) string {
 	}
 }
 
-// TextView returns a copy of the document that keeps what a query reads and
-// drops the layout DocParse produced on the way there: the same ID, parent,
-// path, title, text, properties, embedding and children, and of every
-// element, page furniture too, its type, its page and, as Text, the text
-// elementText gives (what TextContent shows for an element it shows). Box,
-// Confidence, Properties, Table and Image are left zero, and so is the raw
-// Binary. TextContent, Sections, Lines, EmbeddingText and PageCount of the
-// view equal the document's own, and the view of a view is equal to it.
-// This is what index.Store keeps; Clone is the copy that keeps everything.
-//
-// The view's element texts are stored once, in text: the ChunkText of every
-// element but page furniture in reading order, joined by newlines, then
-// that of the furniture. An element's view text is a slice of its ChunkText
-// there (a table's trimmed Markdown is a prefix of its own), except that of
-// a picture with an image (its annotation, or its Text when it has no
-// summary), which is a string of its own. The texts of the chunks Explode
-// and MergeChunks cut from the document are found in text too, and
-// index.Store keeps them as slices of it.
-//
-// The view shares no mutable state with d (element texts are strings). A
-// node's elements live in one array, so a report costs a handful of
-// allocations however many elements it has.
-func (d *Document) TextView() (view *Document, text string) {
-	if d == nil {
-		return nil, ""
-	}
-	from := d.AllElements()
-	chunks := make([]string, len(from))
-	size := 0
-	for i, e := range from {
-		chunks[i] = ChunkText(e)
-		size += len(chunks[i]) + 1
-	}
-	var sb strings.Builder
-	sb.Grow(max(size-1, 0))      // exactly: text keeps sb's whole buffer
-	at := make([]int, len(from)) // where chunks[i] starts in text
-	written := 0
-	for _, furniture := range []bool{false, true} {
-		for i, e := range from {
-			if e.Type.IsFurniture() == furniture {
-				if written > 0 {
-					sb.WriteByte('\n')
-				}
-				written++
-				at[i] = sb.Len()
-				sb.WriteString(chunks[i])
-			}
-		}
-	}
-	text = sb.String()
-	next := 0 // the index in from of the element textView asks for next
-	view = d.textView(func(e *Element) string {
-		chunk := text[at[next] : at[next]+len(chunks[next])]
-		next++
-		t := viewText(e, chunk)
-		if strings.HasPrefix(chunk, t) {
-			t = chunk[:len(t)]
-		}
-		return t
-	})
-	return view, text
-}
-
-// textView is TextView's view of d, the text of each element e, in reading
-// order, being text(e).
-func (d *Document) textView(text func(*Element) string) *Document {
-	if d == nil {
-		return nil
-	}
-	v := &Document{
-		ID:         d.ID,
-		ParentID:   d.ParentID,
-		Path:       d.Path,
-		Title:      d.Title,
-		Text:       d.Text,
-		Properties: d.Properties.Clone(),
-		Embedding:  slices.Clone(d.Embedding),
-	}
-	if d.Elements != nil {
-		elems := make([]Element, len(d.Elements))
-		v.Elements = make([]*Element, len(d.Elements))
-		for i, e := range d.Elements {
-			elems[i] = Element{Type: e.Type, Page: e.Page, Text: text(e)}
-			v.Elements[i] = &elems[i]
-		}
-	}
-	if d.Children != nil {
-		v.Children = make([]*Document, len(d.Children))
-		for i, c := range d.Children {
-			v.Children[i] = c.textView(text)
-		}
-	}
-	return v
-}
-
 // EmbeddingText is the text a document is embedded by: its own Text when it
 // has one (a chunk), its whole TextContent otherwise (a parsed report).
 func (d *Document) EmbeddingText() string {
@@ -313,10 +235,19 @@ func (d *Document) EmbeddingText() string {
 // PageCount returns the highest page number any element reports.
 func (d *Document) PageCount() int {
 	maxPage := 0
-	for _, e := range d.AllElements() {
-		if e.Page > maxPage {
-			maxPage = e.Page
+	if d == nil {
+		return maxPage
+	}
+	if t := d.table; t != nil {
+		for i := range t.len() {
+			maxPage = max(maxPage, t.elem(i).page)
 		}
+	}
+	for _, e := range d.Elements {
+		maxPage = max(maxPage, e.Page)
+	}
+	for _, c := range d.Children {
+		maxPage = max(maxPage, c.PageCount())
 	}
 	return maxPage
 }
@@ -337,9 +268,11 @@ func (d *Document) SetProperty(key string, value any) {
 }
 
 // MarshalJSON renders the document, eliding binary payloads but recording
-// their size for debugging.
+// their size for debugging. A node of a text view prints its table as the
+// Elements it stands for.
 func (d *Document) MarshalJSON() ([]byte, error) {
 	type alias Document // avoid recursion
+	d = d.withElements()
 	a := struct {
 		*alias
 		BinaryBytes int  `json:"binary_bytes,omitempty"`

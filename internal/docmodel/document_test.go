@@ -260,8 +260,18 @@ func viewCases() map[string]*Document {
 	chunk.ParentID = "elems"
 	chunk.Text = "the chunk's own text"
 	chunk.AddElement(&Element{Type: Table, Table: table})
+	wide := New("wide")
+	for _, e := range []*Element{
+		{Type: Text, Text: "a page past what a row holds", Page: 1 << 20},
+		{Type: ElementType(300), Text: "a type no class has", Page: -3},
+		{Type: PageFooter, Text: "Page 70000", Page: 70000},
+		{Type: Picture, Text: "photo", Image: &ImageData{Summary: "wreckage"}, Page: 2},
+	} {
+		wide.AddElement(e)
+	}
 	return map[string]*Document{
 		"every type": every, "element shapes": elems, "nested": nested, "chunk": chunk, "empty": New("empty"),
+		"past a row": wide,
 	}
 }
 
@@ -270,7 +280,7 @@ func viewCases() map[string]*Document {
 // properties and tree shape, and carries no layout.
 func TestTextViewReadsAsTheDocument(t *testing.T) {
 	for name, d := range viewCases() {
-		v, _ := d.TextView()
+		v, text := d.TextView(nil)
 		if got, want := v.TextContent(), d.TextContent(); got != want {
 			t.Errorf("%s: TextContent\n%q\nwant\n%q", name, got, want)
 		}
@@ -317,12 +327,15 @@ func TestTextViewReadsAsTheDocument(t *testing.T) {
 				t.Errorf("%s: view element %d carries more than type, page and text: %+v", name, i, *e)
 			}
 		}
-		if again, _ := v.TextView(); !reflect.DeepEqual(again, v) {
-			t.Errorf("%s: the view of a view differs from it", name)
+		if again, _ := v.TextView(nil); viewDiff(again, v) != "" {
+			t.Errorf("%s: the view of a view reads differently: %s", name, viewDiff(again, v))
+		}
+		if ref, refText := referenceTextView(d); viewDiff(v, ref) != "" || text != refText {
+			t.Errorf("%s: the view reads differently from the reference view: %s", name, viewDiff(v, ref))
 		}
 	}
 	var none *Document
-	if v, text := none.TextView(); v != nil || text != "" {
+	if v, text := none.TextView(nil); v != nil || text != "" {
 		t.Error("the view of a nil document is nil")
 	}
 }
@@ -342,7 +355,7 @@ func TestTextViewTextsShareOneString(t *testing.T) {
 				body = append(body, ChunkText(e))
 			}
 		}
-		v, text := d.TextView()
+		v, text := d.TextView(nil)
 		if want := strings.Join(append(body, furniture...), "\n"); text != want {
 			t.Errorf("%s: text\n%q\nwant\n%q", name, text, want)
 		}
@@ -362,7 +375,7 @@ func TestTextViewTextsShareOneString(t *testing.T) {
 // its JSON has no bbox, confidence, table or image.
 func TestTextViewIsIndependentAndPrintsNoLayout(t *testing.T) {
 	d := viewCases()["element shapes"]
-	v, _ := d.TextView()
+	v, _ := d.TextView(nil)
 	want := v.TextContent()
 	d.SetProperty("us_state", "MUTATED")
 	d.Properties["nested"].(map[string]any)["list"].([]any)[0] = "MUTATED"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Properties is the JSON-like key/value metadata attached to documents and
@@ -13,15 +14,47 @@ import (
 type Properties map[string]any
 
 // Clone returns a deep copy of the property map.
-func (p Properties) Clone() Properties {
+func (p Properties) Clone() Properties { return p.clone(nil) }
+
+// clone is Clone, each key being keys' copy of it (as it is when keys is
+// nil).
+func (p Properties) clone(keys *Keys) Properties {
 	if p == nil {
 		return nil
 	}
 	cp := make(Properties, len(p))
 	for k, v := range p {
-		cp[k] = cloneValue(v)
+		cp[keys.of(k)] = cloneValue(v)
 	}
 	return cp
+}
+
+// Keys is a set of canonical property keys, one string each: the text
+// views taken with the same Keys (TextView) keep one copy of a key between
+// them, not one per document as a JSON decode makes them. It only grows.
+// The zero value is an empty set; Keys is safe for concurrent use.
+type Keys struct {
+	mu  sync.Mutex
+	set map[string]string
+}
+
+// of is the set's copy of k, which becomes k's own the first time it is
+// asked for (k itself when ks is nil).
+func (ks *Keys) of(k string) string {
+	if ks == nil {
+		return k
+	}
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	c, ok := ks.set[k]
+	if !ok {
+		if ks.set == nil {
+			ks.set = make(map[string]string)
+		}
+		c = strings.Clone(k) // not a slice of something larger
+		ks.set[c] = c
+	}
+	return c
 }
 
 func cloneValue(v any) any {

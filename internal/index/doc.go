@@ -12,8 +12,11 @@
 // vectors — a vector as a row of 16-bit fixed-point codes and one
 // multiplier, half a float32 slice's bytes, scored in integer arithmetic
 // (vector.go). A report's text is stored once: its element texts and its
-// chunks' texts are slices of one string (docmodel.Document.TextView), and
-// BM25 postings are delta-uvarint bytes (bm25.go). The layout DocParse
+// chunks' texts are slices of one string (docmodel.Document.TextView), its
+// elements are one pointer-free row each (type, page and where the text
+// lies) instead of an Element apiece, the store keeps one string per
+// property key, and BM25 postings are delta-uvarint bytes
+// (bm25.go). The layout DocParse
 // produced on the way there (§4: boxes, detector confidences, table cell
 // grids) is not: PutDocument keeps the document's
 // docmodel.Document.TextView, and only chunks carry vectors.

@@ -37,7 +37,8 @@ type Chunk struct {
 // A report's text is stored once: the view's element texts are slices of
 // one string per report, and so is the text of every chunk PutChunk finds
 // in its parent's string — which every chunk Explode and MergeChunks cut
-// from the report is.
+// from the report is. The view keeps its elements as one pointer-free row
+// each, and the store keeps one string per property key.
 //
 // Documents are immutable-on-write: that view is taken once, and every read
 // path (Document, Documents, SearchDocs) returns it directly — zero copies
@@ -55,6 +56,8 @@ type Store struct {
 	chunks   []storedChunk
 	bm25     *bm25Index
 	vec      *Exact
+	// keys is every stored report's property keys, one string each.
+	keys docmodel.Keys
 }
 
 // storedReport is a parent document as the store keeps it: its text view,
@@ -102,12 +105,15 @@ func NewStore() *Store {
 // mutable with d. Chunk postings for replaced documents are not rewritten;
 // re-ingest into a fresh store for full replacement semantics, as with an
 // OpenSearch reindex. The old chunks' texts slice the replaced report's
-// string, so that string stays alive as long as they do.
+// string, so that string stays alive as long as they do. The view's
+// property keys are the store's one copy of each (TextView interns them as
+// it clones the properties), not one per report as the ETL's JSON decode
+// made them.
 func (s *Store) PutDocument(d *docmodel.Document) error {
 	if d == nil || d.ID == "" {
 		return fmt.Errorf("index: document must have an ID")
 	}
-	view, text := d.TextView() // renders tables: before the write lock
+	view, text := d.TextView(&s.keys) // renders tables: before the write lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i, found := slices.BinarySearch(s.docOrder, d.ID); !found {

@@ -315,7 +315,7 @@ func TestLiveHeapPerChunk(t *testing.T) {
 		perReport     = 5
 		vectorBytes   = 2*embed.Dim + 8
 		overheadBytes = 576
-		elementBytes  = 104 // a docmodel.Element and the pointer to it
+		elementBytes  = 12 // a row of the stored view's table: type, page, text span
 		reportBytes   = 512
 		cacheBytes    = 2 << 20
 	)
@@ -447,4 +447,36 @@ func hitIDs(hits []DocHit) []string {
 		out[i] = h.Doc.ID
 	}
 	return out
+}
+
+// The stored reports keep one string per property key, however each report's
+// keys were decoded, and their values as they were put.
+func TestPutDocumentSharesPropertyKeys(t *testing.T) {
+	s := NewStore()
+	for i := range 3 {
+		d := docmodel.New(fmt.Sprintf("d%d", i))
+		for _, k := range []string{"us_state", "aircraft_type"} {
+			d.SetProperty(strings.Clone(k), fmt.Sprintf("%s-%d", k, i)) // as the ETL's JSON decode: a key of its own
+		}
+		if err := s.PutDocument(d); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC() // a canonical copy outlives collections
+	}
+	first := map[string]*byte{}
+	for i, d := range s.Documents() {
+		for k := range d.Properties {
+			if want := fmt.Sprintf("%s-%d", k, i); d.Property(k) != want {
+				t.Errorf("%s: %s = %q, want %q", d.ID, k, d.Property(k), want)
+			}
+			if p, ok := first[k]; !ok {
+				first[k] = unsafe.StringData(k)
+			} else if p != unsafe.StringData(k) {
+				t.Errorf("%s: key %q is a copy of its own", d.ID, k)
+			}
+		}
+	}
+	if len(first) != 2 {
+		t.Errorf("keys %v, want 2", first)
+	}
 }
