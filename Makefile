@@ -110,8 +110,8 @@ bench-e2e:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage gate: merged profile over ./..., then per-package floors for
-# the optimization-loop packages (internal/cost, internal/luna,
-# internal/docset, internal/llm), the retrieval pair (internal/index,
+# the optimization-loop packages (internal/luna, internal/docset,
+# internal/llm), the retrieval pair (internal/index,
 # internal/embed, and internal/simd under both), the serving pair
 # (internal/server, internal/resilience), internal/docmodel and
 # internal/rawdoc. CI uploads coverage.out as an artifact.
@@ -130,11 +130,10 @@ cover:
 # codes: the int64 loop's sum, to the bit) and the filter prompt (any
 # questions, document ID and text, inside the Sim's context window and
 # past it: the packed prompt reads back to them, and the Sim's packed
-# reply is its solo replies, line by line), and the two persisted-file
-# loaders: the LLM response cache (an error or a cache that serves what
+# reply is its solo replies, line by line), and the persisted-file
+# loader: the LLM response cache (an error or a cache that serves what
 # it loaded, never a panic; minimizing capped at 1s like the rawdoc
-# decoder's) and the optimizer feedback store (an error or a store whose
-# every selectivity is ≥ 0, never a panic), and the serving wire: any
+# decoder's), and the serving wire: any
 # /v1/query, /v1/plan, /v1/chat or /v1/ingest body decodes or is a 4xx
 # error envelope, never a panic, and every SSE event the emitter sends
 # reads back in order with its id, name and payload, and the BM25 posting
@@ -160,7 +159,6 @@ fuzz-smoke:
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzCacheLoad$$' -fuzztime 10s -fuzzminimizetime 1s
-	$(GO) test ./internal/cost/ -run '^$$' -fuzz '^FuzzFeedbackLoad$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzSSERoundTrip$$' -fuzztime 10s
 

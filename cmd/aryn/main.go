@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"aryn/internal/core"
-	"aryn/internal/cost"
 	"aryn/internal/docmodel"
 	"aryn/internal/luna"
 	"aryn/internal/ntsb"
@@ -199,14 +198,10 @@ func printEstimates(res *luna.Result) {
 	}
 }
 
-func printEstimate(pe *cost.PlanEstimate) {
+func printEstimate(pe *luna.PlanEstimate) {
 	for _, n := range pe.Nodes {
-		src := "default"
-		if n.Observed {
-			src = "observed"
-		}
-		fmt.Printf("  %-24s docs %8.1f -> %8.1f  llm %7.1f  units %9.1f  (%s)\n",
-			n.Op+" #"+fmt.Sprint(n.ID), n.DocsIn, n.DocsOut, n.LLMCalls, n.Units, src)
+		fmt.Printf("  %-24s docs %8.1f -> %8.1f  llm %7.1f  units %9.1f\n",
+			n.Op+" #"+fmt.Sprint(n.ID), n.DocsIn, n.DocsOut, n.LLMCalls, n.Units)
 	}
 	fmt.Printf("  total: %.1f estimated LLM calls, %.1f cost units\n", pe.LLMCalls, pe.Units)
 }

@@ -68,7 +68,6 @@ func main() {
 		faultSpec   = flag.String("fault-spec", "", "activate this JSON fault spec at boot (implies -fault-endpoint; see docs/fault-injection.md)")
 		faultEP     = flag.Bool("fault-endpoint", false, "expose the dev-only /v1/faults chaos-control endpoint")
 		optimize    = flag.Bool("optimize", false, "run the optimize phase (llmExtracts scoped to a section) by default; the per-request \"optimize\" field overrides. The exact rewrites (filter hoisting, llmFilter fusion) always run")
-		feedback    = flag.String("feedback", "", "optimizer feedback-store path: warm-start from it at boot, persist back on shutdown")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof's /debug/pprof/ on this address, a listener of its own, never the API's (empty = off)")
 	)
 	flag.Parse()
@@ -111,7 +110,7 @@ func main() {
 		defer servePprof(ln).Close()
 		log.Printf("arynd: pprof on %s/debug/pprof/", ln.Addr())
 	}
-	if err := run(*addr, *docs, *seed, *sysSeed, *parallelism, *llmCache, *optimize, *feedback, inj, cfg); err != nil {
+	if err := run(*addr, *docs, *seed, *sysSeed, *parallelism, *llmCache, *optimize, inj, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "arynd:", err)
 		os.Exit(1)
 	}
@@ -137,7 +136,7 @@ func servePprof(ln net.Listener) *http.Server {
 	return srv
 }
 
-func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache string, optimize bool, feedback string, inj *fault.Injector, cfg server.Config) error {
+func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache string, optimize bool, inj *fault.Injector, cfg server.Config) error {
 	sys := core.New(core.Config{
 		Seed:        sysSeed,
 		Parallelism: parallelism,
@@ -155,7 +154,7 @@ func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache s
 			log.Printf("arynd: /v1/faults chaos endpoint enabled (dev only)")
 		}
 	}
-	// A state file that exists but does not load stops the daemon: serving
+	// A cache file that exists but does not load stops the daemon: serving
 	// cold and saving over it at shutdown would destroy the operator's file.
 	if llmCache != "" {
 		if err := sys.LoadLLMCache(llmCache); err != nil {
@@ -165,12 +164,6 @@ func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache s
 	}
 	if optimize {
 		log.Printf("arynd: optimize phase (scoped extracts) ON by default")
-	}
-	if feedback != "" {
-		if err := sys.LoadFeedback(feedback); err != nil {
-			return fmt.Errorf("-feedback: %w", err)
-		}
-		log.Printf("arynd: optimizer feedback warm-start from %s (%d signatures)", feedback, sys.OptimizerStats().Entries)
 	}
 
 	if docs > 0 {
@@ -227,13 +220,6 @@ func run(addr string, docs int, seed, sysSeed int64, parallelism int, llmCache s
 			log.Printf("arynd: persist LLM cache: %v", err)
 		} else {
 			log.Printf("arynd: LLM cache persisted to %s", llmCache)
-		}
-	}
-	if feedback != "" {
-		if err := sys.SaveFeedback(feedback); err != nil {
-			log.Printf("arynd: persist optimizer feedback: %v", err)
-		} else {
-			log.Printf("arynd: optimizer feedback persisted to %s", feedback)
 		}
 	}
 	return nil

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"aryn/internal/cost"
 	"aryn/internal/docmodel"
 	"aryn/internal/docparse"
 	"aryn/internal/docset"
@@ -56,8 +55,7 @@ type Config struct {
 	// the section their field is in before the whole document (fewer
 	// tokens). The exact rewrites (structured filters hoisted above LLM
 	// operators, chained llmFilters fused into one call per document, …) run
-	// on every plan either way, and the feedback store records observations
-	// either way, so enabling it later starts warm.
+	// on every plan either way.
 	Optimize bool
 }
 
@@ -88,10 +86,6 @@ type System struct {
 	// Fault is the injector from Config.Fault (nil when chaos testing is
 	// not wired).
 	Fault *fault.Injector
-	// Cost is the optimizer's feedback store. Built once at construction
-	// and re-injected into every query service Prepare swaps in, so
-	// observed evidence survives re-ingests.
-	Cost *cost.Store
 
 	// mu guards the Prepare swap of Schema/Query/Conv against concurrent
 	// accessor reads.
@@ -163,7 +157,6 @@ func New(cfg Config) *System {
 	}
 	s.RAG = rag.New(store, stack, embedder)
 	s.RAG.K = cfg.RAGK
-	s.Cost = cost.NewStore()
 	return s
 }
 
@@ -268,7 +261,6 @@ func (s *System) Prepare() {
 	query := &luna.Service{
 		Planner:  luna.NewPlanner(s.LLM, schema),
 		Executor: &luna.Executor{EC: s.EC, Store: s.Store},
-		Cost:     s.Cost,
 		Optimize: s.Config.Optimize,
 	}
 	conv := luna.NewConversation(query)
@@ -321,17 +313,12 @@ func (s *System) LoadLLMCache(path string) error {
 // from it (LoadLLMCache).
 func (s *System) SaveLLMCache(path string) error { return s.LLM.SaveCache(path) }
 
-// LoadFeedback warm-starts the optimizer feedback store from a file
-// SaveFeedback wrote. A missing file is a cold start; any other failure is
-// an error naming the file, and leaves the store as it was.
-func (s *System) LoadFeedback(path string) error { return s.Cost.Load(path) }
-
-// SaveFeedback persists the optimizer feedback store so a later process
-// starts with observed per-operator costs (LoadFeedback).
-func (s *System) SaveFeedback(path string) error { return s.Cost.Save(path) }
-
-// OptimizerStats snapshots the feedback store's counters for /stats.
-func (s *System) OptimizerStats() cost.StoreStats { return s.Cost.Stats() }
+// OptimizerStats is always zero: the optimizer keeps no feedback store.
+// It stays only because bench/layers.go still prints its three cost.*
+// rows; ROADMAP item 7(g) deletes those rows and this method together.
+func (s *System) OptimizerStats() struct{ Entries, Hits, Misses int64 } {
+	return struct{ Entries, Hits, Misses int64 }{}
+}
 
 // Ask answers a natural-language question through Luna (conversational:
 // follow-ups resolve against the previous query) using the system's

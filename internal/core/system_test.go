@@ -268,37 +268,27 @@ func TestLLMMiddlewareWiredThroughQueries(t *testing.T) {
 	}
 }
 
-// TestLoadStateFiles: a missing state file is a cold start, and one that
-// does not load is an error naming it that loads nothing and leaves the
-// file as it was. (The round trips: TestFilterAnswersShareOneKeySpace here,
-// TestSaveLoadRoundTrip in internal/cost.)
+// TestLoadStateFiles: a missing LLM-cache file is a cold start, and one
+// that does not load is an error naming it that loads nothing and leaves
+// the file as it was. (The round trip: TestFilterAnswersShareOneKeySpace.)
 func TestLoadStateFiles(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "llm.cache")
 	sys := New(Config{Seed: 7})
+	if err := sys.LoadLLMCache(path); err != nil {
+		t.Errorf("missing file: %v, want a cold start", err)
+	}
 	corrupt := []byte("not a state file")
-	for name, load := range map[string]func(string) error{
-		"llm.cache":     sys.LoadLLMCache,
-		"feedback.json": sys.LoadFeedback,
-	} {
-		path := filepath.Join(dir, name)
-		if err := load(path); err != nil {
-			t.Errorf("%s: missing file: %v, want a cold start", name, err)
-		}
-		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := load(path); err == nil || !strings.Contains(err.Error(), path) {
-			t.Errorf("%s: corrupt file loaded with %v, want an error naming %s", name, err, path)
-		}
-		if got, _ := os.ReadFile(path); !bytes.Equal(got, corrupt) {
-			t.Errorf("%s: a failed load changed the file", name)
-		}
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadLLMCache(path); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("corrupt file loaded with %v, want an error naming %s", err, path)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, corrupt) {
+		t.Error("a failed load changed the file")
 	}
 	if n := sys.LLMStats().Cache.Entries; n != 0 {
-		t.Errorf("failed loads left %d cache entries", n)
-	}
-	if n := sys.OptimizerStats().Entries; n != 0 {
-		t.Errorf("failed loads left %d feedback signatures", n)
+		t.Errorf("a failed load left %d cache entries", n)
 	}
 }
 

@@ -86,7 +86,7 @@ func kmeans(vecs [][]float32, k int, seed int64) []int {
 					best = d
 				}
 			}
-			weights[i] = best * best
+			weights[i] = float64(best * best)
 			total += weights[i]
 		}
 		pick := 0

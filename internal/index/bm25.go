@@ -153,7 +153,7 @@ func (ix *bm25Index) search(query string, k int) []Scored {
 		for doc, f := range plist.all() {
 			tf := float64(f)
 			dl := float64(ix.docLen[doc])
-			denom := tf + bm25K1*(1-bm25B+bm25B*dl/avg)
+			denom := tf + float64(bm25K1*(1-bm25B+bm25B*dl/avg))
 			scores[int(doc)] += idf * tf * (bm25K1 + 1) / denom
 		}
 	}

@@ -79,7 +79,7 @@ func (r row) decode() []float32 {
 func quantizeQuery(query []float32) []int64 {
 	var sum float64
 	for _, v := range query {
-		sum += float64(v) * float64(v)
+		sum += float64(float64(v) * float64(v))
 	}
 	q := make([]int64, len(query))
 	if !(sum > 0) || math.IsInf(sum, 0) {

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"aryn/internal/cost"
 	"aryn/internal/docmodel"
 	"aryn/internal/docset"
 	"aryn/internal/index"
@@ -109,14 +108,13 @@ var equivSections = map[string][]struct {
 // newEquivService wires a fresh, identically-seeded system. Fresh per run
 // so the optimized and unoptimized executions cannot share an LLM cache —
 // call counts stay honest.
-func newEquivService(t *testing.T, optimize bool, feedback *cost.Store) *Service {
+func newEquivService(t *testing.T, optimize bool) *Service {
 	t.Helper()
 	store := equivCorpus(t)
 	ec := docset.NewContext(docset.WithLLM(llm.NewSim(1)))
 	return &Service{
 		Planner:  NewPlanner(llm.NewSim(1), InferSchema(store)),
 		Executor: &Executor{EC: ec, Store: store},
-		Cost:     feedback,
 		Optimize: optimize,
 	}
 }
@@ -247,7 +245,7 @@ func equivalencePlans() []struct {
 // as given and returns the result plus its total LLM call count.
 func runEquiv(t *testing.T, plan *LogicalPlan, optimize bool) (*Result, int64) {
 	t.Helper()
-	svc := newEquivService(t, optimize, cost.NewStore())
+	svc := newEquivService(t, optimize)
 	res, err := svc.RunPlan(context.Background(), "equiv", plan.Clone())
 	if err != nil {
 		t.Fatalf("optimize=%v: %v", optimize, err)
@@ -259,7 +257,7 @@ func runEquiv(t *testing.T, plan *LogicalPlan, optimize bool) (*Result, int64) {
 // through Executor.Run, no rule applied: the reference leg.
 func runRaw(t *testing.T, plan *LogicalPlan) (*Result, int64) {
 	t.Helper()
-	svc := newEquivService(t, false, nil)
+	svc := newEquivService(t, false)
 	res, err := svc.Executor.Run(context.Background(), plan.Clone(), StreamHooks{})
 	if err != nil {
 		t.Fatalf("raw: %v", err)
@@ -300,7 +298,7 @@ func (f *firstAsks) CompleteGroup(ctx context.Context, g llm.Group) ([]llm.Respo
 // runFirstAsks is runEquiv, also returning the firstAsks of the execution.
 func runFirstAsks(t *testing.T, plan *LogicalPlan, optimize bool) (*Result, int64, map[string]int) {
 	t.Helper()
-	svc := newEquivService(t, optimize, cost.NewStore())
+	svc := newEquivService(t, optimize)
 	log := &firstAsks{Client: svc.Executor.EC.LLM, tokens: map[string]int{}}
 	for _, hit := range svc.Executor.Store.SearchDocs(index.Query{}) {
 		log.docs = append(log.docs, hit.Doc)
@@ -463,7 +461,7 @@ func TestExecAccountsForEveryModelCall(t *testing.T) {
 	var total int64
 	for _, tc := range equivalencePlans() {
 		for _, optimize := range []bool{false, true} {
-			svc := newEquivService(t, optimize, cost.NewStore())
+			svc := newEquivService(t, optimize)
 			counter := &countingLLM{Client: svc.Executor.EC.LLM}
 			svc.Executor.EC.LLM = counter
 			res, err := svc.RunPlan(context.Background(), "accounting", tc.plan.Clone())
@@ -491,7 +489,7 @@ func TestOptimizedResultAnnotations(t *testing.T) {
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMFilter, Question: qFire},
 		LogicalOp{Op: OpCount})
-	svc := newEquivService(t, true, cost.NewStore())
+	svc := newEquivService(t, true)
 	res, err := svc.RunPlan(context.Background(), "annotated", plan)
 	if err != nil {
 		t.Fatal(err)
@@ -520,24 +518,5 @@ func TestOptimizedResultAnnotations(t *testing.T) {
 	// The estimates must cover the LLM-bearing node and mark totals.
 	if res.Cost.LLMCalls <= 0 || res.Cost.Units <= 0 {
 		t.Errorf("rewritten-plan estimate empty: %+v", res.Cost)
-	}
-}
-
-// TestObservationsSkipErroredRuns guards the feedback store against
-// poisoning: a cancelled execution must record nothing.
-func TestObservationsSkipErroredRuns(t *testing.T) {
-	feedback := cost.NewStore()
-	svc := newEquivService(t, false, feedback)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	plan := Chain(
-		LogicalOp{Op: OpQueryDatabase},
-		LogicalOp{Op: OpLLMFilter, Question: qFire},
-		LogicalOp{Op: OpCount})
-	if _, err := svc.RunPlan(ctx, "cancelled", plan); err == nil {
-		t.Skip("cancelled run unexpectedly succeeded")
-	}
-	if n := feedback.Stats().Entries; n != 0 {
-		t.Errorf("errored run recorded %d signatures", n)
 	}
 }

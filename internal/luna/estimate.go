@@ -1,78 +1,81 @@
 package luna
 
-import (
-	"fmt"
-	"math"
-	"strings"
+import "math"
 
-	"aryn/internal/cost"
+// This file is the cost model behind the plan estimates /v1/plan prints
+// beside the plan: relative unit costs, default selectivities, and the
+// pre-execution walk over the DAG. An estimate is a pure function of the
+// plan and the corpus size; no rewrite rule consults it (rewrite.go).
+
+// Relative unit costs, calibrated so one LLM round-trip dwarfs any
+// amount of predicate evaluation — the paper's core economics. The
+// absolute numbers are arbitrary; only the ratios matter.
+const (
+	// UnitsPerLLMCall is the unit cost of one LLM round-trip.
+	UnitsPerLLMCall = 100.0
+	// UnitsPerPredicate is the unit cost of evaluating one structured
+	// predicate (or index probe) on one document.
+	UnitsPerPredicate = 0.01
+	// UnitsPerProxy is the unit cost of one embedding per document (vector
+	// arithmetic; far cheaper than an LLM call, pricier than a property
+	// compare).
+	UnitsPerProxy = 1.0
 )
 
-// This file is the cost model's view of a plan: the operator signatures
-// the feedback store is keyed by, the pre-execution estimate walk, and
-// the post-execution observation write-back. The rules that act on the
-// evidence are in rewrite.go.
-
-// opSignature identifies an operator instance across queries for the
-// feedback store: the operator name plus its semantically load-bearing
-// parameters. A filter's evidence is kept per question (filterSignature),
-// so a fused node has no entry of its own: EstimatePlan and ObserveExec
-// walk its questions.
-func opSignature(op LogicalOp) string {
-	switch op.Op {
-	case OpLLMFilter:
-		return filterSignature(strings.Join(op.questions(), "|"))
-	case OpBasicFilter:
-		return "basicFilter|" + filterSig(op.Filters)
-	case OpQueryDatabase:
-		return "queryDatabase|" + op.Keyword + "|" + filterSig(op.Filters)
-	case OpQueryVectorDatabase:
-		return fmt.Sprintf("queryVectorDatabase|%s|%d", op.Query, op.K)
-	case OpLLMExtract:
-		names := make([]string, len(op.Fields))
-		for i, f := range op.Fields {
-			names[i] = f.Name
-		}
-		if op.Sections > 0 {
-			// A scoped extract spends differently (it can ask twice), so its
-			// evidence is its own.
-			return "llmExtract|" + strings.Join(names, ",") + "|sections=1"
-		}
-		return "llmExtract|" + strings.Join(names, ",")
+// defaultSelectivity is the fraction of input documents assumed to
+// survive an operator (per question, for an llmFilter); 1 for
+// pass-through operators.
+func defaultSelectivity(op string) float64 {
+	switch op {
+	case OpBasicFilter, OpLLMFilter:
+		return 0.5
 	case opDistinct:
-		return "distinct|" + op.Field
-	case OpGroupByAggregate:
-		return fmt.Sprintf("groupByAggregate|%s|%s|%s", op.Key, op.Agg, op.ValueField)
-	case OpFraction:
-		return "fraction|" + op.Question + "|" + filterSig(op.Filters)
+		return 0.9
 	default:
-		return op.Op
+		return 1.0
 	}
 }
 
-// filterSignature is the feedback-store key of one llmFilter question.
-// The plain and fused forms share it — they evaluate the same predicate, so
-// selectivity evidence transfers between them.
-func filterSignature(question string) string { return "llmFilter|" + question }
+// NodeEstimate is one plan node's cost estimate, wire-stable for
+// embedding in /v1/plan responses and EXPLAIN output.
+type NodeEstimate struct {
+	ID string `json:"id"`
+	Op string `json:"op"`
+	// DocsIn/DocsOut are the estimated document counts crossing the node.
+	DocsIn  float64 `json:"docs_in"`
+	DocsOut float64 `json:"docs_out"`
+	// LLMCalls is the estimated number of LLM round-trips the node makes.
+	LLMCalls float64 `json:"llm_calls"`
+	// Units is the node's estimated cost in abstract units
+	// (UnitsPerLLMCall per call + cheap per-document work).
+	Units float64 `json:"units"`
+}
 
-func filterSig(filters []FilterSpec) string {
-	parts := make([]string, len(filters))
-	for i, f := range filters {
-		parts[i] = fmt.Sprintf("%s %s %v", f.Field, f.Kind, f.Value)
-	}
-	return strings.Join(parts, "&")
+// PlanEstimate is a whole plan's cost estimate: per-node figures in
+// topological order plus plan-level totals.
+type PlanEstimate struct {
+	Nodes []NodeEstimate `json:"nodes"`
+	// LLMCalls/Units are the totals across all nodes.
+	LLMCalls float64 `json:"llm_calls"`
+	Units    float64 `json:"units"`
+}
+
+// Add folds a node estimate into the plan totals.
+func (p *PlanEstimate) Add(n NodeEstimate) {
+	p.Nodes = append(p.Nodes, n)
+	p.LLMCalls += n.LLMCalls
+	p.Units += n.Units
 }
 
 // defaultGroupCount is the assumed group cardinality for aggregation
-// estimates before any evidence.
+// estimates.
 const defaultGroupCount = 8
 
 // EstimatePlan walks the DAG in topological order propagating estimated
-// document cardinalities and accumulating per-node LLM calls and unit
-// costs — defaults refined by whatever evidence the feedback store holds
-// (nil: defaults only). baseDocs is the corpus size the source scans. Returns nil
-// for nil/cyclic plans.
-func EstimatePlan(plan *LogicalPlan, store *cost.Store, baseDocs float64) *cost.PlanEstimate {
+// document cardinalities over default selectivities and accumulating
+// per-node LLM calls and unit costs. baseDocs is the corpus size the source
+// scans. Returns nil for nil/cyclic plans.
+func EstimatePlan(plan *LogicalPlan, baseDocs float64) *PlanEstimate {
 	if plan == nil {
 		return nil
 	}
@@ -80,7 +83,7 @@ func EstimatePlan(plan *LogicalPlan, store *cost.Store, baseDocs float64) *cost.
 	if err != nil {
 		return nil
 	}
-	est := &cost.PlanEstimate{}
+	est := &PlanEstimate{}
 	outDocs := map[string]float64{}
 	for _, idx := range order {
 		n := plan.Nodes[idx]
@@ -88,8 +91,6 @@ func EstimatePlan(plan *LogicalPlan, store *cost.Store, baseDocs float64) *cost.
 		for _, e := range n.Inputs {
 			in += outDocs[e]
 		}
-		sig := opSignature(n.LogicalOp)
-		ne := cost.NodeEstimate{ID: n.ID, Op: n.Op, DocsIn: in}
 		var out, calls, units float64
 		switch n.Op {
 		case OpQueryDatabase:
@@ -98,73 +99,54 @@ func EstimatePlan(plan *LogicalPlan, store *cost.Store, baseDocs float64) *cost.
 				out *= 0.3
 			}
 			out *= math.Pow(0.5, float64(len(n.Filters)))
-			if a, ok := store.Lookup(sig); ok && a.Count > 0 {
-				out = float64(a.DocsOut) / float64(a.Count)
-				ne.Observed = true
-			}
-			units = baseDocs * cost.UnitsPerPredicate
+			units = baseDocs * UnitsPerPredicate
 		case OpQueryVectorDatabase:
 			k := float64(n.K)
 			if k <= 0 {
 				k = 20
 			}
 			out = math.Min(k, baseDocs)
-			units = baseDocs * cost.UnitsPerPredicate
+			units = baseDocs * UnitsPerPredicate
 		case OpBasicFilter:
-			sel, observed := store.Selectivity(n.Op, sig)
-			out = in * sel
-			units = in * math.Max(float64(len(n.Filters)), 1) * cost.UnitsPerPredicate
-			ne.Observed = observed
+			out = in * defaultSelectivity(n.Op)
+			units = in * math.Max(float64(len(n.Filters)), 1) * UnitsPerPredicate
 		case OpLLMFilter:
 			// One call per document however many questions it asks; the
 			// questions' selectivities multiply (independence).
-			out = in
-			for _, q := range n.questions() {
-				sel, observed := store.Selectivity(n.Op, filterSignature(q))
-				out *= sel
-				ne.Observed = ne.Observed || observed
-			}
+			out = in * math.Pow(defaultSelectivity(n.Op), float64(len(n.questions())))
 			calls = in
-			units = calls * cost.UnitsPerLLMCall
+			units = calls * UnitsPerLLMCall
 		case OpLLMExtract:
+			// One call per document; a scoped extract's escalations are
+			// not known before it runs.
 			out = in
 			calls = in
-			if n.Sections > 0 {
-				// One scoped call per document plus the share it has been
-				// seen to ask again whole; never less than one.
-				if a, ok := store.Lookup(sig); ok && a.LLMCalls > a.DocsIn && a.DocsIn > 0 {
-					calls = in * float64(a.LLMCalls) / float64(a.DocsIn)
-					ne.Observed = true
-				}
-			}
-			units = calls * cost.UnitsPerLLMCall
+			units = calls * UnitsPerLLMCall
 		case OpLLMCluster:
 			// k-means over embeddings (docset.LLMCluster): one embedding per
 			// document, no model call.
 			out = in
-			units = in * cost.UnitsPerProxy
+			units = in * UnitsPerProxy
 		case OpGroupByAggregate:
 			out = math.Min(in, defaultGroupCount)
-			units = in * cost.UnitsPerPredicate
+			units = in * UnitsPerPredicate
 		case OpTopK, OpLimit:
 			out = math.Min(float64(n.K), in)
-			units = in * cost.UnitsPerPredicate
+			units = in * UnitsPerPredicate
 		case opDistinct:
-			sel, observed := store.Selectivity(n.Op, sig)
-			out = in * sel
-			units = in * cost.UnitsPerPredicate
-			ne.Observed = observed
+			out = in * defaultSelectivity(n.Op)
+			units = in * UnitsPerPredicate
 		case OpLLMGenerate:
 			out = 1
 			calls = 1
-			units = cost.UnitsPerLLMCall
+			units = UnitsPerLLMCall
 		case OpCount:
 			out = 1
 		case OpFraction:
 			out = 1
 			if n.Question != "" {
 				calls = in
-				units = in * cost.UnitsPerLLMCall
+				units = in * UnitsPerLLMCall
 			}
 		case OpJoin:
 			// Probe-side documents survive (enriched); the build side only
@@ -172,15 +154,15 @@ func EstimatePlan(plan *LogicalPlan, store *cost.Store, baseDocs float64) *cost.
 			if len(n.Inputs) > 0 {
 				out = outDocs[n.Inputs[0]]
 			}
-			units = in * cost.UnitsPerPredicate
+			units = in * UnitsPerPredicate
 		default:
 			out = in
 		}
-		ne.DocsOut = roundEst(out)
-		ne.DocsIn = roundEst(in)
-		ne.LLMCalls = roundEst(calls)
-		ne.Units = roundEst(units)
-		est.Add(ne)
+		est.Add(NodeEstimate{
+			ID: n.ID, Op: n.Op,
+			DocsIn: roundEst(in), DocsOut: roundEst(out),
+			LLMCalls: roundEst(calls), Units: roundEst(units),
+		})
 		outDocs[n.ID] = out
 	}
 	est.LLMCalls = roundEst(est.LLMCalls)
@@ -192,40 +174,4 @@ func EstimatePlan(plan *LogicalPlan, store *cost.Store, baseDocs float64) *cost.
 // figures that start from coarse defaults).
 func roundEst(v float64) float64 {
 	return math.Round(v*100) / 100
-}
-
-// ObserveExec records every executed node's measured behaviour into the
-// feedback store — the write half of the optimization loop, run after
-// each query completes. The plan must be the one Exec's node IDs refer
-// to (Result.ExecutedPlan).
-func ObserveExec(plan *LogicalPlan, exec *ExecDetail, store *cost.Store) {
-	if plan == nil || exec == nil || store == nil {
-		return
-	}
-	for _, n := range plan.Nodes {
-		ne := exec.Node(n.ID)
-		if ne == nil {
-			continue
-		}
-		r := ne.Runtime
-		o := cost.Observation{
-			Op:        n.Op,
-			Signature: opSignature(n.LogicalOp),
-			DocsIn:    r.DocsIn,
-			DocsOut:   r.DocsOut,
-			LLMCalls:  r.LLMCalls,
-		}
-		if len(r.Questions) == 0 {
-			store.Observe(o)
-			continue
-		}
-		// A fused filter: each question's own verdict counts under its own
-		// signature. The node's spend is one call per document for all of
-		// them, and rides on the first.
-		for _, q := range r.Questions {
-			o.Signature, o.DocsIn, o.DocsOut = filterSignature(q.Question), q.Asked, q.Yes
-			store.Observe(o)
-			o = cost.Observation{Op: n.Op}
-		}
-	}
 }

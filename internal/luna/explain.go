@@ -11,8 +11,9 @@ import (
 // This file implements the EXPLAIN ANALYZE view of an executed query:
 // per-plan-node runtime metrics aggregated from the execution traces, and
 // the annotated-plan JSON the Plan API returns as "executed". ZenDB and
-// UQE both observe that operator-level runtime feedback is what makes an
-// LLM query engine tunable; this is that feedback loop for Luna.
+// UQE both observe that operator-level runtime measurement is what makes
+// an LLM query engine tunable; this is what Luna measures, beside the
+// estimate (EstimatePlan) made before the plan ran.
 
 // NodeRuntime is the measured runtime of one logical plan node. A logical
 // operator may lower to several physical stages (llmCluster, for

@@ -4,18 +4,18 @@ package luna
 // form (validation, round trip, display), the call-count guard that fails
 // without the rule (and hoistBasicFilters' beside it), the token bound
 // against the same rule list minus the rule under three cache regimes, the
-// refinement sequence, and the per-question feedback evidence.
+// refinement sequence, and the fused node's estimate.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
-	"aryn/internal/cost"
 	"aryn/internal/docmodel"
 	"aryn/internal/docset"
 	"aryn/internal/index"
@@ -39,7 +39,7 @@ func withoutRule(t *testing.T, name string) {
 // tests read those and share answers between queries. A serial service runs one
 // worker per stage over an unbatched stack, so calls reach the cache in
 // nearly the plan's own order: only pipelined stages still interleave.
-func meteredService(t *testing.T, optimize bool, capacity int, feedback *cost.Store, serial bool) (*Service, *llm.Stack) {
+func meteredService(t *testing.T, optimize bool, capacity int, serial bool) (*Service, *llm.Stack) {
 	t.Helper()
 	store := equivCorpus(t)
 	stackOpts := []llm.StackOption{llm.WithCacheCapacity(capacity)}
@@ -52,7 +52,6 @@ func meteredService(t *testing.T, optimize bool, capacity int, feedback *cost.St
 	return &Service{
 		Planner:  NewPlanner(meter, InferSchema(store)),
 		Executor: &Executor{EC: docset.NewContext(append(ecOpts, docset.WithLLM(meter))...), Store: store},
-		Cost:     feedback,
 		Optimize: optimize,
 	}, meter
 }
@@ -356,10 +355,10 @@ func TestFusionCostBound(t *testing.T) {
 	// capacity 0 means a fresh cache for every plan.
 	sequence := func(t *testing.T, capacity int, serial bool) spent {
 		var out spent
-		svc, meter := meteredService(t, true, max(capacity, 1), nil, serial)
+		svc, meter := meteredService(t, true, max(capacity, 1), serial)
 		for _, plan := range plans {
 			if capacity == 0 {
-				svc, meter = meteredService(t, true, 4096, nil, serial)
+				svc, meter = meteredService(t, true, 4096, serial)
 			}
 			res, tokens := runMetered(t, svc, meter, plan)
 			out.tokens = append(out.tokens, tokens)
@@ -420,7 +419,7 @@ func TestRefinementSharesAnswers(t *testing.T) {
 	second := Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMFilter, Question: qFuel},
 		LogicalOp{Op: OpLLMFilter, Question: qPilot}, LogicalOp{Op: OpCount})
 	refine := func(t *testing.T) (res *Result, firstTokens, secondTokens int) {
-		svc, meter := meteredService(t, true, 4096, nil, false)
+		svc, meter := meteredService(t, true, 4096, false)
 		_, firstTokens = runMetered(t, svc, meter, first)
 		res, secondTokens = runMetered(t, svc, meter, second)
 		return res, firstTokens, secondTokens
@@ -449,18 +448,22 @@ func TestRefinementSharesAnswers(t *testing.T) {
 	}
 }
 
-// TestFeedbackKeepsEvidencePerQuestion closes the loop for fused nodes:
-// executing one records each question's own verdicts under the signature
-// the un-fused filter uses, so the two forms share evidence, and the
-// estimate of a fused node multiplies its questions' selectivities.
-func TestFeedbackKeepsEvidencePerQuestion(t *testing.T) {
+// TestFusedFilterEstimate: a fused llmFilter is estimated at one call per
+// document however many questions it asks, its questions' default
+// selectivities multiplying, and the estimate is the same before and after
+// the plan runs.
+func TestFusedFilterEstimate(t *testing.T) {
 	plan := Chain(
 		LogicalOp{Op: OpQueryDatabase},
-		LogicalOp{Op: OpLLMFilter, Question: qPilot}, // 13 of 16 pass
-		LogicalOp{Op: OpLLMFilter, Question: qFire},  // 4 of 16 pass
+		LogicalOp{Op: OpLLMFilter, Question: qPilot},
+		LogicalOp{Op: OpLLMFilter, Question: qFire},
 		LogicalOp{Op: OpCount})
-	feedback := cost.NewStore()
-	svc := newEquivService(t, true, feedback)
+	svc := newEquivService(t, true)
+	fused := Optimize(plan)
+	before := EstimatePlan(fused, 16)
+	if ne := before.Nodes[1]; len(fused.Nodes[1].questions()) != 2 || ne.DocsIn != 16 || ne.DocsOut != 4 || ne.LLMCalls != 16 {
+		t.Errorf("fused estimate = %+v; want 16 documents in, 4 out, 16 calls", ne)
+	}
 	res, err := svc.RunPlan(context.Background(), "fused", plan.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -468,70 +471,33 @@ func TestFeedbackKeepsEvidencePerQuestion(t *testing.T) {
 	if err := oneCallPerDocument(res); err != nil {
 		t.Fatal(err)
 	}
-	pilot, ok := feedback.Lookup(filterSignature(qPilot))
-	if !ok || pilot.DocsIn == 0 {
-		t.Fatalf("no evidence for %q: %+v", qPilot, pilot)
+	if after := EstimatePlan(fused, 16); !reflect.DeepEqual(after, before) {
+		t.Errorf("running the plan moved its estimate:\nbefore %+v\nafter  %+v", before, after)
 	}
-	fire, ok := feedback.Lookup(filterSignature(qFire))
-	if !ok || fire.DocsIn == 0 {
-		t.Fatalf("no evidence for %q: %+v", qFire, fire)
-	}
-	if _, ok := feedback.Lookup(opSignature(res.Optimized.Nodes[1].LogicalOp)); ok {
-		t.Error("the fused node was observed under a signature of its own")
-	}
-	// Both questions were put to every document in one packed call, so each
-	// one's evidence is its own selectivity over them.
-	r := res.Exec.Nodes[1].Runtime
-	for i, a := range []cost.Aggregate{pilot, fire} {
-		if q := r.Questions[i]; a.DocsIn != q.Asked || a.DocsOut != q.Yes {
-			t.Errorf("%q: store holds %d/%d, the node reported %d/%d", q.Question, a.DocsOut, a.DocsIn, q.Yes, q.Asked)
-		}
-	}
-	if pilot.LLMCalls != r.LLMCalls || fire.LLMCalls != 0 {
-		t.Errorf("the node's spend must ride on its first question once: %d and %d calls, node %d", pilot.LLMCalls, fire.LLMCalls, r.LLMCalls)
-	}
-
-	// The un-fused form reads the same evidence.
-	solo := EstimatePlan(Chain(LogicalOp{Op: OpQueryDatabase}, LogicalOp{Op: OpLLMFilter, Question: qFire}, LogicalOp{Op: OpCount}), feedback, 16)
-	if ne := solo.Nodes[1]; !ne.Observed {
-		t.Errorf("a solo llmFilter does not see the fused node's evidence: %+v", ne)
-	}
-	est := EstimatePlan(res.Optimized, feedback, 16)
-	selPilot, _ := pilot.Selectivity()
-	selFire, _ := fire.Selectivity()
-	if ne := est.Nodes[1]; !ne.Observed || ne.DocsOut != roundEst(16*selPilot*selFire) || ne.LLMCalls != 16 {
-		t.Errorf("fused estimate = %+v; want observed, %v docs out, one call per document", ne, roundEst(16*selPilot*selFire))
+	if !reflect.DeepEqual(res.CostOptimized, before) {
+		t.Errorf("the executed result's estimate %+v is not the plan's %+v", res.CostOptimized, before)
 	}
 }
 
-// A scoped llmExtract is priced at one call per document until it has been
-// seen to ask documents again whole, then at the calls per document it was
-// seen to make; adjacent extracts fuse only when they read the same scope.
+// A scoped llmExtract is priced at one call per document, as a whole one
+// is; adjacent extracts fuse only when they read the same scope.
 func TestScopedExtractEstimateAndFusion(t *testing.T) {
 	plan := Chain(
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMExtract, Fields: []llm.FieldSpec{{Name: "damaged_part", Type: "string"}}},
 		LogicalOp{Op: OpProject, ProjectFields: []string{"damaged_part"}})
-	feedback := cost.NewStore()
-	svc := newEquivService(t, true, feedback)
+	svc := newEquivService(t, true)
 	res, err := svc.RunPlan(context.Background(), "scoped", plan.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ne := res.CostOptimized.Nodes[1]; ne.LLMCalls != 16 || ne.Observed {
-		t.Errorf("cold estimate of the scoped extract = %+v; want 16 calls from defaults", ne)
+	if ne := res.CostOptimized.Nodes[1]; ne.LLMCalls != 16 {
+		t.Errorf("estimate of the scoped extract = %+v; want 16 calls from defaults", ne)
 	}
 	// equivCorpus: A10 answers from its scope, A12 is asked again, the other
 	// 14 have no sections.
 	if r := res.Exec.Nodes[1].Runtime; r.ProxyKept != 1 || r.Escalations != 1 || r.LLMCalls != 17 {
 		t.Fatalf("scoped extract ran %d from scope, %d again, %d calls; want 1, 1, 17", r.ProxyKept, r.Escalations, r.LLMCalls)
-	}
-	warm := EstimatePlan(res.Optimized, feedback, 16)
-	if ne := warm.Nodes[1]; ne.LLMCalls != 17 || !ne.Observed || warm.LLMCalls != 17 {
-		t.Errorf("warm estimate of the scoped extract = %+v; want the 17 calls observed", ne)
-	}
-	if ne := EstimatePlan(res.Rewritten, feedback, 16).Nodes[1]; ne.LLMCalls != 16 {
-		t.Errorf("the whole-document extract's estimate = %+v; it shares no evidence with the scoped one", ne)
 	}
 
 	chain := func(first, second int) *LogicalPlan {
@@ -553,15 +519,15 @@ func TestScopedExtractEstimateAndFusion(t *testing.T) {
 // prices it at one proxy unit per document and no model call, which is what
 // the execution then reports.
 func TestEstimateLLMClusterCallsNoModel(t *testing.T) {
-	svc := newEquivService(t, false, cost.NewStore())
+	svc := newEquivService(t, false)
 	res, err := svc.RunPlan(context.Background(), "cluster", Chain(
 		LogicalOp{Op: OpQueryDatabase},
 		LogicalOp{Op: OpLLMCluster, K: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ne := res.Cost.Nodes[1]; ne.LLMCalls != 0 || ne.Units != 16*cost.UnitsPerProxy || res.Cost.LLMCalls != 0 {
-		t.Errorf("llmCluster estimate = %+v (plan total %v calls); want 0 calls, %v units", ne, res.Cost.LLMCalls, 16*cost.UnitsPerProxy)
+	if ne := res.Cost.Nodes[1]; ne.LLMCalls != 0 || ne.Units != 16*UnitsPerProxy || res.Cost.LLMCalls != 0 {
+		t.Errorf("llmCluster estimate = %+v (plan total %v calls); want 0 calls, %v units", ne, res.Cost.LLMCalls, 16*UnitsPerProxy)
 	}
 	if r := res.Exec.Node("n2").Runtime; r.LLMCalls != 0 || r.DocsOut != 16 {
 		t.Errorf("llmCluster ran %d model calls over %d documents; want 0 over 16", r.LLMCalls, r.DocsOut)

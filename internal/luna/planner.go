@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"aryn/internal/cost"
 	"aryn/internal/llm"
 )
 
@@ -53,12 +52,8 @@ func (p *Planner) Plan(ctx context.Context, question string) (*LogicalPlan, erro
 type Service struct {
 	Planner  *Planner
 	Executor *Executor
-	// Cost backs the plan estimates and receives per-operator feedback
-	// observations after every executed query; nil disables both.
-	Cost *cost.Store
-	// Optimize runs the approximate rule, scopeExtracts, as well as the exact ones every plan gets (see the rule list in rewrite.go). Off,
-	// queries still feed the feedback store (when Cost is set), so turning
-	// optimization on later starts warm.
+	// Optimize runs the approximate rule, scopeExtracts, as well as the
+	// exact ones every plan gets (see the rule list in rewrite.go).
 	Optimize bool
 	// Hooks observe every execution Ask and RunPlan start (partial result
 	// batches, live per-operator traces; see Executor.Run). Set them on a
@@ -69,7 +64,7 @@ type Service struct {
 
 // WithOptimize returns a copy of the service with the optimize phase
 // toggled — the per-request override behind the API's "optimize" flag.
-// The copy shares the planner, executor, and cost model.
+// The copy shares the planner and executor.
 func (s *Service) WithOptimize(enabled bool) *Service {
 	c := *s
 	c.Optimize = enabled
@@ -92,11 +87,11 @@ type PlanPreview struct {
 	// included (nil when the phase is off).
 	Optimized *LogicalPlan
 	// Cost/CostOptimized are the model's estimates for the rewritten and
-	// optimized plans (nil without a cost model) — the "estimated" half
-	// of the estimated-vs-observed story; the observed half arrives with
-	// execution (EXPLAIN ANALYZE).
-	Cost          *cost.PlanEstimate
-	CostOptimized *cost.PlanEstimate
+	// optimized plans (CostOptimized is nil when the phase is off) — the
+	// "estimated" half of the estimated-vs-observed story; the observed
+	// half arrives with execution (EXPLAIN ANALYZE).
+	Cost          *PlanEstimate
+	CostOptimized *PlanEstimate
 	// Compiled is the physical Sycamore pipeline ExecutedPlan lowers to.
 	Compiled string
 }
@@ -120,11 +115,9 @@ func (s *Service) lifecycle(question string, plan *LogicalPlan) PlanPreview {
 	if s.Optimize {
 		pv.Optimized = Optimize(pv.Rewritten)
 	}
-	if s.Cost != nil {
-		base := s.baseDocs()
-		pv.Cost = EstimatePlan(pv.Rewritten, s.Cost, base)
-		pv.CostOptimized = EstimatePlan(pv.Optimized, s.Cost, base) // nil plan, nil estimate
-	}
+	base := s.baseDocs()
+	pv.Cost = EstimatePlan(pv.Rewritten, base)
+	pv.CostOptimized = EstimatePlan(pv.Optimized, base) // nil plan, nil estimate
 	return pv
 }
 
@@ -147,11 +140,8 @@ func (s *Service) preview(question string, plan *LogicalPlan) (*PlanPreview, err
 	return &pv, nil
 }
 
-// run is the one body behind Ask and RunPlan: build the lifecycle record,
-// execute its plan under the service's hooks, and feed the cost model
-// what the operators measured — the write half of the optimization loop.
-// Partial (errored) executions are not observed: their truncated counts
-// would poison selectivity evidence.
+// run is the one body behind Ask and RunPlan: build the lifecycle record
+// and execute its plan under the service's hooks.
 func (s *Service) run(ctx context.Context, question string, plan *LogicalPlan) (*Result, error) {
 	pv := s.lifecycle(question, plan)
 	res, err := s.Executor.Run(ctx, pv.ExecutedPlan(), s.Hooks)
@@ -160,9 +150,6 @@ func (s *Service) run(ctx context.Context, question string, plan *LogicalPlan) (
 		// callers can still show the plan and per-node error annotations.
 		pv.Compiled = res.Compiled
 		res.PlanPreview = pv
-	}
-	if err == nil && s.Cost != nil {
-		ObserveExec(res.ExecutedPlan(), res.Exec, s.Cost)
 	}
 	return res, err
 }

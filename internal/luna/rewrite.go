@@ -51,9 +51,9 @@ func Rewrite(plan *LogicalPlan) *LogicalPlan {
 
 // Optimize is Rewrite plus scopeExtracts: the whole rule list, since a
 // scoped extract can fuse with the scoped extract it now matches. It
-// returns a new plan; the input is not modified. No rule
-// consults the feedback store: its evidence feeds the estimates
-// (EstimatePlan), not the plan's shape.
+// returns a new plan; the input is not modified. No rule consults the
+// cost estimate (EstimatePlan): it is printed beside the plan, and never
+// shapes it.
 func Optimize(plan *LogicalPlan) *LogicalPlan {
 	return applyRules(plan, true)
 }

@@ -59,7 +59,7 @@ func Grade(q Question, got luna.Answer, gt luna.Answer) Verdict {
 		if denom < 1 {
 			denom = 1
 		}
-		if math.Abs(got.Number-gt.Number) <= tol*denom+1e-9 {
+		if math.Abs(got.Number-gt.Number) <= float64(tol*denom)+1e-9 {
 			return Correct
 		}
 	case KindBreakdown:

@@ -12,9 +12,9 @@ package api
 import (
 	"encoding/json"
 
-	"aryn/internal/cost"
 	"aryn/internal/fault"
 	"aryn/internal/llm"
+	"aryn/internal/luna"
 	"aryn/internal/resilience"
 )
 
@@ -181,10 +181,10 @@ type PlanDetail struct {
 	Optimized json.RawMessage `json:"optimized,omitempty"`
 	// Cost/CostOptimized are the cost model's pre-execution estimates for
 	// the rewritten and optimized plans: per-node document cardinalities,
-	// LLM calls, and unit costs, with Observed marking figures refined by
-	// feedback-store evidence.
-	Cost          *cost.PlanEstimate `json:"cost,omitempty"`
-	CostOptimized *cost.PlanEstimate `json:"cost_optimized,omitempty"`
+	// LLM calls, and unit costs, from default selectivities — a function
+	// of the plan and the corpus size alone.
+	Cost          *luna.PlanEstimate `json:"cost,omitempty"`
+	CostOptimized *luna.PlanEstimate `json:"cost_optimized,omitempty"`
 	Compiled      string             `json:"compiled,omitempty"`
 	// Executed is the rewritten plan with a "runtime" object per node and
 	// an "exec" query-level summary (wall_ms, worker budget, scheduled
@@ -224,7 +224,7 @@ type PlanRequest struct {
 	Plan json.RawMessage `json:"plan,omitempty"`
 	// Analyze executes the plan (or planned question) and returns the
 	// executed plan annotated with per-node runtime metrics — EXPLAIN
-	// ANALYZE: full runtime feedback without the answer payload.
+	// ANALYZE: full runtime metrics without the answer payload.
 	Analyze bool `json:"analyze,omitempty"`
 	// Optimize overrides the server's optimization default (the
 	// approximate scoped-extract rule) for this request (see
@@ -396,10 +396,6 @@ type StatsResponse struct {
 	Fault          *fault.Stats      `json:"fault,omitempty"`
 	Degraded       bool              `json:"degraded"`
 	DegradedServed int64             `json:"degraded_served"`
-	// Optimizer reports the cost-model feedback store: distinct operator
-	// signatures observed, total observations, and optimizer lookup
-	// hit/miss counts.
-	Optimizer *cost.StoreStats `json:"optimizer,omitempty"`
 	// Endpoints breaks the traffic down per route: request counts by
 	// outcome class (ok / client error / server error / shed) plus
 	// cumulative and max handler latency — the server-side counters the

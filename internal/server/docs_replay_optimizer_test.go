@@ -36,13 +36,6 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 		t.Fatalf("found %d curl examples in docs/optimizer.md, expected at least 2 (plan, query)", len(examples))
 	}
 	ts := newTestServer(t, readySystem(t), Config{})
-	observations := func(t *testing.T) int64 {
-		var stats api.StatsResponse
-		if getJSON(t, ts.URL+"/v1/stats", &stats); stats.Optimizer == nil {
-			return 0
-		}
-		return stats.Optimizer.Observations
-	}
 
 	for _, ex := range examples {
 		path, payload := ex[1], ex[2]
@@ -58,7 +51,6 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 			if req.Optimize == nil || !*req.Optimize {
 				t.Fatalf("optimizer doc example must set optimize:true:\n%s", payload)
 			}
-			before := observations(t)
 			resp, err := http.Post(ts.URL+"/v1"+path, "application/json", strings.NewReader(payload))
 			if err != nil {
 				t.Fatal(err)
@@ -107,10 +99,6 @@ func TestOptimizerDocExamplesReplay(t *testing.T) {
 				// metrics": the scoped extract must appear in the annotation too.
 				if !rawPlanHasScopedExtract(body.Plan.Executed) {
 					t.Errorf("executed annotation is not the optimized plan: %s", body.Plan.Executed)
-				}
-				// The executed costs land in the feedback store.
-				if after := observations(t); after <= before {
-					t.Errorf("optimizer.observations %d before the query, %d after; want growth", before, after)
 				}
 			default:
 				t.Fatalf("doc documents unknown endpoint %s", path)

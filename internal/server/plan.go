@@ -96,8 +96,7 @@ func (s *Server) queryService(optimize *bool) *luna.Service {
 // /v1/query. With {"analyze": true} the subject additionally executes for
 // real (semantic operators run, LLM calls are spent) and the plan detail
 // carries "executed" — the plan annotated with per-node runtime metrics —
-// while the answer is withheld: the runtime feedback loop without the
-// result.
+// while the answer is withheld: EXPLAIN ANALYZE without the result.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req api.PlanRequest
 	if !s.decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {

@@ -195,3 +195,39 @@ func TestPlanEndpointValidation(t *testing.T) {
 		t.Errorf("plan before ingest status = %d, want 409", resp.StatusCode)
 	}
 }
+
+// TestPlanEstimateIgnoresExecution: a plan's estimate is a function of the
+// plan and the corpus size, so running the plan leaves the cost and
+// cost_optimized /v1/plan prints for it byte-identical.
+func TestPlanEstimateIgnoresExecution(t *testing.T) {
+	ts := newTestServer(t, readySystem(t), Config{})
+	plan := json.RawMessage(`{"nodes": [
+		{"id": "n1", "op": "queryDatabase"},
+		{"id": "n2", "op": "llmFilter", "inputs": ["n1"], "question": "Was the aircraft substantially damaged by a fire?"},
+		{"id": "n3", "op": "llmExtract", "inputs": ["n2"], "fields": [{"name": "damaged_part", "type": "string"}]},
+		{"id": "n4", "op": "count", "inputs": ["n3"]}], "output": "n4"}`)
+	optimize := true
+	estimate := func() (cost, costOptimized string) {
+		t.Helper()
+		var out struct {
+			Plan struct {
+				Cost          json.RawMessage `json:"cost"`
+				CostOptimized json.RawMessage `json:"cost_optimized"`
+			} `json:"plan"`
+		}
+		if resp := postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Plan: plan, Optimize: &optimize}, &out); resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan status = %d", resp.StatusCode)
+		}
+		if len(out.Plan.Cost) == 0 || len(out.Plan.CostOptimized) == 0 {
+			t.Fatalf("plan detail carries no estimate: cost %s, cost_optimized %s", out.Plan.Cost, out.Plan.CostOptimized)
+		}
+		return string(out.Plan.Cost), string(out.Plan.CostOptimized)
+	}
+	cost, costOptimized := estimate()
+	if resp := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Plan: plan, Optimize: &optimize}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status = %d", resp.StatusCode)
+	}
+	if c, co := estimate(); c != cost || co != costOptimized {
+		t.Errorf("running the plan moved its estimate:\ncost           %s\n            -> %s\ncost_optimized %s\n            -> %s", cost, c, costOptimized, co)
+	}
+}

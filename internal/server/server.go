@@ -289,8 +289,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := s.sys.Fault.Stats()
 		resp.Fault = &st
 	}
-	ost := s.sys.OptimizerStats()
-	resp.Optimizer = &ost
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

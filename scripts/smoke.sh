@@ -8,7 +8,7 @@
 # (docs/streaming-api.md), and the one request that shows a real
 # `arynd -fault-endpoint` serves /v1/faults (docs/fault-injection.md).
 # Ingest goes through the job API: submitted, then polled to done. Before
-# any of that, arynd is booted once with a corrupt -feedback file: it must
+# any of that, arynd is booted once with a corrupt -llm-cache file: it must
 # exit non-zero and leave the file's bytes as they were. CI
 # runs this on every push
 # (make smoke); it is the end-to-end proof that the serving layer,
@@ -42,27 +42,27 @@ trap cleanup EXIT
 echo "smoke: building arynd..."
 go build -o "$BIN" ./cmd/arynd
 
-echo "smoke: a corrupt -feedback file stops arynd and is left as it was..."
-CORRUPT="$(dirname "$BIN")/feedback.json"
-printf '{"version":1,"entries":{"llmFilter|q":{"count":1,"docs_in":10,"docs_out":-5}}}' >"$CORRUPT"
+echo "smoke: a corrupt -llm-cache file stops arynd and is left as it was..."
+CORRUPT="$(dirname "$BIN")/llm.cache"
+printf 'not an LLM cache file' >"$CORRUPT"
 cp "$CORRUPT" "$CORRUPT.orig"
-"$BIN" -addr "$ADDR" -docs 0 -feedback "$CORRUPT" >"$LOG" 2>&1 &
+"$BIN" -addr "$ADDR" -docs 0 -llm-cache "$CORRUPT" >"$LOG" 2>&1 &
 ARYND_PID=$!
 for _ in $(seq 1 100); do
   kill -0 "$ARYND_PID" 2>/dev/null || break
   sleep 0.1
 done
 if kill -0 "$ARYND_PID" 2>/dev/null; then
-  echo "smoke: arynd kept running on a corrupt -feedback file" >&2; exit 1
+  echo "smoke: arynd kept running on a corrupt -llm-cache file" >&2; exit 1
 fi
 BOOT=0
 wait "$ARYND_PID" || BOOT=$?
 unset ARYND_PID
-[ "$BOOT" -ne 0 ] || { echo "smoke: arynd exited 0 on a corrupt -feedback file" >&2; exit 1; }
+[ "$BOOT" -ne 0 ] || { echo "smoke: arynd exited 0 on a corrupt -llm-cache file" >&2; exit 1; }
 grep -q "$CORRUPT" "$LOG" || {
   echo "smoke: arynd's error does not name the file:" >&2; cat "$LOG" >&2; exit 1; }
 cmp -s "$CORRUPT" "$CORRUPT.orig" || {
-  echo "smoke: arynd changed the corrupt -feedback file" >&2; exit 1; }
+  echo "smoke: arynd changed the corrupt -llm-cache file" >&2; exit 1; }
 
 echo "smoke: starting arynd on $ADDR (empty index, fault endpoint on)..."
 "$BIN" -addr "$ADDR" -docs 0 -fault-endpoint >"$LOG" 2>&1 &
