@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Where the arynvet vet tool is built; override for a custom location.
 ARYNVET_BIN ?= $(CURDIR)/.bin/arynvet
 
-.PHONY: build test lint staticcheck print-staticcheck-version govulncheck print-govulncheck-version arynvet-bin vet-custom smoke bench bench-e2e docs-check cover fuzz-smoke loc ci
+.PHONY: build test lint fmacheck staticcheck print-staticcheck-version govulncheck print-govulncheck-version arynvet-bin vet-custom smoke bench bench-e2e docs-check cover fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,13 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 	./scripts/deadcheck.sh
+
+# The same bytes on every GOARCH: cross-compile internal/ and cmd/ for
+# arm64, ppc64le, s390x and riscv64 with -gcflags=-S and fail on any
+# fused multiply-add, naming its source line (scripts/fmacheck.sh; a
+# product is rounded with an explicit conversion, float64(x*y) + z).
+fmacheck:
+	./scripts/fmacheck.sh
 
 # Static analysis beyond vet. Skips with a notice when the binary is not
 # installed (the dev container has no network); CI always installs the
@@ -169,4 +176,4 @@ fuzz-smoke:
 loc:
 	./scripts/loc.sh
 
-ci: build lint staticcheck vet-custom test bench bench-e2e
+ci: build lint fmacheck staticcheck vet-custom test bench bench-e2e

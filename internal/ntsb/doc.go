@@ -11,7 +11,14 @@
 //
 // Paper counterpart: the NTSB corpus of §7.1.
 //
-// Concurrency: generation is a pure function of (count, seed); corpora
-// are plain data once generated. Generate in one goroutine, read from
-// many.
+// A Corpus is ground truth only: its incidents (≈ 0.6 KB a report). The
+// report documents are not kept; Corpus.Blobs renders each one
+// (BuildReport) and encodes it when asked, and a caller that needs one
+// rendered report calls BuildReport itself.
+//
+// Concurrency: generation and rendering are pure functions of (count,
+// seed); a Corpus is plain data once generated. Generate in one
+// goroutine, read from many. Blobs renders and encodes on
+// runtime.GOMAXPROCS(0) workers, each dropping a report once it is
+// encoded, and returns the same bytes at any worker count.
 package ntsb

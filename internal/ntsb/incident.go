@@ -240,7 +240,7 @@ func makeIncident(rng *rand.Rand, accNum, reportID string, date time.Time, regId
 		PilotHours:     40 + rng.Intn(12000),
 		Visibility:     []float64{10, 10, 10, 7, 5, 3, 1}[rng.Intn(7)],
 		WindSpeed:      rng.Intn(22),
-		Temperature:    8 + rng.Float64()*28,
+		Temperature:    8 + float64(rng.Float64()*28),
 	}
 	*regIdx++
 	inc.Registration = fmt.Sprintf("N%d%c%c", 100+rng.Intn(900), 'A'+rune(rng.Intn(26)), 'A'+rune(rng.Intn(26)))
@@ -342,7 +342,8 @@ func setCause(inc *Incident, c Cause, rng *rand.Rand) {
 		inc.WindGust = inc.WindSpeed + 4 + rng.Intn(8)
 		if rng.Float64() < 0.35 {
 			inc.Conditions = "Instrument (IMC)"
-			inc.Visibility = 0.5 + rng.Float64()*2
+			// The inner conversion keeps Float64's inlined product out of a fused add.
+			inc.Visibility = 0.5 + float64(float64(rng.Float64())*2)
 		}
 	case CauseBird:
 		inc.BirdStrike = true

@@ -163,8 +163,8 @@ func TestCorpusBlobsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blobs) != len(c.Docs) {
-		t.Fatalf("blob count %d != doc count %d", len(blobs), len(c.Docs))
+	if len(blobs) != len(c.Incidents) {
+		t.Fatalf("blob count %d != report count %d", len(blobs), len(c.Incidents))
 	}
 	for id, blob := range blobs {
 		d, err := rawdoc.Decode(blob)

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"aryn/internal/llm"
 	"aryn/internal/rawdoc"
@@ -316,32 +319,43 @@ func probableCause(inc *Incident) string {
 	}
 }
 
-// Corpus bundles the generated raw documents and their ground truth.
+// Corpus is a generated corpus's ground truth. Its reports are not kept:
+// Blobs renders each one from its incident when it is asked for.
 type Corpus struct {
 	Incidents []Incident
-	Docs      []*rawdoc.Doc
 }
 
-// GenerateCorpus produces n accidents' worth of encoded report documents
-// plus the ground truth. Blobs are keyed by report ID.
+// GenerateCorpus generates n accidents' worth of incidents, the ground
+// truth that Blobs renders the report documents from.
 func GenerateCorpus(n int, seed int64) (*Corpus, error) {
-	incidents := GenerateIncidents(n, seed)
-	c := &Corpus{Incidents: incidents}
-	for i := range incidents {
-		c.Docs = append(c.Docs, BuildReport(&incidents[i]))
-	}
-	return c, nil
+	return &Corpus{Incidents: GenerateIncidents(n, seed)}, nil
 }
 
-// Blobs encodes every report to its rawdoc binary, keyed by report ID.
+// Blobs renders every report (BuildReport) and encodes it to its rawdoc
+// binary, keyed by report ID. It runs on runtime.GOMAXPROCS(0) workers,
+// each of which drops a rendered report once it is encoded; the bytes do
+// not depend on the worker count.
 func (c *Corpus) Blobs() (map[string][]byte, error) {
-	out := make(map[string][]byte, len(c.Docs))
-	for _, d := range c.Docs {
-		blob, err := d.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("ntsb: encode %s: %w", d.ID, err)
+	blobs := make([][]byte, len(c.Incidents))
+	errs := make([]error, len(c.Incidents))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(c.Incidents)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(blobs); i = int(next.Add(1) - 1) {
+				blobs[i], errs[i] = BuildReport(&c.Incidents[i]).Encode()
+			}
+		}()
+	}
+	wg.Wait()
+	out := make(map[string][]byte, len(blobs))
+	for i, blob := range blobs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("ntsb: encode %s: %w", c.Incidents[i].ReportID, errs[i])
 		}
-		out[d.ID] = blob
+		out[c.Incidents[i].ReportID] = blob
 	}
 	return out, nil
 }

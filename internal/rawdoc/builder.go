@@ -152,19 +152,19 @@ func (b *Builder) placeBlock(text string, f FontSpec, indent, width float64) doc
 	lh := LineHeight(f)
 	var union docmodel.BBox
 	for i, line := range lines {
-		y := b.y + float64(i)*lh
+		y := b.y + float64(float64(i)*lh)
 		box := docmodel.BBox{X0: Margin + indent, Y0: y, X1: Margin + indent + TextWidth(line, f), Y1: y + f.Size}
 		b.page.Runs = append(b.page.Runs, TextRun{Box: box, Text: line, Font: f})
 		union = union.Union(box)
 	}
-	b.y += float64(len(lines))*lh + blockGap
+	b.y += float64(float64(len(lines))*lh) + blockGap
 	return union
 }
 
 // blockHeight estimates the height a block of text will occupy.
 func blockHeight(text string, f FontSpec, width float64) float64 {
 	n := len(wrap(text, width, f))
-	return float64(n) * LineHeight(f)
+	return float64(float64(n) * LineHeight(f))
 }
 
 // addTextRegion lays out a text block and records its ground truth region.
@@ -205,7 +205,7 @@ func (b *Builder) AddFormula(text string) {
 	f := FontFormula
 	w := TextWidth(text, f)
 	b.ensure(LineHeight(f))
-	x0 := Margin + (b.contentWidth()-w)/2
+	x0 := Margin + float64((b.contentWidth()-w)/2)
 	if x0 < Margin {
 		x0 = Margin
 	}
@@ -235,7 +235,7 @@ func (b *Builder) AddFootnote(text string) {
 	lh := LineHeight(f)
 	var union docmodel.BBox
 	for i, line := range lines {
-		y := top + float64(i)*lh
+		y := top + float64(float64(i)*lh)
 		box := docmodel.BBox{X0: Margin, Y0: y, X1: Margin + TextWidth(line, f), Y1: y + f.Size}
 		b.page.Runs = append(b.page.Runs, TextRun{Box: box, Text: line, Font: f})
 		union = union.Union(box)
@@ -257,7 +257,7 @@ func (b *Builder) AddImage(desc, format string, pxW, pxH int) {
 		h = maxH
 	}
 	b.ensure(h)
-	x0 := Margin + (b.contentWidth()-w)/2
+	x0 := Margin + float64((b.contentWidth()-w)/2)
 	box := docmodel.BBox{X0: x0, Y0: b.y, X1: x0 + w, Y1: b.y + h}
 	img := ImageBlob{Box: box, Format: format, Width: pxW, Height: pxH, Desc: desc}
 	b.page.Images = append(b.page.Images, img)
@@ -333,13 +333,13 @@ func (b *Builder) placeTableChunk(rows [][]string, widths []float64, total, rowH
 	td := &docmodel.TableData{NumRows: len(rows), NumCols: nCols}
 	// Horizontal rules.
 	for r := 0; r <= len(rows); r++ {
-		y := top + float64(r)*rowH
+		y := top + float64(float64(r)*rowH)
 		b.page.Rules = append(b.page.Rules, Rule{Box: docmodel.BBox{X0: left, Y0: y, X1: left + total, Y1: y + 0.7}})
 	}
 	// Vertical rules.
 	x := left
 	for c := 0; c <= nCols; c++ {
-		b.page.Rules = append(b.page.Rules, Rule{Box: docmodel.BBox{X0: x, Y0: top, X1: x + 0.7, Y1: top + float64(len(rows))*rowH}})
+		b.page.Rules = append(b.page.Rules, Rule{Box: docmodel.BBox{X0: x, Y0: top, X1: x + 0.7, Y1: top + float64(float64(len(rows))*rowH)}})
 		if c < nCols {
 			x += widths[c]
 		}
@@ -357,7 +357,7 @@ func (b *Builder) placeTableChunk(rows [][]string, widths []float64, total, rowH
 			if header {
 				font = FontTableHead
 			}
-			cellBox := docmodel.BBox{X0: x, Y0: top + float64(r)*rowH, X1: x + widths[c], Y1: top + float64(r+1)*rowH}
+			cellBox := docmodel.BBox{X0: x, Y0: top + float64(float64(r)*rowH), X1: x + widths[c], Y1: top + float64(float64(r+1)*rowH)}
 			if text != "" {
 				// Truncate text that overflows its column.
 				maxChars := int((widths[c] - 2*cellPadX) / CharWidth(font))
@@ -378,7 +378,7 @@ func (b *Builder) placeTableChunk(rows [][]string, widths []float64, total, rowH
 			x += widths[c]
 		}
 	}
-	tableBox := docmodel.BBox{X0: left, Y0: top, X1: left + total, Y1: top + float64(len(rows))*rowH}
+	tableBox := docmodel.BBox{X0: left, Y0: top, X1: left + total, Y1: top + float64(float64(len(rows))*rowH)}
 	b.doc.Regions = append(b.doc.Regions, Region{Page: b.page.Number, Box: tableBox, Type: docmodel.Table, Table: td})
 	b.y = tableBox.Y1 + blockGap
 }

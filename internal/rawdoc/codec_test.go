@@ -33,7 +33,9 @@ func TestBinaryMatchesJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		docs = append(docs, corpus.Docs...)
+		for i := range corpus.Incidents {
+			docs = append(docs, ntsb.BuildReport(&corpus.Incidents[i]))
+		}
 	}
 	for _, d := range docs {
 		blob, err := d.Encode()
@@ -57,10 +59,12 @@ func BenchmarkRawdocCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	blobs := make([][]byte, len(corpus.Docs))
+	docs := make([]*rawdoc.Doc, len(corpus.Incidents))
+	blobs := make([][]byte, len(docs))
 	total := 0
-	for i, d := range corpus.Docs {
-		if blobs[i], err = d.Encode(); err != nil {
+	for i := range docs {
+		docs[i] = ntsb.BuildReport(&corpus.Incidents[i])
+		if blobs[i], err = docs[i].Encode(); err != nil {
 			b.Fatal(err)
 		}
 		total += len(blobs[i])
@@ -69,7 +73,7 @@ func BenchmarkRawdocCodec(b *testing.B) {
 		b.ReportAllocs()
 		i := 0
 		for b.Loop() {
-			if _, err := corpus.Docs[i%len(blobs)].Encode(); err != nil {
+			if _, err := docs[i%len(blobs)].Encode(); err != nil {
 				b.Fatal(err)
 			}
 			i++

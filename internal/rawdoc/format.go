@@ -396,9 +396,11 @@ func CharWidth(f FontSpec) float64 {
 }
 
 // LineHeight is the vertical advance for a run at the given font size.
-func LineHeight(f FontSpec) float64 { return 1.35 * f.Size }
+// Its product is rounded, so a caller's add cannot fuse with it once
+// inlined (scripts/fmacheck.sh); TextWidth's is too.
+func LineHeight(f FontSpec) float64 { return float64(1.35 * f.Size) }
 
 // TextWidth approximates the rendered width of s at font f.
 func TextWidth(s string, f FontSpec) float64 {
-	return float64(len([]rune(s))) * CharWidth(f)
+	return float64(float64(len([]rune(s))) * CharWidth(f))
 }

@@ -283,8 +283,10 @@ func (m *jobManager) close() {
 // handleIngest serves POST /v1/ingest: materialize the corpus, enqueue
 // the job, answer 202 with the job handle and a Location header pointing
 // at the poll URL. A full queue is refused before materializing: a shed
-// request should not pay for a corpus (up to MaxIngestDocs generated
-// reports, or a MaxIngestBodyBytes base64 decode) it will throw away.
+// request should not pay for a corpus it will throw away — up to
+// MaxIngestDocs generated reports, rendered and encoded on every core
+// (≈ 15.6 KB of blob each; a rendered report is dropped once encoded), or
+// a MaxIngestBodyBytes base64 decode.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req api.IngestRequest
 	if !s.decodeBody(w, r, s.cfg.MaxIngestBodyBytes, &req) {

@@ -298,7 +298,7 @@ func TestIngestRejectsNonRawdocBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := corpus.Docs[0].Encode()
+	good, err := ntsb.BuildReport(&corpus.Incidents[0]).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

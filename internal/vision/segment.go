@@ -116,7 +116,7 @@ func (m *Model) Segment(page rawdoc.Page, pageKey string) []Detection {
 	for _, pr := range props {
 		label := classify(pr, page)
 		// Real detectors emit a wide confidence spread over true positives.
-		conf := 0.99 - rng.Float64()*0.35
+		conf := 0.99 - float64(rng.Float64()*0.35)
 		dets = append(dets, Detection{Box: pr.box, Type: label, Confidence: conf})
 	}
 	dets = m.applyNoise(rng, page, dets)
@@ -305,8 +305,8 @@ func classify(pr proposal, page rawdoc.Page) docmodel.ElementType {
 }
 
 func isCentered(b docmodel.BBox, pageWidth float64) bool {
-	center := pageWidth / 2
-	off := b.CenterX() - center
+	center := float64(pageWidth / 2)
+	off := float64(b.CenterX()) - center
 	if off < 0 {
 		off = -off
 	}
@@ -376,17 +376,17 @@ func (m *Model) applyNoise(rng *rand.Rand, page rawdoc.Page, dets []Detection) [
 		nFP++
 	}
 	for f := 0; f < nFP; f++ {
-		w := 40 + rng.Float64()*120
-		h := 10 + rng.Float64()*30
-		x := rawdoc.Margin + rng.Float64()*(page.Width-2*rawdoc.Margin-w)
-		y := rawdoc.Margin + rng.Float64()*(page.Height-2*rawdoc.Margin-h)
+		w := 40 + float64(rng.Float64()*120)
+		h := 10 + float64(rng.Float64()*30)
+		x := rawdoc.Margin + float64(rng.Float64()*(page.Width-2*rawdoc.Margin-w))
+		y := rawdoc.Margin + float64(rng.Float64()*(page.Height-2*rawdoc.Margin-h))
 		// False positives span the confidence range (real detectors emit
 		// confident hallucinations too), so they interleave with true
 		// positives and depress precision without touching recall.
 		out = append(out, Detection{
 			Box:        docmodel.BBox{X0: x, Y0: y, X1: x + w, Y1: y + h},
 			Type:       docmodel.ElementType(rng.Intn(docmodel.NumElementTypes)),
-			Confidence: p.ConfidenceFloor + rng.Float64()*(0.93-p.ConfidenceFloor),
+			Confidence: p.ConfidenceFloor + float64(rng.Float64()*(0.93-p.ConfidenceFloor)),
 		})
 	}
 	return out
@@ -403,10 +403,10 @@ func (m *Model) perturb(rng *rand.Rand, d Detection) Detection {
 	}
 	if p.Jitter > 0 {
 		w, h := d.Box.Width(), d.Box.Height()
-		d.Box.X0 += rng.NormFloat64() * p.Jitter * w
-		d.Box.X1 += rng.NormFloat64() * p.Jitter * w
-		d.Box.Y0 += rng.NormFloat64() * p.Jitter * h
-		d.Box.Y1 += rng.NormFloat64() * p.Jitter * h
+		d.Box.X0 += float64(rng.NormFloat64() * p.Jitter * w)
+		d.Box.X1 += float64(rng.NormFloat64() * p.Jitter * w)
+		d.Box.Y0 += float64(rng.NormFloat64() * p.Jitter * h)
+		d.Box.Y1 += float64(rng.NormFloat64() * p.Jitter * h)
 		if d.Box.X1 <= d.Box.X0 {
 			d.Box.X1 = d.Box.X0 + 1
 		}
