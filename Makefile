@@ -95,16 +95,18 @@ docs-check:
 # Bench smoke: every paper-table, figure and ablation benchmark compiles
 # and completes one iteration, so bench_test.go cannot silently rot. Full
 # runs use -benchtime=default. These regenerate the paper's numbers; how
-# fast the system is, is measured by bench/ alone (go run -C bench .). Two
-# print sizes next to each other in every CI log: BenchmarkStoreFootprint
-# (heap per stored report and per chunk), BenchmarkExactSearch (a top-10
-# search over 7,635 rows of 1,024 on the simd kernel and on the Go loop, at
-# one shard and at GOMAXPROCS: ns/op, row bytes scanned per second, bytes
-# per vector row), BenchmarkRawdocCodec (encode and decode time and
-# allocations per report, blob bytes per report), BenchmarkTokenDirection
-# (ns and allocations per generated token direction, against the math/rand
-# path it reproduces) and BenchmarkEmbedCorpus (directions generated and
-# the direction cache's hit ratio embedding corpus 42's chunks).
+# fast the system is, is measured by bench/ alone (go run -C bench .).
+# Some print sizes next to each other in every CI log:
+# BenchmarkStoreFootprint (heap per stored report and per chunk),
+# BenchmarkIngestDispatches (upstream dispatches of ingesting corpus 42,
+# and requests per dispatch), BenchmarkExactSearch (a top-10 search over
+# 7,635 rows of 1,024 on the simd kernel and on the Go loop, at one shard
+# and at GOMAXPROCS: ns/op, row bytes scanned per second, bytes per vector
+# row), BenchmarkRawdocCodec (encode and decode time and allocations per
+# report, blob bytes per report), BenchmarkTokenDirection (ns and
+# allocations per generated token direction, against the math/rand path it
+# reproduces) and BenchmarkEmbedCorpus (directions generated and the
+# direction cache's hit ratio embedding corpus 42's chunks).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -61,3 +61,28 @@ func BenchmarkStoreFootprint(b *testing.B) {
 	}
 	runtime.KeepAlive(blobs) // or the last iteration's base holds them and its readings do not
 }
+
+// BenchmarkIngestDispatches ingests the 100-accident corpus 42 and reports
+// how many upstream dispatches the ingest made and how many requests each
+// carried on average. The ETL stage groups its own cache misses, so the
+// count is a number that repeats (⌈103/8⌉ = 13); `make bench` prints it in
+// every CI log.
+func BenchmarkIngestDispatches(b *testing.B) {
+	corpus, err := ntsb.GenerateCorpus(100, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blobs, err := corpus.Blobs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		stats, err := New(Config{Seed: 7, Parallelism: 8}).Ingest(context.Background(), blobs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch := stats.LLM.Batch
+		b.ReportMetric(float64(batch.Batches), "dispatches")
+		b.ReportMetric(float64(batch.Requests)/float64(batch.Batches), "requests/dispatch")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aryn/internal/docmodel"
@@ -36,8 +37,6 @@ type Config struct {
 	RAGK int
 	// LLMCacheCapacity bounds the response cache (default 4096 entries).
 	LLMCacheCapacity int
-	// LLMMaxBatch bounds the batching dispatcher (default 8; 1 disables).
-	LLMMaxBatch int
 	// Resilience, when set, inserts the retry/circuit-breaker middleware
 	// into the LLM stack (between singleflight and the batcher) and paces
 	// docset retries with the same backoff family. Nil keeps the
@@ -107,9 +106,6 @@ func New(cfg Config) *System {
 	stackOpts := []llm.StackOption{}
 	if cfg.LLMCacheCapacity > 0 {
 		stackOpts = append(stackOpts, llm.WithCacheCapacity(cfg.LLMCacheCapacity))
-	}
-	if cfg.LLMMaxBatch > 0 {
-		stackOpts = append(stackOpts, llm.WithBatching(cfg.LLMMaxBatch, llm.DefaultLinger))
 	}
 	var resMW *resilience.Middleware
 	if cfg.Resilience != nil {
@@ -223,6 +219,7 @@ func (s *System) IngestObserved(ctx context.Context, blobs map[string][]byte, si
 		scoped.TraceSink = sink
 		ec = &scoped
 	}
+	var elements atomic.Int64
 	ds := docset.ReadBinary(ec, blobs).
 		Partition(s.Parser).
 		LLMExtract(ExtractionSchema()).
@@ -231,21 +228,21 @@ func (s *System) IngestObserved(ctx context.Context, blobs map[string][]byte, si
 		Explode().
 		MergeChunks(120).
 		Embed().
-		Write(s.Store)
+		Write(s.Store).
+		// Stored chunks are counted, not held to the end with their vectors.
+		Map("countElements", func(c *docmodel.Document) (*docmodel.Document, error) {
+			elements.Add(int64(len(c.Elements)))
+			return nil, nil
+		})
 
-	chunks, _, err := ds.Execute(ctx)
-	if err != nil {
+	if _, _, err := ds.Execute(ctx); err != nil {
 		return nil, fmt.Errorf("core: ingest: %w", err)
-	}
-	elements := 0
-	for _, c := range chunks {
-		elements += len(c.Elements)
 	}
 	s.Prepare()
 	return &IngestStats{
 		Documents: s.Store.NumDocs(),
 		Chunks:    s.Store.NumChunks(),
-		Elements:  elements,
+		Elements:  int(elements.Load()),
 		Wall:      time.Since(start),
 		Usage:     s.LLM.Usage().Sub(before),
 		LLM:       s.LLM.StackStats().Sub(llmBefore),

@@ -314,28 +314,6 @@ func TestIngestReportsMiddlewareStats(t *testing.T) {
 	}
 }
 
-func TestDisabledMiddlewareStillAnswers(t *testing.T) {
-	corpus, err := ntsb.GenerateCorpus(5, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobs, err := corpus.Blobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := New(Config{Seed: 3, Parallelism: 2, LLMMaxBatch: 1})
-	if _, err := sys.Ingest(context.Background(), blobs); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Ask(context.Background(), "How many incidents were there?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Answer.Kind == "" {
-		t.Error("no answer with batching disabled")
-	}
-}
-
 // TestDocumentOrderIndependentOfScheduling: docset.Write is a parallel map
 // stage, so documents reach the store in whatever order the extract
 // workers finish. The store orders them by ID, so the same blobs give one

@@ -44,7 +44,7 @@ type Context struct {
 	// callCtx is the context the current stage attempt runs under. Stage
 	// runners install it (per attempt for map stages, per plan for
 	// barriers) so semantic operators issue LLM calls that honor the
-	// plan's cancellation.
+	// plan's cancellation, and carry a model stage's llm.BatchScope.
 	callCtx context.Context
 
 	// budget, when set, caps the busy map-stage workers across every

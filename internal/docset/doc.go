@@ -27,7 +27,8 @@
 // Context.Parallelism goroutines compute on documents at once. Outstanding
 // model calls: a stage that calls the model per document (llmExtract,
 // llmFilter, llmCombine) keeps a fixed window of 64
-// documents in flight (eight of the batcher's batches), each computing
+// documents in flight (eight of the batcher's groups, which the stage
+// forms from its own cache misses: llm.BatchScope), each computing
 // only under one of Parallelism worker slots and giving the slot back for
 // the round trip, so its model latency overlaps while its CPU footprint
 // stays Parallelism. Output order is made deterministic by hierarchical

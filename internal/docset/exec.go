@@ -74,7 +74,7 @@ type stageSpec struct {
 	questions []string
 	// callsModel marks map stages whose mapFn makes a model call per
 	// document (Context.complete): they keep modelWindow documents in
-	// flight instead of Parallelism (see runMapStage).
+	// flight instead of Parallelism, in a batch scope (see runMapStage).
 	callsModel bool
 	// mutates marks stages that may write to their input documents
 	// (SetProperty, Text/Embedding assignment, user-supplied map
@@ -163,7 +163,8 @@ func (ds *DocSet) ExecuteStream(ctx context.Context, sink StreamSink) ([]*docmod
 		ds.ctx.TraceSink(trace)
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
+	// The plan's model stages open batch scopes of their own.
+	cctx, cancel := context.WithCancel(llm.WithBatchScope(ctx, nil))
 	defer cancel()
 
 	chanCap := 2 * ds.ctx.Parallelism
@@ -308,9 +309,8 @@ func (ds *DocSet) ExecuteStream(ctx context.Context, sink StreamSink) ([]*docmod
 }
 
 // modelWindow is how many documents a map stage that calls the model keeps
-// in flight: enough concurrent callers to fill eight of the batcher's
-// batches at once, so a stage's round trips overlap instead of running one
-// lingering batch at a time.
+// in flight: enough to fill eight of the batcher's groups at once, so a
+// stage's round trips overlap instead of running one group at a time.
 const modelWindow = 8 * llm.DefaultMaxBatch
 
 // runMapStage fans the input across workers, applying the map function
@@ -321,19 +321,24 @@ const modelWindow = 8 * llm.DefaultMaxBatch
 // model runs up to modelWindow goroutines instead, each computing only
 // under a budget slot (the query's, or one of Parallelism slots of the
 // stage's own) and giving it back for the round trip, so the window adds
-// documents waiting on the model, never busy workers. Output order does
-// not depend on either bound: envelopes are re-sorted by sequence.
+// documents waiting on the model, never busy workers, and counts them in a
+// batch scope (llm.BatchScope) in which the batcher groups the stage's cache
+// misses. Output order does not depend on either bound: envelopes are
+// re-sorted by sequence.
 func runMapStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTrace, in <-chan envelope, out chan<- envelope) error {
 	workers := ec.Parallelism
 	if workers < 1 {
 		workers = 1
 	}
 	budget := ec.budget
+	var scope *llm.BatchScope
 	if sp.callsModel {
 		if budget == nil {
 			budget = newWorkerBudget(workers)
 		}
 		workers = modelWindow
+		scope = new(llm.BatchScope)
+		ctx = llm.WithBatchScope(ctx, scope)
 	}
 	var wg sync.WaitGroup
 	errOnce := sync.Once{}
@@ -349,8 +354,14 @@ func runMapStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTrace, 
 	// pay for a window of goroutines that never see a document.
 	var started, waiting atomic.Int32
 	var work func()
+	spawn := func() {
+		scope.Enter() // before it runs, so the scope never counts it idle
+		wg.Add(1)
+		go work()
+	}
 	work = func() {
 		defer wg.Done()
+		defer scope.Leave()
 		slot := &workerSlot{budget: budget, done: ctx.Done()}
 		wec := *ec
 		wec.slot = slot
@@ -363,8 +374,7 @@ func runMapStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTrace, 
 			}
 			if lastWaiting {
 				if started.Add(1) <= int32(workers) {
-					wg.Add(1)
-					go work()
+					spawn()
 				} else {
 					started.Add(-1)
 				}
@@ -398,8 +408,7 @@ func runMapStage(ctx context.Context, ec *Context, sp stageSpec, nt *NodeTrace, 
 		}
 	}
 	started.Store(1)
-	wg.Add(1)
-	go work()
+	spawn()
 	wg.Wait()
 	return stageErr
 }

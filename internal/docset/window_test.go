@@ -42,8 +42,6 @@ type slowModel struct {
 	served      atomic.Int64
 	elapsed     atomic.Int64 // nanoseconds dispatches spent upstream
 	outstanding gauge
-	// hold, when set, keeps the prompt "held" upstream until it is closed.
-	hold chan struct{}
 	// gather, when positive, holds every dispatch upstream until that many
 	// requests are outstanding at once, then closes met: a deterministic
 	// proof that a stage really gets that many calls in flight.
@@ -82,9 +80,6 @@ func (m *slowModel) wait(ctx context.Context, n int) error {
 }
 
 func (m *slowModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	if req.Prompt == "held" {
-		<-m.hold
-	}
 	if err := m.wait(ctx, 1); err != nil {
 		return llm.Response{}, err
 	}
@@ -104,29 +99,13 @@ func (m *slowModel) CompleteBatch(ctx context.Context, reqs []llm.Request) ([]ll
 
 // A model stage keeps a window of documents in flight, not Parallelism:
 // 64 documents at Parallelism 8 are one round of eight full batches, where
-// a stage bounded by its workers runs eight rounds of one.
+// a stage bounded by its workers runs eight rounds of one. The stage forms
+// its batches itself, so their number is exact.
 func TestModelStageOverlapsRoundTrips(t *testing.T) {
 	const rtt = 20 * time.Millisecond
-	model := &slowModel{rtt: rtt, hold: make(chan struct{})}
-	// A linger this long never fires here (every batch fills), so the
-	// dispatch count below is exact, not a race against the timer.
-	batcher := llm.NewBatcher(model, llm.WithLinger(10*time.Millisecond))
-
-	// Another caller stays in flight throughout, as on a busy server:
-	// without it the first document takes the batcher's sole-caller path
-	// alone and the other 63 cannot form whole batches.
-	held := make(chan struct{})
-	go func() {
-		defer close(held)
-		_, _ = batcher.Complete(context.Background(), llm.Request{Prompt: "held"})
-	}()
-	defer func() { close(model.hold); <-held }()
-	for batcher.Stats().Batches == 0 {
-		runtime.Gosched()
-	}
-
+	model := &slowModel{rtt: rtt}
+	batcher := llm.NewBatcher(model, llm.DefaultMaxBatch)
 	ec := NewContext(WithLLM(batcher), WithParallelism(8))
-	before := model.dispatches.Load()
 	start := time.Now()
 	docs, trace, err := FromDocuments(ec, scheduleDocs(64)).LLMFilter("anything?").Execute(context.Background())
 	wall := time.Since(start)
@@ -139,8 +118,8 @@ func TestModelStageOverlapsRoundTrips(t *testing.T) {
 	if wall >= 3*rtt {
 		t.Errorf("64 documents took %s, want under 3 round trips of %s (one batch at a time takes 8)", wall, rtt)
 	}
-	if n := model.dispatches.Load() - before; n > 8 {
-		t.Errorf("%d dispatches for 64 documents, want <= 8 full batches", n)
+	if n := model.dispatches.Load(); n != 8 {
+		t.Errorf("%d dispatches for 64 documents, want 8 full batches", n)
 	}
 	if nt := trace.Nodes[1]; nt.LLMCalls != 64 {
 		t.Errorf("stage recorded %d model calls, want 64", nt.LLMCalls)
@@ -364,6 +343,63 @@ func TestCancelMidModelStageReleasesBudgetAndGoroutines(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(rtt / 5)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		dump := goroutineDump()
+		if strings.Contains(dump, "aryn/internal/docset.") || strings.Contains(dump, "aryn/internal/llm.") {
+			t.Errorf("goroutines: %d before, %d after the cancelled run:\n%s", before, after, dump)
+		}
+	}
+}
+
+// Cancelling a query while its model stage holds an under-full group — the
+// stage's input still open, so the group waits for more — sends nothing
+// upstream and leaves no goroutine, and no waiter in the group, behind.
+func TestCancelWhileStageHoldsPartialGroup(t *testing.T) {
+	model := &slowModel{}
+	stack := llm.NewStack(model)
+	// No query budget: the stalled stage's workers would hold all of it.
+	ec := NewContext(WithLLM(stack), WithParallelism(4))
+
+	runtime.GC()
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const held = 3
+	docs := scheduleDocs(2 * llm.DefaultMaxBatch)
+	// The first three documents pass; the rest stall until the cancel, so
+	// the filter stage's input stays open with three requests grouped.
+	stall := FromDocuments(ec, docs).with(stageSpec{
+		name: "stall",
+		kind: mapKind,
+		mapFn: func(ec *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
+			if d.ID >= docs[held].ID {
+				<-ec.CallContext().Done()
+				return nil, ec.CallContext().Err()
+			}
+			return []*docmodel.Document{d}, nil
+		},
+	})
+	go func() {
+		for stack.StackStats().Cache.Misses < held {
+			runtime.Gosched()
+		}
+		cancel()
+	}()
+	_, _, err := stall.LLMFilter("engine fire?").Execute(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute error = %v, want context.Canceled", err)
+	}
+	if n := model.dispatches.Load(); n != 0 {
+		t.Errorf("%d dispatches after a cancel with the group under-full, want 0", n)
+	}
+	if st := stack.StackStats(); st.Batch.Batches != 0 || st.Cache.Misses != held {
+		t.Errorf("stack stats = %+v, want %d misses and nothing dispatched", st, held)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		dump := goroutineDump()

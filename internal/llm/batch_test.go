@@ -3,11 +3,10 @@ package llm
 import (
 	"context"
 	"errors"
-	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // batchCountingClient adds a recording CompleteBatch to countingClient.
@@ -41,107 +40,109 @@ func (c *batchCountingClient) sizes() []int {
 	return append([]int(nil), c.batchSizes...)
 }
 
-// occupy keeps one slow request in flight so subsequent callers see
-// concurrency and coalesce instead of taking the sole-caller fast path.
-func occupy(t *testing.T, b *Batcher, delay time.Duration) (release func()) {
+// scoped is one stage of a test: a batch scope and a context carrying it.
+type scoped struct {
+	s   *BatchScope
+	ctx context.Context
+}
+
+func newScoped() scoped {
+	s := new(BatchScope)
+	return scoped{s, WithBatchScope(context.Background(), s)}
+}
+
+// workers asks c for each prompt from a worker of the stage of its own.
+// Every worker is counted in before any of them asks, as a stage counts in
+// the worker it starts, and out before its outcome is sent.
+func (st scoped) workers(t *testing.T, ctx context.Context, c Client, prompts ...string) <-chan outcome {
 	t.Helper()
-	started := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		close(started)
-		if _, err := b.Complete(context.Background(), Request{Prompt: "occupier"}); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
-	time.Sleep(delay)
-	return func() { <-done }
+	out := make(chan outcome, len(prompts))
+	for range prompts {
+		st.s.Enter()
+	}
+	for _, p := range prompts {
+		go func() {
+			resp, err := c.Complete(ctx, Request{Prompt: p})
+			st.s.Leave()
+			out <- outcome{p, resp, err}
+		}()
+	}
+	return out
 }
 
+type outcome struct {
+	prompt string
+	resp   Response
+	err    error
+}
+
+// waitOpen yields until the scope's open group holds n requests.
+func (st scoped) waitOpen(n int) {
+	for {
+		st.s.mu.Lock()
+		got := len(st.s.open)
+		st.s.mu.Unlock()
+		if got == n {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// echoed checks that every outcome is its own prompt's echo.
+func echoed(t *testing.T, outs <-chan outcome, n int) {
+	t.Helper()
+	for range n {
+		o := <-outs
+		if want := "echo:" + o.prompt; o.err != nil || o.resp.Text != want {
+			t.Errorf("%q got (%q, %v), want %q (fan-back misrouted)", o.prompt, o.resp.Text, o.err, want)
+		}
+	}
+}
+
+// A full group goes upstream as one dispatch while the stage could still
+// add to it: a worker waiting for input keeps it busy.
 func TestBatcherFlushOnSize(t *testing.T) {
-	inner := &batchCountingClient{countingClient: countingClient{delay: 150 * time.Millisecond}}
-	// Linger far beyond the test horizon: only a size flush can deliver.
-	b := NewBatcher(inner, WithMaxBatch(4), WithLinger(time.Hour))
-	release := occupy(t, b, 30*time.Millisecond)
-
-	var wg sync.WaitGroup
-	texts := make([]string, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := b.Complete(context.Background(), Request{Prompt: fmt.Sprintf("req%d", i)})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			texts[i] = resp.Text
-		}(i)
-	}
-	wg.Wait()
-	release()
-
-	for i, text := range texts {
-		if want := fmt.Sprintf("echo:req%d", i); text != want {
-			t.Errorf("request %d got %q, want %q (fan-back misrouted)", i, text, want)
-		}
-	}
-	found := false
-	for _, s := range inner.sizes() {
-		if s == 4 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("upstream batch sizes %v, want one batch of 4", inner.sizes())
-	}
-	if st := b.Stats(); st.SizeFlushes != 1 {
-		t.Errorf("size flushes = %d, want 1", st.SizeFlushes)
-	}
-}
-
-func TestBatcherFlushOnLinger(t *testing.T) {
-	inner := &batchCountingClient{countingClient: countingClient{delay: 150 * time.Millisecond}}
-	b := NewBatcher(inner, WithMaxBatch(8), WithLinger(30*time.Millisecond))
-	release := occupy(t, b, 30*time.Millisecond)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := b.Complete(context.Background(), Request{Prompt: fmt.Sprintf("linger%d", i)}); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	release()
-
-	// The pair is under the size bound, so only the linger timer flushed it.
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("under-full batch returned in %v, before the linger window", elapsed)
-	}
-	if st := b.Stats(); st.LingerFlushes < 1 {
-		t.Errorf("linger flushes = %d, want >= 1", st.LingerFlushes)
-	}
-	found := false
-	for _, s := range inner.sizes() {
-		if s == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("upstream batch sizes %v, want one batch of 2", inner.sizes())
-	}
-}
-
-func TestBatcherSoleCallerSkipsLinger(t *testing.T) {
 	inner := &batchCountingClient{}
-	b := NewBatcher(inner, WithMaxBatch(8), WithLinger(time.Hour))
-	start := time.Now()
+	b := NewBatcher(inner, 4)
+	st := newScoped()
+	st.s.Enter() // a worker waiting for input, all test long
+	echoed(t, st.workers(t, st.ctx, b, "req0", "req1", "req2", "req3"), 4)
+	if got := inner.sizes(); len(got) != 1 || got[0] != 4 {
+		t.Errorf("upstream batch sizes %v, want one batch of 4", got)
+	}
+	if s := b.Stats(); s.SizeFlushes != 1 || s.Batches != 1 || s.LingerFlushes != 0 {
+		t.Errorf("stats = %+v, want one size flush", s)
+	}
+}
+
+// An under-full group waits while any worker of its stage is busy, and
+// goes upstream the moment the last one stops: nothing else can join it.
+func TestBatcherFlushWhenStageIdle(t *testing.T) {
+	inner := &batchCountingClient{}
+	b := NewBatcher(inner, 8)
+	st := newScoped()
+	st.s.Enter() // the worker that will find the input closed
+	outs := st.workers(t, st.ctx, b, "idle0", "idle1")
+	st.waitOpen(2)
+	if n := inner.calls.Load(); n != 0 {
+		t.Fatalf("%d upstream calls while a worker could still add to the group", n)
+	}
+	st.s.Leave()
+	echoed(t, outs, 2)
+	if got := inner.sizes(); len(got) != 1 || got[0] != 2 {
+		t.Errorf("upstream batch sizes %v, want one batch of 2", got)
+	}
+	if s := b.Stats(); s.Batches != 1 || s.SizeFlushes != 0 || s.LingerFlushes != 0 {
+		t.Errorf("stats = %+v, want one dispatch, not a full one", s)
+	}
+}
+
+// A request with no scope — the planner, a summary, a chat turn — goes
+// upstream at once, alone.
+func TestBatcherUnscopedDispatchesAlone(t *testing.T) {
+	inner := &batchCountingClient{}
+	b := NewBatcher(inner, 8)
 	resp, err := b.Complete(context.Background(), Request{Prompt: "solo"})
 	if err != nil {
 		t.Fatal(err)
@@ -149,53 +150,34 @@ func TestBatcherSoleCallerSkipsLinger(t *testing.T) {
 	if resp.Text != "echo:solo" {
 		t.Errorf("got %q", resp.Text)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("sole caller waited %v — must dispatch immediately", elapsed)
-	}
 	if st := b.Stats(); st.Batches != 1 || st.Requests != 1 {
 		t.Errorf("stats = %+v, want one batch of one request", st)
 	}
 }
 
 func TestBatcherFallbackWithoutBatchClient(t *testing.T) {
-	inner := &countingClient{delay: 100 * time.Millisecond} // no CompleteBatch
-	b := NewBatcher(inner, WithMaxBatch(4), WithLinger(time.Hour))
-	release := occupy(t, b, 20*time.Millisecond)
-
-	var wg sync.WaitGroup
-	texts := make([]string, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := b.Complete(context.Background(), Request{Prompt: fmt.Sprintf("fb%d", i)})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			texts[i] = resp.Text
-		}(i)
-	}
-	wg.Wait()
-	release()
-	for i, text := range texts {
-		if want := fmt.Sprintf("echo:fb%d", i); text != want {
-			t.Errorf("request %d got %q, want %q", i, text, want)
-		}
+	inner := &countingClient{} // no CompleteBatch
+	b := NewBatcher(inner, 4)
+	st := newScoped()
+	echoed(t, st.workers(t, st.ctx, b, "fb0", "fb1", "fb2", "fb3"), 4)
+	if got := inner.calls.Load(); got != 4 {
+		t.Errorf("upstream called %d times, want 4", got)
 	}
 }
 
+// A Batcher of width 1 coalesces nothing: each request of a stage goes
+// upstream alone as soon as it arrives.
 func TestBatcherDisabledPassthrough(t *testing.T) {
 	inner := &batchCountingClient{}
-	b := NewBatcher(inner, WithMaxBatch(1))
-	if _, err := b.Complete(context.Background(), Request{Prompt: "direct"}); err != nil {
-		t.Fatal(err)
+	b := NewBatcher(inner, 1)
+	st := newScoped()
+	st.s.Enter() // a worker that could still add a request
+	echoed(t, st.workers(t, st.ctx, b, "direct0", "direct1"), 2)
+	if got := inner.calls.Load(); got != 2 || len(inner.sizes()) != 0 {
+		t.Errorf("upstream called %d times, batches %v, want 2 single calls", got, inner.sizes())
 	}
-	if st := b.Stats(); st.Batches != 0 {
-		t.Errorf("passthrough must not batch, stats = %+v", st)
-	}
-	if got := inner.calls.Load(); got != 1 {
-		t.Errorf("upstream called %d times, want 1", got)
+	if s := b.Stats(); s.Batches != 2 || s.MaxSize != 1 {
+		t.Errorf("stats = %+v, want 2 dispatches of one", s)
 	}
 }
 
@@ -239,103 +221,41 @@ func (c *faultyBatchClient) CompleteBatch(ctx context.Context, reqs []Request) (
 }
 
 func TestBatcherDegradesToSinglesOnBatchError(t *testing.T) {
-	inner := &faultyBatchClient{countingClient: countingClient{delay: 50 * time.Millisecond}}
-	b := NewBatcher(inner, WithMaxBatch(4), WithLinger(time.Hour))
-	release := occupy(t, b, 20*time.Millisecond)
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := b.Complete(context.Background(), Request{Prompt: fmt.Sprintf("d%d", i)})
-			if err != nil {
-				t.Errorf("request %d failed with its whole cohort: %v", i, err)
-				return
-			}
-			if want := fmt.Sprintf("echo:d%d", i); resp.Text != want {
-				t.Errorf("request %d got %q, want %q", i, resp.Text, want)
-			}
-		}(i)
-	}
-	wg.Wait()
-	release()
-	if got := inner.batchCalls.Load(); got < 1 {
-		t.Fatal("grouped dispatch was never attempted")
+	inner := &faultyBatchClient{}
+	b := NewBatcher(inner, 4)
+	st := newScoped()
+	echoed(t, st.workers(t, st.ctx, b, "d0", "d1", "d2", "d3"), 4)
+	if got := inner.batchCalls.Load(); got != 1 {
+		t.Fatalf("grouped dispatch attempted %d times, want 1", got)
 	}
 }
 
-// gatedClient holds the prompt "occupier" upstream until gate closes, so a
-// test can keep one call in flight while others queue behind it.
-type gatedClient struct {
-	Client
-	gate chan struct{}
-}
-
-func (g gatedClient) Complete(ctx context.Context, req Request) (Response, error) {
-	if req.Prompt == "occupier" {
-		<-g.gate
-	}
-	return g.Client.Complete(ctx, req)
-}
-
-// A request whose caller gave up before its batch was taken is answered
-// with the caller's error and never sent: it costs no upstream request and
-// no tokens, and the live requests batched with it are served as usual.
+// A request whose caller gave up while it waited in the open group leaves
+// the group and is never sent: it costs no upstream request and no tokens,
+// the live requests grouped with it are served as usual, and the scope
+// holds no waiter afterwards.
 func TestBatcherDropsCancelledWaiters(t *testing.T) {
 	scripted := &Scripted{Responses: []Response{{Text: "answer"}}}
 	// An unbatched stack between the batcher and the model counts what is
 	// sent upstream.
-	upstream := NewStack(scripted, WithBatching(1, 0))
-	gate := make(chan struct{})
-	// Only the test dispatches the queued requests: no size or linger flush.
-	b := NewBatcher(gatedClient{Client: upstream, gate: gate}, WithMaxBatch(8), WithLinger(time.Hour))
+	upstream := NewStack(scripted)
+	b := NewBatcher(upstream, 8)
+	st := newScoped()
+	st.s.Enter() // holds the group open until the test leaves
 
-	occupied := make(chan struct{})
-	go func() {
-		defer close(occupied)
-		if _, err := b.Complete(context.Background(), Request{Prompt: "occupier"}); err != nil {
-			t.Error(err)
-		}
-	}()
-	for b.Stats().Batches == 0 { // the occupier is upstream, inside Complete
-		time.Sleep(time.Millisecond)
-	}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	type outcome struct {
-		resp Response
-		err  error
-	}
-	call := func(ctx context.Context, prompt string) <-chan outcome {
-		ch := make(chan outcome, 1)
-		go func() {
-			resp, err := b.Complete(ctx, Request{Prompt: prompt})
-			ch <- outcome{resp, err}
-		}()
-		return ch
-	}
-	gone1 := call(cancelled, "abandoned one")
-	live := call(context.Background(), "live")
-	gone2 := call(cancelled, "abandoned two")
-	for queued := 0; queued < 3; {
-		time.Sleep(time.Millisecond)
-		b.mu.Lock()
-		queued = len(b.pending)
-		b.mu.Unlock()
-	}
+	cancelled, cancel := context.WithCancel(st.ctx)
+	gone := st.workers(t, cancelled, b, "abandoned one", "abandoned two")
+	live := st.workers(t, st.ctx, b, "live")
+	st.waitOpen(3)
 
 	cancel()
-	for _, ch := range []<-chan outcome{gone1, gone2} {
-		if o := <-ch; !errors.Is(o.err, context.Canceled) {
+	for range 2 {
+		if o := <-gone; !errors.Is(o.err, context.Canceled) {
 			t.Errorf("cancelled waiter got (%q, %v), want context.Canceled", o.resp.Text, o.err)
 		}
 	}
-	// Dispatch what is queued, as a size or linger flush would.
-	b.mu.Lock()
-	batch := b.takeLocked()
-	b.mu.Unlock()
-	b.dispatch(batch)
+	st.waitOpen(1)
+	st.s.Leave()
 	if o := <-live; o.err != nil || o.resp.Text != "answer" {
 		t.Errorf("live waiter got (%q, %v), want the model's answer", o.resp.Text, o.err)
 	}
@@ -347,10 +267,52 @@ func TestBatcherDropsCancelledWaiters(t *testing.T) {
 	if got := upstream.Usage(); got != want {
 		t.Errorf("upstream usage = %+v, want the live request's alone: %+v", got, want)
 	}
-	if st := b.Stats(); st.Requests != 2 || st.Batches != 2 {
-		t.Errorf("stats = %+v, want 2 requests in 2 dispatches (occupier, live)", st)
+	if s := b.Stats(); s.Requests != 1 || s.Batches != 1 {
+		t.Errorf("stats = %+v, want the live request in one dispatch", s)
 	}
+	st.s.mu.Lock()
+	defer st.s.mu.Unlock()
+	if st.s.busy != 0 || len(st.s.open) != 0 {
+		t.Errorf("scope left with %d busy workers and %d waiters, want none", st.s.busy, len(st.s.open))
+	}
+}
 
-	close(gate)
-	<-occupied
+// Two workers of one stage asking the same prompt: the second follows the
+// first's flight, and is idle while it does, so the first's group goes
+// upstream once no other worker is busy.
+func TestBatcherFollowerInScopeIsIdle(t *testing.T) {
+	inner := &batchCountingClient{}
+	stack := NewStack(inner)
+	st := newScoped()
+	echoed(t, st.workers(t, st.ctx, stack, "same", "same"), 2)
+	if n := inner.calls.Load(); n != 1 {
+		t.Errorf("upstream called %d times, want 1", n)
+	}
+}
+
+// A caller following a request that waits in another stage's open group
+// sends that group upstream: the stage holding it may be waiting, through
+// its input, on the follower's own.
+func TestBatcherFollowerHurriesLeadersGroup(t *testing.T) {
+	inner := &batchCountingClient{}
+	stack := NewStack(inner)
+	leader := newScoped()
+	leader.s.Enter() // a worker waiting for input that never comes
+	defer leader.s.Leave()
+	led := leader.workers(t, leader.ctx, stack, "shared", "other")
+	leader.waitOpen(2)
+
+	follower := newScoped()
+	echoed(t, follower.workers(t, follower.ctx, stack, "shared"), 1)
+	echoed(t, led, 2)
+	if got := inner.sizes(); len(got) != 1 || got[0] != 2 {
+		t.Errorf("upstream batch sizes %v, want the leader's group of 2", got)
+	}
+	// An unscoped caller (a planner) hurries a group the same way.
+	led = leader.workers(t, leader.ctx, stack, "asked again")
+	leader.waitOpen(1)
+	if _, err := stack.Complete(context.Background(), Request{Prompt: "asked again"}); err != nil {
+		t.Fatal(err)
+	}
+	echoed(t, led, 1)
 }

@@ -133,6 +133,7 @@ type flightCall struct {
 	keys  []string
 	resps []Response // parallel to keys
 	err   error
+	scope *BatchScope // the leader's, which a follower hurries (follow)
 }
 
 // resp returns the answer the finished call gave for key.
@@ -217,31 +218,16 @@ func (g Group) ask(ctx context.Context, c Client, members []int) ([]Response, er
 	return out, nil
 }
 
-// CacheOption configures a Cache.
-type CacheOption func(*Cache)
-
-// WithCapacity bounds the number of resident entries (default 4096).
-func WithCapacity(n int) CacheOption {
-	return func(c *Cache) {
-		if n > 0 {
-			c.cap = n
-		}
-	}
-}
-
-// NewCache wraps inner with a content-addressed LRU response cache.
-func NewCache(inner Client, opts ...CacheOption) *Cache {
-	c := &Cache{
+// NewCache wraps inner with a content-addressed LRU response cache of at
+// most capacity resident entries.
+func NewCache(inner Client, capacity int) *Cache {
+	return &Cache{
 		inner:    inner,
-		cap:      4096,
+		cap:      capacity,
 		order:    list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*flightCall),
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // Complete serves the request from cache when possible; otherwise it
@@ -311,7 +297,7 @@ func (c *Cache) CompleteGroup(ctx context.Context, g Group) ([]Response, error) 
 				continue
 			}
 			if call == nil {
-				call = &flightCall{done: make(chan struct{})}
+				call = &flightCall{done: make(chan struct{}), scope: scopeOf(ctx)}
 				c.flight.Leads++
 			}
 			c.inflight[keys[i]] = call
@@ -344,10 +330,8 @@ func (c *Cache) CompleteGroup(ctx context.Context, g Group) ([]Response, error) 
 		pending = pending[:0]
 		for j, i := range joined {
 			fc := flights[j]
-			select {
-			case <-fc.done:
-			case <-ctx.Done():
-				return out, ctx.Err()
+			if err := follow(ctx, fc); err != nil {
+				return out, err
 			}
 			if fc.err == nil {
 				out[i] = fc.resp(keys[i])

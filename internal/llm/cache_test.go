@@ -70,7 +70,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 
 func TestCacheHitMiss(t *testing.T) {
 	inner := &countingClient{}
-	cache := NewCache(inner)
+	cache := NewCache(inner, 4096)
 	ctx := context.Background()
 
 	first, err := cache.Complete(ctx, Request{Prompt: "hello"})
@@ -107,7 +107,7 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	inner := &countingClient{}
-	cache := NewCache(inner, WithCapacity(2))
+	cache := NewCache(inner, 2)
 	ctx := context.Background()
 
 	for _, p := range []string{"a", "b"} {
@@ -140,7 +140,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheDoesNotStoreErrors(t *testing.T) {
 	inner := &countingClient{err: ErrTransient}
-	cache := NewCache(inner)
+	cache := NewCache(inner, 4096)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if _, err := cache.Complete(ctx, Request{Prompt: "x"}); err == nil {
@@ -155,7 +155,7 @@ func TestCacheDoesNotStoreErrors(t *testing.T) {
 func TestCachePersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "llm-cache.gob.gz")
 	inner := &countingClient{}
-	cache := NewCache(inner)
+	cache := NewCache(inner, 4096)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if _, err := cache.Complete(ctx, Request{Prompt: fmt.Sprintf("p%d", i)}); err != nil {
@@ -167,7 +167,7 @@ func TestCachePersistence(t *testing.T) {
 	}
 
 	inner2 := &countingClient{}
-	warm := NewCache(inner2)
+	warm := NewCache(inner2, 4096)
 	if err := warm.Load(path); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func cacheSnapshot(f *testing.F, snap persistedCache) []byte {
 // response its most recent copy carries, and every seed request whose key
 // was loaded a hit that never goes upstream — and it never panics.
 func FuzzCacheLoad(f *testing.F) {
-	cache := NewCache(&countingClient{})
+	cache := NewCache(&countingClient{}, 4096)
 	for _, req := range cacheFuzzReqs {
 		if _, err := cache.Complete(context.Background(), req); err != nil {
 			f.Fatal(err)
@@ -241,7 +241,7 @@ func FuzzCacheLoad(f *testing.F) {
 		}
 		snap, decodeErr := decodeCache(bytes.NewReader(data))
 		inner := &countingClient{}
-		cache := NewCache(inner, WithCapacity(len(snap.Keys)+1))
+		cache := NewCache(inner, len(snap.Keys)+1)
 		loadErr := cache.Load(path)
 		if (decodeErr == nil) != (loadErr == nil) {
 			t.Fatalf("decode error %v, load error %v", decodeErr, loadErr)
@@ -284,7 +284,7 @@ func FuzzCacheLoad(f *testing.F) {
 
 func TestCacheConcurrentAccess(t *testing.T) {
 	inner := &countingClient{}
-	cache := NewCache(inner, WithCapacity(8))
+	cache := NewCache(inner, 8)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {

@@ -53,6 +53,6 @@
 // Concurrency: every Client in this package (Sim, Stack and its
 // middleware layers, Scripted) is safe for concurrent Complete calls;
 // pipeline workers, concurrent queries, and the serving layer all share
-// one client chain. The singleflight and batching layers exist precisely
-// to exploit concurrent callers.
+// one client chain. Singleflight collapses concurrent identical callers;
+// the batcher groups the misses of each pipeline stage (batch.go).
 package llm

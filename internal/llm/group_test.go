@@ -102,7 +102,7 @@ func wholeDocument(docText string) func([]int) string {
 // afterwards is a hit, and nothing is keyed by the packed prompt.
 func TestGroupColdIsOnePackedRequest(t *testing.T) {
 	backend := &filterBackend{}
-	cache := NewCache(backend)
+	cache := NewCache(backend, 4096)
 	ctx := context.Background()
 	g := FilterGroup([]string{"yes one?", "yes two?", "yes three?"}, groupID, wholeDocument(groupDoc))
 
@@ -146,7 +146,7 @@ func TestGroupColdIsOnePackedRequest(t *testing.T) {
 // a group missing exactly one member sends that member's solo prompt.
 func TestGroupAsksOnlyWhatTheCacheLacks(t *testing.T) {
 	backend := &filterBackend{}
-	cache := NewCache(backend)
+	cache := NewCache(backend, 4096)
 	ctx := context.Background()
 	g := FilterGroup([]string{"yes one?", "yes two?", "yes three?"}, groupID, wholeDocument(groupDoc))
 	for _, i := range []int{0, 2} {
@@ -177,7 +177,7 @@ func TestGroupAsksOnlyWhatTheCacheLacks(t *testing.T) {
 // that member comes back.
 func TestGroupResidentNoStops(t *testing.T) {
 	backend := &filterBackend{}
-	cache := NewCache(backend)
+	cache := NewCache(backend, 4096)
 	ctx := context.Background()
 	g := FilterGroup([]string{"yes one?", "never?", "yes three?"}, groupID, wholeDocument(groupDoc))
 	if _, err := cache.Complete(ctx, g.Reqs[1]); err != nil {
@@ -203,7 +203,7 @@ func TestGroupResidentNoStops(t *testing.T) {
 // has upstream is joined, and only the third goes upstream with this call.
 func TestGroupClassifiesPerMember(t *testing.T) {
 	backend := &filterBackend{}
-	cache := NewCache(backend)
+	cache := NewCache(backend, 4096)
 	ctx := context.Background()
 	g := FilterGroup([]string{"yes resident?", "yes flying?", "yes missing?"}, groupID, wholeDocument(groupDoc))
 	if _, err := cache.Complete(ctx, g.Reqs[0]); err != nil {
@@ -307,7 +307,7 @@ func TestGroupOverlapAsksEachQuestionOnce(t *testing.T) {
 func TestGroupFailedPackedCall(t *testing.T) {
 	boom := errors.New("backend down")
 	backend := &filterBackend{err: boom}
-	cache := NewCache(backend)
+	cache := NewCache(backend, 4096)
 	g := FilterGroup([]string{"yes one?", "yes two?"}, groupID, wholeDocument(groupDoc))
 	if _, err := cache.CompleteGroup(context.Background(), g); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the upstream error", err)
@@ -350,7 +350,7 @@ func TestGroupFailedPackedCall(t *testing.T) {
 // A packed reply of the wrong shape is a transient failure and nothing of
 // it is cached.
 func TestGroupGarbledPackedReply(t *testing.T) {
-	cache := NewCache(&Scripted{Responses: []Response{{Text: "yes"}}})
+	cache := NewCache(&Scripted{Responses: []Response{{Text: "yes"}}}, 4096)
 	g := FilterGroup([]string{"one?", "two?"}, groupID, wholeDocument(groupDoc))
 	if _, err := cache.CompleteGroup(context.Background(), g); !errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
@@ -360,29 +360,26 @@ func TestGroupGarbledPackedReply(t *testing.T) {
 	}
 }
 
-// The usage the stack reports is what went upstream, group or not, batched
-// or not.
+// The usage the stack reports is what went upstream, group or not.
 func TestGroupMeterEqualsUpstreamUsage(t *testing.T) {
-	for _, opts := range [][]StackOption{nil, {WithBatching(1, 0)}} {
-		backend := &filterBackend{}
-		stack := NewStack(backend, opts...)
-		ctx := context.Background()
-		if _, err := stack.Complete(ctx, FilterGroup([]string{"yes one?"}, groupID, wholeDocument(groupDoc)).Reqs[0]); err != nil {
+	backend := &filterBackend{}
+	stack := NewStack(backend)
+	ctx := context.Background()
+	if _, err := stack.Complete(ctx, FilterGroup([]string{"yes one?"}, groupID, wholeDocument(groupDoc)).Reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := CompleteGroup(ctx, stack, FilterGroup([]string{"yes one?", "yes two?", "never?"}, groupID, wholeDocument(groupDoc))); err != nil {
 			t.Fatal(err)
 		}
-		for range 2 {
-			if _, err := CompleteGroup(ctx, stack, FilterGroup([]string{"yes one?", "yes two?", "never?"}, groupID, wholeDocument(groupDoc))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var upstream Usage
-		for _, req := range backend.sent() {
-			resp, _ := (&filterBackend{}).Complete(ctx, req)
-			upstream.Add(resp.Usage)
-		}
-		if got := stack.Usage(); got != upstream || got.Calls == 0 {
-			t.Errorf("stack usage = %+v, upstream = %+v", got, upstream)
-		}
+	}
+	var upstream Usage
+	for _, req := range backend.sent() {
+		resp, _ := (&filterBackend{}).Complete(ctx, req)
+		upstream.Add(resp.Usage)
+	}
+	if got := stack.Usage(); got != upstream || got.Calls == 0 {
+		t.Errorf("stack usage = %+v, upstream = %+v", got, upstream)
 	}
 }
 

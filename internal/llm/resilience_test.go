@@ -33,7 +33,7 @@ func (c *usageErrClient) Name() string { return "usage-err" }
 // calls separately from delivered-answer spend.
 func TestMeterFailedUsage(t *testing.T) {
 	transient := errors.New("boom")
-	stack := NewStack(&usageErrClient{errs: []error{nil, transient, transient, nil}}, WithBatching(1, 0))
+	stack := NewStack(&usageErrClient{errs: []error{nil, transient, transient, nil}})
 	for i := 0; i < 4; i++ {
 		_, _ = stack.Complete(context.Background(), Request{Prompt: fmt.Sprintf("p%d", i)})
 	}
@@ -73,7 +73,7 @@ func TestCallClass(t *testing.T) {
 // next lookup is a genuine miss.
 func TestCachePurge(t *testing.T) {
 	inner := &Scripted{Responses: []Response{{Text: "a"}, {Text: "b"}}}
-	c := NewCache(inner)
+	c := NewCache(inner, 4096)
 	ctx := context.Background()
 	req := Request{Prompt: "q"}
 	if _, err := c.Complete(ctx, req); err != nil {

@@ -12,7 +12,7 @@ import (
 
 func TestFlightCollapsesConcurrentIdenticalRequests(t *testing.T) {
 	inner := &countingClient{delay: 20 * time.Millisecond}
-	flight := NewCache(inner)
+	flight := NewCache(inner, 4096)
 	ctx := context.Background()
 
 	const waiters = 16
@@ -50,7 +50,7 @@ func TestFlightCollapsesConcurrentIdenticalRequests(t *testing.T) {
 
 func TestFlightDistinctRequestsDoNotCollapse(t *testing.T) {
 	inner := &countingClient{delay: 5 * time.Millisecond}
-	flight := NewCache(inner)
+	flight := NewCache(inner, 4096)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -70,7 +70,7 @@ func TestFlightDistinctRequestsDoNotCollapse(t *testing.T) {
 
 func TestFlightFollowerUsageZeroed(t *testing.T) {
 	inner := &countingClient{delay: 20 * time.Millisecond}
-	stack := NewStack(inner, WithBatching(1, 0))
+	stack := NewStack(inner)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -129,7 +129,7 @@ func awaitShared(t *testing.T, flight *Cache, n int64) {
 
 func TestFlightWaiterHonorsOwnCancellation(t *testing.T) {
 	inner := newHeldClient(1)
-	flight := NewCache(inner)
+	flight := NewCache(inner, 4096)
 
 	leaderDone := make(chan struct{})
 	go func() {
@@ -157,7 +157,7 @@ func TestFlightWaiterHonorsOwnCancellation(t *testing.T) {
 
 func TestFlightFollowerRetriesAfterLeaderCancellation(t *testing.T) {
 	inner := newHeldClient(2)
-	flight := NewCache(inner)
+	flight := NewCache(inner, 4096)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)

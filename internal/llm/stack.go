@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 )
 
 // This file composes the middleware layers into the canonical stack:
@@ -16,9 +15,10 @@ import (
 // sits above the batcher so concurrent identical requests collapse before
 // grouping; the optional resilience layer (WithResilience — retries,
 // circuit breaker, attempt timeouts) sits below the cache so cached
-// answers keep serving through an outage, and above the batcher so
-// retried attempts re-enter batching; the batcher coalesces what remains
-// into grouped upstream dispatches. The stack counts usage at its own
+// answers keep serving through an outage, and above the batcher so a
+// retried attempt rejoins its group, which it waits for inside its attempt;
+// the batcher groups what remains per stage execution (batch.go) and sends
+// a call of no stage alone. The stack counts usage at its own
 // entry, above the cache, so Usage is true upstream spend: hit and
 // follower responses carry zero Usage.
 
@@ -66,7 +66,6 @@ func (s StackStats) String() string {
 type Stack struct {
 	cache   *Cache // entry point: the outermost layer
 	batcher *Batcher
-	inner   Client
 
 	mu     sync.Mutex
 	usage  Usage // spend of calls that succeeded
@@ -76,8 +75,6 @@ type Stack struct {
 // stackConfig collects construction options.
 type stackConfig struct {
 	cacheCapacity int
-	maxBatch      int
-	linger        time.Duration
 	resilience    func(Client) Client
 }
 
@@ -87,41 +84,28 @@ type StackOption func(*stackConfig)
 // WithCacheCapacity bounds the response cache (default 4096 entries).
 func WithCacheCapacity(n int) StackOption { return func(c *stackConfig) { c.cacheCapacity = n } }
 
-// WithBatching sets the dispatcher's batch bound and linger window.
-// maxBatch 1 disables coalescing (every call forwards directly).
-func WithBatching(maxBatch int, linger time.Duration) StackOption {
-	return func(c *stackConfig) {
-		c.maxBatch = maxBatch
-		c.linger = linger
-	}
-}
-
 // WithResilience inserts wrap between the cache and the batcher: below
 // the cache (hits never touch a breaker — serving cached answers during
 // an outage is the first line of graceful degradation) and above the
-// batcher (retried attempts re-enter batching). The llm package stays
-// dependency-free of the resilience implementation; internal/resilience
-// provides the canonical wrapper.
+// batcher (a retried attempt rejoins its stage's group). The llm package
+// stays dependency-free of the resilience implementation;
+// internal/resilience provides the canonical wrapper.
 func WithResilience(wrap func(Client) Client) StackOption {
 	return func(c *stackConfig) { c.resilience = wrap }
 }
 
 // NewStack assembles the middleware pipeline around a backing client.
 func NewStack(inner Client, opts ...StackOption) *Stack {
-	cfg := stackConfig{cacheCapacity: 4096, maxBatch: DefaultMaxBatch, linger: DefaultLinger}
+	cfg := stackConfig{cacheCapacity: 4096}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &Stack{inner: inner}
-	client := inner
-	if cfg.maxBatch > 1 {
-		s.batcher = NewBatcher(client, WithMaxBatch(cfg.maxBatch), WithLinger(cfg.linger))
-		client = s.batcher
-	}
+	s := &Stack{batcher: NewBatcher(inner, DefaultMaxBatch)}
+	var client Client = s.batcher
 	if cfg.resilience != nil {
 		client = cfg.resilience(client)
 	}
-	s.cache = NewCache(client, WithCapacity(cfg.cacheCapacity))
+	s.cache = NewCache(client, cfg.cacheCapacity)
 	return s
 }
 
@@ -176,7 +160,7 @@ func (s *Stack) FailedUsage() Usage {
 }
 
 // Name identifies the backing model.
-func (s *Stack) Name() string { return s.inner.Name() }
+func (s *Stack) Name() string { return s.batcher.Name() }
 
 // CacheLayer returns the cache layer.
 func (s *Stack) CacheLayer() *Cache { return s.cache }
@@ -186,11 +170,7 @@ func (s *Stack) SaveCache(path string) error { return s.cache.Save(path) }
 
 // StackStats snapshots every layer's counters.
 func (s *Stack) StackStats() StackStats {
-	st := StackStats{Cache: s.cache.Stats(), Flight: s.cache.FlightStats()}
-	if s.batcher != nil {
-		st.Batch = s.batcher.Stats()
-	}
-	return st
+	return StackStats{Cache: s.cache.Stats(), Flight: s.cache.FlightStats(), Batch: s.batcher.Stats()}
 }
 
 var _ GroupClient = (*Stack)(nil)

@@ -40,20 +40,22 @@ func TestStackCacheShortCircuitsAllLayers(t *testing.T) {
 }
 
 func TestStackConcurrentMixedWorkload(t *testing.T) {
-	inner := &batchCountingClient{countingClient: countingClient{delay: 2 * time.Millisecond}}
-	stack := NewStack(inner, WithBatching(8, 5*time.Millisecond))
-	ctx := context.Background()
+	inner := &batchCountingClient{}
+	stack := NewStack(inner)
+	stage := newScoped()
 
-	// 8 workers × 40 requests over 20 distinct prompts: heavy overlap both
-	// concurrently (singleflight) and over time (cache).
+	// 8 workers of one stage × 40 requests over 20 distinct prompts: heavy
+	// overlap both concurrently (singleflight) and over time (cache).
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
+		stage.s.Enter()
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer stage.s.Leave()
 			for i := 0; i < 40; i++ {
 				req := Request{Prompt: fmt.Sprintf("prompt-%d", (w*7+i)%20)}
-				resp, err := stack.Complete(ctx, req)
+				resp, err := stack.Complete(stage.ctx, req)
 				if err != nil {
 					t.Error(err)
 					return
@@ -110,7 +112,7 @@ func (g *gapClient) Name() string {
 // instant in between, never neither.
 func TestStackNoGapBetweenCacheAndFlight(t *testing.T) {
 	inner := &gapClient{release: make(chan struct{}), left: make(chan struct{})}
-	stack := NewStack(inner, WithBatching(1, 0))
+	stack := NewStack(inner)
 	inner.stack = stack
 	ctx := context.Background()
 	req := Request{Prompt: "asked twice"}
@@ -151,16 +153,19 @@ func TestStackNoGapBetweenCacheAndFlight(t *testing.T) {
 	}
 }
 
+// A stack always has its cache and its batcher; only resilience is
+// optional (TestStackResilienceOrder). A request with no batch scope is a
+// cache miss and then one dispatch of its own.
 func TestStackLayerToggles(t *testing.T) {
-	unbatched := NewStack(&countingClient{}, WithBatching(1, 0))
-	if unbatched.CacheLayer() == nil {
+	stack := NewStack(&countingClient{})
+	if stack.CacheLayer() == nil {
 		t.Fatal("stack built without its cache layer")
 	}
-	if _, err := unbatched.Complete(context.Background(), Request{Prompt: "p"}); err != nil {
+	if _, err := stack.Complete(context.Background(), Request{Prompt: "p"}); err != nil {
 		t.Fatal(err)
 	}
-	if st := unbatched.StackStats(); st.Cache.Misses != 1 || st.Batch.Requests != 0 {
-		t.Errorf("want one cache miss and no batcher activity, got %+v", st)
+	if st := stack.StackStats(); st.Cache.Misses != 1 || st.Batch.Requests != 1 || st.Batch.Batches != 1 {
+		t.Errorf("want one cache miss and one dispatch of one request, got %+v", st)
 	}
 }
 
@@ -172,7 +177,7 @@ func TestStackDeterminismWithSim(t *testing.T) {
 		TaskSummarize + "\nInstruction: key causes\n- engine\n- fuel",
 		"free form question about aviation",
 	}
-	stacked := NewStack(NewSim(42), WithBatching(4, time.Millisecond))
+	stacked := NewStack(NewSim(42))
 	for _, p := range prompts {
 		want, err := NewSim(42).Complete(context.Background(), Request{Prompt: p})
 		if err != nil {

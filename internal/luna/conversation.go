@@ -11,16 +11,18 @@ import (
 // incidents without substantial damage", "show only results in
 // California" (§6.2).
 //
-// Ask, Last, and Turns are safe for concurrent use: an internal mutex
-// serializes turns so parallel clients of one conversation cannot
-// interleave history (the serving layer relies on this). Direct History
-// reads are only safe once no Ask is in flight.
+// It keeps only what a follow-up reads, the last good result, and a turn
+// count: a long session holds one result, not every turn's.
+//
+// Ask and Turns are safe for concurrent use: an internal mutex serializes
+// turns so parallel clients of one conversation cannot interleave them
+// (the serving layer relies on this).
 type Conversation struct {
 	Service *Service
-	// History records every exchange in order.
-	History []*Result
 
-	mu sync.Mutex
+	mu    sync.Mutex
+	last  *Result // the last turn that succeeded; nil before the first
+	turns int
 }
 
 // NewConversation starts an empty conversation over the service.
@@ -49,26 +51,21 @@ func followUpFragment(question string) string {
 func (c *Conversation) Ask(ctx context.Context, question string) (*Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fragment := followUpFragment(question)
-	if fragment == "" || len(c.History) == 0 {
-		res, err := c.Service.Ask(ctx, question)
-		if err != nil {
-			// Propagate the partial result (if any) for degraded-mode
-			// serving, but keep it out of history: a follow-up must never
-			// resolve against a turn that failed.
-			return res, err
-		}
-		c.History = append(c.History, res)
-		return res, nil
+	var res *Result
+	var err error
+	if fragment := followUpFragment(question); fragment == "" || c.last == nil {
+		res, err = c.Service.Ask(ctx, question)
+	} else {
+		res, err = c.Service.RunPlan(ctx, question, c.mergeFollowUp(c.last.Rewritten, fragment))
 	}
-
-	prev := c.History[len(c.History)-1]
-	merged := c.mergeFollowUp(prev.Rewritten, fragment)
-	res, err := c.Service.RunPlan(ctx, question, merged)
 	if err != nil {
+		// Propagate the partial result (if any) for degraded-mode serving,
+		// but do not record the turn: a follow-up must never resolve
+		// against a turn that failed.
 		return res, err
 	}
-	c.History = append(c.History, res)
+	c.last = res
+	c.turns++
 	return res, nil
 }
 
@@ -165,5 +162,5 @@ func (c *Conversation) mergeFollowUp(prev *LogicalPlan, fragment string) *Logica
 func (c *Conversation) Turns() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.History)
+	return c.turns
 }

@@ -36,16 +36,15 @@ func withoutRule(t *testing.T, name string) {
 
 // meteredService is newEquivService with the production middleware stack
 // (cache of the given capacity), whose usage is true upstream tokens, so
-// tests read those and share answers between queries. A serial service runs one
-// worker per stage over an unbatched stack, so calls reach the cache in
-// nearly the plan's own order: only pipelined stages still interleave.
+// tests read those and share answers between queries. A serial service runs
+// one worker per stage, so calls reach the cache in nearly the plan's own
+// order: only pipelined stages still interleave.
 func meteredService(t *testing.T, optimize bool, capacity int, serial bool) (*Service, *llm.Stack) {
 	t.Helper()
 	store := equivCorpus(t)
 	stackOpts := []llm.StackOption{llm.WithCacheCapacity(capacity)}
 	ecOpts := []docset.Option{}
 	if serial {
-		stackOpts = append(stackOpts, llm.WithBatching(1, 0))
 		ecOpts = append(ecOpts, docset.WithParallelism(1))
 	}
 	meter := llm.NewStack(llm.NewSim(1), stackOpts...)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"aryn/internal/docmodel"
 	"aryn/internal/docset"
@@ -429,8 +431,36 @@ func TestConversationFollowUpMergesFilters(t *testing.T) {
 	if second.Answer.Number != 1 {
 		t.Errorf("follow-up should keep damage filter and add CA: %v", second.Answer.Number)
 	}
-	if len(conv.History) != 2 || conv.History[1] != second {
-		t.Error("history bookkeeping wrong")
+	if conv.Turns() != 2 || conv.last != second {
+		t.Error("turn bookkeeping wrong")
+	}
+}
+
+// A conversation keeps its last good result, not every turn: turn 1's
+// Result is garbage once two more turns have answered.
+func TestConversationKeepsOnlyTheLastResult(t *testing.T) {
+	ex, store := executorFixture(t)
+	sim := llm.NewSim(1)
+	sim.Register(PlannerSkill{})
+	conv := NewConversation(&Service{Planner: NewPlanner(sim, InferSchema(store)), Executor: ex})
+	ctx := context.Background()
+	first, err := conv.Ask(ctx, "How many incidents involved substantial damage?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	turn1 := weak.Make(first)
+	first = nil
+	for _, q := range []string{"show only results in California", "How many incidents were there?"} {
+		if _, err := conv.Ask(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	if turn1.Value() != nil {
+		t.Error("turn 1's result is still reachable after two more turns")
+	}
+	if conv.Turns() != 3 {
+		t.Errorf("turns = %d, want 3", conv.Turns())
 	}
 }
 

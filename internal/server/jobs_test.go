@@ -28,7 +28,6 @@ func jobsSystem(t *testing.T) *core.System {
 		jobsSys, jobsErr = buildSystem(core.Config{
 			Seed:        7,
 			Parallelism: 4,
-			LLMMaxBatch: 1,
 			LLMOptions:  []llm.SimOption{llm.WithLatency(20 * time.Millisecond)},
 		}, 8)
 	})
@@ -46,7 +45,6 @@ func TestIngestTimeoutLeavesNoGoroutines(t *testing.T) {
 	sys, err := buildSystem(core.Config{
 		Seed:        7,
 		Parallelism: 4,
-		LLMMaxBatch: 1,
 		LLMOptions:  []llm.SimOption{llm.WithLatency(50 * time.Millisecond)},
 	}, 0)
 	if err != nil {

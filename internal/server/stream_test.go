@@ -107,8 +107,7 @@ func decodeEvent(t *testing.T, ev sseEvent, out any) {
 }
 
 // verySlowSystem carries enough simulated LLM latency that streaming
-// tests can observe heartbeats and cancel mid-execution. Batching is
-// disabled so per-call latency compounds predictably.
+// tests can observe heartbeats and cancel mid-execution.
 var (
 	verySlowOnce sync.Once
 	verySlowSys  *core.System
@@ -121,7 +120,6 @@ func verySlowSystem(t *testing.T) *core.System {
 		verySlowSys, verySlowErr = buildSystem(core.Config{
 			Seed:        7,
 			Parallelism: 4,
-			LLMMaxBatch: 1,
 			LLMOptions:  []llm.SimOption{llm.WithLatency(50 * time.Millisecond)},
 		}, 16)
 	})
@@ -369,7 +367,6 @@ func TestStreamFirstPartialBeatsBatch(t *testing.T) {
 	sys, err := buildSystem(core.Config{
 		Seed:        11,
 		Parallelism: 4,
-		LLMMaxBatch: 1,
 		LLMOptions:  []llm.SimOption{llm.WithLatency(20 * time.Millisecond)},
 		Fault:       inj,
 		StreamBatch: 1,
@@ -452,9 +449,9 @@ func goroutineDump() string {
 // expectNoQueryGoroutines runs fn — requests against an already-warm test
 // server — and then waits for the goroutine count to settle back to where
 // it started. A count that stays high fails the test only when a query's
-// own frames (handler, executor, pipeline stages, index scan shards) are
-// still on a stack: idle HTTP connections come and go on their own
-// schedule.
+// own frames (handler, executor, pipeline stages, a model call waiting in
+// its stage's batch group, index scan shards) are still on a stack: idle
+// HTTP connections come and go on their own schedule.
 func expectNoQueryGoroutines(t *testing.T, fn func()) {
 	t.Helper()
 	http.DefaultClient.CloseIdleConnections()
@@ -468,7 +465,7 @@ func expectNoQueryGoroutines(t *testing.T, fn func()) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		dump := goroutineDump()
-		for _, frame := range []string{"(*Server).handleQuery", "(*Server).streamQuery", "aryn/internal/luna.", "aryn/internal/docset.", "aryn/internal/index."} {
+		for _, frame := range []string{"(*Server).handleQuery", "(*Server).streamQuery", "aryn/internal/luna.", "aryn/internal/docset.", "aryn/internal/llm.", "aryn/internal/index."} {
 			if strings.Contains(dump, frame) {
 				t.Errorf("goroutines: %d before, %d after, with %s still running:\n%s", before, after, frame, dump)
 				return
@@ -566,7 +563,6 @@ func shardedSystem(t *testing.T) *core.System {
 		shardedSys, shardedErr = buildSystem(core.Config{
 			Seed:        7,
 			Parallelism: 4,
-			LLMMaxBatch: 1,
 			LLMOptions:  []llm.SimOption{llm.WithLatency(50 * time.Millisecond)},
 		}, 16)
 		if shardedErr != nil {
