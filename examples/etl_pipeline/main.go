@@ -1,8 +1,8 @@
 // ETL pipeline: the paper's Figure 4 script, in Go. Reads raw binaries,
 // partitions them with DocParse, extracts a three-field schema with an
-// LLM (Figure 5 shows the output), explodes into chunks, embeds them, and
-// writes everything to an index — with an intermediate materialization for
-// debugging (§5.3).
+// LLM (Figure 5 shows the output), cuts each report into chunks, embeds
+// them, and writes everything to an index — with an intermediate
+// materialization for debugging (§5.3).
 //
 //	go run ./examples/etl_pipeline
 package main
@@ -48,7 +48,6 @@ func main() {
 		LLMExtract(schema).
 		MaterializeMemory(cache, "post-extract"). // inspect intermediates (§5.3)
 		Write(store).
-		Explode().
 		MergeChunks(120).
 		Embed().
 		Write(store)

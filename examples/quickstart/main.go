@@ -29,7 +29,7 @@ func main() {
 	}
 
 	// 2. Build the system and run the ETL pipeline of Figure 4:
-	// partition → llmExtract(schema) → write parents → explode → embed →
+	// partition → llmExtract(schema) → write parents → mergeChunks → embed →
 	// write chunks.
 	sys := core.New(core.Config{Seed: 7})
 	stats, err := sys.Ingest(ctx, blobs)

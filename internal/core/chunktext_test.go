@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 	"unsafe"
@@ -17,7 +18,7 @@ import (
 // once. It ingests the 100-accident corpus 42 and checks every stored chunk:
 // its text is the one MergeChunks cut, and its bytes lie inside its parent's
 // stored string — the one TextView lays out, which the stored view's
-// element texts slice. An Explode or TextView change that makes a chunk's
+// element texts slice. A MergeChunks or TextView change that makes a chunk's
 // text stop being found in its report's string doubles the text the store
 // keeps, and fails here.
 func TestChunkTextSharesReportText(t *testing.T) {
@@ -39,7 +40,7 @@ func TestChunkTextSharesReportText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := docset.FromDocuments(ec, reports).Explode().MergeChunks(120).TakeAll(ctx)
+	merged, err := docset.FromDocuments(ec, reports).MergeChunks(120).TakeAll(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,4 +111,54 @@ func offsetIn(s, whole string) (uintptr, bool) {
 	}
 	at := addr(s) - addr(whole)
 	return at, len(s) <= len(whole) && at <= uintptr(len(whole)-len(s)) && strings.HasPrefix(whole[at:], s)
+}
+
+// TestChunkIDsArePerReport holds a chunk's identity to its own report: it
+// ingests corpus 42 alone, then together with corpus 43 re-keyed to sort
+// before it, and requires every corpus-42 chunk to have the same ID, text
+// and page in both stores. A chunker that numbered passages across the
+// whole upload would shift every corpus-42 ID by the chunks before it.
+func TestChunkIDsArePerReport(t *testing.T) {
+	ctx := context.Background()
+	blobs := func(seed int64) map[string][]byte {
+		corpus, err := ntsb.GenerateCorpus(100, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := corpus.Blobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	type chunk struct {
+		text string
+		page int
+	}
+	ingest := func(blobs map[string][]byte) map[string]chunk {
+		sys := core.New(core.Config{Seed: 7, Parallelism: 4})
+		if _, err := sys.Ingest(ctx, blobs); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]chunk{}
+		for _, h := range sys.Store.SearchChunks(index.Query{}) {
+			out[h.Chunk.ID] = chunk{h.Chunk.Text, h.Chunk.Page}
+		}
+		return out
+	}
+
+	alone := blobs(42)
+	both := maps.Clone(alone)
+	for id, b := range blobs(43) {
+		both["0-"+id] = b // sorts before every corpus-42 ID
+	}
+	want, got := ingest(alone), ingest(both)
+	if len(got) <= len(want) {
+		t.Fatalf("%d chunks with corpus 43, %d without", len(got), len(want))
+	}
+	for id, w := range want {
+		if g, ok := got[id]; !ok || g != w {
+			t.Fatalf("chunk %s alone: page %d %q; beside corpus 43: present %v, page %d %q", id, w.page, w.text, ok, g.page, g.text)
+		}
+	}
 }

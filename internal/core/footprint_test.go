@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"runtime"
+	"runtime/metrics"
 	"testing"
+	"time"
 
 	"aryn/internal/index"
+	"aryn/internal/llm"
 	"aryn/internal/ntsb"
+	"aryn/internal/resilience"
 )
 
 // liveHeap is the heap still reachable after a collection; after two, since
@@ -86,3 +90,104 @@ func BenchmarkIngestDispatches(b *testing.B) {
 		b.ReportMetric(float64(batch.Requests)/float64(batch.Batches), "requests/dispatch")
 	}
 }
+
+// ingestPeak ingests blobs into a new system built from cfg and returns the
+// highest live heap (/gc/heap/live:bytes, the heap the last collection
+// marked) sampled every millisecond while the ingest ran, the live heap once
+// it finished, with the system still reachable, and its wall time.
+func ingestPeak(tb testing.TB, cfg Config, blobs map[string][]byte) (peak, finished uint64, wall time.Duration) {
+	tb.Helper()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	live := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	liveHeap()
+	done := make(chan struct{})
+	sampled := make(chan uint64)
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		var high uint64
+		for {
+			high = max(high, live())
+			select {
+			case <-tick.C:
+			case <-done:
+				sampled <- high
+				return
+			}
+		}
+	}()
+	sys := New(cfg)
+	stats, err := sys.Ingest(context.Background(), blobs)
+	close(done)
+	peak = <-sampled
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runtime.GC()
+	finished = live()
+	runtime.KeepAlive(sys)
+	runtime.KeepAlive(blobs)
+	return max(peak, finished), finished, stats.Wall
+}
+
+// TestIngestPeakDoesNotGrowWithUpload holds ingest to chunking each report
+// as it flows: what the ingest holds above its finished state (the peak live
+// heap less the live heap once done) must not grow with the upload. It
+// ingests about 300 and 1,200 reports; a stage that held every chunk of the
+// upload at once grew that excess about 4× between them.
+func TestIngestPeakDoesNotGrowWithUpload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests 1,500 reports")
+	}
+	excess := map[int]uint64{}
+	for _, n := range []int{300, 1200} {
+		corpus, err := ntsb.GenerateCorpus(n, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs, err := corpus.Blobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak, finished, _ := ingestPeak(t, Config{Seed: 7, Parallelism: 8}, blobs)
+		excess[n] = peak - finished
+		t.Logf("%d reports: peak %.1f MB, finished %.1f MB, excess %.1f MB", len(blobs), mb(peak), mb(finished), mb(excess[n]))
+	}
+	// Twice the small upload's excess, and never less than 8 MB: the
+	// collector's timing moves a few-MB excess by a few MB.
+	if bound := max(2*excess[300], 8<<20); excess[1200] > bound {
+		t.Errorf("ingest holds %.1f MB above its finished state at 1,200 reports, %.1f MB at 300: the excess grows with the upload", mb(excess[1200]), mb(excess[300]))
+	}
+}
+
+// BenchmarkIngest ingests the 1,500-accident corpus 42 (1,545 reports) with
+// the serving configuration (resilience on, a 5 ms model round trip) and
+// reports its wall time (ms/op) and the highest live heap sampled while it
+// ran (peak_live_MB, the raw reports included). `make bench` prints both in
+// every CI log.
+func BenchmarkIngest(b *testing.B) {
+	corpus, err := ntsb.GenerateCorpus(1500, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blobs, err := corpus.Blobs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{
+		Seed:        7,
+		Parallelism: 8,
+		LLMOptions:  []llm.SimOption{llm.WithLatency(5 * time.Millisecond)},
+		Resilience:  &resilience.Options{},
+	}
+	for b.Loop() {
+		peak, _, wall := ingestPeak(b, cfg, blobs)
+		b.ReportMetric(float64(wall.Microseconds())/1e3, "ms/op")
+		b.ReportMetric(mb(peak), "peak_live_MB")
+	}
+}
+
+func mb(bytes uint64) float64 { return float64(bytes) / (1 << 20) }

@@ -196,7 +196,8 @@ type IngestStats struct {
 
 // Ingest runs the Fig. 4 ETL pipeline over raw blobs: partition with
 // DocParse, llmExtract the Table 3 schema, derive calendar/injury fields,
-// index the parent documents, then explode, embed, and index the chunks.
+// index the parent documents, then cut each into chunks, embed, and index
+// them.
 // It finishes by inferring the query schema and wiring Luna.
 func (s *System) Ingest(ctx context.Context, blobs map[string][]byte) (*IngestStats, error) {
 	return s.IngestObserved(ctx, blobs, nil)
@@ -225,7 +226,6 @@ func (s *System) IngestObserved(ctx context.Context, blobs map[string][]byte, si
 		LLMExtract(ExtractionSchema()).
 		Map("deriveFields", deriveFields).
 		Write(s.Store).
-		Explode().
 		MergeChunks(120).
 		Embed().
 		Write(s.Store).

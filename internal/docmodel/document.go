@@ -10,11 +10,11 @@ import (
 // and JSON-like properties. Leaf chunks are represented as Elements. A DocSet
 // is a collection of Documents; a single value can represent anything from a
 // freshly-read raw PDF (one node, binary content) to a fully parsed report
-// (sections as internal nodes, elements as leaves) to an exploded chunk.
+// (sections as internal nodes, elements as leaves) to a chunk of one.
 type Document struct {
 	// ID uniquely identifies the document within a DocSet.
 	ID string `json:"id"`
-	// ParentID links an exploded chunk back to its source document, the
+	// ParentID links a chunk back to its source document, the
 	// provenance hook lineage uses ("" for top-level documents).
 	ParentID string `json:"parent_id,omitempty"`
 	// Path is the source location the document was read from, if any.
@@ -106,8 +106,8 @@ func (d *Document) AllElements() []*Element {
 // TextContent concatenates the document's own text plus every element's
 // text (tables render as markdown, pictures contribute their summary) in
 // reading order. Page furniture (Page-header, Page-footer) is boilerplate
-// repeated on every page of every document and is left out, as Explode
-// leaves it out of chunks. This is the "text-representation" field the Luna
+// repeated on every page of every document and is left out, as docset's
+// MergeChunks leaves it out of chunks. This is the "text-representation" field the Luna
 // planner sees (§6.1) and the text every LLM prompt carries of a document.
 func (d *Document) TextContent() string {
 	var sb strings.Builder
@@ -208,8 +208,9 @@ func viewText(e *Element, chunk string) string {
 	}
 }
 
-// ChunkText is the text of the chunk Explode makes of an element: a table's
-// Markdown, a picture's summary, any other element's Text. TextView lays
+// ChunkText is the text an element adds to its chunk (docset's
+// MergeChunks): a table's Markdown, a picture's summary, any other
+// element's Text. TextView lays
 // out its one string by the same rule, so the texts of a report's chunks
 // are found in it.
 func ChunkText(e *Element) string {

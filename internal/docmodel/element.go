@@ -52,7 +52,7 @@ func (t ElementType) String() string {
 
 // IsFurniture reports whether t is page furniture (Page-header,
 // Page-footer): text repeated on every page of every document, which
-// neither TextContent nor Explode's chunks carry.
+// neither TextContent nor docset's chunks (MergeChunks) carry.
 func (t ElementType) IsFurniture() bool { return t == PageHeader || t == PageFooter }
 
 // AllElementTypes returns the 11 classes in canonical order.

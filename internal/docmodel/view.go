@@ -121,8 +121,8 @@ func (d *Document) elementCount() int {
 // that of the furniture. An element's view text is a slice of its ChunkText
 // there (a table's trimmed Markdown is a prefix of its own), except that of
 // a picture with an image (its annotation, or its Text when it has no
-// summary), which is a string of its own. The texts of the chunks Explode
-// and MergeChunks cut from the document are found in text too, and
+// summary), which is a string of its own. The texts of the chunks
+// docset's MergeChunks cuts from the document are found in text too, and
 // index.Store keeps them as slices of it.
 //
 // A node of the view keeps its elements as one table of 12-byte rows —

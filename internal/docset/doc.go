@@ -19,6 +19,12 @@
 // whole document's (core.TestScopedFilterVerdicts): unlike
 // LLMExtractScoped, this scope is not an optimizer choice.
 //
+// Chunking is one map stage, MergeChunks: a document's non-furniture
+// elements, in reading order, are cut into passages of at most N tokens,
+// numbered within the document ("<id>#m1", …). So ingest chunks, embeds
+// and stores each report as it arrives, and never holds the upload's
+// chunks at once.
+//
 // Paper counterpart: Sycamore, the DocSet ETL/analytics engine of §5.
 //
 // Concurrency: DocSets are immutable plans — every transform returns a

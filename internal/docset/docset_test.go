@@ -25,7 +25,7 @@ func testDocs(n int) []*docmodel.Document {
 	return docs
 }
 
-// flatMap appends a one-to-many map stage (the shape of Explode) running fn.
+// flatMap appends a one-to-many map stage (the shape of MergeChunks) running fn.
 func flatMap(ds *DocSet, name string, fn func(*docmodel.Document) ([]*docmodel.Document, error)) *DocSet {
 	return ds.with(stageSpec{
 		name:    "flatMap[" + name + "]",
@@ -175,38 +175,6 @@ func TestContextCancellationStopsPipeline(t *testing.T) {
 	_, _, err := FromDocuments(ec, testDocs(10)).Execute(ctx)
 	if err == nil {
 		t.Fatal("cancelled execute should error")
-	}
-}
-
-func TestExplode(t *testing.T) {
-	ec := NewContext()
-	parent := docmodel.New("P")
-	parent.SetProperty("us_state", "KY")
-	parent.AddElement(&docmodel.Element{Type: docmodel.Text, Text: "first chunk", Page: 1})
-	parent.AddElement(&docmodel.Element{Type: docmodel.Table, Page: 2, Table: &docmodel.TableData{
-		NumRows: 1, NumCols: 2,
-		Cells: []docmodel.TableCell{{Row: 0, Col: 0, Text: "k"}, {Row: 0, Col: 1, Text: "v"}},
-	}})
-	docs, err := FromDocuments(ec, []*docmodel.Document{parent}).Explode().TakeAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 2 {
-		t.Fatalf("explode produced %d chunks, want 2", len(docs))
-	}
-	for _, c := range docs {
-		if c.ParentID != "P" {
-			t.Errorf("chunk %s missing parent pointer", c.ID)
-		}
-		if c.Property("us_state") != "KY" {
-			t.Errorf("chunk %s did not inherit properties", c.ID)
-		}
-	}
-	if docs[0].Text != "first chunk" {
-		t.Errorf("chunk text = %q", docs[0].Text)
-	}
-	if !strings.Contains(docs[1].Text, "| k | v |") {
-		t.Errorf("table chunk should carry markdown, got %q", docs[1].Text)
 	}
 }
 
@@ -456,10 +424,11 @@ func TestWriteRoutesDocsAndChunks(t *testing.T) {
 	parent.AddElement(&docmodel.Element{Type: docmodel.Text, Text: "alpha beta", Page: 1})
 	parent.AddElement(&docmodel.Element{Type: docmodel.Text, Text: "gamma delta", Page: 2})
 
-	// Write parents, then explode+embed+write chunks (the Fig. 4 pipeline).
+	// Write parents, then chunk+embed+write chunks (the Fig. 4 pipeline);
+	// a 2-token budget cuts one passage per element.
 	_, err := FromDocuments(ec, []*docmodel.Document{parent}).
 		Write(store).
-		Explode().
+		MergeChunks(2).
 		Embed().
 		Write(store).
 		TakeAll(context.Background())
@@ -477,8 +446,8 @@ func TestWriteRoutesDocsAndChunks(t *testing.T) {
 
 func TestPlanString(t *testing.T) {
 	ec := NewContext()
-	s := FromDocuments(ec, testDocs(1)).Explode().Limit(5).PlanString()
-	for _, want := range []string{"scan[memory", "explode", "limit[5]"} {
+	s := FromDocuments(ec, testDocs(1)).MergeChunks(120).Limit(5).PlanString()
+	for _, want := range []string{"scan[memory", "mergeChunks[120 tok]", "limit[5]"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("plan missing %q:\n%s", want, s)
 		}

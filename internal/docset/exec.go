@@ -84,7 +84,7 @@ type stageSpec struct {
 	mutates bool
 	// fresh marks stages whose outputs are newly created documents
 	// sharing no mutable state with their inputs (aggregation barriers,
-	// explode). A mutator downstream of a fresh stage only ever touches
+	// mergeChunks). A mutator downstream of a fresh stage only ever touches
 	// those fresh documents, so it does not force a source clone.
 	fresh bool
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,41 +109,94 @@ func TestTraceDurationsAndRender(t *testing.T) {
 
 func TestMergeChunks(t *testing.T) {
 	ec := NewContext()
-	var chunks []*docmodel.Document
-	mkChunk := func(parent string, i int, words int) {
-		d := docmodel.New(fmt.Sprintf("%s#%d", parent, i))
-		d.ParentID = parent
-		d.SetProperty("p", parent)
-		text := ""
-		for w := 0; w < words; w++ {
-			text += fmt.Sprintf("w%d ", w)
+	words := func(first string, n int) string {
+		w := []string{first}
+		for i := 1; i < n; i++ {
+			w = append(w, fmt.Sprintf("w%d", i))
 		}
-		d.Text = text
-		chunks = append(chunks, d)
+		return strings.Join(w, " ")
 	}
-	for i := 0; i < 6; i++ {
-		mkChunk("A", i, 30) // 6 chunks x 30 tokens -> 2 merged at 100
+	a := docmodel.New("A")
+	a.Title = "report A"
+	a.SetProperty("us_state", "KY")
+	a.AddElement(&docmodel.Element{Type: docmodel.PageHeader, Text: "HEADER of every page", Page: 1})
+	for i := 0; i < 6; i++ { // 6 elements x 30 tokens -> 2 passages at 100
+		a.AddElement(&docmodel.Element{Type: docmodel.Text, Text: words(fmt.Sprintf("a%d", i), 30), Page: 1 + i/3})
 	}
-	mkChunk("B", 0, 10) // parent boundary forces a flush
+	a.AddElement(&docmodel.Element{Type: docmodel.Table, Page: 3, Table: &docmodel.TableData{
+		NumRows: 1, NumCols: 2,
+		Cells: []docmodel.TableCell{{Row: 0, Col: 0, Text: "k"}, {Row: 0, Col: 1, Text: "v"}},
+	}})
+	a.AddElement(&docmodel.Element{Type: docmodel.PageFooter, Text: "FOOTER of every page", Page: 3})
+	b := docmodel.New("B")
+	b.SetProperty("us_state", "OH")
+	b.AddElement(&docmodel.Element{Type: docmodel.Text, Text: words("b0", 10), Page: 1})
 
-	out, err := FromDocuments(ec, chunks).MergeChunks(100).TakeAll(context.Background())
+	out, err := FromDocuments(ec, []*docmodel.Document{a, b}).MergeChunks(100).TakeAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 3 {
-		t.Fatalf("merged into %d chunks, want 3 (2 for A, 1 for B)", len(out))
+	// Passages are numbered within their report, never across the upload.
+	if got := ids(out); !slices.Equal(got, []string{"A#m1", "A#m2", "B#m1"}) {
+		t.Fatalf("passages %v, want [A#m1 A#m2 B#m1]", got)
 	}
-	for _, d := range out[:2] {
-		if d.ParentID != "A" || d.Property("p") != "A" {
-			t.Errorf("merged chunk lost provenance: %+v", d)
+	parents := map[string]*docmodel.Document{"A": a, "B": b}
+	var readA []string
+	for i, c := range out {
+		p := parents[c.ParentID]
+		if p == nil || c.Title != p.Title || c.Property("us_state") != p.Property("us_state") {
+			t.Errorf("passage %s lost its parent's provenance: parent %q title %q us_state %q", c.ID, c.ParentID, c.Title, c.Property("us_state"))
+		}
+		var texts []string
+		tokens := 0
+		for _, e := range c.Elements {
+			if e.Type.IsFurniture() {
+				t.Errorf("passage %s carries furniture %q", c.ID, e.Text)
+			}
+			if slices.Contains(p.AllElements(), e) {
+				t.Errorf("passage %s shares an element with its parent, want a copy", c.ID)
+			}
+			texts = append(texts, docmodel.ChunkText(e))
+			tokens += llm.CountTokens(docmodel.ChunkText(e))
+		}
+		if c.Text != strings.Join(texts, "\n") {
+			t.Errorf("passage %s text %q, want its elements' texts joined", c.ID, c.Text)
+		}
+		if tokens > 100 {
+			t.Errorf("passage %s holds %d tokens, budget 100", c.ID, tokens)
+		}
+		// A passage ends only where its next element would overflow it.
+		if i+1 < len(out) && out[i+1].ParentID == c.ParentID {
+			if next := llm.CountTokens(docmodel.ChunkText(out[i+1].Elements[0])); tokens+next <= 100 {
+				t.Errorf("passage %s ends at %d tokens, but its next element (%d) fits", c.ID, tokens, next)
+			}
+		}
+		if c.ParentID == "A" {
+			readA = append(readA, texts...)
 		}
 	}
-	if out[2].ParentID != "B" {
-		t.Errorf("parent boundary not respected: %s", out[2].ParentID)
+	// Reading order: A's passages hold its content elements, in order.
+	var wantA []string
+	for _, e := range a.AllElements() {
+		if !e.Type.IsFurniture() {
+			wantA = append(wantA, docmodel.ChunkText(e))
+		}
 	}
-	// Reading order preserved inside merged text.
-	if !contains(out[0].Text, "w0") {
-		t.Error("merged text lost content")
+	if !slices.Equal(readA, wantA) {
+		t.Errorf("A's passages read %q, want %q", readA, wantA)
+	}
+	if !strings.Contains(out[1].Text, "| k | v |") {
+		t.Errorf("table passage should carry markdown, got %q", out[1].Text)
+	}
+	for _, c := range out {
+		if strings.Contains(c.Text, "HEADER") || strings.Contains(c.Text, "FOOTER") {
+			t.Errorf("passage %s carries page furniture: %q", c.ID, c.Text)
+		}
+	}
+	// Each passage has a properties map of its own.
+	out[0].SetProperty("us_state", "TX")
+	if a.Property("us_state") != "KY" || out[1].Property("us_state") != "KY" {
+		t.Error("a passage shares its properties map with its parent or a sibling")
 	}
 }
 

@@ -86,79 +86,48 @@ func (ds *DocSet) Partition(p Partitioner) *DocSet {
 	})
 }
 
-// Explode unnests every element into a top-level chunk document carrying
-// the parent's properties and a ParentID back-pointer (Table 2a). The
-// parent document itself is not emitted. Page furniture (repeated headers
-// and footers) is boilerplate, not content, and is dropped — indexing it
-// would pollute retrieval with chunks shared by every document. A chunk's
-// text is its element's docmodel.ChunkText.
-func (ds *DocSet) Explode() *DocSet {
+// MergeChunks cuts each document into retrieval-sized passages of at most
+// maxTokens tokens — the chunking granularity RAG systems index at (Table
+// 2a's explode and merge in one map stage). A passage is a run of the
+// document's elements in reading order, each contributing its
+// docmodel.ChunkText, joined by newlines; the next passage starts where
+// the next element would overflow the budget. Page furniture (repeated
+// headers and footers) is boilerplate, not content, and is dropped —
+// indexing it would pollute retrieval with chunks shared by every
+// document. Passage i of document P is chunk "P#mi", carrying P's title,
+// a clone of its properties, copies of its elements and a ParentID
+// back-pointer; the parent itself is not emitted. A passage depends on its
+// document alone, so each document is chunked as it arrives.
+func (ds *DocSet) MergeChunks(maxTokens int) *DocSet {
 	return ds.with(stageSpec{
-		name:  "explode",
+		name:  fmt.Sprintf("mergeChunks[%d tok]", maxTokens),
 		kind:  mapKind,
 		fresh: true, // emits new chunk documents with cloned elements/props
 		mapFn: func(_ *Context, d *docmodel.Document) ([]*docmodel.Document, error) {
-			var elements []*docmodel.Element
-			for _, e := range d.AllElements() {
-				if !e.Type.IsFurniture() {
-					elements = append(elements, e)
-				}
-			}
-			out := make([]*docmodel.Document, 0, len(elements))
-			for i, e := range elements {
-				chunk := docmodel.New(fmt.Sprintf("%s#%d", d.ID, i))
-				chunk.ParentID = d.ID
-				chunk.Title = d.Title
-				chunk.Properties = d.Properties.Clone()
-				chunk.Text = docmodel.ChunkText(e)
-				chunk.Elements = []*docmodel.Element{e.Clone()}
-				out = append(out, chunk)
-			}
-			return out, nil
-		},
-	})
-}
-
-// MergeChunks coalesces consecutive exploded chunks of the same parent
-// into retrieval-sized passages of at most maxTokens tokens — the
-// chunking granularity RAG systems index at. Chunk order (reading order)
-// is preserved; properties come from the parent via the inputs.
-func (ds *DocSet) MergeChunks(maxTokens int) *DocSet {
-	return ds.with(stageSpec{
-		name: fmt.Sprintf("mergeChunks[%d tok]", maxTokens),
-		kind: barrierKind,
-		barrierFn: func(_ *Context, docs []*docmodel.Document) ([]*docmodel.Document, error) {
 			var out []*docmodel.Document
 			var cur *docmodel.Document
-			var curTokens, seq int
-			flush := func() {
-				if cur != nil {
-					out = append(out, cur)
-					cur = nil
-					curTokens = 0
+			var curTokens int
+			for _, e := range d.AllElements() {
+				if e.Type.IsFurniture() {
+					continue
 				}
-			}
-			for _, d := range docs {
-				t := llm.CountTokens(d.Text)
-				if cur == nil || cur.ParentID != d.ParentID || curTokens+t > maxTokens {
-					flush()
-					seq++
-					merged := docmodel.New(fmt.Sprintf("%s#m%d", d.ParentID, seq))
-					merged.ParentID = d.ParentID
-					merged.Title = d.Title
-					merged.Properties = d.Properties.Clone()
-					cur = merged
+				t := docmodel.ChunkText(e)
+				n := llm.CountTokens(t)
+				if cur == nil || curTokens+n > maxTokens {
+					cur = docmodel.New(fmt.Sprintf("%s#m%d", d.ID, len(out)+1))
+					cur.ParentID = d.ID
+					cur.Title = d.Title
+					cur.Properties = d.Properties.Clone()
+					out = append(out, cur)
+					curTokens = 0
 				}
 				if cur.Text != "" {
 					cur.Text += "\n"
 				}
-				cur.Text += d.Text
-				curTokens += t
-				for _, e := range d.Elements {
-					cur.Elements = append(cur.Elements, e)
-				}
+				cur.Text += t
+				curTokens += n
+				cur.Elements = append(cur.Elements, e.Clone())
 			}
-			flush()
 			return out, nil
 		},
 	})

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"aryn/internal/docmodel"
 	"aryn/internal/docparse"
 	"aryn/internal/docset"
 	"aryn/internal/embed"
@@ -18,7 +19,7 @@ import (
 
 // chunkTexts are the chunk texts of ntsb.GenerateCorpus(reports, 42): its
 // 120-token merged chunks, as ingest embeds them, and then, with elements,
-// its unmerged elements.
+// each report's non-furniture elements as their ChunkText.
 func chunkTexts(tb testing.TB, reports int, elements bool) []string {
 	tb.Helper()
 	corpus, err := ntsb.GenerateCorpus(reports, 42)
@@ -29,19 +30,27 @@ func chunkTexts(tb testing.TB, reports int, elements bool) []string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	exploded := docset.ReadBinary(docset.NewContext(), blobs).Partition(docparse.New()).Explode()
-	sets := []*docset.DocSet{exploded.MergeChunks(120)}
-	if elements {
-		sets = append(sets, exploded)
+	ctx := context.Background()
+	ec := docset.NewContext()
+	parsed, err := docset.ReadBinary(ec, blobs).Partition(docparse.New()).TakeAll(ctx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	chunks, err := docset.FromDocuments(ec, parsed).MergeChunks(120).TakeAll(ctx)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	var texts []string
-	for _, ds := range sets {
-		chunks, err := ds.TakeAll(context.Background())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for _, c := range chunks {
-			texts = append(texts, c.Text)
+	for _, c := range chunks {
+		texts = append(texts, c.Text)
+	}
+	if elements {
+		for _, r := range parsed {
+			for _, e := range r.AllElements() {
+				if !e.Type.IsFurniture() {
+					texts = append(texts, docmodel.ChunkText(e))
+				}
+			}
 		}
 	}
 	return texts

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"aryn/internal/docmodel"
 	"aryn/internal/docparse"
 	"aryn/internal/docset"
 	"aryn/internal/embed"
@@ -67,18 +68,30 @@ var goldenQueries = []string{
 // goldenChunkTexts runs the model-free half of the ingest pipeline over
 // the 30-accident corpus and returns chunk texts with their parent IDs in
 // the executor's deterministic order: the 120-token merged chunks ingest
-// indexes, then the unmerged elements (shorter texts, more ties).
+// indexes, then each report's non-furniture elements as their ChunkText
+// (shorter texts, more ties).
 func goldenChunkTexts(t *testing.T) (texts, parents []string) {
 	t.Helper()
-	exploded := docset.ReadBinary(docset.NewContext(), corpusBlobs(t, 30, 42)).Partition(docparse.New()).Explode()
-	for _, ds := range []*docset.DocSet{exploded.MergeChunks(120), exploded} {
-		chunks, err := ds.TakeAll(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range chunks {
-			texts = append(texts, c.Text)
-			parents = append(parents, c.ParentID)
+	ctx := context.Background()
+	ec := docset.NewContext()
+	reports, err := docset.ReadBinary(ec, corpusBlobs(t, 30, 42)).Partition(docparse.New()).TakeAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := docset.FromDocuments(ec, reports).MergeChunks(120).TakeAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks {
+		texts = append(texts, c.Text)
+		parents = append(parents, c.ParentID)
+	}
+	for _, r := range reports {
+		for _, e := range r.AllElements() {
+			if !e.Type.IsFurniture() {
+				texts = append(texts, docmodel.ChunkText(e))
+				parents = append(parents, r.ID)
+			}
 		}
 	}
 	if len(texts) < 200 {

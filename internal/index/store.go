@@ -36,7 +36,7 @@ type Chunk struct {
 //
 // A report's text is stored once: the view's element texts are slices of
 // one string per report, and so is the text of every chunk PutChunk finds
-// in its parent's string — which every chunk Explode and MergeChunks cut
+// in its parent's string — which every chunk docset's MergeChunks cuts
 // from the report is. The view keeps its elements as one pointer-free row
 // each, and the store keeps one string per property key.
 //
