@@ -112,8 +112,11 @@ docs-check:
 # row), BenchmarkRawdocCodec (encode and decode time and allocations per
 # report, blob bytes per report), BenchmarkTokenDirection (ns and
 # allocations per generated token direction, against the math/rand path it
-# reproduces) and BenchmarkEmbedCorpus (directions generated and the
-# direction cache's hit ratio embedding corpus 42's chunks).
+# reproduces), BenchmarkEmbedCorpus (directions generated and the
+# direction cache's hit ratio embedding corpus 42's chunks) and
+# BenchmarkPlanRepeat (ns and planning dispatches per re-asked question
+# whose answer a one-entry response cache has evicted: 0 dispatches, the
+# planner keeps its validated plans).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

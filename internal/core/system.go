@@ -46,10 +46,6 @@ type Config struct {
 	// hooks docset stage attempts — the chaos-testing seam. The injector
 	// stays inert until a spec is activated, so wiring it costs nothing.
 	Fault *fault.Injector
-	// StreamBatch sets how many documents a streamed query's partial
-	// batches carry (0 = docset default). Smaller batches lower time-to-
-	// first-result at the cost of more events on the wire.
-	StreamBatch int
 	// Optimize turns on the approximate plan rewrite: llmExtracts that read
 	// the section their field is in before the whole document (fewer
 	// tokens). The exact rewrites (structured filters hoisted above LLM
@@ -136,9 +132,6 @@ func New(cfg Config) *System {
 	}
 	if cfg.Fault != nil {
 		ecOpts = append(ecOpts, docset.WithFaultHook(cfg.Fault.Hook))
-	}
-	if cfg.StreamBatch > 0 {
-		ecOpts = append(ecOpts, docset.WithStreamBatch(cfg.StreamBatch))
 	}
 	s := &System{
 		Config:     cfg,
@@ -348,9 +341,16 @@ func (s *System) Degraded() (bool, string) {
 	return false, ""
 }
 
-// PurgeLLMCache drops every resident response-cache entry (the
-// cache-killed-mid-run chaos hook), returning how many were dropped.
-func (s *System) PurgeLLMCache() int { return s.LLM.CacheLayer().Purge() }
+// PurgeLLMCache drops every resident response-cache entry and the plans
+// the current planner kept (the cache-killed-mid-run chaos hook: after
+// it, no model answer is remembered anywhere), returning how many cache
+// entries were dropped.
+func (s *System) PurgeLLMCache() int {
+	if q := s.QueryService(); q != nil {
+		q.Planner.Forget()
+	}
+	return s.LLM.CacheLayer().Purge()
+}
 
 // RetrievalOnly answers a question without any LLM call: the top-k
 // retrieved chunks rendered as a numbered excerpt list. This is the

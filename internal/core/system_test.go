@@ -247,24 +247,37 @@ func TestLLMMiddlewareWiredThroughQueries(t *testing.T) {
 	}
 	usageBefore := sys.LLM.Usage()
 
+	// The repeat is planned from the planner's memo, so it never reaches
+	// the response cache: no lookup, no dispatch, no upstream spend.
 	second, err := sys.Query.Ask(ctx, question)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.LLM == nil || second.LLM.Cache.Hits == 0 {
-		t.Fatalf("repeated query should hit the response cache, stats: %+v", second.LLM)
+	if second.LLM == nil {
+		t.Fatal("Result.LLM not populated on the repeat")
+	}
+	if second.LLM.Batch.Batches != 0 || second.LLM.Cache.Misses != 0 {
+		t.Errorf("repeated query made %d dispatches and %d cache misses, want 0 (plan kept by the planner): %s",
+			second.LLM.Batch.Batches, second.LLM.Cache.Misses, second.LLM)
 	}
 	if second.Answer.Kind != first.Answer.Kind {
-		t.Errorf("cached answer kind diverged: %v vs %v", second.Answer.Kind, first.Answer.Kind)
+		t.Errorf("repeated answer kind diverged: %v vs %v", second.Answer.Kind, first.Answer.Kind)
 	}
-	// The repeat's planner call is a guaranteed hit (identical prompt), so
-	// it must not be metered as upstream spend.
-	usageAfter := sys.LLM.Usage()
-	if d := usageAfter.Calls - usageBefore.Calls; d != 0 {
-		t.Errorf("repeated query consumed %d upstream calls, want 0 (all cached)", d)
+	if d := sys.LLM.Usage().Sub(usageBefore); d.Calls != 0 || d.Total() != 0 {
+		t.Errorf("repeated query consumed %d upstream calls and %d tokens, want 0", d.Calls, d.Total())
 	}
-	if !strings.Contains(second.LLM.String(), "hits") {
-		t.Errorf("Result.LLM renders no cache line: %q", second.LLM)
+	if !strings.Contains(first.LLM.String(), "hits") {
+		t.Errorf("Result.LLM renders no cache line: %q", first.LLM)
+	}
+
+	// A purge forgets the kept plans too: the next ask plans again.
+	sys.PurgeLLMCache()
+	third, err := sys.Query.Ask(ctx, question)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.LLM.Batch.Batches == 0 {
+		t.Errorf("the ask after a purge made no dispatch: %s", third.LLM)
 	}
 }
 

@@ -245,16 +245,6 @@ func WithFaultHook(hook func(op string) error) Option {
 	return func(ctx *Context) { ctx.FaultHook = hook }
 }
 
-// WithStreamBatch sets how many documents an ExecuteStream sink receives
-// per batch (see Context.StreamBatch).
-func WithStreamBatch(n int) Option {
-	return func(ctx *Context) {
-		if n > 0 {
-			ctx.StreamBatch = n
-		}
-	}
-}
-
 // NewContext builds an execution context. Unset services default to a
 // seeded Sim LLM and hash embedder so examples work out of the box.
 func NewContext(opts ...Option) *Context {

@@ -58,7 +58,8 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 		}
 	}
 
-	streamEC := NewContext(WithParallelism(4), WithStreamBatch(4))
+	streamEC := NewContext(WithParallelism(4))
+	streamEC.StreamBatch = 4
 	var streamed int
 	var batches int
 	got, trace, err := build(streamEC).ExecuteStream(context.Background(), func(docs []*docmodel.Document) {
@@ -94,7 +95,8 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 // The sink must see documents while the producer is still emitting: the
 // whole point of streaming the final stage's output.
 func TestExecuteStreamSinkOverlapsProducer(t *testing.T) {
-	ec := NewContext(WithParallelism(2), WithStreamBatch(2))
+	ec := NewContext(WithParallelism(2))
+	ec.StreamBatch = 2
 	var produced, overlapped int64
 	out, _, err := FromDocuments(ec, streamDocs(16)).
 		Map("slowProduce", func(d *docmodel.Document) (*docmodel.Document, error) {
@@ -122,7 +124,8 @@ func TestExecuteStreamSinkOverlapsProducer(t *testing.T) {
 // collector goroutine, so the last stage's bounded channel fills and the
 // producer cannot run unboundedly ahead.
 func TestExecuteStreamSinkBackpressure(t *testing.T) {
-	ec := NewContext(WithParallelism(1), WithStreamBatch(1))
+	ec := NewContext(WithParallelism(1))
+	ec.StreamBatch = 1
 	var produced, consumed, maxAhead int64
 	_, _, err := FromDocuments(ec, streamDocs(32)).
 		Map("count", func(d *docmodel.Document) (*docmodel.Document, error) {
@@ -158,7 +161,8 @@ func TestExecuteStreamSinkBackpressure(t *testing.T) {
 // delivered stands), returns the documents that cleared the pipeline, and
 // names the failing node in both the error and the trace.
 func TestExecuteStreamFailureWithholdsTail(t *testing.T) {
-	ec := NewContext(WithParallelism(1), WithStreamBatch(3))
+	ec := NewContext(WithParallelism(1))
+	ec.StreamBatch = 3
 	boom := errors.New("producer exploded")
 	var delivered int
 	docs, trace, err := FromDocuments(ec, streamDocs(8)).

@@ -3,21 +3,37 @@ package luna
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"aryn/internal/llm"
 )
 
 // Planner turns natural-language questions into validated logical plans
-// by prompting the LLM (§6.1 Query Planning).
+// by prompting the LLM (§6.1 Query Planning). It keeps the plans it has
+// validated, keyed by the planning request, so a repeated question skips
+// the model round trip however long ago the response cache dropped its
+// answer — the way a database keeps a prepared plan. Safe for concurrent
+// use.
 type Planner struct {
 	// Client is the planning model.
 	Client llm.Client
 	// Schema describes the queryable DocSet.
 	Schema Schema
+
+	mu   sync.Mutex
+	memo map[string]*LogicalPlan // llm.Key of the planning request → validated plan
 }
 
 // maxRepairs bounds re-planning attempts after validation failures.
 const maxRepairs = 1
+
+// planMemoSize bounds the plans a Planner keeps; a full memo starts over.
+// Without a bound a stream of one-off questions would grow the memo until
+// the next ingest builds a new planner. A kept plan is about a kilobyte
+// (the 30 benchmark questions' plans average ≈ 1 KB), so a full memo is
+// ≈ 0.3 MB, and 256 distinct questions outlast what a dashboard or a
+// benchmark script asks between two ingests.
+const planMemoSize = 256
 
 // NewPlanner builds a planner that re-plans once on a validation failure.
 func NewPlanner(client llm.Client, schema Schema) *Planner {
@@ -26,9 +42,17 @@ func NewPlanner(client llm.Client, schema Schema) *Planner {
 
 // Plan produces the validated plan for a question. On validation failure
 // it re-prompts with the validator's feedback appended — the "check that
-// it is semantically valid" loop of §6.1.
+// it is semantically valid" loop of §6.1. A question whose planning
+// request it has answered before gets a copy of that plan, with no model
+// call; the key is the request's content address, so a changed Schema
+// never serves an old plan. Only validated plans are kept (a repaired one
+// too): a question that failed is asked again.
 func (p *Planner) Plan(ctx context.Context, question string) (*LogicalPlan, error) {
 	prompt := BuildPlanPrompt(p.Schema, question)
+	key := llm.Key(p.Client.Name(), llm.Request{Prompt: prompt})
+	if plan := p.recall(key); plan != nil {
+		return plan, nil
+	}
 	for attempt := 0; ; attempt++ {
 		resp, cerr := p.Client.Complete(ctx, llm.Request{Prompt: prompt})
 		if cerr != nil {
@@ -39,6 +63,7 @@ func (p *Planner) Plan(ctx context.Context, question string) (*LogicalPlan, erro
 			perr = Validate(plan, p.Schema)
 		}
 		if perr == nil {
+			p.keep(key, plan)
 			return plan, nil
 		}
 		if attempt >= maxRepairs {
@@ -46,6 +71,37 @@ func (p *Planner) Plan(ctx context.Context, question string) (*LogicalPlan, erro
 		}
 		prompt += fmt.Sprintf("\nYour previous plan was invalid (%v). Emit a corrected JSON plan.\n", perr)
 	}
+}
+
+// recall returns a copy of the plan kept under key, or nil.
+func (p *Planner) recall(key string) *LogicalPlan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if plan := p.memo[key]; plan != nil {
+		return plan.Clone()
+	}
+	return nil
+}
+
+// keep stores a copy of a validated plan under key (the caller may edit
+// the one it holds), emptying a full memo first: the bound is rarely
+// reached, and then the questions still in use are planned back in.
+func (p *Planner) keep(key string, plan *LogicalPlan) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.memo == nil || len(p.memo) == planMemoSize {
+		p.memo = map[string]*LogicalPlan{}
+	}
+	p.memo[key] = plan.Clone()
+}
+
+// Forget drops every kept plan, so the next ask of any question calls the
+// model again (the purge_llm_cache chaos hook clears it with the response
+// cache).
+func (p *Planner) Forget() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.memo = nil
 }
 
 // Service bundles planning and execution into the end-to-end query API.

@@ -62,11 +62,14 @@ func InferSchema(store *index.Store) Schema {
 			case a.typ != t:
 				a.typ = "string" // mixed types degrade to string
 			}
+			if len(a.examples) == 3 {
+				continue // a field with its three examples needs no more formatting
+			}
 			ex := fmt.Sprintf("%v", v)
 			if len(ex) > 60 {
 				ex = ex[:59] + "…"
 			}
-			if len(a.examples) < 3 && !a.seen[ex] {
+			if !a.seen[ex] {
 				a.seen[ex] = true
 				a.examples = append(a.examples, ex)
 			}

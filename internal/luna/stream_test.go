@@ -41,8 +41,8 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
 			ex, _ := executorFixture(t)
-			ex.EC = docset.NewContext(docset.WithLLM(llm.NewSim(1)),
-				docset.WithParallelism(4), docset.WithStreamBatch(2))
+			ex.EC = docset.NewContext(docset.WithLLM(llm.NewSim(1)), docset.WithParallelism(4))
+			ex.EC.StreamBatch = 2
 
 			batch, err := ex.Run(context.Background(), plan, StreamHooks{})
 			if err != nil {

@@ -414,7 +414,8 @@ type FaultControlRequest struct {
 	Spec *fault.Spec `json:"spec,omitempty"`
 	// Clear deactivates all fault injection.
 	Clear bool `json:"clear,omitempty"`
-	// PurgeLLMCache drops every resident LLM response-cache entry.
+	// PurgeLLMCache drops every resident LLM response-cache entry and the
+	// plans the planner kept.
 	PurgeLLMCache bool `json:"purge_llm_cache,omitempty"`
 }
 

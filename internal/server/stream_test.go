@@ -369,11 +369,11 @@ func TestStreamFirstPartialBeatsBatch(t *testing.T) {
 		Parallelism: 4,
 		LLMOptions:  []llm.SimOption{llm.WithLatency(20 * time.Millisecond)},
 		Fault:       inj,
-		StreamBatch: 1,
 	}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.EC.StreamBatch = 1 // Prepare's executor shares sys.EC
 	ts := newTestServer(t, sys, Config{Fault: inj})
 	req := api.QueryRequest{Plan: filterPlan("Does the report mention an engine problem?")}
 
