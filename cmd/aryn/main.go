@@ -85,7 +85,7 @@ func run(nDocs int, seed, sysSeed int64, parallelism int, question, demo string,
 	switch {
 	case demo == "schema":
 		fmt.Println("Extracted schema (Table 3):")
-		fmt.Print(sys.Schema.PromptBlock())
+		fmt.Print(sys.QueryService().Planner.Schema.PromptBlock())
 		return nil
 	case interactive:
 		return repl(ctx, sys, show)
@@ -106,7 +106,7 @@ func answer(ctx context.Context, sys *core.System, q string, show display, useRA
 		fmt.Printf("RAG (k=%d, %d chunks, %d poisoned):\n%s\n", sys.RAG.K, resp.Retrieved, resp.PoisonedChunks, resp.Text)
 		return nil
 	}
-	res, err := ask(ctx, sys, q, show)
+	res, err := ask(ctx, sys, new(luna.Conversation), q, show)
 	if err != nil {
 		return err
 	}
@@ -114,21 +114,21 @@ func answer(ctx context.Context, sys *core.System, q string, show display, useRA
 	return nil
 }
 
-// ask answers one question; with -stream it watches the execution,
-// narrating partial batches with their arrival offsets so
+// ask answers one question in conv; with -stream it watches the
+// execution, narrating partial batches with their arrival offsets so
 // time-to-first-result is visible at the terminal. The final Result is the
 // same either way.
-func ask(ctx context.Context, sys *core.System, q string, show display) (*luna.Result, error) {
-	if !show.stream {
-		return sys.Ask(ctx, q)
-	}
+func ask(ctx context.Context, sys *core.System, conv *luna.Conversation, q string, show display) (*luna.Result, error) {
 	shared := sys.QueryService()
 	if shared == nil {
 		return nil, fmt.Errorf("system is not ready to answer queries")
 	}
+	svc := *shared // a copy: the hooks belong to this question only
+	if !show.stream {
+		return conv.Ask(ctx, &svc, q)
+	}
 	start := time.Now()
 	var batches, docs int
-	svc := *shared // a copy: the hooks belong to this question only
 	svc.Hooks = luna.StreamHooks{
 		OnPartial: func(part []*docmodel.Document) {
 			batches++
@@ -137,7 +137,7 @@ func ask(ctx context.Context, sys *core.System, q string, show display) (*luna.R
 				time.Since(start).Round(time.Millisecond), batches, len(part), docs)
 		},
 	}
-	res, err := svc.Ask(ctx, q)
+	res, err := conv.Ask(ctx, &svc, q)
 	if err != nil {
 		return nil, err
 	}
@@ -209,6 +209,7 @@ func printEstimate(pe *luna.PlanEstimate) {
 func repl(ctx context.Context, sys *core.System, show display) error {
 	fmt.Println("conversational session — ask questions; follow-ups like \"what about X\" refine the last query; 'quit' to exit")
 	sc := bufio.NewScanner(os.Stdin)
+	var conv luna.Conversation
 	for {
 		fmt.Print("luna> ")
 		if !sc.Scan() {
@@ -221,7 +222,7 @@ func repl(ctx context.Context, sys *core.System, show display) error {
 		case "q", "quit", "exit":
 			return nil
 		}
-		res, err := ask(ctx, sys, q, show)
+		res, err := ask(ctx, sys, &conv, q, show)
 		if err != nil {
 			fmt.Println("error:", err)
 			continue

@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,6 +31,12 @@ var deadAllow = map[string]string{
 	"analyzertest.Run":             "the analyzers' golden-test harness: the package exists for their tests, as net/http/httptest does",
 }
 
+// simParserFiles are the only non-test files that may refer to the Sim's
+// keyword planner, luna's parser and parseState types: the parser itself
+// and the planner skill that answers planning prompts with it. Production
+// code, follow-ups included, plans through the model (ROADMAP item 10).
+var simParserFiles = []string{"internal/luna/parser.go", "internal/luna/skill.go"}
+
 // deadArches are the file sets the gate checks: build-constrained files
 // differ between them (internal/simd), and CI runs on both.
 var deadArches = []struct{ goos, goarch string }{
@@ -45,10 +52,15 @@ var deadArches = []struct{ goos, goarch string }{
 // used when a type whose method set holds it satisfies an interface that
 // declares it (error, fmt.Stringer, json.Marshaler, llm.Client, ...).
 // A function that only calls itself is not used. Keepers go in deadAllow.
+// The same walk fails on any reference to the Sim's parser outside
+// simParserFiles.
 func TestNoDeadCode(t *testing.T) {
-	dead, err := findDead(".", []string{"internal", "cmd", "examples", "bench"}, []string{"bench_test.go"})
+	dead, parserRefs, err := findDead(".", []string{"internal", "cmd", "examples", "bench"}, []string{"bench_test.go"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, pos := range parserRefs {
+		t.Errorf("%s refers to the Sim's parser: only %s may", pos, strings.Join(simParserFiles, " and "))
 	}
 	seen := map[string]bool{}
 	for _, d := range dead {
@@ -67,7 +79,7 @@ func TestNoDeadCode(t *testing.T) {
 // TestNoDeadCodeFixture runs the scan over a module built to hold the
 // cases a name-based check gets wrong.
 func TestNoDeadCodeFixture(t *testing.T) {
-	dead, err := findDead(filepath.Join("testdata", "deadcode"), []string{"internal", "cmd"}, nil)
+	dead, _, err := findDead(filepath.Join("testdata", "deadcode"), []string{"internal", "cmd"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +106,9 @@ type deadFunc struct {
 // its own go.mod is a module of its own that may import root's), plus the
 // given single files as a package each. It returns the functions declared
 // in non-test files under root/internal that none of them uses, sorted by
-// name and merged across the file sets.
-func findDead(root string, dirs, files []string) ([]deadFunc, error) {
+// name and merged across the file sets, and the file:line positions, in
+// order, that refer to the Sim's parser outside simParserFiles.
+func findDead(root string, dirs, files []string) ([]deadFunc, []string, error) {
 	// The standard library is type-checked from source, without cgo so that
 	// no C toolchain runs and every host sees the same files.
 	build.Default.CgoEnabled = false
@@ -103,12 +116,13 @@ func findDead(root string, dirs, files []string) ([]deadFunc, error) {
 	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 
 	found := map[string]deadFunc{}
+	refs := map[string]bool{}
 	for _, a := range deadArches {
 		ctxt := build.Default
 		ctxt.GOOS, ctxt.GOARCH = a.goos, a.goarch
 		s := &deadScan{fset: fset, ctxt: &ctxt, std: std, pkgs: map[string]*deadPkg{}}
 		if err := s.addModule(root); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var pkgDirs []string
 		for _, d := range dirs {
@@ -128,25 +142,28 @@ func findDead(root string, dirs, files []string) ([]deadFunc, error) {
 				return nil
 			})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		for _, d := range pkgDirs {
 			path, err := s.importPath(d)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if _, err := s.load(path, d, nil); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		for _, f := range files {
 			if _, err := s.load(f, root, []string{filepath.Join(root, f)}); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		for _, d := range s.dead(filepath.Join(root, "internal")) {
 			found[d.pos.String()] = d
+		}
+		for _, pos := range s.simParserRefs(root) {
+			refs[pos] = true
 		}
 	}
 	out := make([]deadFunc, 0, len(found))
@@ -159,7 +176,7 @@ func findDead(root string, dirs, files []string) ([]deadFunc, error) {
 		}
 		return out[i].pos.String() < out[j].pos.String()
 	})
-	return out, nil
+	return out, slices.Sorted(maps.Keys(refs)), nil
 }
 
 type deadScan struct {
@@ -351,6 +368,35 @@ func (s *deadScan) dead(declDir string) []deadFunc {
 			}
 		}
 		out = append(out, deadFunc{name: name, pos: s.fset.Position(fn.Pos())})
+	}
+	return out
+}
+
+// simParserRefs returns the file:line of every expression, in a loaded
+// file outside simParserFiles, whose type is luna's parser or parseState
+// or a pointer to one: a type name, a literal, a variable, the receiver of
+// a method call.
+func (s *deadScan) simParserRefs(root string) []string {
+	var out []string
+	for _, p := range s.list {
+		for expr, tv := range p.info.Types {
+			t := tv.Type
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			named, ok := t.(*types.Named)
+			if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "aryn/internal/luna" {
+				continue
+			}
+			if n := named.Obj().Name(); n != "parser" && n != "parseState" {
+				continue
+			}
+			pos := s.fset.Position(expr.Pos())
+			if rel, err := filepath.Rel(root, pos.Filename); err == nil && slices.Contains(simParserFiles, filepath.ToSlash(rel)) {
+				continue
+			}
+			out = append(out, fmt.Sprintf("%s:%d", pos.Filename, pos.Line))
+		}
 	}
 	return out
 }

@@ -53,6 +53,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nQ2 (follow-up): %s\nA2: %s\n", res2.Question, res2.Answer.String())
+	// The planner saw the previous plan beside the follow-up and returned
+	// the two merged.
 	fmt.Println("merged plan:", res2.Rewritten.String())
 
 	// Follow-up 2: narrow geographically, still keeping the terminal.

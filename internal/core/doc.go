@@ -6,9 +6,9 @@
 // Paper counterpart: the assembled Aryn stack of §3 — DocParse feeding
 // Sycamore feeding the index feeding Luna.
 //
-// Concurrency: a System's query-facing fields (Schema, Query, Conv) are
-// swapped wholesale by Prepare after each ingest; concurrent readers must
-// use the synchronized accessors (QueryService, NewSession, Ready, Ask).
+// Concurrency: a System's query service (Query) is swapped wholesale by
+// Prepare after each ingest; concurrent readers must use the synchronized
+// accessors (QueryService, Ready, Ask).
 // The returned luna.Service is stateless and safe for concurrent Ask
 // calls; Ingest is not reentrant — the serving layer runs one ingest at a
 // time. Direct field access remains fine for single-goroutine CLI use.

@@ -56,11 +56,11 @@ type Config struct {
 
 // System is a fully wired Aryn instance.
 //
-// The query-facing fields (Schema, Query, Conv) are replaced wholesale by
-// Prepare after each ingest; concurrent readers (the serving layer) must
-// go through the accessors — QueryService, NewSession, Ready, Ask — which
-// synchronize against that swap. Direct field access remains fine for
-// single-goroutine CLI/example use.
+// Query, the Luna service, is replaced wholesale by Prepare after each
+// ingest; concurrent readers (the serving layer) must go through the
+// accessors — QueryService, Ready, Ask — which synchronize against that
+// swap. Direct field access remains fine for single-goroutine CLI/example
+// use.
 type System struct {
 	Config Config
 	Sim    *llm.Sim
@@ -71,9 +71,7 @@ type System struct {
 	Store    *index.Store
 	Parser   *docparse.Service
 	EC       *docset.Context
-	Schema   luna.Schema
 	Query    *luna.Service
-	Conv     *luna.Conversation
 	RAG      *rag.Pipeline
 	// Resilience is the retry/breaker middleware instance when
 	// Config.Resilience was set (nil otherwise).
@@ -82,9 +80,11 @@ type System struct {
 	// not wired).
 	Fault *fault.Injector
 
-	// mu guards the Prepare swap of Schema/Query/Conv against concurrent
-	// accessor reads.
+	// mu guards the Prepare swap of Query against concurrent accessor
+	// reads.
 	mu sync.RWMutex
+	// conv is the conversation Ask answers in.
+	conv luna.Conversation
 }
 
 // New builds a system: the Sim LLM (with Luna's planner skill registered)
@@ -243,21 +243,17 @@ func (s *System) IngestObserved(ctx context.Context, blobs map[string][]byte, si
 }
 
 // Prepare (re)infers the schema from the store and wires the Luna query
-// service and conversation. Ingest calls it. Safe to call while queries
-// are in flight: readers using the accessors see either the old or the
-// new service, never a half-built one.
+// service. Ingest calls it. Safe to call while queries are in flight:
+// readers using the accessors see either the old or the new service,
+// never a half-built one.
 func (s *System) Prepare() {
-	schema := luna.InferSchema(s.Store)
 	query := &luna.Service{
-		Planner:  luna.NewPlanner(s.LLM, schema),
+		Planner:  luna.NewPlanner(s.LLM, luna.InferSchema(s.Store)),
 		Executor: &luna.Executor{EC: s.EC, Store: s.Store},
 		Optimize: s.Config.Optimize,
 	}
-	conv := luna.NewConversation(query)
 	s.mu.Lock()
-	s.Schema = schema
 	s.Query = query
-	s.Conv = conv
 	s.mu.Unlock()
 }
 
@@ -272,17 +268,6 @@ func (s *System) QueryService() *luna.Service {
 // Ready reports whether the system has ingested data and can answer
 // queries.
 func (s *System) Ready() bool { return s.QueryService() != nil }
-
-// NewSession opens an independent conversation over the current query
-// service, so each client gets isolated follow-up history (the serving
-// layer opens one per chat session).
-func (s *System) NewSession() (*luna.Conversation, error) {
-	q := s.QueryService()
-	if q == nil {
-		return nil, fmt.Errorf("core: no data ingested yet")
-	}
-	return luna.NewConversation(q), nil
-}
 
 // LLMStats snapshots the middleware counters (cache hit/miss, singleflight
 // collapses, batch sizes) accumulated since construction.
@@ -310,17 +295,15 @@ func (s *System) OptimizerStats() struct{ Entries, Hits, Misses int64 } {
 	return struct{ Entries, Hits, Misses int64 }{}
 }
 
-// Ask answers a natural-language question through Luna (conversational:
-// follow-ups resolve against the previous query) using the system's
-// default shared conversation.
+// Ask answers a natural-language question through Luna in the system's
+// one shared conversation (a follow-up refers to the previous query),
+// with the query service current at each turn.
 func (s *System) Ask(ctx context.Context, question string) (*luna.Result, error) {
-	s.mu.RLock()
-	conv := s.Conv
-	s.mu.RUnlock()
-	if conv == nil {
+	q := s.QueryService()
+	if q == nil {
 		return nil, fmt.Errorf("core: no data ingested yet")
 	}
-	return conv.Ask(ctx, question)
+	return s.conv.Ask(ctx, q, question)
 }
 
 // AskRAG answers through the RAG baseline for comparison.

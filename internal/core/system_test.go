@@ -49,8 +49,8 @@ func testSystem(t *testing.T) (*System, *ntsb.Corpus) {
 func TestIngestExtractsSchema(t *testing.T) {
 	sys, corpus := testSystem(t)
 	for _, name := range []string{"us_state", "aircraftDamage"} {
-		if !slices.ContainsFunc(sys.Schema.Fields, func(f luna.SchemaField) bool { return f.Name == name }) {
-			t.Fatalf("schema missing extracted field %s: %+v", name, sys.Schema)
+		if !slices.ContainsFunc(sys.QueryService().Planner.Schema.Fields, func(f luna.SchemaField) bool { return f.Name == name }) {
+			t.Fatalf("schema missing extracted field %s: %+v", name, sys.QueryService().Planner.Schema)
 		}
 	}
 	// Spot-check extraction quality on one document.

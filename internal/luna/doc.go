@@ -25,16 +25,18 @@
 // builds it in one step for PlanOnly, InspectPlan, Ask and RunPlan, and a
 // Result embeds it.
 //
-// Planning is one model call per question (§6.1), and the Planner keeps
-// the plans it validated: a repeated question gets a copy of its plan
-// with no model call, no parse and no validation, even after per-document
-// traffic has pushed the planning answer out of the LLM response cache.
-// The memo is keyed by the content address of the planning request
-// (llm.Key), which carries the schema, so a changed schema is planned
-// afresh; a plan that failed validation is never kept, one the repair
-// loop fixed is. It holds at most planMemoSize plans (a full memo
-// starts over) and lives as long as its planner: core.System.Prepare builds a
-// new one after every ingest, and the purge_llm_cache chaos hook
+// Planning is one model call per question (§6.1), follow-ups included: a
+// Conversation keeps only history, and sends a follow-up to the planner
+// with the previous turn's plan. The Planner keeps the plans it validated:
+// a repeated question gets a copy of its plan with no model call, no parse
+// and no validation, even after per-document traffic has pushed the
+// planning answer out of the LLM response cache. The memo is keyed by the
+// content address of the planning request (llm.Key), which carries the
+// schema and a follow-up's previous plan, so a changed schema or previous
+// plan is planned afresh; a plan that failed validation is never kept, one
+// the repair loop fixed is. It holds at most planMemoSize plans (a full
+// memo starts over) and lives as long as its planner: core.System.Prepare
+// builds a new one after every ingest, and the purge_llm_cache chaos hook
 // (Planner.Forget) empties it.
 //
 // Concurrency: Service and Executor are stateless per query and safe for

@@ -415,16 +415,17 @@ func TestConversationFollowUpMergesFilters(t *testing.T) {
 	ex, store := executorFixture(t)
 	sim := llm.NewSim(1)
 	sim.Register(PlannerSkill{})
-	conv := NewConversation(&Service{Planner: NewPlanner(sim, InferSchema(store)), Executor: ex})
+	svc := &Service{Planner: NewPlanner(sim, InferSchema(store)), Executor: ex}
+	var conv Conversation
 	ctx := context.Background()
-	first, err := conv.Ask(ctx, "How many incidents involved substantial damage?")
+	first, err := conv.Ask(ctx, svc, "How many incidents involved substantial damage?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Answer.Number != 2 {
 		t.Fatalf("first = %v", first.Answer.Number)
 	}
-	second, err := conv.Ask(ctx, "show only results in California")
+	second, err := conv.Ask(ctx, svc, "show only results in California")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,16 +443,17 @@ func TestConversationKeepsOnlyTheLastResult(t *testing.T) {
 	ex, store := executorFixture(t)
 	sim := llm.NewSim(1)
 	sim.Register(PlannerSkill{})
-	conv := NewConversation(&Service{Planner: NewPlanner(sim, InferSchema(store)), Executor: ex})
+	svc := &Service{Planner: NewPlanner(sim, InferSchema(store)), Executor: ex}
+	var conv Conversation
 	ctx := context.Background()
-	first, err := conv.Ask(ctx, "How many incidents involved substantial damage?")
+	first, err := conv.Ask(ctx, svc, "How many incidents involved substantial damage?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	turn1 := weak.Make(first)
 	first = nil
 	for _, q := range []string{"show only results in California", "How many incidents were there?"} {
-		if _, err := conv.Ask(ctx, q); err != nil {
+		if _, err := conv.Ask(ctx, svc, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -489,12 +491,12 @@ func TestConversationFollowUpReferringWords(t *testing.T) {
 		Planner:  NewPlanner(sim, InferSchema(store)),
 		Executor: &Executor{EC: docset.NewContext(docset.WithLLM(llm.NewSim(1))), Store: store},
 	}
-	conv := NewConversation(svc)
+	var conv Conversation
 	ctx := context.Background()
-	if _, err := conv.Ask(ctx, "How many incidents involved a fire?"); err != nil {
+	if _, err := conv.Ask(ctx, svc, "How many incidents involved a fire?"); err != nil {
 		t.Fatal(err)
 	}
-	followUp, err := conv.Ask(ctx, "only those involving birds")
+	followUp, err := conv.Ask(ctx, svc, "only those involving birds")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +602,7 @@ func TestPlannerRepairLoop(t *testing.T) {
 		{Text: `{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`},
 	}}
 	p := NewPlanner(scripted, testSchema())
-	plan, err := p.Plan(context.Background(), "How many incidents?")
+	plan, err := p.Plan(context.Background(), "How many incidents?", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +612,7 @@ func TestPlannerRepairLoop(t *testing.T) {
 	// Repeated invalid plans exhaust the repair budget.
 	bad := &llm.Scripted{Responses: []llm.Response{{Text: `{"nodes":[{"id":"n1","op":"teleport"}]}`}}}
 	p2 := NewPlanner(bad, testSchema())
-	if _, err := p2.Plan(context.Background(), "q"); err == nil {
+	if _, err := p2.Plan(context.Background(), "q", nil); err == nil {
 		t.Error("persistent invalid plans should fail")
 	}
 }

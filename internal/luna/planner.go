@@ -40,15 +40,20 @@ func NewPlanner(client llm.Client, schema Schema) *Planner {
 	return &Planner{Client: client, Schema: schema}
 }
 
-// Plan produces the validated plan for a question. On validation failure
-// it re-prompts with the validator's feedback appended — the "check that
-// it is semantically valid" loop of §6.1. A question whose planning
-// request it has answered before gets a copy of that plan, with no model
-// call; the key is the request's content address, so a changed Schema
-// never serves an old plan. Only validated plans are kept (a repaired one
-// too): a question that failed is asked again.
-func (p *Planner) Plan(ctx context.Context, question string) (*LogicalPlan, error) {
+// Plan produces the validated plan for a question; prev is the plan of
+// the turn a follow-up refers to (nil for a question of its own), sent
+// after the question in the planning request. On validation failure it
+// re-prompts with the validator's feedback appended — the "check that it
+// is semantically valid" loop of §6.1. A planning request it has answered
+// before gets a copy of that plan, with no model call; the key is the
+// request's content address, so a changed Schema or previous plan never
+// serves an old plan. Only validated plans are kept (a repaired one too):
+// a question that failed is asked again.
+func (p *Planner) Plan(ctx context.Context, question string, prev *LogicalPlan) (*LogicalPlan, error) {
 	prompt := BuildPlanPrompt(p.Schema, question)
+	if prev != nil {
+		prompt += previousPlanHeader + prev.JSON() + "\n"
+	}
 	key := llm.Key(p.Client.Name(), llm.Request{Prompt: prompt})
 	if plan := p.recall(key); plan != nil {
 		return plan, nil
@@ -212,12 +217,17 @@ func (s *Service) run(ctx context.Context, question string, plan *LogicalPlan) (
 
 // Ask plans, validates, optimizes, compiles, and executes the question.
 func (s *Service) Ask(ctx context.Context, question string) (*Result, error) {
+	return s.ask(ctx, question, nil)
+}
+
+// ask is Ask for a question that may follow up on prev (see Planner.Plan).
+func (s *Service) ask(ctx context.Context, question string, prev *LogicalPlan) (*Result, error) {
 	stack, hasStats := s.Planner.Client.(*llm.Stack)
 	var before llm.StackStats
 	if hasStats {
 		before = stack.StackStats()
 	}
-	plan, err := s.Planner.Plan(ctx, question)
+	plan, err := s.Planner.Plan(ctx, question, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +256,7 @@ func (s *Service) RunPlan(ctx context.Context, question string, plan *LogicalPla
 // PlanOnly plans, validates, rewrites, and compiles the question without
 // executing anything — the cheap POST /v1/plan path.
 func (s *Service) PlanOnly(ctx context.Context, question string) (*PlanPreview, error) {
-	plan, err := s.Planner.Plan(ctx, question)
+	plan, err := s.Planner.Plan(ctx, question, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package luna
 
 import (
+	"encoding/json"
 	"math/rand"
 	"strings"
 
@@ -21,6 +22,10 @@ func BuildPlanPrompt(schema Schema, question string) string {
 	sb.WriteString("QUESTION: " + question + "\n")
 	return sb.String()
 }
+
+// previousPlanHeader opens the block a follow-up's planning prompt ends
+// with: the DAG JSON of the plan the follow-up refers to.
+const previousPlanHeader = "PREVIOUS PLAN (the question follows up on its result):\n"
 
 const operatorCatalogue = `OPERATORS:
 - queryDatabase(filters, keyword): scan the index with property filters and/or keyword search (source, no inputs)
@@ -51,7 +56,8 @@ A: {"nodes":[{"id":"n1","op":"queryDatabase","filters":[{"field":"fatalities","k
 // PlannerSkill is the query-planning capability registered on the Sim
 // model. It answers TaskPlan prompts by running the semantic parser over
 // the schema and question found in the prompt — using only information
-// the prompt carries, like a hosted model would.
+// the prompt carries, like a hosted model would. A follow-up that carries
+// the previous plan is answered by merging the follow-up into that plan.
 type PlannerSkill struct{}
 
 // Match reports whether the request is a planning prompt.
@@ -61,8 +67,15 @@ func (PlannerSkill) Match(req llm.Request) bool {
 
 // Run parses the prompt's schema and question and emits the plan JSON.
 func (PlannerSkill) Run(_ *rand.Rand, req llm.Request) (string, error) {
-	schema := parseSchemaBlock(req.Prompt)
-	question := promptQuestion(req.Prompt)
+	head, prevBlock, isFollowUp := strings.Cut(req.Prompt, previousPlanHeader)
+	schema := parseSchemaBlock(head)
+	question := promptQuestion(head)
+	if fragment := followUpFragment(question); isFollowUp && fragment != "" {
+		var prev LogicalPlan
+		if json.NewDecoder(strings.NewReader(prevBlock)).Decode(&prev) == nil {
+			return mergeFollowUp(&prev, fragment).JSON(), nil
+		}
+	}
 	p := &parser{schema: schema}
 	plan, err := p.Parse(question)
 	if err != nil {
@@ -81,6 +94,80 @@ func promptQuestion(prompt string) string {
 		q = q[:nl]
 	}
 	return strings.TrimSpace(q)
+}
+
+// mergeFollowUp rewrites the previous plan's DAG, in place, with the
+// fragment's conditions: new property filters replace same-field filters
+// on every queryDatabase root, and new semantic predicates are inserted
+// as llmFilter nodes directly downstream of the first root, keeping the
+// terminal shape of the query. The conditions name fields by fixed
+// phrases, so the merge needs no schema.
+func mergeFollowUp(plan *LogicalPlan, fragment string) *LogicalPlan {
+	st := &parseState{text: " " + strings.ToLower(fragment) + " ", fragment: true}
+	st.extractFilters()
+	plan.normalize()
+
+	// Replace same-field filters, append new ones, on each scan root.
+	newFields := map[string]bool{}
+	for _, f := range st.filters {
+		newFields[f.Field] = true
+	}
+	var firstRoot string
+	for i := range plan.Nodes {
+		n := &plan.Nodes[i]
+		if len(n.Inputs) != 0 {
+			continue
+		}
+		if firstRoot == "" && (n.Op == OpQueryDatabase || n.Op == OpQueryVectorDatabase) {
+			firstRoot = n.ID
+		}
+		if n.Op != OpQueryDatabase {
+			continue
+		}
+		var kept []FilterSpec
+		for _, f := range n.Filters {
+			if !newFields[f.Field] {
+				kept = append(kept, f)
+			}
+		}
+		n.Filters = append(kept, st.filters...)
+	}
+	if firstRoot == "" {
+		return plan
+	}
+
+	// Insert new semantic predicates after the first root (dedup against
+	// questions the plan already asks anywhere).
+	existing := map[string]bool{}
+	for _, n := range plan.Nodes {
+		if n.Op == OpLLMFilter {
+			for _, q := range n.questions() {
+				existing[q] = true
+			}
+		}
+	}
+	head, cur := len(plan.Nodes), firstRoot
+	for _, pred := range st.llmPreds {
+		q := "Does the document indicate " + pred + "?"
+		if existing[q] {
+			continue
+		}
+		existing[q] = true
+		node := PlanNode{
+			ID:        plan.freshID(),
+			Inputs:    []string{cur},
+			LogicalOp: LogicalOp{Op: OpLLMFilter, Question: q},
+		}
+		plan.Nodes = append(plan.Nodes, node)
+		cur = node.ID
+	}
+	if cur != firstRoot {
+		// What read the root now reads the chain's tail; the chain's
+		// head still reads the root.
+		plan.redirect(firstRoot, cur)
+		plan.Nodes[head].Inputs[0] = firstRoot
+	}
+	return plan
 }
 
 var _ llm.Skill = PlannerSkill{}

@@ -54,13 +54,13 @@ func TestFollowUpGolden(t *testing.T) {
 	var got strings.Builder
 	for _, q := range Questions(corpus) {
 		for _, f := range goldenFollowUps {
-			conv := luna.NewConversation(sys.QueryService())
-			if _, err := conv.Ask(context.Background(), q.Text); err != nil {
+			var conv luna.Conversation
+			if _, err := conv.Ask(context.Background(), sys.QueryService(), q.Text); err != nil {
 				t.Fatalf("q%02d: %v", q.ID, err)
 			}
 			h := sha256.New()
 			fmt.Fprintf(h, "%s\x00%s\x00", q.Text, f)
-			if res, err := conv.Ask(context.Background(), f); err != nil {
+			if res, err := conv.Ask(context.Background(), sys.QueryService(), f); err != nil {
 				fmt.Fprintf(h, "error: %v", err)
 			} else {
 				fmt.Fprintf(h, "%s\x00%s\x00%s", res.Plan.JSON(), res.Rewritten.JSON(), res.Answer.String())

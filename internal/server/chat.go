@@ -24,12 +24,12 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	var sess *session
 	fresh := false
 	if req.SessionID == "" {
-		conv, err := s.sys.NewSession()
-		if err != nil {
-			s.writeError(w, r, http.StatusConflict, err)
+		if !s.sys.Ready() {
+			s.writeError(w, r, http.StatusConflict, fmt.Errorf("no data ingested yet"))
 			return
 		}
-		sess, err = s.sessions.create(conv)
+		var err error
+		sess, err = s.sessions.create()
 		if err != nil {
 			w.Header().Set("Retry-After", "30")
 			s.writeError(w, r, http.StatusTooManyRequests, err)
@@ -48,7 +48,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	// One exchange = Ask plus the turn read, under the session lock so a
 	// parallel client of the same session cannot make Turn misreport.
 	sess.mu.Lock()
-	res, err := sess.conv.Ask(ctx, req.Question)
+	res, err := sess.conv.Ask(ctx, s.sys.QueryService(), req.Question)
 	turn := sess.conv.Turns()
 	sess.mu.Unlock()
 	if err != nil {

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"aryn/internal/core"
+	"aryn/internal/docmodel"
+	"aryn/internal/fault"
 	"aryn/internal/llm"
 	"aryn/internal/luna"
 	"aryn/internal/ntsb"
@@ -356,6 +358,67 @@ func TestChatSessionFollowUp(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/v1/chat",
 		api.ChatRequest{SessionID: "nope", Question: "hello?"}, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestChatSessionPlansWithCurrentSchema: a chat session answers each turn
+// with the system's current query service, not the one it was opened on.
+// After an ingest brings a field the store did not have and
+// purge_llm_cache drops every kept plan, the old session's next ask makes
+// a planning call, and its plan names the new field.
+func TestChatSessionPlansWithCurrentSchema(t *testing.T) {
+	inj := fault.New(fault.Spec{})
+	sys, err := buildSystem(core.Config{Seed: 3, Parallelism: 2, Fault: inj}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first epoch's reports carry no us_state.
+	for i := range 3 {
+		d := docmodel.New(fmt.Sprintf("early-%d", i))
+		d.SetProperty("accidentNumber", fmt.Sprintf("EARLY%d", i))
+		d.Text = "The airplane landed hard."
+		if err := sys.Store.PutDocument(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Prepare()
+	ts := newTestServer(t, sys, Config{Fault: inj})
+	const question = "How many incidents were there by state?"
+
+	var first api.ChatResponse
+	if resp := postJSON(t, ts.URL+"/v1/chat", api.ChatRequest{Question: question}, &first); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first chat status = %d", resp.StatusCode)
+	}
+
+	var acc api.JobAccepted
+	if resp := postJSON(t, ts.URL+"/v1/ingest", api.IngestRequest{Docs: 6, Seed: 11}, &acc); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest status = %d", resp.StatusCode)
+	}
+	waitJobState(t, ts.URL+acc.Location, api.JobDone, 30*time.Second)
+	if resp := postJSON(t, ts.URL+"/v1/faults", api.FaultControlRequest{PurgeLLMCache: true}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cache purge status = %d", resp.StatusCode)
+	}
+
+	before := sys.LLM.StackStats().Batch.Batches
+	var second api.ChatResponse
+	if resp := postJSON(t, ts.URL+"/v1/chat", api.ChatRequest{SessionID: first.SessionID, Question: question}, &second); resp.StatusCode != http.StatusOK {
+		t.Fatalf("second chat status = %d", resp.StatusCode)
+	}
+	if n := sys.LLM.StackStats().Batch.Batches - before; n != 1 {
+		t.Errorf("the old session's ask after ingest and purge made %d dispatches, want 1 (its planning call)", n)
+	}
+	// The session's turn was planned by the current planner: its plan is
+	// the one that planner now keeps for the question.
+	var plan api.PlanResponse
+	postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{Question: question}, &plan)
+	if !strings.Contains(string(plan.Plan.Rewritten), `"us_state"`) {
+		t.Errorf("the current plan names no us_state:\n%s", plan.Plan.Rewritten)
+	}
+	var query api.QueryResponse
+	postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Question: question}, &query)
+	if second.Answer != query.Answer || !strings.Contains(second.Answer, "=") {
+		t.Errorf("the old session answered %q (first turn %q), /v1/query %q: want the per-state table",
+			second.Answer, first.Answer, query.Answer)
 	}
 }
 

@@ -10,14 +10,15 @@ import (
 	"aryn/internal/luna"
 )
 
-// session is one client's conversational state. mu serializes one
+// session is one client's conversational state: its history, answered
+// each turn by the system's current query service. mu serializes one
 // client-visible exchange (Ask plus the turn-counter read) so parallel
 // requests to the same session each report their own turn; lastUsed is
 // guarded by the owning table's mutex.
 type session struct {
 	id       string
 	mu       sync.Mutex
-	conv     *luna.Conversation
+	conv     luna.Conversation
 	lastUsed time.Time
 }
 
@@ -51,10 +52,10 @@ func newSessionTable(ttl time.Duration, max int) *sessionTable {
 	return t
 }
 
-// create registers a fresh session around conv and returns it.
-func (t *sessionTable) create(conv *luna.Conversation) (*session, error) {
+// create registers a fresh session and returns it.
+func (t *sessionTable) create() (*session, error) {
 	id := newSessionID()
-	s := &session{id: id, conv: conv, lastUsed: time.Now()}
+	s := &session{id: id, lastUsed: time.Now()}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.m) >= t.max {
