@@ -68,12 +68,18 @@ func TestFollowUpGolden(t *testing.T) {
 			fmt.Fprintf(&got, "q%02d\t%s\t%x\n", q.ID, f, h.Sum(nil))
 		}
 	}
-	const path = "testdata/followup_golden.txt"
+	checkGolden(t, "testdata/followup_golden.txt", got.String())
+}
+
+// checkGolden compares a run's golden lines with the file at path, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -82,13 +88,13 @@ func TestFollowUpGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("golden has %d lines, the run %d", len(wantLines), len(gotLines))
+		t.Fatalf("%s has %d lines, the run %d", path, len(wantLines), len(gotLines))
 	}
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("follow-up moved:\n got: %s\nwant: %s", gotLines[i], wantLines[i])
+			t.Errorf("golden line moved:\n got: %s\nwant: %s", gotLines[i], wantLines[i])
 		}
 	}
 }

@@ -106,6 +106,66 @@ func TestDegradedModeServing(t *testing.T) {
 	recoverFromFaults(t, url)
 }
 
+// TestDegradedChatTurn: a chat follow-up during a total outage is a 200
+// degraded turn that keeps the session — the same retrieval-only answer
+// /v1/query gives for the text, counted in degraded_served — and is left
+// out of the history, so once the backend recovers the follow-up resolves
+// against the last good turn exactly as in a fresh session.
+func TestDegradedChatTurn(t *testing.T) {
+	url, _ := degradedHarness(t)
+	const first, followUp = "How many incidents involved substantial damage?", "what about destroyed aircraft?"
+
+	var turn1 api.ChatResponse
+	if resp := postJSON(t, url+"/v1/chat", api.ChatRequest{Question: first}, &turn1); resp.StatusCode != http.StatusOK || turn1.Turn != 1 {
+		t.Fatalf("first turn: status %d, %+v", resp.StatusCode, turn1)
+	}
+
+	var fs api.FaultStateResponse
+	postJSON(t, url+"/v1/faults", api.FaultControlRequest{
+		Spec: &fault.Spec{Seed: 11, Outages: []fault.Window{{StartMS: 0, EndMS: 600_000}}},
+	}, &fs)
+	if !fs.Active {
+		t.Fatalf("fault activation failed: %+v", fs)
+	}
+
+	var before, after api.StatsResponse
+	getJSON(t, url+"/v1/stats", &before)
+	var degraded api.ChatResponse
+	resp := postJSON(t, url+"/v1/chat", api.ChatRequest{SessionID: turn1.SessionID, Question: followUp}, &degraded)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up during outage: status %d, want 200 (degraded)", resp.StatusCode)
+	}
+	getJSON(t, url+"/v1/stats", &after)
+	if !degraded.Degraded || degraded.Kind != "retrieval-only" || degraded.DegradedReason == "" {
+		t.Errorf("follow-up during outage: degraded=%v kind=%q reason=%q", degraded.Degraded, degraded.Kind, degraded.DegradedReason)
+	}
+	if degraded.SessionID != turn1.SessionID || degraded.Turn != 1 {
+		t.Errorf("degraded turn: session %q turn %d, want %q turn 1", degraded.SessionID, degraded.Turn, turn1.SessionID)
+	}
+	if got := after.DegradedServed - before.DegradedServed; got != 1 {
+		t.Errorf("degraded_served moved by %d across one degraded chat turn, want 1", got)
+	}
+	var query api.QueryResponse
+	postJSON(t, url+"/v1/query", api.QueryRequest{Question: followUp}, &query)
+	if !query.Degraded || degraded.Answer != query.Answer {
+		t.Errorf("degraded chat answer differs from /v1/query's (degraded %v):\n chat: %q\nquery: %q",
+			query.Degraded, degraded.Answer, query.Answer)
+	}
+
+	recoverFromFaults(t, url)
+	var recovered, fresh1, fresh2 api.ChatResponse
+	postJSON(t, url+"/v1/chat", api.ChatRequest{SessionID: turn1.SessionID, Question: followUp}, &recovered)
+	if recovered.Degraded || recovered.Turn != 2 {
+		t.Errorf("follow-up after recovery: degraded=%v turn %d, want turn 2", recovered.Degraded, recovered.Turn)
+	}
+	postJSON(t, url+"/v1/chat", api.ChatRequest{Question: first}, &fresh1)
+	postJSON(t, url+"/v1/chat", api.ChatRequest{SessionID: fresh1.SessionID, Question: followUp}, &fresh2)
+	if fresh2.Turn != 2 || recovered.Answer != fresh2.Answer || recovered.Kind != fresh2.Kind {
+		t.Errorf("follow-up after recovery = %q (%s), a fresh session's = %q (%s, turn %d)",
+			recovered.Answer, recovered.Kind, fresh2.Answer, fresh2.Kind, fresh2.Turn)
+	}
+}
+
 // recoverFromFaults clears the injector and holds the server to the
 // recovery half of the contract: probe traffic closes the breaker within
 // about one probe interval (plus slack), after which queries serve
