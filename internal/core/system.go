@@ -335,17 +335,18 @@ func (s *System) PurgeLLMCache() int {
 	return s.LLM.CacheLayer().Purge()
 }
 
-// RetrievalOnly answers a question without any LLM call: the top-k
-// retrieved chunks rendered as a numbered excerpt list. This is the
-// degraded-mode fallback the serving layer uses when the model backend is
-// unavailable — strictly worse than a synthesized answer, strictly better
-// than a 500. Returns the rendered answer and how many chunks backed it.
-func (s *System) RetrievalOnly(question string, k int) (string, int) {
-	if k <= 0 {
-		k = 5
-	}
+// retrievalOnlyK is how many chunks a retrieval-only answer shows.
+const retrievalOnlyK = 5
+
+// RetrievalOnly answers a question without any LLM call: the top
+// retrievalOnlyK chunks rendered as a numbered excerpt list. This is the
+// degraded-mode fallback the serving layer's one answer shaper uses for a
+// query or a chat turn when the model backend is unavailable — strictly
+// worse than a synthesized answer, strictly better than a 500. Returns the
+// rendered answer and how many chunks backed it.
+func (s *System) RetrievalOnly(question string) (string, int) {
 	vec := s.Embedder.Embed(question)
-	hits := s.Store.SearchChunks(index.Query{Vector: vec, K: k})
+	hits := s.Store.SearchChunks(index.Query{Vector: vec, K: retrievalOnlyK})
 	if len(hits) == 0 {
 		return "No indexed content matched the question (LLM backend unavailable; retrieval-only answer).", 0
 	}

@@ -273,13 +273,6 @@ func (e *Executor) Run(ctx context.Context, plan *LogicalPlan, hooks StreamHooks
 	return res, nil
 }
 
-// shaping are the operators that decide the answer's type; every other
-// operator passes its primary input's shape through.
-var shaping = map[string]bool{
-	OpGroupByAggregate: true, OpLLMCluster: true, OpTopK: true, OpProject: true,
-	OpLLMGenerate: true, OpCount: true, OpFraction: true,
-}
-
 // upstream walks primary inputs up from node id (inclusive) to the nearest
 // node match accepts (nil when the walk reaches a source without one).
 func (p *LogicalPlan) upstream(id string, match func(*PlanNode) bool) *PlanNode {
@@ -295,60 +288,62 @@ func (p *LogicalPlan) upstream(id string, match func(*PlanNode) bool) *PlanNode 
 
 // shapeAnswer derives the typed answer from the executed documents and the
 // plan's terminal: the nearest answer-shaping operator at or above the
-// output (pass-through operators like limit and distinct keep the upstream
-// shape). A plan without one answers with its documents' IDs.
+// output, walking primary inputs (pass-through operators like limit and
+// distinct keep the upstream shape). A plan without one answers with its
+// documents' IDs.
 func shapeAnswer(plan *LogicalPlan, exec *ExecDetail, docs []*docmodel.Document) Answer {
-	terminal := plan.upstream(plan.Output, func(n *PlanNode) bool { return shaping[n.Op] })
-	if terminal == nil {
-		ids := make([]string, 0, len(docs))
-		for _, d := range docs {
-			ids = append(ids, d.ID)
-		}
-		return ListAnswer(ids...)
-	}
-	switch terminal.Op {
-	case OpCount:
-		return NumberAnswer(float64(len(docs)))
-	case OpFraction:
-		// The node ran as a filter stage: its answer is the stage's pass rate.
-		r := exec.Node(terminal.ID).Runtime
-		if r.DocsIn == 0 {
-			return NumberAnswer(0)
-		}
-		return NumberAnswer(float64(r.DocsOut) / float64(r.DocsIn))
-	case OpGroupByAggregate:
-		if terminal.Key == "" && len(docs) == 1 {
-			// Global aggregate: a single number.
-			if v, ok := docs[0].Properties.Float("value"); ok {
-				return NumberAnswer(v)
+	for n := plan.node(plan.Output); ; n = plan.node(n.Inputs[0]) {
+		switch n.Op {
+		case OpCount:
+			return NumberAnswer(float64(len(docs)))
+		case OpFraction:
+			// The node ran as a filter stage: its answer is the stage's pass rate.
+			r := exec.Node(n.ID).Runtime
+			if r.DocsIn == 0 {
+				return NumberAnswer(0)
 			}
-		}
-		return tableFromGroups(docs, groupKey(terminal))
-	case OpTopK:
-		// Rows are named by the group key in effect above the topK.
-		keyField := ""
-		if g := plan.upstream(terminal.ID, func(n *PlanNode) bool { return n.Op == OpGroupByAggregate }); g != nil {
-			keyField = groupKey(g)
-		}
-		keys := make([]string, 0, len(docs))
-		for _, d := range docs {
-			key := d.Property(keyField)
-			if key == "" {
-				key = d.ID
+			return NumberAnswer(float64(r.DocsOut) / float64(r.DocsIn))
+		case OpGroupByAggregate:
+			if n.Key == "" && len(docs) == 1 {
+				// Global aggregate: a single number.
+				if v, ok := docs[0].Properties.Float("value"); ok {
+					return NumberAnswer(v)
+				}
 			}
-			keys = append(keys, key)
+			return tableFromGroups(docs, groupKey(n))
+		case OpTopK:
+			// Rows are named by the group key in effect above the topK.
+			keyField := ""
+			if g := plan.upstream(n.ID, func(n *PlanNode) bool { return n.Op == OpGroupByAggregate }); g != nil {
+				keyField = groupKey(g)
+			}
+			keys := make([]string, 0, len(docs))
+			for _, d := range docs {
+				key := d.Property(keyField)
+				if key == "" {
+					key = d.ID
+				}
+				keys = append(keys, key)
+			}
+			return ListAnswer(keys...)
+		case OpProject:
+			return projectAnswer(docs, n.ProjectFields)
+		case OpLLMGenerate:
+			text := ""
+			if len(docs) > 0 {
+				text = docs[0].Text
+			}
+			return TextAnswer(text)
+		case OpLLMCluster:
+			return tableFromClusterLabels(docs)
 		}
-		return ListAnswer(keys...)
-	case OpProject:
-		return projectAnswer(docs, terminal.ProjectFields)
-	case OpLLMGenerate:
-		text := ""
-		if len(docs) > 0 {
-			text = docs[0].Text
+		if len(n.Inputs) == 0 {
+			ids := make([]string, 0, len(docs))
+			for _, d := range docs {
+				ids = append(ids, d.ID)
+			}
+			return ListAnswer(ids...)
 		}
-		return TextAnswer(text)
-	default: // OpLLMCluster
-		return tableFromClusterLabels(docs)
 	}
 }
 

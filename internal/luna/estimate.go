@@ -22,20 +22,6 @@ const (
 	UnitsPerProxy = 1.0
 )
 
-// defaultSelectivity is the fraction of input documents assumed to
-// survive an operator (per question, for an llmFilter); 1 for
-// pass-through operators.
-func defaultSelectivity(op string) float64 {
-	switch op {
-	case OpBasicFilter, OpLLMFilter:
-		return 0.5
-	case opDistinct:
-		return 0.9
-	default:
-		return 1.0
-	}
-}
-
 // NodeEstimate is one plan node's cost estimate, wire-stable for
 // embedding in /v1/plan responses and EXPLAIN output.
 type NodeEstimate struct {
@@ -72,9 +58,10 @@ func (p *PlanEstimate) Add(n NodeEstimate) {
 const defaultGroupCount = 8
 
 // EstimatePlan walks the DAG in topological order propagating estimated
-// document cardinalities over default selectivities and accumulating
-// per-node LLM calls and unit costs. baseDocs is the corpus size the source
-// scans. Returns nil for nil/cyclic plans.
+// document cardinalities over default selectivities (a filter keeps half
+// its input, per question for an llmFilter; distinct keeps 90%) and
+// accumulating per-node LLM calls and unit costs. baseDocs is the corpus
+// size the source scans. Returns nil for nil/cyclic plans.
 func EstimatePlan(plan *LogicalPlan, baseDocs float64) *PlanEstimate {
 	if plan == nil {
 		return nil
@@ -108,12 +95,12 @@ func EstimatePlan(plan *LogicalPlan, baseDocs float64) *PlanEstimate {
 			out = math.Min(k, baseDocs)
 			units = baseDocs * UnitsPerPredicate
 		case OpBasicFilter:
-			out = in * defaultSelectivity(n.Op)
+			out = in * 0.5
 			units = in * math.Max(float64(len(n.Filters)), 1) * UnitsPerPredicate
 		case OpLLMFilter:
 			// One call per document however many questions it asks; the
 			// questions' selectivities multiply (independence).
-			out = in * math.Pow(defaultSelectivity(n.Op), float64(len(n.questions())))
+			out = in * math.Pow(0.5, float64(len(n.questions())))
 			calls = in
 			units = calls * UnitsPerLLMCall
 		case OpLLMExtract:
@@ -134,7 +121,7 @@ func EstimatePlan(plan *LogicalPlan, baseDocs float64) *PlanEstimate {
 			out = math.Min(float64(n.K), in)
 			units = in * UnitsPerPredicate
 		case opDistinct:
-			out = in * defaultSelectivity(n.Op)
+			out = in * 0.9
 			units = in * UnitsPerPredicate
 		case OpLLMGenerate:
 			out = 1

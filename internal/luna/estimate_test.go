@@ -15,17 +15,22 @@ func TestPlanEstimateAdd(t *testing.T) {
 }
 
 // TestDefaultSelectivity: filters keep half their input, distinct 90%, and
-// every other operator passes its documents through.
+// every other operator passes its documents through (a topK whose k covers
+// them).
 func TestDefaultSelectivity(t *testing.T) {
-	for op, want := range map[string]float64{
-		OpBasicFilter: 0.5,
-		OpLLMFilter:   0.5,
-		opDistinct:    0.9,
-		OpTopK:        1.0,
-		OpProject:     1.0,
+	for _, tc := range []struct {
+		op   LogicalOp
+		want float64
+	}{
+		{LogicalOp{Op: OpBasicFilter}, 50},
+		{LogicalOp{Op: OpLLMFilter, Question: "q?"}, 50},
+		{LogicalOp{Op: opDistinct, Field: "f"}, 90},
+		{LogicalOp{Op: OpTopK, K: 100}, 100},
+		{LogicalOp{Op: OpProject}, 100},
 	} {
-		if got := defaultSelectivity(op); got != want {
-			t.Errorf("defaultSelectivity(%q) = %v, want %v", op, got, want)
+		est := EstimatePlan(Chain(LogicalOp{Op: OpQueryDatabase}, tc.op), 100)
+		if got := est.Nodes[1].DocsOut; got != tc.want {
+			t.Errorf("%s over 100 documents keeps %v, want %v", tc.op.Op, got, tc.want)
 		}
 	}
 }

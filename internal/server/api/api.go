@@ -258,9 +258,11 @@ type ChatResponse struct {
 	Answer string `json:"answer"`
 	Kind   string `json:"kind,omitempty"`
 	WallMS int64  `json:"wall_ms"`
-	// Degraded/DegradedReason mirror QueryResponse: a retrieval-only
-	// fallback turn (not recorded in the conversation history — follow-ups
-	// never resolve against a degraded answer).
+	// Answer, Kind, WallMS and Degraded/DegradedReason are the
+	// QueryResponse fields of the same name: /v1/query's shaper answers
+	// the turn, a retrieval-only fallback included (not recorded in the
+	// conversation history — follow-ups never resolve against a degraded
+	// answer).
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }

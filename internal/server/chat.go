@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"aryn/internal/resilience"
 	"aryn/internal/server/api"
 )
 
@@ -51,26 +50,8 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	res, err := sess.conv.Ask(ctx, s.sys.QueryService(), req.Question)
 	turn := sess.conv.Turns()
 	sess.mu.Unlock()
+	out, err := s.queryResponse(r, req.Question, false, queryOutcome{res: res, err: err}, start)
 	if err != nil {
-		if resilience.Unavailable(err) && r.Context().Err() == nil {
-			// Degrade the turn instead of 500ing. The session survives —
-			// the client gets its ID and keeps its history; the failed turn
-			// is not recorded, so follow-ups resolve against the last good
-			// answer once the backend recovers.
-			answer, _ := s.sys.RetrievalOnly(req.Question, 5)
-			s.degradedServed.Add(1)
-			s.writeJSON(w, http.StatusOK, api.ChatResponse{
-				TraceID:        traceFrom(r.Context()),
-				SessionID:      sess.id,
-				Turn:           turn,
-				Answer:         answer,
-				Kind:           "retrieval-only",
-				Degraded:       true,
-				DegradedReason: err.Error(),
-				WallMS:         time.Since(start).Milliseconds(),
-			})
-			return
-		}
 		if fresh {
 			// The client never learned this session's ID; drop it rather
 			// than leak a MaxSessions slot until TTL eviction.
@@ -79,12 +60,17 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, statusOf(err), err)
 		return
 	}
+	// A degraded turn keeps the session; Ask recorded no turn for it, so
+	// follow-ups resolve against the last good answer once the backend
+	// recovers.
 	s.writeJSON(w, http.StatusOK, api.ChatResponse{
-		TraceID:   traceFrom(r.Context()),
-		SessionID: sess.id,
-		Turn:      turn,
-		Answer:    res.Answer.String(),
-		Kind:      string(res.Answer.Kind),
-		WallMS:    time.Since(start).Milliseconds(),
+		TraceID:        out.TraceID,
+		SessionID:      sess.id,
+		Turn:           turn,
+		Answer:         out.Answer,
+		Kind:           out.Kind,
+		WallMS:         out.WallMS,
+		Degraded:       out.Degraded,
+		DegradedReason: out.DegradedReason,
 	})
 }

@@ -21,8 +21,10 @@ import (
 // single JSON body, or (selected by "Accept: text/event-stream") a stream
 // of progress / partial / heartbeat events ending in one terminal result
 // or error. Both writers get their body from queryResponse, so the
-// terminal SSE result is the JSON response for the same request.
-// docs/streaming-api.md specifies the event contract.
+// terminal SSE result is the JSON response for the same request; a
+// /v1/chat turn (chat.go) is shaped by it too, so chat and query share one
+// answer and one degraded fallback. docs/streaming-api.md specifies the
+// event contract.
 
 // queryOutcome is one finished execution: a Luna result (partial when err
 // is set) or the RAG baseline's answer.
@@ -79,7 +81,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryResponse turns a finished execution into the response body both
-// writers send. A failure that means "the model backend is unavailable"
+// writers send, and a chat turn's answer. A failure that means "the model backend is unavailable"
 // (circuit open or transient failures exhausted), while the client is
 // still there, becomes a 200 with a retrieval-only fallback tagged
 // degraded — the degradation contract — and the partial result's plan
@@ -92,7 +94,7 @@ func (s *Server) queryResponse(r *http.Request, question string, includePlan boo
 		if !resilience.Unavailable(o.err) || r.Context().Err() != nil {
 			return out, o.err
 		}
-		out.Answer, out.Docs = s.sys.RetrievalOnly(question, 5)
+		out.Answer, out.Docs = s.sys.RetrievalOnly(question)
 		out.Kind = "retrieval-only"
 		out.Degraded = true
 		out.DegradedReason = o.err.Error()
