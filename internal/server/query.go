@@ -81,12 +81,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryResponse turns a finished execution into the response body both
-// writers send, and a chat turn's answer. A failure that means "the model backend is unavailable"
-// (circuit open or transient failures exhausted), while the client is
-// still there, becomes a 200 with a retrieval-only fallback tagged
-// degraded — the degradation contract — and the partial result's plan
-// detail (per-node error annotations in "executed") rides along on
-// request. Any other failure is returned for the error envelope.
+// writers send, and a chat turn's answer. A failure that means "the model
+// backend is unavailable" (circuit open or transient failures exhausted),
+// while the client is still there, becomes a 200 with a retrieval-only
+// fallback tagged degraded — the degradation contract — and the partial
+// result's plan detail (per-node error annotations in "executed") rides
+// along on request. Any other failure is returned for the error envelope.
 func (s *Server) queryResponse(r *http.Request, question string, includePlan bool, o queryOutcome, start time.Time) (api.QueryResponse, error) {
 	out := api.QueryResponse{TraceID: traceFrom(r.Context()), Question: question}
 	switch {
