@@ -113,10 +113,12 @@ docs-check:
 # report, blob bytes per report), BenchmarkTokenDirection (ns and
 # allocations per generated token direction, against the math/rand path it
 # reproduces), BenchmarkEmbedCorpus (directions generated and the
-# direction cache's hit ratio embedding corpus 42's chunks) and
+# direction cache's hit ratio embedding corpus 42's chunks),
 # BenchmarkPlanRepeat (ns and planning dispatches per re-asked question
 # whose answer a one-entry response cache has evicted: 0 dispatches, the
-# planner keeps its validated plans).
+# planner keeps its validated plans) and BenchmarkCacheCyclic (the LLM
+# response cache's hit ratio on a cyclic working set three times its
+# capacity with a reused subset: 0.319 under SIEVE, where LRU reads 0.167).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

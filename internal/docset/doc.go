@@ -32,9 +32,10 @@
 // safe. Execute bounds two resources per map stage. Busy workers: up to
 // Context.Parallelism goroutines compute on documents at once. Outstanding
 // model calls: a stage that calls the model per document (llmExtract,
-// llmFilter, llmCombine) keeps a fixed window of 64
-// documents in flight (eight of the batcher's groups, which the stage
-// forms from its own cache misses: llm.BatchScope), each computing
+// llmFilter, llmCombine) keeps a fixed window of 128
+// documents in flight (sixteen of the batcher's groups, which the stage
+// forms from its own cache misses: llm.BatchScope), so a stage over a
+// 100-report corpus sends all its groups in one wave, each computing
 // only under one of Parallelism worker slots and giving the slot back for
 // the round trip, so its model latency overlaps while its CPU footprint
 // stays Parallelism. Output order is made deterministic by hierarchical

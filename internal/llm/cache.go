@@ -63,7 +63,7 @@ func Key(model string, req Request) string {
 type CacheStats struct {
 	// Hits and Misses count lookups.
 	Hits, Misses int64
-	// Evictions counts entries dropped by the LRU policy.
+	// Evictions counts entries dropped by the SIEVE policy (Cache).
 	Evictions int64
 	// Entries is the current resident entry count.
 	Entries int
@@ -100,9 +100,17 @@ func (s FlightStats) Sub(prev FlightStats) FlightStats {
 	return FlightStats{Leads: s.Leads - prev.Leads, Shared: s.Shared - prev.Shared}
 }
 
-// Cache is a content-addressed LRU response cache wrapped around a Client,
+// Cache is a content-addressed response cache wrapped around a Client,
 // with singleflight deduplication of the misses: concurrent requests with
 // the same content address issue one upstream call and share the result.
+// Eviction is SIEVE (Zhang et al., NSDI '24): a new entry joins the head
+// of a queue and a hit only marks its entry visited; to make room, a hand
+// that persists between evictions walks from the tail toward the head,
+// clearing the marks it passes, and drops the first unmarked entry. An
+// answer reused since the hand last passed survives a scan of one-off
+// prompts, where LRU would drop it: a cyclic working set larger than the
+// cache (a mix of analytics queries over one corpus) keeps what it reuses
+// instead of evicting every answer before its next use.
 // Successful completions (including deterministic refusals) are cached;
 // errors are not, but are shared across the flight. Cache hits return the
 // stored response with FromCache set, and hits and follower copies carry
@@ -114,7 +122,8 @@ type Cache struct {
 
 	mu       sync.Mutex
 	cap      int
-	order    *list.List // front = most recently used
+	order    *list.List    // the SIEVE queue: front = head, newest first
+	hand     *list.Element // next eviction candidate; nil starts at the tail
 	entries  map[string]*list.Element
 	inflight map[string]*flightCall
 	stats    CacheStats
@@ -122,8 +131,9 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	resp Response
+	key     string
+	resp    Response
+	visited bool // hit since the hand last passed
 }
 
 // flightCall is one in-flight upstream request and the keys it answers:
@@ -218,8 +228,8 @@ func (g Group) ask(ctx context.Context, c Client, members []int) ([]Response, er
 	return out, nil
 }
 
-// NewCache wraps inner with a content-addressed LRU response cache of at
-// most capacity resident entries.
+// NewCache wraps inner with a content-addressed response cache of at most
+// capacity resident entries.
 func NewCache(inner Client, capacity int) *Cache {
 	return &Cache{
 		inner:    inner,
@@ -274,8 +284,8 @@ func (c *Cache) CompleteGroup(ctx context.Context, g Group) ([]Response, error) 
 				missing = append(missing, i)
 				continue
 			}
-			c.order.MoveToFront(el)
 			entry := el.Value.(*cacheEntry)
+			entry.visited = true
 			c.stats.Hits++
 			c.stats.Saved.Add(entry.resp.Usage)
 			resp := entry.resp
@@ -352,26 +362,38 @@ func (c *Cache) CompleteGroup(ctx context.Context, g Group) ([]Response, error) 
 	return out, nil
 }
 
-// put inserts a response, evicting from the LRU tail when over capacity.
-// The caller holds c.mu.
+// put inserts a response at the head of the queue, evicting first when
+// the cache is full. A resident key keeps its value and its place (loading
+// a snapshot over a warm cache). The caller holds c.mu.
 func (c *Cache) put(key string, resp Response) {
-	if el, ok := c.entries[key]; ok {
-		// Loading a snapshot over a warm cache: refresh recency and keep
-		// the resident value.
-		c.order.MoveToFront(el)
+	if _, ok := c.entries[key]; ok || c.cap < 1 {
 		return
 	}
-	el := c.order.PushFront(&cacheEntry{key: key, resp: resp})
-	c.entries[key] = el
-	for len(c.entries) > c.cap {
-		tail := c.order.Back()
-		if tail == nil {
-			break
-		}
-		c.order.Remove(tail)
-		delete(c.entries, tail.Value.(*cacheEntry).key)
-		c.stats.Evictions++
+	for len(c.entries) >= c.cap {
+		c.evict()
 	}
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, resp: resp})
+}
+
+// evict moves the hand from where it last stopped toward the head,
+// wrapping to the tail, clears the visited marks it passes and drops the
+// first unvisited entry. The hand stays at the next entry toward the head.
+// The caller holds c.mu and the cache is not empty.
+func (c *Cache) evict() {
+	el := c.hand
+	if el == nil {
+		el = c.order.Back()
+	}
+	for entry := el.Value.(*cacheEntry); entry.visited; entry = el.Value.(*cacheEntry) {
+		entry.visited = false
+		if el = el.Prev(); el == nil {
+			el = c.order.Back()
+		}
+	}
+	c.hand = el.Prev()
+	c.order.Remove(el)
+	delete(c.entries, el.Value.(*cacheEntry).key)
+	c.stats.Evictions++
 }
 
 // Name identifies the wrapped model.
@@ -402,12 +424,15 @@ func (c *Cache) Purge() int {
 	defer c.mu.Unlock()
 	n := len(c.entries)
 	c.order.Init()
+	c.hand = nil
 	c.entries = make(map[string]*list.Element)
 	return n
 }
 
-// persistedCache is the on-disk representation (keys in LRU order, most
-// recent first), serialized like the index store: gzip over gob.
+// persistedCache is the on-disk representation (keys in queue order, head
+// first: newest first), serialized like the index store: gzip over gob.
+// Visited marks and the hand are not kept: a loaded cache starts with
+// every entry unvisited and the hand at the tail.
 type persistedCache struct {
 	Keys      []string
 	Responses []Response
@@ -453,7 +478,7 @@ func (c *Cache) Load(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	// Insert least-recent first so the persisted MRU order survives.
+	// Insert from the tail, each at the head, so the queue order survives.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := len(snap.Keys) - 1; i >= 0; i-- {

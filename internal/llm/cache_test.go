@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,7 +106,7 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
+func TestCacheEviction(t *testing.T) {
 	inner := &countingClient{}
 	cache := NewCache(inner, 2)
 	ctx := context.Background()
@@ -115,7 +116,7 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Touch "a" so "b" becomes the LRU victim.
+	// Touch "a" so the hand passes it and "b" becomes the victim.
 	if resp, _ := cache.Complete(ctx, Request{Prompt: "a"}); !resp.FromCache {
 		t.Fatal("expected hit on a")
 	}
@@ -136,6 +137,151 @@ func TestCacheLRUEviction(t *testing.T) {
 	if cache.Stats().Entries != 2 {
 		t.Errorf("resident entries = %d, want 2", cache.Stats().Entries)
 	}
+}
+
+// queueKeys lists the resident keys in queue order, head first.
+func queueKeys(c *Cache) []string {
+	var keys []string
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		keys = append(keys, el.Value.(*cacheEntry).key)
+	}
+	return keys
+}
+
+// An answer reused once survives a scan of one-off prompts three times the
+// cache's size: the hand clears its mark once and then cycles among the
+// one-offs. Under LRU the scan evicts it after the cache's size.
+func TestCacheKeepsReusedThroughScan(t *testing.T) {
+	inner := &countingClient{}
+	cache := NewCache(inner, 8)
+	ctx := context.Background()
+	hot := []string{"h0", "h1", "h2", "h3"}
+	for range 2 { // a miss, then the one hit
+		for _, p := range hot {
+			if _, err := cache.Complete(ctx, Request{Prompt: p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range 24 {
+		if _, err := cache.Complete(ctx, Request{Prompt: fmt.Sprintf("once%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range hot {
+		if _, ok := cache.entries[Key(inner.Name(), Request{Prompt: p})]; !ok {
+			t.Errorf("%s was evicted by the scan of one-off prompts", p)
+		}
+	}
+	if st := cache.Stats(); st.Entries != 8 || st.Evictions != 20 {
+		t.Errorf("entries = %d, evictions = %d, want 8 and 20", st.Entries, st.Evictions)
+	}
+}
+
+// Save writes the queue head first and Load rebuilds it in the same order,
+// evictions and visited marks notwithstanding.
+func TestCacheSaveLoadKeepsQueueOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "llm-cache.gob.gz")
+	cache := NewCache(&countingClient{}, 4)
+	ctx := context.Background()
+	for _, p := range []string{"a", "b", "a", "c", "d", "e", "b"} {
+		if _, err := cache.Complete(ctx, Request{Prompt: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := queueKeys(cache)
+	if len(want) != 4 {
+		t.Fatalf("%d resident, want 4", len(want))
+	}
+	if err := cache.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	warm := NewCache(&countingClient{}, 4)
+	if err := warm.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := queueKeys(warm); !slices.Equal(got, want) {
+		t.Errorf("loaded queue %q, want the saved %q", got, want)
+	}
+}
+
+// Purge drops the hand with the entries: the next eviction starts again at
+// the tail, the oldest entry, and counts once.
+func TestCachePurgeResetsHand(t *testing.T) {
+	inner := &countingClient{}
+	cache := NewCache(inner, 2)
+	ctx := context.Background()
+	for _, p := range []string{"a", "b", "c"} {
+		if _, err := cache.Complete(ctx, Request{Prompt: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cache.hand == nil {
+		t.Fatal("no hand after an eviction")
+	}
+	cache.Purge()
+	if cache.hand != nil {
+		t.Fatal("Purge kept the hand")
+	}
+	before := cache.Stats().Evictions
+	for _, p := range []string{"x", "y", "z"} {
+		if _, err := cache.Complete(ctx, Request{Prompt: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{Key(inner.Name(), Request{Prompt: "z"}), Key(inner.Name(), Request{Prompt: "y"})}
+	if got := queueKeys(cache); !slices.Equal(got, want) {
+		t.Errorf("after a purge and three inserts the queue holds %d entries, want z and y", len(got))
+	}
+	if n := cache.Stats().Evictions - before; n != 1 {
+		t.Errorf("%d evictions after the purge, want 1", n)
+	}
+}
+
+// BenchmarkCacheCyclic reads a cyclic working set three times the cache's
+// capacity with a reused subset, as a mix of analytics queries over one
+// corpus does. Each round asks the subset (a quarter of the capacity) twice
+// in a row, a query and its repeat, then the next capacity's worth of the
+// cycle; an op is twelve rounds, four times around the cycle, on an empty
+// cache. A subset key comes back after more than the capacity in other
+// keys, so LRU keeps it only for its repeat (hit_ratio 0.167), where SIEVE
+// keeps it from round to round (0.319).
+func BenchmarkCacheCyclic(b *testing.B) {
+	const (
+		capacity = 256
+		subset   = capacity / 4
+		rounds   = 12
+	)
+	prompts := func(prefix string, n int) []Request {
+		reqs := make([]Request, n)
+		for i := range reqs {
+			reqs[i] = Request{Prompt: fmt.Sprintf("%s%d", prefix, i)}
+		}
+		return reqs
+	}
+	cycle, reused := prompts("cycle", 3*capacity), prompts("reused", subset)
+	ctx := context.Background()
+	var st CacheStats
+	b.ReportAllocs()
+	for b.Loop() {
+		cache := NewCache(&countingClient{}, capacity)
+		next := 0
+		for range rounds {
+			for i := range 2 * subset {
+				if _, err := cache.Complete(ctx, reused[i%subset]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for range capacity {
+				if _, err := cache.Complete(ctx, cycle[next]); err != nil {
+					b.Fatal(err)
+				}
+				next = (next + 1) % len(cycle)
+			}
+		}
+		st = cache.Stats()
+	}
+	b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit_ratio")
 }
 
 func TestCacheDoesNotStoreErrors(t *testing.T) {

@@ -2,6 +2,7 @@ package luna
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -42,17 +43,22 @@ func NewPlanner(client llm.Client, schema Schema) *Planner {
 
 // Plan produces the validated plan for a question; prev is the plan of
 // the turn a follow-up refers to (nil for a question of its own), sent
-// after the question in the planning request. On validation failure it
-// re-prompts with the validator's feedback appended — the "check that it
-// is semantically valid" loop of §6.1. A planning request it has answered
-// before gets a copy of that plan, with no model call; the key is the
-// request's content address, so a changed Schema or previous plan never
-// serves an old plan. Only validated plans are kept (a repaired one too):
-// a question that failed is asked again.
+// after the question in the planning request as compact JSON (JSON()'s
+// indentation would be ≈ 45% of the block's tokens). On validation
+// failure it re-prompts with the validator's feedback appended — the
+// "check that it is semantically valid" loop of §6.1. A planning request
+// it has answered before gets a copy of that plan, with no model call; the
+// key is the request's content address, so a changed Schema or previous
+// plan never serves an old plan. Only validated plans are kept (a repaired
+// one too): a question that failed is asked again.
 func (p *Planner) Plan(ctx context.Context, question string, prev *LogicalPlan) (*LogicalPlan, error) {
 	prompt := BuildPlanPrompt(p.Schema, question)
 	if prev != nil {
-		prompt += previousPlanHeader + prev.JSON() + "\n"
+		block, err := json.Marshal(prev)
+		if err != nil {
+			return nil, fmt.Errorf("luna: previous plan: %w", err)
+		}
+		prompt += previousPlanHeader + string(block) + "\n"
 	}
 	key := llm.Key(p.Client.Name(), llm.Request{Prompt: prompt})
 	if plan := p.recall(key); plan != nil {

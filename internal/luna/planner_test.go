@@ -129,7 +129,7 @@ func TestPlannerForget(t *testing.T) {
 // kept.
 func TestPlannerKeepsOnlyValidPlans(t *testing.T) {
 	const bad = `{"nodes":[{"id":"n1","op":"teleport"}]}`
-	const good = `{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","op":"count","inputs":["n1"]}],"output":"n2"}`
+	const good = `{"nodes":[{"id":"n1","op":"queryDatabase"},{"id":"n2","inputs":["n1"],"op":"count"}],"output":"n2"}`
 	ctx := context.Background()
 	prevPlan, err := ParsePlan(good)
 	if err != nil {
@@ -150,6 +150,9 @@ func TestPlannerKeepsOnlyValidPlans(t *testing.T) {
 		}
 		if got := strings.Contains(failing.Requests[0].Prompt, previousPlanHeader); got != (prev != nil) {
 			t.Errorf("follow-up %t: the planning prompt carries a previous plan: %t", prev != nil, got)
+		}
+		if _, block, ok := strings.Cut(failing.Requests[0].Prompt, previousPlanHeader); ok && block != good+"\n" {
+			t.Errorf("the previous plan is sent as %q, want its compact JSON %q", block, good)
 		}
 
 		repaired := &llm.Scripted{Responses: []llm.Response{{Text: bad}, {Text: good}}}

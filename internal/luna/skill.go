@@ -24,7 +24,7 @@ func BuildPlanPrompt(schema Schema, question string) string {
 }
 
 // previousPlanHeader opens the block a follow-up's planning prompt ends
-// with: the DAG JSON of the plan the follow-up refers to.
+// with: the compact DAG JSON of the plan the follow-up refers to.
 const previousPlanHeader = "PREVIOUS PLAN (the question follows up on its result):\n"
 
 const operatorCatalogue = `OPERATORS:
