@@ -116,9 +116,12 @@ docs-check:
 # direction cache's hit ratio embedding corpus 42's chunks),
 # BenchmarkPlanRepeat (ns and planning dispatches per re-asked question
 # whose answer a one-entry response cache has evicted: 0 dispatches, the
-# planner keeps its validated plans) and BenchmarkCacheCyclic (the LLM
+# planner keeps its validated plans), BenchmarkCacheCyclic (the LLM
 # response cache's hit ratio on a cyclic working set three times its
-# capacity with a reused subset: 0.319 under SIEVE, where LRU reads 0.167).
+# capacity with a reused subset: 0.319 under SIEVE, where LRU reads 0.167)
+# and BenchmarkColdPass (corpus 42's 30 questions with nothing cached, in
+# process and with no model latency: ns/op is the pass's cost, sim-ms/op
+# the simulated model's share of it, its busy time summed over dispatches).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -165,7 +168,14 @@ cover:
 # stored text view (any element tree — furniture, tables, pictures with,
 # without and with an empty summary, empty texts, child nodes — reads
 # through the view's table byte for byte as through the reference view of
-# Elements it replaced).
+# Elements it replaced), and the simulated model's own machinery: its
+# generator (internal/randsrc: for any seed, Int63, Uint64, Float64, Intn
+# and NormFloat64 draw math/rand's values to the bit; on amd64) and each
+# text scanner of its filter and extract skills against the regular
+# expression it replaced (sentences, "Key: Value" lines, the probable-cause
+# statement, damaged parts), the filter skill's one-pass lowering against
+# strings.ToLower of the rows it keeps, and its verdict (any question, any
+# document, coin included) against the skill as it read before them.
 # One -fuzz pattern
 # per invocation — go test allows only a single fuzzing target at a time.
 fuzz-smoke:
@@ -180,6 +190,13 @@ fuzz-smoke:
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzCacheLoad$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/randsrc/ -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzSentences$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzKVLine$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzCauseTail$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzDamageParts$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzMatchText$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterMatch$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzSSERoundTrip$$' -fuzztime 10s
 

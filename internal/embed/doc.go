@@ -10,11 +10,11 @@
 //
 // A token's direction is the normalized first Dim draws of
 // rand.New(rand.NewSource(seed ^ FNV-1a(token))).NormFloat64(), each
-// rounded to float32. The package draws them with its own copy of that
-// generator (source.go), bit for bit the same stream: math/rand's seeding
-// is 1,841 division steps and an allocation per source, which a direction
+// rounded to float32. The package draws them with internal/randsrc's copy
+// of that generator, bit for bit the same stream: math/rand's seeding is
+// 1,841 division steps and an allocation per source, which a direction
 // cache small enough to keep pays on every miss. FuzzDirectionSource holds
-// the copy to math/rand on amd64.
+// the directions' draws to math/rand on amd64.
 //
 // On CPUs with AVX2 and FMA a token direction accumulates into the vector
 // through simd.Axpy, eight lanes at a time. It multiplies, rounds to

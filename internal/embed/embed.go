@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"aryn/internal/llm"
+	"aryn/internal/randsrc"
 	"aryn/internal/simd"
 )
 
@@ -258,7 +259,7 @@ func (h *Hash) cache(tok string, dir []float32) {
 // generator is the scratch a miss generates a direction in, pooled so
 // that a miss allocates nothing but its cache key.
 type generator struct {
-	src source
+	src randsrc.Source
 	row [Dim]float32
 }
 
@@ -274,8 +275,8 @@ func (g *generator) direction(seed int64, tok string, dir []float32) {
 		hash ^= uint64(tok[i])
 		hash *= 1099511628211
 	}
-	g.src.seed(seed ^ int64(hash))
-	fill(&g.src, dir)
+	g.src.Seed(seed ^ int64(hash))
+	randsrc.Fill(&g.src, dir)
 	Normalize(dir)
 }
 

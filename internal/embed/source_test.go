@@ -6,7 +6,13 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"aryn/internal/randsrc"
 )
+
+// lehmerM is the modulus of math/rand's seeding steps: seeds at its
+// multiples and edges take the seeding's special cases.
+const lehmerM = 1<<31 - 1
 
 // sourceDraws is how many draws a seed is compared over: past the 607
 // words of state, so the generator's feedback is compared too.
@@ -16,12 +22,12 @@ const sourceDraws = 1100
 // against math/rand's for seed. The comparison holds on amd64 only:
 // elsewhere math/rand's own rare-path lines fuse multiply-adds, which the
 // port rounds (ROADMAP item 5).
-func checkSource(t *testing.T, s *source, seed int64) {
+func checkSource(t *testing.T, s *randsrc.Source, seed int64) {
 	t.Helper()
-	s.seed(seed)
+	s.Seed(seed)
 	ref := rand.New(rand.NewSource(seed))
 	var draws [sourceDraws]float64
-	fill(s, draws[:])
+	randsrc.Fill(s, draws[:])
 	for i, got := range draws {
 		if want := ref.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("seed %d, draw %d: %v, math/rand %v", seed, i, got, want)
@@ -56,7 +62,7 @@ func TestDirectionSourceMatchesMathRand(t *testing.T) {
 	for len(seeds) < 24000 {
 		seeds = append(seeds, fnvSeed(7, string(rune('a'+pick.Intn(26)))+string(rune('a'+pick.Intn(26)))), int64(pick.Uint64()))
 	}
-	var s source
+	var s randsrc.Source
 	for _, seed := range seeds {
 		checkSource(t, &s, seed)
 	}
@@ -71,7 +77,7 @@ func FuzzDirectionSource(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		skipOffAmd64(t)
-		var s source
+		var s randsrc.Source
 		checkSource(t, &s, seed)
 	})
 }

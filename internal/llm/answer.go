@@ -244,8 +244,8 @@ func answerFraction(question string, chunks []RAGChunk) string {
 func answerMostCommon(question string, chunks []RAGChunk) string {
 	counts := map[string]int{}
 	for _, c := range chunks {
-		for _, m := range damagePartRe.FindAllStringSubmatch(c.Text, -1) {
-			counts[strings.TrimSpace(strings.ToLower(m[1]))]++
+		for part := range damageParts(c.Text) {
+			counts[strings.TrimSpace(strings.ToLower(part))]++
 		}
 	}
 	if len(counts) == 0 {

@@ -191,14 +191,14 @@ func FuzzNegatedRow(f *testing.F) {
 
 func TestStripNegatedRows(t *testing.T) {
 	doc := "| Aircraft Fire | None |\n| Aircraft Damage | Substantial |\nGround Injuries: N/A\nNarrative line about fire damage."
-	out := stripNegatedRows(doc)
-	if strings.Contains(out, "Aircraft Fire") {
+	out := matchText(doc)
+	if strings.Contains(out, "aircraft fire") {
 		t.Error("negated table row should be removed")
 	}
-	if strings.Contains(out, "Ground Injuries") {
+	if strings.Contains(out, "ground injuries") {
 		t.Error("negated KV line should be removed")
 	}
-	if !strings.Contains(out, "Substantial") || !strings.Contains(out, "Narrative line") {
+	if !strings.Contains(out, "substantial") || !strings.Contains(out, "narrative line") {
 		t.Error("positive content must remain")
 	}
 }

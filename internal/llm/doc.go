@@ -28,6 +28,14 @@
 // spikes, outages, truncated replies — come from internal/fault, the one
 // failure injector, which wraps whatever model sits beneath the stack.
 //
+// Sim is a test double that answers on the caller's CPU, so it times
+// itself: Busy, which a Stack over it reports as StackStats.SimBusy, is the
+// wall time it spent answering, summed over dispatches, its modelled round
+// trips left out — the work a hosted model does elsewhere, to be read
+// apart from the system's. Its skills read prompts with byte scanners
+// (scan.go), each held to the regular expression it replaced, and draw
+// per-request coins from internal/randsrc, seeded only when drawn.
+//
 // The middleware's unit of storage is the fact and its unit of dispatch is
 // the document. A Group is k requests about one document — the k
 // questions of a fused llmFilter. Cache.CompleteGroup answers each member

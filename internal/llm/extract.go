@@ -3,6 +3,7 @@ package llm
 import (
 	"encoding/json"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,11 +31,10 @@ func (s *Sim) runExtract(prompt string) string {
 
 // kvPair is one key/value fact found in the document structure.
 type kvPair struct {
-	key   string // normalized (lower, space-joined tokens)
+	key   string   // normalized (lower, space-joined tokens)
+	toks  []string // the key's meaningful tokens (keyTokens)
 	value string
 }
-
-var kvLineRe = regexp.MustCompile(`^([A-Z][A-Za-z0-9 /()'&-]{1,40}):\s+(.+)$`)
 
 // parseKV mines key/value structure: 2-column markdown table rows and
 // "Key: Value" prose lines.
@@ -45,15 +45,20 @@ func parseKV(doc string) []kvPair {
 		if strings.HasPrefix(line, "|") {
 			cells := splitMarkdownRow(line)
 			if len(cells) == 2 && cells[0] != "" && !strings.HasPrefix(cells[0], "---") {
-				pairs = append(pairs, kvPair{key: normKey(cells[0]), value: strings.TrimSpace(cells[1])})
+				pairs = append(pairs, newKVPair(cells[0], cells[1]))
 			}
 			continue
 		}
-		if m := kvLineRe.FindStringSubmatch(line); m != nil {
-			pairs = append(pairs, kvPair{key: normKey(m[1]), value: strings.TrimSpace(m[2])})
+		if key, value, ok := kvLine(line); ok {
+			pairs = append(pairs, newKVPair(key, value))
 		}
 	}
 	return pairs
+}
+
+func newKVPair(key, value string) kvPair {
+	norm := normKey(key)
+	return kvPair{key: norm, toks: keyTokens(norm), value: strings.TrimSpace(value)}
 }
 
 func splitMarkdownRow(line string) []string {
@@ -116,7 +121,7 @@ func lookupKV(fieldNorm string, kv []kvPair) (string, bool) {
 	}
 	best, bestScore := "", 0
 	for _, p := range kv {
-		pt := keyTokens(p.key)
+		pt := p.toks
 		score := tokenOverlap(ft, pt)
 		// Require full containment of one side in the other.
 		if score == len(ft) || (len(pt) > 0 && score == len(pt)) {
@@ -128,14 +133,11 @@ func lookupKV(fieldNorm string, kv []kvPair) (string, bool) {
 	return best, bestScore > 0
 }
 
+// tokenOverlap counts the tokens of a that b holds.
 func tokenOverlap(a, b []string) int {
-	set := make(map[string]bool, len(b))
-	for _, t := range b {
-		set[t] = true
-	}
 	n := 0
 	for _, t := range a {
-		if set[t] {
+		if slices.Contains(b, t) {
 			n++
 		}
 	}
@@ -143,13 +145,8 @@ func tokenOverlap(a, b []string) int {
 }
 
 var (
-	damagePartRe = regexp.MustCompile(`(?i)damage to (?:the |its )?([a-z][a-z ]{2,40}?)(?:\.|,|;| and | which| during| when| after)`)
-	engineNumRe  = regexp.MustCompile(`(?i)\b(single|twin|one|two|three|four|1|2|3|4)[- ]engine`)
-	numberRe     = regexp.MustCompile(`-?\d+(\.\d+)?`)
-	// causeTailRe captures the formal cause statement: the text after the
-	// colon in "... determines the probable cause of this accident to be:
-	// <statement>", up to the end of the paragraph line.
-	causeTailRe = regexp.MustCompile(`(?i)probable cause[^.:\n]{0,60}:\s*(.{10,600}?)(?:\n|$)`)
+	engineNumRe = regexp.MustCompile(`(?i)\b(single|twin|one|two|three|four|1|2|3|4)[- ]engine`)
+	numberRe    = regexp.MustCompile(`-?\d+(\.\d+)?`)
 )
 
 // extractField resolves one field from the document.
@@ -159,12 +156,12 @@ func extractField(f FieldSpec, doc string, kv []kvPair) any {
 
 	// Probable cause: quote the cause statement.
 	if strings.Contains(norm, "cause") {
-		if m := causeTailRe.FindStringSubmatch(doc); m != nil {
-			return coerce(firstSentences(strings.TrimSpace(m[1]), 2), f.Type, doc, toks)
+		if stmt, ok := causeTail(doc); ok {
+			return coerce(firstSentences(strings.TrimSpace(stmt), 2), f.Type, doc, toks)
 		}
 		// No colon-anchored statement: take the first substantive sentence
 		// discussing the cause (section headers are too short to qualify).
-		for _, sent := range sentences(doc) {
+		for sent := range sentences(doc) {
 			if len(sent) >= 50 && strings.Contains(strings.ToLower(sent), "cause") {
 				return coerce(sent, f.Type, doc, toks)
 			}
@@ -199,8 +196,8 @@ func extractField(f FieldSpec, doc string, kv []kvPair) any {
 	// Damaged-part style fields: sentence pattern over the narrative.
 	if (strings.Contains(norm, "part") && strings.Contains(norm, "damage")) ||
 		norm == "damaged part" || norm == "part damaged" {
-		if m := damagePartRe.FindStringSubmatch(doc); m != nil {
-			return strings.TrimSpace(m[1])
+		for part := range damageParts(doc) {
+			return strings.TrimSpace(part)
 		}
 		return nil
 	}
@@ -318,27 +315,20 @@ func keywordPresent(doc string, fieldToks []string) bool {
 	return false
 }
 
-var sentenceSplitRe = regexp.MustCompile(`(?s)[^.!?\n]+[.!?]?`)
-
-// sentences splits text into rough sentence units.
-func sentences(text string) []string {
-	var out []string
-	for _, m := range sentenceSplitRe.FindAllString(text, -1) {
-		m = strings.TrimSpace(m)
-		if m != "" {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // firstSentences returns the first n sentences of text joined together.
 func firstSentences(text string, n int) string {
-	ss := sentences(text)
-	if len(ss) > n {
-		ss = ss[:n]
+	var sb strings.Builder
+	for sent := range sentences(text) {
+		if n == 0 {
+			break
+		}
+		if sb.Len() > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(sent)
+		n--
 	}
-	return strings.Join(ss, " ")
+	return sb.String()
 }
 
 // sentenceWith returns the first sentence containing any of the tokens.
@@ -346,7 +336,7 @@ func sentenceWith(text string, toks []string) string {
 	if len(toks) == 0 {
 		return ""
 	}
-	for _, sent := range sentences(text) {
+	for sent := range sentences(text) {
 		low := strings.ToLower(sent)
 		for _, t := range toks {
 			if strings.Contains(low, t) {

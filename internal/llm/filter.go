@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -18,19 +19,23 @@ import (
 // through documents where an engine problem was not indicated" — because
 // NTSB-style reports mention engines, weather, and damage in many
 // incidental contexts (§7.2, Filter errors).
-func (s *Sim) runFilter(rng *rand.Rand, prompt string) string {
-	question := section(prompt, "QUESTION: ")
-	doc := documentBody(prompt)
+func (s *Sim) runFilter(src *requestSource, prompt string) string {
+	return s.filterVerdict(src, section(prompt, "QUESTION: "), promptDocumentID(prompt), documentBody(prompt))
+}
+
+// filterVerdict answers question about doc, the document a filter prompt
+// carries; idLine is the prompt's DOCUMENT-ID line, or "".
+func (s *Sim) filterVerdict(src *requestSource, question, idLine, doc string) string {
 	if question == "" || doc == "" {
 		return "no"
 	}
 	// A verdict depends only on the lines that mention the question, so
 	// when the prompt names its document the coin is the document's, not
 	// the prompt's: sent whole or scoped, the document gets one answer.
-	if line := promptDocumentID(prompt); line != "" {
-		rng = s.rng(question + "\x00" + line)
+	if idLine != "" {
+		src.key(question, idLine)
 	}
-	if filterMatch(rng, question, doc, filterLeniency) {
+	if filterMatch(rand.New(src), question, doc, filterLeniency) {
 		return "yes"
 	}
 	return "no"
@@ -44,7 +49,7 @@ func filterMatch(rng *rand.Rand, question, doc string, leniency float64) bool {
 		// Contentless predicate: everything matches.
 		return true
 	}
-	full := strings.ToLower(stripNegatedRows(doc))
+	full := matchText(doc)
 
 	matchedAnywhere := 0
 	for _, g := range groups {
@@ -58,16 +63,14 @@ func filterMatch(rng *rand.Rand, question, doc string, leniency float64) bool {
 	if matchedAnywhere == len(groups) {
 		// All concepts present somewhere. Strong signal if they co-occur in
 		// one sentence.
-		for _, sent := range sentences(full) {
-			n := 0
+	sentence:
+		for sent := range sentences(full) {
 			for _, g := range groups {
-				if groupMatches(g, sent) {
-					n++
+				if !groupMatches(g, sent) {
+					continue sentence
 				}
 			}
-			if n == len(groups) {
-				return true
-			}
+			return true
 		}
 		// Concepts scattered across the document (never co-occurring in a
 		// sentence): a weak signal, but the generous filter still passes a
@@ -82,18 +85,52 @@ func filterMatch(rng *rand.Rand, question, doc string, leniency float64) bool {
 	return rng != nil && rng.Float64() < leniency*frac*0.35
 }
 
-// stripNegatedRows removes the lines NegatedRow names, so a predicate
-// about fire does not match every report's boilerplate table row. The model
-// reads tables; it understands "None": what is left is every line a filter
-// question's concept can be in.
-func stripNegatedRows(doc string) string {
-	var out []string
-	for _, line := range strings.Split(doc, "\n") {
-		if !NegatedRow(line) {
-			out = append(out, line)
+// matchText is what a filter question's concepts are looked for in: doc
+// without the lines NegatedRow names, lowered as strings.ToLower lowers, in
+// one pass. The model reads tables; it understands "None", so a predicate
+// about fire does not match every report's boilerplate table row.
+func matchText(doc string) string {
+	buf := make([]byte, 0, len(doc))
+	kept := false
+	for line := range strings.SplitSeq(doc, "\n") {
+		if NegatedRow(line) {
+			continue
 		}
+		if kept {
+			buf = append(buf, '\n')
+		}
+		kept = true
+		buf = appendLower(buf, line)
 	}
-	return strings.Join(out, "\n")
+	return string(buf)
+}
+
+// appendLower appends strings.ToLower(s) to dst: ASCII bytes lowered in
+// place, every other rune through unicode.ToLower, an invalid byte as
+// U+FFFD. (strings.ToLower returns an ASCII string's bytes lowered and
+// maps any other rune by rune, so the two agree on every input, and on
+// the lines of a text as on the whole: no rune spans a newline.)
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		// The bytes lowering keeps go in one copy.
+		j := i
+		for j < len(s) && s[j] < utf8.RuneSelf && (s[j] < 'A' || s[j] > 'Z') {
+			j++
+		}
+		dst = append(dst, s[i:j]...)
+		if i = j; i == len(s) {
+			break
+		}
+		if b := s[i]; b < utf8.RuneSelf {
+			dst = append(dst, b+'a'-'A')
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += size
+	}
+	return dst
 }
 
 // NegatedRow reports whether a line is key/value structure whose value is
@@ -145,18 +182,17 @@ func groupMatches(group []string, text string) bool {
 		if syn == "" {
 			continue
 		}
+		if containsWordForm(text, syn, false) {
+			return true
+		}
 		// Morphological fold: a model matches "collisions" against
 		// "collision" effortlessly.
-		variants := []string{syn}
 		if strings.HasSuffix(syn, "s") && !strings.HasSuffix(syn, "ss") && len(syn) > 3 {
-			variants = append(variants, syn[:len(syn)-1])
-		} else {
-			variants = append(variants, syn+"s")
-		}
-		for _, v := range variants {
-			if containsWord(text, v) {
+			if containsWordForm(text, syn[:len(syn)-1], false) {
 				return true
 			}
+		} else if containsWordForm(text, syn, true) {
+			return true
 		}
 	}
 	return false
@@ -164,24 +200,34 @@ func groupMatches(group []string, text string) bool {
 
 // containsWord reports whether text contains syn on word boundaries
 // (substring match for multi-word synonyms).
-func containsWord(text, syn string) bool {
-	if strings.ContainsRune(syn, ' ') {
-		return strings.Contains(text, syn)
-	}
-	idx := 0
-	for {
+func containsWord(text, syn string) bool { return containsWordForm(text, syn, false) }
+
+// containsWordForm is containsWord of syn, or of its plural syn+"s" when
+// plural is set, without building the plural.
+func containsWordForm(text, syn string, plural bool) bool {
+	multiWord := strings.IndexByte(syn, ' ') >= 0
+	for idx := 0; ; {
 		i := strings.Index(text[idx:], syn)
 		if i < 0 {
 			return false
 		}
 		start := idx + i
 		end := start + len(syn)
+		idx = start + 1
+		if plural {
+			if end == len(text) || text[end] != 's' {
+				continue
+			}
+			end++
+		}
+		if multiWord {
+			return true
+		}
 		beforeOK := start == 0 || !isWordByte(text[start-1])
 		afterOK := end >= len(text) || !isWordByte(text[end])
 		if beforeOK && afterOK {
 			return true
 		}
-		idx = start + 1
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 )
 
 // This file composes the middleware layers into the canonical stack:
@@ -27,14 +28,21 @@ type StackStats struct {
 	Cache  CacheStats
 	Flight FlightStats
 	Batch  BatchStats
+	// SimBusy is the wall time the backing model spent answering, summed
+	// over its dispatches, its modelled round trips left out: work the Sim
+	// does on the caller's cores and a hosted model does elsewhere. Zero
+	// for a backend that does not report it (busyReporter). It stays off
+	// the wire.
+	SimBusy time.Duration `json:"-"`
 }
 
 // Sub returns the stats accumulated since prev.
 func (s StackStats) Sub(prev StackStats) StackStats {
 	return StackStats{
-		Cache:  s.Cache.Sub(prev.Cache),
-		Flight: s.Flight.Sub(prev.Flight),
-		Batch:  s.Batch.Sub(prev.Batch),
+		Cache:   s.Cache.Sub(prev.Cache),
+		Flight:  s.Flight.Sub(prev.Flight),
+		Batch:   s.Batch.Sub(prev.Batch),
+		SimBusy: s.SimBusy - prev.SimBusy,
 	}
 }
 
@@ -53,6 +61,9 @@ func (s StackStats) String() string {
 		parts = append(parts, fmt.Sprintf("%d requests in %d batches (max %d)",
 			s.Batch.Requests, s.Batch.Batches, s.Batch.MaxSize))
 	}
+	if s.SimBusy > 0 {
+		parts = append(parts, fmt.Sprintf("sim busy %.1f ms", float64(s.SimBusy)/float64(time.Millisecond)))
+	}
 	if len(parts) == 0 {
 		return "no middleware activity"
 	}
@@ -66,6 +77,7 @@ func (s StackStats) String() string {
 type Stack struct {
 	cache   *Cache // entry point: the outermost layer
 	batcher *Batcher
+	backend busyReporter // the backing model, if it times itself
 
 	mu     sync.Mutex
 	usage  Usage // spend of calls that succeeded
@@ -101,6 +113,7 @@ func NewStack(inner Client, opts ...StackOption) *Stack {
 		o(&cfg)
 	}
 	s := &Stack{batcher: NewBatcher(inner, DefaultMaxBatch)}
+	s.backend, _ = inner.(busyReporter)
 	var client Client = s.batcher
 	if cfg.resilience != nil {
 		client = cfg.resilience(client)
@@ -168,9 +181,19 @@ func (s *Stack) CacheLayer() *Cache { return s.cache }
 // SaveCache persists the response cache to path.
 func (s *Stack) SaveCache(path string) error { return s.cache.Save(path) }
 
+// busyReporter is a backing model that reports the time it spent
+// answering (the Sim).
+type busyReporter interface {
+	Busy() time.Duration
+}
+
 // StackStats snapshots every layer's counters.
 func (s *Stack) StackStats() StackStats {
-	return StackStats{Cache: s.cache.Stats(), Flight: s.cache.FlightStats(), Batch: s.batcher.Stats()}
+	st := StackStats{Cache: s.cache.Stats(), Flight: s.cache.FlightStats(), Batch: s.batcher.Stats()}
+	if s.backend != nil {
+		st.SimBusy = s.backend.Busy()
+	}
+	return st
 }
 
 var _ GroupClient = (*Stack)(nil)

@@ -210,3 +210,36 @@ func TestStackStatsString(t *testing.T) {
 		}
 	}
 }
+
+// TestStackStatsSimBusy: the stack reports the Sim's busy time, the wall
+// time it spent answering with its modelled round trips left out — above
+// zero, and far below what the round trips themselves took.
+func TestStackStatsSimBusy(t *testing.T) {
+	const latency = 20 * time.Millisecond
+	stack := NewStack(NewSim(7, WithLatency(latency)))
+	ctx := context.Background()
+	before := stack.StackStats()
+	doc := strings.Repeat("The engine lost power on climb-out. A fire broke out in the cabin.\n", 40)
+	for _, q := range []string{"Did the engine lose power?", "Was there a fire?", "Did birds strike the aircraft?"} {
+		if _, err := stack.Complete(ctx, Request{Prompt: FilterPrompt(q, "NTSB-7", doc)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := stack.Complete(ctx, Request{Prompt: ExtractPrompt([]FieldSpec{{Name: "cause", Type: "string"}}, doc)}); err != nil {
+		t.Fatal(err)
+	}
+	st := stack.StackStats().Sub(before)
+	if st.Batch.Batches != 4 {
+		t.Fatalf("%d dispatches, want 4", st.Batch.Batches)
+	}
+	if roundTrips := time.Duration(st.Batch.Batches) * latency; st.SimBusy <= 0 || st.SimBusy >= roundTrips/4 {
+		t.Errorf("sim busy %v over %d dispatches of %v round trip, want above 0 and under %v", st.SimBusy, st.Batch.Batches, latency, roundTrips/4)
+	}
+	if s := st.String(); !strings.Contains(s, "sim busy") {
+		t.Errorf("stats string %q does not report the sim's busy time", s)
+	}
+	// A backend that does not time itself reports none.
+	if busy := NewStack(&batchCountingClient{}).StackStats().SimBusy; busy != 0 {
+		t.Errorf("a backend without busy time reports %v", busy)
+	}
+}

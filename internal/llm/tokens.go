@@ -103,8 +103,16 @@ func CountTokens(text string) int {
 	// The number of tokens Tokenize would return, without building them.
 	words := 0
 	inWord := false
-	for _, r := range text {
-		isWord := unicode.IsLetter(r) || unicode.IsDigit(r)
+	for i := 0; i < len(text); {
+		var isWord bool
+		if b := text[i]; b < utf8.RuneSelf {
+			isWord = asciiWord[b] != 0
+			i++
+		} else {
+			r, size := utf8.DecodeRuneInString(text[i:])
+			isWord = unicode.IsLetter(r) || unicode.IsDigit(r)
+			i += size
+		}
 		if isWord && !inWord {
 			words++
 		}

@@ -48,8 +48,15 @@ func TestTokenizeMatchesRuneLoop(t *testing.T) {
 		if got, want := eachToken(text), tokenizeRunes(text); !reflect.DeepEqual(got, want) {
 			t.Errorf("EachToken(%q) visits %q, want %q", text, got, want)
 		}
+		if got, want := CountTokens(text), countTokensRunes(text); got != want {
+			t.Errorf("CountTokens(%q) = %d, want %d", text, got, want)
+		}
 	}
 }
+
+// countTokensRunes is CountTokens over the rune loop's tokens: one per
+// word, or one per six bytes of punctuation-heavy text.
+func countTokensRunes(text string) int { return max(len(tokenizeRunes(text)), len(text)/6) }
 
 // eachToken collects what EachToken visits, through a buffer too small for
 // most tokens, so growing it is exercised.
@@ -72,6 +79,9 @@ func FuzzTokenize(f *testing.F) {
 		}
 		if got := eachToken(text); !reflect.DeepEqual(got, want) {
 			t.Fatalf("EachToken(%q) visits %q, want %q", text, got, want)
+		}
+		if got, want := CountTokens(text), countTokensRunes(text); got != want {
+			t.Fatalf("CountTokens(%q) = %d, want %d", text, got, want)
 		}
 	})
 }

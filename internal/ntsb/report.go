@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"aryn/internal/llm"
+	"aryn/internal/randsrc"
 	"aryn/internal/rawdoc"
 )
 
@@ -28,7 +29,7 @@ const Disclaimer = "The NTSB does not assign fault or blame for an accident or i
 func BuildReport(inc *Incident) *rawdoc.Doc {
 	h := fnv.New64a()
 	h.Write([]byte(inc.ReportID))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng := randsrc.New(int64(h.Sum64()))
 
 	b := rawdoc.NewBuilder(inc.ReportID, "Aviation Investigation Final Report — "+inc.ReportID)
 	b.SetFurniture("National Transportation Safety Board — Aviation Investigation Final Report", inc.ReportID)

@@ -1,17 +1,9 @@
-package embed
+package randsrc
 
 import (
 	"math"
 	"math/rand"
 )
-
-// This file is the direction generator: the value stream of
-// rand.New(rand.NewSource(seed)).NormFloat64(), bit for bit, without its
-// cost. math/rand allocates a 607-word additive generator per source,
-// seeds it with 1,841 Lehmer steps, each a division, and draws through an
-// interface call per number. Here the Lehmer steps are multiplications in
-// four independent lanes, the draws are direct calls, and the state lives
-// in a pooled generator (embed.go), so a direction allocates nothing.
 
 const (
 	rngLen  = 607 // words of additive-generator state
@@ -80,7 +72,7 @@ func recoverCooked() *[rngLen]int64 {
 			state[feed] = out[k] - state[rngLen-1-k]
 		}
 	}
-	var lehmer source
+	var lehmer Source
 	lehmer.seedWords(1, &[rngLen]int64{})
 	cooked := new([rngLen]int64)
 	for i := range cooked {
@@ -89,18 +81,28 @@ func recoverCooked() *[rngLen]int64 {
 	return cooked
 }
 
-// source is math/rand's additive lagged-Fibonacci generator (its
-// rngSource) with math/rand's Int63, Float64 and NormFloat64 on top.
-type source struct {
+// Source is math/rand's additive lagged-Fibonacci generator (its
+// rngSource), seeded without a division: rand.New(s) draws, method for
+// method, what rand.New(rand.NewSource(seed)) draws after s.Seed(seed).
+// The zero Source is not seeded; a Source is not safe for concurrent use.
+type Source struct {
 	tap, feed int
 	vec       [rngLen]int64
 }
 
-// seed is rngSource.Seed.
-func (s *source) seed(seed int64) { s.seedWords(seed, rngCooked) }
+// New returns rand.New(rand.NewSource(seed))'s generator, its source
+// seeded here.
+func New(seed int64) *rand.Rand {
+	s := new(Source)
+	s.Seed(seed)
+	return rand.New(s)
+}
+
+// Seed is rngSource.Seed.
+func (s *Source) Seed(seed int64) { s.seedWords(seed, rngCooked) }
 
 // seedWords seeds s as math/rand does, with cooked as the seeding table.
-func (s *source) seedWords(seed int64, cooked *[rngLen]int64) {
+func (s *Source) seedWords(seed int64, cooked *[rngLen]int64) {
 	s.tap, s.feed = 0, rngLen-rngTap
 	seed %= lehmerM
 	if seed < 0 {
@@ -131,8 +133,8 @@ func lehmerWord(x uint64) int64 {
 	return int64(x)<<40 ^ int64(mulmod(x, lehmerStep1))<<20 ^ int64(mulmod(x, lehmerStep2))
 }
 
-// int63 is rngSource.Int63.
-func (s *source) int63() int64 {
+// Uint64 is rngSource.Uint64.
+func (s *Source) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -143,23 +145,26 @@ func (s *source) int63() int64 {
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
-	return x & math.MaxInt64
+	return uint64(x)
 }
 
+// Int63 is rngSource.Int63.
+func (s *Source) Int63() int64 { return int64(s.Uint64() & math.MaxInt64) }
+
 // float64 is Rand.Float64.
-func (s *source) float64() float64 {
+func (s *Source) float64() float64 {
 	for {
-		if f := float64(s.int63()) / (1 << 63); f != 1 {
+		if f := float64(s.Int63()) / (1 << 63); f != 1 {
 			return f
 		}
 	}
 }
 
-// fill sets dst to the source's next len(dst) Rand.NormFloat64 draws,
+// Fill sets dst to the source's next len(dst) Rand.NormFloat64 draws,
 // each converted to T. It is Marsaglia and Tsang's ziggurat over
 // math/rand's tables, with its common case — better than 99% of draws,
 // one int63 and a table compare — inlined here.
-func fill[T float32 | float64](s *source, dst []T) {
+func Fill[T float32 | float64](s *Source, dst []T) {
 	tap, feed := s.tap, s.feed
 	for k := range dst {
 		tap--
@@ -188,7 +193,7 @@ func fill[T float32 | float64](s *source, dst []T) {
 // product on its rare paths is rounded by an explicit conversion, so that
 // no GOARCH fuses it into the add or compare beside it; amd64, which never
 // fuses, computes the same bits either way.
-func (s *source) ziggurat(j int32) float64 {
+func (s *Source) ziggurat(j int32) float64 {
 	for {
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
@@ -212,7 +217,7 @@ func (s *source) ziggurat(j int32) float64 {
 		if fn[i]+float32(float32(s.float64())*(fn[i-1]-fn[i])) < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
-		j = int32(uint32(s.int63() >> 31))
+		j = int32(uint32(s.Int63() >> 31))
 	}
 }
 

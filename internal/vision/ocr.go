@@ -2,11 +2,11 @@ package vision
 
 import (
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"strings"
 
 	"aryn/internal/docmodel"
+	"aryn/internal/randsrc"
 	"aryn/internal/rawdoc"
 )
 
@@ -65,7 +65,7 @@ var ocrConfusions = map[rune][]rune{
 func corruptText(text string, rate float64, seed int64) string {
 	h := fnv.New64a()
 	h.Write([]byte(text))
-	rng := rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+	rng := randsrc.New(seed ^ int64(h.Sum64()))
 	runes := []rune(text)
 	for i, r := range runes {
 		if rng.Float64() >= rate {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"aryn/internal/docmodel"
+	"aryn/internal/randsrc"
 	"aryn/internal/rawdoc"
 )
 
@@ -132,7 +133,7 @@ func (m *Model) Segment(page rawdoc.Page, pageKey string) []Detection {
 func (m *Model) pageRNG(pageKey string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(pageKey))
-	return rand.New(rand.NewSource(m.seed ^ int64(h.Sum64())))
+	return randsrc.New(m.seed ^ int64(h.Sum64()))
 }
 
 // proposal is an unlabeled region candidate with its member runs.
