@@ -186,6 +186,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run '^$$' -fuzz '^FuzzPostings$$' -fuzztime 10s
 	$(GO) test ./internal/embed/ -run '^$$' -fuzz '^FuzzDirectionSource$$' -fuzztime 10s
 	$(GO) test ./internal/docmodel/ -run '^$$' -fuzz '^FuzzTextView$$' -fuzztime 10s
+	$(GO) test ./internal/docmodel/ -run '^$$' -fuzz '^FuzzPropertiesJSON$$' -fuzztime 10s
 	$(GO) test ./internal/rawdoc/ -run '^$$' -fuzz '^FuzzRawdocDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz '^FuzzDotKernel$$' -fuzztime 10s
 	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzFilterPrompt$$' -fuzztime 10s

@@ -26,44 +26,82 @@ func liveHeap() uint64 {
 // BenchmarkStoreFootprint ingests the 100-accident corpus 42 and reports
 // what the store keeps alive once the system around it is gone: per stored
 // report (heap_bytes/doc: properties and the text view's elements) and per
-// indexed chunk (heap_bytes/chunk: vector, text and postings). The split is
-// taken by copying the reports into a store of their own and dropping the
-// full one. `make bench` prints both in every CI log; docs/operations.md
-// sizes a deployment from them.
+// indexed chunk (heap_bytes/chunk: vector, text and postings). `make bench`
+// prints both in every CI log; docs/operations.md sizes a deployment from
+// them.
 func BenchmarkStoreFootprint(b *testing.B) {
+	blobs := footprintBlobs(b)
+	for b.Loop() {
+		perDoc, perChunk := storeFootprint(b, blobs)
+		b.ReportMetric(perDoc, "heap_bytes/doc")
+		b.ReportMetric(perChunk, "heap_bytes/chunk")
+	}
+	runtime.KeepAlive(blobs) // or the last iteration's base holds them and its readings do not
+}
+
+// TestStoreFootprintPerReport bounds what a stored report of corpus 42
+// keeps alive: its properties are one exact-size key-sorted row whose keys
+// the store interns (≈ 5.6 KB a report in all; with the properties a
+// map[string]any a report read 6,016–6,083 B). One reading spreads over
+// ≈ 160 B a report from process to process (5,620–5,780 B), the least of
+// three over ≈ 70 B, so the test takes the least of three.
+func TestStoreFootprintPerReport(t *testing.T) {
+	blobs := footprintBlobs(t)
+	perDoc, perChunk := storeFootprint(t, blobs)
+	for range 2 {
+		d, c := storeFootprint(t, blobs)
+		perDoc, perChunk = min(perDoc, d), min(perChunk, c)
+	}
+	runtime.KeepAlive(blobs)
+	t.Logf("heap_bytes/doc %.0f, heap_bytes/chunk %.0f", perDoc, perChunk)
+	if perDoc > 5750 {
+		t.Errorf("a stored report keeps %.0f B alive, want ≤ 5,750", perDoc)
+	}
+}
+
+func footprintBlobs(tb testing.TB) map[string][]byte {
+	tb.Helper()
 	corpus, err := ntsb.GenerateCorpus(100, 42)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	blobs, err := corpus.Blobs()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for b.Loop() {
-		base := liveHeap()
-		sys := New(Config{Seed: 7, Parallelism: 4})
-		if _, err := sys.Ingest(context.Background(), blobs); err != nil {
-			b.Fatal(err)
-		}
-		store := sys.Store
-		sys = nil
-		whole := liveHeap() - base
+	return blobs
+}
 
-		nDocs, nChunks := store.NumDocs(), store.NumChunks()
-		docs := index.NewStore()
-		for _, d := range store.Documents() {
-			if err := docs.PutDocument(d); err != nil {
-				b.Fatal(err)
-			}
-		}
-		store = nil
-		docsOnly := liveHeap() - base
-		runtime.KeepAlive(docs)
-
-		b.ReportMetric(float64(docsOnly)/float64(nDocs), "heap_bytes/doc")
-		b.ReportMetric(float64(whole-docsOnly)/float64(nChunks), "heap_bytes/chunk")
+// storeFootprint ingests blobs and returns the live heap the store keeps per
+// stored report and per indexed chunk. The split is taken by copying the
+// reports into a store of their own and dropping the full one. A first
+// ingest, not measured, leaves behind what a process sets up once (≈ 60 KB
+// of it outlives the system), so that is not counted against the reports.
+func storeFootprint(tb testing.TB, blobs map[string][]byte) (perDoc, perChunk float64) {
+	tb.Helper()
+	if _, err := New(Config{Seed: 7, Parallelism: 4}).Ingest(context.Background(), blobs); err != nil {
+		tb.Fatal(err)
 	}
-	runtime.KeepAlive(blobs) // or the last iteration's base holds them and its readings do not
+	base := liveHeap()
+	sys := New(Config{Seed: 7, Parallelism: 4})
+	if _, err := sys.Ingest(context.Background(), blobs); err != nil {
+		tb.Fatal(err)
+	}
+	store := sys.Store
+	sys = nil
+	whole := liveHeap() - base
+
+	nDocs, nChunks := store.NumDocs(), store.NumChunks()
+	docs := index.NewStore()
+	for _, d := range store.Documents() {
+		if err := docs.PutDocument(d); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	store = nil
+	docsOnly := liveHeap() - base
+	runtime.KeepAlive(docs)
+	return float64(docsOnly) / float64(nDocs), float64(whole-docsOnly) / float64(nChunks)
 }
 
 // BenchmarkIngestDispatches ingests the 100-accident corpus 42 and reports

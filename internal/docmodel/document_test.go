@@ -180,7 +180,7 @@ func TestDocumentCloneIsDeep(t *testing.T) {
 	c := d.Clone()
 	c.Binary[0] = 9
 	c.Embedding[0] = 9
-	c.Properties["us_state"] = "CA"
+	c.SetProperty("us_state", "CA")
 	c.Children[0].Elements[0].Text = "changed"
 	if d.Binary[0] != 1 || d.Embedding[0] != 0.5 {
 		t.Error("binary/embedding clone not deep")
@@ -220,7 +220,7 @@ func viewCases() map[string]*Document {
 	for _, typ := range AllElementTypes() {
 		every.AddElement(&Element{
 			Type: typ, Text: "a " + typ.String() + " element", Page: 1 + int(typ),
-			Box: BBox{X0: 1, Y0: 2, X1: 30, Y1: 40}, Confidence: 0.9, Properties: Properties{"k": typ.String()},
+			Box: BBox{X0: 1, Y0: 2, X1: 30, Y1: 40}, Confidence: 0.9, Properties: Properties(nil).Set("k", typ.String()),
 		})
 	}
 	elems := New("elems")
@@ -378,7 +378,8 @@ func TestTextViewIsIndependentAndPrintsNoLayout(t *testing.T) {
 	v, _ := d.TextView(nil)
 	want := v.TextContent()
 	d.SetProperty("us_state", "MUTATED")
-	d.Properties["nested"].(map[string]any)["list"].([]any)[0] = "MUTATED"
+	nested, _ := d.Properties.Get("nested")
+	nested.(map[string]any)["list"].([]any)[0] = "MUTATED"
 	d.Embedding[0] = 9
 	for _, e := range d.Elements {
 		e.Text = "MUTATED"

@@ -122,12 +122,12 @@ func TestTableMarkdownEscapesPipes(t *testing.T) {
 func TestElementClone(t *testing.T) {
 	e := &Element{
 		Type: Table, Text: "tbl", Page: 2,
-		Properties: Properties{"k": "v"},
+		Properties: Properties(nil).Set("k", "v"),
 		Table:      &TableData{NumRows: 1, NumCols: 1, Cells: []TableCell{{Text: "x"}}},
 		Image:      &ImageData{Format: "png", Width: 10, Height: 10},
 	}
 	c := e.Clone()
-	c.Properties["k"] = "changed"
+	c.Properties = c.Properties.Set("k", "changed")
 	c.Table.Cells[0].Text = "changed"
 	c.Image.Format = "jpg"
 	if e.Properties.String("k") != "v" || e.Table.Cells[0].Text != "x" || e.Image.Format != "png" {

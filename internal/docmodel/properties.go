@@ -1,30 +1,76 @@
 package docmodel
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"iter"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 )
 
 // Properties is the JSON-like key/value metadata attached to documents and
-// elements. Values are restricted to JSON scalar kinds plus nested maps and
-// string slices, mirroring what llmExtract produces.
-type Properties map[string]any
+// elements: a row of key/value pairs sorted by key, each key once. Values
+// are restricted to JSON scalar kinds plus nested objects and string
+// slices, mirroring what llmExtract produces.
+//
+// A row has value semantics, like a slice under append: Set and Merge
+// return the row to keep, so callers write p = p.Set(k, v), and a row that
+// two holders share is read-only (Set may write into its array). Get, String,
+// Float and Int find a key by binary search, All visits the pairs in key
+// order, and MarshalJSON / UnmarshalJSON read and write the bytes
+// encoding/json does for a map[string]any with the same contents, so a
+// document's JSON does not show which of the two it holds. The row of a
+// stored text view (TextView) is exactly as long as its pairs, and its keys
+// are the store's interned strings (Keys).
+type Properties []property
 
-// Clone returns a deep copy of the property map.
+// property is one pair of a Properties row.
+type property struct {
+	key   string
+	value any
+}
+
+// find is where key is in p, or where it would go, and whether it is there.
+func (p Properties) find(key string) (int, bool) {
+	i, j := 0, len(p)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if p[h].key < key {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(p) && p[i].key == key
+}
+
+// All visits the pairs in key order.
+func (p Properties) All() iter.Seq2[string, any] {
+	return func(yield func(string, any) bool) {
+		for _, kv := range p {
+			if !yield(kv.key, kv.value) {
+				return
+			}
+		}
+	}
+}
+
+// Clone returns a deep copy of the row.
 func (p Properties) Clone() Properties { return p.clone(nil) }
 
 // clone is Clone, each key being keys' copy of it (as it is when keys is
-// nil).
+// nil). The copy is exactly as long as p.
 func (p Properties) clone(keys *Keys) Properties {
 	if p == nil {
 		return nil
 	}
 	cp := make(Properties, len(p))
-	for k, v := range p {
-		cp[keys.of(k)] = cloneValue(v)
+	for i, kv := range p {
+		cp[i] = property{keys.of(kv.key), cloneValue(kv.value)}
 	}
 	return cp
 }
@@ -62,7 +108,11 @@ func cloneValue(v any) any {
 	case Properties:
 		return t.Clone()
 	case map[string]any:
-		return map[string]any(Properties(t).Clone())
+		out := make(map[string]any, len(t))
+		for k, e := range t {
+			out[k] = cloneValue(e)
+		}
+		return out
 	case []string:
 		out := make([]string, len(t))
 		copy(out, t)
@@ -80,14 +130,16 @@ func cloneValue(v any) any {
 
 // Get returns the raw value for key and whether it was present.
 func (p Properties) Get(key string) (any, bool) {
-	v, ok := p[key]
-	return v, ok
+	if i, ok := p.find(key); ok {
+		return p[i].value, true
+	}
+	return nil, false
 }
 
 // String returns the value for key coerced to a string; missing keys and
 // nil values yield "".
 func (p Properties) String(key string) string {
-	v, ok := p[key]
+	v, ok := p.Get(key)
 	if !ok || v == nil {
 		return ""
 	}
@@ -109,7 +161,7 @@ func (p Properties) String(key string) string {
 
 // Float returns the value for key coerced to float64.
 func (p Properties) Float(key string) (float64, bool) {
-	v, ok := p[key]
+	v, ok := p.Get(key)
 	if !ok {
 		return 0, false
 	}
@@ -140,33 +192,41 @@ func (p Properties) Int(key string) (int, bool) {
 	return int(f), true
 }
 
-// Set assigns key = value, allocating the map if needed, and returns the
-// (possibly new) map so callers can use p = p.Set(...).
+// Set assigns key = value and returns the row to keep: p itself when key
+// was there, else p with the pair inserted in key order (a new array when
+// p's is full), so callers write p = p.Set(...).
 func (p Properties) Set(key string, value any) Properties {
-	if p == nil {
-		p = make(Properties)
+	i, ok := p.find(key)
+	if ok {
+		p[i].value = value
+		return p
 	}
-	p[key] = value
-	return p
+	return slices.Insert(p, i, property{key, value})
 }
 
-// Merge copies every entry of other into p (other wins on conflict) and
-// returns the (possibly new) map.
+// Merge returns a new row with p's pairs and copies of other's (other wins
+// on conflict); p itself when other is empty.
 func (p Properties) Merge(other Properties) Properties {
 	if len(other) == 0 {
 		return p
 	}
-	if p == nil {
-		p = make(Properties, len(other))
+	out := make(Properties, 0, len(p)+len(other))
+	i := 0
+	for _, kv := range other {
+		for i < len(p) && p[i].key < kv.key {
+			out = append(out, p[i])
+			i++
+		}
+		if i < len(p) && p[i].key == kv.key {
+			i++
+		}
+		out = append(out, property{kv.key, cloneValue(kv.value)})
 	}
-	for k, v := range other {
-		p[k] = cloneValue(v)
-	}
-	return p
+	return append(out, p[i:]...)
 }
 
-// JSON renders the properties as compact JSON (keys sorted by
-// encoding/json's map ordering).
+// JSON renders the properties as compact JSON (keys in order, as
+// encoding/json renders a map).
 func (p Properties) JSON() string {
 	b, err := json.Marshal(p)
 	if err != nil {
@@ -175,14 +235,138 @@ func (p Properties) JSON() string {
 	return string(b)
 }
 
-// Equal reports deep equality of two property maps.
+// MarshalJSON writes p as encoding/json writes a map[string]any with its
+// pairs: an object with the keys in order, null for a nil row.
+func (p Properties) MarshalJSON() ([]byte, error) {
+	if p == nil {
+		return []byte("null"), nil
+	}
+	var w jsonWriter
+	w.WriteByte('{')
+	for i, kv := range p {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		if err := w.text(kv.key); err != nil {
+			return nil, err
+		}
+		w.WriteByte(':')
+		if err := w.value(kv.value); err != nil {
+			return nil, err
+		}
+	}
+	w.WriteByte('}')
+	return w.Bytes(), nil
+}
+
+// jsonWriter writes JSON values as encoding/json does with HTML escaping
+// off: the caller's encoder escapes <, > and & in what MarshalJSON returns
+// when it is set to, as it would in a map's keys and strings. Plain strings,
+// finite float64s, bools and nil are written here, anything else by an
+// Encoder made on first use.
+type jsonWriter struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+func (w *jsonWriter) text(s string) error {
+	if !plain(s) {
+		return w.encode(s)
+	}
+	w.WriteByte('"')
+	w.WriteString(s)
+	w.WriteByte('"')
+	return nil
+}
+
+func (w *jsonWriter) value(v any) error {
+	switch t := v.(type) {
+	case nil:
+		w.WriteString("null")
+	case bool:
+		w.WriteString(strconv.FormatBool(t))
+	case string:
+		return w.text(t)
+	case float64:
+		if math.IsInf(t, 0) || math.IsNaN(t) {
+			return w.encode(t) // encoding/json's error
+		}
+		// As encoding/json: ES6 number formatting, exponents unpadded.
+		format := byte('f')
+		if abs := math.Abs(t); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b := strconv.AppendFloat(w.AvailableBuffer(), t, format, -1, 64)
+		if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1] // e-09 to e-9
+			b = b[:n-1]
+		}
+		w.Write(b)
+	default:
+		return w.encode(v)
+	}
+	return nil
+}
+
+func (w *jsonWriter) encode(v any) error {
+	if w.enc == nil {
+		w.enc = json.NewEncoder(&w.Buffer)
+		w.enc.SetEscapeHTML(false)
+	}
+	if err := w.enc.Encode(v); err != nil {
+		return err
+	}
+	w.Truncate(w.Len() - 1) // Encode ends a value with a newline
+	return nil
+}
+
+// plain reports whether encoding/json writes s between quotes as it is,
+// HTML escaping aside: printable ASCII without a quote or a backslash.
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// UnmarshalJSON reads an object into p as encoding/json reads one into a
+// map[string]any: the last of duplicate keys wins, the pairs join those p
+// has, and null leaves a nil row.
+func (p *Properties) UnmarshalJSON(b []byte) error {
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	switch {
+	case m == nil:
+		*p = nil
+	case len(*p) == 0:
+		*p = rowOf(m)
+	default:
+		*p = p.Merge(rowOf(m))
+	}
+	return nil
+}
+
+// rowOf is m's pairs as a row, sharing m's values; never nil.
+func rowOf(m map[string]any) Properties {
+	p := make(Properties, 0, len(m))
+	for k, v := range m {
+		p = append(p, property{k, v})
+	}
+	slices.SortFunc(p, func(a, b property) int { return strings.Compare(a.key, b.key) })
+	return p
+}
+
+// Equal reports deep equality of two rows.
 func (p Properties) Equal(other Properties) bool {
 	if len(p) != len(other) {
 		return false
 	}
-	for k, v := range p {
-		ov, ok := other[k]
-		if !ok || !valueEqual(v, ov) {
+	for i, kv := range p {
+		if kv.key != other[i].key || !valueEqual(kv.value, other[i].value) {
 			return false
 		}
 	}
@@ -191,21 +375,13 @@ func (p Properties) Equal(other Properties) bool {
 
 func valueEqual(a, b any) bool {
 	switch at := a.(type) {
-	case Properties:
-		return valueEqualMap(at, b)
-	case map[string]any:
-		return valueEqualMap(Properties(at), b)
+	case Properties, map[string]any:
+		ar, _ := asRow(at)
+		br, ok := asRow(b)
+		return ok && ar.Equal(br)
 	case []string:
 		bt, ok := b.([]string)
-		if !ok || len(at) != len(bt) {
-			return false
-		}
-		for i := range at {
-			if at[i] != bt[i] {
-				return false
-			}
-		}
-		return true
+		return ok && slices.Equal(at, bt)
 	case []any:
 		bt, ok := b.([]any)
 		if !ok || len(at) != len(bt) {
@@ -222,15 +398,15 @@ func valueEqual(a, b any) bool {
 	}
 }
 
-// valueEqualMap compares a map-shaped value against b, accepting either
-// Properties or map[string]any on the right-hand side.
-func valueEqualMap(at Properties, b any) bool {
-	switch bt := b.(type) {
+// asRow is an object-shaped value as a row: Properties as it is, or a
+// map[string]any's pairs.
+func asRow(v any) (Properties, bool) {
+	switch t := v.(type) {
 	case Properties:
-		return at.Equal(bt)
+		return t, true
 	case map[string]any:
-		return at.Equal(Properties(bt))
+		return rowOf(t), true
 	default:
-		return false
+		return nil, false
 	}
 }

@@ -61,7 +61,7 @@ func TestMapFilterFlatMap(t *testing.T) {
 		t.Fatalf("got %d docs, want 10", len(docs))
 	}
 	for _, d := range docs {
-		if d.Properties["tagged"] != true {
+		if v, _ := d.Properties.Get("tagged"); v != true {
 			t.Errorf("%s not tagged", d.ID)
 		}
 	}
@@ -181,7 +181,7 @@ func TestContextCancellationStopsPipeline(t *testing.T) {
 func TestReduceByKeySortedAndSkipsEmptyKeys(t *testing.T) {
 	ec := NewContext()
 	docs := testDocs(10)
-	docs[3].Properties["parity"] = "" // missing key -> dropped
+	docs[3].SetProperty("parity", "") // missing key -> dropped
 	out, err := FromDocuments(ec, docs).
 		reduceByKey("parity", func(d *docmodel.Document) string { return d.Property("parity") },
 			func(key string, group []*docmodel.Document) (*docmodel.Document, error) {
@@ -213,7 +213,7 @@ func TestLimitAndSortBy(t *testing.T) {
 	}
 	// Ascending with missing values last.
 	extra := testDocs(3)
-	delete(extra[1].Properties, "i")
+	extra[1].Properties = docmodel.Properties(nil).Set("parity", extra[1].Property("parity"))
 	asc, _ := FromDocuments(ec, extra).SortBy("i", false).TakeAll(context.Background())
 	if asc[len(asc)-1].ID != "d001" {
 		t.Errorf("missing value should sort last: %v", ids(asc))

@@ -130,9 +130,11 @@ func joinKey(d *docmodel.Document, field string) string {
 // merged clones the left document and merges the right document's
 // properties under the prefix namespace.
 func merged(l, r *docmodel.Document, prefix string) *docmodel.Document {
-	out := l.Clone()
-	for k, v := range r.Properties {
-		out.SetProperty(prefix+"."+k, v)
+	right := make(docmodel.Properties, 0, len(r.Properties))
+	for k, v := range r.Properties.All() {
+		right = right.Set(prefix+"."+k, v) // in key order: each Set appends
 	}
+	out := l.Clone()
+	out.Properties = out.Properties.Merge(right)
 	return out
 }

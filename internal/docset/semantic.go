@@ -41,12 +41,12 @@ func (ds *DocSet) llmExtract(fields []llm.FieldSpec, scoped bool) *DocSet {
 		name = "llmExtract[" + strings.Join(names, ",") + ", sections=1]"
 		terms = fieldTerms(fields)
 	}
-	ask := func(ec *Context, d *docmodel.Document, text string) (map[string]any, error) {
+	ask := func(ec *Context, d *docmodel.Document, text string) (docmodel.Properties, error) {
 		resp, err := ec.complete(llm.Request{Prompt: llm.ExtractPrompt(fields, text)})
 		if err != nil {
 			return nil, err
 		}
-		var extracted map[string]any
+		var extracted docmodel.Properties
 		if err := json.Unmarshal([]byte(resp.Text), &extracted); err != nil {
 			return nil, fmt.Errorf("llmExtract: model returned non-JSON for %s: %w", d.ID, err)
 		}
@@ -70,7 +70,8 @@ func (ds *DocSet) llmExtract(fields []llm.FieldSpec, scoped bool) *DocSet {
 				}
 				missed := false
 				for f, field := range fields {
-					missed = missed || (elsewhere[f] && extracted[field.Name] == nil)
+					v, _ := extracted.Get(field.Name)
+					missed = missed || (elsewhere[f] && v == nil)
 				}
 				if !missed {
 					atomic.AddInt64(&ec.nt.ProxyKept, 1)
@@ -91,12 +92,14 @@ func (ds *DocSet) llmExtract(fields []llm.FieldSpec, scoped bool) *DocSet {
 
 // setExtracted merges a model's extract reply into the document's
 // properties; a null leaves the property as it was.
-func setExtracted(d *docmodel.Document, extracted map[string]any) []*docmodel.Document {
-	for k, v := range extracted {
+func setExtracted(d *docmodel.Document, extracted docmodel.Properties) []*docmodel.Document {
+	found := make(docmodel.Properties, 0, len(extracted))
+	for k, v := range extracted.All() {
 		if v != nil {
-			d.SetProperty(k, v)
+			found = found.Set(k, v) // in key order: each Set appends
 		}
 	}
+	d.Properties = d.Properties.Merge(found)
 	return []*docmodel.Document{d}
 }
 

@@ -42,7 +42,8 @@ func TestLLMExtract(t *testing.T) {
 	if out[0].Property("us_state") != "AZ" || out[1].Property("us_state") != "HI" {
 		t.Errorf("states = %q, %q", out[0].Property("us_state"), out[1].Property("us_state"))
 	}
-	wA, wB := out[0].Properties["weather_related"], out[1].Properties["weather_related"]
+	wA, _ := out[0].Properties.Get("weather_related")
+	wB, _ := out[1].Properties.Get("weather_related")
 	if wA != false || wB != true {
 		t.Errorf("weather_related = %v, %v (want false, true)", wA, wB)
 	}

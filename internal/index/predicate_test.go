@@ -8,14 +8,13 @@ import (
 )
 
 func props() docmodel.Properties {
-	return docmodel.Properties{
-		"us_state": "KY",
-		"aircraft": "Piper PA-38-112",
-		"injuries": 3,
-		"year":     2024.0,
-		"fatal":    false,
-		"nilProp":  nil,
-	}
+	return docmodel.Properties(nil).
+		Set("us_state", "KY").
+		Set("aircraft", "Piper PA-38-112").
+		Set("injuries", 3).
+		Set("year", 2024.0).
+		Set("fatal", false).
+		Set("nilProp", nil)
 }
 
 func TestTermPredicate(t *testing.T) {

@@ -465,7 +465,7 @@ func TestPutDocumentSharesPropertyKeys(t *testing.T) {
 	}
 	first := map[string]*byte{}
 	for i, d := range s.Documents() {
-		for k := range d.Properties {
+		for k := range d.Properties.All() {
 			if want := fmt.Sprintf("%s-%d", k, i); d.Property(k) != want {
 				t.Errorf("%s: %s = %q, want %q", d.ID, k, d.Property(k), want)
 			}

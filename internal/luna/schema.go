@@ -37,16 +37,9 @@ func InferSchema(store *index.Store) Schema {
 	}
 	fields := map[string]*agg{}
 	for _, d := range store.Documents() {
-		// Visit properties in sorted order: example collection caps at
-		// three values, and the planner prompt must be byte-identical
-		// across runs, so nothing here may depend on map order.
-		keys := make([]string, 0, len(d.Properties))
-		for k := range d.Properties {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			v := d.Properties[k]
+		// A row is in key order: example collection caps at three values,
+		// and the planner prompt must be byte-identical across runs.
+		for k, v := range d.Properties.All() {
 			if v == nil {
 				continue
 			}
