@@ -42,9 +42,9 @@ func BenchmarkStoreFootprint(b *testing.B) {
 // TestStoreFootprintPerReport bounds what a stored report of corpus 42
 // keeps alive: its properties are one exact-size key-sorted row whose keys
 // the store interns (≈ 5.6 KB a report in all; with the properties a
-// map[string]any a report read 6,016–6,083 B). One reading spreads over
-// ≈ 160 B a report from process to process (5,620–5,780 B), the least of
-// three over ≈ 70 B, so the test takes the least of three.
+// map[string]any a report read 6,070–6,120 B). A process's first reading
+// also counts what the process sets up once, ≈ 60 KB or ≈ 600 B a report,
+// so the test takes the least of three (5,558–5,680 B over six processes).
 func TestStoreFootprintPerReport(t *testing.T) {
 	blobs := footprintBlobs(t)
 	perDoc, perChunk := storeFootprint(t, blobs)
@@ -74,14 +74,9 @@ func footprintBlobs(tb testing.TB) map[string][]byte {
 
 // storeFootprint ingests blobs and returns the live heap the store keeps per
 // stored report and per indexed chunk. The split is taken by copying the
-// reports into a store of their own and dropping the full one. A first
-// ingest, not measured, leaves behind what a process sets up once (≈ 60 KB
-// of it outlives the system), so that is not counted against the reports.
+// reports into a store of their own and dropping the full one.
 func storeFootprint(tb testing.TB, blobs map[string][]byte) (perDoc, perChunk float64) {
 	tb.Helper()
-	if _, err := New(Config{Seed: 7, Parallelism: 4}).Ingest(context.Background(), blobs); err != nil {
-		tb.Fatal(err)
-	}
 	base := liveHeap()
 	sys := New(Config{Seed: 7, Parallelism: 4})
 	if _, err := sys.Ingest(context.Background(), blobs); err != nil {

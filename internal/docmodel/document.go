@@ -263,7 +263,7 @@ func (d *Document) AddChild(c *Document) { d.Children = append(d.Children, c) }
 // absent).
 func (d *Document) Property(key string) string { return d.Properties.String(key) }
 
-// SetProperty assigns a document property, allocating the map if needed.
+// SetProperty assigns a document property, keeping the row Set returns.
 func (d *Document) SetProperty(key string, value any) {
 	d.Properties = d.Properties.Set(key, value)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"iter"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -236,99 +235,39 @@ func (p Properties) JSON() string {
 }
 
 // MarshalJSON writes p as encoding/json writes a map[string]any with its
-// pairs: an object with the keys in order, null for a nil row.
+// pairs: an object with the keys in order, null for a nil row. Each key and
+// value goes through one Encoder with HTML escaping off; the caller's
+// encoder escapes <, > and & in what MarshalJSON returns when it is set to,
+// as it would in a map's keys and strings.
 func (p Properties) MarshalJSON() ([]byte, error) {
 	if p == nil {
 		return []byte("null"), nil
 	}
-	var w jsonWriter
-	w.WriteByte('{')
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	put := func(v any) error {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode ends a value with a newline
+		return nil
+	}
+	buf.WriteByte('{')
 	for i, kv := range p {
 		if i > 0 {
-			w.WriteByte(',')
+			buf.WriteByte(',')
 		}
-		if err := w.text(kv.key); err != nil {
+		if err := put(kv.key); err != nil {
 			return nil, err
 		}
-		w.WriteByte(':')
-		if err := w.value(kv.value); err != nil {
+		buf.WriteByte(':')
+		if err := put(kv.value); err != nil {
 			return nil, err
 		}
 	}
-	w.WriteByte('}')
-	return w.Bytes(), nil
-}
-
-// jsonWriter writes JSON values as encoding/json does with HTML escaping
-// off: the caller's encoder escapes <, > and & in what MarshalJSON returns
-// when it is set to, as it would in a map's keys and strings. Plain strings,
-// finite float64s, bools and nil are written here, anything else by an
-// Encoder made on first use.
-type jsonWriter struct {
-	bytes.Buffer
-	enc *json.Encoder
-}
-
-func (w *jsonWriter) text(s string) error {
-	if !plain(s) {
-		return w.encode(s)
-	}
-	w.WriteByte('"')
-	w.WriteString(s)
-	w.WriteByte('"')
-	return nil
-}
-
-func (w *jsonWriter) value(v any) error {
-	switch t := v.(type) {
-	case nil:
-		w.WriteString("null")
-	case bool:
-		w.WriteString(strconv.FormatBool(t))
-	case string:
-		return w.text(t)
-	case float64:
-		if math.IsInf(t, 0) || math.IsNaN(t) {
-			return w.encode(t) // encoding/json's error
-		}
-		// As encoding/json: ES6 number formatting, exponents unpadded.
-		format := byte('f')
-		if abs := math.Abs(t); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		b := strconv.AppendFloat(w.AvailableBuffer(), t, format, -1, 64)
-		if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1] // e-09 to e-9
-			b = b[:n-1]
-		}
-		w.Write(b)
-	default:
-		return w.encode(v)
-	}
-	return nil
-}
-
-func (w *jsonWriter) encode(v any) error {
-	if w.enc == nil {
-		w.enc = json.NewEncoder(&w.Buffer)
-		w.enc.SetEscapeHTML(false)
-	}
-	if err := w.enc.Encode(v); err != nil {
-		return err
-	}
-	w.Truncate(w.Len() - 1) // Encode ends a value with a newline
-	return nil
-}
-
-// plain reports whether encoding/json writes s between quotes as it is,
-// HTML escaping aside: printable ASCII without a quote or a backslash.
-func plain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	return true
+	buf.WriteByte('}')
+	return buf.Bytes(), nil
 }
 
 // UnmarshalJSON reads an object into p as encoding/json reads one into a

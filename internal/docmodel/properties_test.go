@@ -133,7 +133,7 @@ func TestPropertiesEqualAndClone(t *testing.T) {
 		t.Fatal("clone should be Equal")
 	}
 	cn, _ := c.Get("nest")
-	cn.(Properties).Set("inner", false)
+	c = c.Set("nest", cn.(Properties).Set("inner", false))
 	if p.Equal(c) {
 		t.Fatal("deep mutation should break equality")
 	}
